@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 CHAOS_RUNS ?= 5
 CHAOS_SEED ?= 1
 
-.PHONY: all build test lint race race-tm fuzz-short chaos chaos-teeth bench serve-smoke serve-bench crash-smoke crash-chaos repl-smoke repl-chaos clean
+.PHONY: all build test bench-check lint race race-tm fuzz-short chaos chaos-teeth bench serve-smoke serve-bench crash-smoke crash-chaos repl-smoke repl-chaos clean
 
 CRASH_SEED ?= 1
 
@@ -16,11 +16,11 @@ CRASH_SEED ?= 1
 TM_PKGS = ./internal/stm/... ./internal/htm/... ./internal/epoch/... \
 	./internal/tm/... ./internal/tle/... ./internal/condvar/...
 
-# Perf trajectory settings: fixed so BENCH_<date>.json files are comparable
-# across PRs and feedable to benchstat via the raw .txt artifacts.
+# Microbenchmark settings: fixed so the raw .txt captures under $(BENCHDIR)
+# (scratch, not tracked) are comparable with benchstat. The repository's
+# performance record is BENCHMARK.json + benchmark/, not these targets.
 BENCHTIME ?= 300ms
 BENCHCOUNT ?= 3
-BENCHDATE ?= $(shell date +%Y-%m-%d)
 BENCHDIR ?= bench-out
 
 all: build test
@@ -31,6 +31,13 @@ build:
 # Tier-1: the full unit/property suite.
 test:
 	$(GO) test ./...
+
+# benchmark/ is its own Go module, so tier-1 never compiles it; it imports
+# internal/{wal,repl,logrec,kvstore,server} and may not be edited alongside
+# them. This builds, vets and smoke-tests it against the current tree, so an
+# API break shows up here and not when the benchmark pipeline next runs.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Static analysis: standard go vet plus the transaction-safety suite
 # (cmd/tmvet; see DESIGN.md "Static analysis"). tmvet exits non-zero on
@@ -77,10 +84,8 @@ chaos:
 	$(GO) run ./cmd/chaosbench -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
 # Paper-figure + commit-pipeline benchmarks with pinned -benchtime/-count.
-# Raw text goes to $(BENCHDIR)/current.txt (benchstat-compatible); the JSON
-# summary lands in BENCH_$(BENCHDATE).json. To also fold in a pre-change
-# capture, add baseline=<file> via BENCH_BASELINE, e.g.
-#   make bench BENCH_BASELINE=/tmp/bench_baseline.txt
+# Raw text goes to $(BENCHDIR)/current.txt; compare two captures with
+# benchstat.
 bench:
 	mkdir -p $(BENCHDIR)
 	$(GO) test -run '^$$' \
@@ -88,8 +93,6 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSharedGrace' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/epoch | tee -a $(BENCHDIR)/current.txt
-	$(GO) run ./cmd/benchjson -out BENCH_$(BENCHDATE).json \
-		$(if $(BENCH_BASELINE),baseline=$(BENCH_BASELINE)) current=$(BENCHDIR)/current.txt
 
 # The network server's zero-to-OK gate: the allocation gate (the serving
 # hot path must do exactly 0 allocs/op — see TestZeroAllocHotPath), then
@@ -107,10 +110,10 @@ serve-smoke:
 # mix (16 conns x depth 8, mixed 64/2048-byte values, -htm-write-lines 24
 # = a 1.5 KiB write budget, so the 2 KiB sets overflow HTM capacity and
 # drive the adaptive ladder off htm-cv), checked for per-key
-# linearizability, folded into the same BENCH_$(BENCHDATE).json trajectory
-# as `make bench`. A second pass reruns the identical mix with the redo
-# WAL enabled (`serve-wal` label) so the JSON carries the durability tax:
-# ops/sec and p99 WAL-on vs WAL-off, plus the group-commit fsyncs/sec.
+# linearizability. A second pass reruns the identical mix with the redo
+# WAL enabled (`ServeWAL` label) to show the durability tax: ops/sec and
+# p99 WAL-on vs WAL-off, plus the group-commit fsyncs/sec. Each pass ends
+# with a benchstat-compatible line, kept in $(BENCHDIR)/serve*.txt.
 SERVE_ADDR ?= 127.0.0.1:19333
 SERVE_OPS ?= 100000
 serve-bench:
@@ -134,9 +137,6 @@ serve-bench:
 	rc=$$?; cat $(BENCHDIR)/serve-wal.txt; \
 	kill `cat $(BENCHDIR)/tleserved.pid`; rm -f $(BENCHDIR)/tleserved.pid; \
 	test $$rc -eq 0
-	$(GO) run ./cmd/benchjson -out BENCH_$(BENCHDATE).json \
-		$(if $(wildcard $(BENCHDIR)/current.txt),current=$(BENCHDIR)/current.txt) \
-		serve=$(BENCHDIR)/serve.txt serve-wal=$(BENCHDIR)/serve-wal.txt
 
 # Prove the chaos checker still bites: a sabotaged engine must be caught.
 chaos-teeth:
@@ -160,15 +160,12 @@ crash-chaos:
 # followers; the round passes only if every node's shard dumps are
 # byte-identical after quiesce AND the combined primary+follower history
 # satisfies the stale-read linearizability model. repl-smoke is the CI
-# gate and folds follower apply throughput + worst steady-state lag into
-# the BENCH json trajectory; repl-chaos sweeps more seeds and adds the
-# kill-9 follower restart (resume from the follower's own WAL cursor).
+# gate and prints follower apply throughput + worst steady-state lag as
+# benchstat lines; repl-chaos sweeps more seeds and adds the kill-9
+# follower restart (resume from the follower's own WAL cursor).
 REPL_SEED ?= 1
 repl-smoke:
-	mkdir -p $(BENCHDIR)
-	$(GO) run ./cmd/repltest -runs 1 -followers 2 -ops 20000 -seed $(REPL_SEED) \
-		> $(BENCHDIR)/repl.txt 2>&1; rc=$$?; cat $(BENCHDIR)/repl.txt; test $$rc -eq 0
-	$(GO) run ./cmd/benchjson -out BENCH_$(BENCHDATE).json repl=$(BENCHDIR)/repl.txt
+	$(GO) run ./cmd/repltest -runs 1 -followers 2 -ops 20000 -seed $(REPL_SEED)
 
 repl-chaos:
 	$(GO) run ./cmd/repltest -runs 6 -followers 2 -ops 20000 -seed $(REPL_SEED) \

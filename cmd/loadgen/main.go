@@ -1,7 +1,6 @@
 // Command loadgen drives a running tleserved instance with a closed-loop
 // pipelined workload: -conns client connections, each keeping -depth
-// requests in flight, drawing keys/ops/values from internal/workload so
-// network runs stay comparable to cmd/kvcache's in-process sweeps.
+// requests in flight, drawing keys/ops/values from internal/workload.
 //
 // With -check, every get/set/delete is recorded into a Wing-Gong
 // linearizability history (internal/linearize) keyed per key: Invoke
@@ -17,7 +16,7 @@
 // linearizable, follower reads must be prefix-consistent (each worker's
 // view of a key only moves forward through its version history).
 //
-// Output ends with benchstat-compatible lines for cmd/benchjson:
+// Output ends with a benchstat-compatible line:
 //
 //	BenchmarkServe/conns=16/depth=8/mix=g80s20d0 100000 10936 ns/op ...
 package main
@@ -347,7 +346,7 @@ func run(o options) error {
 		}
 	}
 
-	// Benchstat-compatible trailer for cmd/benchjson.
+	// Benchstat-compatible trailer.
 	name := fmt.Sprintf("Benchmark%s/conns=%d/depth=%d/mix=%s", o.label, o.conns, o.depth, o.mix)
 	walMetric := ""
 	if fsyncRate >= 0 {

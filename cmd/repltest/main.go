@@ -11,8 +11,8 @@
 //	repltest -runs 1 -followers 2 -ops 20000            # make repl-smoke
 //	repltest -runs 6 -seed 1 -kill-follower -v          # make repl-chaos
 //
-// Output ends with benchstat-compatible lines for cmd/benchjson carrying
-// follower apply throughput and the worst steady-state lag observed.
+// Output ends with benchstat-compatible lines carrying follower apply
+// throughput and the worst steady-state lag observed.
 package main
 
 import (

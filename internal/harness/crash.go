@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math/rand"
@@ -194,94 +193,15 @@ func RunCrash(cfg CrashConfig) CrashResult {
 	return res
 }
 
-// serverProc is one tleserved child plus its parsed startup lines.
-type serverProc struct {
-	cmd       *exec.Cmd
-	addr      string
-	recovered int
-	waitOnce  sync.Once
-	waitErr   error
-}
-
 // startServer launches tleserved with the WAL enabled and waits for it to
 // report recovery and its bound address.
-func startServer(cfg CrashConfig, walDir string) (*serverProc, error) {
-	cmd := exec.Command(cfg.ServedBin,
+func startServer(cfg CrashConfig, walDir string) (*nodeProc, error) {
+	return startNode(cfg.ServedBin, cfg.Log, "server",
 		"-addr", "127.0.0.1:0",
 		"-wal", walDir,
 		"-shards", strconv.Itoa(cfg.Shards),
 		"-capacity", strconv.Itoa(cfg.Capacity),
 	)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stderr = cmd.Stdout // log.Fatal output lands in the same scanner
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	p := &serverProc{cmd: cmd}
-
-	type startup struct {
-		addr      string
-		recovered int
-		err       error
-	}
-	ch := make(chan startup, 1)
-	go func() {
-		var st startup
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "[server] %s\n", line)
-			}
-			if n, ok := cutInt(line, "wal: recovered ", " records"); ok {
-				st.recovered = n
-			}
-			if rest, ok := strings.CutPrefix(line, "listening on "); ok {
-				st.addr = strings.Fields(rest)[0]
-				ch <- st
-				// Keep draining so the child never blocks on a full pipe.
-				for sc.Scan() {
-					if cfg.Log != nil {
-						fmt.Fprintf(cfg.Log, "[server] %s\n", sc.Text())
-					}
-				}
-				return
-			}
-		}
-		st.err = fmt.Errorf("server exited before listening (scan err: %v)", sc.Err())
-		ch <- st
-	}()
-
-	select {
-	case st := <-ch:
-		if st.err != nil {
-			cmd.Process.Kill()
-			p.reap()
-			return nil, st.err
-		}
-		p.addr, p.recovered = st.addr, st.recovered
-		return p, nil
-	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		p.reap()
-		return nil, fmt.Errorf("server did not report listening within 30s")
-	}
-}
-
-// reap waits for the child exactly once (Kill/SIGTERM callers included).
-func (p *serverProc) reap() error {
-	p.waitOnce.Do(func() { p.waitErr = p.cmd.Wait() })
-	return p.waitErr
-}
-
-// stop force-kills and reaps; safe on an already-dead child. Deferred so
-// an early error return never leaks a listening server.
-func (p *serverProc) stop() {
-	p.cmd.Process.Kill()
-	p.reap()
 }
 
 // loadgenProc is one loadgen child with captured output.
@@ -303,17 +223,7 @@ func startLoadgen(cfg CrashConfig, addr string, ops int, seed int64, extra ...st
 		"-del", strconv.Itoa(cfg.DelPct),
 		"-check",
 	}
-	args = append(args, extra...)
-	cmd := exec.Command(cfg.LoadgenBin, args...)
-	buf := &syncBuf{log: cfg.Log, prefix: "[loadgen] "}
-	cmd.Stdout = buf
-	cmd.Stderr = buf
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	p := &loadgenProc{cmd: cmd, out: buf, done: make(chan error, 1)}
-	go func() { p.done <- cmd.Wait() }()
-	return p, nil
+	return startLoadgenArgs(cfg.LoadgenBin, cfg.Log, append(args, extra...))
 }
 
 func (p *loadgenProc) exited() bool {

@@ -151,7 +151,7 @@ func RunRepl(cfg ReplConfig) ReplResult {
 
 	// Primary: no WAL (replication retention starts at zero), commit log
 	// streamed on a loopback port.
-	primary, err := startReplNode(cfg, "primary",
+	primary, err := startNode(cfg.ServedBin, cfg.Log, "primary",
 		"-addr", "127.0.0.1:0",
 		"-repl-listen", "127.0.0.1:0",
 		"-shards", strconv.Itoa(cfg.Shards),
@@ -197,7 +197,7 @@ func RunRepl(cfg ReplConfig) ReplResult {
 		}
 	}()
 	startFollower := func(i int) (*nodeProc, error) {
-		return startReplNode(cfg, fmt.Sprintf("follower%d", i),
+		return startNode(cfg.ServedBin, cfg.Log, fmt.Sprintf("follower%d", i),
 			"-addr", "127.0.0.1:0",
 			"-follow", followTargets[i],
 			"-wal", filepath.Join(cfg.WorkDir, fmt.Sprintf("fwal%d", i)),
@@ -473,11 +473,12 @@ type nodeProc struct {
 	waitErr   error
 }
 
-// startReplNode launches tleserved and waits for its startup lines; the
-// info lines (wal recovery, repl role) print before "listening on", so
-// one scan collects everything.
-func startReplNode(cfg ReplConfig, name string, args ...string) (*nodeProc, error) {
-	cmd := exec.Command(cfg.ServedBin, args...)
+// startNode launches tleserved (the crash and replication harnesses share
+// it) and waits for its startup lines; the info lines (wal recovery, repl
+// role) print before "listening on", so one scan collects everything. log,
+// when set, receives the child's output.
+func startNode(bin string, log io.Writer, name string, args ...string) (*nodeProc, error) {
+	cmd := exec.Command(bin, args...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, err
@@ -499,8 +500,8 @@ func startReplNode(cfg ReplConfig, name string, args ...string) (*nodeProc, erro
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "[%s] %s\n", name, line)
+			if log != nil {
+				fmt.Fprintf(log, "[%s] %s\n", name, line)
 			}
 			if n, ok := cutInt(line, "wal: recovered ", " records"); ok {
 				st.recovered = n
@@ -512,8 +513,8 @@ func startReplNode(cfg ReplConfig, name string, args ...string) (*nodeProc, erro
 				st.addr = strings.Fields(rest)[0]
 				ch <- st
 				for sc.Scan() { // drain so the child never blocks on a full pipe
-					if cfg.Log != nil {
-						fmt.Fprintf(cfg.Log, "[%s] %s\n", name, sc.Text())
+					if log != nil {
+						fmt.Fprintf(log, "[%s] %s\n", name, sc.Text())
 					}
 				}
 				return
@@ -539,18 +540,20 @@ func startReplNode(cfg ReplConfig, name string, args ...string) (*nodeProc, erro
 	}
 }
 
+// reap waits for the child exactly once (Kill/SIGTERM callers included).
 func (p *nodeProc) reap() error {
 	p.waitOnce.Do(func() { p.waitErr = p.cmd.Wait() })
 	return p.waitErr
 }
 
+// stop force-kills and reaps; safe on an already-dead child. Deferred so
+// an early error return never leaks a listening server.
 func (p *nodeProc) stop() {
 	p.cmd.Process.Kill()
 	p.reap()
 }
 
-// startLoadgenArgs launches loadgen with explicit args (the crash
-// harness's startLoadgen bakes in its own flag set).
+// startLoadgenArgs launches loadgen with explicit args.
 func startLoadgenArgs(bin string, log io.Writer, args []string) (*loadgenProc, error) {
 	cmd := exec.Command(bin, args...)
 	buf := &syncBuf{log: log, prefix: "[loadgen] "}

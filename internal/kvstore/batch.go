@@ -145,18 +145,13 @@ func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, sc 
 		// path must not allocate a fresh func per batch.
 		//gotle:allow hotalloc bound once per scratch lifetime, reused by every batch
 		sc.flushFn = func() {
-			l, t := sc.store.wal, sc.store.tap
 			for j := range sc.recs {
 				if len(sc.recs[j]) == 0 {
 					continue
 				}
-				// Tap before WAL, as in walPublish: replication latency
-				// stays off the fsync path.
-				if t != nil {
-					t.PublishBatch(sc.touched[j], sc.recs[j])
-				}
-				if l != nil {
-					sc.Tickets = append(sc.Tickets, l.AppendBatch(sc.touched[j], sc.recs[j]))
+				tk := s.publish(sc.touched[j], sc.recs[j])
+				if s.wal != nil {
+					sc.Tickets = append(sc.Tickets, tk)
 				}
 			}
 		}
@@ -248,7 +243,6 @@ func (s *Store) batchBody(tx tm.Tx, sc *BatchScratch) error {
 		sc.recs[j] = sc.recs[j][:0]
 	}
 	sc.numB = sc.numB[:0]
-	staged := false
 	for i := range ops {
 		si := sc.shardOf[i]
 		if si < 0 {
@@ -261,13 +255,13 @@ func (s *Store) batchBody(tx tm.Tx, sc *BatchScratch) error {
 			st, _, _ := s.applyStore(tx, sh, sc.hash[i], op.Key, op.Val, op.Flags, storeMode(op.Verb), op.Cas)
 			res[i] = BatchResult{Store: st}
 			if st == Stored {
-				staged = s.stageWAL(tx, sh, sc, sc.pos[i], wal.OpSet, op.Flags, op.Key, op.Val) || staged
+				s.stageWAL(tx, sh, sc, sc.pos[i], wal.OpSet, op.Flags, op.Key, op.Val)
 			}
 		case BatchDelete:
 			rm := s.applyDelete(tx, sh, sc.hash[i], op.Key)
 			res[i] = BatchResult{Removed: rm}
 			if rm {
-				staged = s.stageWAL(tx, sh, sc, sc.pos[i], wal.OpDelete, 0, op.Key, nil) || staged
+				s.stageWAL(tx, sh, sc, sc.pos[i], wal.OpDelete, 0, op.Key, nil)
 			}
 		case BatchIncr, BatchDecr:
 			base := len(sc.numB)
@@ -285,7 +279,7 @@ func (s *Store) batchBody(tx tm.Tx, sc *BatchScratch) error {
 			}
 			res[i] = BatchResult{Incr: st, NewVal: nv}
 			if st == IncrStored {
-				staged = s.stageWAL(tx, sh, sc, sc.pos[i], wal.OpSet, fl, op.Key, nb) || staged
+				s.stageWAL(tx, sh, sc, sc.pos[i], wal.OpSet, fl, op.Key, nb)
 			}
 		default:
 			res[i] = BatchResult{Err: ErrBadKey}
@@ -298,23 +292,22 @@ func (s *Store) batchBody(tx tm.Tx, sc *BatchScratch) error {
 	// never needed here.
 	//gotle:allow noqpriv allocator safety is engine-enforced for freeing attempts; no post-commit non-transactional access to privatized items
 	tx.NoQuiesce()
-	if staged {
-		tx.Defer(sc.flushFn)
+	if s.stream != nil {
+		tx.Defer(sc.flushFn) // publishes whatever the ops above staged
 	}
 	return nil
 }
 
 // stageWAL draws the shard's next commit sequence inside tx and stages a
-// redo record in the scratch; the batch's flushFn hands every touched
-// shard's run to wal.AppendBatch post-commit — one ticket per shard per
-// batch. Key/val alias the op's buffers: AppendBatch consumes them during
-// the deferred call, before the caller recycles the batch.
-func (s *Store) stageWAL(tx tm.Tx, sh *shard, sc *BatchScratch, pos int, op wal.Op, flags uint32, key, val []byte) bool {
-	if s.wal == nil && s.tap == nil {
-		return false
+// redo record in the scratch; the batch's flushFn publishes every touched
+// shard's run post-commit — one ticket per shard per batch. Key/val alias
+// the op's buffers: the commit stream frames them during the deferred
+// call, before the caller recycles the batch.
+func (s *Store) stageWAL(tx tm.Tx, sh *shard, sc *BatchScratch, pos int, op wal.Op, flags uint32, key, val []byte) {
+	if s.stream == nil {
+		return
 	}
 	seq := tx.Load(sh.base+shWalSeq) + 1
 	tx.Store(sh.base+shWalSeq, seq)
 	sc.recs[pos] = append(sc.recs[pos], wal.Record{Seq: seq, Op: op, Flags: flags, Key: key, Val: val})
-	return true
 }

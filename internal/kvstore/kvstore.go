@@ -34,6 +34,7 @@ import (
 	"strconv"
 
 	"gotle/internal/condvar"
+	"gotle/internal/logrec"
 	"gotle/internal/memseg"
 	"gotle/internal/tle"
 	"gotle/internal/tm"
@@ -108,12 +109,13 @@ type Store struct {
 	r      *tle.Runtime
 	cfg    Config
 	shards []shard
-	// wal, when attached, receives a redo record for every committed
-	// mutation. Nil means no durability (the default).
+	// stream, once a sink is attached, carries every committed mutation
+	// downstream in per-shard sequence order. Nil (the default) means no
+	// durability, no replication, and no sequence numbers drawn.
+	stream *logrec.Stream
+	// wal issues the durability tickets for records sent down stream; a
+	// nil log (no AttachWAL) issues zero, already-durable tickets.
 	wal *wal.Log
-	// tap, when attached, observes the same commit-sequenced record
-	// stream the WAL frames (replication). Nil means no streaming.
-	tap CommitTap
 	// notFull supports blocking Set when a shard is saturated with
 	// in-flight evictions (not used by default paths; exposed for apps).
 	notFull *condvar.Cond
@@ -166,87 +168,73 @@ func (s *Store) ShardMutexes() []*tle.Mutex {
 }
 
 // AttachWAL arms redo logging: every committed mutation from here on
-// appends a wal.Record in the shard's serialization order. Call it after
-// any recovery replay (replay runs through the normal mutators while wal
-// is still nil, so recovered records are not re-logged) and before
-// serving traffic. The per-shard sequence words are seeded from the log's
-// recovered tail so fresh records continue the contiguous sequence.
+// reaches l as a wal.Record in the shard's serialization order. Call it
+// after any recovery replay (replay runs through the normal mutators with
+// nothing attached, so recovered records are not re-logged), before
+// AttachTap and before serving traffic. The per-shard sequence words are
+// seeded from the log's recovered tail, so fresh records continue it.
 func (s *Store) AttachWAL(l *wal.Log) error {
 	if l.Shards() != len(s.shards) {
 		return fmt.Errorf("kvstore: WAL has %d shards, store has %d (records are routed by key hash, so the counts must match)", l.Shards(), len(s.shards))
 	}
-	e := s.r.Engine()
 	for i := range s.shards {
-		e.Store(s.shards[i].base+shWalSeq, l.LastSeq(i))
+		s.r.Engine().Store(s.shards[i].base+shWalSeq, l.LastSeq(i))
 	}
-	// Attach-before-serving contract: AttachWAL runs during startup,
-	// before any goroutine executes transactions against the store, so
-	// this raw store cannot race the transactional s.wal readers on the
-	// commit path (walPublish and friends only exist once serving starts).
-	//gotle:allow mixedaccess attach-before-serving; no concurrent transactions yet
 	s.wal = l
+	s.AttachTap(l)
 	return nil
 }
 
-// CommitTap observes the commit-sequenced record stream — the same
-// logical records the WAL frames to disk, in the same per-shard order,
-// delivered post-commit from the same deferred actions. repl.Source
-// implements it to tee the stream to follower replicas.
-//
-// Publish and PublishBatch are called concurrently from executor
-// goroutines and may see records out of sequence order (deferred actions
-// interleave); implementations reorder by Seq, exactly like the WAL.
-// Record Key/Val alias buffers the caller recycles after the call
-// returns, so implementations must copy (or encode) before returning.
-type CommitTap interface {
-	// Publish delivers one committed record for shard.
-	Publish(shard int, rec wal.Record)
-	// PublishBatch delivers one committed fused batch's records for
-	// shard, in ascending Seq order.
-	PublishBatch(shard int, recs []wal.Record)
+// AttachTap adds a sink to the commit stream: every committed mutation
+// from here on reaches t in per-shard sequence order (repl.Source tees it
+// to followers). Call it during startup — after any recovery replay and
+// AttachWAL, before serving traffic. The stream starts at the shards'
+// current sequence words (AttachWAL seeds them; zero on a WAL-less
+// primary), and the tap's own base cursor must match (repl.NewSource
+// takes the same recovered tail).
+func (s *Store) AttachTap(t logrec.Sink) {
+	if s.stream == nil {
+		last := make([]uint64, len(s.shards))
+		for i := range last {
+			last[i] = s.r.Engine().Load(s.shards[i].base + shWalSeq)
+		}
+		// Attach-before-serving contract: no goroutine runs transactions
+		// against the store yet, so this raw store cannot race the
+		// transactional s.stream readers on the commit path.
+		//gotle:allow mixedaccess attach-before-serving; no concurrent transactions yet
+		s.stream = logrec.NewStream(last)
+	}
+	s.stream.Attach(t)
 }
 
-// AttachTap arms commit-stream replication: every committed mutation from
-// here on is also published to t, carrying the same per-shard sequence
-// numbers the WAL would frame. Call it during startup — after any
-// recovery replay and AttachWAL, before serving traffic. The tap does not
-// seed the per-shard sequence words; AttachWAL does (or they start at
-// zero on a WAL-less primary), and the tap's own base cursor must match
-// (repl.NewSource takes the same recovered tail).
-func (s *Store) AttachTap(t CommitTap) {
-	// Attach-before-serving contract, as for AttachWAL: no goroutine runs
-	// transactions against the store yet, so this raw store cannot race
-	// the transactional s.tap readers on the commit path.
-	//gotle:allow mixedaccess attach-before-serving; no concurrent transactions yet
-	s.tap = t
+// CommitStream returns the store's commit stream (for its counters), nil
+// when no sink is attached.
+func (s *Store) CommitStream() *logrec.Stream { return s.stream }
+
+// publish is the one hand-off of committed records downstream, run
+// post-commit: one transaction's records for shard go to the commit
+// stream, and the ticket for the last of them (which, durability being in
+// sequence order, covers them all) comes back.
+func (s *Store) publish(shard int, recs []wal.Record) wal.Ticket {
+	s.stream.Publish(shard, recs)
+	return s.wal.TicketFor(shard, recs[len(recs)-1].Seq)
 }
 
 // walPublish is the commit-pipeline tap. It draws the shard's next commit
 // sequence number inside tx — so the number rolls back with the attempt
 // and the log order equals the shard's serialization order — and defers
-// the actual append to post-commit, the sanctioned channel for
+// the actual publish to post-commit, the sanctioned channel for
 // irrevocable effects. The Ticket lands in *out only if the transaction
 // commits; callers wait on it AFTER the critical section, keeping the
 // fsync out of the transaction.
 func (s *Store) walPublish(tx tm.Tx, sh *shard, shardIdx int, op wal.Op, flags uint32, key, val []byte, out *wal.Ticket) {
-	if s.wal == nil && s.tap == nil {
+	if s.stream == nil {
 		return
 	}
 	seq := tx.Load(sh.base+shWalSeq) + 1
 	tx.Store(sh.base+shWalSeq, seq)
 	rec := wal.Record{Seq: seq, Op: op, Flags: flags, Key: key, Val: val}
-	l, t := s.wal, s.tap
-	tx.Defer(func() {
-		// Tap before WAL: the tap encodes (copies) rec's bytes, the WAL
-		// append may hand them to the syncer — either order is correct,
-		// but tap-first keeps replication latency off the fsync path.
-		if t != nil {
-			t.Publish(shardIdx, rec)
-		}
-		if l != nil {
-			*out = l.Append(shardIdx, rec)
-		}
-	})
+	tx.Defer(func() { *out = s.publish(shardIdx, []wal.Record{rec}) })
 }
 
 func ceilPow2(v int) int {

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
+	"gotle/internal/logrec"
 	"gotle/internal/tle"
 	"gotle/internal/wal"
 )
@@ -131,6 +134,65 @@ func TestWALRoundTripAcrossRestart(t *testing.T) {
 				t.Fatalf("post-restart set: %v", err)
 			}
 		})
+	}
+}
+
+// TestWALRestartTwiceAcrossTornTail crashes a durable store mid-append
+// (a torn frame at the log's tail), restarts it, acks more writes, and
+// restarts again: the second recovery meets the same torn tail in the old
+// segment and must still bring back every write acked after the first.
+func TestWALRestartTwiceAcrossTornTail(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Shards: 2}
+	set := func(r *tle.Runtime, s *Store, from, to int) {
+		th := r.NewThread()
+		defer th.Release()
+		for i := from; i < to; i++ {
+			tk, err := s.SetItemD(th, []byte(fmt.Sprintf("key:%d", i)), []byte(fmt.Sprintf("v%d", i)), 0)
+			if err != nil || tk.Wait() != nil {
+				t.Fatalf("set %d: %v", i, err)
+			}
+		}
+	}
+	r, s, l, _ := openStoreWAL(t, tle.Policies[0], dir, cfg)
+	set(r, s, 0, 20)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	f, err := os.OpenFile(filepath.Join(dir, "w-00000000.wal"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := logrec.AppendRecord(nil, logrec.Record{Seq: 1 << 40, Op: logrec.OpSet, Key: []byte("torn"), Val: []byte("never-acked")})
+	if _, err := f.Write(torn[:len(torn)-5]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	r, s, l, recovered := openStoreWAL(t, tle.Policies[0], dir, cfg)
+	if recovered != 20 {
+		t.Fatalf("first restart recovered %d records, want 20", recovered)
+	}
+	set(r, s, 20, 40)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+
+	r, s, l, recovered = openStoreWAL(t, tle.Policies[0], dir, cfg)
+	defer r.Close()
+	defer l.Close()
+	if recovered != 40 {
+		t.Fatalf("second restart recovered %d records, want all 40 acked", recovered)
+	}
+	th := r.NewThread()
+	defer th.Release()
+	for i := 0; i < 40; i++ {
+		got, ok, err := s.Get(th, []byte(fmt.Sprintf("key:%d", i)))
+		if err != nil || !ok || string(got) != fmt.Sprintf("v%d", i) {
+			t.Fatalf("after the second restart key:%d = %q,%v,%v", i, got, ok, err)
+		}
 	}
 }
 

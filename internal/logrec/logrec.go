@@ -5,7 +5,8 @@
 // package rather than two near-identical copies that would drift. A WAL
 // segment and a replication stream carry byte-identical frames; anything
 // that can recover a log can, in principle, be caught up from a stream
-// and vice versa.
+// and vice versa. Stream is the sequencer in front of both: it frames each
+// committed record once and hands every sink the same bytes in order.
 //
 // Frame layout:
 //
@@ -51,8 +52,8 @@ type Record struct {
 	Seq uint64
 	// Shard routes the record back to its shard's sequence space on
 	// recovery or replicated apply — all shards interleave in one shared
-	// file series (and one TCP stream). wal.Log.Append and repl.Source
-	// stamp it; callers never set it.
+	// file series (and one TCP stream). Stream.Publish, wal.Log.Append
+	// and repl.Source.Publish stamp it; callers never set it.
 	Shard uint16
 	// Op selects set or delete.
 	Op Op

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -12,17 +13,16 @@ import (
 	"gotle/internal/logrec"
 )
 
-// Source is the primary-side streamer: a tap on the kvstore commit
-// pipeline that fans the per-shard record stream out to subscribed
-// followers. It implements kvstore.CommitTap.
+// Source is the primary-side streamer: a sink on the kvstore commit stream
+// (logrec.Sink) that fans the per-shard record stream out to subscribed
+// followers.
 //
-// Like the WAL, the source receives records *published* out of order —
-// post-commit deferred actions interleave across executor goroutines — and
-// holds a per-shard reorder buffer, releasing only contiguous-seq
-// prefixes to the wire. Each record is encoded into its wire frame once,
-// at publish time; every follower's sender walks the shared retained-frame
-// slice from its own cursor, so a slow follower exerts backpressure only
-// on itself (its cursor lags) and never queues per-follower copies.
+// logrec.Stream has already turned the unordered post-commit publishes
+// into contiguous per-shard runs, framed once; the source only retains
+// each frame behind its wire kind byte. Every follower's sender walks the
+// shared retained-frame slice from its own cursor, so a slow follower
+// exerts backpressure only on itself (its cursor lags) and never queues
+// per-follower copies.
 //
 // Retention: frames are retained from the source's base (the store's
 // sequence tail when the tap was attached — the recovered WAL tail, or
@@ -47,15 +47,13 @@ type Source struct {
 	wg sync.WaitGroup // accept loop + 2 goroutines per subscriber
 }
 
-// srcShard is one shard's reorder buffer and retained history.
+// srcShard is one shard's retained history.
 type srcShard struct {
 	// base is the sequence number the stream starts after: frames[i]
 	// holds seq base+1+i.
 	base uint64
 	// next is the lowest sequence number not yet released to the wire.
 	next uint64
-	// pending parks encoded frames that arrived ahead of next.
-	pending map[uint64][]byte
 	// frames is the released, contiguous, encoded history.
 	frames [][]byte
 }
@@ -87,66 +85,51 @@ func NewSource(shards int, base []uint64) *Source {
 		if base != nil {
 			b = base[i]
 		}
-		s.sh[i] = srcShard{base: b, next: b + 1, pending: make(map[uint64][]byte)}
+		s.sh[i] = srcShard{base: b, next: b + 1}
 	}
 	return s
 }
 
-// Publish is the commit-pipeline tap for one record (kvstore.CommitTap).
-// Called post-commit from tx.Defer; rec.Key/Val alias buffers the caller
-// recycles, so the frame encoding below is also the defensive copy.
+// Publish frames one record for shard and retains it. Like Emit it takes
+// records in sequence order only; rec.Key/Val are copied by the encoding.
 func (s *Source) Publish(shard int, rec logrec.Record) {
 	rec.Shard = uint16(shard)
-	frame := AppendRecordFrame(nil, rec)
-	s.mu.Lock()
-	s.admitLocked(shard, rec.Seq, frame)
-	s.kickAllLocked()
-	s.mu.Unlock()
+	s.retain(shard, rec.Seq, 1, AppendRecordFrame(nil, rec))
 }
 
-// PublishBatch is the fused-batch tap (kvstore.CommitTap): one shard's
-// records from a single committed transaction, in sequence order.
-func (s *Source) PublishBatch(shard int, recs []logrec.Record) {
-	if len(recs) == 0 {
-		return
+// Emit retains a run of n framed records for shard, sequence numbers
+// first..first+n-1 (logrec.Sink). frames is the stream's scratch, so the
+// run is copied, in one allocation, with the kind byte before each frame.
+func (s *Source) Emit(shard int, first uint64, n int, frames []byte) {
+	wire := make([]byte, 0, len(frames)+n)
+	for len(frames) > 0 {
+		sz := logrec.FrameHeader + int(binary.LittleEndian.Uint32(frames))
+		wire = append(append(wire, FrameRecord), frames[:sz]...)
+		frames = frames[sz:]
 	}
-	frames := make([][]byte, len(recs))
-	for i, rec := range recs {
-		rec.Shard = uint16(shard)
-		frames[i] = AppendRecordFrame(nil, rec)
-	}
-	s.mu.Lock()
-	for i, rec := range recs {
-		s.admitLocked(shard, rec.Seq, frames[i])
-	}
-	s.kickAllLocked()
-	s.mu.Unlock()
+	s.retain(shard, first, n, wire)
 }
 
-// admitLocked routes one encoded frame through the shard's reorder buffer.
-func (s *Source) admitLocked(shard int, seq uint64, frame []byte) {
+// retain appends n wire frames, back to back in wire (now owned by the
+// source), to shard's history. Reordering is logrec.Stream's job,
+// upstream; frames are indexed by seq-base, so a run that does not continue
+// the shard's sequence would ship followers the wrong records. Only a
+// wiring bug can produce one, hence the panic.
+func (s *Source) retain(shard int, first uint64, n int, wire []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	sh := &s.sh[shard]
-	switch {
-	case seq == sh.next:
-		sh.frames = append(sh.frames, frame)
-		sh.next++
-		s.published++
-		for {
-			f, ok := sh.pending[sh.next]
-			if !ok {
-				break
-			}
-			delete(sh.pending, sh.next)
-			sh.frames = append(sh.frames, f)
-			sh.next++
-			s.published++
-		}
-	case seq > sh.next:
-		sh.pending[seq] = frame
-	default:
-		// A sequence below next means a duplicate publish; the commit
-		// pipeline draws each seq exactly once, so drop it defensively.
+	if first != sh.next {
+		panic(fmt.Sprintf("repl: shard %d: publish of seq %d does not continue seq %d", shard, first, sh.next-1))
 	}
+	for len(wire) > 0 {
+		sz := 1 + logrec.FrameHeader + int(binary.LittleEndian.Uint32(wire[1:]))
+		sh.frames = append(sh.frames, wire[:sz:sz])
+		wire = wire[sz:]
+	}
+	sh.next += uint64(n)
+	s.published += uint64(n)
+	s.kickAllLocked()
 }
 
 func (s *Source) kickAllLocked() {
@@ -184,14 +167,6 @@ func (s *Source) Start(addr string) (net.Addr, error) {
 		}
 	}()
 	return ln.Addr(), nil
-}
-
-// Addr returns the bound address (nil before Start).
-func (s *Source) Addr() net.Addr {
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 // handle runs one subscription: handshake, then the sender loop, with an

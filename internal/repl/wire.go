@@ -1,12 +1,12 @@
 // Package repl streams the per-shard commit-sequenced record stream — the
 // same logical records internal/wal frames to disk — to follower replicas
-// over TCP. The primary side (Source) taps the kvstore commit pipeline
-// alongside the WAL sink, reorders each shard's records into contiguous-
-// seq prefixes exactly like the WAL reorder buffer, and fans the encoded
-// frames out to subscribed followers with per-follower cursors; the
-// follower side (Follower) applies the stream through the kvstore front
-// door in sequence order, so replica reads are always some prefix of the
-// primary's per-shard serialization order.
+// over TCP. The primary side (Source) is a sink on the kvstore commit
+// stream alongside the WAL — logrec.Stream hands both the same frames in
+// per-shard sequence order — and fans the frames out to subscribed
+// followers with per-follower cursors; the follower side (Follower)
+// applies the stream through the kvstore front door in sequence order, so
+// replica reads are always some prefix of the primary's per-shard
+// serialization order.
 //
 // Wire protocol, in connection order:
 //

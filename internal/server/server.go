@@ -932,6 +932,11 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 		u("wal_segments", ws.Segments)
 		u("recovered_records", ws.Recovered)
 	}
+	if cs := s.store.CommitStream(); cs != nil {
+		released, parked := cs.Counts()
+		u("commit_stream_released", released)
+		u("commit_stream_parked", parked)
+	}
 
 	if xs := s.cfg.ExtraStats; xs != nil {
 		for _, kv := range xs() {

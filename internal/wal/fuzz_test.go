@@ -3,6 +3,8 @@ package wal
 import (
 	"bytes"
 	"testing"
+
+	"gotle/internal/logrec"
 )
 
 // FuzzWALRecord fuzzes the record framing both ways: every record must
@@ -23,9 +25,9 @@ func FuzzWALRecord(f *testing.F) {
 			op = OpDelete
 		}
 		rec := Record{Seq: seq, Op: op, Flags: flags, Key: key, Val: val}
-		frame := AppendRecord(nil, rec)
+		frame := logrec.AppendRecord(nil, rec)
 
-		got, n, err := DecodeRecord(frame)
+		got, n, err := logrec.DecodeRecord(frame)
 		if err != nil {
 			t.Fatalf("decode of fresh frame: %v", err)
 		}
@@ -38,8 +40,8 @@ func FuzzWALRecord(f *testing.F) {
 		}
 
 		// A second record appended after the first decodes from the tail.
-		two := AppendRecord(frame, Record{Seq: seq + 1, Op: OpDelete, Key: key})
-		if _, m, err := DecodeRecord(two[n:]); err != nil || n+m != len(two) {
+		two := logrec.AppendRecord(frame, Record{Seq: seq + 1, Op: OpDelete, Key: key})
+		if _, m, err := logrec.DecodeRecord(two[n:]); err != nil || n+m != len(two) {
 			t.Fatalf("second frame: n=%d m=%d err=%v", n, m, err)
 		}
 
@@ -51,14 +53,14 @@ func FuzzWALRecord(f *testing.F) {
 		if mut[i] == frame[i] {
 			mut[i] ^= 1
 		}
-		mr, mn, merr := DecodeRecord(mut)
+		mr, mn, merr := logrec.DecodeRecord(mut)
 		if merr == nil && mn == n && mr.Seq == seq && mr.Op == op && mr.Flags == flags &&
 			bytes.Equal(mr.Key, key) && bytes.Equal(mr.Val, val) {
 			t.Fatalf("mutation at byte %d went undetected", i)
 		}
 
 		// Raw bytes (treat key as a hostile file tail): no panic allowed.
-		_, _, _ = DecodeRecord(key)
-		_, _, _ = DecodeRecord(val)
+		_, _, _ = logrec.DecodeRecord(key)
+		_, _, _ = logrec.DecodeRecord(val)
 	})
 }

@@ -14,8 +14,9 @@
 //     shard's serialization order — durability rides the same optimistic
 //     commit order the TM establishes, rather than a second synchronization
 //     layer bolted on outside it. Records may be *published* out of order
-//     (post-commit deferred actions interleave across threads); the log
-//     holds a per-shard reorder buffer and writes only contiguous prefixes.
+//     (post-commit deferred actions interleave across threads);
+//     logrec.Stream, upstream, releases only each shard's contiguous
+//     prefix, so the log takes records in sequence order and never reorders.
 //
 //   - Group commit. One background syncer batches every record published
 //     since the previous fsync — across all shards — into a single
@@ -25,15 +26,16 @@
 //     after Wait is therefore durable.
 //
 //   - Torn-tail discipline. Records are length-prefixed and CRC-framed.
-//     Recovery replays the segments in file order and stops cleanly at
-//     the first incomplete or corrupt frame: a crash mid-write loses only
-//     the un-acked suffix, never an acked record (acked implies fsynced,
-//     and file order is, per shard, sequence order).
+//     Recovery replays the segments in file order; an incomplete or
+//     corrupt frame cleanly ends its segment and a sequence gap ends the
+//     replay: a crash mid-write loses only the un-acked suffix, never an
+//     acked record (acked implies fsynced, and file order is, per shard,
+//     sequence order).
 //
 // The frame codec itself lives in internal/logrec: the replication wire
 // format (internal/repl) carries the same frames, so the encoding exists
-// exactly once. This file re-exports the codec under its historical names
-// so WAL call sites read naturally.
+// exactly once. This file aliases the record vocabulary so WAL call sites
+// read naturally.
 package wal
 
 import "gotle/internal/logrec"
@@ -50,29 +52,4 @@ const (
 	OpSet = logrec.OpSet
 	// OpDelete removes Key.
 	OpDelete = logrec.OpDelete
-	// MaxPayload bounds one record's payload.
-	MaxPayload = logrec.MaxPayload
-
-	frameHeader = logrec.FrameHeader
-	payloadMin  = logrec.PayloadMin
 )
-
-var (
-	// ErrTorn marks an incomplete frame at the end of a segment: the
-	// process died mid-append. Recovery stops here silently.
-	ErrTorn = logrec.ErrTorn
-	// ErrCorrupt marks a complete-looking frame whose CRC or structure is
-	// invalid. Recovery also stops here, but reports it.
-	ErrCorrupt = logrec.ErrCorrupt
-)
-
-// AppendRecord appends r's framed encoding to buf and returns the result.
-func AppendRecord(buf []byte, r Record) []byte {
-	return logrec.AppendRecord(buf, r)
-}
-
-// DecodeRecord decodes the first framed record in b; see
-// logrec.DecodeRecord. Key and Val alias b.
-func DecodeRecord(b []byte) (Record, int, error) {
-	return logrec.DecodeRecord(b)
-}

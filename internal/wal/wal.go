@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gotle/internal/logrec"
 )
 
 // DefaultFsyncWindow is the group-commit accumulation window applied when
@@ -83,15 +85,13 @@ type Log struct {
 	fsyncs    atomic.Uint64
 	segments  atomic.Uint64
 
-	// mu guards everything below: the per-shard reorder buffers, the
-	// shared batch buffer, the active segment, and the durability
-	// watermarks the cond broadcasts over.
+	// mu guards everything below: the shared batch buffer, the active
+	// segment, and the durability watermarks the cond broadcasts over.
 	mu      sync.Mutex
 	cond    *sync.Cond
-	shards  []shardSeq
-	buf     []byte   // encoded contiguous records, not yet written
+	buf     []byte   // framed contiguous records, not yet written
 	spare   []byte   // recycled batch buffer (keeps appends alloc-free)
-	bufTops []uint64 // per shard: highest seq encoded into buf/file
+	bufTops []uint64 // per shard: highest seq framed into buf/file
 	durable []uint64 // per shard: highest seq covered by an fsync
 	tops    []uint64 // scratch: bufTops snapshot cut with each batch
 	f       *os.File
@@ -103,14 +103,6 @@ type Log struct {
 
 	dirty chan struct{} // capacity 1: wake the syncer
 	wg    sync.WaitGroup
-}
-
-// shardSeq is one shard's sequence space: records committed out of publish
-// order park in pending until their predecessors arrive, so the shared
-// file's order is, per shard, exactly sequence order.
-type shardSeq struct {
-	nextSeq uint64            // next contiguous sequence number expected
-	pending map[uint64]Record // committed out of publish order, waiting
 }
 
 // Manifest pins the layout version and shard count: records are routed by
@@ -133,17 +125,12 @@ func Open(dir string, shards int, opts Options) (*Log, error) {
 	l := &Log{
 		dir:     dir,
 		opts:    opts.withDefaults(),
-		shards:  make([]shardSeq, shards),
 		bufTops: make([]uint64, shards),
 		durable: make([]uint64, shards),
 		tops:    make([]uint64, shards),
 		dirty:   make(chan struct{}, 1),
 	}
 	l.cond = sync.NewCond(&l.mu)
-	for i := range l.shards {
-		l.shards[i].nextSeq = 1
-		l.shards[i].pending = make(map[uint64]Record)
-	}
 	return l, nil
 }
 
@@ -164,10 +151,7 @@ func checkManifest(dir string, shards int) error {
 }
 
 // Shards reports the log's shard count.
-func (l *Log) Shards() int { return len(l.shards) }
-
-// Dir reports the log's root directory.
-func (l *Log) Dir() string { return l.dir }
+func (l *Log) Shards() int { return len(l.bufTops) }
 
 // segName names segment idx of the shared series.
 func segName(idx int) string { return fmt.Sprintf("w-%08d.wal", idx) }
@@ -196,10 +180,12 @@ func (l *Log) segmentsList() ([]int, error) {
 // any, is left behind untouched for forensics — recovery never rewrites
 // history).
 //
-// Recovery stops at the first torn or corrupt frame: everything before it
-// replays, everything after is dropped. That is the contract group commit
-// establishes — an acked record is fsynced, and file order is, per shard,
-// sequence order, so acked records are always in the replayed prefix.
+// A torn or corrupt frame ends its segment, not the recovery: an earlier
+// recovery that stepped over the same tear opened a later segment, and
+// everything acked since lives there. What ends the recovery is a
+// sequence gap: acked means fsynced, and file order is, per shard,
+// sequence order, so acked records form a gapless run from the first
+// segment on and nothing past a gap was ever acked.
 //
 // apply may be nil (scan only). Recover returns the records replayed.
 func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
@@ -211,33 +197,23 @@ func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 		return 0, err
 	}
 	total := 0
-	last := make([]uint64, len(l.shards))
-	stopped := false
+	last := make([]uint64, len(l.bufTops))
+replay:
 	for _, idx := range idxs {
-		if stopped {
-			// A later segment after a torn/corrupt one cannot be
-			// trusted: its records would leave sequence gaps.
-			break
-		}
 		b, err := os.ReadFile(filepath.Join(l.dir, segName(idx)))
 		if err != nil {
 			return total, err
 		}
-		off := 0
-		for off < len(b) {
-			rec, n, err := DecodeRecord(b[off:])
+		for off := 0; off < len(b); {
+			rec, n, err := logrec.DecodeRecord(b[off:])
 			if err != nil {
-				// Torn or corrupt: drop the tail, stop replaying.
-				stopped = true
-				break
+				break // torn or corrupt: drop this segment's tail
 			}
 			sh := int(rec.Shard)
-			if sh >= len(l.shards) || rec.Seq != last[sh]+1 {
-				// An impossible shard or a sequence gap inside intact
-				// frames means the file set is inconsistent; stop
-				// conservatively.
-				stopped = true
-				break
+			if sh >= len(last) || rec.Seq != last[sh]+1 {
+				// An impossible shard or a sequence gap: stop
+				// conservatively, for every shard.
+				break replay
 			}
 			if apply != nil {
 				if err := apply(sh, rec); err != nil {
@@ -259,9 +235,6 @@ func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 	}
 	l.f = f
 	l.segIdx = nextIdx
-	for i := range l.shards {
-		l.shards[i].nextSeq = last[i] + 1
-	}
 	copy(l.bufTops, last)
 	copy(l.durable, last)
 	l.segments.Add(1)
@@ -278,7 +251,7 @@ func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 func (l *Log) LastSeq(sh int) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.shards[sh].nextSeq - 1
+	return l.bufTops[sh]
 }
 
 // Ticket is a durability handle for one appended record. The zero Ticket
@@ -308,76 +281,61 @@ func (t Ticket) Wait() error {
 	return l.err
 }
 
-// Append accepts one record for shard sh. The record's key and value are
-// consumed before Append returns, so callers may reuse their buffers.
-//
-// Records may arrive out of sequence order (deferred post-commit actions
-// interleave across threads); Append parks early arrivals and encodes only
-// the contiguous prefix, so file order is, per shard, always sequence
-// order. The returned Ticket's Wait blocks until the record is durable.
-func (l *Log) Append(sh int, r Record) Ticket {
-	return l.AppendBatch(sh, []Record{r})
+// TicketFor returns the durability handle for shard sh's record seq,
+// whether it has reached the log or is still upstream in the commit
+// stream; on a nil log (no durability) it is the zero Ticket. A shard's
+// records become durable strictly in sequence order, so a fused batch's
+// highest seq covers the whole batch with one fsync rendezvous.
+func (l *Log) TicketFor(sh int, seq uint64) Ticket {
+	return Ticket{l: l, shard: sh, seq: seq}
 }
 
-// AppendBatch accepts a fused batch of records for shard sh — the commit
-// tap of one multi-op transaction, with contiguous sequence numbers drawn
-// inside it. The whole batch shares one durability handle: the returned
-// Ticket waits for the batch's highest sequence number, and because the
-// syncer makes a shard's records durable strictly in sequence order, that
-// wait covers every record in the batch with a single fsync rendezvous.
-//
-// Key and value bytes are consumed before AppendBatch returns (encoded
-// into the write buffer, or copied when parked out of order), so callers
-// may reuse their buffers immediately.
-func (l *Log) AppendBatch(sh int, recs []Record) Ticket {
-	if len(recs) == 0 {
-		return Ticket{}
-	}
-	last := recs[len(recs)-1].Seq
+// Append frames one record for shard sh straight into the batch buffer;
+// key and value are consumed before it returns. Like Emit it takes a
+// shard's records in sequence order only. The returned Ticket's Wait
+// blocks until the record is durable.
+func (l *Log) Append(sh int, r Record) Ticket {
+	r.Shard = uint16(sh)
 	l.mu.Lock()
-	s := &l.shards[sh]
-	if !l.opened || l.closed || l.err != nil {
-		if l.err == nil {
-			l.err = fmt.Errorf("wal: append to closed log")
-		}
-		l.mu.Unlock()
-		return Ticket{l: l, shard: sh, seq: last}
-	}
-	drained := false
-	for _, r := range recs {
-		r.Shard = uint16(sh)
-		if r.Seq == s.nextSeq {
-			// In-order arrival: encode straight into the batch buffer —
-			// no copy of key/val beyond the encoding itself.
-			l.buf = AppendRecord(l.buf, r)
-			l.bufTops[sh] = r.Seq
-			s.nextSeq++
-			drained = true
-			// A parked successor may now be contiguous.
-			for {
-				rec, ok := s.pending[s.nextSeq]
-				if !ok {
-					break
-				}
-				delete(s.pending, s.nextSeq)
-				l.buf = AppendRecord(l.buf, rec)
-				l.bufTops[sh] = rec.Seq
-				s.nextSeq++
-			}
-		} else {
-			// Out of order: an earlier sequence number from another
-			// thread has not been published yet. Park an owned copy.
-			r.Key = append([]byte(nil), r.Key...)
-			r.Val = append([]byte(nil), r.Val...)
-			s.pending[r.Seq] = r
-		}
+	if l.admitLocked(sh, r.Seq, 1) {
+		l.buf = logrec.AppendRecord(l.buf, r)
 	}
 	l.mu.Unlock()
-	l.appends.Add(uint64(len(recs)))
-	if drained {
-		l.wake()
+	l.wake()
+	return l.TicketFor(sh, r.Seq)
+}
+
+// Emit appends a run of n framed records for shard sh, sequence numbers
+// first..first+n-1 (logrec.Sink): one lock acquisition per fused batch.
+func (l *Log) Emit(sh int, first uint64, n int, frames []byte) {
+	l.mu.Lock()
+	if l.admitLocked(sh, first, n) {
+		l.buf = append(l.buf, frames...)
 	}
-	return Ticket{l: l, shard: sh, seq: last}
+	l.mu.Unlock()
+	l.wake()
+}
+
+// admitLocked advances shard sh's buffered tail over n records starting
+// at first, or fails the log: reordering is logrec.Stream's job, upstream,
+// and a run that does not continue the shard's sequence would leave a gap
+// recovery stops at — so it poisons the log and every later ticket fails.
+func (l *Log) admitLocked(sh int, first uint64, n int) bool {
+	if l.err == nil {
+		switch {
+		case !l.opened || l.closed:
+			l.err = fmt.Errorf("wal: append to closed log")
+		case first != l.bufTops[sh]+1:
+			l.err = fmt.Errorf("wal: shard %d: append of seq %d does not continue seq %d", sh, first, l.bufTops[sh])
+		}
+	}
+	if l.err != nil {
+		l.cond.Broadcast()
+		return false
+	}
+	l.bufTops[sh] += uint64(n)
+	l.appends.Add(uint64(n))
+	return true
 }
 
 // wake nudges the syncer without blocking (the channel has capacity 1; a
@@ -400,7 +358,7 @@ func (l *Log) syncLoop() {
 	// The dirty channel is deliberately never closed: the loop exits via
 	// the closed-flag returns below after Close's final wake(), and a late
 	// stray wake on the cap-1 channel is harmless. Closing it instead
-	// would race Append's wake() send.
+	// would race the appenders' wake() send.
 	//gotle:allow gostuck exits via closed flag after Close's wake()
 	for range l.dirty {
 		if w := l.opts.FsyncWindow; w > 0 {
@@ -493,9 +451,7 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// Close flushes every contiguous record, fsyncs, and stops the syncer.
-// Records still parked out-of-order (their predecessor never committed —
-// only possible if the process is dying anyway) are dropped.
+// Close flushes every appended record, fsyncs, and stops the syncer.
 func (l *Log) Close() error {
 	if !l.opened {
 		return nil

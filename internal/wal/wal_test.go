@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"gotle/internal/logrec"
 )
 
 func mkRecord(seq uint64, op Op, key, val string, flags uint32) Record {
@@ -22,11 +24,11 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	var buf []byte
 	for _, r := range recs {
-		buf = AppendRecord(buf, r)
+		buf = logrec.AppendRecord(buf, r)
 	}
 	off := 0
 	for i, want := range recs {
-		got, n, err := DecodeRecord(buf[off:])
+		got, n, err := logrec.DecodeRecord(buf[off:])
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -42,10 +44,10 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestDecodeShortAndCorrupt(t *testing.T) {
-	frame := AppendRecord(nil, mkRecord(1, OpSet, "key", "value", 3))
+	frame := logrec.AppendRecord(nil, mkRecord(1, OpSet, "key", "value", 3))
 	// Every proper prefix is torn, never a panic.
 	for cut := 0; cut < len(frame); cut++ {
-		if _, _, err := DecodeRecord(frame[:cut]); err == nil {
+		if _, _, err := logrec.DecodeRecord(frame[:cut]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded successfully", cut, len(frame))
 		}
 	}
@@ -54,7 +56,7 @@ func TestDecodeShortAndCorrupt(t *testing.T) {
 	for i := range frame {
 		mut := append([]byte(nil), frame...)
 		mut[i] ^= 0x40
-		r, n, err := DecodeRecord(mut)
+		r, n, err := logrec.DecodeRecord(mut)
 		if err == nil && n == len(frame) && r.Seq == 1 && string(r.Key) == "key" && string(r.Val) == "value" {
 			t.Fatalf("mutation at byte %d decoded to the original record", i)
 		}
@@ -114,34 +116,33 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOutOfOrderPublishGroupsIntoOneFsync(t *testing.T) {
+// TestNonContiguousAppendFailsLoudly: the log takes records in sequence
+// order only (logrec.Stream reorders upstream). A seq that skips ahead
+// must poison the log — failing its own ticket and every later one —
+// rather than put a gap in the file that recovery would stop at.
+func TestNonContiguousAppendFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openLog(t, dir, 1, Options{}, nil)
-	defer l.Close()
-
-	// Publish seqs 2..50 first: nothing is contiguous, so nothing reaches
-	// the disk and no ticket can resolve yet.
-	var tickets []Ticket
-	for seq := uint64(2); seq <= 50; seq++ {
-		tickets = append(tickets, l.Append(0, mkRecord(seq, OpSet, "k", "v", 0)))
+	if err := l.Append(0, mkRecord(1, OpSet, "k", "v", 0)).Wait(); err != nil {
+		t.Fatal(err)
 	}
-	if st := l.Stats(); st.Fsyncs != 0 {
-		t.Fatalf("fsyncs before the gap filled: %d", st.Fsyncs)
+	if err := l.Append(0, mkRecord(3, OpSet, "k", "v", 0)).Wait(); err == nil {
+		t.Fatal("append of seq 3 after seq 1 was acked")
 	}
-	// Seq 1 arrives: the whole run drains contiguously and ships as one
-	// group-commit batch.
-	tickets = append(tickets, l.Append(0, mkRecord(1, OpSet, "k", "v", 0)))
-	for _, tk := range tickets {
-		if err := tk.Wait(); err != nil {
-			t.Fatal(err)
-		}
+	if err := l.Append(0, mkRecord(2, OpSet, "k", "v", 0)).Wait(); err == nil {
+		t.Fatal("append to a poisoned log was acked")
 	}
-	st := l.Stats()
-	if st.Appends != 50 {
-		t.Fatalf("appends = %d want 50", st.Appends)
+	l.Emit(0, 2, 1, logrec.AppendRecord(nil, mkRecord(2, OpSet, "k", "v", 0)))
+	if err := l.TicketFor(0, 2).Wait(); err == nil {
+		t.Fatal("emit to a poisoned log was acked")
 	}
-	if st.Fsyncs == 0 || st.Fsyncs > 3 {
-		t.Fatalf("fsyncs = %d; 50 contiguous records should ride O(1) group commits", st.Fsyncs)
+	if err := l.Close(); err == nil {
+		t.Fatal("Close of a poisoned log reported no error")
+	}
+	l2, n := openLog(t, dir, 1, Options{}, nil)
+	defer l2.Close()
+	if n != 1 {
+		t.Fatalf("recovered %d records, want the 1 acked", n)
 	}
 }
 
@@ -164,9 +165,10 @@ func TestConcurrentAppendersAllDurable(t *testing.T) {
 					return
 				}
 				next++
-				seq := next
+				// Draw and append under one lock: the log takes a shard's
+				// records in sequence order only. The waits still overlap.
+				tk := l.Append(0, mkRecord(next, OpSet, fmt.Sprintf("k%d", next), "v", 0))
 				mu.Unlock()
-				tk := l.Append(0, mkRecord(seq, OpSet, fmt.Sprintf("k%d", seq), "v", 0))
 				if err := tk.Wait(); err != nil {
 					t.Error(err)
 					return
@@ -268,7 +270,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 	// Find the final record's start offset by walking the frames.
 	off, last := 0, 0
 	for off < len(seg) {
-		_, m, err := DecodeRecord(seg[off:])
+		_, m, err := logrec.DecodeRecord(seg[off:])
 		if err != nil {
 			t.Fatalf("intact segment failed to decode at %d: %v", off, err)
 		}
@@ -324,14 +326,14 @@ func TestCorruptMidFileStopsAtPrefix(t *testing.T) {
 	// Walk to record 4's payload and flip a byte.
 	off := 0
 	for i := 0; i < 3; i++ {
-		_, m, err := DecodeRecord(seg[off:])
+		_, m, err := logrec.DecodeRecord(seg[off:])
 		if err != nil {
 			t.Fatal(err)
 		}
 		off += m
 	}
 	mut := append([]byte(nil), seg...)
-	mut[off+frameHeader+2] ^= 0xff
+	mut[off+logrec.FrameHeader+2] ^= 0xff
 
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("gotle-wal v2\nshards 1\n"), 0o644); err != nil {
@@ -347,5 +349,51 @@ func TestCorruptMidFileStopsAtPrefix(t *testing.T) {
 	}
 	if l.LastSeq(0) != 3 {
 		t.Fatalf("LastSeq = %d want 3", l.LastSeq(0))
+	}
+}
+
+// TestRecoverTwiceAcrossTornTail is the crash → restart → more acked
+// writes → restart sequence. The first recovery leaves the torn tail in
+// segment 0 and opens segment 1; the second must step over the same tear
+// and still replay everything acked since.
+func TestRecoverTwiceAcrossTornTail(t *testing.T) {
+	dir := t.TempDir()
+	_, segPath := writeTestLog(t, dir, 10)
+	f, err := os.OpenFile(segPath, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := logrec.AppendRecord(nil, mkRecord(11, OpSet, "torn", "never-acked", 0))
+	if _, err := f.Write(torn[:len(torn)-3]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	l, n := openLog(t, dir, 1, Options{}, nil)
+	if n != 10 {
+		t.Fatalf("first recovery replayed %d records, want 10", n)
+	}
+	for seq := uint64(11); seq <= 20; seq++ {
+		if err := l.Append(0, mkRecord(seq, OpSet, fmt.Sprintf("key:%d", seq), "acked", 0)).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var seqs []uint64
+	l2, n := openLog(t, dir, 1, Options{}, func(_ int, r Record) error {
+		seqs = append(seqs, r.Seq)
+		return nil
+	})
+	defer l2.Close()
+	if n != 20 || l2.LastSeq(0) != 20 {
+		t.Fatalf("second recovery replayed %d records (LastSeq %d), want all 20 acked", n, l2.LastSeq(0))
+	}
+	for i, s := range seqs {
+		if s != uint64(i+1) {
+			t.Fatalf("replay order broken at %d: %v", i, seqs)
+		}
 	}
 }

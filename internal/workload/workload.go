@@ -1,10 +1,6 @@
 // Package workload generates deterministic cache workloads — key
 // selection (uniform or Zipf-skewed), operation mix, and value sizing —
-// shared by cmd/kvcache (in-process store driving) and cmd/loadgen
-// (network driving). One generator definition keeps the two drivers'
-// workloads comparable: a Figure-5-style policy sweep run in-process and
-// the same mix replayed over the wire stress the same shard/LRU/abort
-// behaviour.
+// for cmd/loadgen, which replays them over the wire against tleserved.
 package workload
 
 import (
