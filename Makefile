@@ -83,9 +83,10 @@ chaos:
 	$(GO) test . -run TestChaos -v
 	$(GO) run ./cmd/chaosbench -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
-# Paper-figure + commit-pipeline benchmarks with pinned -benchtime/-count.
-# Raw text goes to $(BENCHDIR)/current.txt; compare two captures with
-# benchstat.
+# Paper-figure, quiescence, simulated-HTM and per-policy kvstore benchmarks
+# with pinned -benchtime/-count. Raw text goes to $(BENCHDIR)/current.txt;
+# compare two captures with benchstat. CI runs the same list once through
+# (`make bench BENCHTIME=1x BENCHCOUNT=1`) so a benchmark cannot rot.
 bench:
 	mkdir -p $(BENCHDIR)
 	$(GO) test -run '^$$' \
@@ -93,6 +94,10 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSharedGrace' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/epoch | tee -a $(BENCHDIR)/current.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkTxReadOnly16|BenchmarkTxRMW|BenchmarkSmallTxAfterLargeTx' \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/htm | tee -a $(BENCHDIR)/current.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkGet|BenchmarkSet' \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
 
 # The network server's zero-to-OK gate: the allocation gate (the serving
 # hot path must do exactly 0 allocs/op — see TestZeroAllocHotPath), then

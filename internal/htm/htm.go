@@ -5,7 +5,14 @@
 // The simulation preserves the properties the paper depends on:
 //
 //   - Low per-access latency: no version clock, no validation loops; an
-//     access touches one line record and (for writes) a small buffer.
+//     access touches one line record and (for writes) a small buffer. The
+//     descriptor is flat: the write buffer is a log of (addr, value) in
+//     first-store order plus an open-addressed index whose cells are
+//     stamped with the attempt's generation, so Begin resets it by bumping
+//     the generation; loads skip the index until the attempt's first store.
+//     The read and write sets are slices of line numbers, and "is this
+//     line already mine" is answered by the shared line record itself (own
+//     bit in readers, own id in writer).
 //   - Eager, cache-line-granular conflict detection: an access that
 //     conflicts with another transaction's line dooms that transaction,
 //     mirroring how a coherence request aborts the TSX transaction holding
@@ -16,7 +23,9 @@
 //     access more data than fits in the cache" (Section II.A).
 //   - Event aborts: a seeded per-access probability models interrupts and
 //     other transient causes that make best-effort HTM fail independently of
-//     data conflicts.
+//     data conflicts. Each descriptor draws the gap to its next event from
+//     the geometric distribution of that probability and counts accesses
+//     down: the per-access Bernoulli law, one decrement per access.
 //   - Strong isolation: non-transactional accesses participate in conflict
 //     detection and doom conflicting transactions, which is why HTM needs no
 //     quiescence (Section IV: "In HTM, such accesses are not possible").
@@ -30,6 +39,8 @@ package htm
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sync/atomic"
 
@@ -131,20 +142,45 @@ type HTM struct {
 	//gotle:allow falseshare per-thread status words are written once per attempt, read by the owner; contention is negligible in the simulator
 	cause [MaxThreads]atomic.Uint32 // abort cause set by the attacker
 	cfg   Config
+	// eventLog is ln(1-p) for the per-access event probability p, the
+	// denominator of every geometric gap draw; 0 when p is 0 or 1.
+	eventLog float64
 }
 
 // New creates an HTM simulator over the given heap.
 func New(mem *memseg.Memory, cfg Config) *HTM {
 	nLines := mem.Size()/memseg.WordsPerLine + 1
-	return &HTM{
+	h := &HTM{
 		mem:   mem,
 		lines: make([]lineRec, nLines),
 		cfg:   cfg.withDefaults(),
 	}
+	if ppm := h.cfg.EventAbortPerMillion; ppm > 0 && ppm < 1_000_000 {
+		h.eventLog = math.Log1p(-float64(ppm) / 1e6)
+	}
+	return h
 }
 
 // Memory returns the heap this HTM operates on.
 func (h *HTM) Memory() *memseg.Memory { return h.mem }
+
+// bufWrite is one buffered store.
+type bufWrite struct {
+	addr memseg.Addr
+	val  uint64
+}
+
+// idxCell is one cell of the write-buffer index: writes[pos] buffers addr,
+// provided gen is the current attempt's (any other stamp means empty).
+type idxCell struct {
+	addr memseg.Addr
+	gen  uint32
+	pos  uint32
+}
+
+// minIndexCells is the index's initial size (a power of two, like every
+// later size).
+const minIndexCells = 64
 
 // Tx is a per-thread hardware transaction descriptor, reused across
 // attempts. Not safe for concurrent use.
@@ -155,9 +191,24 @@ type Tx struct {
 	rng  *rand.Rand
 	live bool
 
-	writeBuf   map[memseg.Addr]uint64
-	writeLines map[uint32]struct{}
-	readLines  map[uint32]struct{}
+	// eventGap counts accesses down to the next transient abort.
+	eventGap int64
+
+	// writes is the write buffer: one entry per distinct address, in
+	// first-store order. index finds an address's entry by open addressing
+	// (linear probing; the load factor stays at or below one half); a cell
+	// belongs to the current attempt only when stamped with gen, so bumping
+	// gen empties the index whatever size an earlier attempt grew it to.
+	writes []bufWrite
+	index  []idxCell
+	shift  uint32 // 32 - log2(len(index))
+	gen    uint32
+
+	// writeLines and readLines list the lines this attempt registered in
+	// the shared line records, for release. Membership is read off the
+	// record (see trackReadLine, trackWriteLine), not searched here.
+	writeLines []uint32
+	readLines  []uint32
 	// setOccupancy counts distinct write lines per cache set under the
 	// associative model (nil when disabled).
 	setOccupancy []uint8
@@ -169,14 +220,13 @@ func (h *HTM) NewTx(id uint64) *Tx {
 		panic(fmt.Sprintf("htm: thread id %d exceeds MaxThreads %d", id, MaxThreads))
 	}
 	t := &Tx{
-		h:          h,
-		id:         uint32(id),
-		bit:        1 << id,
-		rng:        rand.New(rand.NewSource(h.cfg.Seed ^ int64(id*2654435761+1))),
-		writeBuf:   make(map[memseg.Addr]uint64),
-		writeLines: make(map[uint32]struct{}),
-		readLines:  make(map[uint32]struct{}),
+		h:   h,
+		id:  uint32(id),
+		bit: 1 << id,
+		rng: rand.New(rand.NewSource(h.cfg.Seed ^ int64(id*2654435761+1))),
 	}
+	t.setIndex(make([]idxCell, minIndexCells))
+	t.eventGap = t.drawEventGap()
 	if sets := h.cfg.numSets(); sets > 0 {
 		t.setOccupancy = make([]uint8, sets)
 	}
@@ -193,9 +243,14 @@ func (t *Tx) Begin() {
 		// and now; reset unconditionally.
 		t.h.status[t.id].Store(stActive)
 	}
-	clear(t.writeBuf)
-	clear(t.writeLines)
-	clear(t.readLines)
+	t.writes = t.writes[:0]
+	t.gen++
+	if t.gen == 0 {
+		// The stamp wrapped: cells from 2^32 attempts ago would read as
+		// current. Wipe them once and restart above the zero of fresh cells.
+		clear(t.index)
+		t.gen = 1
+	}
 	clear(t.setOccupancy)
 	t.live = true
 }
@@ -204,7 +259,7 @@ func (t *Tx) Begin() {
 func (t *Tx) Live() bool { return t.live }
 
 // ReadOnly reports whether the attempt has performed no writes.
-func (t *Tx) ReadOnly() bool { return len(t.writeBuf) == 0 }
+func (t *Tx) ReadOnly() bool { return len(t.writes) == 0 }
 
 func (t *Tx) abort(cause stats.AbortCause) {
 	abortsig.Throw(cause)
@@ -218,10 +273,83 @@ func (t *Tx) checkDoom() {
 	}
 }
 
-// maybeEvent rolls for a transient abort.
+// maybeEvent counts one access against the gap to the next transient
+// abort. The gap carries over attempt boundaries: the law is per access.
 func (t *Tx) maybeEvent() {
-	if t.rng.Intn(1_000_000) < t.h.cfg.EventAbortPerMillion {
+	t.eventGap--
+	if t.eventGap <= 0 {
+		t.eventGap = t.drawEventGap()
 		t.abort(stats.Event)
+	}
+}
+
+// drawEventGap draws the number of accesses up to and including the next
+// event abort: geometric with the configured per-access probability p, so
+// that every access aborts with probability p independently of the others
+// (P(gap = 1) = P(u < p) = p, and the geometric law is memoryless).
+func (t *Tx) drawEventGap() int64 {
+	ppm := t.h.cfg.EventAbortPerMillion
+	if ppm <= 0 {
+		return math.MaxInt64
+	}
+	if ppm >= 1_000_000 {
+		return 1
+	}
+	u := 1 - t.rng.Float64() // (0, 1], so the quotient is finite: at most 37e6/ppm
+	return 1 + int64(math.Log(u)/t.h.eventLog)
+}
+
+// setIndex installs an empty index of len(cells), a power of two.
+func (t *Tx) setIndex(cells []idxCell) {
+	t.index = cells
+	t.shift = uint32(32 - bits.TrailingZeros(uint(len(cells))))
+}
+
+// cellFor returns the index cell that holds a, or the empty cell where a
+// belongs. Multiplicative hashing on the high bits spreads the consecutive
+// addresses of a range store.
+func (t *Tx) cellFor(a memseg.Addr) *idxCell {
+	mask := uint32(len(t.index) - 1)
+	for i := uint32(a) * 2654435769 >> t.shift; ; i = (i + 1) & mask {
+		if c := &t.index[i]; c.gen != t.gen || c.addr == a {
+			return c
+		}
+	}
+}
+
+// buffered returns the attempt's own buffered value for a, if it stored
+// one. An attempt that has not stored yet answers without a probe.
+func (t *Tx) buffered(a memseg.Addr) (uint64, bool) {
+	if len(t.writes) == 0 {
+		return 0, false
+	}
+	if c := t.cellFor(a); c.gen == t.gen {
+		return t.writes[c.pos].val, true
+	}
+	return 0, false
+}
+
+// buffer records the store of v to a: last write wins.
+func (t *Tx) buffer(a memseg.Addr, v uint64) {
+	c := t.cellFor(a)
+	if c.gen == t.gen {
+		t.writes[c.pos].val = v
+		return
+	}
+	if 2*(len(t.writes)+1) > len(t.index) {
+		t.growIndex()
+		c = t.cellFor(a)
+	}
+	*c = idxCell{addr: a, gen: t.gen, pos: uint32(len(t.writes))}
+	t.writes = append(t.writes, bufWrite{a, v})
+}
+
+// growIndex doubles the index mid-attempt and re-enters the buffered
+// writes. Fresh cells carry stamp 0, which no attempt uses.
+func (t *Tx) growIndex() {
+	t.setIndex(make([]idxCell, 2*len(t.index)))
+	for pos, w := range t.writes {
+		*t.cellFor(w.addr) = idxCell{addr: w.addr, gen: t.gen, pos: uint32(pos)}
 	}
 }
 
@@ -263,7 +391,7 @@ func (t *Tx) Load(a memseg.Addr) uint64 {
 		// Injected coherence conflict: another core's request took our line.
 		t.abort(stats.Conflict)
 	}
-	if v, ok := t.writeBuf[a]; ok {
+	if v, ok := t.buffered(a); ok {
 		return v
 	}
 	t.trackReadLine(a.Line())
@@ -271,19 +399,25 @@ func (t *Tx) Load(a memseg.Addr) uint64 {
 	return t.h.mem.Load(a)
 }
 
-// trackReadLine registers a line in the read set, resolving conflicts with
-// concurrent writers. A no-op when the line is already tracked.
+// trackReadLine puts a line in the read set. Only this descriptor ever
+// sets or clears its bit in a line's reader mask, and it clears it when the
+// attempt ends, so the bit being set is exactly "already in the read set".
 func (t *Tx) trackReadLine(line uint32) {
-	if _, tracked := t.readLines[line]; tracked {
-		return
+	if t.h.lines[line].readers.Load()&t.bit == 0 {
+		t.addReadLine(line)
 	}
+}
+
+// addReadLine registers a new line in the read set, resolving conflicts
+// with concurrent writers.
+func (t *Tx) addReadLine(line uint32) {
 	if len(t.readLines) >= t.h.cfg.ReadCapacityLines {
 		t.abort(stats.Capacity)
 	}
 	// Record the line before touching the shared record so that an
 	// abort anywhere below still releases the reader bit in OnAbort
 	// (clearing an unset bit is harmless).
-	t.readLines[line] = struct{}{}
+	t.readLines = append(t.readLines, line)
 	rec := &t.h.lines[line]
 	// Resolve against a concurrent writer, register, then re-check: the
 	// re-check closes the race where a writer registers between our
@@ -320,16 +454,26 @@ func (t *Tx) Store(a memseg.Addr, v uint64) {
 		t.abort(stats.Capacity)
 	}
 	t.trackWriteLine(a.Line())
-	t.writeBuf[a] = v
+	t.buffer(a, v)
 	t.checkDoom()
 }
 
-// trackWriteLine registers a line in the write set, charging the capacity
-// model and claiming exclusive ownership. A no-op when already tracked.
+// trackWriteLine puts a line in the write set: holding the line's writer
+// claim is "already in the write set".
 func (t *Tx) trackWriteLine(line uint32) {
-	if _, tracked := t.writeLines[line]; tracked {
-		return
+	if t.h.lines[line].writer.Load() != t.id+1 {
+		t.addWriteLine(line)
 	}
+}
+
+// addWriteLine registers a new line in the write set, charging the
+// capacity model and claiming exclusive ownership.
+func (t *Tx) addWriteLine(line uint32) {
+	// A claim can be stolen, but only from an attempt that was doomed
+	// first. Not being doomed after having seen another owner therefore
+	// proves the line is new to the write set; a doomed attempt stops
+	// here instead of charging and claiming the line a second time.
+	t.checkDoom()
 	if len(t.writeLines) >= t.h.cfg.WriteCapacityLines {
 		t.abort(stats.Capacity)
 	}
@@ -342,14 +486,15 @@ func (t *Tx) trackWriteLine(line uint32) {
 	}
 	// Record before claiming: if claimLine aborts mid-way, OnAbort's
 	// conditional release (CAS id+1 → 0) cleans up whatever was taken.
-	t.writeLines[line] = struct{}{}
+	t.writeLines = append(t.writeLines, line)
 	t.claimLine(line)
 }
 
 // LoadRange reads the len(dst) consecutive words starting at a. Equivalent
 // to dst[i] = Load(a+i), but the per-access overheads — doom check, event
-// roll, chaos injection — are paid once per call (a range is one access to
-// the simulated hardware) and line tracking is amortized over the run.
+// countdown, chaos injection — are paid once per call (a range is one
+// access to the simulated hardware) and line tracking is amortized over
+// the run.
 func (t *Tx) LoadRange(a memseg.Addr, dst []uint64) {
 	t.checkDoom()
 	t.maybeEvent()
@@ -360,7 +505,7 @@ func (t *Tx) LoadRange(a memseg.Addr, dst []uint64) {
 	prev := int64(-1)
 	for i := range dst {
 		aa := a + memseg.Addr(i)
-		if v, ok := t.writeBuf[aa]; ok {
+		if v, ok := t.buffered(aa); ok {
 			dst[i] = v
 			continue
 		}
@@ -391,7 +536,7 @@ func (t *Tx) StoreRange(a memseg.Addr, src []uint64) {
 			t.trackWriteLine(l)
 			prev = int64(l)
 		}
-		t.writeBuf[aa] = v
+		t.buffer(aa, v)
 	}
 	t.checkDoom()
 }
@@ -435,7 +580,11 @@ func (t *Tx) Commit() (readOnly bool) {
 	if !t.live {
 		panic("htm: Commit without Begin")
 	}
-	if len(t.writeBuf) == 0 {
+	if len(t.writes) == 0 {
+		// A Load's last doom check precedes its memory read, so a writer can
+		// doom this attempt and flush in between: only an attempt still
+		// undoomed after its last read has seen one consistent snapshot.
+		t.checkDoom()
 		t.finish()
 		return true
 	}
@@ -444,8 +593,8 @@ func (t *Tx) Commit() (readOnly bool) {
 	}
 	// From here we cannot be doomed; flush the buffer. Readers that raced
 	// with us were doomed when we claimed their lines.
-	for a, v := range t.writeBuf {
-		t.h.mem.Store(a, v)
+	for _, w := range t.writes {
+		t.h.mem.Store(w.addr, w.val)
 	}
 	t.finish()
 	return false
@@ -458,24 +607,27 @@ func (t *Tx) finish() {
 	t.live = false
 }
 
-// OnAbort discards the write buffer and releases line claims. The engine
+// OnAbort ends a failed attempt: it releases the line claims, and the
+// write buffer, never flushed, is dropped by the next Begin. The engine
 // calls this from its recover handler.
 func (t *Tx) OnAbort() {
 	t.releaseLines()
 	t.h.status[t.id].Store(stInactive)
-	clear(t.writeBuf)
-	clear(t.writeLines)
-	clear(t.readLines)
 	t.live = false
 }
 
+// releaseLines gives back every line claim and reader bit and empties both
+// sets. The writer release is conditional: a doomed attempt's claim may
+// have been stolen.
 func (t *Tx) releaseLines() {
-	for line := range t.writeLines {
+	for _, line := range t.writeLines {
 		t.h.lines[line].writer.CompareAndSwap(t.id+1, 0)
 	}
-	for line := range t.readLines {
+	for _, line := range t.readLines {
 		t.h.lines[line].readers.And(^t.bit)
 	}
+	t.writeLines = t.writeLines[:0]
+	t.readLines = t.readLines[:0]
 }
 
 // InvalidateBlock dooms every transaction with any line of the block

@@ -1,6 +1,8 @@
 package htm
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -104,6 +106,20 @@ func TestReadOnlyCommit(t *testing.T) {
 	_ = tx.Load(base)
 	if !tx.Commit() {
 		t.Fatal("read-only commit not flagged")
+	}
+}
+
+// A read-only attempt doomed after its last access must not commit: the
+// writer that doomed it may have flushed between two of its reads.
+func TestDoomedReadOnlyCannotCommit(t *testing.T) {
+	h, base := newHTM(t, Config{})
+	reader := h.NewTx(1)
+	reader.Begin()
+	_ = reader.Load(base)
+	run(h.NewTx(2), func(tx *Tx) { tx.Store(base, 5) })
+	cause, aborted := attempt2(reader, func(*Tx) {})
+	if !aborted || cause != stats.Conflict {
+		t.Fatalf("doomed read-only commit: aborted=%v cause=%v, want a conflict abort", aborted, cause)
 	}
 }
 
@@ -214,13 +230,81 @@ func TestSameLineCountsOnce(t *testing.T) {
 	}
 }
 
-func TestEventAborts(t *testing.T) {
-	h, base := newHTM(t, Config{EventAbortPerMillion: 1_000_000, Seed: 1})
+// eventPositions runs loads on a fresh descriptor until n accesses have
+// been made and returns the 1-based access index of every event abort.
+func eventPositions(t *testing.T, cfg Config, n int) []int {
+	t.Helper()
+	h, base := newHTM(t, cfg)
 	tx := h.NewTx(1)
-	cause, aborted := attempt(tx, func(tx *Tx) { _ = tx.Load(base) })
-	if !aborted || cause != stats.Event {
-		t.Fatalf("event abort: aborted=%v cause=%v", aborted, cause)
+	var at []int
+	for access := 0; access < n; {
+		cause, aborted := attempt(tx, func(tx *Tx) {
+			for access < n {
+				access++
+				_ = tx.Load(base)
+			}
+		})
+		if aborted {
+			if cause != stats.Event {
+				t.Fatalf("access %d aborted with %v, want an event abort", access, cause)
+			}
+			at = append(at, access)
+		}
 	}
+	return at
+}
+
+func TestEventAborts(t *testing.T) {
+	t.Run("always", func(t *testing.T) {
+		h, base := newHTM(t, Config{EventAbortPerMillion: 1_000_000, Seed: 1})
+		tx := h.NewTx(1)
+		cause, aborted := attempt(tx, func(tx *Tx) { _ = tx.Load(base) })
+		if !aborted || cause != stats.Event {
+			t.Fatalf("event abort: aborted=%v cause=%v", aborted, cause)
+		}
+	})
+	t.Run("never", func(t *testing.T) {
+		if at := eventPositions(t, Config{EventAbortPerMillion: -1, Seed: 1}, 1_000_000); len(at) != 0 {
+			t.Fatalf("%d event aborts with the rate at -1, first at access %d", len(at), at[0])
+		}
+	})
+	t.Run("seeded", func(t *testing.T) {
+		cfg := Config{EventAbortPerMillion: 5000, Seed: 7}
+		a, b := eventPositions(t, cfg, 100_000), eventPositions(t, cfg, 100_000)
+		if len(a) < 100 || !slices.Equal(a, b) {
+			t.Fatalf("same seed, different abort positions: %d vs %d aborts", len(a), len(b))
+		}
+		cfg.Seed = 8
+		if c := eventPositions(t, cfg, 100_000); slices.Equal(a, c) {
+			t.Fatal("seeds 7 and 8 abort at identical positions")
+		}
+	})
+	// The countdown must leave the per-access law alone: each access
+	// aborts with probability p independently, so the abort count over n
+	// accesses is Binomial(n, p) and the gaps between aborts are
+	// geometric (half of them at or below ln 2 / p).
+	t.Run("law", func(t *testing.T) {
+		const n, ppm = 10_000_000, 5000
+		p := float64(ppm) / 1e6
+		at := eventPositions(t, Config{EventAbortPerMillion: ppm, Seed: 3}, n)
+		mean, sd := n*p, math.Sqrt(n*p*(1-p))
+		if d := math.Abs(float64(len(at)) - mean); d > 5*sd {
+			t.Fatalf("%d event aborts over %d accesses at %d ppm: %.1f sd from the binomial mean %.0f", len(at), n, ppm, d/sd, mean)
+		}
+		median := int(math.Floor(math.Log(0.5) / math.Log1p(-p)))
+		below, prev := 0, 0
+		for _, pos := range at {
+			if pos-prev <= median {
+				below++
+			}
+			prev = pos
+		}
+		want := 1 - math.Pow(1-p, float64(median))
+		got := float64(below) / float64(len(at))
+		if tol := 5 * math.Sqrt(want*(1-want)/float64(len(at))); math.Abs(got-want) > tol {
+			t.Fatalf("%.4f of gaps are <= %d accesses, a geometric law gives %.4f (tolerance %.4f)", got, median, want, tol)
+		}
+	})
 }
 
 func TestDoomAll(t *testing.T) {
@@ -348,13 +432,4 @@ func TestTwoWordInvariant(t *testing.T) {
 		}(tx)
 	}
 	wg.Wait()
-}
-
-func BenchmarkUncontendedRMW(b *testing.B) {
-	h, base := newHTM(b, Config{})
-	tx := h.NewTx(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run(tx, func(tx *Tx) { tx.Store(base, tx.Load(base)+1) })
-	}
 }

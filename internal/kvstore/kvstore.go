@@ -31,6 +31,7 @@ package kvstore
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"gotle/internal/condvar"
@@ -62,7 +63,7 @@ const (
 	shCasSeq  = 3 // CAS token sequence
 	shWalSeq  = 4 // WAL commit sequence (drawn inside mutating transactions)
 	shStats   = 5 // stWords counters
-	shBuckets = shStats + stWords
+	shWords   = shStats + stWords
 )
 
 // Per-shard stats word indices (relative to sh.base+shStats).
@@ -85,7 +86,11 @@ const (
 type Config struct {
 	// Shards is rounded up to a power of two (default 8).
 	Shards int
-	// BucketsPerShard is rounded up to a power of two (default 64).
+	// BucketsPerShard is rounded up to a power of two. The default follows
+	// the capacity: MaxItemsPerShard rounded up to a power of two (so a
+	// full shard's chains average at most one item), capped at
+	// memseg.MaxAlloc because a shard's bucket array is one heap block of
+	// one word per bucket.
 	BucketsPerShard int
 	// MaxItemsPerShard triggers LRU eviction (default 1024).
 	MaxItemsPerShard int
@@ -95,11 +100,11 @@ func (c Config) withDefaults() Config {
 	if c.Shards < 1 {
 		c.Shards = 8
 	}
-	if c.BucketsPerShard < 1 {
-		c.BucketsPerShard = 64
-	}
 	if c.MaxItemsPerShard < 1 {
 		c.MaxItemsPerShard = 1024
+	}
+	if c.BucketsPerShard < 1 {
+		c.BucketsPerShard = min(c.MaxItemsPerShard, memseg.MaxAlloc)
 	}
 	return c
 }
@@ -122,9 +127,19 @@ type Store struct {
 }
 
 type shard struct {
-	mu   *tle.Mutex
-	base memseg.Addr
-	mask uint64
+	mu      *tle.Mutex
+	base    memseg.Addr // shWords header: counters, LRU ends, sequences
+	buckets memseg.Addr // 1<<(64-shift) chain heads
+	shift   uint
+}
+
+// bucket returns the chain head for a key hash. The hash is multiplied
+// through before its top bits index the array: FNV-1a's own upper bits
+// barely move between keys that differ in their last few bytes (a byte
+// reaches bits 32-39 only by carry), which piles such keys into a handful
+// of buckets; the low bits, which do mix, chose the shard.
+func (sh *shard) bucket(h uint64) memseg.Addr {
+	return sh.buckets + memseg.Addr(h*0x9E3779B97F4A7C15>>sh.shift)
 }
 
 // New creates a store on the runtime's engine.
@@ -141,9 +156,10 @@ func New(r *tle.Runtime, cfg Config) *Store {
 	}
 	for i := range s.shards {
 		s.shards[i] = shard{
-			mu:   r.NewMutex(fmt.Sprintf("kv-shard-%d", i)),
-			base: r.Engine().Alloc(shBuckets + nbk),
-			mask: uint64(nbk - 1),
+			mu:      r.NewMutex(fmt.Sprintf("kv-shard-%d", i)),
+			base:    r.Engine().Alloc(shWords),
+			buckets: r.Engine().Alloc(nbk),
+			shift:   uint(64 - bits.TrailingZeros(uint(nbk))),
 		}
 	}
 	return s
@@ -245,12 +261,18 @@ func ceilPow2(v int) int {
 	return n
 }
 
+// FNV-1a, 64-bit.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
 // fnv1a hashes a key.
 func fnv1a(key []byte) uint64 {
-	h := uint64(14695981039346656037)
+	h := fnvOffset
 	for _, b := range key {
 		h ^= uint64(b)
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	return h
 }
@@ -471,7 +493,7 @@ func (s *Store) GetItemAppend(th *tm.Thread, key, dst []byte) ([]byte, Item, boo
 	}
 	h := fnv1a(key)
 	sh := s.shardFor(h)
-	bucket := sh.base + shBuckets + memseg.Addr((h>>32)&sh.mask)
+	bucket := sh.bucket(h)
 	base := len(dst)
 	var it Item
 	found := false
@@ -651,7 +673,7 @@ func (s *Store) mutate(th *tm.Thread, key, val []byte, flags uint32, mode storeM
 // quiesce), and the eviction count. WAL publication and the NoQuiesce
 // decision stay with the caller, which sees the whole transaction.
 func (s *Store) applyStore(tx tm.Tx, sh *shard, h uint64, key, val []byte, flags uint32, mode storeMode, wantCas uint64) (status StoreStatus, privatized bool, evicted uint64) {
-	bucket := sh.base + shBuckets + memseg.Addr((h>>32)&sh.mask)
+	bucket := sh.bucket(h)
 	linkAt, old := s.findInChain(tx, sh, bucket, key)
 	switch mode {
 	case modeAdd:
@@ -781,7 +803,7 @@ func (s *Store) IncrD(th *tm.Thread, key []byte, delta uint64, decr bool) (uint6
 // value is read into a stack buffer too (a stored counter never exceeds
 // 20 digits), so the read side allocates nothing.
 func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint64, decr bool, dst []byte) (newVal uint64, newBytes []byte, flags uint32, status IncrStatus, privatized bool) {
-	bucket := sh.base + shBuckets + memseg.Addr((h>>32)&sh.mask)
+	bucket := sh.bucket(h)
 	linkAt, item := s.findInChain(tx, sh, bucket, key)
 	if item == memseg.Nil {
 		return 0, nil, 0, IncrNotFound, false
@@ -856,15 +878,34 @@ func parseDecimal(b []byte) (uint64, bool) {
 	return v, true
 }
 
+// packedKeyHash is fnv1a over the n key bytes packed at a, read through one
+// LoadRange into the transaction's range buffer (a key is at most 32
+// words) instead of an unpacked copy.
+func packedKeyHash(tx tm.Tx, a memseg.Addr, n int) uint64 {
+	buf := tx.RangeBuf((n + 7) / 8)
+	tx.LoadRange(a, buf)
+	h := fnvOffset
+	for i := 0; i < n; i++ {
+		h ^= buf[i/8] >> (8 * (i % 8)) & 0xFF
+		h *= fnvPrime
+	}
+	return h
+}
+
 // evict removes victim from its bucket chain and the LRU list, freeing it.
+// The victim is known by address, so its chain is walked comparing
+// addresses, not keys.
+//
+//gotle:hotpath runs inside most sets once a shard is full
 func (s *Store) evict(tx tm.Tx, sh *shard, victim memseg.Addr) {
 	meta := tx.Load(victim + itMeta)
-	key := unpackBytes(tx, victim+itData, int(meta>>32))
-	h := fnv1a(key)
-	bucket := sh.base + shBuckets + memseg.Addr((h>>32)&sh.mask)
-	linkAt, item := s.findInChain(tx, sh, bucket, key)
-	if item == victim {
-		tx.Store(linkAt, tx.Load(victim+itChain))
+	linkAt := sh.bucket(packedKeyHash(tx, victim+itData, int(meta>>32)))
+	for item := memseg.Addr(tx.Load(linkAt)); item != memseg.Nil; item = memseg.Addr(tx.Load(linkAt)) {
+		if item == victim {
+			tx.Store(linkAt, tx.Load(victim+itChain))
+			break
+		}
+		linkAt = item + itChain
 	}
 	s.lruUnlink(tx, sh, victim)
 	tx.Free(victim)
@@ -904,7 +945,7 @@ func (s *Store) DeleteD(th *tm.Thread, key []byte) (bool, wal.Ticket, error) {
 // reports whether an item was unlinked and freed (false = miss, nothing
 // privatized).
 func (s *Store) applyDelete(tx tm.Tx, sh *shard, h uint64, key []byte) bool {
-	bucket := sh.base + shBuckets + memseg.Addr((h>>32)&sh.mask)
+	bucket := sh.bucket(h)
 	linkAt, item := s.findInChain(tx, sh, bucket, key)
 	if item == memseg.Nil {
 		return false

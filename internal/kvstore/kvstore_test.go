@@ -9,6 +9,7 @@ import (
 
 	"gotle/internal/htm"
 	"gotle/internal/lockcheck"
+	"gotle/internal/memseg"
 	"gotle/internal/tle"
 	"gotle/internal/tm"
 )
@@ -159,6 +160,49 @@ func TestInputValidation(t *testing.T) {
 	}
 	if _, err := s.Delete(th, nil); err == nil {
 		t.Fatal("Delete with empty key accepted")
+	}
+}
+
+// The default bucket count follows the capacity: a store filled to the
+// brim keeps its chains short, whatever MaxItemsPerShard is.
+func TestDefaultBucketsKeepChainsShort(t *testing.T) {
+	r := newRT(tle.PolicyPthread)
+	s := New(r, Config{Shards: 2, MaxItemsPerShard: 1000})
+	th := r.NewThread()
+	for i := 0; i < 4000; i++ { // twice the capacity: every shard is full
+		k := []byte(fmt.Sprintf("chain-key-%d", i))
+		if err := s.Set(th, k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := r.Engine()
+	items, chains, longest := 0, 0, 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		if got := int(eng.Load(sh.base + shCount)); got != 1000 {
+			t.Fatalf("shard %d holds %d items, want it full at 1000", i, got)
+		}
+		for b := 0; b < 1<<(64-sh.shift); b++ {
+			n := 0
+			for it := memseg.Addr(eng.Load(sh.buckets + memseg.Addr(b))); it != memseg.Nil; it = memseg.Addr(eng.Load(it + itChain)) {
+				n++
+			}
+			if n > 0 {
+				chains++
+			}
+			items += n
+			longest = max(longest, n)
+		}
+	}
+	if items != 2000 {
+		t.Fatalf("chains hold %d items, want 2000", items)
+	}
+	if mean := float64(items) / float64(chains); mean > 2 {
+		t.Fatalf("mean chain length %.2f over %d chains (longest %d), want <= 2", mean, chains, longest)
+	}
+	// An explicit bucket count is still honoured.
+	if s := New(r, Config{BucketsPerShard: 3, MaxItemsPerShard: 1000}); s.shards[0].shift != 62 {
+		t.Fatalf("explicit BucketsPerShard 3: shift = %d, want 62 (4 buckets)", s.shards[0].shift)
 	}
 }
 
@@ -376,6 +420,62 @@ func BenchmarkMixedOps(b *testing.B) {
 					s.Set(th, k, k)
 				default:
 					s.Get(th, k)
+				}
+			}
+		})
+	}
+}
+
+// benchPolicies are the mechanisms the per-policy benchmarks compare: the
+// lock baseline and the two the serving stack's adaptive ladder moves
+// between.
+var benchPolicies = []tle.Policy{tle.PolicyPthread, tle.PolicySTMCondVar, tle.PolicyHTMCondVar}
+
+// benchStore builds a store shaped like tleserved's (8 shards of 4096
+// items) and fills it to capacity with 64-byte values.
+func benchStore(b *testing.B, p tle.Policy) (*Store, *tm.Thread, [][]byte) {
+	r := tle.New(p, tle.Config{MemWords: 1 << 23, HTM: htm.Config{EventAbortPerMillion: -1}})
+	s := New(r, Config{Shards: 8, MaxItemsPerShard: 4096})
+	th := r.NewThread()
+	keys := make([][]byte, 8*4096)
+	val := bytes.Repeat([]byte("v"), 64)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("bench-key-%06d", i))
+		if err := s.Set(th, keys[i], val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Cleanup(func() { th.Release(); r.Close() })
+	return s, th, keys
+}
+
+// BenchmarkGet times one hit on a full store under each policy: the
+// kvstore-layer cost of an elided read next to the locked one.
+func BenchmarkGet(b *testing.B) {
+	for _, p := range benchPolicies {
+		b.Run(p.String(), func(b *testing.B) {
+			s, th, keys := benchStore(b, p)
+			var buf []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, _, _, _ = s.GetItemAppend(th, keys[i*7919%len(keys)], buf[:0])
+			}
+		})
+	}
+}
+
+// BenchmarkSet times one replacing set on a full store under each policy.
+func BenchmarkSet(b *testing.B) {
+	for _, p := range benchPolicies {
+		b.Run(p.String(), func(b *testing.B) {
+			s, th, keys := benchStore(b, p)
+			val := bytes.Repeat([]byte("w"), 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Set(th, keys[i*7919%len(keys)], val); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -28,6 +28,10 @@ func TestPackUnpackQuick(t *testing.T) {
 			packBytes(tx, a, data)
 			got := unpackBytes(tx, a, len(data))
 			ok = bytes.Equal(got, data)
+			if len(data) <= MaxKeyLen {
+				// evict re-derives a victim's bucket from its packed key.
+				ok = ok && packedKeyHash(tx, a, len(data)) == fnv1a(data)
+			}
 			tx.Free(a)
 			return nil
 		})

@@ -19,20 +19,9 @@ import (
 // (executor + kvstore + epoch), and response encoding. Socket I/O is
 // excluded — bufio and the kernel sit outside the op lifecycle.
 func TestZeroAllocHotPath(t *testing.T) {
-	r := tle.New(tle.PolicySTMCondVar, tle.Config{
-		MemWords: 1 << 20,
-		Observe:  true,
-		HTM:      htm.Config{EventAbortPerMillion: -1},
-	})
-	store := kvstore.New(r, kvstore.Config{Shards: 4})
-	s := New(r, store, Config{})
-	th := r.NewThread()
-	defer th.Release()
-
-	o := &op{done: make(chan struct{}, 1)}
-	var fields [][]byte
-
 	t.Run("decode", func(t *testing.T) {
+		var o op
+		var fields [][]byte
 		lines := [][]byte{
 			[]byte("set somekey 42 0 5 noreply"),
 			[]byte("get somekey otherkey third"),
@@ -52,6 +41,28 @@ func TestZeroAllocHotPath(t *testing.T) {
 			t.Fatalf("decode path allocates %.1f times per 4 commands", n)
 		}
 	})
+	// Both mechanisms the adaptive ladder serves from: an HTM descriptor
+	// that grows its state per attempt would pass an STM-only gate.
+	for _, policy := range []tle.Policy{tle.PolicySTMCondVar, tle.PolicyHTMCondVar} {
+		t.Run(policy.String(), func(t *testing.T) { zeroAllocExecute(t, policy) })
+	}
+}
+
+// zeroAllocExecute gates the executing half of the hot path under one
+// policy: solo set, solo get, a fused batch, and a set that evicts.
+func zeroAllocExecute(t *testing.T, policy tle.Policy) {
+	r := tle.New(policy, tle.Config{
+		MemWords: 1 << 20,
+		Observe:  true,
+		HTM:      htm.Config{EventAbortPerMillion: -1},
+	})
+	defer r.Close()
+	store := kvstore.New(r, kvstore.Config{Shards: 4})
+	s := New(r, store, Config{})
+	th := r.NewThread()
+	defer th.Release()
+
+	o := &op{done: make(chan struct{}, 1)}
 
 	t.Run("set", func(t *testing.T) {
 		// Through the executor's batch path, exactly as the serving
@@ -114,6 +125,46 @@ func TestZeroAllocHotPath(t *testing.T) {
 		one()
 		if n := testing.AllocsPerRun(200, one); n != 0 {
 			t.Fatalf("fused batch allocates %.1f per 8-op batch", n)
+		}
+	})
+
+	t.Run("evicting-set", func(t *testing.T) {
+		// One full shard and more keys than it holds: every set inserts a
+		// key that is not resident and evicts the least recent one.
+		const capacity = 8
+		small := kvstore.New(r, kvstore.Config{Shards: 1, MaxItemsPerShard: capacity})
+		var sc kvstore.BatchScratch
+		var ops [1]kvstore.BatchOp
+		var res [1]kvstore.BatchResult
+		keys := make([][]byte, 4*capacity)
+		for i := range keys {
+			keys[i] = []byte{'e', 'k', byte('a' + i)}
+		}
+		val := []byte("value")
+		i := 0
+		one := func() {
+			ops[0] = kvstore.BatchOp{Verb: kvstore.BatchSet, Key: keys[i%len(keys)], Val: val}
+			i++
+			if err := small.MutateBatch(th, ops[:], res[:], &sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range keys {
+			one()
+		}
+		before, err := small.Stats(th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(200, one); n != 0 {
+			t.Fatalf("evicting set allocates %.1f/op", n)
+		}
+		after, err := small.Stats(th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.Evictions - before.Evictions; got < 200 {
+			t.Fatalf("%d evictions over 200+ sets: the shape does not evict", got)
 		}
 	})
 }
