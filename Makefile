@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 CHAOS_RUNS ?= 5
 CHAOS_SEED ?= 1
 
-.PHONY: all build test bench-check lint race race-tm fuzz-short chaos chaos-teeth bench serve-smoke serve-bench crash-smoke crash-chaos repl-smoke repl-chaos clean
+.PHONY: all build test bench-check lint race race-tm fuzz-short chaos chaos-teeth bench serve-smoke serve-bench crash-smoke crash-chaos repl-smoke repl-chaos loc clean
 
 CRASH_SEED ?= 1
 
@@ -83,8 +83,9 @@ chaos:
 	$(GO) test . -run TestChaos -v
 	$(GO) run ./cmd/chaosbench -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
-# Paper-figure, quiescence, simulated-HTM and per-policy kvstore benchmarks
-# with pinned -benchtime/-count. Raw text goes to $(BENCHDIR)/current.txt;
+# Paper-figure, quiescence, simulated-HTM, per-policy kvstore and disjoint-
+# section scaling (read at -cpu 1 against -cpu 2) benchmarks with pinned
+# -benchtime/-count. Raw text goes to $(BENCHDIR)/current.txt;
 # compare two captures with benchstat. CI runs the same list once through
 # (`make bench BENCHTIME=1x BENCHCOUNT=1`) so a benchmark cannot rot.
 bench:
@@ -98,6 +99,8 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/htm | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkGet|BenchmarkSet' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkDisjointScaling|BenchmarkSetsScaling' -cpu 1,2 \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tle | tee -a $(BENCHDIR)/current.txt
 
 # The network server's zero-to-OK gate: the allocation gate (the serving
 # hot path must do exactly 0 allocs/op — see TestZeroAllocHotPath), then
@@ -175,6 +178,15 @@ repl-smoke:
 repl-chaos:
 	$(GO) run ./cmd/repltest -runs 6 -followers 2 -ops 20000 -seed $(REPL_SEED) \
 		-kill-follower
+
+# Non-test Go lines per package directory, benchmark/ and analyzer testdata
+# excluded: the figure ROADMAP's deletion target is stated in. Record the
+# output in CHANGES.md with each PR.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
+		! -path './.bench_build/*' ! -path '*/testdata/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 clean:
 	$(GO) clean ./...

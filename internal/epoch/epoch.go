@@ -41,15 +41,23 @@ import (
 
 // Slot is one thread's participation record. Exactly one goroutine may call
 // Enter/Exit on a slot; any goroutine may observe it.
+//
+//gotle:allow falseshare seq and Reader have the same single writer, the slot's thread; sharing its line is the point
 type Slot struct {
 	seq atomic.Uint64
+	// Reader is a second word only the slot's thread writes, kept here
+	// because the slot is the one line every thread owns and the manager
+	// the one list of them. The TM engine's serial lock uses it as the
+	// thread's read-side flag (package tm, serialLock); epoch itself never
+	// looks at it.
+	Reader atomic.Uint32
 	// exitHook, when set, runs at the top of Exit — while the slot still
 	// reads as active. The TM engine installs a chaos-injection stall here
 	// so a stress run can hold slots active past their transactions and
 	// force quiescers to wait. Set before the slot is shared; nil costs one
 	// predictable branch.
 	exitHook func()
-	_        [48]byte // keep slots on separate cache lines
+	_        [40]byte // keep slots on separate cache lines
 }
 
 // SetExitHook installs fn to run at the start of every Exit, before the slot
@@ -151,6 +159,10 @@ func (m *Manager) Unregister(s *Slot) {
 
 // Threads reports the number of registered slots.
 func (m *Manager) Threads() int { return len(*m.slots.Load()) }
+
+// Slots returns the registered slots as of the call. The slice is a
+// snapshot shared with the manager: read it, do not modify it.
+func (m *Manager) Slots() []*Slot { return *m.slots.Load() }
 
 // GracePeriods reports the tickets issued to leader scans — contended
 // quiescers that won the election and snapshotted the slots themselves —

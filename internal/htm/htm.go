@@ -8,11 +8,22 @@
 //     access touches one line record and (for writes) a small buffer. The
 //     descriptor is flat: the write buffer is a log of (addr, value) in
 //     first-store order plus an open-addressed index whose cells are
-//     stamped with the attempt's generation, so Begin resets it by bumping
-//     the generation; loads skip the index until the attempt's first store.
-//     The read and write sets are slices of line numbers, and "is this
-//     line already mine" is answered by the shared line record itself (own
-//     bit in readers, own id in writer).
+//     stamped with the attempt's generation, so the end of an attempt
+//     resets it by bumping the generation; loads skip the index until the
+//     attempt's first store.
+//   - Reads tracked where a cache tracks them — in the reader. Each hardware
+//     context owns a table of one stamp per line, and a line is in the
+//     attempt's read set exactly when its stamp equals the attempt's
+//     generation. Only the owner ever writes the table: registering a line
+//     is one store to it, and the attempt's end releases the whole read set
+//     by bumping the generation. A reader therefore writes nothing another
+//     context reads or writes, so transactions on disjoint lines share no
+//     modified cache line, as on TSX. Whoever needs "who reads this line" —
+//     a transaction claiming it for writing, a non-transactional store, a
+//     block invalidation — asks each live context's table, the way a
+//     coherence request probes the other caches. The write set is a slice
+//     of line numbers whose membership test is the shared line record (own
+//     id in writer).
 //   - Eager, cache-line-granular conflict detection: an access that
 //     conflicts with another transaction's line dooms that transaction,
 //     mirroring how a coherence request aborts the TSX transaction holding
@@ -51,18 +62,33 @@ import (
 	"gotle/internal/stats"
 )
 
-// MaxThreads bounds concurrent hardware transactions; reader sets are
-// per-line 64-bit thread bitmasks.
+// MaxThreads bounds concurrent hardware transactions: the live contexts are
+// one 64-bit mask.
 const MaxThreads = 64
 
-// Transaction status values (per thread, in shared state so attackers can
-// doom victims).
+// Transaction status values, the low bits of a context's state word (in
+// shared state so attackers can doom victims).
 const (
-	stInactive uint32 = iota
+	stInactive uint64 = iota
 	stActive
 	stCommitting
 	stDoomed
+	stMask = 3
+
+	// A doomed state carries the attacker's cause above the status, and
+	// every state the attempt's generation in the high half.
+	causeShift = 2
+	causeMask  = 0xff
+	genShift   = 32
 )
+
+// stateOf is the state word of an attempt of generation gen in status st.
+func stateOf(gen uint32, st uint64) uint64 { return uint64(gen)<<genShift | st }
+
+// causeOf is the abort cause a doomed state carries.
+func causeOf(state uint64) stats.AbortCause {
+	return stats.AbortCause(state >> causeShift & causeMask)
+}
 
 // Config holds HTM construction parameters. Zero values select defaults.
 type Config struct {
@@ -119,17 +145,44 @@ func (c Config) numSets() int {
 	return sets
 }
 
-// lineRec tracks conflict state for one 64-byte line. readers is a bitmask
-// of thread ids with the line in their read set; writer is id+1 of the
-// transaction with the line in its write set, or 0.
+// lineRec is the shared conflict state of one 64-byte line: writer is id+1
+// of the transaction with the line in its write set, or 0. Only a write
+// claim lives here. Who reads the line is recorded in the readers' own
+// contexts (see context), so a read leaves the record untouched.
 //
 // The simulator MODELS cache lines: lineRec density mirrors the modeled
 // line table, and padding it would distort what the model measures.
 //
 //gotle:allow falseshare the simulator models cache-line conflict state; density is the model, not an accident
 type lineRec struct {
-	readers atomic.Uint64
-	writer  atomic.Uint32
+	writer atomic.Uint32
+}
+
+// context is one hardware context, the shared face of thread id i's
+// transactions. It belongs to the id, not to a descriptor: a thread that
+// releases its id parks the descriptor here and the next NewTx(i) takes it
+// over, stamps included, so a context costs its memory once however many
+// short-lived threads pass through it.
+type context struct {
+	// state is the one word others see of the context's attempts: status
+	// (and, once doomed, the attacker's cause) below, and above it the
+	// generation of the running attempt or, between attempts, one no stamp
+	// carries yet. The owner stores it at the two ends of an attempt and
+	// loads it at every access; an attacker dooms with a CAS; a claimer
+	// loads it after finding a stamp to compare the generation with. One
+	// word, so the end of an attempt releases its read set and its status
+	// in one store.
+	state atomic.Uint64
+	// stamps holds one word per line: stamps[l] equal to the generation
+	// means l is in the current read set. Allocated when the id first goes
+	// live and never cleared or freed; pages the thread never reads through
+	// stay untouched.
+	//
+	//gotle:allow falseshare one writer, the context's own thread: neighbouring stamps cannot ping-pong
+	stamps []atomic.Uint32
+	// tx is the context's descriptor, parked here while the id is free.
+	tx *Tx
+	_  [24]byte // a line per context: the fields after state never change
 }
 
 // HTM is the shared state of one simulated HTM instance.
@@ -137,14 +190,15 @@ type HTM struct {
 	mem *memseg.Memory
 	//gotle:allow falseshare the simulator models cache-line conflict state; density is the model, not an accident
 	lines []lineRec
-	//gotle:allow falseshare per-thread status words are written once per attempt, read by the owner; contention is negligible in the simulator
-	status [MaxThreads]atomic.Uint32
-	//gotle:allow falseshare per-thread status words are written once per attempt, read by the owner; contention is negligible in the simulator
-	cause [MaxThreads]atomic.Uint32 // abort cause set by the attacker
 	cfg   Config
 	// eventLog is ln(1-p) for the per-access event probability p, the
 	// denominator of every geometric gap draw; 0 when p is 0 or 1.
 	eventLog float64
+	// live has bit i set while context i has a descriptor in use. Whoever
+	// looks for a line's readers asks these contexts only. It changes when
+	// a thread is created or released, so the line stays shared.
+	live atomic.Uint64
+	ctx  []context // MaxThreads of them, in their own line-aligned block
 }
 
 // New creates an HTM simulator over the given heap.
@@ -154,6 +208,7 @@ func New(mem *memseg.Memory, cfg Config) *HTM {
 		mem:   mem,
 		lines: make([]lineRec, nLines),
 		cfg:   cfg.withDefaults(),
+		ctx:   make([]context, MaxThreads),
 	}
 	if ppm := h.cfg.EventAbortPerMillion; ppm > 0 && ppm < 1_000_000 {
 		h.eventLog = math.Log1p(-float64(ppm) / 1e6)
@@ -186,6 +241,7 @@ const minIndexCells = 64
 // attempts. Not safe for concurrent use.
 type Tx struct {
 	h    *HTM
+	c    *context
 	id   uint32
 	bit  uint64
 	rng  *rand.Rand
@@ -202,35 +258,73 @@ type Tx struct {
 	writes []bufWrite
 	index  []idxCell
 	shift  uint32 // 32 - log2(len(index))
-	gen    uint32
+	// gen is the attempt's generation, which c.state publishes: the one
+	// counter stamps index cells and read lines alike, and endAttempt's
+	// bump empties the index and releases the read set together.
+	gen uint32
 
-	// writeLines and readLines list the lines this attempt registered in
-	// the shared line records, for release. Membership is read off the
-	// record (see trackReadLine, trackWriteLine), not searched here.
+	// stamps is c.stamps, and nReads counts the lines stamped with gen —
+	// the read set's size, for the capacity model.
+	//
+	//gotle:allow falseshare one writer, the context's own thread: neighbouring stamps cannot ping-pong
+	stamps []atomic.Uint32
+	nReads int
+	// writeLines lists the lines this attempt claimed in the shared line
+	// records, for release. Membership is read off the record (see
+	// trackWriteLine), not searched here.
 	writeLines []uint32
-	readLines  []uint32
 	// setOccupancy counts distinct write lines per cache set under the
 	// associative model (nil when disabled).
 	setOccupancy []uint8
 }
 
-// NewTx returns a descriptor for thread id (must be < MaxThreads).
+// NewTx takes hardware context id (must be < MaxThreads and not in use) and
+// returns its descriptor. The first taker of an id builds the descriptor
+// and the stamp table; a later one, after Release, gets both back with the
+// event stream restarted, as a new descriptor's would be.
 func (h *HTM) NewTx(id uint64) *Tx {
 	if id >= MaxThreads {
 		panic(fmt.Sprintf("htm: thread id %d exceeds MaxThreads %d", id, MaxThreads))
 	}
-	t := &Tx{
-		h:   h,
-		id:  uint32(id),
-		bit: 1 << id,
-		rng: rand.New(rand.NewSource(h.cfg.Seed ^ int64(id*2654435761+1))),
+	if h.live.Load()&(1<<id) != 0 {
+		panic(fmt.Sprintf("htm: context %d is in use", id))
 	}
-	t.setIndex(make([]idxCell, minIndexCells))
+	c := &h.ctx[id]
+	seed := h.cfg.Seed ^ int64(id*2654435761+1)
+	t := c.tx
+	if t == nil {
+		c.stamps = make([]atomic.Uint32, len(h.lines))
+		c.state.Store(stateOf(1, stInactive)) // 0 is the stamp of a line never read
+		t = &Tx{
+			h:      h,
+			c:      c,
+			id:     uint32(id),
+			bit:    1 << id,
+			rng:    rand.New(rand.NewSource(seed)),
+			gen:    1,
+			stamps: c.stamps,
+		}
+		t.setIndex(make([]idxCell, minIndexCells))
+		if sets := h.cfg.numSets(); sets > 0 {
+			t.setOccupancy = make([]uint8, sets)
+		}
+		c.tx = t
+	} else {
+		t.rng.Seed(seed)
+	}
 	t.eventGap = t.drawEventGap()
-	if sets := h.cfg.numSets(); sets > 0 {
-		t.setOccupancy = make([]uint8, sets)
-	}
+	h.live.Or(t.bit)
 	return t
+}
+
+// Release gives the context back: nobody asks it for readers any more, and
+// the descriptor waits under its id for the next NewTx. The caller must be
+// between attempts and must not use t again.
+func (t *Tx) Release() {
+	if t.live {
+		panic("htm: Release inside an attempt")
+	}
+	t.h.live.And(^t.bit)
 }
 
 // Begin starts an attempt.
@@ -238,19 +332,10 @@ func (t *Tx) Begin() {
 	if t.live {
 		panic("htm: Begin on live transaction")
 	}
-	if !t.h.status[t.id].CompareAndSwap(stInactive, stActive) {
-		// A stale doom can linger if an attacker doomed us between cleanup
-		// and now; reset unconditionally.
-		t.h.status[t.id].Store(stActive)
-	}
+	// A plain store: it also resets a stale doom, left by an attacker that
+	// doomed us between the last attempt's cleanup and now.
+	t.c.state.Store(stateOf(t.gen, stActive))
 	t.writes = t.writes[:0]
-	t.gen++
-	if t.gen == 0 {
-		// The stamp wrapped: cells from 2^32 attempts ago would read as
-		// current. Wipe them once and restart above the zero of fresh cells.
-		clear(t.index)
-		t.gen = 1
-	}
 	clear(t.setOccupancy)
 	t.live = true
 }
@@ -267,9 +352,8 @@ func (t *Tx) abort(cause stats.AbortCause) {
 
 // checkDoom aborts the attempt if an attacker doomed it.
 func (t *Tx) checkDoom() {
-	if t.h.status[t.id].Load() == stDoomed {
-		cause := stats.AbortCause(t.h.cause[t.id].Load())
-		t.abort(cause)
+	if s := t.c.state.Load(); s&stMask == stDoomed {
+		t.abort(causeOf(s))
 	}
 }
 
@@ -357,12 +441,12 @@ func (t *Tx) growIndex() {
 // a conflict with it). It reports false when the victim is committing and
 // thus cannot be doomed — the caller must abort itself.
 func (h *HTM) doom(victim uint32, cause stats.AbortCause) bool {
+	c := &h.ctx[victim]
 	for {
-		s := h.status[victim].Load()
-		switch s {
+		s := c.state.Load()
+		switch s & stMask {
 		case stActive:
-			h.cause[victim].Store(uint32(cause))
-			if h.status[victim].CompareAndSwap(stActive, stDoomed) {
+			if c.state.CompareAndSwap(s, s&^stMask|stDoomed|uint64(cause)<<causeShift) {
 				return true
 			}
 		case stCommitting:
@@ -378,9 +462,30 @@ func (h *HTM) doom(victim uint32, cause stats.AbortCause) bool {
 // acquisition writes a word in every transaction's read set, aborting them
 // all at once.
 func (h *HTM) DoomAll(cause stats.AbortCause) {
-	for id := uint32(0); id < MaxThreads; id++ {
-		h.doom(id, cause)
+	for m := h.live.Load(); m != 0; m &= m - 1 {
+		h.doom(uint32(bits.TrailingZeros64(m)), cause)
 	}
+}
+
+// readers returns the contexts among mask that hold line in their current
+// read set: the probe a coherence request makes of the other caches. The
+// stamp is loaded before the generation: a stamp read as g proves attempt
+// g read the line, and it counts if g is still the generation. (Generation
+// first, and the owner could end attempt g-1 and read the line under g
+// between the two loads, unseen.) A reader that stamps after the probe
+// finds the caller's write claim in its own re-check (addReadLine).
+func (h *HTM) readers(line uint32, mask uint64) uint64 {
+	var found uint64
+	for m := mask; m != 0; m &= m - 1 {
+		id := bits.TrailingZeros64(m)
+		c := &h.ctx[id]
+		// A zero stamp is a line the context never read: settle that
+		// without pulling in the line its owner stores to.
+		if s := c.stamps[line].Load(); s != 0 && s == uint32(c.state.Load()>>genShift) {
+			found |= 1 << id
+		}
+	}
+	return found
 }
 
 // Load performs a transactional read of the word at a.
@@ -399,11 +504,11 @@ func (t *Tx) Load(a memseg.Addr) uint64 {
 	return t.h.mem.Load(a)
 }
 
-// trackReadLine puts a line in the read set. Only this descriptor ever
-// sets or clears its bit in a line's reader mask, and it clears it when the
-// attempt ends, so the bit being set is exactly "already in the read set".
+// trackReadLine puts a line in the read set. Only this descriptor writes
+// its stamps, so a stamp equal to the generation is exactly "already in the
+// read set".
 func (t *Tx) trackReadLine(line uint32) {
-	if t.h.lines[line].readers.Load()&t.bit == 0 {
+	if t.stamps[line].Load() != t.gen {
 		t.addReadLine(line)
 	}
 }
@@ -411,17 +516,18 @@ func (t *Tx) trackReadLine(line uint32) {
 // addReadLine registers a new line in the read set, resolving conflicts
 // with concurrent writers.
 func (t *Tx) addReadLine(line uint32) {
-	if len(t.readLines) >= t.h.cfg.ReadCapacityLines {
+	if t.nReads >= t.h.cfg.ReadCapacityLines {
 		t.abort(stats.Capacity)
 	}
-	// Record the line before touching the shared record so that an
-	// abort anywhere below still releases the reader bit in OnAbort
-	// (clearing an unset bit is harmless).
-	t.readLines = append(t.readLines, line)
+	t.nReads++
 	rec := &t.h.lines[line]
 	// Resolve against a concurrent writer, register, then re-check: the
 	// re-check closes the race where a writer registers between our
-	// check and our registration.
+	// check and our registration. The stamp is a sequentially consistent
+	// store to our own memory and the writer's claim a CAS on the record;
+	// each side then loads the other's word, so one of the two sees the
+	// other (a claimer looks for stamps in readers). A stamp left behind
+	// by an abort below goes stale with the generation.
 	for {
 		if w := rec.writer.Load(); w != 0 && w != t.id+1 {
 			if !t.h.doom(w-1, stats.Conflict) {
@@ -435,9 +541,8 @@ func (t *Tx) addReadLine(line uint32) {
 			rec.writer.CompareAndSwap(w, 0)
 			continue
 		}
-		rec.readers.Or(t.bit)
+		t.stamps[line].Store(t.gen)
 		if w := rec.writer.Load(); w != 0 && w != t.id+1 {
-			rec.readers.And(^t.bit)
 			continue
 		}
 		break
@@ -563,7 +668,7 @@ func (t *Tx) claimLine(line uint32) {
 		}
 	}
 	// Doom all other readers of the line.
-	mask := rec.readers.Load() &^ t.bit
+	mask := t.h.readers(line, t.h.live.Load()&^t.bit)
 	for id := uint32(0); mask != 0 && id < MaxThreads; id++ {
 		if mask&(1<<id) != 0 {
 			if !t.h.doom(id, stats.Conflict) {
@@ -585,49 +690,52 @@ func (t *Tx) Commit() (readOnly bool) {
 		// doom this attempt and flush in between: only an attempt still
 		// undoomed after its last read has seen one consistent snapshot.
 		t.checkDoom()
-		t.finish()
+		t.endAttempt()
 		return true
 	}
-	if !t.h.status[t.id].CompareAndSwap(stActive, stCommitting) {
-		t.abort(stats.AbortCause(t.h.cause[t.id].Load()))
+	if !t.c.state.CompareAndSwap(stateOf(t.gen, stActive), stateOf(t.gen, stCommitting)) {
+		t.abort(causeOf(t.c.state.Load()))
 	}
 	// From here we cannot be doomed; flush the buffer. Readers that raced
 	// with us were doomed when we claimed their lines.
 	for _, w := range t.writes {
 		t.h.mem.Store(w.addr, w.val)
 	}
-	t.finish()
+	t.endAttempt()
 	return false
-}
-
-// finish releases all line claims and resets status.
-func (t *Tx) finish() {
-	t.releaseLines()
-	t.h.status[t.id].Store(stInactive)
-	t.live = false
 }
 
 // OnAbort ends a failed attempt: it releases the line claims, and the
 // write buffer, never flushed, is dropped by the next Begin. The engine
 // calls this from its recover handler.
-func (t *Tx) OnAbort() {
-	t.releaseLines()
-	t.h.status[t.id].Store(stInactive)
-	t.live = false
-}
+func (t *Tx) OnAbort() { t.endAttempt() }
 
-// releaseLines gives back every line claim and reader bit and empties both
-// sets. The writer release is conditional: a doomed attempt's claim may
-// have been stolen.
-func (t *Tx) releaseLines() {
+// endAttempt ends an attempt, committed or failed: it gives back every
+// write claim, releases the read set and resets status. The writer release
+// is conditional: a doomed attempt's claim may have been stolen. The read
+// set goes all at once — the next generation makes every stamp stale, and
+// with them the index cells.
+func (t *Tx) endAttempt() {
 	for _, line := range t.writeLines {
 		t.h.lines[line].writer.CompareAndSwap(t.id+1, 0)
 	}
-	for _, line := range t.readLines {
-		t.h.lines[line].readers.And(^t.bit)
-	}
 	t.writeLines = t.writeLines[:0]
-	t.readLines = t.readLines[:0]
+	t.nReads = 0
+	t.gen++
+	if t.gen == 0 {
+		// The generation wrapped: stamps and cells from 2^32 attempts ago
+		// would read as current. Wipe them once and restart above the zero
+		// of fresh ones. Until the store below the state still names the
+		// attempt that just ended, whose stamps a claimer may still take
+		// for a reader; dooming an attempt past its last check is harmless.
+		clear(t.index)
+		for i := range t.stamps {
+			t.stamps[i].Store(0) // claimers load these concurrently
+		}
+		t.gen = 1
+	}
+	t.c.state.Store(stateOf(t.gen, stInactive))
+	t.live = false
 }
 
 // InvalidateBlock dooms every transaction with any line of the block
@@ -645,7 +753,7 @@ func (h *HTM) InvalidateBlock(a memseg.Addr, words int) {
 				rec.writer.CompareAndSwap(w, 0)
 			}
 		}
-		mask := rec.readers.Load()
+		mask := h.readers(line, h.live.Load())
 		for id := uint32(0); mask != 0 && id < MaxThreads; id++ {
 			if mask&(1<<id) != 0 {
 				h.doom(id, stats.Conflict)
@@ -700,7 +808,7 @@ func (h *HTM) NontxStore(a memseg.Addr, v uint64) {
 		}
 		b.Wait()
 	}
-	mask := rec.readers.Load()
+	mask := h.readers(a.Line(), h.live.Load())
 	for id := uint32(0); mask != 0 && id < MaxThreads; id++ {
 		if mask&(1<<id) != 0 {
 			// Readers that are committing are read-only on this line’s

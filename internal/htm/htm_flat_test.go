@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,8 +12,9 @@ import (
 )
 
 // Tests for the flat descriptor: the write log and its generation-stamped
-// index, the line-set slices whose membership test is the shared line
-// record, and the resets between attempts.
+// index, the read set kept as generation stamps in the context's own table,
+// the write-line slice whose membership test is the shared line record, and
+// the resets between attempts.
 
 // newBigHTM builds an HTM over a heap large enough for thousands of lines,
 // event aborts off, and returns a line-aligned region of the given size.
@@ -30,16 +32,23 @@ func newBigHTM(tb testing.TB, cfg Config, words int) (*HTM, memseg.Addr) {
 	return New(mem, cfg), aligned
 }
 
-// assertReleased fails if any line record still carries a claim or a
-// reader bit, or the descriptor still lists lines.
+// assertReleased fails if any line record still carries a claim, a claimer
+// would still take any line for read by the descriptor's context (a stamp
+// equal to the published generation), or the descriptor still counts lines.
 func assertReleased(t *testing.T, h *HTM, tx *Tx) {
 	t.Helper()
-	if len(tx.readLines) != 0 || len(tx.writeLines) != 0 {
-		t.Fatalf("descriptor still lists %d read / %d write lines", len(tx.readLines), len(tx.writeLines))
+	if tx.nReads != 0 || len(tx.writeLines) != 0 {
+		t.Fatalf("descriptor still counts %d read / %d write lines", tx.nReads, len(tx.writeLines))
+	}
+	if pub := tx.c.state.Load(); pub != stateOf(tx.gen, stInactive) {
+		t.Fatalf("published state %#x, want inactive under the descriptor's generation %d", pub, tx.gen)
 	}
 	for i := range h.lines {
-		if r, w := h.lines[i].readers.Load(), h.lines[i].writer.Load(); r != 0 || w != 0 {
-			t.Fatalf("line %d not released: readers=%#x writer=%d", i, r, w)
+		if w := h.lines[i].writer.Load(); w != 0 {
+			t.Fatalf("line %d not released: writer=%d", i, w)
+		}
+		if r := h.readers(uint32(i), 1<<tx.id); r != 0 {
+			t.Fatalf("line %d: a claimer would find context %d reading it", i, tx.id)
 		}
 	}
 }
@@ -143,21 +152,40 @@ func TestDifferentialAgainstMapModel(t *testing.T) {
 	assertReleased(t, h, tx)
 }
 
-// When the 32-bit generation wraps, cells stamped 2^32 attempts ago carry
-// the stamp the new attempt is about to use.
+// When the 32-bit generation wraps, index cells and read stamps written
+// 2^32 attempts ago carry the generation the new attempt is about to use.
 func TestGenerationWrap(t *testing.T) {
 	h, base := newHTM(t, Config{})
 	tx := h.NewTx(1)
-	stale, other := base+5, base+200
-	attempt(tx, func(tx *Tx) { // generation 1 leaves a cell for stale
+	stale, other, read := base+5, base+200, base+400
+	attempt(tx, func(tx *Tx) { // generation 1 leaves a cell for stale and a stamp for read
 		tx.Store(stale, 111)
+		_ = tx.Load(read)
 		abortsig.Throw(stats.Explicit)
 	})
-	if tx.gen != 1 {
-		t.Fatalf("first attempt ran under generation %d, want 1", tx.gen)
+	if got := tx.stamps[read.Line()].Load(); got != 1 || tx.gen != 2 {
+		t.Fatalf("first attempt stamped %d and left generation %d, want 1 and 2", got, tx.gen)
 	}
-	tx.gen = math.MaxUint32 // the next Begin wraps
+	tx.gen = math.MaxUint32 - 1 // two attempts short of the wrap
+	tx.c.state.Store(stateOf(tx.gen, stInactive))
+	for _, want := range []uint32{math.MaxUint32, 1} {
+		if _, aborted := attempt(tx, func(tx *Tx) { tx.Store(other, tx.Load(other)+1) }); aborted {
+			t.Fatal("pre-wrap attempt aborted")
+		}
+		if tx.gen != want {
+			t.Fatalf("generation = %d, want %d (0 is the stamp of fresh cells)", tx.gen, want)
+		}
+	}
+	assertReleased(t, h, tx)
+	// The third attempt runs under generation 1 again, like the first.
 	if _, aborted := attempt(tx, func(tx *Tx) {
+		if r := h.readers(read.Line(), h.live.Load()); r != 0 {
+			t.Errorf("a line read 2^32 generations ago counts as read now (readers %#x)", r)
+		}
+		_ = tx.Load(read)
+		if tx.nReads != 1 {
+			t.Errorf("read set holds %d lines after the attempt's first read, want 1", tx.nReads)
+		}
 		tx.Store(other, 7) // non-empty log, so loads probe the index
 		if got := tx.Load(stale); got != 0 {
 			t.Errorf("after wrap Load saw %d from an attempt 2^32 generations old", got)
@@ -167,9 +195,6 @@ func TestGenerationWrap(t *testing.T) {
 		}
 	}); aborted {
 		t.Fatal("post-wrap attempt aborted")
-	}
-	if tx.gen != 1 {
-		t.Fatalf("generation after wrap = %d, want 1 (0 is the stamp of fresh cells)", tx.gen)
 	}
 	if got := h.Memory().Load(stale); got != 0 {
 		t.Fatalf("stale buffered value %d reached memory", got)
@@ -188,8 +213,8 @@ func TestSmallTxAfterLargeTx(t *testing.T) {
 		for i := 0; i < lines; i++ {
 			tx.Store(lineAddr(i), tx.Load(lineAddr(i)+1)+uint64(i)+1)
 		}
-		if len(tx.readLines) != lines || len(tx.writeLines) != lines {
-			t.Errorf("large attempt tracks %d read / %d write lines, want %d each", len(tx.readLines), len(tx.writeLines), lines)
+		if tx.nReads != lines || len(tx.writeLines) != lines {
+			t.Errorf("large attempt tracks %d read / %d write lines, want %d each", tx.nReads, len(tx.writeLines), lines)
 		}
 	}); aborted {
 		t.Fatal("4000-line transaction aborted under a 4096-line budget")
@@ -213,8 +238,8 @@ func TestSmallTxAfterLargeTx(t *testing.T) {
 			if got := tx.Load(lineAddr(7)); got != 777 {
 				t.Fatalf("small attempt read %d at an address the large one buffered, memory holds 777", got)
 			}
-			if len(tx.writes) != 1 || len(tx.writeLines) != 1 || len(tx.readLines) != 2 {
-				t.Fatalf("small attempt state: %d writes, %d write lines, %d read lines", len(tx.writes), len(tx.writeLines), len(tx.readLines))
+			if len(tx.writes) != 1 || len(tx.writeLines) != 1 || tx.nReads != 2 {
+				t.Fatalf("small attempt state: %d writes, %d write lines, %d read lines", len(tx.writes), len(tx.writeLines), tx.nReads)
 			}
 		}); aborted {
 			t.Fatal("small transaction aborted")
@@ -254,7 +279,7 @@ func TestStolenWriteClaimOnDoomedAttempt(t *testing.T) {
 	if got := h.lines[line].writer.Load(); got != winner.id+1 {
 		t.Fatalf("writer = %d after loser's abort, want winner's %d still", got, winner.id+1)
 	}
-	if h.status[winner.id].Load() != stActive {
+	if winner.c.state.Load() != stateOf(winner.gen, stActive) {
 		t.Fatal("the doomed attempt doomed the transaction that beat it")
 	}
 	if winner.Commit() {
@@ -293,8 +318,8 @@ func TestCapacityCountsDistinctLines(t *testing.T) {
 			tx.LoadRange(base+8*W, buf[:2*W])
 			_ = tx.Load(base + 3) // own write: served from the buffer, no read line
 		}
-		if len(tx.writeLines) != 2 || len(tx.readLines) != 2 {
-			t.Errorf("tracking %d write / %d read lines, want 2 / 2", len(tx.writeLines), len(tx.readLines))
+		if len(tx.writeLines) != 2 || tx.nReads != 2 {
+			t.Errorf("tracking %d write / %d read lines, want 2 / 2", len(tx.writeLines), tx.nReads)
 		}
 	}); aborted {
 		t.Fatalf("two lines per set under a two-line budget aborted (%v)", cause)
@@ -344,6 +369,27 @@ func BenchmarkTxRMW(b *testing.B) {
 		tx.Begin()
 		tx.Store(base, tx.Load(base)+1)
 		tx.Commit()
+	}
+}
+
+// BenchmarkTxRMWLiveContexts is BenchmarkTxRMW with other contexts live and
+// idle, each having read the line in an attempt long over: the write claim
+// asks every one of them, two loads apiece.
+func BenchmarkTxRMWLiveContexts(b *testing.B) {
+	for _, others := range []int{1, 7, 63} {
+		b.Run(fmt.Sprintf("others=%d", others), func(b *testing.B) {
+			h, base := newHTM(b, Config{})
+			tx := h.NewTx(0)
+			for id := 1; id <= others; id++ {
+				run(h.NewTx(uint64(id)), func(tx *Tx) { _ = tx.Load(base) })
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tx.Begin()
+				tx.Store(base, tx.Load(base)+1)
+				tx.Commit()
+			}
+		})
 	}
 }
 

@@ -156,6 +156,8 @@ func TestCommittingWinsAgainstWriter(t *testing.T) {
 			t.Fatalf("iteration %d: committed value lost", i)
 		}
 		h.mem.Store(base, 0)
+		committer.Release() // the next iteration takes both contexts again
+		attacker.Release()
 	}
 }
 
@@ -188,6 +190,7 @@ func TestNontxLoadSeesCommittedValueAfterFlushRace(t *testing.T) {
 			t.Fatalf("iteration %d: nontx read saw impossible value %d", i, v)
 		}
 		h.mem.Store(base, 0)
+		w.Release()
 	}
 }
 

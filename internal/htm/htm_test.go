@@ -1,7 +1,9 @@
 package htm
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -391,45 +393,70 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 }
 
+// Readers must never see a torn pair, whoever else is at work on the two
+// lines: transactional writers of the pair, and a bystander whose
+// non-transactional stores (to another word of x's line) and block
+// invalidations (of y's line) doom readers and writers through the same
+// probes of the contexts' read sets that a write claim makes.
 func TestTwoWordInvariant(t *testing.T) {
-	h, base := newHTM(t, Config{})
-	x, y := base, base+128 // distinct lines
-	run(h.NewTx(9), func(tx *Tx) {
-		tx.Store(x, 1)
-		tx.Store(y, 2)
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		tx := h.NewTx(uint64(i))
-		wg.Add(1)
-		go func(tx *Tx) {
-			defer wg.Done()
-			for j := 0; j < 2000; j++ {
-				run(tx, func(tx *Tx) {
-					v := tx.Load(x)
-					tx.Store(x, v+1)
-					tx.Store(y, 2*(v+1))
-				})
+	for _, threads := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			h, base := newHTM(t, Config{})
+			x, y := base, base+128 // distinct lines
+			init := h.NewTx(9)
+			run(init, func(tx *Tx) {
+				tx.Store(x, 1)
+				tx.Store(y, 2)
+			})
+			init.Release()
+			var wg, bystander sync.WaitGroup
+			for i := 0; i < threads; i++ {
+				tx := h.NewTx(uint64(i))
+				wg.Add(1)
+				go func(tx *Tx, writes bool) {
+					defer wg.Done()
+					for j := 0; j < 2000; j++ {
+						if writes {
+							run(tx, func(tx *Tx) {
+								v := tx.Load(x)
+								tx.Store(x, v+1)
+								tx.Store(y, 2*(v+1))
+							})
+							continue
+						}
+						var gx, gy uint64
+						run(tx, func(tx *Tx) {
+							gx = tx.Load(x)
+							gy = tx.Load(y)
+						})
+						if gy != 2*gx {
+							t.Errorf("invariant broken: x=%d y=%d", gx, gy)
+							return
+						}
+					}
+				}(tx, i%2 == 0)
 			}
-		}(tx)
-	}
-	for i := 3; i < 6; i++ {
-		tx := h.NewTx(uint64(i))
-		wg.Add(1)
-		go func(tx *Tx) {
-			defer wg.Done()
-			for j := 0; j < 2000; j++ {
-				var gx, gy uint64
-				run(tx, func(tx *Tx) {
-					gx = tx.Load(x)
-					gy = tx.Load(y)
-				})
-				if gy != 2*gx {
-					t.Errorf("invariant broken: x=%d y=%d", gx, gy)
-					return
+			stop := make(chan struct{})
+			bystander.Add(1)
+			go func() {
+				defer bystander.Done()
+				for n := uint64(0); ; n++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					h.NontxStore(x+1, n)
+					h.InvalidateBlock(y, 2)
+					runtime.Gosched()
 				}
+			}()
+			wg.Wait()
+			close(stop)
+			bystander.Wait()
+			if gx, gy := h.Memory().Load(x), h.Memory().Load(y); gx != uint64(1+2000*((threads+1)/2)) || gy != 2*gx {
+				t.Fatalf("after %d writers x 2000 increments: x=%d y=%d", (threads+1)/2, gx, gy)
 			}
-		}(tx)
+		})
 	}
-	wg.Wait()
 }

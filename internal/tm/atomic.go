@@ -121,7 +121,7 @@ func (e *Engine) Synchronized(th *Thread, fn func(Tx) error) error {
 // user cancel (which also rolls back). stale=true means o.Resolve vetoed
 // the attempt before it began.
 func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error, committed bool, cause stats.AbortCause, stale bool) {
-	e.serial.rlock()
+	e.serial.rlock(th.slot)
 	mech := e.defaultMech()
 	honorNoQ := e.cfg.HonorNoQuiesce
 	if o != nil && o.Resolve != nil {
@@ -130,7 +130,7 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 		// resolution holds for the whole attempt.
 		m, h, ok := o.Resolve()
 		if !ok {
-			e.serial.runlock()
+			e.serial.runlock(th.slot)
 			return nil, false, 0, true
 		}
 		if m != MechDefault {
@@ -158,7 +158,6 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 	th.depth = 1
 
 	readOnly := false
-	aborted := false
 	func() {
 		defer func() {
 			th.depth = 0
@@ -172,11 +171,10 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 					th.st.AbandonedStart()
 					th.rollbackLive()
 					th.slot.Exit()
-					e.serial.runlock()
+					e.serial.runlock(th.slot)
 					panic(r)
 				}
 				th.rollbackLive()
-				aborted = true
 				cause = sig.Cause
 			}
 		}()
@@ -184,7 +182,6 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 		err = fn(tx)
 		if err != nil {
 			th.rollbackLive()
-			aborted = true
 			cause = stats.Explicit // cancelled; cause unused when err != nil
 			return
 		}
@@ -207,7 +204,7 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 			th.obs.Commit()
 		}
 		e.postCommit(th, readOnly)
-		e.serial.runlock()
+		e.serial.runlock(th.slot)
 		return nil, true, 0, false
 	}
 
@@ -222,15 +219,14 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 		if th.obs != nil {
 			th.obs.Abort(stats.Explicit)
 		}
-		e.serial.runlock()
+		e.serial.runlock(th.slot)
 		return err, false, stats.Explicit, false
 	}
-	_ = aborted
 	th.st.Abort(cause)
 	if th.obs != nil {
 		th.obs.Abort(cause)
 	}
-	e.serial.runlock()
+	e.serial.runlock(th.slot)
 	return nil, false, cause, false
 }
 

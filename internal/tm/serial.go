@@ -3,6 +3,7 @@ package tm
 import (
 	"sync/atomic"
 
+	"gotle/internal/epoch"
 	"gotle/internal/spinwait"
 )
 
@@ -16,47 +17,51 @@ import (
 // (Section II.C): once all locks are elided onto one TM, any serialization
 // of any transaction suspends unrelated transactions too.
 //
-// Layout of the state word: bit 63 = writer holds the lock, bit 62 = a
-// writer is waiting (blocks new readers, preventing writer starvation),
-// low 62 bits = reader count.
+// As in gtm_rwlock, the read side is a flag per thread, not a count in the
+// lock: a reader stores its own flag and then loads the writer word, a
+// writer sets the writer word and then loads every flag, and since each
+// stores before it loads at least one of the two sees the other. A reader
+// that sees a writer backs out and waits, which is what keeps a stream of
+// readers from starving a writer. Attempts that meet no writer thus write
+// only their own cache line, as a TSX transaction only reads the fallback
+// lock it subscribes to. The flags are the Reader words of the threads'
+// epoch slots and the registry is the epoch manager's slot list, which a
+// thread joins before its first attempt and leaves after its last.
+//
+// state: slWriterWaiting = a writer has announced itself and is waiting for
+// the readers to drain, slWriterHeld = it holds the lock, 0 = no writer.
 type serialLock struct {
-	state atomic.Uint64
-	_     [56]byte
+	state  atomic.Uint64
+	_      [56]byte
+	epochs *epoch.Manager
 }
 
 const (
 	slWriterHeld    = uint64(1) << 63
 	slWriterWaiting = uint64(1) << 62
-	slReaderMask    = slWriterWaiting - 1
 )
 
-// rlock enters the read side (one transaction attempt).
-func (l *serialLock) rlock() {
+// rlock enters the read side (one transaction attempt) for the thread
+// owning slot s.
+func (l *serialLock) rlock(s *epoch.Slot) {
 	var b spinwait.Backoff
 	for {
-		s := l.state.Load()
-		if s&(slWriterHeld|slWriterWaiting) == 0 {
-			if l.state.CompareAndSwap(s, s+1) {
-				return
-			}
-			continue
+		s.Reader.Store(1)
+		if l.state.Load() == 0 {
+			return
 		}
-		b.Wait()
+		// A writer is waiting or holding: it may already have seen the
+		// flag and be waiting for it. Back out, then wait.
+		s.Reader.Store(0)
+		for l.state.Load() != 0 {
+			b.Wait()
+		}
 	}
-}
-
-// tryRlock enters the read side without blocking.
-func (l *serialLock) tryRlock() bool {
-	s := l.state.Load()
-	if s&(slWriterHeld|slWriterWaiting) != 0 {
-		return false
-	}
-	return l.state.CompareAndSwap(s, s+1)
 }
 
 // runlock leaves the read side.
-func (l *serialLock) runlock() {
-	l.state.Add(^uint64(0)) // -1
+func (l *serialLock) runlock(s *epoch.Slot) {
+	s.Reader.Store(0)
 }
 
 // wlock acquires the write side, waiting out current readers and barring
@@ -67,39 +72,26 @@ func (l *serialLock) runlock() {
 func (l *serialLock) wlock(onWaiting func()) {
 	var b spinwait.Backoff
 	// Phase 1: set the waiting bit (contend with other writers).
-	for {
-		s := l.state.Load()
-		if s&(slWriterHeld|slWriterWaiting) == 0 {
-			if l.state.CompareAndSwap(s, s|slWriterWaiting) {
-				break
-			}
-			continue
-		}
+	for !l.state.CompareAndSwap(0, slWriterWaiting) {
 		b.Wait()
 	}
 	if onWaiting != nil {
 		onWaiting()
 	}
-	// Phase 2: wait for readers to drain, then claim.
-	b.Reset()
-	for {
-		s := l.state.Load()
-		if s&slReaderMask == 0 {
-			if l.state.CompareAndSwap(s, slWriterHeld) {
-				return
-			}
-			continue
+	// Phase 2: wait for every registered reader to drain, then claim. The
+	// slot list is loaded after the waiting bit is set, so a thread missing
+	// from it registered later and will see the bit before it enters.
+	for _, s := range l.epochs.Slots() {
+		// Fresh backoff per reader, as in epoch's scan.
+		b.Reset()
+		for s.Reader.Load() != 0 {
+			b.Wait()
 		}
-		b.Wait()
 	}
+	l.state.Store(slWriterHeld)
 }
 
 // wunlock releases the write side.
 func (l *serialLock) wunlock() {
 	l.state.Store(0)
-}
-
-// writerActive reports whether a writer holds or awaits the lock.
-func (l *serialLock) writerActive() bool {
-	return l.state.Load()&(slWriterHeld|slWriterWaiting) != 0
 }

@@ -89,6 +89,9 @@ func (th *Thread) Release() {
 	}
 	e := th.e
 	e.epochs.Unregister(th.slot)
+	if th.htx != nil {
+		th.htx.Release()
+	}
 	e.freeIDs.Lock()
 	e.freeIDs.ids = append(e.freeIDs.ids, th.id)
 	e.freeIDs.Unlock()

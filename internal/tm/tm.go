@@ -219,6 +219,7 @@ func New(cfg Config) *Engine {
 		reg:    stats.NewRegistry(),
 		inj:    cfg.Injector,
 	}
+	e.serial.epochs = e.epochs
 	if cfg.Mode != ModeSTM && cfg.Mode != ModeHTM {
 		panic(fmt.Sprintf("tm: unknown mode %d", cfg.Mode))
 	}

@@ -55,10 +55,14 @@ func LockWord(id uint64) uint64 { return lockBit | id }
 // (stripe s → slot rotl(s, orecsPerLineLog2), a bijection that provably
 // separates neighbours — see TestInterleaveSeparatesNeighbors) removes it.
 // But the same scatter destroys single-thread locality: a traversal that
-// touched one orec line per eight stripes now touches eight, and on this
-// project's reference host that costs ~25% on the read-heavy Fig. 5
-// structures while the false-sharing win cannot materialize (one scheduling
-// core). The default is therefore the flat layout. The interleaved mapping
+// touched one orec line per eight stripes now touches eight, which cost
+// ~25% on the read-heavy Fig. 5 structures when the reference host had one
+// scheduling core and the false-sharing win could not materialize. The host
+// now has two, and there it does: BenchmarkOrecNeighborTraffic at -cpu 2
+// reads 43 ns/op flat against 8 interleaved (16-18 both at -cpu 1). That is
+// two writers hammering adjacent stripes, the layout's worst case; whether
+// any workload row gains more from it than its traversals lose is not
+// measured, so the default stays the flat layout. The interleaved mapping
 // is deliberately NOT a Table mode: a layout flag would put a branch in
 // Index, which every transactional load and store pays (measured ~4% on
 // Fig. 5 tree) — instead InterleavedSlot exposes the permutation on its own
