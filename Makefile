@@ -83,10 +83,10 @@ chaos:
 	$(GO) test . -run TestChaos -v
 	$(GO) run ./cmd/chaosbench -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
-# Paper-figure, quiescence, simulated-HTM, per-policy kvstore and disjoint-
-# section scaling (read at -cpu 1 against -cpu 2) benchmarks with pinned
-# -benchtime/-count. Raw text goes to $(BENCHDIR)/current.txt;
-# compare two captures with benchstat. CI runs the same list once through
+# Paper-figure, quiescence, simulated-HTM, per-policy kvstore, and parallel-
+# get and disjoint-section scaling (read at -cpu 1 against -cpu 2)
+# benchmarks with pinned -benchtime/-count. Raw text goes to
+# $(BENCHDIR)/current.txt; compare two captures with benchstat. CI runs the same list once through
 # (`make bench BENCHTIME=1x BENCHCOUNT=1`) so a benchmark cannot rot.
 bench:
 	mkdir -p $(BENCHDIR)
@@ -97,7 +97,9 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/epoch | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkTxReadOnly16|BenchmarkTxRMW|BenchmarkSmallTxAfterLargeTx' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/htm | tee -a $(BENCHDIR)/current.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkGet|BenchmarkSet' \
+	$(GO) test -run '^$$' -bench 'BenchmarkGet$$|BenchmarkSet$$' \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkGetParallel' -cpu 1,2 \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkDisjointScaling|BenchmarkSetsScaling' -cpu 1,2 \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tle | tee -a $(BENCHDIR)/current.txt

@@ -1,5 +1,5 @@
 // Cache: a memcached-style workload (the paper's earlier TLE case study,
-// referenced throughout Sections V–VI) on the sharded LRU store. Runs a
+// referenced throughout Sections V–VI) on the sharded kvstore. Runs a
 // mixed get/set/delete workload under each policy, checks every policy
 // serves identical data, and prints cache and TM statistics side by side.
 //

@@ -14,8 +14,9 @@ import (
 
 // KV throughput: the memcached-shaped workload (the paper's earlier TLE
 // case study) across the five policies. Critical sections here are larger
-// than PBZip2's queue operations — a chain walk, LRU splice and nested
-// stats update — so per-access STM instrumentation costs show clearly.
+// than PBZip2's queue operations — a chain walk and value copy per get, a
+// list splice and stats update on top per set — so per-access STM
+// instrumentation costs show clearly.
 
 // KVConfig parameterises the cache sweep.
 type KVConfig struct {

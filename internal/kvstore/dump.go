@@ -25,9 +25,11 @@ type dumpEntry struct {
 // transaction on the shard's mutex, so the dump is a consistent snapshot —
 // some prefix of the shard's serialization order.
 //
-// The blob deliberately EXCLUDES recency (LRU) order: gets reorder the
-// primary's list without generating replication records, so recency
-// diverges across replicas by design. It INCLUDES CAS tokens: every
+// The blob deliberately EXCLUDES recency — the order of the eviction list
+// the walk follows (store order, rotated by second chances) and the items'
+// referenced bits: gets set those bits on the primary without generating
+// replication records, so which items a set spares diverges across
+// replicas by design. It INCLUDES CAS tokens: every
 // replicated mutation draws exactly one token on both primary and
 // follower, in the same per-shard order (gets and deletes never draw), so
 // converged replicas must match token for token.

@@ -1,6 +1,7 @@
 // Package kvstore is a memcached-style in-memory cache built on the lock-
-// elision layer: a sharded hash table with per-shard LRU eviction,
-// statistics counters, CAS tokens and the memcached storage verbs.
+// elision layer: a sharded hash table with per-shard second-chance
+// eviction, statistics counters, CAS tokens and the memcached storage
+// verbs.
 //
 // The paper repeatedly leans on the authors' earlier transactional
 // memcached port (Sections V and VI): critical sections there obeyed
@@ -9,13 +10,26 @@
 // that workload shape on this repository's TM stack:
 //
 //   - each shard's operations are one critical section (per-shard elidable
-//     mutex), with lookup, LRU maintenance, statistics and eviction inside;
-//   - statistics counters are per-shard words updated inside the shard's
-//     own transaction — the memcached "mini-transaction" treatment of its
-//     C++ atomics. They are deliberately NOT behind a shared lock: the
-//     adaptive controller may run neighbouring shards on different TM
-//     mechanisms (HTM vs STM), which is sound only while no word is
-//     reachable from two differently-policied critical sections;
+//     mutex), with lookup, recency, statistics and eviction inside;
+//   - a get writes no shared word, so two gets never conflict and both
+//     TM mechanisms commit them on their read-only path. Recency is a
+//     second-chance bit in the item's own flags word, stored only when a
+//     hit finds it clear; the eviction list is spliced only by
+//     transactions that write anyway (a set links at the front, and its
+//     eviction loop relinks a referenced tail there with the bit cleared
+//     instead of evicting it). Move-to-front on every hit would make
+//     every get a writer of the shard's list head;
+//   - the sets/deletes/evictions counters are per-shard words updated
+//     inside the shard's own transaction — the memcached "mini-
+//     transaction" treatment of its C++ atomics, which costs nothing
+//     where the transaction writes the shard header anyway. They are
+//     deliberately NOT behind a shared lock: the adaptive controller may
+//     run neighbouring shards on different TM mechanisms (HTM vs STM),
+//     which is sound only while no word is reachable from two
+//     differently-policied critical sections. The hit/miss counters are
+//     the exception: folded into the transaction they were the only
+//     words a get wrote, so they are Go atomics outside the TM heap,
+//     striped by thread and bumped after the critical section returns;
 //   - eviction, deletion and replace privatize item memory, so the
 //     quiescence machinery (and the Listing-2 NoQuiesce discipline) is
 //     exercised by every miss-heavy workload;
@@ -33,6 +47,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
+	"sync/atomic"
 
 	"gotle/internal/condvar"
 	"gotle/internal/logrec"
@@ -46,35 +61,61 @@ import (
 const (
 	itMeta  = 0 // keyLen<<32 | valLen
 	itChain = 1 // next item in bucket chain
-	itPrev  = 2 // LRU: towards most-recent
-	itNext  = 3 // LRU: towards least-recent
+	itPrev  = 2 // eviction list: towards the front
+	itNext  = 3 // eviction list: towards the tail (next victim)
 	itCas   = 4 // compare-and-swap token (per-shard sequence, never 0)
-	itFlags = 5 // client-opaque 32-bit flags (memcached "flags" field)
+	itFlags = 5 // low 32 bits: client-opaque memcached "flags"; bit 32: itReferenced
 	itData  = 6 // key bytes, then value bytes, word-packed
 )
 
-// Shard block layout. The statistics words live inside the shard block so
-// every counter is guarded by exactly one mutex — a precondition for
-// running shards on different TM mechanisms (see the package comment).
+// itReferenced is the second-chance bit in the itFlags word: set by the
+// first hit since the item was stored or last spared, cleared when the
+// eviction loop spares the item. Readers of the client flags truncate the
+// word to 32 bits.
+const itReferenced = 1 << 32
+
+// maxSecondChances bounds how many referenced tail items one eviction may
+// spare before it evicts the tail regardless: each spared item adds its
+// header line to the evicting transaction's write set, which has to stay
+// inside a small HTM write capacity.
+const maxSecondChances = 4
+
+// Shard block layout. The mutation counters live inside the shard block so
+// each is guarded by exactly one mutex — a precondition for running shards
+// on different TM mechanisms (see the package comment).
 const (
 	shCount   = 0
-	shLRUHead = 1 // most recently used
-	shLRUTail = 2 // least recently used
+	shLRUHead = 1 // most recently stored or spared
+	shLRUTail = 2 // next eviction candidate
 	shCasSeq  = 3 // CAS token sequence
 	shWalSeq  = 4 // WAL commit sequence (drawn inside mutating transactions)
 	shStats   = 5 // stWords counters
 	shWords   = shStats + stWords
 )
 
-// Per-shard stats word indices (relative to sh.base+shStats).
+// Per-shard stats word indices (relative to sh.base+shStats): the counters
+// of transactions that write the shard anyway. Gets are counted in
+// shard.gets.
 const (
-	stGets = iota
-	stHits
-	stSets
+	stSets = iota
 	stDeletes
 	stEvictions
 	stWords
 )
+
+// getCounters is one stripe of a shard's hit/miss counters. A thread bumps
+// the stripe its id selects, once per get, after the critical section has
+// returned; each word has a line to itself.
+type getCounters struct {
+	hits   atomic.Uint64
+	_      [56]byte
+	misses atomic.Uint64
+	_      [56]byte
+}
+
+// getStripes is the number of stripes per shard (a power of two). Thread
+// ids are small and dense, so up to getStripes threads never share one.
+const getStripes = 16
 
 // MaxKeyLen and MaxValLen bound entry sizes.
 const (
@@ -92,7 +133,7 @@ type Config struct {
 	// memseg.MaxAlloc because a shard's bucket array is one heap block of
 	// one word per bucket.
 	BucketsPerShard int
-	// MaxItemsPerShard triggers LRU eviction (default 1024).
+	// MaxItemsPerShard triggers eviction (default 1024).
 	MaxItemsPerShard int
 }
 
@@ -128,9 +169,10 @@ type Store struct {
 
 type shard struct {
 	mu      *tle.Mutex
-	base    memseg.Addr // shWords header: counters, LRU ends, sequences
+	base    memseg.Addr // shWords header: counters, eviction-list ends, sequences
 	buckets memseg.Addr // 1<<(64-shift) chain heads
 	shift   uint
+	gets    []getCounters // getStripes hit/miss stripes, outside the TM heap
 }
 
 // bucket returns the chain head for a key hash. The hash is multiplied
@@ -160,6 +202,7 @@ func New(r *tle.Runtime, cfg Config) *Store {
 			base:    r.Engine().Alloc(shWords),
 			buckets: r.Engine().Alloc(nbk),
 			shift:   uint(64 - bits.TrailingZeros(uint(nbk))),
+			gets:    make([]getCounters, getStripes),
 		}
 	}
 	return s
@@ -416,7 +459,8 @@ func (s *Store) findInChain(tx tm.Tx, sh *shard, bucket memseg.Addr, key []byte)
 	return linkAt, memseg.Nil
 }
 
-// --- LRU list maintenance (intrusive doubly-linked, head = most recent) ---
+// --- eviction list maintenance (intrusive doubly-linked; head = most
+// recently stored or spared, tail = next eviction candidate) ---
 
 func (s *Store) lruUnlink(tx tm.Tx, sh *shard, item memseg.Addr) {
 	prev := memseg.Addr(tx.Load(item + itPrev))
@@ -466,14 +510,15 @@ type Item struct {
 	CAS   uint64
 }
 
-// Get returns the value for key, bumping it to most-recently-used.
+// Get returns the value for key. A hit marks the item referenced, which
+// earns it a second chance when it next reaches the eviction list's tail.
 func (s *Store) Get(th *tm.Thread, key []byte) ([]byte, bool, error) {
 	it, ok, err := s.GetItem(th, key)
 	return it.Value, ok, err
 }
 
-// GetItem returns the full entry (value, flags, CAS token) for key,
-// bumping it to most-recently-used.
+// GetItem returns the full entry (value, flags, CAS token) for key, marking
+// it referenced like Get.
 func (s *Store) GetItem(th *tm.Thread, key []byte) (Item, bool, error) {
 	_, it, ok, err := s.GetItemAppend(th, key, nil)
 	return it, ok, err
@@ -507,24 +552,33 @@ func (s *Store) GetItemAppend(th *tm.Thread, key, dst []byte) ([]byte, Item, boo
 		_, item := s.findInChain(tx, sh, bucket, key)
 		if item == memseg.Nil {
 			found = false
-			bump(tx, sh, stGets, 1)
 			return nil
 		}
 		meta := tx.Load(item + itMeta)
 		keyWords := (int(meta>>32) + 7) / 8
 		out = unpackAppend(tx, item+itData+memseg.Addr(keyWords), int(meta&0xFFFFFFFF), out) //gotle:allow txpure append-only past base, rewound above; a committed attempt's bytes are the last attempt's
-		it.Flags = uint32(tx.Load(item + itFlags))                                           //gotle:allow txpure write-once out-param, read only after Do returns
-		it.CAS = tx.Load(item + itCas)                                                       //gotle:allow txpure write-once out-param, read only after Do returns
-		s.lruUnlink(tx, sh, item)
-		s.lruPushFront(tx, sh, item)
+		fl := tx.Load(item + itFlags)
+		if fl&itReferenced == 0 {
+			// The only store a get ever makes, once per item per trip down
+			// the eviction list: every later hit is a read-only attempt.
+			tx.Store(item+itFlags, fl|itReferenced)
+		}
+		it.Flags = uint32(fl)          //gotle:allow txpure write-once out-param, read only after Do returns
+		it.CAS = tx.Load(item + itCas) //gotle:allow txpure write-once out-param, read only after Do returns
 		found = true
-		bump(tx, sh, stGets, 1)
-		bump(tx, sh, stHits, 1)
 		return nil
 	})
-	if err != nil || !found {
+	if err != nil {
 		return out[:base], Item{}, false, err
 	}
+	// Counted here, not in the body: the body re-executes on abort, and a
+	// counter in the TM heap would make every get a writer.
+	c := &sh.gets[th.ID()%getStripes]
+	if !found {
+		c.misses.Add(1)
+		return out[:base], Item{}, false, nil
+	}
+	c.hits.Add(1)
 	it.Value = out[base:]
 	return out, it, true, nil
 }
@@ -569,8 +623,9 @@ const (
 	modeCAS
 )
 
-// Set inserts or replaces key's value, evicting LRU items past the shard
-// capacity.
+// Set inserts or replaces key's value, evicting from the tail of the
+// shard's list (sparing referenced items, see makeRoom) to stay within the
+// shard capacity.
 func (s *Store) Set(th *tm.Thread, key, val []byte) error {
 	_, _, err := s.mutate(th, key, val, 0, modeSet, 0)
 	return err
@@ -627,7 +682,7 @@ func (s *Store) CompareAndSwapD(th *tm.Thread, key, val []byte, flags uint32, ca
 
 // mutate is the single conditional-store critical section behind Set, Add,
 // Replace and CompareAndSwap: find, check the verb's precondition, unlink
-// and free any old entry, insert the new one, evict past capacity.
+// and free any old entry, evict down to capacity, insert the new one.
 func (s *Store) mutate(th *tm.Thread, key, val []byte, flags uint32, mode storeMode, wantCas uint64) (StoreStatus, wal.Ticket, error) {
 	if len(key) == 0 || len(key) > MaxKeyLen {
 		return NotStored, wal.Ticket{}, ErrBadKey
@@ -640,7 +695,7 @@ func (s *Store) mutate(th *tm.Thread, key, val []byte, flags uint32, mode storeM
 	shardIdx := int(h % uint64(len(s.shards)))
 	status := Stored
 	var ticket wal.Ticket
-	// capest ranks this body worst in the module: the chain walk, LRU
+	// capest ranks this body worst in the module: the chain walk, the
 	// eviction sweep, and byte packing all iterate over unknown-length
 	// data, so the estimator assumes fresh lines per iteration. That is
 	// the right warning for huge values; at the MaxKeyLen/MaxValLen
@@ -692,38 +747,28 @@ func (s *Store) applyStore(tx tm.Tx, sh *shard, h uint64, key, val []byte, flags
 			return CASExists, false, 0
 		}
 	}
+	count := tx.Load(sh.base + shCount)
 	if old != memseg.Nil {
 		// Replace: unlink and free the old item.
 		tx.Store(linkAt, tx.Load(old+itChain))
 		s.lruUnlink(tx, sh, old)
-		tx.Store(sh.base+shCount, tx.Load(sh.base+shCount)-1)
+		count--
 		tx.Free(old)
 		privatized = true
 	}
+	evicted = s.makeRoom(tx, sh, count)
+	privatized = privatized || evicted > 0
+	tx.Store(sh.base+shCount, count-evicted+1)
 	item := tx.Alloc(wordsFor(len(key), len(val)))
 	tx.Store(item+itMeta, uint64(len(key))<<32|uint64(len(val)))
 	tx.Store(item+itCas, nextCas(tx, sh))
-	tx.Store(item+itFlags, uint64(flags))
+	tx.Store(item+itFlags, uint64(flags)) // unreferenced
 	packBytes(tx, item+itData, key)
 	packBytes(tx, item+itData+memseg.Addr((len(key)+7)/8), val)
-	// Link into the bucket and the LRU front.
+	// Link into the bucket and the list's front.
 	tx.Store(item+itChain, tx.Load(bucket))
 	tx.Store(bucket, uint64(item))
 	s.lruPushFront(tx, sh, item)
-	count := tx.Load(sh.base+shCount) + 1
-	tx.Store(sh.base+shCount, count)
-	// Evict past capacity.
-	for count > uint64(s.cfg.MaxItemsPerShard) {
-		victim := memseg.Addr(tx.Load(sh.base + shLRUTail))
-		if victim == memseg.Nil || victim == item {
-			break
-		}
-		s.evict(tx, sh, victim)
-		count--
-		tx.Store(sh.base+shCount, count)
-		evicted++
-		privatized = true
-	}
 	bump(tx, sh, stSets, 1)
 	if evicted > 0 {
 		bump(tx, sh, stEvictions, evicted)
@@ -732,6 +777,37 @@ func (s *Store) applyStore(tx tm.Tx, sh *shard, h uint64, key, val []byte, flags
 	// decision, not an acked client mutation, and replay re-applies
 	// the same capacity bound anyway.
 	return Stored, privatized, evicted
+}
+
+// makeRoom evicts from the tail until a shard holding count items can take
+// one more within MaxItemsPerShard, and returns how many items it evicted
+// (the caller owns the count word). This is where recency is acted on,
+// inside a transaction that writes the list anyway: a referenced tail is
+// not evicted but relinked at the front with its bit cleared — its second
+// chance — at most maxSecondChances times per eviction, after which the
+// tail goes whatever its bit says.
+//
+//gotle:hotpath runs inside every set
+func (s *Store) makeRoom(tx tm.Tx, sh *shard, count uint64) (evicted uint64) {
+	for ; count >= uint64(s.cfg.MaxItemsPerShard); count-- {
+		victim := memseg.Addr(tx.Load(sh.base + shLRUTail))
+		for spared := 0; victim != memseg.Nil && spared < maxSecondChances; spared++ {
+			fl := tx.Load(victim + itFlags)
+			if fl&itReferenced == 0 {
+				break
+			}
+			tx.Store(victim+itFlags, fl&^itReferenced)
+			s.lruUnlink(tx, sh, victim)
+			s.lruPushFront(tx, sh, victim)
+			victim = memseg.Addr(tx.Load(sh.base + shLRUTail))
+		}
+		if victim == memseg.Nil {
+			break
+		}
+		s.evict(tx, sh, victim)
+		evicted++
+	}
+	return evicted
 }
 
 // IncrStatus is the outcome of an Incr/Decr.
@@ -847,7 +923,7 @@ func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint6
 	fresh := tx.Alloc(wordsFor(len(key), len(digits)))
 	tx.Store(fresh+itMeta, uint64(len(key))<<32|uint64(len(digits)))
 	tx.Store(fresh+itCas, nextCas(tx, sh))
-	tx.Store(fresh+itFlags, fl)
+	tx.Store(fresh+itFlags, fl&^itReferenced) // a rewritten item starts unreferenced, like any stored one
 	packBytes(tx, fresh+itData, key)
 	packBytes(tx, fresh+itData+memseg.Addr(keyWords), digits)
 	tx.Store(fresh+itChain, tx.Load(bucket))
@@ -892,7 +968,7 @@ func packedKeyHash(tx tm.Tx, a memseg.Addr, n int) uint64 {
 	return h
 }
 
-// evict removes victim from its bucket chain and the LRU list, freeing it.
+// evict removes victim from its bucket chain and the eviction list, freeing it.
 // The victim is known by address, so its chain is walked comparing
 // addresses, not keys.
 //
@@ -991,34 +1067,26 @@ type Stats struct {
 func (s *Store) Stats(th *tm.Thread) (Stats, error) {
 	var out Stats
 	for i := range s.shards {
-		sh := &s.shards[i]
-		// Counters land in a write-only local array: accumulating into
-		// `out` inside the body would double-count across retries.
-		var snap [stWords]uint64
-		err := sh.mu.Do(th, func(tx tm.Tx) error {
-			tx.NoQuiesce()
-			var v [stWords]uint64
-			for j := 0; j < stWords; j++ {
-				v[j] = tx.Load(sh.base + shStats + memseg.Addr(j))
-			}
-			snap = v
-			return nil
-		})
+		st, err := s.ShardStats(th, i)
 		if err != nil {
 			return Stats{}, err
 		}
-		out.Gets += snap[stGets]
-		out.Hits += snap[stHits]
-		out.Sets += snap[stSets]
-		out.Deletes += snap[stDeletes]
-		out.Evictions += snap[stEvictions]
+		out.Gets += st.Gets
+		out.Hits += st.Hits
+		out.Sets += st.Sets
+		out.Deletes += st.Deletes
+		out.Evictions += st.Evictions
 	}
 	return out, nil
 }
 
-// ShardStats reads one shard's counters (the server's per-shard stats).
+// ShardStats reads one shard's counters (the server's per-shard stats):
+// the mutation counters in one critical section, the get counters summed
+// over their stripes.
 func (s *Store) ShardStats(th *tm.Thread, shardIdx int) (Stats, error) {
 	sh := &s.shards[shardIdx%len(s.shards)]
+	// Counters land in a write-only local array: accumulating into the
+	// result inside the body would double-count across retries.
 	var snap [stWords]uint64
 	err := sh.mu.Do(th, func(tx tm.Tx) error {
 		tx.NoQuiesce()
@@ -1032,16 +1100,22 @@ func (s *Store) ShardStats(th *tm.Thread, shardIdx int) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	return Stats{
-		Gets:      snap[stGets],
-		Hits:      snap[stHits],
+	out := Stats{
 		Sets:      snap[stSets],
 		Deletes:   snap[stDeletes],
 		Evictions: snap[stEvictions],
-	}, nil
+	}
+	for i := range sh.gets {
+		hits := sh.gets[i].hits.Load()
+		out.Hits += hits
+		out.Gets += hits + sh.gets[i].misses.Load()
+	}
+	return out, nil
 }
 
-// LRUKeys returns a shard's keys in recency order (tests).
+// LRUKeys returns a shard's keys from the front of its eviction list to the
+// tail (tests): store order, rotated by second chances — a referenced item
+// that reached the tail while a set needed room is back at the front.
 func (s *Store) LRUKeys(th *tm.Thread, shardIdx int) ([]string, error) {
 	sh := &s.shards[shardIdx%len(s.shards)]
 	var keys []string

@@ -248,7 +248,9 @@ func TestMatchesModel(t *testing.T) {
 	}
 }
 
-// LRU eviction: capacity 3 in a single shard evicts in exact LRU order.
+// Eviction order: with capacity 3 in a single shard, a key read since it
+// was stored outlives one that was not, and the list is store order rotated
+// by that one second chance.
 func TestLRUEvictionOrder(t *testing.T) {
 	r := newRT(tle.PolicyPthread)
 	s := New(r, Config{Shards: 1, MaxItemsPerShard: 3})
@@ -256,10 +258,13 @@ func TestLRUEvictionOrder(t *testing.T) {
 	for _, k := range []string{"a", "b", "c"} {
 		s.Set(th, []byte(k), []byte("v"))
 	}
-	// Touch "a" so "b" becomes LRU.
+	// Touch "a", the oldest: the next victim is "b".
 	s.Get(th, []byte("a"))
-	// Insert "d": "b" must be evicted.
+	// Insert "d": "a" is spared, "b" must be evicted.
 	s.Set(th, []byte("d"), []byte("v"))
+	if keys, err := s.LRUKeys(th, 0); err != nil || fmt.Sprint(keys) != "[d a c]" {
+		t.Fatalf("LRUKeys = %v, %v; want [d a c]", keys, err)
+	}
 	if _, ok, _ := s.Get(th, []byte("b")); ok {
 		t.Fatal("LRU victim b survived")
 	}
@@ -272,9 +277,137 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if st.Evictions != 1 {
 		t.Fatalf("Evictions = %d", st.Evictions)
 	}
-	keys, err := s.LRUKeys(th, 0)
-	if err != nil || len(keys) != 3 {
-		t.Fatalf("LRUKeys = %v, %v", keys, err)
+}
+
+// A hot set that is read between bursts of cold sets keeps earning its
+// second chance and is never evicted, however many cold keys pass through.
+// The hot keys enter the cache the way a working set does, between other
+// traffic: an eviction spares at most maxSecondChances items, so a longer
+// unbroken run of referenced items at the tail would lose a member
+// (TestEvictionWithWholeTailReferenced pins that side).
+func TestHotSetSurvivesColdBursts(t *testing.T) {
+	for _, p := range []tle.Policy{tle.PolicyPthread, tle.PolicySTMCondVar, tle.PolicyHTMCondVar} {
+		t.Run(p.String(), func(t *testing.T) {
+			r := newRT(p)
+			s := New(r, Config{Shards: 1, MaxItemsPerShard: 64})
+			th := r.NewThread()
+			cold := 0
+			setCold := func(n int) {
+				for i := 0; i < n; i++ {
+					k := []byte(fmt.Sprintf("cold-%d", cold))
+					cold++
+					if err := s.Set(th, k, k); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			hot := make([][]byte, 24)
+			for i := range hot {
+				hot[i] = []byte(fmt.Sprintf("hot-%d", i))
+				if err := s.Set(th, hot[i], hot[i]); err != nil {
+					t.Fatal(err)
+				}
+				setCold(1)
+			}
+			for round := 0; round < 60; round++ {
+				for _, k := range hot {
+					if v, ok, err := s.Get(th, k); err != nil || !ok || !bytes.Equal(v, k) {
+						t.Fatalf("round %d: hot key %s = %q, %v, %v", round, k, v, ok, err)
+					}
+				}
+				// Up to 39 per burst: the 40 slots the hot set leaves. A longer
+				// burst brings a spared item round to the tail again unread,
+				// and exact LRU would evict it too.
+				setCold(10 + round%30)
+			}
+			if n, _ := s.Len(th); n != 64 {
+				t.Fatalf("Len = %d, want the shard full at 64", n)
+			}
+			st, _ := s.Stats(th)
+			if want := uint64(len(hot) + cold - 64); st.Evictions != want {
+				t.Fatalf("Evictions = %d, want %d", st.Evictions, want)
+			}
+		})
+	}
+}
+
+// fullyReferencedShard fills a single-shard store to capacity and reads
+// every key, so the whole eviction list is referenced.
+func fullyReferencedShard(t *testing.T, r *tle.Runtime, capacity int) (*Store, *tm.Thread) {
+	t.Helper()
+	s := New(r, Config{Shards: 1, MaxItemsPerShard: capacity})
+	th := r.NewThread()
+	residentKeys(t, s, th, capacity)
+	return s, th
+}
+
+// Second chances are bounded: when every item at the tail is referenced a
+// set still terminates, evicts exactly the overflow (one item per insert,
+// alone or fused), and what it spared sits at the front unreferenced.
+func TestEvictionWithWholeTailReferenced(t *testing.T) {
+	for _, p := range tle.Policies {
+		t.Run(p.String(), func(t *testing.T) {
+			const capacity = 32
+			s, th := fullyReferencedShard(t, newRT(p), capacity)
+			if err := s.Set(th, []byte("new-0"), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			keys, err := s.LRUKeys(th, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// resident-0000..0003 were spared in turn, resident-0004 went regardless.
+			if got, want := fmt.Sprint(keys[:6]), "[new-0 resident-0003 resident-0002 resident-0001 resident-0000 resident-0031]"; got != want {
+				t.Fatalf("front of the list = %s, want %s", got, want)
+			}
+			if tail := keys[len(keys)-1]; tail != "resident-0005" {
+				t.Fatalf("tail = %s, want resident-0005", tail)
+			}
+			if _, ok, _ := s.Get(th, []byte("resident-0004")); ok {
+				t.Fatal("resident-0004 survived a fifth second chance")
+			}
+			if w := rawFlags(t, s, th, []byte("resident-0000")); w&itReferenced != 0 {
+				t.Fatal("a spared item kept its referenced bit")
+			}
+			ops := make([]BatchOp, 10)
+			for i := range ops {
+				ops[i] = BatchOp{Verb: BatchSet, Key: []byte(fmt.Sprintf("new-%d", i+1)), Val: []byte("v")}
+			}
+			var sc BatchScratch
+			if err := s.MutateBatch(th, ops, make([]BatchResult, len(ops)), &sc); err != nil {
+				t.Fatal(err)
+			}
+			st, _ := s.Stats(th)
+			if n, _ := s.Len(th); n != capacity || st.Evictions != 11 {
+				t.Fatalf("after 11 inserts into a full shard: Len = %d, Evictions = %d; want %d, 11", n, st.Evictions, capacity)
+			}
+		})
+	}
+}
+
+// The bound on second chances exists so that a small set into a full,
+// fully referenced shard stays inside a small HTM write set: with 24 lines
+// (serve-write's budget) it commits in hardware, no capacity abort.
+func TestEvictingSetFitsSmallHTMWriteSet(t *testing.T) {
+	r := tle.New(tle.PolicyHTMCondVar, tle.Config{
+		MemWords: 1 << 20,
+		HTM:      htm.Config{WriteCapacityLines: 24, EventAbortPerMillion: -1},
+	})
+	s, th := fullyReferencedShard(t, r, 256)
+	before := r.Engine().Snapshot()
+	val := bytes.Repeat([]byte("v"), 64)
+	const sets = 200
+	for i := 0; i < sets; i++ {
+		if err := s.Set(th, []byte(fmt.Sprintf("key:%05d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := r.Engine().Snapshot().Sub(before)
+	if d.TotalAborts() != 0 || d.SerialRuns != 0 || d.Commits != sets {
+		t.Fatalf("%d evicting sets with 24 write lines: %v", sets, d)
+	}
+	if st, _ := s.Stats(th); st.Evictions != sets {
+		t.Fatalf("Evictions = %d, want %d", st.Evictions, sets)
 	}
 }
 

@@ -268,31 +268,54 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Queue pipelined work, then shut down before reading replies: every
-	// accepted op must still be answered.
+	// Queue pipelined work, then shut down with the replies still unread:
+	// every accepted op must still be answered. One reply is read first, so
+	// the connection is known to be admitted and decoding — a Shutdown that
+	// wins the race against the accept refuses the whole connection, and
+	// rightly.
 	const n = 50
+	key := func(i int) string { return fmt.Sprintf("dk%d", i) }
 	for i := 0; i < n; i++ {
-		c.SendSet(fmt.Sprintf("dk%d", i), []byte("v"), 0)
+		c.SendSet(key(i), []byte("v"), 0)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	srv.Shutdown(5 * time.Second)
-	okCount := 0
-	for i := 0; i < n; i++ {
+	var stored [n]bool
+	answered := 0
+	recv := func() bool {
 		r, err := c.Recv()
 		if err != nil {
-			// EOF once the drain finished writing what was accepted.
-			break
+			return false // EOF once the drain finished writing what was accepted
 		}
-		if r.Stored() || r.Busy() {
-			okCount++
+		if !r.Stored() && !r.Busy() {
+			t.Fatalf("op %d answered %+v", answered, r)
+		}
+		stored[answered] = r.Stored()
+		answered++
+		return true
+	}
+	if !recv() {
+		t.Fatal("no reply to the first queued op")
+	}
+	srv.Shutdown(5 * time.Second)
+	for answered < n && recv() {
+	}
+	// Replies come in request order, so ops [0, answered) were answered. The
+	// server has stopped: an op the store shows as executed was accepted, and
+	// must be among them with STORED.
+	th := srv.r.NewThread()
+	defer th.Release()
+	for i := 0; i < n; i++ {
+		_, ok, err := srv.store.Get(th, []byte(key(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != (i < answered && stored[i]) {
+			t.Fatalf("op %d of %d (%d answered): executed = %v, answered STORED = %v", i, n, answered, ok, i < answered && stored[i])
 		}
 	}
-	if okCount == 0 {
-		t.Fatal("shutdown dropped every queued response")
-	}
-	t.Logf("drained %d/%d responses through shutdown", okCount, n)
+	t.Logf("drained %d/%d responses through shutdown", answered, n)
 	// New connections are refused.
 	raw, err := net.Dial("tcp", addr)
 	if err == nil {
