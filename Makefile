@@ -83,8 +83,8 @@ chaos:
 	$(GO) test . -run TestChaos -v
 	$(GO) run ./cmd/chaosbench -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
-# Paper-figure, quiescence, simulated-HTM, per-policy kvstore, and parallel-
-# get and disjoint-section scaling (read at -cpu 1 against -cpu 2)
+# Paper-figure, quiescence, simulated-HTM, captured-store, per-policy kvstore,
+# and parallel-get and disjoint-section scaling (read at -cpu 1 against -cpu 2)
 # benchmarks with pinned -benchtime/-count. Raw text goes to
 # $(BENCHDIR)/current.txt; compare two captures with benchstat. CI runs the same list once through
 # (`make bench BENCHTIME=1x BENCHCOUNT=1`) so a benchmark cannot rot.
@@ -95,8 +95,8 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSharedGrace' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/epoch | tee -a $(BENCHDIR)/current.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkTxReadOnly16|BenchmarkTxRMW|BenchmarkSmallTxAfterLargeTx' \
-		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/htm | tee -a $(BENCHDIR)/current.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkTxReadOnly16|BenchmarkTxRMW|BenchmarkSmallTxAfterLargeTx|BenchmarkCapturedStoreRange' \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/htm ./internal/tm | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkGet$$|BenchmarkSet$$' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkGetParallel' -cpu 1,2 \

@@ -102,7 +102,6 @@ func main() {
 				harness.AblationRetry(f3, nil),
 				harness.AblationStripe(4, f5.Duration, nil),
 				harness.AblationQuiesceWriters(4, f5.Duration),
-				harness.AblationLogPolicy(4, f5.Duration),
 			)
 		})
 	}

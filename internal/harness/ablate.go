@@ -83,38 +83,6 @@ func AblationStripe(threads int, duration time.Duration, shifts []int) *Table {
 	return t
 }
 
-// AblationLogPolicy compares the default write-through/undo-log STM
-// (ml_wt) with the redo-log/write-back variant on the Figure-5 workloads:
-// undo makes read-own-write free and commits cheap but aborts expensive
-// and speculation visible; redo is the reverse.
-func AblationLogPolicy(threads int, duration time.Duration) *Table {
-	if threads == 0 {
-		threads = 4
-	}
-	if duration == 0 {
-		duration = 50 * time.Millisecond
-	}
-	t := &Table{
-		Title:  fmt.Sprintf("Ablation: undo-log (write-through) vs redo-log (write-back) STM (%d threads)", threads),
-		Header: []string{"structure", "write-through ops/s", "write-back ops/s", "wt abort%", "wb abort%"},
-	}
-	mix := fig5Mixes()[0]
-	for _, st := range fig5Structures() {
-		wt := QuiesceVariant{Name: "wt", Cfg: tm.Config{
-			Mode: tm.ModeSTM, MemWords: 1 << 20, Quiesce: tm.QuiesceAll}}
-		wb := QuiesceVariant{Name: "wb", Cfg: tm.Config{
-			Mode: tm.ModeSTM, MemWords: 1 << 20, Quiesce: tm.QuiesceAll, WriteBack: true}}
-		fcfg := Fig5Config{Duration: duration, Trials: 1, MemWords: 1 << 20, Threads: []int{threads}}
-		wtOps, wtStats := runFig5Cell(wt, st, mix, threads, fcfg)
-		wbOps, wbStats := runFig5Cell(wb, st, mix, threads, fcfg)
-		t.AddRow(st.name,
-			fmt.Sprintf("%.0f", wtOps), fmt.Sprintf("%.0f", wbOps),
-			fmt.Sprintf("%.2f", 100*wtStats.AbortRate()),
-			fmt.Sprintf("%.2f", 100*wbStats.AbortRate()))
-	}
-	return t
-}
-
 // AblationQuiesceWriters compares quiesce-after-every-transaction (GCC
 // post-2016) with quiesce-after-writers-only (pre-2016) and no quiescence,
 // on the lookup-heavy Figure-5 mix where read-only commits dominate.

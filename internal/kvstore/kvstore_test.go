@@ -598,19 +598,27 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-// BenchmarkSet times one replacing set on a full store under each policy.
+// BenchmarkSet times one replacing set on a full store under each policy, at
+// the two value sizes of the benchmark's serve-write mix.
 func BenchmarkSet(b *testing.B) {
 	for _, p := range benchPolicies {
-		b.Run(p.String(), func(b *testing.B) {
-			s, th, keys := benchStore(b, p)
-			val := bytes.Repeat([]byte("w"), 64)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Set(th, keys[i*7919%len(keys)], val); err != nil {
-					b.Fatal(err)
+		for _, size := range []int{64, 2048} {
+			b.Run(fmt.Sprintf("%s/%d", p, size), func(b *testing.B) {
+				s, th, keys := benchStore(b, p)
+				if size > 64 {
+					// A 2 KiB item takes a 4 KiB block: growing every key
+					// would need twice benchStore's heap.
+					keys = keys[:4096]
 				}
-			}
-		})
+				val := bytes.Repeat([]byte("w"), size)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := s.Set(th, keys[i*7919%len(keys)], val); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

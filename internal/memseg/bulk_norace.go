@@ -19,3 +19,8 @@ func bulkSet(words []uint64, v uint64) {
 		words[i] = v
 	}
 }
+
+// bulkCopy copies src over words with plain stores (one memmove), under the
+// same argument: StoreRange's contract makes the destination unreachable to
+// every thread but the caller.
+func bulkCopy(words, src []uint64) { copy(words, src) }

@@ -13,3 +13,11 @@ func bulkSet(words []uint64, v uint64) {
 		atomic.StoreUint64(&words[i], v)
 	}
 }
+
+// bulkCopy under the race detector stores every word atomically, for the
+// same reason.
+func bulkCopy(words, src []uint64) {
+	for i, v := range src {
+		atomic.StoreUint64(&words[i], v)
+	}
+}

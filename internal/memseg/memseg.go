@@ -101,6 +101,16 @@ func (m *Memory) Store(a Addr, v uint64) {
 	atomic.StoreUint64(&m.words[a], v)
 }
 
+// StoreRange writes src to the consecutive words starting at a as one bulk
+// copy. The caller must be the only thread that can reach [a, a+len(src)):
+// a block it allocated and has not yet published, or memory guarded by a
+// lock it holds. Anyone else touching those words is already outside a
+// correct execution, which is what lets bulkCopy use plain stores.
+func (m *Memory) StoreRange(a Addr, src []uint64) {
+	//gotle:allow atomicmix exclusive owner; bulkCopy is atomic under -race
+	bulkCopy(m.words[int(a):int(a)+len(src)], src)
+}
+
 // CompareAndSwap performs a CAS on the word at a.
 func (m *Memory) CompareAndSwap(a Addr, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(&m.words[a], old, new)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -207,36 +208,44 @@ func TestProtocolErrors(t *testing.T) {
 	defer raw.Close()
 	raw.SetDeadline(time.Now().Add(10 * time.Second))
 
-	send := func(s string) string {
+	// send writes one request and reads the reply lines it earns — by count,
+	// not by whatever one Read returns: two lines may arrive in two segments.
+	rd := bufio.NewReader(raw)
+	send := func(s string, lines int) string {
 		if _, err := io.WriteString(raw, s); err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]byte, 4096)
-		n, err := raw.Read(buf)
-		if err != nil {
-			t.Fatal(err)
+		var got string
+		for i := 0; i < lines; i++ {
+			line, err := rd.ReadString('\n')
+			if err != nil {
+				t.Fatalf("reply line %d of %d to %q: %v (have %q)", i+1, lines, s, err, got)
+			}
+			got += line
 		}
-		return string(buf[:n])
+		return got
 	}
-	if got := send("bogus\r\n"); !strings.HasPrefix(got, "ERROR") {
+	if got := send("bogus\r\n", 1); !strings.HasPrefix(got, "ERROR") {
 		t.Fatalf("unknown verb: %q", got)
 	}
-	if got := send("get\r\n"); !strings.HasPrefix(got, "CLIENT_ERROR") {
+	if got := send("get\r\n", 1); !strings.HasPrefix(got, "CLIENT_ERROR") {
 		t.Fatalf("get without key: %q", got)
 	}
-	if got := send("set k 0 0 abc\r\n"); !strings.HasPrefix(got, "CLIENT_ERROR") {
+	if got := send("set k 0 0 abc\r\n", 1); !strings.HasPrefix(got, "CLIENT_ERROR") {
 		t.Fatalf("bad bytes: %q", got)
 	}
-	if got := send("set k 0 0 3\r\nabcd\r\n"); !strings.HasPrefix(got, "CLIENT_ERROR bad data chunk") {
+	// A bad chunk earns two lines: the refusal, then ERROR for the bytes
+	// left over after the declared length.
+	if got := send("set k 0 0 3\r\nabcd\r\n", 2); !strings.HasPrefix(got, "CLIENT_ERROR bad data chunk\r\nERROR") {
 		t.Fatalf("bad chunk: %q", got)
 	}
 	// Oversized values are consumed and refused, not fatal.
 	big := strings.Repeat("x", kvstore.MaxValLen+1)
-	if got := send(fmt.Sprintf("set big 0 0 %d\r\n%s\r\n", len(big), big)); !strings.HasPrefix(got, "SERVER_ERROR object too large") {
+	if got := send(fmt.Sprintf("set big 0 0 %d\r\n%s\r\n", len(big), big), 1); !strings.HasPrefix(got, "SERVER_ERROR object too large") {
 		t.Fatalf("oversized: %q", got)
 	}
 	// Connection still usable.
-	if got := send("set ok 0 0 2\r\nhi\r\n"); !strings.HasPrefix(got, "STORED") {
+	if got := send("set ok 0 0 2\r\nhi\r\n", 1); !strings.HasPrefix(got, "STORED") {
 		t.Fatalf("after errors: %q", got)
 	}
 }

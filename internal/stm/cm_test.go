@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"gotle/internal/abortsig"
 	"gotle/internal/memseg"
 	"gotle/internal/stats"
 )
@@ -131,36 +130,4 @@ func TestCMCorrectnessUnderContention(t *testing.T) {
 			}
 		})
 	}
-}
-
-// Write-back transactions honor the CM at their commit-time locking pass.
-func TestCMAppliesToWriteBackCommit(t *testing.T) {
-	s, base := newCMSTM(t, CMPolite)
-	holder := s.NewTx(1)
-	holder.Begin()
-	holder.Store(base, 1)
-	wb := s.NewTx(2)
-	wb.SetWriteBack(true)
-	wb.Begin()
-	wb.Store(base, 2)
-	done := make(chan struct{})
-	go func() {
-		holder.Commit()
-		close(done)
-	}()
-	// The polite wait during wb's commit should ride out holder's commit;
-	// but wb's read-set is empty and its rv may be stale, so either a
-	// clean commit or a validation abort is acceptable — never a hang.
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if abortsig.From(r) == nil {
-					panic(r)
-				}
-				wb.OnAbort()
-			}
-		}()
-		wb.Commit()
-	}()
-	<-done
 }

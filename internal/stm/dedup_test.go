@@ -24,39 +24,32 @@ func setDedupMode(tx *Tx, mode string) {
 // load (mirrors the model_test.go style: a map of stripe indices is the
 // reference).
 func TestReadSetSizeEqualsDistinctStripes(t *testing.T) {
-	for _, writeBack := range []bool{false, true} {
-		name := "write-through"
-		if writeBack {
-			name = "write-back"
-		}
-		t.Run(name, func(t *testing.T) {
-			for _, stripeShift := range []int{0, 2} {
-				mem := memseg.New(1 << 14)
-				s := New(mem, Config{OrecSizeLog2: 10, StripeShift: stripeShift})
-				base, _ := mem.Alloc(128)
-				tx := s.NewTx(1)
-				tx.SetWriteBack(writeBack)
-				tx.SetReadDedup(true)
-				rng := rand.New(rand.NewSource(42))
-				for round := 0; round < 200; round++ {
-					distinct := make(map[uint32]bool)
-					tx.Begin()
-					nOps := 1 + rng.Intn(40)
-					for i := 0; i < nOps; i++ {
-						// Heavily skewed addresses: plenty of repeats.
-						a := base + memseg.Addr(rng.Intn(16))
-						tx.Load(a)
-						distinct[s.orecs.Index(a)] = true
-					}
-					if got := tx.ReadSetSize(); got != len(distinct) {
-						t.Fatalf("shift=%d round %d: ReadSetSize = %d, want %d distinct stripes",
-							stripeShift, round, got, len(distinct))
-					}
-					tx.Commit()
+	t.Run("write-through", func(t *testing.T) {
+		for _, stripeShift := range []int{0, 2} {
+			mem := memseg.New(1 << 14)
+			s := New(mem, Config{OrecSizeLog2: 10, StripeShift: stripeShift})
+			base, _ := mem.Alloc(128)
+			tx := s.NewTx(1)
+			tx.SetReadDedup(true)
+			rng := rand.New(rand.NewSource(42))
+			for round := 0; round < 200; round++ {
+				distinct := make(map[uint32]bool)
+				tx.Begin()
+				nOps := 1 + rng.Intn(40)
+				for i := 0; i < nOps; i++ {
+					// Heavily skewed addresses: plenty of repeats.
+					a := base + memseg.Addr(rng.Intn(16))
+					tx.Load(a)
+					distinct[s.orecs.Index(a)] = true
 				}
+				if got := tx.ReadSetSize(); got != len(distinct) {
+					t.Fatalf("shift=%d round %d: ReadSetSize = %d, want %d distinct stripes",
+						stripeShift, round, got, len(distinct))
+				}
+				tx.Commit()
 			}
-		})
-	}
+		}
+	})
 }
 
 // The dedup hit counter must account for exactly the suppressed appends.

@@ -12,73 +12,66 @@ import (
 // Model check: random sequences of transactions (each a random mix of
 // loads, stores, and a commit-or-abort decision) must leave memory exactly
 // as a map-based reference executes the committed transactions. This
-// checks write-through visibility, undo ordering, and read-own-write for
-// both log policies in one property.
+// checks write-through visibility, undo ordering, and read-own-write in one
+// property.
 func TestRandomOpSequencesMatchModel(t *testing.T) {
-	for _, writeBack := range []bool{false, true} {
-		name := "write-through"
-		if writeBack {
-			name = "write-back"
-		}
-		t.Run(name, func(t *testing.T) {
-			mem := memseg.New(1 << 16)
-			s := New(mem, Config{OrecSizeLog2: 10})
-			base, _ := mem.Alloc(64)
-			tx := s.NewTx(1)
-			tx.SetWriteBack(writeBack)
-			model := make(map[memseg.Addr]uint64)
-			rng := rand.New(rand.NewSource(77))
+	t.Run("write-through", func(t *testing.T) {
+		mem := memseg.New(1 << 16)
+		s := New(mem, Config{OrecSizeLog2: 10})
+		base, _ := mem.Alloc(64)
+		tx := s.NewTx(1)
+		model := make(map[memseg.Addr]uint64)
+		rng := rand.New(rand.NewSource(77))
 
-			for round := 0; round < 2000; round++ {
-				pending := make(map[memseg.Addr]uint64)
-				willAbort := rng.Intn(3) == 0
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							if abortsig.From(r) == nil {
-								panic(r)
-							}
-							tx.OnAbort()
+		for round := 0; round < 2000; round++ {
+			pending := make(map[memseg.Addr]uint64)
+			willAbort := rng.Intn(3) == 0
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						if abortsig.From(r) == nil {
+							panic(r)
 						}
-					}()
-					tx.Begin()
-					nOps := 1 + rng.Intn(8)
-					for i := 0; i < nOps; i++ {
-						a := base + memseg.Addr(rng.Intn(32))
-						if rng.Intn(2) == 0 {
-							// Load must see pending write, else model value.
-							got := tx.Load(a)
-							want, ok := pending[a]
-							if !ok {
-								want = model[a]
-							}
-							if got != want {
-								t.Fatalf("round %d: Load(%d) = %d, want %d", round, a, got, want)
-							}
-						} else {
-							v := rng.Uint64() % 1000
-							tx.Store(a, v)
-							pending[a] = v
-						}
-					}
-					if willAbort {
-						abortsig.Throw(stats.Explicit)
-					}
-					tx.Commit()
-					for a, v := range pending {
-						model[a] = v
+						tx.OnAbort()
 					}
 				}()
-				// After every transaction, memory must equal the model.
-				for a := memseg.Addr(0); a < 32; a++ {
-					if got := mem.Load(base + a); got != model[base+a] {
-						t.Fatalf("round %d (abort=%v): word %d = %d, model %d",
-							round, willAbort, a, got, model[base+a])
+				tx.Begin()
+				nOps := 1 + rng.Intn(8)
+				for i := 0; i < nOps; i++ {
+					a := base + memseg.Addr(rng.Intn(32))
+					if rng.Intn(2) == 0 {
+						// Load must see pending write, else model value.
+						got := tx.Load(a)
+						want, ok := pending[a]
+						if !ok {
+							want = model[a]
+						}
+						if got != want {
+							t.Fatalf("round %d: Load(%d) = %d, want %d", round, a, got, want)
+						}
+					} else {
+						v := rng.Uint64() % 1000
+						tx.Store(a, v)
+						pending[a] = v
 					}
 				}
+				if willAbort {
+					abortsig.Throw(stats.Explicit)
+				}
+				tx.Commit()
+				for a, v := range pending {
+					model[a] = v
+				}
+			}()
+			// After every transaction, memory must equal the model.
+			for a := memseg.Addr(0); a < 32; a++ {
+				if got := mem.Load(base + a); got != model[base+a] {
+					t.Fatalf("round %d (abort=%v): word %d = %d, model %d",
+						round, willAbort, a, got, model[base+a])
+				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // Interleaved model check with two transactions on DISJOINT words: their

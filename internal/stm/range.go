@@ -17,20 +17,11 @@ import (
 // keys and values) affordable under STM: profiling the memcached server
 // showed the per-word orec traffic of pack/unpack/compare loops was half
 // the serving CPU.
-//
-// The write-back (redo log) variant keeps its per-word path: its redo map
-// is keyed by word address, so there is nothing to amortize.
 
 // LoadRange performs transactional reads of the len(dst) consecutive words
 // starting at a into dst. Equivalent to dst[i] = Load(a+i) for all i, but
 // each covering stripe is validated and logged once.
 func (t *Tx) LoadRange(a memseg.Addr, dst []uint64) {
-	if t.readPath == readWB {
-		for i := range dst {
-			dst[i] = t.wbLoad(a + memseg.Addr(i))
-		}
-		return
-	}
 	shift := t.s.orecs.StripeShift()
 	for len(dst) > 0 {
 		// Words [a, stripeEnd) share one orec.
@@ -78,6 +69,9 @@ func (t *Tx) loadStripe(a memseg.Addr, dst []uint64) {
 		}
 		if v1 > t.rv {
 			t.extend() // aborts on failure; may engage the filter (adaptive)
+			if orec.Load() != v1 {
+				continue
+			}
 		}
 		if t.filterOn {
 			t.logReadFiltered(orec, t.s.orecs.Index(a), v1)
@@ -93,12 +87,6 @@ func (t *Tx) loadStripe(a memseg.Addr, dst []uint64) {
 // all i, but each covering stripe's orec is acquired once. Undo entries
 // stay per-word (rollback needs the old values).
 func (t *Tx) StoreRange(a memseg.Addr, src []uint64) {
-	if t.writeBack {
-		for i, v := range src {
-			t.wbStore(a+memseg.Addr(i), v)
-		}
-		return
-	}
 	shift := t.s.orecs.StripeShift()
 	for len(src) > 0 {
 		n := int((uint64(a)>>shift+1)<<shift - uint64(a))

@@ -175,23 +175,3 @@ func TestRangeConcurrentCounters(t *testing.T) {
 		}
 	}
 }
-
-// TestRangeWriteBackFallback checks the redo-log variant's per-word path.
-func TestRangeWriteBackFallback(t *testing.T) {
-	s, base := newStripedSTM(t)
-	tx := s.NewTx(1)
-	tx.SetWriteBack(true)
-	run(tx, func(tx *Tx) {
-		tx.StoreRange(base, []uint64{5, 6, 7})
-		var got [3]uint64
-		tx.LoadRange(base, got[:])
-		if got != [3]uint64{5, 6, 7} {
-			t.Fatalf("write-back range read own writes = %v", got)
-		}
-	})
-	for i, want := range []uint64{5, 6, 7} {
-		if got := s.Memory().Load(base + memseg.Addr(i)); got != want {
-			t.Fatalf("word %d = %d after write-back commit, want %d", i, got, want)
-		}
-	}
-}

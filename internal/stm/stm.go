@@ -138,14 +138,8 @@ type Tx struct {
 	filter    readFilter
 	attempt   uint64
 	dedupMode uint8
-	filterOn  bool  // this attempt filters appends (eager mode or post-extend)
-	readPath  uint8 // cached Load dispatch: one byte test on the hot entry
+	filterOn  bool // this attempt filters appends (eager mode or post-extend)
 	dedupHits uint64
-
-	// Redo-log (write-back) variant state; see writeback.go.
-	writeBack bool
-	redo      map[memseg.Addr]uint64
-	redoOrder []memseg.Addr
 }
 
 // Dedup modes; see SetReadDedup.
@@ -154,27 +148,6 @@ const (
 	dedupEager                 // filter every append (property tests)
 	dedupOff                   // seed behaviour: append every load (ablation)
 )
-
-// Load dispatch targets, cached in Tx.readPath so the hot entry pays one
-// byte test regardless of how many variants exist (writeBack and filterOn
-// are folded in whenever either changes).
-const (
-	readPlain    uint8 = iota // write-through, bare append
-	readFiltered              // write-through, filtered append
-	readWB                    // write-back (redo-log) path
-)
-
-// syncReadPath recomputes the cached dispatch byte from writeBack/filterOn.
-func (t *Tx) syncReadPath() {
-	switch {
-	case t.writeBack:
-		t.readPath = readWB
-	case t.filterOn:
-		t.readPath = readFiltered
-	default:
-		t.readPath = readPlain
-	}
-}
 
 // NewTx returns a descriptor for the thread with the given unique id.
 func (s *STM) NewTx(id uint64) *Tx {
@@ -193,11 +166,6 @@ func (t *Tx) Begin() {
 	t.attempt++
 	t.filter.reset()
 	t.filterOn = t.dedupMode == dedupEager
-	t.syncReadPath()
-	if t.writeBack {
-		clear(t.redo)
-		t.redoOrder = t.redoOrder[:0]
-	}
 	t.announcePriority()
 	t.live = true
 }
@@ -206,12 +174,7 @@ func (t *Tx) Begin() {
 func (t *Tx) Live() bool { return t.live }
 
 // ReadOnly reports whether the attempt so far has performed no writes.
-func (t *Tx) ReadOnly() bool {
-	if t.writeBack {
-		return len(t.redo) == 0
-	}
-	return len(t.locks) == 0
-}
+func (t *Tx) ReadOnly() bool { return len(t.locks) == 0 }
 
 // ReadSetSize and WriteSetSize expose log sizes for stats and tests.
 func (t *Tx) ReadSetSize() int { return len(t.reads) }
@@ -269,7 +232,6 @@ func (t *Tx) logReadFiltered(orec *atomic.Uint64, idx uint32, seen uint64) {
 // version above rv and aborts via extend before the append).
 func (t *Tx) compactReads() {
 	t.filterOn = true
-	t.syncReadPath()
 	kept := t.reads[:0]
 	for _, e := range t.reads {
 		if t.filter.add(t.s.orecs.SlotOf(e.orec), t.attempt) {
@@ -280,12 +242,7 @@ func (t *Tx) compactReads() {
 	}
 	t.reads = kept
 }
-func (t *Tx) WriteSetSize() int {
-	if t.writeBack {
-		return len(t.redo)
-	}
-	return len(t.undo)
-}
+func (t *Tx) WriteSetSize() int { return len(t.undo) }
 
 // abort throws the abort signal; the engine recovers it and calls OnAbort.
 func (t *Tx) abort(cause stats.AbortCause) {
@@ -311,7 +268,11 @@ func (t *Tx) validate() bool {
 }
 
 // extend tries to move the snapshot forward to the current clock after
-// revalidating the read set; aborts the attempt on failure.
+// revalidating the read set; aborts the attempt on failure. A load that
+// extends because the word it just read postdates the snapshot must then
+// re-check that word's orec: the read is not in the set yet, and a writer
+// that locked the stripe and ticked between the load's second orec sample
+// and the clock read here is inside the new snapshot.
 func (t *Tx) extend() {
 	now := t.s.clock.Read()
 	if !t.filterOn && t.dedupMode == dedupAdaptive {
@@ -329,14 +290,9 @@ func (t *Tx) extend() {
 // filter) are dispatched to loadFiltered up front: keeping the filtered
 // append — a non-inlinable call — out of this loop's tail keeps the plain
 // path's register allocation identical to the unfiltered algorithm, which
-// benchmarking showed is worth ~20% on read-dominated workloads. The cached
-// readPath byte folds that dispatch and the write-back check into the single
-// entry test the unfiltered algorithm already paid.
+// benchmarking showed is worth ~20% on read-dominated workloads.
 func (t *Tx) Load(a memseg.Addr) uint64 {
-	if t.readPath != readPlain {
-		if t.readPath == readWB {
-			return t.wbLoad(a)
-		}
+	if t.filterOn {
 		return t.loadFiltered(a)
 	}
 	orec := t.s.orecs.For(a)
@@ -363,6 +319,9 @@ func (t *Tx) Load(a memseg.Addr) uint64 {
 		}
 		if v1 > t.rv {
 			t.extend() // aborts on failure
+			if orec.Load() != v1 {
+				return t.Load(a) // re-dispatch: the extend may have engaged the filter
+			}
 			if t.filterOn {
 				// The extend just compacted the read set (adaptive mode):
 				// finish this read through the filter so the entry is
@@ -402,6 +361,9 @@ func (t *Tx) loadFiltered(a memseg.Addr) uint64 {
 		}
 		if v1 > t.rv {
 			t.extend() // aborts on failure
+			if orec.Load() != v1 {
+				continue
+			}
 		}
 		t.logReadFiltered(orec, t.s.orecs.Index(a), v1)
 		return val
@@ -411,10 +373,6 @@ func (t *Tx) loadFiltered(a memseg.Addr) uint64 {
 // Store performs a transactional write of the word at a, acquiring the
 // covering orec at encounter time and writing through.
 func (t *Tx) Store(a memseg.Addr, v uint64) {
-	if t.writeBack {
-		t.wbStore(a, v)
-		return
-	}
 	orec := t.s.orecs.For(a)
 	for {
 		cur := orec.Load()
@@ -454,9 +412,6 @@ func (t *Tx) Commit() (readOnly bool) {
 		// the engine, which must roll back and retry.
 		t.abort(stats.Validation)
 	}
-	if t.writeBack {
-		return t.wbCommit()
-	}
 	if len(t.locks) == 0 {
 		// Read-only: all reads were consistent at rv; nothing to publish.
 		t.live = false
@@ -484,10 +439,6 @@ func (t *Tx) Commit() (readOnly bool) {
 // must remain marked active until OnAbort returns (quiescers must wait out
 // the undo, Section IV).
 func (t *Tx) OnAbort() {
-	if t.writeBack {
-		t.wbOnAbort()
-		return
-	}
 	if t.s.inj.Fire(t.id, chaos.SkipUndo) {
 		// SABOTAGE (checker-teeth tests only): drop the undo log, leaving
 		// the aborted attempt's write-through state in committed memory.

@@ -91,7 +91,8 @@ type Config struct {
 	// MemWords sizes the simulated heap (default 1<<22).
 	MemWords int
 	// MaxRetries overrides the engine retry budget (0 = engine default:
-	// 2 under HTM — the paper's fallback setting — and 8 under STM).
+	// 2 for an attempt that ran under HTM — the paper's fallback setting —
+	// and 8 for one that ran under STM).
 	MaxRetries int
 	// HTM tunes the hardware simulation for PolicyHTMCondVar.
 	HTM htm.Config
@@ -575,9 +576,7 @@ func (d *directTx) LoadRange(a memseg.Addr, dst []uint64) {
 }
 func (d *directTx) StoreRange(a memseg.Addr, src []uint64) {
 	d.wrote = true
-	for i, v := range src {
-		d.e.Memory().Store(a+memseg.Addr(i), v)
-	}
+	d.e.Memory().StoreRange(a, src) // the mutex is held: one bulk copy
 }
 func (d *directTx) RangeBuf(n int) []uint64 {
 	if cap(d.rbuf) < n {

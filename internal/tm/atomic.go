@@ -22,8 +22,8 @@ func throwAbort(cause stats.AbortCause) { abortsig.Throw(cause) }
 //   - A nil return commits. A non-nil return cancels: all transactional
 //     effects roll back and Atomic returns the error.
 //   - Tx.Retry cancels and returns ErrRetry (condition waiting).
-//   - After Config.MaxRetries conflict aborts the block re-executes under
-//     the engine's serial lock, irrevocably.
+//   - After the retry budget's worth of conflict aborts (Config.MaxRetries)
+//     the block re-executes under the engine's serial lock, irrevocably.
 //
 // Nested Atomic calls are flattened into the parent transaction.
 func (e *Engine) Atomic(th *Thread, fn func(Tx) error) error {
@@ -61,10 +61,18 @@ type CallOpts struct {
 // the call's configuration is no longer valid before any attempt ran.
 var ErrStale = errors.New("tm: call configuration went stale")
 
+// Default retry budgets, by the mechanism the failed attempt ran under: the
+// paper's HTM falls back "after hardware transactions fail twice"; GCC's STM
+// retries longer.
+const (
+	htmRetries = 2
+	stmRetries = 8
+)
+
 // AtomicOpts executes fn as an atomic block with per-call options.
 func (e *Engine) AtomicOpts(th *Thread, o CallOpts, fn func(Tx) error) error {
 	if o.Retries <= 0 {
-		o.Retries = e.cfg.MaxRetries
+		o.Retries = e.cfg.MaxRetries // 0: follow each attempt's mechanism
 	}
 	if th.depth > 0 {
 		// Flat nesting: run in the parent's transaction. A cancel or retry
@@ -99,7 +107,16 @@ func (e *Engine) AtomicOpts(th *Thread, o CallOpts, fn func(Tx) error) error {
 			return ErrRetry
 		}
 		retries++
-		if retries > o.Retries {
+		budget := o.Retries
+		if budget <= 0 {
+			// Decided per attempt, not per engine: in a hybrid engine the
+			// same call site runs HTM or STM as its mutex's policy moves.
+			budget = stmRetries
+			if th.mech == MechHTM {
+				budget = htmRetries
+			}
+		}
+		if retries > budget {
 			return e.runSerial(th, &o, fn)
 		}
 		backoff.Wait()
@@ -209,9 +226,7 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 	}
 
 	// Abort path: return eagerly-allocated blocks.
-	for _, a := range th.allocs {
-		e.mem.Free(a)
-	}
+	th.freeAllocs()
 	if err != nil {
 		// User cancel: not a conflict, no stats abort classification beyond
 		// explicit.
@@ -365,9 +380,7 @@ func (e *Engine) runSerial(th *Thread, o *CallOpts, fn func(Tx) error) error {
 		err = fn(tx)
 	}()
 	if retried {
-		for _, a := range th.allocs {
-			e.mem.Free(a)
-		}
+		th.freeAllocs()
 		th.st.Abort(stats.Explicit)
 		if th.obs != nil {
 			th.obs.Abort(stats.Explicit)
@@ -379,9 +392,7 @@ func (e *Engine) runSerial(th *Thread, o *CallOpts, fn func(Tx) error) error {
 			th.st.AbandonedStart()
 			panic("tm: cancel of an irrevocable transaction after writes")
 		}
-		for _, a := range th.allocs {
-			e.mem.Free(a)
-		}
+		th.freeAllocs()
 		th.st.Abort(stats.Explicit)
 		if th.obs != nil {
 			th.obs.Abort(stats.Explicit)

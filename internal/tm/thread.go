@@ -22,8 +22,16 @@ type Thread struct {
 	rbuf []uint64 // Tx.RangeBuf backing store (allocation-free range staging)
 
 	// Per-transaction state, reset at each top-level attempt.
-	depth     int
-	allocs    []memseg.Addr
+	depth int
+	// allocs lists the blocks the running attempt allocated, as word ranges
+	// [a, end). An abort frees them. Until the attempt commits they are also
+	// captured memory: no other thread can hold a pointer into one — the
+	// store that publishes it is an ordinary instrumented store, invisible
+	// until commit, and the allocator's grace period (quiescence or
+	// DeferredReclaim before reuse) retired every pointer to the block's
+	// previous life — so STM stores that land wholly inside one skip the
+	// orec and the undo log (stmTx.Store/StoreRange).
+	allocs    []allocRange
 	frees     []memseg.Addr
 	deferred  []func()
 	noQuiesce bool
@@ -66,7 +74,6 @@ func (e *Engine) NewThread() *Thread {
 	}
 	if e.stm != nil {
 		th.stx = e.stm.NewTx(id)
-		th.stx.SetWriteBack(e.cfg.WriteBack)
 	}
 	if e.htm != nil {
 		th.htx = e.htm.NewTx(id) // panics past htm.MaxThreads
@@ -105,6 +112,20 @@ func (th *Thread) ID() uint64 { return th.id }
 
 // InTx reports whether the thread is inside an atomic block.
 func (th *Thread) InTx() bool { return th.depth > 0 }
+
+// allocRange is one Tx.Alloc of the running attempt: payload words [a, end).
+type allocRange struct{ a, end memseg.Addr }
+
+// captured reports whether the n words at a lie wholly inside a block the
+// running attempt allocated.
+func (th *Thread) captured(a memseg.Addr, n int) bool {
+	for _, b := range th.allocs {
+		if a >= b.a && uint64(a)+uint64(n) <= uint64(b.end) {
+			return true
+		}
+	}
+	return false
+}
 
 func (th *Thread) resetTxnState() {
 	th.allocs = th.allocs[:0]
@@ -165,19 +186,39 @@ type Tx interface {
 
 // ---- STM wrapper ----
 
+// stmTx instruments every access through the STM except stores into
+// captured memory (Thread.allocs), which cost what they cost under a lock:
+// no orec acquisition, no undo entry, one bulk copy for a range. Loads keep
+// the normal path — a captured word's orec may cover a live neighbour's
+// words too, and reading it costs nothing shared. libitm's ml_wt has no such
+// path; the observation is Dragojević, Ni and Adl-Tabatabai's (SPAA 2009).
+// htmTx must not take it: real hardware buffers those lines in L1 like any
+// other, so they count against WriteCapacityLines.
 type stmTx struct{ th *Thread }
 
-func (w stmTx) Load(a memseg.Addr) uint64            { return w.th.stx.Load(a) }
-func (w stmTx) Store(a memseg.Addr, v uint64)        { w.th.stx.Store(a, v) }
-func (w stmTx) LoadRange(a memseg.Addr, d []uint64)  { w.th.stx.LoadRange(a, d) }
-func (w stmTx) StoreRange(a memseg.Addr, s []uint64) { w.th.stx.StoreRange(a, s) }
-func (w stmTx) RangeBuf(n int) []uint64              { return w.th.rangeBuf(n) }
-func (w stmTx) Alloc(n int) memseg.Addr       { return w.th.txAlloc(n) }
-func (w stmTx) Free(a memseg.Addr)            { w.th.txFree(a) }
-func (w stmTx) NoQuiesce()                    { w.th.requestNoQuiesce() }
-func (w stmTx) Defer(fn func())               { w.th.deferred = append(w.th.deferred, fn) }
-func (w stmTx) Retry()                        { throwRetry() }
-func (w stmTx) Irrevocable() bool             { return false }
+func (w stmTx) Load(a memseg.Addr) uint64 { return w.th.stx.Load(a) }
+func (w stmTx) Store(a memseg.Addr, v uint64) {
+	if w.th.captured(a, 1) {
+		w.th.e.mem.Store(a, v)
+		return
+	}
+	w.th.stx.Store(a, v)
+}
+func (w stmTx) LoadRange(a memseg.Addr, d []uint64) { w.th.stx.LoadRange(a, d) }
+func (w stmTx) StoreRange(a memseg.Addr, s []uint64) {
+	if w.th.captured(a, len(s)) {
+		w.th.e.mem.StoreRange(a, s)
+		return
+	}
+	w.th.stx.StoreRange(a, s)
+}
+func (w stmTx) RangeBuf(n int) []uint64 { return w.th.rangeBuf(n) }
+func (w stmTx) Alloc(n int) memseg.Addr { return w.th.txAlloc(n) }
+func (w stmTx) Free(a memseg.Addr)      { w.th.txFree(a) }
+func (w stmTx) NoQuiesce()              { w.th.requestNoQuiesce() }
+func (w stmTx) Defer(fn func())         { w.th.deferred = append(w.th.deferred, fn) }
+func (w stmTx) Retry()                  { throwRetry() }
+func (w stmTx) Irrevocable() bool       { return false }
 
 // ---- HTM wrapper ----
 
@@ -188,12 +229,12 @@ func (w htmTx) Store(a memseg.Addr, v uint64)        { w.th.htx.Store(a, v) }
 func (w htmTx) LoadRange(a memseg.Addr, d []uint64)  { w.th.htx.LoadRange(a, d) }
 func (w htmTx) StoreRange(a memseg.Addr, s []uint64) { w.th.htx.StoreRange(a, s) }
 func (w htmTx) RangeBuf(n int) []uint64              { return w.th.rangeBuf(n) }
-func (w htmTx) Alloc(n int) memseg.Addr       { return w.th.txAlloc(n) }
-func (w htmTx) Free(a memseg.Addr)            { w.th.txFree(a) }
-func (w htmTx) NoQuiesce()                    {} // meaningless under strong isolation
-func (w htmTx) Defer(fn func())               { w.th.deferred = append(w.th.deferred, fn) }
-func (w htmTx) Retry()                        { throwRetry() }
-func (w htmTx) Irrevocable() bool             { return false }
+func (w htmTx) Alloc(n int) memseg.Addr              { return w.th.txAlloc(n) }
+func (w htmTx) Free(a memseg.Addr)                   { w.th.txFree(a) }
+func (w htmTx) NoQuiesce()                           {} // meaningless under strong isolation
+func (w htmTx) Defer(fn func())                      { w.th.deferred = append(w.th.deferred, fn) }
+func (w htmTx) Retry()                               { throwRetry() }
+func (w htmTx) Irrevocable() bool                    { return false }
 
 // ---- serial (irrevocable) wrapper ----
 
@@ -255,8 +296,15 @@ func (th *Thread) txAlloc(n int) memseg.Addr {
 	if !ok {
 		panic("tm: simulated heap exhausted")
 	}
-	th.allocs = append(th.allocs, a)
+	th.allocs = append(th.allocs, allocRange{a, a + memseg.Addr(n)})
 	return a
+}
+
+// freeAllocs returns the attempt's allocations after an abort or cancel.
+func (th *Thread) freeAllocs() {
+	for _, b := range th.allocs {
+		th.e.mem.Free(b.a)
+	}
 }
 
 // txFree defers the release to commit time.

@@ -136,14 +136,13 @@ type Config struct {
 	// MaxRetries is the number of aborted attempts before an atomic block
 	// falls back to serial-irrevocable execution. The paper's HTM falls
 	// back "after hardware transactions fail twice"; GCC's STM retries
-	// longer. Defaults: 2 for HTM, 8 for STM.
+	// longer. Zero selects the default for the mechanism each attempt ran
+	// under — 2 for HTM, 8 for STM — so a hybrid engine's calls get the
+	// budget of the policy they resolve to, not of Mode.
 	MaxRetries int
 	// OrecSizeLog2 and StripeShift configure the STM orec table.
 	OrecSizeLog2 int
 	StripeShift  int
-	// WriteBack selects the redo-log STM variant instead of the default
-	// ml_wt write-through algorithm (the DESIGN.md undo-vs-redo ablation).
-	WriteBack bool
 	// CM selects the STM contention manager (stm.CMSuicide, stm.CMPolite,
 	// stm.CMTimestamp) — the programmer-specified conflict policy the
 	// paper's conclusion asks the TMTS to expose.
@@ -204,13 +203,6 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	if cfg.MemWords == 0 {
 		cfg.MemWords = 1 << 22
-	}
-	if cfg.MaxRetries == 0 {
-		if cfg.Mode == ModeHTM {
-			cfg.MaxRetries = 2
-		} else {
-			cfg.MaxRetries = 8
-		}
 	}
 	e := &Engine{
 		cfg:    cfg,

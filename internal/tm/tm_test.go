@@ -490,34 +490,6 @@ func TestSerialFallbackUnderContention(t *testing.T) {
 	}
 }
 
-// The write-back engine variant must behave identically at the API level.
-func TestWriteBackEngine(t *testing.T) {
-	e := New(Config{Mode: ModeSTM, MemWords: 1 << 16, WriteBack: true})
-	a := e.Alloc(2)
-	const threads, per = 4, 1000
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		th := e.NewThread()
-		wg.Add(1)
-		go func(th *Thread) {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				if err := e.Atomic(th, func(tx Tx) error {
-					tx.Store(a, tx.Load(a)+1)
-					return nil
-				}); err != nil {
-					t.Errorf("Atomic: %v", err)
-					return
-				}
-			}
-		}(th)
-	}
-	wg.Wait()
-	if got := e.Load(a); got != threads*per {
-		t.Fatalf("counter = %d, want %d", got, threads*per)
-	}
-}
-
 // Irrevocable (serial) transactions must support the full Tx surface.
 func TestSerialTxFullSurface(t *testing.T) {
 	e := New(Config{Mode: ModeSTM, MemWords: 1 << 16})
