@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 CHAOS_RUNS ?= 5
 CHAOS_SEED ?= 1
 
-.PHONY: all build test bench-check lint race race-tm fuzz-short chaos chaos-teeth bench serve-smoke serve-bench crash-smoke crash-chaos repl-smoke repl-chaos loc clean
+.PHONY: all build test bench-check lint race race-tm fuzz-short chaos chaos-teeth bench serve-smoke crash-smoke crash-chaos repl-smoke repl-chaos loc clean
 
 CRASH_SEED ?= 1
 
@@ -16,9 +16,10 @@ CRASH_SEED ?= 1
 TM_PKGS = ./internal/stm/... ./internal/htm/... ./internal/epoch/... \
 	./internal/tm/... ./internal/tle/... ./internal/condvar/...
 
-# Microbenchmark settings: fixed so the raw .txt captures under $(BENCHDIR)
-# (scratch, not tracked) are comparable with benchstat. The repository's
-# performance record is BENCHMARK.json + benchmark/, not these targets.
+# Microbenchmark settings for `make bench`. The repository's performance
+# record is BENCHMARK.json + benchmark/, not this target: it exists so CI can
+# run every listed benchmark once (a benchmark that cannot rot) and so two
+# hand captures under $(BENCHDIR) (scratch, not tracked) compare with benchstat.
 BENCHTIME ?= 300ms
 BENCHCOUNT ?= 3
 BENCHDIR ?= bench-out
@@ -81,7 +82,7 @@ fuzz-short:
 # linearizability checking. A failure prints the seed to replay.
 chaos:
 	$(GO) test . -run TestChaos -v
-	$(GO) run ./cmd/chaosbench -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
+	$(GO) run ./cmd/figures chaos -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
 # Paper-figure, quiescence, simulated-HTM, captured-store, per-policy kvstore,
 # and parallel-get and disjoint-section scaling (read at -cpu 1 against -cpu 2)
@@ -116,55 +117,23 @@ serve-smoke:
 	$(GO) run ./cmd/tleserved -smoke -wal $(BENCHDIR)/smoke-wal
 	rm -rf $(BENCHDIR)/smoke-wal
 
-# Closed-loop network benchmark: tleserved under a capacity-heavy pipelined
-# mix (16 conns x depth 8, mixed 64/2048-byte values, -htm-write-lines 24
-# = a 1.5 KiB write budget, so the 2 KiB sets overflow HTM capacity and
-# drive the adaptive ladder off htm-cv), checked for per-key
-# linearizability. A second pass reruns the identical mix with the redo
-# WAL enabled (`ServeWAL` label) to show the durability tax: ops/sec and
-# p99 WAL-on vs WAL-off, plus the group-commit fsyncs/sec. Each pass ends
-# with a benchstat-compatible line, kept in $(BENCHDIR)/serve*.txt.
-SERVE_ADDR ?= 127.0.0.1:19333
-SERVE_OPS ?= 100000
-serve-bench:
-	mkdir -p $(BENCHDIR)
-	$(GO) build -o $(BENCHDIR)/tleserved ./cmd/tleserved
-	$(GO) build -o $(BENCHDIR)/loadgen ./cmd/loadgen
-	$(BENCHDIR)/tleserved -addr $(SERVE_ADDR) -htm-write-lines 24 \
-		& echo $$! > $(BENCHDIR)/tleserved.pid; sleep 1; \
-	$(BENCHDIR)/loadgen -addr $(SERVE_ADDR) -conns 16 -depth 8 -ops $(SERVE_OPS) \
-		-set 30 -del 5 -valsize 64,2048 -check > $(BENCHDIR)/serve.txt 2>&1; \
-	rc=$$?; cat $(BENCHDIR)/serve.txt; \
-	kill `cat $(BENCHDIR)/tleserved.pid`; rm -f $(BENCHDIR)/tleserved.pid; \
-	test $$rc -eq 0
-	rm -rf $(BENCHDIR)/wal
-	$(BENCHDIR)/tleserved -addr $(SERVE_ADDR) -htm-write-lines 24 \
-		-wal $(BENCHDIR)/wal \
-		& echo $$! > $(BENCHDIR)/tleserved.pid; sleep 1; \
-	$(BENCHDIR)/loadgen -addr $(SERVE_ADDR) -conns 16 -depth 8 -ops $(SERVE_OPS) \
-		-set 30 -del 5 -valsize 64,2048 -check -label ServeWAL \
-		> $(BENCHDIR)/serve-wal.txt 2>&1; \
-	rc=$$?; cat $(BENCHDIR)/serve-wal.txt; \
-	kill `cat $(BENCHDIR)/tleserved.pid`; rm -f $(BENCHDIR)/tleserved.pid; \
-	test $$rc -eq 0
-
 # Prove the chaos checker still bites: a sabotaged engine must be caught.
 chaos-teeth:
-	$(GO) run ./cmd/chaosbench -break-undo -policy stm-cv -faults none -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
+	$(GO) run ./cmd/figures chaos -break-undo -policy stm-cv -faults none -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
-# Kill-9 crash consistency (cmd/crashtest): tleserved with -wal under live
+# Kill-9 crash consistency (cmd/fleettest crash): tleserved with -wal under live
 # load, SIGKILLed at a seeded random point, restarted from the log; the
 # merged pre/post-crash history must linearize per key (acked writes
 # survive, unacked may go either way). crash-smoke is the CI gate; crash-
 # chaos sweeps more seeds over a wider kill window.
 crash-smoke:
-	$(GO) run ./cmd/crashtest -runs 3 -seed $(CRASH_SEED)
+	$(GO) run ./cmd/fleettest crash -runs 3 -seed $(CRASH_SEED)
 
 crash-chaos:
-	$(GO) run ./cmd/crashtest -runs 12 -seed $(CRASH_SEED) \
+	$(GO) run ./cmd/fleettest crash -runs 12 -seed $(CRASH_SEED) \
 		-kill-min 150ms -kill-max 1500ms -conns 12 -depth 8
 
-# Replication convergence (cmd/repltest): one primary streams its
+# Replication convergence (cmd/fleettest repl): one primary streams its
 # per-shard commit log to two followers through seeded faulty links
 # (delay/sever/corrupt); loadgen mutates the primary and stale-reads the
 # followers; the round passes only if every node's shard dumps are
@@ -175,10 +144,10 @@ crash-chaos:
 # follower restart (resume from the follower's own WAL cursor).
 REPL_SEED ?= 1
 repl-smoke:
-	$(GO) run ./cmd/repltest -runs 1 -followers 2 -ops 20000 -seed $(REPL_SEED)
+	$(GO) run ./cmd/fleettest repl -runs 1 -followers 2 -ops 20000 -seed $(REPL_SEED)
 
 repl-chaos:
-	$(GO) run ./cmd/repltest -runs 6 -followers 2 -ops 20000 -seed $(REPL_SEED) \
+	$(GO) run ./cmd/fleettest repl -runs 6 -followers 2 -ops 20000 -seed $(REPL_SEED) \
 		-kill-follower
 
 # Non-test Go lines per package directory, benchmark/ and analyzer testdata

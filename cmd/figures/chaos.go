@@ -1,19 +1,3 @@
-// Command chaosbench runs the chaos stress driver: a mixed kvstore +
-// elided-counter workload under seeded fault injection, with the recorded
-// histories checked for linearizability after each run.
-//
-// Each run prints one summary line (seed, injector fingerprint, fault
-// counts, engine stats, verdict). On a violation the minimized
-// counterexample history is printed and the process exits 1; re-running
-// with the printed -seed replays the same fault decisions (exactly so for
-// -threads 1, per-consultation faithfully otherwise — see internal/chaos).
-//
-// Examples:
-//
-//	chaosbench                                   # all policies, all mixes
-//	chaosbench -policy stm-cv -faults heavy -runs 20
-//	chaosbench -policy stm-cv -seed 42 -threads 1   # minimized replay
-//	chaosbench -break-undo                       # prove the checker bites
 package main
 
 import (
@@ -28,21 +12,34 @@ import (
 	"gotle/internal/tle"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("chaosbench: ")
+// runChaos is `figures chaos`, the chaos stress driver: a mixed kvstore +
+// elided-counter workload under seeded fault injection, with the recorded
+// histories checked for linearizability after each run.
+//
+// Each run prints one summary line (seed, injector fingerprint, fault
+// counts, engine stats, verdict). On a violation the minimized
+// counterexample history is printed and the process exits 1; re-running
+// with the printed -seed replays the same fault decisions (exactly so for
+// -threads 1, per-consultation faithfully otherwise — see internal/chaos).
+//
+//	figures chaos                                     # all policies, all mixes
+//	figures chaos -policy stm-cv -faults heavy -runs 20
+//	figures chaos -policy stm-cv -seed 42 -threads 1  # minimized replay
+//	figures chaos -break-undo                         # prove the checker bites
+func runChaos(args []string) {
+	fs := flag.NewFlagSet("figures chaos", flag.ExitOnError)
 	var (
-		policyFlag = flag.String("policy", "all", `policy ("pthread", "stm-spin", "stm-cv", "stm-cv-noq", "htm-cv", or "all")`)
-		faults     = flag.String("faults", "all", `fault mix ("none", "light", "heavy", or "all")`)
-		threads    = flag.Int("threads", 4, "worker goroutines (1 = fully deterministic replay)")
-		ops        = flag.Int("ops", 500, "operations per worker")
-		keys       = flag.Int("keys", 16, "kvstore key-space size")
-		seed       = flag.Int64("seed", 1, "base seed; run i uses seed+i")
-		runs       = flag.Int("runs", 1, "seeds to sweep per (policy, mix)")
-		breakUndo  = flag.Bool("break-undo", false, "arm the SkipUndo sabotage point (counter-only workload); the checker MUST report a violation")
-		verbose    = flag.Bool("v", false, "print per-point fault counts")
+		policyFlag = fs.String("policy", "all", `policy ("pthread", "stm-spin", "stm-cv", "stm-cv-noq", "htm-cv", or "all")`)
+		faults     = fs.String("faults", "all", `fault mix ("none", "light", "heavy", or "all")`)
+		threads    = fs.Int("threads", 4, "worker goroutines (1 = fully deterministic replay)")
+		ops        = fs.Int("ops", 500, "operations per worker")
+		keys       = fs.Int("keys", 16, "kvstore key-space size")
+		seed       = fs.Int64("seed", 1, "base seed; run i uses seed+i")
+		runs       = fs.Int("runs", 1, "seeds to sweep per (policy, mix)")
+		breakUndo  = fs.Bool("break-undo", false, "arm the SkipUndo sabotage point (counter-only workload); the checker MUST report a violation")
+		verbose    = fs.Bool("v", false, "print per-point fault counts")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	policies := tle.Policies
 	if *policyFlag != "all" {
@@ -107,8 +104,12 @@ func main() {
 					if !res.Counter.OK {
 						fmt.Printf("       counter history:\n%s\n", indent(res.Counter.String()))
 					}
-					fmt.Printf("       replay: chaosbench -policy %v -faults %s -threads %d -ops %d -keys %d -seed %d%s\n",
-						policy, mix, *threads, *ops, *keys, cfg.Seed, sabotageFlag(*breakUndo))
+					sabotage := ""
+					if *breakUndo {
+						sabotage = " -break-undo"
+					}
+					fmt.Printf("       replay: figures chaos -policy %v -faults %s -threads %d -ops %d -keys %d -seed %d%s\n",
+						policy, mix, *threads, *ops, *keys, cfg.Seed, sabotage)
 				}
 			}
 		}
@@ -131,17 +132,6 @@ func main() {
 	fmt.Printf("%d runs, all linearizable\n", total)
 }
 
-func sabotageFlag(on bool) string {
-	if on {
-		return " -break-undo"
-	}
-	return ""
-}
-
 func indent(s string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i, l := range lines {
-		lines[i] = "         " + l
-	}
-	return strings.Join(lines, "\n")
+	return "         " + strings.ReplaceAll(strings.TrimRight(s, "\n"), "\n", "\n         ")
 }

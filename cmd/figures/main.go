@@ -7,7 +7,14 @@
 //	-scale quick  — seconds-scale smoke run (default)
 //	-scale full   — larger inputs and more trials; minutes on one core
 //
-// Select experiments with -fig 2|3|4|5|text|ablate|all.
+// Select experiments with -fig 2|3|4|5|text|ablate|condvar|kv|all.
+//
+// Three subcommands run one workload under chosen policies instead of a
+// sweep (each lists its flags with -h):
+//
+//	figures pbzip2 -policy htm-cv -workers 4 -block 300000 -size 4194304
+//	figures x265 -policy stm-cv-noq -workers 8 -frame-threads 3 -frames 8
+//	figures chaos -policy stm-cv -faults heavy -runs 20   # see chaos.go
 package main
 
 import (
@@ -23,6 +30,12 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
+	if len(os.Args) > 1 {
+		if sub, ok := map[string]func([]string){"pbzip2": runPBZip2, "x265": runX265, "chaos": runChaos}[os.Args[1]]; ok {
+			sub(os.Args[2:])
+			return
+		}
+	}
 	var (
 		fig   = flag.String("fig", "all", "which experiment: 2|3|4|5|text|ablate|condvar|kv|all")
 		scale = flag.String("scale", "quick", "quick|full")

@@ -50,7 +50,6 @@ type options struct {
 	mix          workload.Mix
 	seed         int64
 	check        bool
-	label        string
 	historyOut   string
 	historyIn    string
 	tolerateDisc bool
@@ -108,7 +107,6 @@ func main() {
 	flag.StringVar(&valsize, "valsize", "64", "comma-separated candidate value sizes")
 	flag.Int64Var(&o.seed, "seed", 1, "workload seed")
 	flag.BoolVar(&o.check, "check", false, "record and verify per-key linearizability")
-	flag.StringVar(&o.label, "label", "Serve", "benchmark name component")
 	flag.StringVar(&o.historyOut, "history-out", "", "write the recorded history (completed + pending ops) to this file")
 	flag.StringVar(&o.historyIn, "history-in", "", "load a prior phase's history and check the merged whole")
 	flag.BoolVar(&o.tolerateDisc, "tolerate-disconnect", false, "treat a mid-run server death as expected: in-flight ops become pending, exit 0")
@@ -347,7 +345,7 @@ func run(o options) error {
 	}
 
 	// Benchstat-compatible trailer.
-	name := fmt.Sprintf("Benchmark%s/conns=%d/depth=%d/mix=%s", o.label, o.conns, o.depth, o.mix)
+	name := fmt.Sprintf("BenchmarkServe/conns=%d/depth=%d/mix=%s", o.conns, o.depth, o.mix)
 	walMetric := ""
 	if fsyncRate >= 0 {
 		walMetric = fmt.Sprintf(" %.0f fsyncs/sec", fsyncRate)

@@ -33,14 +33,12 @@ import (
 
 	"gotle/internal/analysis"
 	"gotle/internal/analysis/ackorder"
-	"gotle/internal/analysis/atomicmix"
 	"gotle/internal/analysis/capest"
 	"gotle/internal/analysis/cvlast"
 	"gotle/internal/analysis/falseshare"
 	"gotle/internal/analysis/gostuck"
 	"gotle/internal/analysis/hotalloc"
 	"gotle/internal/analysis/lockorder"
-	"gotle/internal/analysis/mixedaccess"
 	"gotle/internal/analysis/noqpriv"
 	"gotle/internal/analysis/protdom"
 	"gotle/internal/analysis/tmflow"
@@ -64,8 +62,6 @@ var analyzers = []*analysis.Analyzer{
 	hotalloc.Analyzer,
 	falseshare.Analyzer,
 	protdom.Analyzer,
-	mixedaccess.Analyzer,
-	atomicmix.Analyzer,
 	gostuck.Analyzer,
 }
 

@@ -51,8 +51,8 @@ import (
 	"gotle/internal/tle"
 )
 
-// DefaultLadder is the paper's policy ladder, fastest-but-touchiest first.
-var DefaultLadder = []tle.Policy{
+// Ladder is the paper's policy ladder, fastest-but-touchiest first.
+var Ladder = []tle.Policy{
 	tle.PolicyHTMCondVar,
 	tle.PolicySTMCondVarNoQ,
 	tle.PolicySTMCondVar,
@@ -68,35 +68,24 @@ type Config struct {
 	// MinStarts: windows with fewer critical-section attempts are treated
 	// as idle and decide nothing (default 64).
 	MinStarts uint64
-	// CapacityDemote: capacity-abort rate above which htm-cv is abandoned
-	// for the next rung down (default 0.10).
-	CapacityDemote float64
-	// ConflictDemote / SerialDemote: conflict-class abort rate or
-	// serial-fallback rate above which the shard steps down one rung
-	// (defaults 0.50 and 0.20).
-	ConflictDemote float64
-	SerialDemote   float64
-	// ConflictPromote / SerialPromote: rates below which a window counts
-	// toward the promotion streak (defaults 0.05 and 0.02).
-	ConflictPromote float64
-	SerialPromote   float64
-	// PromoteStreak is the number of consecutive quiet windows required
-	// before stepping up one rung (default 3).
-	PromoteStreak int
-	// Cooldown is the number of windows after any switch during which the
-	// shard holds still (default 2) — the hysteresis floor.
-	Cooldown int
-	// HTMHoldoff is the number of windows a capacity-demoted shard is
-	// barred from promoting back into htm-cv (default 64, and doubling
-	// on every recurrence). Capacity holdoffs run much longer than the
-	// conflict-side cooldowns because a write set that overflows the HTM
-	// budget is a property of the data being served, not of a passing
-	// contention spike: the first probe back almost always re-storms.
-	HTMHoldoff int
-	// Ladder overrides DefaultLadder (rungs unsupported by the runtime
-	// are dropped at Controller construction).
-	Ladder []tle.Policy
 }
+
+// The Decider's thresholds (rates are over a window's starts).
+const (
+	capacityDemote  = 0.10 // capacity-abort rate above which htm-cv is abandoned
+	conflictDemote  = 0.50 // conflict-class abort rate above which a shard steps down a rung
+	serialDemote    = 0.20 // serial-fallback rate above which it does
+	conflictPromote = 0.05 // rates below which a window counts toward the promotion streak
+	serialPromote   = 0.02
+	promoteStreak   = 3 // consecutive quiet windows that earn one rung up
+	switchCooldown  = 2 // windows a shard holds still after any switch: the hysteresis floor
+	// htmHoldoff is the number of windows a capacity-demoted shard is barred
+	// from htm-cv, doubling on every recurrence. It is much longer than the
+	// cooldown because a write set that overflows the HTM budget is a
+	// property of the data served, not a passing spike: the first probe back
+	// almost always re-storms.
+	htmHoldoff = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
@@ -104,33 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinStarts == 0 {
 		c.MinStarts = 64
-	}
-	if c.CapacityDemote == 0 {
-		c.CapacityDemote = 0.10
-	}
-	if c.ConflictDemote == 0 {
-		c.ConflictDemote = 0.50
-	}
-	if c.SerialDemote == 0 {
-		c.SerialDemote = 0.20
-	}
-	if c.ConflictPromote == 0 {
-		c.ConflictPromote = 0.05
-	}
-	if c.SerialPromote == 0 {
-		c.SerialPromote = 0.02
-	}
-	if c.PromoteStreak == 0 {
-		c.PromoteStreak = 3
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 2
-	}
-	if c.HTMHoldoff == 0 {
-		c.HTMHoldoff = 64
-	}
-	if len(c.Ladder) == 0 {
-		c.Ladder = DefaultLadder
 	}
 	return c
 }
@@ -144,13 +106,18 @@ type Sample struct {
 	Serial   float64 // serial-lock executions / starts
 }
 
-func sampleOf(d stats.ObserverSnapshot) Sample {
-	return Sample{
-		Starts:   d.Starts(),
-		Capacity: d.CapacityRate(),
-		Conflict: d.ConflictRate(),
-		Serial:   d.SerialRate(),
+// sampleOf turns one window of a mutex's counters into rates. Serial here is
+// serial runs over starts; stats.Snapshot.SerialRate, the paper's figure, is
+// over commits.
+func sampleOf(d stats.Snapshot) Sample {
+	s := Sample{Starts: d.Starts}
+	if d.Starts > 0 {
+		n := float64(d.Starts)
+		s.Capacity = float64(d.Aborts[stats.Capacity]) / n
+		s.Conflict = float64(d.ConflictAborts()-d.Aborts[stats.Capacity]) / n
+		s.Serial = float64(d.SerialRuns) / n
 	}
+	return s
 }
 
 // Decision is the outcome of one Decider step.
@@ -225,10 +192,10 @@ func (d *Decider) Step(s Sample) Decision {
 	}
 	// Demotions first: getting out of a pathological regime beats
 	// chasing a promotion.
-	if d.Current() == tle.PolicyHTMCondVar && s.Capacity > d.cfg.CapacityDemote {
+	if d.Current() == tle.PolicyHTMCondVar && s.Capacity > capacityDemote {
 		// A long clean spell at htm-cv means this storm is news, not a
 		// rerun: restart the escalation from the base holdoff.
-		if d.htmAge > 4*d.cfg.HTMHoldoff {
+		if d.htmAge > 4*htmHoldoff {
 			d.capEsc = 0
 		}
 		if d.capEsc < 6 {
@@ -236,15 +203,15 @@ func (d *Decider) Step(s Sample) Decision {
 		}
 		d.idx = min(d.idx+1, len(d.ladder)-1)
 		d.switched()
-		d.htmHold = d.cfg.HTMHoldoff << (d.capEsc - 1)
+		d.htmHold = htmHoldoff << (d.capEsc - 1)
 		return Decision{Target: d.Current(), Switched: true,
 			Reason: fmt.Sprintf("capacity storm (%.0f%% of attempts)", s.Capacity*100)}
 	}
-	if d.idx < len(d.ladder)-1 && (s.Conflict > d.cfg.ConflictDemote || s.Serial > d.cfg.SerialDemote) {
+	if d.idx < len(d.ladder)-1 && (s.Conflict > conflictDemote || s.Serial > serialDemote) {
 		d.idx++
 		d.switched()
 		why := "conflict rate"
-		if s.Serial > d.cfg.SerialDemote {
+		if s.Serial > serialDemote {
 			why = "serial fallback rate"
 		}
 		return Decision{Target: d.Current(), Switched: true,
@@ -253,9 +220,9 @@ func (d *Decider) Step(s Sample) Decision {
 	d.decayPenalty()
 	// Promotion: a streak of quiet windows earns one rung up; the
 	// required streak grows with the shard's recent switch history.
-	if s.Conflict < d.cfg.ConflictPromote && s.Serial < d.cfg.SerialPromote {
+	if s.Conflict < conflictPromote && s.Serial < serialPromote {
 		d.streak++
-		if d.streak >= d.cfg.PromoteStreak+d.penalty && d.idx > 0 {
+		if d.streak >= promoteStreak+d.penalty && d.idx > 0 {
 			if d.ladder[d.idx-1] == tle.PolicyHTMCondVar && d.htmHold > 0 {
 				return Decision{Target: d.Current(), Reason: "htm holdoff"}
 			}
@@ -265,7 +232,7 @@ func (d *Decider) Step(s Sample) Decision {
 				d.htmAge = 0
 			}
 			return Decision{Target: d.Current(), Switched: true,
-				Reason: fmt.Sprintf("quiet for %d windows", d.cfg.PromoteStreak+d.penalty)}
+				Reason: fmt.Sprintf("quiet for %d windows", promoteStreak+d.penalty)}
 		}
 		return Decision{Target: d.Current(), Reason: "quiet"}
 	}
@@ -276,10 +243,10 @@ func (d *Decider) Step(s Sample) Decision {
 // switched resets the hysteresis state after a ladder move and escalates
 // the promotion probation.
 func (d *Decider) switched() {
-	d.cooldown = d.cfg.Cooldown
+	d.cooldown = switchCooldown
 	d.streak = 0
 	d.decay = 0
-	if d.penalty < 4*d.cfg.PromoteStreak {
+	if d.penalty < 4*promoteStreak {
 		d.penalty += 2
 	}
 }
@@ -296,13 +263,6 @@ func (d *Decider) decayPenalty() {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ShardStatus is one shard's controller state, as exposed over the
 // server's stats command.
 type ShardStatus struct {
@@ -316,7 +276,7 @@ type ShardStatus struct {
 type shardCtl struct {
 	mu   *tle.Mutex
 	dec  *Decider
-	prev stats.ObserverSnapshot
+	prev stats.Snapshot
 
 	mtx        sync.Mutex
 	switches   uint64
@@ -345,7 +305,7 @@ type Controller struct {
 func New(r *tle.Runtime, mutexes []*tle.Mutex, cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	var ladder []tle.Policy
-	for _, p := range cfg.Ladder {
+	for _, p := range Ladder {
 		if r.Supports(p) {
 			ladder = append(ladder, p)
 		}
@@ -353,7 +313,6 @@ func New(r *tle.Runtime, mutexes []*tle.Mutex, cfg Config) (*Controller, error) 
 	if len(ladder) == 0 {
 		return nil, fmt.Errorf("adaptive: runtime supports no ladder rung")
 	}
-	cfg.Ladder = ladder
 	c := &Controller{
 		r:    r,
 		cfg:  cfg,

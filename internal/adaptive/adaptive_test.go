@@ -5,16 +5,12 @@ import (
 
 	"gotle/internal/htm"
 	"gotle/internal/kvstore"
+	"gotle/internal/stats"
 	"gotle/internal/tle"
 )
 
 func cfg() Config {
-	return Config{
-		MinStarts:     10,
-		PromoteStreak: 3,
-		Cooldown:      2,
-		HTMHoldoff:    16,
-	}
+	return Config{MinStarts: 10}
 }
 
 // quiet and stormy windows for synthetic traces.
@@ -30,7 +26,7 @@ var (
 // engine defers their grace periods to the batched background reclaimer —
 // and must then stay out of htm-cv for the holdoff.
 func TestCapacityStormDemotesHTMToSTMCVNoQ(t *testing.T) {
-	d := NewDecider(cfg(), DefaultLadder, tle.PolicyHTMCondVar)
+	d := NewDecider(cfg(), Ladder, tle.PolicyHTMCondVar)
 	dec := d.Step(capStorm)
 	if !dec.Switched || dec.Target != tle.PolicySTMCondVarNoQ {
 		t.Fatalf("capacity storm: switched=%v target=%s, want switch to stm-cv-noq", dec.Switched, dec.Target)
@@ -44,7 +40,7 @@ func TestCapacityStormDemotesHTMToSTMCVNoQ(t *testing.T) {
 	}
 	// After the holdoff expires, quiet windows do climb the ladder home.
 	saw := false
-	for i := 0; i < 40 && !saw; i++ {
+	for i := 0; i < 2*htmHoldoff && !saw; i++ {
 		saw = d.Step(quiet).Target == tle.PolicyHTMCondVar
 	}
 	if !saw {
@@ -54,9 +50,9 @@ func TestCapacityStormDemotesHTMToSTMCVNoQ(t *testing.T) {
 
 // A workload whose capacity storms are intrinsic (the storm returns the
 // moment the shard re-enters htm-cv) must be held out geometrically
-// longer each round trip, not re-admitted every HTMHoldoff windows.
+// longer each round trip, not re-admitted every htmHoldoff windows.
 func TestRepeatedCapacityStormsEscalateHoldoff(t *testing.T) {
-	d := NewDecider(cfg(), DefaultLadder, tle.PolicyHTMCondVar)
+	d := NewDecider(cfg(), Ladder, tle.PolicyHTMCondVar)
 
 	// roundTrip storms the shard off htm-cv (riding out any switch
 	// cooldown), then feeds quiet windows until it climbs back,
@@ -82,7 +78,7 @@ func TestRepeatedCapacityStormsEscalateHoldoff(t *testing.T) {
 	first := roundTrip()
 	second := roundTrip()
 	third := roundTrip()
-	if second < first+cfg().HTMHoldoff || third < second+2*cfg().HTMHoldoff {
+	if second < first+htmHoldoff || third < second+2*htmHoldoff {
 		t.Fatalf("holdoff not escalating: round trips took %d, %d, %d windows",
 			first, second, third)
 	}
@@ -91,7 +87,7 @@ func TestRepeatedCapacityStormsEscalateHoldoff(t *testing.T) {
 // A sustained conflict regime walks the ladder one rung per decision —
 // never skipping, never bouncing — and parks at pthread.
 func TestConflictStormStepsDownToPthread(t *testing.T) {
-	d := NewDecider(cfg(), DefaultLadder, tle.PolicyHTMCondVar)
+	d := NewDecider(cfg(), Ladder, tle.PolicyHTMCondVar)
 	want := []tle.Policy{tle.PolicySTMCondVarNoQ, tle.PolicySTMCondVar, tle.PolicyPthread}
 	var moves []tle.Policy
 	for i := 0; i < 20; i++ {
@@ -117,7 +113,7 @@ func TestConflictStormStepsDownToPthread(t *testing.T) {
 // a trace alternating quiet and borderline windows must produce almost no
 // switches at all.
 func TestNoOscillationOnBorderlineTrace(t *testing.T) {
-	d := NewDecider(cfg(), DefaultLadder, tle.PolicySTMCondVar)
+	d := NewDecider(cfg(), Ladder, tle.PolicySTMCondVar)
 	switches := 0
 	for i := 0; i < 200; i++ {
 		s := border
@@ -140,7 +136,7 @@ func TestNoOscillationOnBorderlineTrace(t *testing.T) {
 // limited by cooldown + streak: at most one switch per window by
 // construction, and far fewer than the number of windows in practice.
 func TestSwitchRateBoundedUnderFlappingTrace(t *testing.T) {
-	d := NewDecider(cfg(), DefaultLadder, tle.PolicyHTMCondVar)
+	d := NewDecider(cfg(), Ladder, tle.PolicyHTMCondVar)
 	const windows = 120
 	switches := 0
 	for i := 0; i < windows; i++ {
@@ -152,7 +148,7 @@ func TestSwitchRateBoundedUnderFlappingTrace(t *testing.T) {
 			switches++
 		}
 	}
-	// Cooldown(2) + PromoteStreak(3) mean a full down-up round trip needs
+	// switchCooldown (2) + promoteStreak (3) mean a full down-up round trip needs
 	// at least 7 windows; the flapping trace cannot do better.
 	if switches > windows/6 {
 		t.Fatalf("%d switches in %d windows: hysteresis not limiting flap", switches, windows)
@@ -162,7 +158,7 @@ func TestSwitchRateBoundedUnderFlappingTrace(t *testing.T) {
 // Idle windows (too few starts) must neither demote nor count toward
 // promotion.
 func TestIdleWindowsDecideNothing(t *testing.T) {
-	d := NewDecider(cfg(), DefaultLadder, tle.PolicySTMCondVar)
+	d := NewDecider(cfg(), Ladder, tle.PolicySTMCondVar)
 	for i := 0; i < 50; i++ {
 		if dec := d.Step(Sample{Starts: 3, Conflict: 1.0, Serial: 1.0}); dec.Switched {
 			t.Fatalf("idle window %d switched to %s", i, dec.Target)
@@ -241,4 +237,27 @@ func TestControllerConstruction(t *testing.T) {
 	ctl.Start() // idempotent
 	ctl.Stop()
 	ctl.Stop() // idempotent
+}
+
+// sampleOf's three rates are all over starts — what the deleted
+// stats.ObserverSnapshot's CapacityRate/ConflictRate/SerialRate returned for
+// these counts — and its serial rate is not Snapshot.SerialRate (over
+// commits), which is the paper's figure and a different number.
+func TestSampleOfRatesAreOverStarts(t *testing.T) {
+	d := stats.Snapshot{Starts: 100, Commits: 60, SerialRuns: 7}
+	d.Aborts = [stats.NumCauses]uint64{
+		stats.Conflict: 10, stats.Capacity: 8, stats.Explicit: 6, stats.Event: 4,
+		stats.Validation: 5, stats.Locked: 3, stats.Serial: 4,
+	}
+	got := sampleOf(d)
+	want := Sample{Starts: 100, Capacity: 0.08, Conflict: 0.26, Serial: 0.07}
+	if got != want {
+		t.Fatalf("sampleOf = %+v, want %+v", got, want)
+	}
+	if d.SerialRate() == got.Serial {
+		t.Fatalf("Snapshot.SerialRate (%v, over commits) must differ from Sample.Serial (over starts)", d.SerialRate())
+	}
+	if z := sampleOf(stats.Snapshot{}); z != (Sample{}) {
+		t.Fatalf("sampleOf(zero) = %+v, want zero", z)
+	}
 }

@@ -4,16 +4,15 @@ import (
 	"testing"
 
 	"gotle/internal/analysis/analysistest"
-	"gotle/internal/analysis/atomicmix"
-	"gotle/internal/analysis/mixedaccess"
+	"gotle/internal/analysis/txescape"
+	"gotle/internal/analysis/txpure"
 )
 
 // TestAllowCross pins the per-rule contract of //gotle:allow: a single
-// line that trips both mixedaccess and atomicmix at the same position,
-// with an allow naming only mixedaccess, must still surface the
-// atomicmix finding. This guards both the suppression key (rule name,
+// line that trips both txescape and txpure at the same position, with an
+// allow naming only txescape, must still surface the txpure finding. This guards both the suppression key (rule name,
 // not position) and the runner's consecutive-(pos, rule) dedup.
 func TestAllowCross(t *testing.T) {
 	analysistest.Run(t, "testdata/src/allowcross",
-		mixedaccess.Analyzer, atomicmix.Analyzer)
+		txescape.Analyzer, txpure.Analyzer)
 }

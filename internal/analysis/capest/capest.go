@@ -12,9 +12,10 @@
 // lines, callees inlined through memoized summaries, and interface calls
 // resolved to their worst concrete implementation — and flags bodies whose
 // estimate exceeds a capacity budget. The recommendation is policy, not
-// surgery: a section that cannot fit in HTM should run STM-first
-// (tle.Config with MaxHTMRetries 0) so attempts do not pay for doomed
-// hardware retries; shrinking the section is the better fix when possible.
+// surgery: a section that cannot fit in HTM should run under an STM policy
+// (Mutex.SetPolicy(PolicySTMCondVarNoQ), which is also where the adaptive
+// controller lands it) so attempts do not pay for doomed hardware retries;
+// shrinking the section is the better fix when possible.
 //
 // The estimate errs large on pointer-chasing loops (each iteration is
 // assumed to touch a fresh line), which is deliberate: linked structures
@@ -48,9 +49,9 @@ func run(pass *analysis.Pass) error {
 		pos := e.FuncNode().Pos()
 		switch {
 		case fp.WriteLines > WriteCapacityLines:
-			pass.Reportf(pos, "estimated transactional write set of this atomic body is ~%.0f cache lines, beyond the HTM write capacity (%d lines): every hardware attempt aborts on capacity, so run this section STM-first (tle.Config MaxHTMRetries=0) or shrink the write set (Section IV)", fp.WriteLines, WriteCapacityLines)
+			pass.Reportf(pos, "estimated transactional write set of this atomic body is ~%.0f cache lines, beyond the HTM write capacity (%d lines): every hardware attempt aborts on capacity, so move its mutex off htm-cv (Mutex.SetPolicy(PolicySTMCondVarNoQ); Mutex.SetRetryBudget only changes how many doomed attempts come first) or shrink the write set (Section IV)", fp.WriteLines, WriteCapacityLines)
 		case fp.ReadLines > ReadCapacityLines:
-			pass.Reportf(pos, "estimated transactional read set of this atomic body is ~%.0f cache lines, beyond the HTM read capacity (%d lines): hardware attempts abort on capacity, so run this section STM-first (tle.Config MaxHTMRetries=0) or shrink the traversal (Section IV)", fp.ReadLines, ReadCapacityLines)
+			pass.Reportf(pos, "estimated transactional read set of this atomic body is ~%.0f cache lines, beyond the HTM read capacity (%d lines): hardware attempts abort on capacity, so move its mutex off htm-cv (Mutex.SetPolicy(PolicySTMCondVarNoQ); Mutex.SetRetryBudget only changes how many doomed attempts come first) or shrink the traversal (Section IV)", fp.ReadLines, ReadCapacityLines)
 		}
 	}
 	return nil

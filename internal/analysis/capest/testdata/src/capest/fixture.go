@@ -18,7 +18,7 @@ var (
 // bigWriteLoop stores to 600 distinct addresses: 600 weighted write lines
 // blow the 512-line write budget.
 func bigWriteLoop() {
-	eng.Atomic(th, func(tx tm.Tx) error { // want capest:"write set of this atomic body is ~600 cache lines"
+	eng.Atomic(th, func(tx tm.Tx) error { // want capest:"write set of this atomic body is ~600 cache lines.*Mutex\\.SetPolicy\\(PolicySTMCondVarNoQ\\)"
 		for i := 0; i < 600; i++ {
 			tx.Store(base+memseg.Addr(i), 1)
 		}
@@ -30,7 +30,7 @@ func bigWriteLoop() {
 // 4096-line read budget.
 func bigReadLoops() uint64 {
 	var sum uint64
-	mu.Do(th, func(tx tm.Tx) error { // want capest:"read set of this atomic body is ~6400 cache lines"
+	mu.Do(th, func(tx tm.Tx) error { // want capest:"read set of this atomic body is ~6400 cache lines.*Mutex\\.SetPolicy\\(PolicySTMCondVarNoQ\\)"
 		sum = 0
 		for i := 0; i < 80; i++ {
 			for j := 0; j < 80; j++ {
@@ -64,7 +64,7 @@ func touchRow(tx tm.Tx, row memseg.Addr) {
 // calleeWeighted calls the 64-line helper from a 16-iteration loop: the
 // memoized callee footprint is weighted by the loop, 1024 > 512.
 func calleeWeighted(rows [16]memseg.Addr) {
-	eng.Atomic(th, func(tx tm.Tx) error { // want capest:"write set of this atomic body is ~1024 cache lines"
+	eng.Atomic(th, func(tx tm.Tx) error { // want capest:"write set of this atomic body is ~1024 cache lines.*Mutex\\.SetPolicy\\(PolicySTMCondVarNoQ\\)"
 		for i := 0; i < 16; i++ {
 			touchRow(tx, rows[i])
 		}

@@ -1,17 +1,4 @@
-// Package atomicmix flags locations accessed both through sync/atomic
-// and through plain loads or stores. A mixed scheme gives none of
-// atomic's guarantees: the plain side can tear, be reordered, or read a
-// stale value, and the race detector only catches it when both sides
-// execute on the observed interleaving. On the TLE stack the heap
-// simulator's word array is the canonical customer: its atomic element
-// accesses carry the STM's weak-isolation story, so any plain path to
-// the same words (bulk zeroing, poisoning) must be deliberate and
-// documented.
-//
-// The fix, where every plain site is mechanical (a simple load, store,
-// or increment of a sized integer in a file that already imports
-// sync/atomic), promotes the plain sites to the matching atomic calls.
-package atomicmix
+package protdom
 
 import (
 	"fmt"
@@ -24,68 +11,6 @@ import (
 	"gotle/internal/analysis"
 	"gotle/internal/analysis/tmflow"
 )
-
-var Analyzer = &analysis.Analyzer{
-	Name: "atomicmix",
-	Doc:  "flags locations accessed both via sync/atomic and via plain loads/stores",
-	Run:  run,
-}
-
-func run(pass *analysis.Pass) error {
-	census := tmflow.CensusOf(pass.Prog)
-	for _, loc := range census.Locations {
-		if loc.DeclPath != pass.Pkg.Path || loc.ChanTransfer {
-			continue
-		}
-		at := loc.AtomicSites()
-		if len(at) == 0 {
-			continue
-		}
-		plain := loc.PlainSites()
-		if len(plain) == 0 {
-			continue
-		}
-		write := false
-		for _, a := range append(append([]*tmflow.Access{}, at...), plain...) {
-			if a.Write {
-				write = true
-				break
-			}
-		}
-		if !write {
-			continue
-		}
-		reps := loc.SortedAccesses(tmflow.ClassPlain, false)
-		rep := reps[0]
-		for _, a := range reps {
-			if a.Write {
-				rep = a
-				break
-			}
-		}
-		what := "accessed"
-		switch {
-		case rep.SliceExposure:
-			what = "exposed as a plain slice"
-		case rep.Write:
-			what = "written plainly"
-		default:
-			what = "read plainly"
-		}
-		d := analysis.Diagnostic{
-			Pos: rep.Pos,
-			Message: fmt.Sprintf(
-				"%s is %s here but accessed via sync/atomic elsewhere; "+
-					"mixing atomic and plain access forfeits atomicity — promote every access to sync/atomic or none",
-				loc.Pretty, what),
-		}
-		if fix, ok := promoteFix(pass, loc, reps); ok {
-			d.Fixes = []analysis.SuggestedFix{fix}
-		}
-		pass.Report(d)
-	}
-	return nil
-}
 
 // promoteFix builds the edits replacing every plain site of loc with the
 // matching sync/atomic call. It refuses (no fix) unless all sites are

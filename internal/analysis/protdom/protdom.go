@@ -7,13 +7,28 @@
 // location whose access sites disagree is exactly where elision changes
 // program semantics: the "extra" unguarded access that a real lock
 // happened to order is the access a speculative critical section races
-// with. Locations in the mixedaccess/atomicmix domains (transactional or
-// atomic sites mixed with plain ones) are left to those analyzers;
-// protdom owns the remaining inconsistent space — unguarded shared
-// writes, raw reads against locked writers, and disjoint-lock guarding.
+// with.
+//
+// Two of the inconsistent disciplines get their own message:
+//
+//   - mixed(tx+plain): accessed both inside a transaction and raw outside
+//     any quiescence barrier — the paper's Listing 1/2 hazard generalized
+//     from the heap to every Go-level location. Often benign under a real
+//     lock; under an elided one the plain access can observe speculative
+//     state, and `go test -race` cannot see it because the transactional
+//     side does not execute on the failing interleaving.
+//   - mixed(atomic+plain): accessed both through sync/atomic and plainly,
+//     which gives none of atomic's guarantees (the heap simulator's word
+//     array is the canonical customer: bulk zeroing must be deliberate and
+//     documented). Where every plain site is mechanical, `tmvet -fix`
+//     promotes them to the matching atomic calls (atomicfix.go).
+//
+// The rest — unguarded shared writes, raw reads against locked writers,
+// disjoint-lock guarding — is reported at the first racing access.
 package protdom
 
 import (
+	"fmt"
 	"strings"
 
 	"gotle/internal/analysis"
@@ -32,14 +47,22 @@ func run(pass *analysis.Pass) error {
 		if loc.DeclPath != pass.Pkg.Path {
 			continue
 		}
-		d := census.DisciplineOf(loc)
-		if d.Consistent {
-			continue
+		// The two mixes are flagged on the sites alone, shared or not: a
+		// location the census sees from one goroutine today is one `go`
+		// statement away from the race, and the discipline is wrong already.
+		if plain := loc.PlainSites(); len(plain) > 0 && !loc.ChanTransfer {
+			if tx := loc.TxSites(); anyWrite(tx, plain) {
+				reportTxPlain(pass, loc)
+				continue
+			}
+			if at := loc.AtomicSites(); anyWrite(at, plain) {
+				reportAtomicPlain(pass, loc)
+				continue
+			}
 		}
-		// tx+plain and atomic+plain mixes are mixedaccess's and
-		// atomicmix's findings; reporting them here too would double up.
-		if d.Label == "mixed(tx+plain)" || d.Label == "mixed(atomic+plain)" {
-			continue
+		d := census.DisciplineOf(loc)
+		if d.Consistent || d.Label == "mixed(tx+plain)" || d.Label == "mixed(atomic+plain)" {
+			continue // the mixes without a write on either side: nothing to tear
 		}
 		rep, detail := representative(census, loc, d.Label)
 		if rep == nil {
@@ -49,6 +72,68 @@ func run(pass *analysis.Pass) error {
 			loc.Pretty, d.Label, detail)
 	}
 	return nil
+}
+
+// anyWrite reports whether guarded is non-empty and either side writes (a
+// read-only location cannot be torn; construction writes are not sites).
+func anyWrite(guarded, plain []*tmflow.Access) bool {
+	for _, sites := range [2][]*tmflow.Access{guarded, plain} {
+		for _, a := range sites {
+			if a.Write {
+				return len(guarded) > 0
+			}
+		}
+	}
+	return false
+}
+
+// firstPlain is the site a tx+plain or atomic+plain mix is reported at: the
+// first plain write, or failing that the first plain access.
+func firstPlain(loc *tmflow.Location) (rep *tmflow.Access, all []*tmflow.Access) {
+	all = loc.SortedAccesses(tmflow.ClassPlain, false)
+	for _, a := range all {
+		if a.Write {
+			return a, all
+		}
+	}
+	return all[0], all
+}
+
+func reportTxPlain(pass *analysis.Pass, loc *tmflow.Location) {
+	rep, _ := firstPlain(loc)
+	tx := loc.SortedAccesses(tmflow.ClassTx, false)[0]
+	txPos := pass.Position(tx.Pos)
+	verb := "read"
+	if rep.Write {
+		verb = "written"
+	}
+	pass.Reportf(rep.Pos,
+		"%s is %s raw here but accessed inside a transaction under %s (%s:%d); "+
+			"a plain access racing with an elided critical section can observe speculative state — "+
+			"move it under the same lock, use sync/atomic, or separate the phases with a quiescence barrier",
+		loc.Pretty, verb, tx.Guard, txPos.Filename[strings.LastIndexByte(txPos.Filename, '/')+1:], txPos.Line)
+}
+
+func reportAtomicPlain(pass *analysis.Pass, loc *tmflow.Location) {
+	rep, plain := firstPlain(loc)
+	what := "read plainly"
+	switch {
+	case rep.SliceExposure:
+		what = "exposed as a plain slice"
+	case rep.Write:
+		what = "written plainly"
+	}
+	d := analysis.Diagnostic{
+		Pos: rep.Pos,
+		Message: fmt.Sprintf(
+			"%s is %s here but accessed via sync/atomic elsewhere; "+
+				"mixing atomic and plain access forfeits atomicity — promote every access to sync/atomic or none",
+			loc.Pretty, what),
+	}
+	if fix, ok := promoteFix(pass, loc, plain); ok {
+		d.Fixes = []analysis.SuggestedFix{fix}
+	}
+	pass.Report(d)
 }
 
 // representative picks the site to report — the first racing access —

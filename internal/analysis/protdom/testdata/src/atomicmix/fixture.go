@@ -17,7 +17,7 @@ func Inc() {
 
 // Reset stores plainly into a word other goroutines touch atomically.
 func Reset() {
-	g.val = 0 // want atomicmix:"mixing atomic and plain access forfeits atomicity"
+	g.val = 0 // want protdom:"mixing atomic and plain access forfeits atomicity"
 }
 
 // Touch is raw-only: no atomic site anywhere, no finding.
@@ -38,7 +38,7 @@ func Tick() {
 }
 
 func Now() uint64 {
-	return ck.seq // want atomicmix:"read plainly here but accessed via sync/atomic"
+	return ck.seq // want protdom:"read plainly here but accessed via sync/atomic"
 }
 
 // readOnly mixes atomic and plain reads with no write anywhere outside
@@ -75,6 +75,6 @@ func Drain() {
 }
 
 func InitPool(v uint64) {
-	//gotle:allow atomicmix single-threaded init before the pool is published
+	//gotle:allow protdom single-threaded init before the pool is published
 	pl.hot = v
 }

@@ -30,7 +30,7 @@ func Deposit() {
 
 // RawDrain races the transaction with a plain write: flagged.
 func RawDrain() {
-	acct.bal = 0 // want mixedaccess:"accessed inside a transaction under"
+	acct.bal = 0 // want protdom:"accessed inside a transaction under"
 }
 
 // RawPeek reads label raw while LabelTx writes it transactionally: a
@@ -44,7 +44,7 @@ func LabelTx(v int) {
 }
 
 func RawPeek() int {
-	return acct.label // want mixedaccess:"read raw here but accessed inside a transaction"
+	return acct.label // want protdom:"read raw here but accessed inside a transaction"
 }
 
 // readOnly is accessed on both sides but never written (construction
@@ -120,6 +120,6 @@ func ModeTx() {
 }
 
 func SetModeBeforeServing(v int) {
-	//gotle:allow mixedaccess runs during startup before any transaction
+	//gotle:allow protdom runs during startup before any transaction
 	al.mode = v
 }

@@ -1,40 +1,25 @@
-// Cross-pass suppression fixture: one line trips both mixedaccess and
-// atomicmix at the same position. The allow directive names mixedaccess
-// only, so the co-located atomicmix finding must survive — suppression
-// is per-rule, and the runner's (pos, rule) dedup must not fold
-// diagnostics from different analyzers.
+// Cross-pass suppression fixture: one line trips both txescape and txpure
+// at the same position. The allow directive names txescape only, so the
+// co-located txpure finding must survive — suppression is per-rule, and
+// the runner's (pos, rule) dedup must not fold diagnostics from different
+// analyzers.
 package fixture
 
 import (
-	"sync/atomic"
-
-	"gotle/internal/tle"
+	"gotle/internal/memseg"
 	"gotle/internal/tm"
 )
 
 var (
-	th *tm.Thread
-	mu *tle.Mutex
+	eng       *tm.Engine
+	th        *tm.Thread
+	published memseg.Addr
 )
 
-type word struct {
-	v uint64
-}
-
-var w = &word{}
-
-func TxBump() {
-	mu.Do(th, func(tx tm.Tx) error {
-		w.v++
+func Publish() {
+	eng.Atomic(th, func(tx tm.Tx) error {
+		//gotle:allow txescape the consumer reads it only after the harness joins
+		published = tx.Alloc(2) // want txpure:"package-level variable published"
 		return nil
 	})
-}
-
-func AtomicBump() {
-	atomic.AddUint64(&w.v, 1)
-}
-
-func RawReset() {
-	//gotle:allow mixedaccess phases are separated by the test harness
-	w.v = 0 // want atomicmix:"mixing atomic and plain access forfeits atomicity"
 }

@@ -5,7 +5,7 @@ package tmflow
 // synchronization context of every access to them — transactional (and
 // under which tle.Mutex), native-mutex, sync/atomic, construction,
 // channel-transferred, or plain. The census is the fact layer under the
-// transaction-aware race gate (protdom, mixedaccess, atomicmix, gostuck):
+// transaction-aware race gate (protdom, gostuck):
 // `go test -race` cannot see a plain load racing with an elided critical
 // section, because the transactional accesses do not happen on the failing
 // interleaving, so the gate has to be static.
@@ -296,14 +296,13 @@ type Discipline struct {
 	// or a "mixed(...)" form when no single discipline covers the sites.
 	Label string
 	// Consistent is false when the location's sites do not agree on a
-	// guard — the protdom/mixedaccess/atomicmix flag conditions.
+	// guard — the protdom flag conditions.
 	Consistent bool
 }
 
 // DisciplineOf classifies l's access sites into one guarding discipline.
-// The mixed(tx+plain) and mixed(atomic+plain) verdicts are the
-// mixedaccess and atomicmix analyzers' domains; protdom owns the rest of
-// the inconsistent space.
+// protdom reports every inconsistent verdict, the mixed(tx+plain) and
+// mixed(atomic+plain) ones with messages of their own.
 func (c *ProtCensus) DisciplineOf(l *Location) Discipline {
 	if l.ChanTransfer {
 		return Discipline{"channel-transfer", true}

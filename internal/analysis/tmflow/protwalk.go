@@ -801,7 +801,7 @@ func (w *walker) recordAtomic(target ast.Expr, read, write bool) {
 
 // recordSliceExposure marks a subslice of a censused location escaping:
 // its elements become plainly accessible wherever the slice flows, which
-// is what lets atomicmix see bulk plain writes through helper functions.
+// is what lets protdom see bulk plain writes through helper functions.
 func (w *walker) recordSliceExposure(e *ast.SliceExpr) {
 	v, kind, owner, ownerType := w.resolveLoc(e.X)
 	if v == nil {

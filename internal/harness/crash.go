@@ -33,35 +33,36 @@ import (
 // server gets no chance to flush anything the group-commit loop had not
 // already made durable.
 
-// CrashConfig parameterises one kill-9 round trip.
-type CrashConfig struct {
+// FleetConfig is what every black-box round over the real binaries shares
+// (RunCrash, RunRepl; cmd/fleettest sets it from one flag set).
+type FleetConfig struct {
 	// ServedBin and LoadgenBin are prebuilt tleserved / loadgen binaries
-	// (cmd/crashtest builds them; go run would add seconds per phase).
+	// (BuildCrashBinaries; go run would add seconds per phase).
 	ServedBin  string
 	LoadgenBin string
-	// WorkDir holds the WAL directory and the phase-1 history file. The
-	// caller owns cleanup (keep it to debug a failure).
+	// WorkDir holds the WAL directories and history files. The caller owns
+	// cleanup (keep it to debug a failure).
 	WorkDir string
-	// Seed drives the kill point and both workload phases.
+	// Seed drives the workload and every seeded fault (kill points, link
+	// chaos).
 	Seed int64
 	// Conns/Depth/Keyspace shape the load. Keyspace must stay well under
-	// Capacity: the per-key model assumes no LRU eviction.
+	// Capacity on every node: the per-key model and the dump comparison
+	// both assume no eviction.
 	Conns, Depth, Keyspace int
-	// SetPct/DelPct make the mix write-heavy by default (50/10) so the
-	// kill lands on plenty of in-flight mutations.
+	// SetPct/DelPct keep the mix write-heavy (default 50/10 for a crash
+	// round, so the kill lands on in-flight mutations; 40/10 for a
+	// replication round).
 	SetPct, DelPct int
-	// Phase1Ops is the phase-1 budget — deliberately enormous; the kill
-	// truncates it. Phase2Ops is the post-restart verification load.
-	Phase1Ops, Phase2Ops int
-	// KillMin/KillMax bound the seeded kill delay after phase 1 starts.
-	KillMin, KillMax time.Duration
-	// Shards and Capacity configure the server's store.
+	// Shards and Capacity configure every node's store identically.
 	Shards, Capacity int
 	// Log, when set, receives all child output (debugging).
 	Log io.Writer
 }
 
-func (c CrashConfig) withDefaults() CrashConfig {
+// withDefaults fills the shared defaults; the two that differ by mode are
+// passed in.
+func (c FleetConfig) withDefaults(keyspace, setPct int) FleetConfig {
 	if c.Conns == 0 {
 		c.Conns = 8
 	}
@@ -69,14 +70,35 @@ func (c CrashConfig) withDefaults() CrashConfig {
 		c.Depth = 4
 	}
 	if c.Keyspace == 0 {
-		c.Keyspace = 48
+		c.Keyspace = keyspace
 	}
 	if c.SetPct == 0 {
-		c.SetPct = 50
+		c.SetPct = setPct
 	}
 	if c.DelPct == 0 {
 		c.DelPct = 10
 	}
+	if c.Shards == 0 {
+		c.Shards = 8
+	}
+	if c.Capacity == 0 {
+		c.Capacity = 4096
+	}
+	return c
+}
+
+// CrashConfig parameterises one kill-9 round trip.
+type CrashConfig struct {
+	FleetConfig
+	// Phase1Ops is the phase-1 budget — deliberately enormous; the kill
+	// truncates it. Phase2Ops is the post-restart verification load.
+	Phase1Ops, Phase2Ops int
+	// KillMin/KillMax bound the seeded kill delay after phase 1 starts.
+	KillMin, KillMax time.Duration
+}
+
+func (c CrashConfig) withDefaults() CrashConfig {
+	c.FleetConfig = c.FleetConfig.withDefaults(48, 50)
 	if c.Phase1Ops == 0 {
 		c.Phase1Ops = 5_000_000
 	}
@@ -88,12 +110,6 @@ func (c CrashConfig) withDefaults() CrashConfig {
 	}
 	if c.KillMax <= c.KillMin {
 		c.KillMax = c.KillMin + 500*time.Millisecond
-	}
-	if c.Shards == 0 {
-		c.Shards = 8
-	}
-	if c.Capacity == 0 {
-		c.Capacity = 4096
 	}
 	return c
 }
@@ -136,7 +152,7 @@ func RunCrash(cfg CrashConfig) CrashResult {
 		return res
 	}
 	defer srv.stop()
-	lg, err := startLoadgen(cfg, srv.addr, cfg.Phase1Ops, cfg.Seed,
+	lg, err := startLoadgen(cfg.FleetConfig, srv.addr, cfg.Phase1Ops, cfg.Seed,
 		"-tolerate-disconnect", "-history-out", histFile)
 	if err != nil {
 		res.Err = fmt.Errorf("phase 1 loadgen: %w", err)
@@ -173,7 +189,7 @@ func RunCrash(cfg CrashConfig) CrashResult {
 	}
 	defer srv2.stop()
 	res.Recovered = srv2.recovered
-	lg2, err := startLoadgen(cfg, srv2.addr, cfg.Phase2Ops, cfg.Seed+1_000_000,
+	lg2, err := startLoadgen(cfg.FleetConfig, srv2.addr, cfg.Phase2Ops, cfg.Seed+1_000_000,
 		"-presweep", "-history-in", histFile)
 	if err != nil {
 		res.Err = fmt.Errorf("phase 2 loadgen: %w", err)
@@ -211,7 +227,7 @@ type loadgenProc struct {
 	done chan error
 }
 
-func startLoadgen(cfg CrashConfig, addr string, ops int, seed int64, extra ...string) (*loadgenProc, error) {
+func startLoadgen(cfg FleetConfig, addr string, ops int, seed int64, extra ...string) (*loadgenProc, error) {
 	args := []string{
 		"-addr", addr,
 		"-conns", strconv.Itoa(cfg.Conns),

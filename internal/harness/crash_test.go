@@ -19,13 +19,10 @@ func TestCrashRecoveryKill9(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	res := RunCrash(CrashConfig{
-		ServedBin:  served,
-		LoadgenBin: loadgen,
-		WorkDir:    t.TempDir(),
-		Seed:       42,
-		KillMin:    250 * time.Millisecond,
-		KillMax:    500 * time.Millisecond,
-		Phase2Ops:  2000,
+		FleetConfig: FleetConfig{ServedBin: served, LoadgenBin: loadgen, WorkDir: t.TempDir(), Seed: 42},
+		KillMin:     250 * time.Millisecond,
+		KillMax:     500 * time.Millisecond,
+		Phase2Ops:   2000,
 	})
 	if res.Err != nil {
 		t.Fatalf("crash round trip failed: %v", res.Err)

@@ -31,12 +31,13 @@ type Fig3Config struct {
 	Trials   int
 	Seed     int64
 	MemWords int
-	// EventPPM is the HTM per-access transient-abort rate (×1e-6) used by
-	// the Figure 4 abort-rate runs; Figures 3's timing runs keep the quiet
-	// default. Real TSX transactions see interrupt/TLB noise that a
-	// single-machine simulation otherwise lacks. Default 2000.
-	EventPPM int
 }
+
+// fig4EventPPM is the HTM per-access transient-abort rate (×1e-6) of the
+// Figure 4 abort-rate runs; Figure 3's timing runs keep the quiet default.
+// Real TSX transactions see interrupt/TLB noise that a single-machine
+// simulation otherwise lacks.
+const fig4EventPPM = 2000
 
 func (c Fig3Config) withDefaults() Fig3Config {
 	if len(c.Sizes) == 0 {
@@ -57,9 +58,6 @@ func (c Fig3Config) withDefaults() Fig3Config {
 	}
 	if c.MemWords == 0 {
 		c.MemWords = 1 << 21
-	}
-	if c.EventPPM == 0 {
-		c.EventPPM = 2000
 	}
 	return c
 }
@@ -123,14 +121,14 @@ func Fig4(cfg Fig3Config) *Table {
 	}
 	frames := video.Generate(size.W, size.H, size.Frames, cfg.Seed)
 	t := &Table{
-		Title: fmt.Sprintf("Figure 4: x265 %s — HTM abort rates (event noise %d ppm)", size.Name, cfg.EventPPM),
+		Title: fmt.Sprintf("Figure 4: x265 %s — HTM abort rates (event noise %d ppm)", size.Name, fig4EventPPM),
 		Header: []string{"threads", "starts", "abort%", "conflict%", "capacity%", "event%",
 			"serial-fallback%"},
 	}
 	for _, threads := range cfg.Threads {
 		r := tle.New(tle.PolicyHTMCondVar, tle.Config{
 			MemWords: cfg.MemWords,
-			HTM:      htm.Config{EventAbortPerMillion: cfg.EventPPM},
+			HTM:      htm.Config{EventAbortPerMillion: fig4EventPPM},
 		})
 		before := r.Engine().Snapshot()
 		if _, err := x265sim.Encode(r, frames, x265sim.Config{Workers: threads, FrameThreads: 3}); err != nil {

@@ -40,66 +40,31 @@ import (
 
 // ReplConfig parameterises one replication round.
 type ReplConfig struct {
-	// ServedBin and LoadgenBin are prebuilt binaries (BuildCrashBinaries).
-	ServedBin  string
-	LoadgenBin string
-	// WorkDir holds follower WAL directories. The caller owns cleanup.
-	WorkDir string
-	// Seed drives the workload, the chaos proxies, and the kill point.
-	Seed int64
+	FleetConfig
 	// Followers is the replica count (default 2).
 	Followers int
-	// Conns/Depth/Keyspace shape the load. Keyspace must stay well under
-	// Capacity on every node: the dump comparison assumes no LRU eviction.
-	Conns, Depth, Keyspace int
-	// SetPct/DelPct keep the mix write-heavy so the stream carries weight.
-	SetPct, DelPct int
 	// Ops is the total loadgen budget against the primary.
 	Ops int
 	// ReplicaGetPct routes that share of loadgen's gets to follower
 	// replicas as synchronous stale reads, checked under StaleKVModel.
 	ReplicaGetPct int
-	// Shards and Capacity configure every node's store identically.
-	Shards, Capacity int
 	// Chaos interposes the faulty proxy on each replication link.
 	Chaos bool
 	// KillFollower SIGKILLs follower 0 mid-load and restarts it from its
 	// WAL; loadgen then only reads from the surviving followers.
 	KillFollower bool
-	// Log, when set, receives all child output (debugging).
-	Log io.Writer
 }
 
 func (c ReplConfig) withDefaults() ReplConfig {
+	c.FleetConfig = c.FleetConfig.withDefaults(64, 40)
 	if c.Followers == 0 {
 		c.Followers = 2
-	}
-	if c.Conns == 0 {
-		c.Conns = 8
-	}
-	if c.Depth == 0 {
-		c.Depth = 4
-	}
-	if c.Keyspace == 0 {
-		c.Keyspace = 64
-	}
-	if c.SetPct == 0 {
-		c.SetPct = 40
-	}
-	if c.DelPct == 0 {
-		c.DelPct = 10
 	}
 	if c.Ops == 0 {
 		c.Ops = 20000
 	}
 	if c.ReplicaGetPct == 0 {
 		c.ReplicaGetPct = 40
-	}
-	if c.Shards == 0 {
-		c.Shards = 8
-	}
-	if c.Capacity == 0 {
-		c.Capacity = 4096
 	}
 	return c
 }
@@ -221,24 +186,14 @@ func RunRepl(cfg ReplConfig) ReplResult {
 		}
 		readTargets = append(readTargets, f.addr)
 	}
-	lgArgs := []string{
-		"-addr", primary.addr,
-		"-conns", strconv.Itoa(cfg.Conns),
-		"-depth", strconv.Itoa(cfg.Depth),
-		"-ops", strconv.Itoa(cfg.Ops),
-		"-keyspace", strconv.Itoa(cfg.Keyspace),
-		"-seed", strconv.FormatInt(cfg.Seed, 10),
-		"-set", strconv.Itoa(cfg.SetPct),
-		"-del", strconv.Itoa(cfg.DelPct),
-		"-check",
-	}
+	var replicaArgs []string
 	if len(readTargets) > 0 {
-		lgArgs = append(lgArgs,
+		replicaArgs = []string{
 			"-replica", strings.Join(readTargets, ","),
-			"-replica-get-pct", strconv.Itoa(cfg.ReplicaGetPct))
+			"-replica-get-pct", strconv.Itoa(cfg.ReplicaGetPct)}
 	}
 	start := time.Now()
-	lg, err := startLoadgenArgs(cfg.LoadgenBin, cfg.Log, lgArgs)
+	lg, err := startLoadgen(cfg.FleetConfig, primary.addr, cfg.Ops, cfg.Seed, replicaArgs...)
 	if err != nil {
 		res.Err = fmt.Errorf("loadgen: %w", err)
 		return res

@@ -17,12 +17,9 @@ func TestReplConvergence(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	res := RunRepl(ReplConfig{
-		ServedBin:  served,
-		LoadgenBin: loadgen,
-		WorkDir:    t.TempDir(),
-		Seed:       7,
-		Ops:        8000,
-		Chaos:      true,
+		FleetConfig: FleetConfig{ServedBin: served, LoadgenBin: loadgen, WorkDir: t.TempDir(), Seed: 7},
+		Ops:         8000,
+		Chaos:       true,
 	})
 	if res.Err != nil {
 		t.Fatalf("replication round failed: %v", res.Err)
@@ -49,10 +46,7 @@ func TestReplKillFollower(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	res := RunRepl(ReplConfig{
-		ServedBin:    served,
-		LoadgenBin:   loadgen,
-		WorkDir:      t.TempDir(),
-		Seed:         11,
+		FleetConfig:  FleetConfig{ServedBin: served, LoadgenBin: loadgen, WorkDir: t.TempDir(), Seed: 11},
 		Ops:          12000,
 		KillFollower: true,
 	})

@@ -98,13 +98,6 @@ type Config struct {
 	// ReadCapacityLines bounds the read set; default 4096 lines
 	// (a 256 KB L2 tracking read sets, as on Haswell).
 	ReadCapacityLines int
-	// Associativity, when positive, additionally models the write buffer
-	// as a set-associative cache: writes are tracked per cache set
-	// (line index modulo WriteCapacityLines/Associativity sets) and a
-	// transaction aborts when a set overflows its ways — the reason real
-	// TSX transactions can capacity-abort far below the total L1 size
-	// when their write set aliases. 0 disables the set model (flat cap).
-	Associativity int
 	// EventAbortPerMillion is the per-access probability (×1e-6) of a
 	// transient abort (interrupt, TLB miss...). Default 5.
 	EventAbortPerMillion int
@@ -130,19 +123,6 @@ func (c *Config) withDefaults() Config {
 		out.EventAbortPerMillion = 5
 	}
 	return out
-}
-
-// numSets returns the number of cache sets under the associative model,
-// or 0 when the model is disabled.
-func (c Config) numSets() int {
-	if c.Associativity <= 0 {
-		return 0
-	}
-	sets := c.WriteCapacityLines / c.Associativity
-	if sets < 1 {
-		sets = 1
-	}
-	return sets
 }
 
 // lineRec is the shared conflict state of one 64-byte line: writer is id+1
@@ -273,9 +253,12 @@ type Tx struct {
 	// records, for release. Membership is read off the record (see
 	// trackWriteLine), not searched here.
 	writeLines []uint32
-	// setOccupancy counts distinct write lines per cache set under the
-	// associative model (nil when disabled).
-	setOccupancy []uint8
+	// Whole cache lines per descriptor (the allocator then line-aligns
+	// them): threads' descriptors are allocated back to back, and without
+	// the pad one thread's writeLines header, stored on every write claim,
+	// shares a line with the next thread's h and c — 30 % of two-thread
+	// htm-cv throughput on the Fig. 5 sets (TestTxIsWholeCacheLines).
+	_ [24]byte
 }
 
 // NewTx takes hardware context id (must be < MaxThreads and not in use) and
@@ -305,9 +288,6 @@ func (h *HTM) NewTx(id uint64) *Tx {
 			stamps: c.stamps,
 		}
 		t.setIndex(make([]idxCell, minIndexCells))
-		if sets := h.cfg.numSets(); sets > 0 {
-			t.setOccupancy = make([]uint8, sets)
-		}
 		c.tx = t
 	} else {
 		t.rng.Seed(seed)
@@ -336,7 +316,6 @@ func (t *Tx) Begin() {
 	// doomed us between the last attempt's cleanup and now.
 	t.c.state.Store(stateOf(t.gen, stActive))
 	t.writes = t.writes[:0]
-	clear(t.setOccupancy)
 	t.live = true
 }
 
@@ -581,13 +560,6 @@ func (t *Tx) addWriteLine(line uint32) {
 	t.checkDoom()
 	if len(t.writeLines) >= t.h.cfg.WriteCapacityLines {
 		t.abort(stats.Capacity)
-	}
-	if t.setOccupancy != nil {
-		set := line % uint32(len(t.setOccupancy))
-		if int(t.setOccupancy[set]) >= t.h.cfg.Associativity {
-			t.abort(stats.Capacity) // set conflict: ways exhausted
-		}
-		t.setOccupancy[set]++
 	}
 	// Record before claiming: if claimLine aborts mid-way, OnAbort's
 	// conditional release (CAS id+1 → 0) cleans up whatever was taken.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"gotle/internal/abortsig"
 	"gotle/internal/memseg"
@@ -410,5 +411,18 @@ func BenchmarkSmallTxAfterLargeTx(b *testing.B) {
 		tx.Begin()
 		tx.Store(base, tx.Load(base)+1)
 		tx.Commit()
+	}
+}
+
+// Two threads' descriptors must not share a cache line: every field of Tx is
+// owner-written, several on every access.
+func TestTxIsWholeCacheLines(t *testing.T) {
+	if sz := unsafe.Sizeof(Tx{}); sz%64 != 0 {
+		t.Fatalf("sizeof(Tx) = %d, not a multiple of 64: pad it (see the last field)", sz)
+	}
+	h, _ := newHTM(t, Config{})
+	a, b := uintptr(unsafe.Pointer(h.NewTx(1))), uintptr(unsafe.Pointer(h.NewTx(2)))
+	if a%64 != 0 || b%64 != 0 {
+		t.Fatalf("descriptors at %#x and %#x are not line-aligned", a, b)
 	}
 }

@@ -68,44 +68,6 @@ func TestInvalidateBlockSpansLines(t *testing.T) {
 	}
 }
 
-// Set-associative capacity: lines aliasing into one set abort at the way
-// limit even though the total write set is far below the flat cap.
-func TestAssociativeCapacityAbort(t *testing.T) {
-	h, base := newHTM(t, Config{WriteCapacityLines: 64, Associativity: 2}) // 32 sets
-	tx := h.NewTx(1)
-	cause, aborted := attempt(tx, func(tx *Tx) {
-		// Three lines 32 sets apart alias into the same set.
-		for i := 0; i < 3; i++ {
-			tx.Store(base+memseg.Addr(i*32*memseg.WordsPerLine), 1)
-		}
-	})
-	if !aborted || cause != stats.Capacity {
-		t.Fatalf("set-conflict: aborted=%v cause=%v", aborted, cause)
-	}
-	// Non-aliasing lines of the same count succeed.
-	tx2 := h.NewTx(2)
-	if _, ab := attempt(tx2, func(tx *Tx) {
-		for i := 0; i < 3; i++ {
-			tx.Store(base+memseg.Addr(i*memseg.WordsPerLine), 1)
-		}
-	}); ab {
-		t.Fatal("non-aliasing writes capacity-aborted")
-	}
-}
-
-func TestAssociativeModelResetBetweenAttempts(t *testing.T) {
-	h, base := newHTM(t, Config{WriteCapacityLines: 64, Associativity: 2})
-	tx := h.NewTx(1)
-	for round := 0; round < 5; round++ {
-		if _, ab := attempt(tx, func(tx *Tx) {
-			tx.Store(base, 1)
-			tx.Store(base+32*memseg.WordsPerLine, 1) // same set, 2 ways: fits
-		}); ab {
-			t.Fatalf("round %d: occupancy leaked across attempts", round)
-		}
-	}
-}
-
 // Write-write steal: the second writer dooms the first and takes the line
 // immediately (no waiting on the victim's goroutine).
 func TestWriterStealsFromActiveWriter(t *testing.T) {

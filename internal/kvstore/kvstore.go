@@ -28,8 +28,8 @@
 //     which is sound only while no word is reachable from two
 //     differently-policied critical sections. The hit/miss counters are
 //     the exception: folded into the transaction they were the only
-//     words a get wrote, so they are Go atomics outside the TM heap,
-//     striped by thread and bumped after the critical section returns;
+//     words a get wrote, so they are a stats.Striped outside the TM heap,
+//     bumped after the critical section returns;
 //   - eviction, deletion and replace privatize item memory, so the
 //     quiescence machinery (and the Listing-2 NoQuiesce discipline) is
 //     exercised by every miss-heavy workload;
@@ -47,11 +47,11 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
-	"sync/atomic"
 
 	"gotle/internal/condvar"
 	"gotle/internal/logrec"
 	"gotle/internal/memseg"
+	"gotle/internal/stats"
 	"gotle/internal/tle"
 	"gotle/internal/tm"
 	"gotle/internal/wal"
@@ -95,7 +95,7 @@ const (
 
 // Per-shard stats word indices (relative to sh.base+shStats): the counters
 // of transactions that write the shard anyway. Gets are counted in
-// shard.gets.
+// Store.gets.
 const (
 	stSets = iota
 	stDeletes
@@ -103,19 +103,13 @@ const (
 	stWords
 )
 
-// getCounters is one stripe of a shard's hit/miss counters. A thread bumps
-// the stripe its id selects, once per get, after the critical section has
-// returned; each word has a line to itself.
-type getCounters struct {
-	hits   atomic.Uint64
-	_      [56]byte
-	misses atomic.Uint64
-	_      [56]byte
-}
-
-// getStripes is the number of stripes per shard (a power of two). Thread
-// ids are small and dense, so up to getStripes threads never share one.
-const getStripes = 16
+// Store.gets holds two counters per shard, at 2*shard + one of these. A
+// thread bumps its own stripe, once per get, after the critical section has
+// returned.
+const (
+	getHits = iota
+	getMisses
+)
 
 // MaxKeyLen and MaxValLen bound entry sizes.
 const (
@@ -155,6 +149,7 @@ type Store struct {
 	r      *tle.Runtime
 	cfg    Config
 	shards []shard
+	gets   *stats.Striped // hit/miss counters, outside the TM heap
 	// stream, once a sink is attached, carries every committed mutation
 	// downstream in per-shard sequence order. Nil (the default) means no
 	// durability, no replication, and no sequence numbers drawn.
@@ -172,7 +167,6 @@ type shard struct {
 	base    memseg.Addr // shWords header: counters, eviction-list ends, sequences
 	buckets memseg.Addr // 1<<(64-shift) chain heads
 	shift   uint
-	gets    []getCounters // getStripes hit/miss stripes, outside the TM heap
 }
 
 // bucket returns the chain head for a key hash. The hash is multiplied
@@ -194,6 +188,7 @@ func New(r *tle.Runtime, cfg Config) *Store {
 		r:       r,
 		cfg:     cfg,
 		shards:  make([]shard, nsh),
+		gets:    stats.NewStriped(2 * nsh),
 		notFull: r.NewCond(),
 	}
 	for i := range s.shards {
@@ -202,7 +197,6 @@ func New(r *tle.Runtime, cfg Config) *Store {
 			base:    r.Engine().Alloc(shWords),
 			buckets: r.Engine().Alloc(nbk),
 			shift:   uint(64 - bits.TrailingZeros(uint(nbk))),
-			gets:    make([]getCounters, getStripes),
 		}
 	}
 	return s
@@ -260,7 +254,7 @@ func (s *Store) AttachTap(t logrec.Sink) {
 		// Attach-before-serving contract: no goroutine runs transactions
 		// against the store yet, so this raw store cannot race the
 		// transactional s.stream readers on the commit path.
-		//gotle:allow mixedaccess attach-before-serving; no concurrent transactions yet
+		//gotle:allow protdom attach-before-serving; no concurrent transactions yet
 		s.stream = logrec.NewStream(last)
 	}
 	s.stream.Attach(t)
@@ -537,7 +531,8 @@ func (s *Store) GetItemAppend(th *tm.Thread, key, dst []byte) ([]byte, Item, boo
 		return dst, Item{}, false, ErrBadKey
 	}
 	h := fnv1a(key)
-	sh := s.shardFor(h)
+	si := int(h % uint64(len(s.shards)))
+	sh := &s.shards[si]
 	bucket := sh.bucket(h)
 	base := len(dst)
 	var it Item
@@ -573,12 +568,11 @@ func (s *Store) GetItemAppend(th *tm.Thread, key, dst []byte) ([]byte, Item, boo
 	}
 	// Counted here, not in the body: the body re-executes on abort, and a
 	// counter in the TM heap would make every get a writer.
-	c := &sh.gets[th.ID()%getStripes]
 	if !found {
-		c.misses.Add(1)
+		s.gets.Add(th.ID(), 2*si+getMisses, 1)
 		return out[:base], Item{}, false, nil
 	}
-	c.hits.Add(1)
+	s.gets.Add(th.ID(), 2*si+getHits, 1)
 	it.Value = out[base:]
 	return out, it, true, nil
 }
@@ -1084,7 +1078,8 @@ func (s *Store) Stats(th *tm.Thread) (Stats, error) {
 // the mutation counters in one critical section, the get counters summed
 // over their stripes.
 func (s *Store) ShardStats(th *tm.Thread, shardIdx int) (Stats, error) {
-	sh := &s.shards[shardIdx%len(s.shards)]
+	shardIdx %= len(s.shards)
+	sh := &s.shards[shardIdx]
 	// Counters land in a write-only local array: accumulating into the
 	// result inside the body would double-count across retries.
 	var snap [stWords]uint64
@@ -1100,17 +1095,14 @@ func (s *Store) ShardStats(th *tm.Thread, shardIdx int) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	out := Stats{
+	hits := s.gets.Sum(2*shardIdx + getHits)
+	return Stats{
+		Gets:      hits + s.gets.Sum(2*shardIdx+getMisses),
+		Hits:      hits,
 		Sets:      snap[stSets],
 		Deletes:   snap[stDeletes],
 		Evictions: snap[stEvictions],
-	}
-	for i := range sh.gets {
-		hits := sh.gets[i].hits.Load()
-		out.Hits += hits
-		out.Gets += hits + sh.gets[i].misses.Load()
-	}
-	return out, nil
+	}, nil
 }
 
 // LRUKeys returns a shard's keys from the front of its eviction list to the

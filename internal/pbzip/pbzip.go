@@ -40,9 +40,6 @@ type Config struct {
 	Workers int
 	// BlockSize is the bytes per block (paper: 100 K, 300 K, 900 K).
 	BlockSize int
-	// QueueCap bounds the inter-stage queues; default 2×Workers, matching
-	// PBZip2's queue sizing.
-	QueueCap int
 	// WaitTimeout is the condition-variable timeout (x265-style timed
 	// waits; also used here for liveness). Default 2ms.
 	WaitTimeout time.Duration
@@ -60,9 +57,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BlockSize < 1024 {
 		c.BlockSize = 900 * 1000
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 2 * c.Workers
 	}
 	if c.WaitTimeout == 0 {
 		c.WaitTimeout = 2 * time.Millisecond

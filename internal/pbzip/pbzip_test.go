@@ -196,7 +196,12 @@ func TestLoggingInCriticalSections(t *testing.T) {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			input := SyntheticFile(80_000, 9)
-			r := newRuntime(p)
+			// A retry budget no conflict streak exhausts: the only way left
+			// to a serial run is an irrevocable action inside a section,
+			// which is what logging must not be. (Under the default budget,
+			// 2 for HTM, contention alone serialized 5-10 % of runs.)
+			r := tle.New(p, tle.Config{MemWords: 1 << 20, MaxRetries: 1 << 20,
+				HTM: htm.Config{EventAbortPerMillion: 2}})
 			l := tmlog.New(nil)
 			before := r.Engine().Snapshot()
 			c, err := Compress(r, input, Config{Workers: 3, BlockSize: 20_000, Log: l})

@@ -32,7 +32,7 @@ func run(r *tle.Runtime, cfg Config, blocks [][]byte,
 	p := &pipeline{
 		r:       r,
 		cfg:     cfg,
-		inQ:     tmds.NewRing(e, cfg.QueueCap),
+		inQ:     tmds.NewRing(e, 2*cfg.Workers), // PBZip2's queue sizing
 		inMu:    r.NewMutex("fifo"),
 		inNotE:  r.NewCond(),
 		inNotF:  r.NewCond(),

@@ -41,6 +41,7 @@ import (
 
 	"gotle/internal/adaptive"
 	"gotle/internal/kvstore"
+	"gotle/internal/stats"
 	"gotle/internal/tle"
 	"gotle/internal/tm"
 	"gotle/internal/wal"
@@ -106,7 +107,7 @@ type Server struct {
 
 	wg sync.WaitGroup // accept loop + 3 goroutines per connection
 
-	// Gauges and counters for the stats command.
+	// Gauges and decode-side counters for the stats command.
 	currConns  atomic.Int64
 	_          [48]byte // pad: keep the next hot word on its own cache line
 	totalConns atomic.Uint64
@@ -118,19 +119,22 @@ type Server struct {
 	queued     atomic.Int64
 	_          [56]byte // pad: keep the next hot word on its own cache line
 	protoErrs  atomic.Uint64
-	_          [56]byte // pad: keep the next hot word on its own cache line
-	cmdGet     atomic.Uint64
-	_          [56]byte // pad: keep the next hot word on its own cache line
-	cmdSet     atomic.Uint64
 
-	// Batch-fusion counters: fusedBatches counts multi-op transactions,
-	// fusedOps the mutations they carried (fusedOps/fusedBatches = mean
-	// fusion width).
-	_            [56]byte // pad: keep the next hot word on its own cache line
-	fusedBatches atomic.Uint64
-	_            [56]byte // pad: keep the next hot word on its own cache line
-	fusedOps     atomic.Uint64
+	// ops holds the counters both executors bump per op, each on the stripe
+	// of its own thread id.
+	ops *stats.Striped
 }
+
+// Indices into Server.ops. ctrFusedBatches counts multi-op transactions,
+// ctrFusedOps the mutations they carried (their ratio is the mean fusion
+// width).
+const (
+	ctrCmdGet = iota
+	ctrCmdSet
+	ctrFusedBatches
+	ctrFusedOps
+	numCtrs
+)
 
 // New builds a server over store. Call Listen then Serve (or Start).
 func New(r *tle.Runtime, store *kvstore.Store, cfg Config) *Server {
@@ -139,6 +143,7 @@ func New(r *tle.Runtime, store *kvstore.Store, cfg Config) *Server {
 		r:      r,
 		store:  store,
 		active: make(map[net.Conn]struct{}),
+		ops:    stats.NewStriped(numCtrs),
 	}
 }
 
@@ -555,10 +560,10 @@ func (s *Server) executeFused(th *tm.Thread, run []*op, bops []kvstore.BatchOp, 
 		}
 		return
 	}
-	s.cmdSet.Add(stores)
+	s.ops.Add(th.ID(), ctrCmdSet, stores)
 	if len(run) > 1 {
-		s.fusedBatches.Add(1)
-		s.fusedOps.Add(uint64(len(run)))
+		s.ops.Add(th.ID(), ctrFusedBatches, 1)
+		s.ops.Add(th.ID(), ctrFusedOps, uint64(len(run)))
 	}
 	var ack *batchAck
 	if len(sc.Tickets) > 0 {
@@ -720,7 +725,7 @@ func (s *Server) run(th *tm.Thread, o *op) []byte {
 	cmd := &o.cmd
 	switch cmd.Op {
 	case OpGet, OpGets:
-		s.cmdGet.Add(uint64(len(cmd.Keys)))
+		s.ops.Add(th.ID(), ctrCmdGet, uint64(len(cmd.Keys)))
 		out := o.respB[:0]
 		for _, k := range cmd.Keys {
 			var it kvstore.Item
@@ -752,7 +757,7 @@ func (s *Server) run(th *tm.Thread, o *op) []byte {
 		return out
 
 	case OpSet, OpAdd, OpReplace, OpCas:
-		s.cmdSet.Add(1)
+		s.ops.Add(th.ID(), ctrCmdSet, 1)
 		if len(o.data) > kvstore.MaxValLen {
 			return respTooBig
 		}
@@ -899,8 +904,8 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 	}
 	u := func(k string, v uint64) { stat(k, strconv.FormatUint(v, 10)) }
 
-	u("cmd_get", s.cmdGet.Load())
-	u("cmd_set", s.cmdSet.Load())
+	u("cmd_get", s.ops.Sum(ctrCmdGet))
+	u("cmd_set", s.ops.Sum(ctrCmdSet))
 	ks, err := s.store.Stats(th)
 	if err == nil {
 		u("get_hits", ks.Hits)
@@ -916,8 +921,8 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 	u("shed_ops", s.shedOps.Load())
 	u("shed_connections", s.shedConns.Load())
 	u("protocol_errors", s.protoErrs.Load())
-	u("fused_batches", s.fusedBatches.Load())
-	u("fused_ops", s.fusedOps.Load())
+	u("fused_batches", s.ops.Sum(ctrFusedBatches))
+	u("fused_ops", s.ops.Sum(ctrFusedOps))
 
 	es := s.r.Engine().Snapshot()
 	u("quiesces", es.Quiesces)

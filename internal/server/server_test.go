@@ -121,6 +121,14 @@ func TestServerBasicVerbs(t *testing.T) {
 			t.Fatalf("stats missing %q: %v", k, st)
 		}
 	}
+	// Exact, per key and per storage command sent above: 2 gets + a 3-key
+	// gets (greeting twice and fresh hit, absent twice missed); 2 sets,
+	// 2 adds, 1 replace, 3 cas.
+	for k, want := range map[string]string{"cmd_get": "5", "cmd_set": "8", "get_hits": "3", "get_misses": "2"} {
+		if st[k] != want {
+			t.Fatalf("stats %s = %s, want %s", k, st[k], want)
+		}
+	}
 }
 
 // Pipelined requests must come back in order and stay consistent even

@@ -3,16 +3,15 @@
 // The paper's evaluation leans on these numbers: Figure 4 plots HTM abort
 // rates, Section VII.A reports transaction counts, STM abort percentages and
 // HTM serial-fallback percentages for PBZip2, and Section VII.C interprets
-// quiescence as implicit congestion control. Counters are kept per thread in
-// cache-line-padded slots so that measurement does not itself create the
-// contention being measured; Snapshot merges them on demand.
+// quiescence as implicit congestion control. Every counter in the tree is a
+// Striped, so that measurement does not itself create the contention being
+// measured; Counters is the transaction-event set built on it.
 package stats
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -20,11 +19,10 @@ import (
 // AbortCause classifies why a transaction attempt failed.
 type AbortCause int
 
-// Abort causes. Conflict and Capacity mirror the hardware abort codes of
-// best-effort HTM; Explicit covers user retry (condition waits); Event models
-// interrupts and other transient aborts; Validation is STM timestamp
-// validation failure; Locked is an encounter-time lock conflict; Serial is an
-// abort forced by another transaction entering serial-irrevocable mode.
+// Abort causes. Conflict and Capacity mirror best-effort HTM's abort codes;
+// Explicit is user retry (condition waits); Event models interrupts and other
+// transient aborts; Validation is STM timestamp validation failure; Locked an
+// encounter-time lock conflict; Serial another transaction going irrevocable.
 const (
 	Conflict AbortCause = iota
 	Capacity
@@ -36,142 +34,166 @@ const (
 	numCauses
 )
 
-// NumCauses is the number of distinct abort causes.
+// NumCauses is the number of abort causes.
 const NumCauses = int(numCauses)
 
+var causeNames = [numCauses]string{"conflict", "capacity", "explicit", "event", "validation", "locked", "serial"}
+
 func (c AbortCause) String() string {
-	switch c {
-	case Conflict:
-		return "conflict"
-	case Capacity:
-		return "capacity"
-	case Explicit:
-		return "explicit"
-	case Event:
-		return "event"
-	case Validation:
-		return "validation"
-	case Locked:
-		return "locked"
-	case Serial:
-		return "serial"
-	default:
+	if c < 0 || c >= numCauses {
 		return fmt.Sprintf("cause(%d)", int(c))
+	}
+	return causeNames[c]
+}
+
+// Stripes is every Striped's stripe count: htm.MaxThreads, a hybrid engine's live-thread limit.
+const Stripes = 64
+
+const lineWords = 8 // counters per cache line
+
+type line [lineWords]atomic.Uint64
+
+// Striped is n counters kept Stripes times over, each stripe on cache lines
+// of its own: a writer adds to the stripe its thread id selects, a reader sums
+// them all. Adds are atomic, so sums are exact at any thread count; thread
+// ids are small, dense and recycled (tm.Engine.NewThread), so up to Stripes
+// live threads write no line another thread writes. It is the one counter
+// layout in the tree: the engine's and each observed mutex's Counters,
+// kvstore's hit/miss counters and the server's per-op counters.
+type Striped struct {
+	per   int    // lines per stripe
+	lines []line // Stripes*per of them, stripe-major; 64-byte elements, so line-aligned
+}
+
+// NewStriped returns n zeroed counters, a stripe rounded up to whole lines.
+func NewStriped(n int) *Striped {
+	per := (n + lineWords - 1) / lineWords
+	return &Striped{per: per, lines: make([]line, Stripes*per)}
+}
+
+// Add adds d to counter i of the stripe that stripe (a thread id) selects.
+func (s *Striped) Add(stripe uint64, i int, d uint64) {
+	s.lines[int(stripe%Stripes)*s.per+i/lineWords][i%lineWords].Add(d)
+}
+
+// Sum reads counter i over all stripes.
+func (s *Striped) Sum(i int) uint64 {
+	var n uint64
+	for st := 0; st < Stripes; st++ {
+		n += s.lines[st*s.per+i/lineWords][i%lineWords].Load()
+	}
+	return n
+}
+
+// Reset zeroes every counter (between benchmark trials).
+func (s *Striped) Reset() {
+	for l := range s.lines {
+		for w := range s.lines[l] {
+			s.lines[l][w].Store(0)
+		}
 	}
 }
 
-// counters is one thread's slot. The padding keeps two threads' slots on
-// different cache lines.
-//
-// Within a slot every word has the SAME single writer (the owning
-// thread), so intra-slot sharing is free; only inter-slot sharing would
-// ping-pong, and the trailing pad prevents that.
-//
-//gotle:allow falseshare single-writer slot; the trailing pad separates threads, which is the only sharing that matters
-type counters struct {
-	abandoned    atomic.Uint64 // attempts unwound by a non-abort panic (see AbandonedStart)
-	commits      atomic.Uint64
-	serialRuns   atomic.Uint64 // attempts executed under the serial lock
-	quiesces     atomic.Uint64
-	quiesceNanos atomic.Uint64
-	noQuiesce    atomic.Uint64 // commits that skipped quiescence via NoQuiesce
-	sharedGrace  atomic.Uint64 // quiesces satisfied by a concurrent scanner's grace period
-	scansAvoided atomic.Uint64 // shared-grace hits that skipped the slot scan entirely
-	readsDeduped atomic.Uint64 // duplicate read-set entries suppressed by dedup
-	//gotle:allow falseshare single-writer slot; the trailing pad separates threads, which is the only sharing that matters
-	aborts   [numCauses]atomic.Uint64
-	readOnly atomic.Uint64 // committed read-only transactions
-	_        [24]byte
+// event indexes a Counters' Striped; evAborts+cause is that cause's count.
+type event int
+
+const (
+	evAbandoned event = iota // attempts unwound by a non-abort panic (see AbandonedStart)
+	evCommits
+	evReadOnly   // committed read-only transactions
+	evSerialRuns // attempts executed under the serial lock
+	evQuiesces
+	evQuiesceNanos
+	evNoQuiesce    // commits that skipped quiescence via NoQuiesce
+	evSharedGrace  // quiesces satisfied by a concurrent scanner's grace period
+	evScansAvoided // shared-grace hits that skipped the slot scan entirely
+	evReadsDeduped // duplicate read-set entries suppressed by dedup
+	evAborts       // first of numCauses
+	numEvents      = evAborts + event(numCauses)
+)
+
+// Counters is one set of transaction counters: a TM engine has one for all it
+// runs, and every observed tle.Mutex (tle.Config.Observe) one for the sections
+// run under it. A thread records through the Stripe its id selects.
+type Counters struct {
+	s       *Striped
+	stripes [Stripes]Stripe
 }
 
-// Registry owns the per-thread counter slots for one TM engine instance.
-type Registry struct {
-	mu    sync.Mutex
-	slots []*counters
+// NewCounters returns a zeroed counter set.
+func NewCounters() *Counters {
+	c := &Counters{s: NewStriped(int(numEvents))}
+	for i := range c.stripes {
+		c.stripes[i] = Stripe{c.s.lines[i*c.s.per : (i+1)*c.s.per]}
+	}
+	return c
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
+// Stripe returns the handle thread id records through.
+func (c *Counters) Stripe(id uint64) *Stripe { return &c.stripes[id%Stripes] }
 
-// Thread is a handle to one thread's counter slot.
-type Thread struct {
-	c *counters
+// Stripe is a handle to one stripe of a Counters. A nil *Stripe records
+// nothing, so a caller with an optional second sink needs no test of its own;
+// neither does one whose count is usually zero.
+type Stripe struct{ lines []line } // the stripe's lines of the Counters' Striped
+
+func (t *Stripe) add(e event, d uint64) {
+	if t != nil && d != 0 {
+		t.lines[e/lineWords][e%lineWords].Add(d)
+	}
 }
 
-// Register allocates a counter slot for a new thread.
-func (r *Registry) Register() *Thread {
-	c := &counters{}
-	r.mu.Lock()
-	r.slots = append(r.slots, c)
-	r.mu.Unlock()
-	return &Thread{c: c}
-}
+// AbandonedStart records an attempt unwound by a non-abort panic, which
+// reaches neither Commit nor Abort. Every other attempt ends in exactly one
+// of those two, so the hot path counts no starts: Snapshot derives them.
+func (t *Stripe) AbandonedStart() { t.add(evAbandoned, 1) }
 
-// AbandonedStart records an attempt that terminated through a non-abort
-// panic, so it will never reach Commit or Abort. Every ordinary attempt ends
-// in exactly one of those two, which is why the hot path carries no separate
-// start counter: Snapshot derives Starts as commits + aborts + abandoned.
-func (t *Thread) AbandonedStart() { t.c.abandoned.Add(1) }
-
-// Commit records a successful commit; readOnly marks transactions that wrote
-// nothing (they skip quiescence under the writers-only policy).
-func (t *Thread) Commit(readOnly bool) {
-	t.c.commits.Add(1)
+// Commit records a commit; readOnly marks one that wrote nothing.
+func (t *Stripe) Commit(readOnly bool) {
+	t.add(evCommits, 1)
 	if readOnly {
-		t.c.readOnly.Add(1)
+		t.add(evReadOnly, 1)
 	}
 }
 
 // Abort records a failed attempt with its cause.
-func (t *Thread) Abort(cause AbortCause) {
+func (t *Stripe) Abort(cause AbortCause) {
 	if cause < 0 || cause >= numCauses {
 		cause = Conflict
 	}
-	t.c.aborts[cause].Add(1)
+	t.add(evAborts+event(cause), 1)
 }
 
 // SerialRun records an attempt executed under the serial-irrevocable lock.
-func (t *Thread) SerialRun() { t.c.serialRuns.Add(1) }
+func (t *Stripe) SerialRun() { t.add(evSerialRuns, 1) }
 
 // Quiesce records one post-commit quiescence wait and its duration.
-func (t *Thread) Quiesce(d time.Duration) {
-	t.c.quiesces.Add(1)
-	if d > 0 {
-		t.c.quiesceNanos.Add(uint64(d))
-	}
+func (t *Stripe) Quiesce(d time.Duration) {
+	t.add(evQuiesces, 1)
+	t.add(evQuiesceNanos, uint64(max(d, 0)))
 }
 
-// NoQuiesce records a commit that skipped quiescence because the transaction
-// called Tx.NoQuiesce (the paper's TM.NoQuiesce API).
-func (t *Thread) NoQuiesce() { t.c.noQuiesce.Add(1) }
+// NoQuiesce records a commit that skipped quiescence through Tx.NoQuiesce.
+func (t *Stripe) NoQuiesce() { t.add(evNoQuiesce, 1) }
 
-// SharedGrace records a quiescence satisfied by a concurrent quiescer's
-// grace period; scanAvoided marks the fast path that returned without
-// touching a single epoch slot.
-func (t *Thread) SharedGrace(scanAvoided bool) {
-	t.c.sharedGrace.Add(1)
+// SharedGrace records a quiescence satisfied by a concurrent quiescer's grace
+// period; scanAvoided marks the fast path that touched no epoch slot.
+func (t *Stripe) SharedGrace(scanAvoided bool) {
+	t.add(evSharedGrace, 1)
 	if scanAvoided {
-		t.c.scansAvoided.Add(1)
+		t.add(evScansAvoided, 1)
 	}
 }
 
-// SharedGraceBatch records n quiesce obligations retired together by a
-// single grace period (deferred reclamation): each counts as shared, and
-// as an avoided scan — the contributing commits never touched a slot.
-func (t *Thread) SharedGraceBatch(n uint64) {
-	if n > 0 {
-		t.c.sharedGrace.Add(n)
-		t.c.scansAvoided.Add(n)
-	}
+// SharedGraceBatch records n quiesce obligations retired by one grace period
+// (deferred reclamation): each is shared and, having touched no slot, avoided.
+func (t *Stripe) SharedGraceBatch(n uint64) {
+	t.add(evSharedGrace, n)
+	t.add(evScansAvoided, n)
 }
 
-// ReadsDeduped records n duplicate read-set entries suppressed by the STM's
-// read-set deduplication.
-func (t *Thread) ReadsDeduped(n uint64) {
-	if n > 0 {
-		t.c.readsDeduped.Add(n)
-	}
-}
+// ReadsDeduped records n duplicate read-set entries the STM suppressed.
+func (t *Stripe) ReadsDeduped(n uint64) { t.add(evReadsDeduped, n) }
 
 // Snapshot is a merged, immutable view of all counters.
 type Snapshot struct {
@@ -182,64 +204,38 @@ type Snapshot struct {
 	Quiesces    uint64
 	QuiesceTime time.Duration
 	NoQuiesce   uint64
-	// SharedGrace counts quiesces satisfied by a concurrent quiescer's
-	// grace period; ScansAvoided is the subset that skipped the epoch-slot
-	// scan entirely. ReadsDeduped counts duplicate read-set entries the
-	// STM suppressed.
+	// SharedGrace counts quiesces satisfied by a concurrent quiescer's grace
+	// period, ScansAvoided the subset that skipped the epoch-slot scan.
 	SharedGrace  uint64
 	ScansAvoided uint64
 	ReadsDeduped uint64
 	Aborts       [NumCauses]uint64
 }
 
-// Snapshot merges every thread's counters.
-func (r *Registry) Snapshot() Snapshot {
-	var s Snapshot
-	r.mu.Lock()
-	slots := r.slots
-	r.mu.Unlock()
-	for _, c := range slots {
-		// Starts is derived: every attempt ends in exactly one commit,
-		// abort, or abandonment, so the hot path never counts it directly.
-		s.Starts += c.abandoned.Load()
-		s.Commits += c.commits.Load()
-		s.ReadOnly += c.readOnly.Load()
-		s.SerialRuns += c.serialRuns.Load()
-		s.Quiesces += c.quiesces.Load()
-		s.QuiesceTime += time.Duration(c.quiesceNanos.Load())
-		s.NoQuiesce += c.noQuiesce.Load()
-		s.SharedGrace += c.sharedGrace.Load()
-		s.ScansAvoided += c.scansAvoided.Load()
-		s.ReadsDeduped += c.readsDeduped.Load()
-		for i := range s.Aborts {
-			s.Aborts[i] += c.aborts[i].Load()
-		}
+// Snapshot sums every stripe. Starts is derived: every attempt ends in
+// exactly one commit, abort or abandonment, so the hot path never counts it.
+func (c *Counters) Snapshot() Snapshot {
+	sum := func(e event) uint64 { return c.s.Sum(int(e)) }
+	s := Snapshot{
+		Commits:      sum(evCommits),
+		ReadOnly:     sum(evReadOnly),
+		SerialRuns:   sum(evSerialRuns),
+		Quiesces:     sum(evQuiesces),
+		QuiesceTime:  time.Duration(sum(evQuiesceNanos)),
+		NoQuiesce:    sum(evNoQuiesce),
+		SharedGrace:  sum(evSharedGrace),
+		ScansAvoided: sum(evScansAvoided),
+		ReadsDeduped: sum(evReadsDeduped),
 	}
-	s.Starts += s.Commits + s.TotalAborts()
+	for i := range s.Aborts {
+		s.Aborts[i] = sum(evAborts + event(i))
+	}
+	s.Starts = sum(evAbandoned) + s.Commits + s.TotalAborts()
 	return s
 }
 
-// Reset zeroes all counters (between benchmark trials).
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	slots := r.slots
-	r.mu.Unlock()
-	for _, c := range slots {
-		c.abandoned.Store(0)
-		c.commits.Store(0)
-		c.readOnly.Store(0)
-		c.serialRuns.Store(0)
-		c.quiesces.Store(0)
-		c.quiesceNanos.Store(0)
-		c.noQuiesce.Store(0)
-		c.sharedGrace.Store(0)
-		c.scansAvoided.Store(0)
-		c.readsDeduped.Store(0)
-		for i := range c.aborts {
-			c.aborts[i].Store(0)
-		}
-	}
-}
+// Reset zeroes all counters.
+func (c *Counters) Reset() { c.s.Reset() }
 
 // TotalAborts sums aborts over all causes.
 func (s Snapshot) TotalAborts() uint64 {
@@ -250,15 +246,13 @@ func (s Snapshot) TotalAborts() uint64 {
 	return n
 }
 
-// ConflictAborts counts aborts excluding Explicit (user condition-wait
-// retries), which the paper's abort rates do not include — a transaction
-// that finds its predicate false and retries is waiting, not failing.
+// ConflictAborts excludes Explicit (condition-wait retries), as the paper's
+// abort rates do: a transaction whose predicate is false is waiting, not failing.
 func (s Snapshot) ConflictAborts() uint64 {
 	return s.TotalAborts() - s.Aborts[Explicit]
 }
 
-// AbortRate is conflict-class aborts / starts, in [0,1]. Explicit retries
-// are excluded; see ConflictAborts. Zero when no transactions started.
+// AbortRate is ConflictAborts / starts, in [0,1]; zero when nothing started.
 func (s Snapshot) AbortRate() float64 {
 	if s.Starts == 0 {
 		return 0
@@ -266,8 +260,8 @@ func (s Snapshot) AbortRate() float64 {
 	return float64(s.ConflictAborts()) / float64(s.Starts)
 }
 
-// SerialRate is the fraction of committed transactions that ran serially
-// (the paper's "fell back to serial mode" percentage).
+// SerialRate is serial runs / commits, the paper's "fell back to serial mode"
+// percentage (adaptive.Sample.Serial is the other one, over starts).
 func (s Snapshot) SerialRate() float64 {
 	if s.Commits == 0 {
 		return 0
@@ -307,19 +301,15 @@ func (s Snapshot) String() string {
 	if s.ReadsDeduped > 0 {
 		fmt.Fprintf(&b, " readsDeduped=%d", s.ReadsDeduped)
 	}
-	type kv struct {
-		k string
-		v uint64
-	}
-	var causes []kv
+	var causes []AbortCause
 	for i, a := range s.Aborts {
 		if a > 0 {
-			causes = append(causes, kv{AbortCause(i).String(), a})
+			causes = append(causes, AbortCause(i))
 		}
 	}
-	sort.Slice(causes, func(i, j int) bool { return causes[i].v > causes[j].v })
+	sort.Slice(causes, func(i, j int) bool { return s.Aborts[causes[i]] > s.Aborts[causes[j]] })
 	for _, c := range causes {
-		fmt.Fprintf(&b, " %s=%d", c.k, c.v)
+		fmt.Fprintf(&b, " %s=%d", c, s.Aborts[c])
 	}
 	return b.String()
 }

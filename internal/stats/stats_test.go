@@ -8,9 +8,9 @@ import (
 )
 
 func TestSnapshotMergesThreads(t *testing.T) {
-	r := NewRegistry()
-	a := r.Register()
-	b := r.Register()
+	r := NewCounters()
+	a := r.Stripe(1)
+	b := r.Stripe(2)
 	a.Commit(false)
 	b.Abort(Conflict)
 	b.Commit(true)
@@ -24,8 +24,8 @@ func TestSnapshotMergesThreads(t *testing.T) {
 }
 
 func TestAbortRate(t *testing.T) {
-	r := NewRegistry()
-	th := r.Register()
+	r := NewCounters()
+	th := r.Stripe(1)
 	for i := 0; i < 6; i++ {
 		th.Commit(false)
 	}
@@ -38,8 +38,8 @@ func TestAbortRate(t *testing.T) {
 }
 
 func TestAbortRateExcludesExplicitRetries(t *testing.T) {
-	r := NewRegistry()
-	th := r.Register()
+	r := NewCounters()
+	th := r.Stripe(1)
 	for i := 0; i < 7; i++ {
 		th.Commit(false)
 	}
@@ -63,8 +63,8 @@ func TestAbortRateEmpty(t *testing.T) {
 }
 
 func TestSerialRate(t *testing.T) {
-	r := NewRegistry()
-	th := r.Register()
+	r := NewCounters()
+	th := r.Stripe(1)
 	for i := 0; i < 10; i++ {
 		th.Commit(false)
 	}
@@ -76,8 +76,8 @@ func TestSerialRate(t *testing.T) {
 }
 
 func TestQuiesceAccounting(t *testing.T) {
-	r := NewRegistry()
-	th := r.Register()
+	r := NewCounters()
+	th := r.Stripe(1)
 	th.Quiesce(3 * time.Millisecond)
 	th.Quiesce(0)
 	th.NoQuiesce()
@@ -88,8 +88,8 @@ func TestQuiesceAccounting(t *testing.T) {
 }
 
 func TestSharedGraceAndDedupAccounting(t *testing.T) {
-	r := NewRegistry()
-	th := r.Register()
+	r := NewCounters()
+	th := r.Stripe(1)
 	th.SharedGrace(true)
 	th.SharedGrace(false)
 	th.ReadsDeduped(5)
@@ -113,8 +113,8 @@ func TestSharedGraceAndDedupAccounting(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	r := NewRegistry()
-	th := r.Register()
+	r := NewCounters()
+	th := r.Stripe(1)
 	th.Abort(Locked)
 	r.Reset()
 	s := r.Snapshot()
@@ -124,8 +124,8 @@ func TestReset(t *testing.T) {
 }
 
 func TestSub(t *testing.T) {
-	r := NewRegistry()
-	th := r.Register()
+	r := NewCounters()
+	th := r.Stripe(1)
 	th.Commit(false)
 	before := r.Snapshot()
 	th.Abort(Validation)
@@ -147,8 +147,8 @@ func TestAbortCauseStrings(t *testing.T) {
 }
 
 func TestAbortOutOfRangeClamped(t *testing.T) {
-	r := NewRegistry()
-	th := r.Register()
+	r := NewCounters()
+	th := r.Stripe(1)
 	th.Abort(AbortCause(-5))
 	th.Abort(AbortCause(100))
 	if got := r.Snapshot().Aborts[Conflict]; got != 2 {
@@ -157,8 +157,8 @@ func TestAbortOutOfRangeClamped(t *testing.T) {
 }
 
 func TestStringMentionsTopCause(t *testing.T) {
-	r := NewRegistry()
-	th := r.Register()
+	r := NewCounters()
+	th := r.Stripe(1)
 	th.Abort(Capacity)
 	out := r.Snapshot().String()
 	if !strings.Contains(out, "capacity=1") {
@@ -167,11 +167,11 @@ func TestStringMentionsTopCause(t *testing.T) {
 }
 
 func TestConcurrentCounting(t *testing.T) {
-	r := NewRegistry()
+	r := NewCounters()
 	const threads, per = 8, 10000
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
-		th := r.Register()
+		th := r.Stripe(uint64(i + 1))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

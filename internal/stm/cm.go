@@ -46,8 +46,8 @@ func (c CM) String() string {
 // collision can only cause a bounded spurious wait, never an error.
 const prioSlots = 1024
 
-// defaultPoliteSpins bounds CMPolite's wait.
-const defaultPoliteSpins = 64
+// politeSpins bounds CMPolite's wait.
+const politeSpins = 64
 
 // announcePriority publishes the transaction's snapshot as its priority
 // (smaller = older = wins under CMTimestamp).
@@ -64,7 +64,7 @@ func (t *Tx) waitCM(orec *atomic.Uint64) bool {
 	switch t.s.cm {
 	case CMPolite:
 		var b spinwait.Backoff
-		for i := 0; i < t.s.politeSpins; i++ {
+		for i := 0; i < politeSpins; i++ {
 			if !tmclock.Locked(orec.Load()) {
 				return true
 			}

@@ -11,7 +11,7 @@ import (
 func newCMSTM(tb testing.TB, cm CM) (*STM, memseg.Addr) {
 	tb.Helper()
 	mem := memseg.New(1 << 16)
-	s := New(mem, Config{OrecSizeLog2: 12, CM: cm, PoliteSpins: 16})
+	s := New(mem, Config{OrecSizeLog2: 12, CM: cm})
 	base, ok := mem.Alloc(64)
 	if !ok {
 		tb.Fatal("alloc failed")

@@ -48,8 +48,6 @@ type Config struct {
 	StripeShift int
 	// CM selects the contention manager (default CMSuicide; see cm.go).
 	CM CM
-	// PoliteSpins bounds CMPolite's wait (default 64).
-	PoliteSpins int
 	// Injector, when non-nil, is consulted at the chaos fault points
 	// (forced validation aborts, delayed orec release, and the skip-undo
 	// sabotage point). Nil disables injection.
@@ -58,12 +56,11 @@ type Config struct {
 
 // STM is the shared state of one software TM instance.
 type STM struct {
-	mem         *memseg.Memory
-	clock       *tmclock.Clock
-	orecs       *tmclock.Table
-	cm          CM
-	politeSpins int
-	inj         *chaos.Injector
+	mem   *memseg.Memory
+	clock *tmclock.Clock
+	orecs *tmclock.Table
+	cm    CM
+	inj   *chaos.Injector
 	// prio slots are written only on the slow path (priority escalation
 	// after repeated aborts) and scanned read-only at commit.
 	//gotle:allow falseshare written only on the abort slow path; the common case is a read-only scan
@@ -75,16 +72,12 @@ func New(mem *memseg.Memory, cfg Config) *STM {
 	if cfg.OrecSizeLog2 == 0 {
 		cfg.OrecSizeLog2 = 20
 	}
-	if cfg.PoliteSpins == 0 {
-		cfg.PoliteSpins = defaultPoliteSpins
-	}
 	return &STM{
-		mem:         mem,
-		clock:       &tmclock.Clock{},
-		orecs:       tmclock.NewTable(cfg.OrecSizeLog2, cfg.StripeShift),
-		cm:          cfg.CM,
-		politeSpins: cfg.PoliteSpins,
-		inj:         cfg.Injector,
+		mem:   mem,
+		clock: &tmclock.Clock{},
+		orecs: tmclock.NewTable(cfg.OrecSizeLog2, cfg.StripeShift),
+		cm:    cfg.CM,
+		inj:   cfg.Injector,
 	}
 }
 

@@ -1,9 +1,11 @@
 package tle
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
+	"gotle/internal/memseg"
 	"gotle/internal/stats"
 	"gotle/internal/tm"
 )
@@ -105,9 +107,15 @@ func TestSetPolicySupport(t *testing.T) {
 }
 
 // The per-mutex observer separates traffic by lock: only the mutex that
-// executed sections accumulates counts.
+// executed sections accumulates counts — elided or lock-based.
 func TestObserverPerMutex(t *testing.T) {
-	r := New(PolicySTMCondVar, Config{MemWords: 1 << 14, Observe: true})
+	for _, p := range []Policy{PolicySTMCondVar, PolicyPthread} {
+		t.Run(p.String(), func(t *testing.T) { testObserverPerMutex(t, p) })
+	}
+}
+
+func testObserverPerMutex(t *testing.T, p Policy) {
+	r := New(p, Config{MemWords: 1 << 14, Observe: true})
 	a, b := r.NewMutex("a"), r.NewMutex("b")
 	th := r.NewThread()
 	w := r.Engine().Alloc(1)
@@ -119,14 +127,89 @@ func TestObserverPerMutex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := a.Observer().Snapshot().Commits; got != 10 {
-		t.Fatalf("a commits = %d", got)
+	if err := a.Do(th, func(tx tm.Tx) error { tx.Retry(); return nil }); err != tm.ErrRetry {
+		t.Fatal(err)
 	}
-	if got := b.Observer().Snapshot(); got.Starts() != 0 {
+	if got := a.Observer().Snapshot(); got.Commits != 10 || got.Aborts[stats.Explicit] != 1 || got.Starts != 11 {
+		t.Fatalf("a = %+v, want 10 commits and 1 explicit abort", got)
+	}
+	if got := b.Observer().Snapshot(); got.Starts != 0 {
 		t.Fatalf("b saw traffic: %+v", got)
 	}
-	var zero stats.ObserverSnapshot
-	if d := b.Observer().Snapshot().Sub(zero); d.Starts() != 0 {
+	var zero stats.Snapshot
+	if d := b.Observer().Snapshot().Sub(zero); d.Starts != 0 {
 		t.Fatalf("Sub: %+v", d)
+	}
+}
+
+// Two threads running disjoint sections under one observed htm-cv mutex:
+// the mutex's counters see every commit exactly once, and they are the
+// engine's (each thread adds to its own stripe of both).
+func TestObservedMutexCountsEveryCommit(t *testing.T) {
+	r := New(PolicyHTMCondVar, Config{MemWords: 1 << 14, Observe: true})
+	m := r.NewMutex("observed")
+	const threads, per = 2, 20000
+	before := r.Engine().Snapshot()
+	var wg sync.WaitGroup
+	for w := 0; w < threads; w++ {
+		th := r.NewThread()
+		cell := r.Engine().Alloc(memseg.WordsPerLine) // a line per thread: no conflicts
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if err := m.Do(th, func(tx tm.Tx) error {
+					tx.Store(cell, tx.Load(cell)+1)
+					return nil
+				}); err != nil {
+					t.Errorf("Do: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	got, eng := m.Observer().Snapshot(), r.Engine().Snapshot().Sub(before)
+	if got.Commits != threads*per {
+		t.Fatalf("observer commits = %d, want %d", got.Commits, threads*per)
+	}
+	if got != eng {
+		t.Fatalf("observer and engine disagree:\n observer %+v\n engine   %+v", got, eng)
+	}
+}
+
+// A section that allocates and then fails or retries gives the blocks back,
+// under the lock as under elision: 10 000 of them on a 4096-word heap.
+func TestCancelledSectionFreesItsAllocations(t *testing.T) {
+	errCancel := errors.New("cancel")
+	for _, p := range []Policy{PolicyPthread, PolicySTMCondVar, PolicyHTMCondVar} {
+		t.Run(p.String(), func(t *testing.T) {
+			r := New(p, Config{MemWords: 1 << 12})
+			m := r.NewMutex("leak")
+			th := r.NewThread()
+			start := r.Engine().Memory().LiveWords()
+			for i := 0; i < 10000; i++ {
+				n := 1 + i%6 // past directTx's four inline slots too
+				err := m.Do(th, func(tx tm.Tx) error {
+					for j := 0; j < n; j++ {
+						tx.Alloc(8)
+					}
+					if i%2 == 0 {
+						tx.Retry()
+					}
+					return errCancel
+				})
+				want := errCancel
+				if i%2 == 0 {
+					want = tm.ErrRetry
+				}
+				if err != want {
+					t.Fatalf("section %d: err = %v, want %v", i, err, want)
+				}
+			}
+			if live := r.Engine().Memory().LiveWords(); live != start {
+				t.Fatalf("LiveWords = %d after cancelled sections, want %d", live, start)
+			}
+		})
 	}
 }

@@ -96,9 +96,8 @@ type Config struct {
 	MaxRetries int
 	// HTM tunes the hardware simulation for PolicyHTMCondVar.
 	HTM htm.Config
-	// OrecSizeLog2 and StripeShift tune the STM orec table.
-	OrecSizeLog2 int
-	StripeShift  int
+	// StripeShift tunes the STM orec table (words per orec, log2).
+	StripeShift int
 	// Tracer, when non-nil, observes lock acquire/release events (the
 	// two-phase-locking checker in package lockcheck implements it).
 	Tracer Tracer
@@ -106,7 +105,7 @@ type Config struct {
 	// (package chaos) through the TM stack: seeded, deterministic forced
 	// aborts, stalls and serial entries at the engine's named fault points.
 	// Production configurations leave it nil (zero overhead beyond a
-	// pointer test per site); the chaos stress suite and cmd/chaosbench set
+	// pointer test per site); the chaos stress suite and `figures chaos` set
 	// it to shake out interleaving bugs.
 	FaultInjector *chaos.Injector
 	// Hybrid builds both the STM and the simulated HTM into the engine, so
@@ -116,10 +115,11 @@ type Config struct {
 	// policies its engine's single mechanism supports. Hybrid threads
 	// consume HTM contexts: at most htm.MaxThreads live threads.
 	Hybrid bool
-	// Observe attaches a per-mutex statistics observer to every NewMutex,
-	// feeding Mutex.Observer — the per-lock counters the adaptive policy
-	// controller samples. Off by default: per-operation atomic adds on a
-	// shared counter line are measurable on hot uncontended paths.
+	// Observe gives every NewMutex its own stats.Counters (Mutex.Observer) —
+	// the per-lock counters the adaptive policy controller samples. Each
+	// thread adds to its own stripe, so an observed section writes no line
+	// another thread writes; off by default because it is still two or
+	// three more atomic adds per section, and 12 KB per mutex.
 	Observe bool
 	// DeferredReclaim enables the engine's batched background reclamation
 	// of transactionally freed blocks (tm.Config.DeferredReclaim): freeing
@@ -156,7 +156,6 @@ func New(policy Policy, cfg Config) *Runtime {
 	ecfg := tm.Config{
 		MemWords:        cfg.MemWords,
 		MaxRetries:      cfg.MaxRetries,
-		OrecSizeLog2:    cfg.OrecSizeLog2,
 		StripeShift:     cfg.StripeShift,
 		HTM:             cfg.HTM,
 		Injector:        cfg.FaultInjector,
@@ -240,7 +239,7 @@ type Mutex struct {
 	mid    int
 	name   string
 	policy atomic.Int32
-	obs    *stats.Observer // nil unless Config.Observe
+	obs    *stats.Counters // nil unless Config.Observe
 	// retries, when positive, overrides the engine's retry budget for this
 	// mutex's critical sections — the per-transaction retry policy of
 	// Section VII.A ("for queues that are expected to be un-contended,
@@ -272,7 +271,7 @@ func (r *Runtime) NewMutex(name string) *Mutex {
 	m.resolveFn = m.resolve
 	m.policy.Store(int32(r.policy))
 	if r.observe {
-		m.obs = &stats.Observer{}
+		m.obs = stats.NewCounters()
 	}
 	r.mutexes.Store(mid, name)
 	if ln, ok := r.tracer.(LockNamer); ok {
@@ -291,9 +290,9 @@ func (m *Mutex) Name() string { return m.name }
 // the appropriate lock.
 func (m *Mutex) CurrentPolicy() Policy { return Policy(m.policy.Load()) }
 
-// Observer returns the mutex's per-lock statistics observer (nil unless
-// the runtime was built with Config.Observe).
-func (m *Mutex) Observer() *stats.Observer { return m.obs }
+// Observer returns the mutex's per-lock counters (nil unless the runtime
+// was built with Config.Observe).
+func (m *Mutex) Observer() *stats.Counters { return m.obs }
 
 // SetRetryBudget overrides the number of aborted attempts this mutex's
 // critical sections tolerate before serial fallback (0 restores the engine
@@ -494,6 +493,11 @@ func (f *Fuse) Do(th *tm.Thread, body func(tx tm.Tx) error) error {
 // acquires it to double-check the policy); doLocked releases it.
 func (m *Mutex) doLocked(th *tm.Thread, body func(tx tm.Tx) error) (err error) {
 	d := &directTx{e: m.r.engine}
+	d.allocs = d.allocBuf[:0]
+	var obs *stats.Stripe // nil records nothing
+	if m.obs != nil {
+		obs = m.obs.Stripe(th.ID())
+	}
 	retried := false
 	func() {
 		defer func() {
@@ -510,23 +514,19 @@ func (m *Mutex) doLocked(th *tm.Thread, body func(tx tm.Tx) error) (err error) {
 		err = body(d)
 	}()
 	if retried {
-		if m.obs != nil {
-			m.obs.Abort(stats.Explicit)
-		}
+		d.freeAllocs()
+		obs.Abort(stats.Explicit)
 		return tm.ErrRetry
 	}
 	if err != nil {
 		if d.wrote {
 			panic("tle: critical section failed after writes under pthread policy (no rollback available)")
 		}
-		if m.obs != nil {
-			m.obs.Abort(stats.Explicit)
-		}
+		d.freeAllocs()
+		obs.Abort(stats.Explicit)
 		return err
 	}
-	if m.obs != nil {
-		m.obs.Commit()
-	}
+	obs.Commit(!d.wrote)
 	for _, fn := range d.deferred {
 		fn()
 	}
@@ -560,6 +560,11 @@ type directTx struct {
 	wrote    bool
 	deferred []func()
 	rbuf     []uint64 // Tx.RangeBuf backing store
+	// allocs lists the section's allocations, which a Retry or an error
+	// return gives back as the elided paths do. It starts on allocBuf, so
+	// recording the first four allocates nothing.
+	allocs   []memseg.Addr
+	allocBuf [4]memseg.Addr
 }
 
 var _ tm.Tx = (*directTx)(nil)
@@ -589,7 +594,15 @@ func (d *directTx) Alloc(n int) memseg.Addr {
 	if !ok {
 		panic("tle: simulated heap exhausted")
 	}
+	d.allocs = append(d.allocs, a)
 	return a
+}
+
+// freeAllocs returns the section's allocations after a retry or cancel.
+func (d *directTx) freeAllocs() {
+	for _, a := range d.allocs {
+		d.e.Memory().Free(a)
+	}
 }
 func (d *directTx) Free(a memseg.Addr) {
 	d.deferred = append(d.deferred, func() { d.e.Memory().Free(a) })

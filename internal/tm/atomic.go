@@ -53,8 +53,9 @@ type CallOpts struct {
 	// under the read lock cannot change mid-attempt.
 	Resolve func() (mech Mech, honorNoQuiesce bool, ok bool)
 	// Obs, when non-nil, additionally receives this call's commit/abort/
-	// quiesce events (per-mutex statistics for the adaptive controller).
-	Obs *stats.Observer
+	// serial/quiesce events (per-mutex statistics for the adaptive
+	// controller), on the calling thread's own stripe.
+	Obs *stats.Counters
 }
 
 // ErrStale is returned by AtomicOpts when CallOpts.Resolve reported that
@@ -158,11 +159,7 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 	th.resetTxnState()
 	th.mech = mech
 	th.honorNoQ = honorNoQ
-	if o != nil {
-		th.obs = o.Obs
-	} else {
-		th.obs = nil
-	}
+	th.observe(o)
 	th.slot.Enter()
 
 	var tx Tx
@@ -216,10 +213,7 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 	}
 
 	if committed {
-		th.st.Commit(readOnly)
-		if th.obs != nil {
-			th.obs.Commit()
-		}
+		th.countCommit(readOnly)
 		e.postCommit(th, readOnly)
 		e.serial.runlock(th.slot)
 		return nil, true, 0, false
@@ -230,19 +224,34 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 	if err != nil {
 		// User cancel: not a conflict, no stats abort classification beyond
 		// explicit.
-		th.st.Abort(stats.Explicit)
-		if th.obs != nil {
-			th.obs.Abort(stats.Explicit)
-		}
+		th.countAbort(stats.Explicit)
 		e.serial.runlock(th.slot)
 		return err, false, stats.Explicit, false
 	}
-	th.st.Abort(cause)
-	if th.obs != nil {
-		th.obs.Abort(cause)
-	}
+	th.countAbort(cause)
 	e.serial.runlock(th.slot)
 	return nil, false, cause, false
+}
+
+// observe pins the call's per-mutex counters, if it has any, for one
+// top-level execution.
+func (th *Thread) observe(o *CallOpts) {
+	th.obs = nil
+	if o != nil && o.Obs != nil {
+		th.obs = o.Obs.Stripe(th.id)
+	}
+}
+
+// countCommit and countAbort record an attempt's end on the engine's counters
+// and the call's.
+func (th *Thread) countCommit(readOnly bool) {
+	th.st.Commit(readOnly)
+	th.obs.Commit(readOnly)
+}
+
+func (th *Thread) countAbort(cause stats.AbortCause) {
+	th.st.Abort(cause)
+	th.obs.Abort(cause)
 }
 
 func (th *Thread) beginTx() {
@@ -311,9 +320,7 @@ func (e *Engine) postCommit(th *Thread, readOnly bool) {
 	if mustQuiesce || wantQuiesce {
 		res := e.epochs.QuiesceWith(th.slot, &th.qs)
 		th.st.Quiesce(res.Wait)
-		if th.obs != nil {
-			th.obs.Quiesce(res.Wait)
-		}
+		th.obs.Quiesce(res.Wait)
 		if res.Shared {
 			th.st.SharedGrace(!res.Scanned)
 		}
@@ -343,22 +350,17 @@ func (e *Engine) runSerial(th *Thread, o *CallOpts, fn func(Tx) error) error {
 	defer e.serial.wunlock()
 
 	th.resetTxnState()
-	th.obs = nil
-	if o != nil {
+	if o != nil && o.Resolve != nil {
 		// A serial run is mechanism-agnostic (exclusive, direct access),
 		// but a stale configuration still abandons the call: the caller's
 		// policy may have stopped being transactional altogether.
-		if o.Resolve != nil {
-			if _, _, ok := o.Resolve(); !ok {
-				return ErrStale
-			}
+		if _, _, ok := o.Resolve(); !ok {
+			return ErrStale
 		}
-		th.obs = o.Obs
 	}
+	th.observe(o)
 	th.st.SerialRun()
-	if th.obs != nil {
-		th.obs.SerialRun()
-	}
+	th.obs.SerialRun()
 	tx := &serialTx{th: th}
 	th.cur = tx
 	th.depth = 1
@@ -381,10 +383,7 @@ func (e *Engine) runSerial(th *Thread, o *CallOpts, fn func(Tx) error) error {
 	}()
 	if retried {
 		th.freeAllocs()
-		th.st.Abort(stats.Explicit)
-		if th.obs != nil {
-			th.obs.Abort(stats.Explicit)
-		}
+		th.countAbort(stats.Explicit)
 		return ErrRetry
 	}
 	if err != nil {
@@ -393,16 +392,10 @@ func (e *Engine) runSerial(th *Thread, o *CallOpts, fn func(Tx) error) error {
 			panic("tm: cancel of an irrevocable transaction after writes")
 		}
 		th.freeAllocs()
-		th.st.Abort(stats.Explicit)
-		if th.obs != nil {
-			th.obs.Abort(stats.Explicit)
-		}
+		th.countAbort(stats.Explicit)
 		return err
 	}
-	th.st.Commit(!tx.wrote)
-	if th.obs != nil {
-		th.obs.Commit()
-	}
+	th.countCommit(!tx.wrote)
 	// No quiescence needed: the write lock excluded every transaction.
 	for _, a := range th.frees {
 		e.mem.Free(a)

@@ -48,7 +48,7 @@ const reclaimMaxPending = 4096
 
 type reclaimer struct {
 	e  *Engine
-	st *stats.Thread
+	st *stats.Stripe // stripe 0: thread ids start at 1
 
 	mu      sync.Mutex
 	blocks  []memseg.Addr
@@ -68,7 +68,7 @@ type reclaimer struct {
 func newReclaimer(e *Engine) *reclaimer {
 	r := &reclaimer{
 		e:      e,
-		st:     e.reg.Register(),
+		st:     e.ctr.Stripe(0),
 		wake:   make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
 		done:   make(chan struct{}),

@@ -14,7 +14,7 @@ import (
 type Thread struct {
 	e    *Engine
 	id   uint64
-	st   *stats.Thread
+	st   *stats.Stripe // the engine counters' stripe for id
 	slot *epoch.Slot
 	qs   epoch.Scratch // reusable quiesce snapshot buffer (allocation-free commits)
 	stx  *stm.Tx
@@ -41,7 +41,7 @@ type Thread struct {
 	// of one top-level execution (see CallOpts).
 	mech     Mech
 	honorNoQ bool
-	obs      *stats.Observer
+	obs      *stats.Stripe // CallOpts.Obs's stripe for id; nil (records nothing) when the call has none
 }
 
 // NewThread registers a new transactional thread with the engine. Under HTM
@@ -62,7 +62,7 @@ func (e *Engine) NewThread() *Thread {
 	th := &Thread{
 		e:    e,
 		id:   id,
-		st:   e.reg.Register(),
+		st:   e.ctr.Stripe(id),
 		slot: e.epochs.Register(),
 	}
 	if e.inj != nil {
@@ -86,7 +86,7 @@ func (e *Engine) NewThread() *Thread {
 // Release returns the thread's resources (epoch slot, thread id — under
 // HTM, a hardware context) to the engine. The thread must be outside any
 // atomic block and must not be used afterwards. Statistics recorded by the
-// thread remain in the engine's registry.
+// thread remain in the engine's counters.
 func (th *Thread) Release() {
 	if th.e == nil {
 		return // already released
@@ -255,9 +255,7 @@ func (w *serialTx) LoadRange(a memseg.Addr, dst []uint64) {
 }
 func (w *serialTx) StoreRange(a memseg.Addr, src []uint64) {
 	w.wrote = true
-	for i, v := range src {
-		w.th.e.mem.Store(a+memseg.Addr(i), v)
-	}
+	w.th.e.mem.StoreRange(a, src) // every other thread is parked: one bulk copy
 }
 func (w *serialTx) RangeBuf(n int) []uint64 { return w.th.rangeBuf(n) }
 func (w *serialTx) Alloc(n int) memseg.Addr { return w.th.txAlloc(n) }

@@ -140,9 +140,8 @@ type Config struct {
 	// under — 2 for HTM, 8 for STM — so a hybrid engine's calls get the
 	// budget of the policy they resolve to, not of Mode.
 	MaxRetries int
-	// OrecSizeLog2 and StripeShift configure the STM orec table.
-	OrecSizeLog2 int
-	StripeShift  int
+	// StripeShift configures the STM orec table (words per orec, log2).
+	StripeShift int
 	// CM selects the STM contention manager (stm.CMSuicide, stm.CMPolite,
 	// stm.CMTimestamp) — the programmer-specified conflict policy the
 	// paper's conclusion asks the TMTS to expose.
@@ -180,7 +179,7 @@ type Engine struct {
 	htm    *htm.HTM
 	epochs *epoch.Manager
 	serial serialLock
-	reg    *stats.Registry
+	ctr    *stats.Counters
 	inj    *chaos.Injector
 	nextID atomic.Uint64
 	races  raceState
@@ -208,7 +207,7 @@ func New(cfg Config) *Engine {
 		cfg:    cfg,
 		mem:    memseg.New(cfg.MemWords),
 		epochs: epoch.NewManager(),
-		reg:    stats.NewRegistry(),
+		ctr:    stats.NewCounters(),
 		inj:    cfg.Injector,
 	}
 	e.serial.epochs = e.epochs
@@ -217,10 +216,9 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.Hybrid || cfg.Mode == ModeSTM {
 		e.stm = stm.New(e.mem, stm.Config{
-			OrecSizeLog2: cfg.OrecSizeLog2,
-			StripeShift:  cfg.StripeShift,
-			CM:           cfg.CM,
-			Injector:     cfg.Injector,
+			StripeShift: cfg.StripeShift,
+			CM:          cfg.CM,
+			Injector:    cfg.Injector,
 		})
 	}
 	if cfg.Hybrid || cfg.Mode == ModeHTM {
@@ -288,11 +286,11 @@ func (e *Engine) Mode() Mode { return e.cfg.Mode }
 // input data, reading results after workers have quiesced).
 func (e *Engine) Memory() *memseg.Memory { return e.mem }
 
-// Stats returns the engine's statistics registry.
-func (e *Engine) Stats() *stats.Registry { return e.reg }
+// Stats returns the engine's counters.
+func (e *Engine) Stats() *stats.Counters { return e.ctr }
 
 // Snapshot is shorthand for Stats().Snapshot().
-func (e *Engine) Snapshot() stats.Snapshot { return e.reg.Snapshot() }
+func (e *Engine) Snapshot() stats.Snapshot { return e.ctr.Snapshot() }
 
 // Load performs a non-transactional read. Under HTM it is strongly
 // isolated: it participates in conflict detection like a real cache access.

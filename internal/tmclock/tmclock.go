@@ -48,30 +48,16 @@ func LockWord(id uint64) uint64 { return lockBit | id }
 // distinct addresses may share an orec (a false conflict), exactly as in the
 // real striped-lock STM.
 //
-// Layout audit: eight 8-byte orecs share a 64-byte cache line, so the flat
-// stripe→slot mapping puts the orecs of eight *adjacent* stripes — the
-// hottest neighbours in array- and struct-shaped workloads — on one line.
-// Under parallel writers that false-shares, and the interleaved mapping
-// (stripe s → slot rotl(s, orecsPerLineLog2), a bijection that provably
-// separates neighbours — see TestInterleaveSeparatesNeighbors) removes it.
-// But the same scatter destroys single-thread locality: a traversal that
-// touched one orec line per eight stripes now touches eight, which cost
-// ~25% on the read-heavy Fig. 5 structures when the reference host had one
-// scheduling core and the false-sharing win could not materialize. The host
-// now has two, and there it does: BenchmarkOrecNeighborTraffic at -cpu 2
-// reads 43 ns/op flat against 8 interleaved (16-18 both at -cpu 1). That is
-// two writers hammering adjacent stripes, the layout's worst case; whether
-// any workload row gains more from it than its traversals lose is not
-// measured, so the default stays the flat layout. The interleaved mapping
-// is deliberately NOT a Table mode: a layout flag would put a branch in
-// Index, which every transactional load and store pays (measured ~4% on
-// Fig. 5 tree) — instead InterleavedSlot exposes the permutation on its own
-// and BenchmarkOrecNeighborTraffic applies it at setup time, documenting the
-// trade on whatever host runs it. Padding each orec to a full line was
-// rejected outright: it multiplies the table's footprint eightfold for the
-// same separation.
+// Layout: eight 8-byte orecs share a 64-byte line, so the flat stripe→slot
+// mapping puts eight adjacent stripes' orecs on one line. Rotating the slot
+// index (stripe s → rotl(s, 3)) separates those neighbours but scatters a
+// traversal's orecs over eight lines: composed with Index it read
+// tm-sets/speedup_vs_lock 0.604, 0.608 against 0.626, 0.631 flat (2 of 2
+// alternating pairs, seeds 2, 3), so the layout is flat.
+// Padding each orec to a line costs eight times the footprint for the same
+// separation.
 type Table struct {
-	//gotle:allow falseshare the in-file layout audit above rejected per-orec padding by measurement (8x footprint for the same separation); stripeShift and InterleavedSlot are the mitigation
+	//gotle:allow falseshare the layout note above rejected per-orec padding (8x footprint) and interleaving (measured slower); stripeShift is the mitigation
 	recs []atomic.Uint64
 	mask uint32
 	// stripeShift groups 1<<stripeShift consecutive words per orec before
@@ -79,12 +65,8 @@ type Table struct {
 	stripeShift uint32
 }
 
-// orecsPerLineLog2: 8-byte orecs on 64-byte cache lines.
-const orecsPerLineLog2 = 3
-
 // NewTable returns an orec table with 1<<sizeLog2 entries and the given
-// stripe granularity (words per stripe = 1<<stripeShift), using the flat
-// layout (see the layout audit in the Table doc).
+// stripe granularity (words per stripe = 1<<stripeShift).
 func NewTable(sizeLog2, stripeShift int) *Table {
 	if sizeLog2 < 4 {
 		sizeLog2 = 4
@@ -100,23 +82,6 @@ func NewTable(sizeLog2, stripeShift int) *Table {
 		mask:        uint32(1<<sizeLog2 - 1),
 		stripeShift: uint32(stripeShift),
 	}
-}
-
-// InterleavedSlot is the cache-line-interleaving permutation from the layout
-// audit: it maps flat slot s of a 1<<sizeLog2-entry table to
-// rotl(s, orecsPerLineLog2), placing neighbouring stripes on different
-// cache lines. It is a bijection on [0, 1<<sizeLog2) and requires
-// sizeLog2 >= orecsPerLineLog2 (a table smaller than one cache line has no
-// neighbours to separate; the rotation degenerates and collides). NewTable
-// never builds such a table, so the precondition is enforced with a panic.
-// The audit's tests and BenchmarkOrecNeighborTraffic compose it with Index
-// at setup time; the hot lookup path stays branch-free (see the Table doc).
-func InterleavedSlot(s uint32, sizeLog2 int) uint32 {
-	if sizeLog2 < orecsPerLineLog2 {
-		panic("tmclock: InterleavedSlot requires sizeLog2 >= 3 (one cache line of orecs)")
-	}
-	mask := uint32(1<<sizeLog2 - 1)
-	return ((s << orecsPerLineLog2) | (s >> (uint(sizeLog2) - orecsPerLineLog2))) & mask
 }
 
 // Len reports the number of orecs.

@@ -66,8 +66,6 @@ func (m Mix) String() string {
 type Config struct {
 	// Keyspace is the number of distinct keys (default 1024).
 	Keyspace int
-	// KeyPrefix prepends every key (default "key:").
-	KeyPrefix string
 	// Skew is the Zipf s parameter; values > 1 skew key popularity,
 	// anything else selects uniform keys.
 	Skew float64
@@ -84,9 +82,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Keyspace < 1 {
 		c.Keyspace = 1024
-	}
-	if c.KeyPrefix == "" {
-		c.KeyPrefix = "key:"
 	}
 	if len(c.ValueSizes) == 0 {
 		c.ValueSizes = []int{64}
@@ -125,7 +120,7 @@ func (g *Gen) Key() string {
 	} else {
 		n = uint64(g.rng.Intn(g.cfg.Keyspace))
 	}
-	return fmt.Sprintf("%s%d", g.cfg.KeyPrefix, n)
+	return fmt.Sprintf("key:%d", n)
 }
 
 // Op draws the next operation kind from mix.

@@ -109,7 +109,7 @@ func Encode(r *tle.Runtime, frames []*video.Frame, cfg Config) (Result, error) {
 		outMu: r.NewMutex("outputQueue"),
 		laCv:  r.NewCond(), ctuCv: r.NewCond(), taskCv: r.NewCond(),
 		frameCv: r.NewCond(), outCv: r.NewCond(),
-		lookQ:       tmds.NewRing(e, cfg.LookaheadDepth),
+		lookQ:       tmds.NewRing(e, 2*cfg.FrameThreads),
 		taskQ:       tmds.NewRing(e, cfg.FrameThreads*rows+cfg.Workers+8),
 		outQ:        tmds.NewLinkedQueue(e),
 		laClosed:    e.Alloc(2),
@@ -187,7 +187,7 @@ func (en *encoder) scheduler() {
 		// laMu transaction below, and the frame thread reads outNodes[fIdx]
 		// only after drawing fIdx from lookQ — the transactional queue
 		// hand-off is the happens-before edge, not a shared lock.
-		//gotle:allow mixedaccess ordered by the lookQ hand-off transaction
+		//gotle:allow protdom ordered by the lookQ hand-off transaction
 		en.outNodes[f] = node
 		err = en.laMu.Await(th, en.laCv, en.cfg.WaitTimeout, func(tx tm.Tx) error {
 			if en.failed.Load() {

@@ -41,8 +41,10 @@ import (
 var ErrStalled = errors.New("x265sim: non-2PL critical section stalled under elision")
 
 // spinBudget bounds the in-section wait for the helper's response before
-// the critical section gives up.
-const spinBudget = 20_000
+// the critical section gives up. A spin is 100-200 ns and a helper that
+// missed the signal wakes on its 1 ms timeout, so the budget is worth tens of
+// milliseconds: at 20 000 (2-4 ms) Listing 4 stalled in 1-2 % of runs.
+const spinBudget = 400_000
 
 // demo wires the shared pieces of both listings.
 type demo struct {

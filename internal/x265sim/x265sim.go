@@ -45,15 +45,9 @@ type Config struct {
 	// CTUSize is the coding-tree-unit edge in pixels (default 16 — small
 	// CTUs keep per-frame wavefronts wide at simulation frame sizes).
 	CTUSize int
-	// SearchRange is the motion-search radius in pixels (default 4).
-	SearchRange int
-	// QP is the quantiser (default 12).
-	QP int
 	// WaitTimeout bounds condition waits (x265's soft real-time timed
 	// waits, Section VI.d). Default 2ms.
 	WaitTimeout time.Duration
-	// LookaheadDepth bounds the input queue (default 2×FrameThreads).
-	LookaheadDepth int
 	// Slices splits each frame into independently-decodable horizontal
 	// slices (x265's slice parallelism, Section III: "Each video frame is
 	// also divided into 'slides', which can be independently processed").
@@ -62,6 +56,13 @@ type Config struct {
 	// Default 1 (whole-frame wavefront).
 	Slices int
 }
+
+// The encoder's fixed parameters: the motion-search radius in pixels and the
+// quantiser. The input queue holds 2×FrameThreads frames.
+const (
+	searchRange = 4
+	quantiser   = 12
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
@@ -73,17 +74,8 @@ func (c Config) withDefaults() Config {
 	if c.CTUSize == 0 {
 		c.CTUSize = 16
 	}
-	if c.SearchRange == 0 {
-		c.SearchRange = 4
-	}
-	if c.QP == 0 {
-		c.QP = 12
-	}
 	if c.WaitTimeout == 0 {
 		c.WaitTimeout = 2 * time.Millisecond
-	}
-	if c.LookaheadDepth == 0 {
-		c.LookaheadDepth = 2 * c.FrameThreads
 	}
 	if c.Slices < 1 {
 		c.Slices = 1
@@ -115,7 +107,7 @@ func encodeCTU(cur, ref *video.Frame, cx, cy int, cfg Config) int64 {
 	size := cfg.CTUSize
 	var dx, dy int
 	if ref != nil {
-		dx, dy, _ = video.MotionSearch(cur, ref, cx, cy, size, cfg.SearchRange)
+		dx, dy, _ = video.MotionSearch(cur, ref, cx, cy, size, searchRange)
 	}
 	var res, coeffs [64]int32
 	for by := 0; by < size; by += 8 {
@@ -133,7 +125,7 @@ func encodeCTU(cur, ref *video.Frame, cx, cy int, cfg Config) int64 {
 				}
 			}
 			video.DCT8(&res, &coeffs)
-			nz, sum := video.Quantize(&coeffs, cfg.QP)
+			nz, sum := video.Quantize(&coeffs, quantiser)
 			cost += sum + int64(nz)
 		}
 	}
