@@ -114,17 +114,7 @@ func main() {
 			log.Fatal(err)
 		}
 		rth := r.NewThread()
-		recovered, err := wlog.Recover(func(_ int, rec wal.Record) error {
-			switch rec.Op {
-			case wal.OpSet:
-				return store.SetItem(rth, rec.Key, rec.Val, rec.Flags)
-			case wal.OpDelete:
-				_, err := store.Delete(rth, rec.Key)
-				return err
-			default:
-				return fmt.Errorf("wal: unknown op %v", rec.Op)
-			}
-		})
+		recovered, err := wlog.Recover(func(_ int, rec wal.Record) error { return store.Apply(rth, rec) })
 		rth.Release()
 		if err != nil {
 			log.Fatal(err)

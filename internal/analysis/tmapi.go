@@ -37,8 +37,8 @@ const (
 // or serially. Recognized entry points:
 //
 //	(*tm.Engine).Atomic(th, fn)            (*tle.Mutex).Do(th, body)
-//	(*tm.Engine).AtomicRetries(th, n, fn)  (*tle.Mutex).Coalesce(th, body)
-//	(*tm.Engine).Synchronized(th, fn)      (*tle.Mutex).Await(th, cv, d, body)
+//	(*tm.Engine).AtomicRetries(th, n, fn)  (*tle.Mutex).Await(th, cv, d, body)
+//	(*tm.Engine).Synchronized(th, fn)
 func (pkg *Package) AtomicEntry(call *ast.CallExpr) (body ast.Expr, kind EntryKind, ok bool) {
 	fn := pkg.FuncOf(call)
 	if fn == nil {
@@ -53,7 +53,7 @@ func (pkg *Package) AtomicEntry(call *ast.CallExpr) (body ast.Expr, kind EntryKi
 		arg = 2
 	case IsMethod(fn, PkgTM, "Engine", "Synchronized"):
 		arg, kind = 1, EntrySynchronized
-	case IsMethod(fn, PkgTLE, "Mutex", "Do"), IsMethod(fn, PkgTLE, "Mutex", "Coalesce"):
+	case IsMethod(fn, PkgTLE, "Mutex", "Do"):
 		arg = 1
 	case IsMethod(fn, PkgTLE, "Mutex", "Await"):
 		arg = 3

@@ -28,7 +28,7 @@ type LockID struct {
 	Site string
 }
 
-// LockOf resolves the receiver expression of a Mutex.Do/Coalesce/Await
+// LockOf resolves the receiver expression of a Mutex.Do/Await
 // call to a lock identity. f, when non-nil, supplies reaching-definition
 // facts for resolving local variables to their NewMutex creation site; it
 // may be nil when the enclosing function's flow has not been built.

@@ -79,7 +79,7 @@ func EntryFacts(e *analysis.Entry) *Summary {
 }
 
 // entryOuterLock resolves the lock an atomic entry holds for its whole
-// extent: the Mutex receiver for Do/Coalesce/Await, or the zero LockID
+// extent: the Mutex receiver for Do/Await, or the zero LockID
 // for bare Engine.Atomic entries.
 func entryOuterLock(e *analysis.Entry) LockID {
 	sel, ok := ast.Unparen(e.Call.Fun).(*ast.SelectorExpr)
@@ -91,16 +91,14 @@ func entryOuterLock(e *analysis.Entry) LockID {
 		return LockID{}
 	}
 	switch {
-	case analysis.IsMethod(fn, analysis.PkgTLE, "Mutex", "Do"),
-		analysis.IsMethod(fn, analysis.PkgTLE, "Mutex", "Coalesce"),
-		analysis.IsMethod(fn, analysis.PkgTLE, "Mutex", "Await"):
+	case isSectionCall(fn):
 		return LockOf(e.CallPkg, nil, sel.X)
 	}
 	return LockID{}
 }
 
 // sectionEvent is one ordered lock-relevant action within a block: a
-// direct Mutex.Do/Coalesce/Await call, or a call to a function whose
+// direct Mutex.Do/Await call, or a call to a function whose
 // summary enters sections.
 type sectionEvent struct {
 	pos     token.Pos
@@ -293,7 +291,6 @@ func sectionEventsOf(pkg *analysis.Package, f *Func, root ast.Node) []sectionEve
 
 func isSectionCall(fn *types.Func) bool {
 	return analysis.IsMethod(fn, analysis.PkgTLE, "Mutex", "Do") ||
-		analysis.IsMethod(fn, analysis.PkgTLE, "Mutex", "Coalesce") ||
 		analysis.IsMethod(fn, analysis.PkgTLE, "Mutex", "Await")
 }
 

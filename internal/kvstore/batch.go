@@ -8,20 +8,16 @@ import (
 	"gotle/internal/wal"
 )
 
-// Batch fusion: the serving path collects adjacent mutations from one
-// connection's pipeline and runs them as a SINGLE critical section via
-// tle.Runtime.DoAll — one transaction begin/commit, one quiescence, one
-// WAL ticket per touched shard, instead of one of each per op. The fusion
-// boundary is the protocol batch: ops that arrived together may fuse, ops
-// from different reads never do (see PORTING.md).
-//
-// Semantics inside a fused batch are sequential: op i observes the
-// effects of ops 0..i-1 on the same keys, exactly as if each had run in
-// its own critical section back to back with no interleaving — which is
-// the linearization the fused transaction commits atomically.
+// MutateBatch is the one way into a shard: the serving path hands it the
+// adjacent mutations of one connection's pipeline, the single-key mutators
+// (Set, Delete, Incr, ...) a batch of one. Where the touched shards can run
+// as one transaction (tle.Fuse) the batch is a SINGLE critical section — one
+// begin/commit, one quiescence — and otherwise one section per op; either
+// way one WAL ticket per touched shard. The fusion boundary is the protocol
+// batch: ops that arrived together may fuse, ops from different reads never
+// do (see PORTING.md).
 
-// BatchVerb selects one fused operation. The first four values mirror
-// storeMode so conversion is a cast.
+// BatchVerb selects one operation of a batch.
 type BatchVerb int
 
 const (
@@ -37,10 +33,9 @@ const (
 // IsStore reports whether v is a conditional-store verb (takes a value).
 func (v BatchVerb) IsStore() bool { return v <= BatchCAS }
 
-// BatchOp is one mutation in a fused batch. Key and Val must remain
-// stable until MutateBatch returns AND, when a WAL is attached, until the
-// tickets in BatchScratch.Tickets have been waited on or abandoned — the
-// redo records alias them.
+// BatchOp is one mutation in a batch. Key and Val must remain stable until
+// MutateBatch returns (the commit stream frames the redo records, which
+// alias them, before that).
 type BatchOp struct {
 	Verb  BatchVerb
 	Key   []byte
@@ -71,13 +66,13 @@ var (
 	errScratchMove = errors.New("kvstore: BatchScratch reused across stores")
 )
 
-// BatchScratch carries the reusable state of one connection's fused
-// batches. Each executor goroutine owns one; the zero value is ready. A
-// scratch must stay with one Store.
+// BatchScratch carries the reusable state of one connection's batches.
+// Each executor goroutine owns one; the zero value is ready. A scratch
+// must stay with one Store.
 type BatchScratch struct {
 	// Tickets holds one durability handle per touched shard for the most
-	// recent committed batch (empty when no WAL is attached or nothing
-	// mutated). Wait on every entry before acking the batch's ops.
+	// recent batch (empty when no WAL is attached or nothing mutated).
+	// Wait on every entry before acking the batch's ops.
 	Tickets []wal.Ticket
 
 	hash    []uint64 // per op
@@ -86,14 +81,17 @@ type BatchScratch struct {
 	touched []int    // distinct shard indices, ascending
 	ms      []*tle.Mutex
 	recs    [][]wal.Record // per touched shard, staged inside the tx
+	lastSeq []uint64       // per touched shard: highest sequence number published, 0 = none
 	store   *Store
 	fuse    *tle.Fuse
 	flushFn func() // one closure, reused across batches (tx.Defer target)
 
-	// The in-flight batch, parked here so bodyFn (bound once) can reach
+	// The section in flight, parked here so bodyFn (bound once) can reach
 	// it: fresh closures over ops/res would cost an allocation per batch.
+	// bodyFn applies curOps[lo:hi].
 	curOps []BatchOp
 	curRes []BatchResult
+	lo, hi int
 	bodyFn func(tx tm.Tx) error
 
 	// numB is the digit arena for fused incr/decr results: applyIncr
@@ -103,8 +101,7 @@ type BatchScratch struct {
 	numB []byte
 }
 
-// grow readies the per-op and per-shard slices for n ops over t touched
-// shards (t known only after routing; pass len(sc.touched)).
+// growOps readies the per-op slices for n ops.
 func (sc *BatchScratch) growOps(n int) {
 	if cap(sc.hash) < n {
 		sc.hash = make([]uint64, n)
@@ -116,16 +113,18 @@ func (sc *BatchScratch) growOps(n int) {
 	sc.pos = sc.pos[:n]
 }
 
-// MutateBatch runs ops as one fused critical section spanning every shard
-// the batch touches, filling res (len(res) must equal len(ops)) with
-// per-op outcomes. Rejected ops (bad key/value length) get res[i].Err and
-// are skipped; the rest run atomically. When a WAL is attached,
-// sc.Tickets receives one group-commit ticket per touched shard.
-//
-// MutateBatch returns tle.ErrUnfusable when the touched shards cannot
-// elide onto one TM mechanism (a lock-based policy, or the adaptive
-// controller mid-transition); the caller falls back to per-op execution.
-// Any other error is an engine failure.
+// MutateBatch applies ops in order, filling res (len(res) must equal
+// len(ops)) with per-op outcomes. Rejected ops (bad key/value length) get
+// res[i].Err and are skipped. The contract is sequential always, atomic
+// only when fused: op i observes the effects of ops 0..i-1, exactly as if
+// each had run in its own critical section back to back; when every touched
+// shard elides onto one TM mechanism right now, the batch runs as ONE
+// critical section spanning them and commits as a group; when they cannot
+// (a lock-based policy across shards, or the adaptive controller holding two
+// of them on different mechanisms), each op runs in its own section on its
+// own shard, and other threads' sections may interleave between them. When
+// a WAL is attached, sc.Tickets receives one group-commit ticket per
+// touched shard either way. A returned error is an engine failure.
 //
 //gotle:hotpath per-batch mutation entry; covered by the serve-smoke AllocsPerRun gate
 func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, sc *BatchScratch) error {
@@ -141,17 +140,16 @@ func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, sc 
 		sc.fuse = s.r.NewFuse()
 		//gotle:allow hotalloc bound once per scratch lifetime, reused by every batch
 		sc.bodyFn = func(tx tm.Tx) error { return s.batchBody(tx, sc) }
-		// One closure for the life of the scratch: tx.Defer on the hot
-		// path must not allocate a fresh func per batch.
+		// The one hand-off of committed records downstream, run post-commit:
+		// each touched shard's run goes to the commit stream in one call. One
+		// closure for the life of the scratch: tx.Defer on the hot path must
+		// not allocate a fresh func per batch.
 		//gotle:allow hotalloc bound once per scratch lifetime, reused by every batch
 		sc.flushFn = func() {
-			for j := range sc.recs {
-				if len(sc.recs[j]) == 0 {
-					continue
-				}
-				tk := s.publish(sc.touched[j], sc.recs[j])
-				if s.wal != nil {
-					sc.Tickets = append(sc.Tickets, tk)
+			for j, recs := range sc.recs {
+				if len(recs) > 0 {
+					s.stream.Publish(sc.touched[j], recs)
+					sc.lastSeq[j] = recs[len(recs)-1].Seq
 				}
 			}
 		}
@@ -160,7 +158,7 @@ func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, sc 
 	}
 
 	// Route: validate, hash, and collect the distinct shards in ascending
-	// index order — DoAll needs a stable mutex set, and a canonical order
+	// index order — the Fuse needs a stable mutex set, and a canonical order
 	// keeps attribution deterministic.
 	sc.growOps(len(ops))
 	sc.touched = sc.touched[:0]
@@ -218,32 +216,59 @@ func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, sc 
 	if cap(sc.ms) < len(sc.touched) {
 		sc.ms = make([]*tle.Mutex, len(sc.touched))
 		sc.recs = make([][]wal.Record, len(sc.touched))
+		sc.lastSeq = make([]uint64, len(sc.touched))
 	}
 	sc.ms = sc.ms[:len(sc.touched)]
 	sc.recs = sc.recs[:len(sc.touched)]
+	sc.lastSeq = sc.lastSeq[:len(sc.touched)]
 	for j, si := range sc.touched {
 		sc.ms[j] = s.shards[si].mu
+		sc.lastSeq[j] = 0
 	}
 
-	// The fused critical section. Every res[i] and sc.recs entry the body
-	// touches is write-only across attempts: reset at the top, assigned
-	// wholesale, never read — a retry cannot observe a prior attempt.
+	// The critical section: the whole batch fused over every touched shard.
+	// Every res[i] and sc.recs entry the body touches is write-only across
+	// attempts: reset at the top, assigned wholesale, never read — a retry
+	// cannot observe a prior attempt.
 	sc.curOps, sc.curRes = ops, res
-	sc.fuse.Ms = sc.ms
-	//gotle:allow capest worst-case over unknown-length loops; bounded by MaxKeyLen/MaxValLen in practice
-	return sc.fuse.Do(th, sc.bodyFn)
+	sc.lo, sc.hi, sc.fuse.Ms = 0, len(ops), sc.ms
+	err := sc.fuse.Do(th, sc.bodyFn)
+	if err == tle.ErrUnfusable {
+		// The shards cannot run as one transaction right now (the body has
+		// not run): the same ops in the same order through the same body,
+		// one single-shard section each, which every policy can run.
+		err = nil
+		for i := 0; i < len(ops) && err == nil; i++ {
+			if sc.shardOf[i] < 0 {
+				continue
+			}
+			sc.lo, sc.hi, sc.fuse.Ms = i, i+1, sc.ms[sc.pos[i]:sc.pos[i]+1]
+			err = sc.fuse.Do(th, sc.bodyFn)
+		}
+	}
+	if s.wal != nil {
+		// A shard's records become durable in sequence order, so the ticket
+		// for the highest one published covers the shard's whole share.
+		for j, seq := range sc.lastSeq {
+			if seq != 0 {
+				sc.Tickets = append(sc.Tickets, s.wal.TicketFor(sc.touched[j], seq))
+			}
+		}
+	}
+	return err
 }
 
-// batchBody is the fused transaction body over sc.curOps/sc.curRes.
+// batchBody is the transaction body over sc.curOps[sc.lo:sc.hi]: the one
+// place a shard is mutated.
 //
-//gotle:hotpath fused transaction body, entered via the scratch's bound closure
+//gotle:hotpath the mutating transaction body, entered via the scratch's bound closure
 func (s *Store) batchBody(tx tm.Tx, sc *BatchScratch) error {
 	ops, res := sc.curOps, sc.curRes
 	for j := range sc.recs {
 		sc.recs[j] = sc.recs[j][:0]
 	}
 	sc.numB = sc.numB[:0]
-	for i := range ops {
+	for i := sc.lo; i < sc.hi; i++ {
 		si := sc.shardOf[i]
 		if si < 0 {
 			continue
@@ -252,7 +277,7 @@ func (s *Store) batchBody(tx tm.Tx, sc *BatchScratch) error {
 		sh := &s.shards[si]
 		switch op.Verb {
 		case BatchSet, BatchAdd, BatchReplace, BatchCAS:
-			st, _, _ := s.applyStore(tx, sh, sc.hash[i], op.Key, op.Val, op.Flags, storeMode(op.Verb), op.Cas)
+			st := s.applyStore(tx, sh, sc.hash[i], op.Key, op.Val, op.Flags, op.Verb, op.Cas)
 			res[i] = BatchResult{Store: st}
 			if st == Stored {
 				s.stageWAL(tx, sh, sc, sc.pos[i], wal.OpSet, op.Flags, op.Key, op.Val)
@@ -265,7 +290,7 @@ func (s *Store) batchBody(tx tm.Tx, sc *BatchScratch) error {
 			}
 		case BatchIncr, BatchDecr:
 			base := len(sc.numB)
-			nv, full, fl, st, _ := s.applyIncr(tx, sh, sc.hash[i], op.Key, op.Delta, op.Verb == BatchDecr, sc.numB)
+			nv, full, fl, st := s.applyIncr(tx, sh, sc.hash[i], op.Key, op.Delta, op.Verb == BatchDecr, sc.numB)
 			var nb []byte
 			if full != nil {
 				// Re-adopt the arena: append inside applyIncr may have
@@ -298,11 +323,14 @@ func (s *Store) batchBody(tx tm.Tx, sc *BatchScratch) error {
 	return nil
 }
 
-// stageWAL draws the shard's next commit sequence inside tx and stages a
-// redo record in the scratch; the batch's flushFn publishes every touched
-// shard's run post-commit — one ticket per shard per batch. Key/val alias
-// the op's buffers: the commit stream frames them during the deferred
-// call, before the caller recycles the batch.
+// stageWAL is the commit-pipeline tap. It draws the shard's next commit
+// sequence number inside tx — so the number rolls back with the attempt and
+// the log order equals the shard's serialization order — and stages a redo
+// record in the scratch; flushFn publishes every touched shard's run
+// post-commit, the sanctioned channel for irrevocable effects, keeping the
+// fsync wait out of the transaction. Key/val alias the op's buffers: the
+// commit stream frames them during the deferred call, before MutateBatch
+// returns.
 func (s *Store) stageWAL(tx tm.Tx, sh *shard, sc *BatchScratch, pos int, op wal.Op, flags uint32, key, val []byte) {
 	if s.stream == nil {
 		return

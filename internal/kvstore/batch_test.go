@@ -7,36 +7,73 @@ import (
 	"sync"
 	"testing"
 
+	"gotle/internal/htm"
 	"gotle/internal/tle"
 	"gotle/internal/wal"
 )
 
-// TestMutateBatchSequentialSemantics pins the fused-batch contract: ops
-// in one batch behave exactly as if each had run in its own critical
+// batchConfigs are the configurations a batch must behave identically
+// under. Across shards the three elided policies run it as one fused
+// transaction; the other two cannot fuse and run one section per op: a
+// lock-based runtime, and a hybrid one that holds two of the touched shards
+// on different TM mechanisms.
+var batchConfigs = []string{"stm-spin", "stm-cv", "htm-cv", "pthread", "hybrid-mixed"}
+
+// newBatchStore builds a 4-shard store under one of batchConfigs and returns
+// nkeys keys on distinct shards.
+func newBatchStore(t *testing.T, config string, nkeys int) (*tle.Runtime, *Store, [][]byte) {
+	t.Helper()
+	var r *tle.Runtime
+	if config == "hybrid-mixed" {
+		r = tle.New(tle.PolicySTMCondVar, tle.Config{MemWords: 1 << 20, Hybrid: true, HTM: htm.Config{EventAbortPerMillion: -1}})
+	} else {
+		p, err := tle.ParsePolicy(config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r = newRT(p)
+	}
+	s := New(r, Config{Shards: 4})
+	keys := crossShardKeys(s, nkeys)
+	if config == "hybrid-mixed" {
+		if err := s.ShardMutex(s.ShardFor(keys[0])).SetPolicy(tle.PolicyHTMCondVar); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r, s, keys
+}
+
+// TestMutateBatchSequentialSemantics pins the batch contract, fused or not:
+// ops in one batch behave exactly as if each had run in its own critical
 // section, back to back — including duplicate keys, where op i observes
-// the effects of ops 0..i-1.
+// the effects of ops 0..i-1 — across shards, with res filled for every op.
 func TestMutateBatchSequentialSemantics(t *testing.T) {
-	for _, p := range []tle.Policy{tle.PolicySTMSpin, tle.PolicySTMCondVar, tle.PolicyHTMCondVar} {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			r := newRT(p)
-			s := New(r, Config{Shards: 4})
+	for _, config := range batchConfigs {
+		t.Run(config, func(t *testing.T) {
+			r, s, keys := newBatchStore(t, config, 3)
 			th := r.NewThread()
 			var sc BatchScratch
+			a, b, ctr := keys[0], keys[1], keys[2]
 
 			ops := []BatchOp{
-				{Verb: BatchSet, Key: []byte("a"), Val: []byte("1"), Flags: 7},
-				{Verb: BatchAdd, Key: []byte("a"), Val: []byte("x")},     // a exists: NOT_STORED
-				{Verb: BatchDelete, Key: []byte("a")},                    // removes the set above
-				{Verb: BatchAdd, Key: []byte("a"), Val: []byte("2")},     // now fresh: stores
-				{Verb: BatchReplace, Key: []byte("b"), Val: []byte("x")}, // b absent: NOT_STORED
-				{Verb: BatchSet, Key: []byte("ctr"), Val: []byte("41")},
-				{Verb: BatchIncr, Key: []byte("ctr"), Delta: 1},
-				{Verb: BatchDecr, Key: []byte("ctr"), Delta: 100}, // floors at 0
+				{Verb: BatchSet, Key: a, Val: []byte("1"), Flags: 7},
+				{Verb: BatchAdd, Key: a, Val: []byte("x")},     // a exists: NOT_STORED
+				{Verb: BatchDelete, Key: a},                    // removes the set above
+				{Verb: BatchAdd, Key: a, Val: []byte("2")},     // now fresh: stores
+				{Verb: BatchReplace, Key: b, Val: []byte("x")}, // b absent: NOT_STORED
+				{Verb: BatchSet, Key: ctr, Val: []byte("41")},
+				{Verb: BatchIncr, Key: ctr, Delta: 1},
+				{Verb: BatchDecr, Key: ctr, Delta: 100}, // floors at 0
 			}
 			res := make([]BatchResult, len(ops))
 			if err := s.MutateBatch(th, ops, res, &sc); err != nil {
 				t.Fatal(err)
+			}
+			// The scratch still holds the last section's op range: the whole
+			// batch if it fused, the last op alone if it ran op by op.
+			perOp := config == "pthread" || config == "hybrid-mixed"
+			if got := sc.hi-sc.lo == 1; got != perOp {
+				t.Fatalf("last section covered ops[%d:%d]; ran op by op = %v, want %v", sc.lo, sc.hi, got, perOp)
 			}
 			want := []BatchResult{
 				{Store: Stored},
@@ -53,10 +90,10 @@ func TestMutateBatchSequentialSemantics(t *testing.T) {
 					t.Errorf("op %d: got %+v want %+v", i, res[i], want[i])
 				}
 			}
-			if v, ok, _ := s.Get(th, []byte("a")); !ok || string(v) != "2" {
+			if v, ok, _ := s.Get(th, a); !ok || string(v) != "2" {
 				t.Fatalf("a = %q, %v after batch", v, ok)
 			}
-			if v, ok, _ := s.Get(th, []byte("ctr")); !ok || string(v) != "0" {
+			if v, ok, _ := s.Get(th, ctr); !ok || string(v) != "0" {
 				t.Fatalf("ctr = %q, %v after batch", v, ok)
 			}
 		})
@@ -144,32 +181,6 @@ func TestMutateBatchErrorIsolation(t *testing.T) {
 	}
 }
 
-// TestMutateBatchUnfusable pins the fallback contract: under a
-// lock-based policy the shards cannot fuse and MutateBatch reports
-// ErrUnfusable without touching the store.
-func TestMutateBatchUnfusable(t *testing.T) {
-	r := newRT(tle.PolicyPthread)
-	s := New(r, Config{Shards: 4})
-	th := r.NewThread()
-	var sc BatchScratch
-
-	// Two keys on different shards force the multi-mutex DoAll path.
-	keys := crossShardKeys(s, 2)
-	ops := []BatchOp{
-		{Verb: BatchSet, Key: keys[0], Val: []byte("a")},
-		{Verb: BatchSet, Key: keys[1], Val: []byte("b")},
-	}
-	res := make([]BatchResult, len(ops))
-	if err := s.MutateBatch(th, ops, res, &sc); err != tle.ErrUnfusable {
-		t.Fatalf("MutateBatch under pthread = %v, want ErrUnfusable", err)
-	}
-	for _, k := range keys {
-		if _, ok, _ := s.Get(th, k); ok {
-			t.Fatalf("key %q stored despite ErrUnfusable", k)
-		}
-	}
-}
-
 // crossShardKeys returns n keys that land on n distinct shards.
 func crossShardKeys(s *Store, n int) [][]byte {
 	keys := make([][]byte, 0, n)
@@ -184,83 +195,75 @@ func crossShardKeys(s *Store, n int) [][]byte {
 	return keys
 }
 
-// TestMutateBatchWALTickets pins the group-commit contract: one fused
-// batch produces one ticket per touched shard, the tickets become
-// durable, and recovery replays the fused mutations in commit order.
+// TestMutateBatchWALTickets pins the group-commit contract, fused or not:
+// one batch produces one ticket per touched shard, the tickets become
+// durable, and recovery replays the mutations in commit order.
 func TestMutateBatchWALTickets(t *testing.T) {
-	dir := t.TempDir()
-	build := func() (*tle.Runtime, *Store, *wal.Log) {
-		r := newRT(tle.PolicySTMCondVar)
-		s := New(r, Config{Shards: 4})
-		l, err := wal.Open(dir, s.ShardCount(), wal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rth := r.NewThread()
-		_, err = l.Recover(func(_ int, rec wal.Record) error {
-			switch rec.Op {
-			case wal.OpSet:
-				return s.SetItem(rth, rec.Key, rec.Val, rec.Flags)
-			case wal.OpDelete:
-				_, err := s.Delete(rth, rec.Key)
-				return err
+	for _, config := range batchConfigs {
+		t.Run(config, func(t *testing.T) {
+			dir := t.TempDir()
+			build := func() (*tle.Runtime, *Store, [][]byte, *wal.Log) {
+				r, s, keys := newBatchStore(t, config, 2)
+				l, err := wal.Open(dir, s.ShardCount(), wal.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rth := r.NewThread()
+				if _, err = l.Recover(func(_ int, rec wal.Record) error { return s.Apply(rth, rec) }); err != nil {
+					t.Fatal(err)
+				}
+				rth.Release()
+				if err := s.AttachWAL(l); err != nil {
+					t.Fatal(err)
+				}
+				return r, s, keys, l
 			}
-			return fmt.Errorf("unknown op %v", rec.Op)
+
+			r, s, keys, l := build()
+			th := r.NewThread()
+			var sc BatchScratch
+			ops := []BatchOp{
+				{Verb: BatchSet, Key: keys[0], Val: []byte("v0"), Flags: 3},
+				{Verb: BatchSet, Key: keys[1], Val: []byte("v1")},
+				{Verb: BatchSet, Key: keys[0], Val: []byte("v2"), Flags: 9},
+				{Verb: BatchDelete, Key: keys[1]},
+				{Verb: BatchAdd, Key: keys[1], Val: []byte("zz")}, // fresh after the delete: stores and logs
+			}
+			res := make([]BatchResult, len(ops))
+			if err := s.MutateBatch(th, ops, res, &sc); err != nil {
+				t.Fatal(err)
+			}
+			if len(sc.Tickets) != 2 {
+				t.Fatalf("tickets = %d, want one per touched shard (2)", len(sc.Tickets))
+			}
+			for i, tk := range sc.Tickets {
+				if err := tk.Wait(); err != nil {
+					t.Fatalf("ticket %d: %v", i, err)
+				}
+			}
+			st := l.Stats()
+			if st.Appends != 5 {
+				t.Fatalf("wal appends = %d, want 5 (one record per logged mutation)", st.Appends)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Crash-replay: a fresh store recovered from the log must match.
+			r2, s2, _, l2 := build()
+			defer l2.Close()
+			th2 := r2.NewThread()
+			if v, ok, _ := s2.Get(th2, keys[0]); !ok || string(v) != "v2" {
+				t.Fatalf("recovered %q = %q, %v; want v2", keys[0], v, ok)
+			}
+			it, ok, err := s2.GetItem(th2, keys[0])
+			if err != nil || !ok || it.Flags != 9 {
+				t.Fatalf("recovered flags = %+v, %v, %v", it, ok, err)
+			}
+			if v, ok, _ := s2.Get(th2, keys[1]); !ok || string(v) != "zz" {
+				t.Fatalf("recovered %q = %q, %v; want zz", keys[1], v, ok)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rth.Release()
-		if err := s.AttachWAL(l); err != nil {
-			t.Fatal(err)
-		}
-		return r, s, l
-	}
-
-	r, s, l := build()
-	th := r.NewThread()
-	var sc BatchScratch
-	keys := crossShardKeys(s, 2)
-	ops := []BatchOp{
-		{Verb: BatchSet, Key: keys[0], Val: []byte("v0"), Flags: 3},
-		{Verb: BatchSet, Key: keys[1], Val: []byte("v1")},
-		{Verb: BatchSet, Key: keys[0], Val: []byte("v2"), Flags: 9},
-		{Verb: BatchDelete, Key: keys[1]},
-		{Verb: BatchAdd, Key: keys[1], Val: []byte("zz")}, // fresh after the delete: stores and logs
-	}
-	res := make([]BatchResult, len(ops))
-	if err := s.MutateBatch(th, ops, res, &sc); err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.Tickets) != 2 {
-		t.Fatalf("tickets = %d, want one per touched shard (2)", len(sc.Tickets))
-	}
-	for i, tk := range sc.Tickets {
-		if err := tk.Wait(); err != nil {
-			t.Fatalf("ticket %d: %v", i, err)
-		}
-	}
-	st := l.Stats()
-	if st.Appends != 5 {
-		t.Fatalf("wal appends = %d, want 5 (one record per logged mutation)", st.Appends)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash-replay: a fresh store recovered from the log must match.
-	r2, s2, l2 := build()
-	defer l2.Close()
-	th2 := r2.NewThread()
-	if v, ok, _ := s2.Get(th2, keys[0]); !ok || string(v) != "v2" {
-		t.Fatalf("recovered %q = %q, %v; want v2", keys[0], v, ok)
-	}
-	it, ok, err := s2.GetItem(th2, keys[0])
-	if err != nil || !ok || it.Flags != 9 {
-		t.Fatalf("recovered flags = %+v, %v, %v", it, ok, err)
-	}
-	if v, ok, _ := s2.Get(th2, keys[1]); !ok || string(v) != "zz" {
-		t.Fatalf("recovered %q = %q, %v; want zz", keys[1], v, ok)
 	}
 }
 

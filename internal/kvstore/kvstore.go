@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
+	"sync"
 
 	"gotle/internal/condvar"
 	"gotle/internal/logrec"
@@ -160,6 +161,9 @@ type Store struct {
 	// notFull supports blocking Set when a shard is saturated with
 	// in-flight evictions (not used by default paths; exposed for apps).
 	notFull *condvar.Cond
+	// solos recycles the one-op batches behind Set, Delete, Incr and the
+	// other single-key mutators (*solo).
+	solos sync.Pool
 }
 
 type shard struct {
@@ -220,10 +224,25 @@ func (s *Store) ShardMutexes() []*tle.Mutex {
 	return ms
 }
 
+// Apply replays one logged mutation: WAL recovery and a follower's apply
+// loop are this call per record. A store's own replay runs with nothing
+// attached, so recovered records are not re-logged.
+func (s *Store) Apply(th *tm.Thread, rec logrec.Record) error {
+	switch rec.Op {
+	case logrec.OpSet:
+		return s.SetItem(th, rec.Key, rec.Val, rec.Flags)
+	case logrec.OpDelete:
+		// A miss on a follower would mean divergence; the converge harness
+		// catches that via the shard dumps, so just apply and move on.
+		_, err := s.Delete(th, rec.Key)
+		return err
+	}
+	return fmt.Errorf("kvstore: unknown log op %v", rec.Op)
+}
+
 // AttachWAL arms redo logging: every committed mutation from here on
 // reaches l as a wal.Record in the shard's serialization order. Call it
-// after any recovery replay (replay runs through the normal mutators with
-// nothing attached, so recovered records are not re-logged), before
+// after any recovery replay (Apply, with nothing attached), before
 // AttachTap and before serving traffic. The per-shard sequence words are
 // seeded from the log's recovered tail, so fresh records continue it.
 func (s *Store) AttachWAL(l *wal.Log) error {
@@ -264,32 +283,6 @@ func (s *Store) AttachTap(t logrec.Sink) {
 // when no sink is attached.
 func (s *Store) CommitStream() *logrec.Stream { return s.stream }
 
-// publish is the one hand-off of committed records downstream, run
-// post-commit: one transaction's records for shard go to the commit
-// stream, and the ticket for the last of them (which, durability being in
-// sequence order, covers them all) comes back.
-func (s *Store) publish(shard int, recs []wal.Record) wal.Ticket {
-	s.stream.Publish(shard, recs)
-	return s.wal.TicketFor(shard, recs[len(recs)-1].Seq)
-}
-
-// walPublish is the commit-pipeline tap. It draws the shard's next commit
-// sequence number inside tx — so the number rolls back with the attempt
-// and the log order equals the shard's serialization order — and defers
-// the actual publish to post-commit, the sanctioned channel for
-// irrevocable effects. The Ticket lands in *out only if the transaction
-// commits; callers wait on it AFTER the critical section, keeping the
-// fsync out of the transaction.
-func (s *Store) walPublish(tx tm.Tx, sh *shard, shardIdx int, op wal.Op, flags uint32, key, val []byte, out *wal.Ticket) {
-	if s.stream == nil {
-		return
-	}
-	seq := tx.Load(sh.base+shWalSeq) + 1
-	tx.Store(sh.base+shWalSeq, seq)
-	rec := wal.Record{Seq: seq, Op: op, Flags: flags, Key: key, Val: val}
-	tx.Defer(func() { *out = s.publish(shardIdx, []wal.Record{rec}) })
-}
-
 func ceilPow2(v int) int {
 	n := 1
 	for n < v {
@@ -312,10 +305,6 @@ func fnv1a(key []byte) uint64 {
 		h *= fnvPrime
 	}
 	return h
-}
-
-func (s *Store) shardFor(h uint64) *shard {
-	return &s.shards[h%uint64(len(s.shards))]
 }
 
 // ShardFor reports which shard serves key (server stats attribution).
@@ -607,138 +596,101 @@ func (st StoreStatus) String() string {
 	}
 }
 
-// storeMode selects the conditional-store verb.
-type storeMode int
+// solo is one recycled batch of one.
+type solo struct {
+	sc  BatchScratch
+	ops [1]BatchOp
+	res [1]BatchResult
+}
 
-const (
-	modeSet storeMode = iota
-	modeAdd
-	modeReplace
-	modeCAS
-)
+// one runs a single mutation the only way a shard is mutated: as a
+// MutateBatch, here of one op, on a scratch from s.solos. The ticket is the
+// zero, already-durable one when nothing was logged; on an error (a bad key
+// or value length included) the result reads as "nothing happened".
+func (s *Store) one(th *tm.Thread, op BatchOp) (BatchResult, wal.Ticket, error) {
+	so, _ := s.solos.Get().(*solo)
+	if so == nil {
+		so = new(solo)
+	}
+	so.ops[0] = op
+	err := s.MutateBatch(th, so.ops[:], so.res[:], &so.sc)
+	res := so.res[0]
+	var tk wal.Ticket
+	if len(so.sc.Tickets) > 0 {
+		tk = so.sc.Tickets[0]
+	}
+	s.solos.Put(so)
+	if err == nil {
+		err = res.Err
+	}
+	if err != nil {
+		res = BatchResult{Store: NotStored, Incr: IncrNotFound, Err: err}
+	}
+	return res, tk, err
+}
 
 // Set inserts or replaces key's value, evicting from the tail of the
 // shard's list (sparing referenced items, see makeRoom) to stay within the
 // shard capacity.
 func (s *Store) Set(th *tm.Thread, key, val []byte) error {
-	_, _, err := s.mutate(th, key, val, 0, modeSet, 0)
-	return err
+	return s.SetItem(th, key, val, 0)
 }
 
 // SetItem is Set with client flags.
 func (s *Store) SetItem(th *tm.Thread, key, val []byte, flags uint32) error {
-	_, _, err := s.mutate(th, key, val, flags, modeSet, 0)
+	_, err := s.SetItemD(th, key, val, flags)
 	return err
 }
 
 // SetItemD is SetItem returning a durability ticket: Wait on it before
 // acking the client. With no WAL attached the ticket is a no-op.
 func (s *Store) SetItemD(th *tm.Thread, key, val []byte, flags uint32) (wal.Ticket, error) {
-	_, tk, err := s.mutate(th, key, val, flags, modeSet, 0)
+	_, tk, err := s.one(th, BatchOp{Verb: BatchSet, Key: key, Val: val, Flags: flags})
 	return tk, err
 }
 
 // Add stores only if key is absent; reports whether it stored.
 func (s *Store) Add(th *tm.Thread, key, val []byte, flags uint32) (bool, error) {
-	st, _, err := s.mutate(th, key, val, flags, modeAdd, 0)
-	return st == Stored, err
-}
-
-// AddD is Add with a durability ticket.
-func (s *Store) AddD(th *tm.Thread, key, val []byte, flags uint32) (bool, wal.Ticket, error) {
-	st, tk, err := s.mutate(th, key, val, flags, modeAdd, 0)
-	return st == Stored, tk, err
+	res, _, err := s.one(th, BatchOp{Verb: BatchAdd, Key: key, Val: val, Flags: flags})
+	return res.Store == Stored, err
 }
 
 // Replace stores only if key is present; reports whether it stored.
 func (s *Store) Replace(th *tm.Thread, key, val []byte, flags uint32) (bool, error) {
-	st, _, err := s.mutate(th, key, val, flags, modeReplace, 0)
-	return st == Stored, err
-}
-
-// ReplaceD is Replace with a durability ticket.
-func (s *Store) ReplaceD(th *tm.Thread, key, val []byte, flags uint32) (bool, wal.Ticket, error) {
-	st, tk, err := s.mutate(th, key, val, flags, modeReplace, 0)
-	return st == Stored, tk, err
+	res, _, err := s.one(th, BatchOp{Verb: BatchReplace, Key: key, Val: val, Flags: flags})
+	return res.Store == Stored, err
 }
 
 // CompareAndSwap stores only if key is present and its CAS token equals
 // cas (from a previous GetItem).
 func (s *Store) CompareAndSwap(th *tm.Thread, key, val []byte, flags uint32, cas uint64) (StoreStatus, error) {
-	st, _, err := s.mutate(th, key, val, flags, modeCAS, cas)
-	return st, err
+	res, _, err := s.one(th, BatchOp{Verb: BatchCAS, Key: key, Val: val, Flags: flags, Cas: cas})
+	return res.Store, err
 }
 
-// CompareAndSwapD is CompareAndSwap with a durability ticket.
-func (s *Store) CompareAndSwapD(th *tm.Thread, key, val []byte, flags uint32, cas uint64) (StoreStatus, wal.Ticket, error) {
-	return s.mutate(th, key, val, flags, modeCAS, cas)
-}
-
-// mutate is the single conditional-store critical section behind Set, Add,
-// Replace and CompareAndSwap: find, check the verb's precondition, unlink
-// and free any old entry, evict down to capacity, insert the new one.
-func (s *Store) mutate(th *tm.Thread, key, val []byte, flags uint32, mode storeMode, wantCas uint64) (StoreStatus, wal.Ticket, error) {
-	if len(key) == 0 || len(key) > MaxKeyLen {
-		return NotStored, wal.Ticket{}, ErrBadKey
-	}
-	if len(val) > MaxValLen {
-		return NotStored, wal.Ticket{}, ErrBadVal
-	}
-	h := fnv1a(key)
-	sh := s.shardFor(h)
-	shardIdx := int(h % uint64(len(s.shards)))
-	status := Stored
-	var ticket wal.Ticket
-	// capest ranks this body worst in the module: the chain walk, the
-	// eviction sweep, and byte packing all iterate over unknown-length
-	// data, so the estimator assumes fresh lines per iteration. That is
-	// the right warning for huge values; at the MaxKeyLen/MaxValLen
-	// bounds the tests exercise, the true footprint fits HTM.
-	//gotle:allow capest worst-case over unknown-length loops; bounded by MaxKeyLen/MaxValLen in practice
-	err := sh.mu.Do(th, func(tx tm.Tx) error {
-		st, _, _ := s.applyStore(tx, sh, h, key, val, flags, mode, wantCas)
-		status = st
-		// Unconditional: the engine enforces (or defers, under
-		// DeferredReclaim) the allocator-safety wait for freeing attempts
-		// regardless of this call, and the store never touches privatized
-		// item memory non-transactionally after commit.
-		//gotle:allow noqpriv allocator safety is engine-enforced for freeing attempts; no post-commit non-transactional access to privatized items
-		tx.NoQuiesce()
-		if st == Stored {
-			s.walPublish(tx, sh, shardIdx, wal.OpSet, flags, key, val, &ticket)
-		}
-		return nil
-	})
-	if err != nil {
-		return NotStored, wal.Ticket{}, err
-	}
-	return status, ticket, nil
-}
-
-// applyStore is the conditional-store logic shared by mutate (one op per
-// critical section) and MutateBatch (a fused run of ops in one
-// transaction). It touches only sh's words. It returns the verb status,
-// whether any item memory was freed (the caller must then let the commit
-// quiesce), and the eviction count. WAL publication and the NoQuiesce
-// decision stay with the caller, which sees the whole transaction.
-func (s *Store) applyStore(tx tm.Tx, sh *shard, h uint64, key, val []byte, flags uint32, mode storeMode, wantCas uint64) (status StoreStatus, privatized bool, evicted uint64) {
+// applyStore is the conditional store behind Set, Add, Replace and
+// CompareAndSwap: find, check the verb's precondition, unlink and free any
+// old entry, evict down to capacity, insert the new one. It touches only
+// sh's words. WAL staging and the NoQuiesce decision stay with batchBody,
+// which sees the whole transaction.
+func (s *Store) applyStore(tx tm.Tx, sh *shard, h uint64, key, val []byte, flags uint32, verb BatchVerb, wantCas uint64) StoreStatus {
 	bucket := sh.bucket(h)
 	linkAt, old := s.findInChain(tx, sh, bucket, key)
-	switch mode {
-	case modeAdd:
+	switch verb {
+	case BatchAdd:
 		if old != memseg.Nil {
-			return NotStored, false, 0
+			return NotStored
 		}
-	case modeReplace:
+	case BatchReplace:
 		if old == memseg.Nil {
-			return NotStored, false, 0
+			return NotStored
 		}
-	case modeCAS:
+	case BatchCAS:
 		if old == memseg.Nil {
-			return CASNotFound, false, 0
+			return CASNotFound
 		}
 		if tx.Load(old+itCas) != wantCas {
-			return CASExists, false, 0
+			return CASExists
 		}
 	}
 	count := tx.Load(sh.base + shCount)
@@ -748,10 +700,8 @@ func (s *Store) applyStore(tx tm.Tx, sh *shard, h uint64, key, val []byte, flags
 		s.lruUnlink(tx, sh, old)
 		count--
 		tx.Free(old)
-		privatized = true
 	}
-	evicted = s.makeRoom(tx, sh, count)
-	privatized = privatized || evicted > 0
+	evicted := s.makeRoom(tx, sh, count)
 	tx.Store(sh.base+shCount, count-evicted+1)
 	item := tx.Alloc(wordsFor(len(key), len(val)))
 	tx.Store(item+itMeta, uint64(len(key))<<32|uint64(len(val)))
@@ -770,7 +720,7 @@ func (s *Store) applyStore(tx tm.Tx, sh *shard, h uint64, key, val []byte, flags
 	// Evictions are deliberately NOT logged: they are a cache-policy
 	// decision, not an acked client mutation, and replay re-applies
 	// the same capacity bound anyway.
-	return Stored, privatized, evicted
+	return Stored
 }
 
 // makeRoom evicts from the tail until a shard holding count items can take
@@ -820,74 +770,44 @@ const (
 // stored at key, all within one critical section — the read-parse-format-
 // write cycle is atomic, which is exactly the kind of compound operation
 // lock elision must keep indivisible. Decrement floors at zero, increment
-// wraps at 2^64, matching memcached.
+// wraps at 2^64, matching memcached. The redo record is a logical OpSet of
+// the post-arithmetic decimal bytes (flags preserved): replay must not
+// re-run the arithmetic, because the pre-state it read may itself be a
+// replayed value.
 func (s *Store) Incr(th *tm.Thread, key []byte, delta uint64, decr bool) (uint64, IncrStatus, error) {
-	v, st, _, err := s.IncrD(th, key, delta, decr)
-	return v, st, err
+	verb := BatchIncr
+	if decr {
+		verb = BatchDecr
+	}
+	res, _, err := s.one(th, BatchOp{Verb: verb, Key: key, Delta: delta})
+	return res.NewVal, res.Incr, err
 }
 
-// IncrD is Incr with a durability ticket. The redo record is a logical
-// OpSet of the post-arithmetic decimal bytes (flags preserved): replay
-// must not re-run the arithmetic, because the pre-state it read may
-// itself be a replayed value.
-func (s *Store) IncrD(th *tm.Thread, key []byte, delta uint64, decr bool) (uint64, IncrStatus, wal.Ticket, error) {
-	if len(key) == 0 || len(key) > MaxKeyLen {
-		return 0, IncrNotFound, wal.Ticket{}, ErrBadKey
-	}
-	h := fnv1a(key)
-	sh := s.shardFor(h)
-	shardIdx := int(h % uint64(len(s.shards)))
-	var newVal uint64
-	var ticket wal.Ticket
-	status := IncrStored
-	//gotle:allow capest worst-case over unknown-length loops; bounded by MaxKeyLen/MaxValLen in practice
-	err := sh.mu.Do(th, func(tx tm.Tx) error {
-		var numB [20]byte
-		nv, newBytes, flags, st, _ := s.applyIncr(tx, sh, h, key, delta, decr, numB[:0])
-		newVal, status = nv, st
-		// Unconditional; see the store path for why this is always safe.
-		//gotle:allow noqpriv allocator safety is engine-enforced for freeing attempts; no post-commit non-transactional access to privatized items
-		tx.NoQuiesce()
-		if st == IncrStored {
-			s.walPublish(tx, sh, shardIdx, wal.OpSet, flags, key, newBytes, &ticket)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, IncrNotFound, wal.Ticket{}, err
-	}
-	return newVal, status, ticket, nil
-}
-
-// applyIncr is the incr/decr logic shared by IncrD and MutateBatch. It
-// returns the new counter value, its decimal bytes (for the caller's redo
-// record — replay must not re-run the arithmetic), the item's flags, the
-// status, and whether the op freed item memory (digit-width change
-// reallocates).
+// applyIncr is the incr/decr logic. It returns the new counter value, its
+// decimal bytes (for the redo record), the item's flags and the status.
 //
 // The new value's digits are appended to dst; newBytes is the full
-// appended slice, so the digits are newBytes[len(dst):]. The batch path
-// hands in its scratch arena (and re-adopts the returned slice, since
-// append may have grown it) so a fused run of incrs stays
-// allocation-free; the solo path passes a small stack buffer. The current
-// value is read into a stack buffer too (a stored counter never exceeds
-// 20 digits), so the read side allocates nothing.
-func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint64, decr bool, dst []byte) (newVal uint64, newBytes []byte, flags uint32, status IncrStatus, privatized bool) {
+// appended slice, so the digits are newBytes[len(dst):]. batchBody hands
+// in its scratch arena (and re-adopts the returned slice, since append may
+// have grown it) so a run of incrs stays allocation-free. The current
+// value is read into a stack buffer (a stored counter never exceeds 20
+// digits), so the read side allocates nothing.
+func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint64, decr bool, dst []byte) (newVal uint64, newBytes []byte, flags uint32, status IncrStatus) {
 	bucket := sh.bucket(h)
 	linkAt, item := s.findInChain(tx, sh, bucket, key)
 	if item == memseg.Nil {
-		return 0, nil, 0, IncrNotFound, false
+		return 0, nil, 0, IncrNotFound
 	}
 	meta := tx.Load(item + itMeta)
 	keyWords := (int(meta>>32) + 7) / 8
 	valLen := int(meta & 0xFFFFFFFF)
 	if valLen > 20 {
-		return 0, nil, 0, IncrNaN, false // a decimal uint64 never exceeds 20 digits
+		return 0, nil, 0, IncrNaN // a decimal uint64 never exceeds 20 digits
 	}
 	var curB [20]byte
 	cur, ok := parseDecimal(unpackAppend(tx, item+itData+memseg.Addr(keyWords), valLen, curB[:0]))
 	if !ok {
-		return 0, nil, 0, IncrNaN, false
+		return 0, nil, 0, IncrNaN
 	}
 	var next uint64
 	if decr {
@@ -908,7 +828,7 @@ func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint6
 		// zero-padding never clobbers key bytes.
 		packBytes(tx, item+itData+memseg.Addr(keyWords), digits)
 		tx.Store(item+itCas, nextCas(tx, sh))
-		return next, full, uint32(fl), IncrStored, false
+		return next, full, uint32(fl), IncrStored
 	}
 	// Digit count changed: reallocate the item (same key, new value).
 	tx.Store(linkAt, tx.Load(item+itChain))
@@ -923,7 +843,7 @@ func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint6
 	tx.Store(fresh+itChain, tx.Load(bucket))
 	tx.Store(bucket, uint64(fresh))
 	s.lruPushFront(tx, sh, fresh)
-	return next, full, uint32(fl), IncrStored, true
+	return next, full, uint32(fl), IncrStored
 }
 
 // parseDecimal parses an unsigned decimal byte string strictly (no sign,
@@ -989,31 +909,12 @@ func (s *Store) Delete(th *tm.Thread, key []byte) (bool, error) {
 
 // DeleteD is Delete with a durability ticket.
 func (s *Store) DeleteD(th *tm.Thread, key []byte) (bool, wal.Ticket, error) {
-	if len(key) == 0 || len(key) > MaxKeyLen {
-		return false, wal.Ticket{}, ErrBadKey
-	}
-	h := fnv1a(key)
-	sh := s.shardFor(h)
-	shardIdx := int(h % uint64(len(s.shards)))
-	removed := false
-	var ticket wal.Ticket
-	err := sh.mu.Do(th, func(tx tm.Tx) error {
-		removed = s.applyDelete(tx, sh, h, key)
-		// Unconditional; see the store path for why this is always safe.
-		//gotle:allow noqpriv allocator safety is engine-enforced for freeing attempts; no post-commit non-transactional access to privatized items
-		tx.NoQuiesce()
-		if !removed {
-			return nil
-		}
-		s.walPublish(tx, sh, shardIdx, wal.OpDelete, 0, key, nil, &ticket)
-		return nil
-	})
-	return removed, ticket, err
+	res, tk, err := s.one(th, BatchOp{Verb: BatchDelete, Key: key})
+	return res.Removed, tk, err
 }
 
-// applyDelete is the delete logic shared by DeleteD and MutateBatch. It
-// reports whether an item was unlinked and freed (false = miss, nothing
-// privatized).
+// applyDelete reports whether an item was unlinked and freed (false = miss,
+// nothing privatized).
 func (s *Store) applyDelete(tx tm.Tx, sh *shard, h uint64, key []byte) bool {
 	bucket := sh.bucket(h)
 	linkAt, item := s.findInChain(tx, sh, bucket, key)

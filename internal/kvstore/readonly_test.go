@@ -42,7 +42,7 @@ func residentKeys(t testing.TB, s *Store, th *tm.Thread, n int) [][]byte {
 func rawFlags(t *testing.T, s *Store, th *tm.Thread, key []byte) uint64 {
 	t.Helper()
 	h := fnv1a(key)
-	sh := s.shardFor(h)
+	sh := &s.shards[h%uint64(len(s.shards))]
 	var word uint64
 	err := sh.mu.Do(th, func(tx tm.Tx) error {
 		_, item := s.findInChain(tx, sh, sh.bucket(h), key)

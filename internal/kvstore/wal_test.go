@@ -26,16 +26,7 @@ func openStoreWAL(t *testing.T, p tle.Policy, dir string, cfg Config) (*tle.Runt
 		t.Fatalf("wal.Open: %v", err)
 	}
 	th := r.NewThread()
-	recovered, err := l.Recover(func(shard int, rec wal.Record) error {
-		switch rec.Op {
-		case wal.OpSet:
-			return s.SetItem(th, rec.Key, rec.Val, rec.Flags)
-		case wal.OpDelete:
-			_, err := s.Delete(th, rec.Key)
-			return err
-		}
-		return fmt.Errorf("unknown op %v", rec.Op)
-	})
+	recovered, err := l.Recover(func(_ int, rec wal.Record) error { return s.Apply(th, rec) })
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -84,11 +75,10 @@ func TestWALRoundTripAcrossRestart(t *testing.T) {
 						last = tk
 						want[ctr] = "9"
 					}
-					nv, st, tk, err := s.IncrD(th, []byte(ctr), 1, false)
+					nv, st, err := s.Incr(th, []byte(ctr), 1, false)
 					if err != nil || st != IncrStored {
-						t.Fatalf("IncrD: %v %v", st, err)
+						t.Fatalf("Incr: %v %v", st, err)
 					}
-					last = tk
 					want[ctr] = fmt.Sprintf("%d", nv)
 				default:
 					val := fmt.Sprintf("v%d.%d", i, rng.Intn(1000))
@@ -209,17 +199,24 @@ func TestWALTicketZeroOnMiss(t *testing.T) {
 	} else if err := tk.Wait(); err != nil {
 		t.Fatalf("zero ticket wait: %v", err)
 	}
-	if stored, tk, err := s.ReplaceD(th, []byte("ghost"), []byte("v"), 0); err != nil || stored {
-		t.Fatalf("ReplaceD(ghost) = %v,%v", stored, err)
-	} else if err := tk.Wait(); err != nil {
-		t.Fatal(err)
+	var sc BatchScratch
+	one := func(op BatchOp) BatchResult {
+		t.Helper()
+		var res [1]BatchResult
+		if err := s.MutateBatch(th, []BatchOp{op}, res[:], &sc); err != nil || res[0].Err != nil {
+			t.Fatalf("%+v: %v, %v", op, err, res[0].Err)
+		}
+		return res[0]
+	}
+	if res := one(BatchOp{Verb: BatchReplace, Key: []byte("ghost"), Val: []byte("v")}); res.Store != NotStored || len(sc.Tickets) != 0 {
+		t.Fatalf("replace(ghost) = %v with %d tickets", res.Store, len(sc.Tickets))
 	}
 	if st := l.Stats(); st.Appends != 0 {
 		t.Fatalf("missed mutations appended %d records", st.Appends)
 	}
-	if stored, tk, err := s.AddD(th, []byte("k"), []byte("v"), 0); err != nil || !stored {
-		t.Fatalf("AddD = %v,%v", stored, err)
-	} else if err := tk.Wait(); err != nil {
+	if res := one(BatchOp{Verb: BatchAdd, Key: []byte("k"), Val: []byte("v")}); res.Store != Stored || len(sc.Tickets) != 1 {
+		t.Fatalf("add = %v with %d tickets", res.Store, len(sc.Tickets))
+	} else if err := sc.Tickets[0].Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if st := l.Stats(); st.Appends != 1 {

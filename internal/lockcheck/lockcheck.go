@@ -128,7 +128,7 @@ func (c *Checker) Acquire(tid uint64, mid int) {
 
 // callerSite walks up the stack past the checker and the TLE runtime to
 // the frame that entered the critical section — for traces produced via
-// tle.Config.Tracer, the caller of Mutex.Do/Coalesce/Await.
+// tle.Config.Tracer, the caller of Mutex.Do/Await.
 func callerSite() string {
 	var pcs [24]uintptr
 	n := runtime.Callers(2, pcs[:])

@@ -251,18 +251,7 @@ func (f *Follower) apply(th *tm.Thread, rec logrec.Record) error {
 	if rec.Seq != cur+1 {
 		return fmt.Errorf("repl: stream gap on shard %d: applied %d, got %d", sh, cur, rec.Seq)
 	}
-	var err error
-	switch rec.Op {
-	case logrec.OpSet:
-		err = f.store.SetItem(th, rec.Key, rec.Val, rec.Flags)
-	case logrec.OpDelete:
-		// A miss here would mean divergence; the converge harness catches
-		// it via the shard dumps, so just apply and move on.
-		_, err = f.store.Delete(th, rec.Key)
-	default:
-		err = fmt.Errorf("repl: unknown op %v", rec.Op)
-	}
-	if err != nil {
+	if err := f.store.Apply(th, rec); err != nil {
 		return fmt.Errorf("repl: apply shard %d seq %d: %w", sh, rec.Seq, err)
 	}
 	f.applied[sh].Store(rec.Seq)

@@ -15,8 +15,8 @@ import (
 // the gate is exact (0.0 allocs/op), not a budget.
 //
 // The gate covers the pieces the server owns end to end: field split +
-// parse (decoder), the solo get/set paths and the fused mutation path
-// (executor + kvstore + epoch), and response encoding. Socket I/O is
+// parse (decoder), the get path and the mutation path, as a run of one and
+// as a fused run (executor + kvstore + epoch), and response encoding. Socket I/O is
 // excluded — bufio and the kernel sit outside the op lifecycle.
 func TestZeroAllocHotPath(t *testing.T) {
 	t.Run("decode", func(t *testing.T) {
@@ -49,7 +49,7 @@ func TestZeroAllocHotPath(t *testing.T) {
 }
 
 // zeroAllocExecute gates the executing half of the hot path under one
-// policy: solo set, solo get, a fused batch, and a set that evicts.
+// policy: a set on its own, a get, a fused batch, and a set that evicts.
 func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 	r := tle.New(policy, tle.Config{
 		MemWords: 1 << 20,
@@ -66,7 +66,7 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 
 	t.Run("set", func(t *testing.T) {
 		// Through the executor's batch path, exactly as the serving
-		// pipeline runs a queued mutation (solo or fused).
+		// pipeline runs a queued mutation (a run of one here).
 		var (
 			bops    [maxFuse]kvstore.BatchOp
 			bres    [maxFuse]kvstore.BatchResult

@@ -7,8 +7,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"gotle/internal/kvstore"
 	"gotle/internal/server/client"
+	"gotle/internal/tle"
+	"gotle/internal/wal"
 )
 
 // dialRaw opens a raw protocol connection for tests that need exact
@@ -75,13 +79,12 @@ func TestFusedNoReplyRuns(t *testing.T) {
 }
 
 // TestFusedMixedPipelineOrder pins response ordering and per-op status
-// isolation through the fusion path: a pipelined burst mixing stores,
+// isolation through the mutation path: a pipelined burst mixing stores,
 // deletes, incrs, misses and interleaved gets must answer strictly in
-// order with each op's own status.
+// order with each op's own status — fused into one transaction (stm-cv),
+// and one lock at a time on the lock baseline with a WAL, where every acked
+// reply must also be in the recovered store.
 func TestFusedMixedPipelineOrder(t *testing.T) {
-	_, addr := startServer(t, Config{})
-	c, br := dialRaw(t, addr)
-
 	req := "set k1 0 0 1\r\na\r\n" +
 		"add k1 0 0 1\r\nb\r\n" + // exists: NOT_STORED
 		"set ctr 0 0 1\r\n5\r\n" +
@@ -91,20 +94,71 @@ func TestFusedMixedPipelineOrder(t *testing.T) {
 		"get ctr\r\n" +
 		"replace missing 0 0 1\r\nz\r\n" +
 		"decr ctr 100\r\n"
-	if _, err := c.Write([]byte(req)); err != nil {
-		t.Fatal(err)
-	}
 	want := []string{
 		"STORED", "NOT_STORED", "STORED", "15",
 		"DELETED", "NOT_FOUND",
 		"VALUE ctr 0 2", "15", "END",
 		"NOT_STORED", "0",
 	}
-	for i, w := range want {
-		if got := readReply(t, br); got != w {
-			t.Fatalf("reply %d = %q, want %q", i, got, w)
+	burst := func(t *testing.T, addr string) {
+		c, br := dialRaw(t, addr)
+		if _, err := c.Write([]byte(req)); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want {
+			if got := readReply(t, br); got != w {
+				t.Fatalf("reply %d = %q, want %q", i, got, w)
+			}
 		}
 	}
+	t.Run("stm-cv", func(t *testing.T) {
+		_, addr := startServer(t, Config{})
+		burst(t, addr)
+	})
+	t.Run("pthread-wal", func(t *testing.T) {
+		dir := t.TempDir()
+		open := func() (*tle.Runtime, *kvstore.Store, *wal.Log) {
+			r := tle.New(tle.PolicyPthread, tle.Config{MemWords: 1 << 20})
+			store := kvstore.New(r, kvstore.Config{Shards: 4})
+			l, err := wal.Open(dir, store.ShardCount(), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := r.NewThread()
+			defer th.Release()
+			if _, err := l.Recover(func(_ int, rec wal.Record) error { return store.Apply(th, rec) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.AttachWAL(l); err != nil {
+				t.Fatal(err)
+			}
+			return r, store, l
+		}
+		r, store, l := open()
+		srv := New(r, store, Config{WAL: l})
+		addr, err := srv.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		burst(t, addr.String())
+		srv.Shutdown(5 * time.Second)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		r2, store2, l2 := open()
+		defer l2.Close()
+		th := r2.NewThread()
+		defer th.Release()
+		if v, ok, err := store2.Get(th, []byte("ctr")); err != nil || !ok || string(v) != "0" {
+			t.Fatalf("recovered ctr = %q, %v, %v; want the acked 0", v, ok, err)
+		}
+		for _, k := range []string{"k1", "missing"} {
+			if _, ok, _ := store2.Get(th, []byte(k)); ok {
+				t.Fatalf("recovered store holds %q, which no acked reply left behind", k)
+			}
+		}
+	})
 }
 
 // TestFusionCountersAdvance drives enough pipelined mutation bursts at

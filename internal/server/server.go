@@ -120,8 +120,8 @@ type Server struct {
 	_          [56]byte // pad: keep the next hot word on its own cache line
 	protoErrs  atomic.Uint64
 
-	// ops holds the counters both executors bump per op, each on the stripe
-	// of its own thread id.
+	// ops holds the counters the connections' executors bump per op, each
+	// on the stripe of its own thread id.
 	ops *stats.Striped
 }
 
@@ -273,10 +273,9 @@ type op struct {
 	done chan struct{} // cap-1 signal, reused across recycles
 	quit bool
 
-	// Durability handles, waited by the writer strictly after the
-	// executor has moved on: tk for a solo mutation, batch for a fused
-	// run (shared by every op in the run).
-	tk    wal.Ticket
+	// batch is a mutation's durability handle, shared by every op of its
+	// run and waited by the writer strictly after the executor has moved
+	// on; nil for reads, and when nothing was logged.
 	batch *batchAck
 
 	// Op-owned storage, grown on demand and kept across recycling.
@@ -293,7 +292,7 @@ func (o *op) resolve(resp []byte) {
 	o.done <- struct{}{}
 }
 
-// batchAck is the shared durability handle of one fused batch: one WAL
+// batchAck is the shared durability handle of one run of mutations: one WAL
 // ticket per touched shard. The writer waits the tickets when it reaches
 // the batch's first op and recycles the handle when the last op passes.
 // Only the writer touches err/waited/pending (the done signal orders the
@@ -419,8 +418,6 @@ func (s *Server) handleConn(c net.Conn) {
 					default:
 					}
 				}
-			} else if err := o.tk.Wait(); err != nil && resp != nil {
-				resp = serverError(err)
 			}
 			if resp != nil && !broken {
 				//gotle:allow ackorder each batch's tickets are waited exactly once above; later ops in the batch reuse the memoized verdict (a.waited)
@@ -459,7 +456,6 @@ func recycle(o *op, free chan *op) {
 	o.data = nil
 	o.resp = nil
 	o.quit = false
-	o.tk = wal.Ticket{}
 	o.batch = nil
 	select {
 	case free <- o:
@@ -467,29 +463,27 @@ func recycle(o *op, free chan *op) {
 	}
 }
 
-// executeBatch runs a drained slice of queued ops in order, fusing each
-// maximal run of adjacent mutations into one MutateBatch transaction and
-// executing everything else (gets, stats, oversized values) solo. A run
-// of one still goes through the batch entry — it degenerates to that
-// shard's own critical section, but reuses the scratch's bound closures,
-// keeping solo mutations allocation-free too.
+// executeBatch runs a drained slice of queued ops in order: each maximal
+// run of adjacent mutations is one MutateBatch (a run of one included: it
+// degenerates to that shard's own critical section), everything else — gets,
+// stats, admin verbs — runs on its own.
 //
 //gotle:hotpath per-batch execution; the serve-smoke gate measures the solo-set shape
 func (s *Server) executeBatch(th *tm.Thread, ops []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult, sc *kvstore.BatchScratch, ackFree chan *batchAck) {
 	i := 0
 	for i < len(ops) {
-		if s.cfg.ReadOnly && mutating(ops[i]) {
+		if !mutating(ops[i]) {
+			ops[i].resolve(s.run(th, ops[i]))
+			i++
+			continue
+		}
+		if s.cfg.ReadOnly {
 			ops[i].resolve(respReadonly)
 			i++
 			continue
 		}
-		if !fusible(ops[i]) {
-			s.execute(th, ops[i])
-			i++
-			continue
-		}
 		j := i + 1
-		for j < len(ops) && fusible(ops[j]) {
+		for j < len(ops) && mutating(ops[j]) {
 			j++
 		}
 		s.executeFused(th, ops[i:j], bops, bres, sc, ackFree)
@@ -497,8 +491,11 @@ func (s *Server) executeBatch(th *tm.Thread, ops []*op, bops []kvstore.BatchOp, 
 	}
 }
 
-// mutating reports whether an op would change store state; on a ReadOnly
-// server (follower replica) these are refused before reaching a shard.
+// mutating reports whether an op would change store state. Adjacent
+// mutating ops form one MutateBatch run; on a ReadOnly server (follower
+// replica) they are refused before reaching a shard.
+//
+//gotle:hotpath per-op dispatch predicate
 func mutating(o *op) bool {
 	switch o.cmd.Op {
 	case OpSet, OpAdd, OpReplace, OpCas, OpDelete, OpIncr, OpDecr:
@@ -507,25 +504,9 @@ func mutating(o *op) bool {
 	return false
 }
 
-// fusible reports whether an op may join a fused mutation run. Oversized
-// values stay solo so the "object too large" reply comes from the
-// existing path without entering a transaction.
-//
-//gotle:hotpath per-op fusion predicate
-func fusible(o *op) bool {
-	switch o.cmd.Op {
-	case OpSet, OpAdd, OpReplace, OpCas:
-		return len(o.data) <= kvstore.MaxValLen
-	case OpDelete, OpIncr, OpDecr:
-		return true
-	}
-	return false
-}
-
-// executeFused runs one run of adjacent mutations as a single fused
-// transaction. On ErrUnfusable (mixed mechanisms or a lock-based policy)
-// or any engine error it falls back to per-op execution, which handles
-// every case the fused path does.
+// executeFused runs one run of adjacent mutations as a single MutateBatch,
+// which fuses them into one transaction when the touched shards allow it
+// and applies them one section at a time when they do not.
 //
 //gotle:hotpath fused-batch execution; the serve-smoke gate measures the fused-mutate shape
 func (s *Server) executeFused(th *tm.Thread, run []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult, sc *kvstore.BatchScratch, ackFree chan *batchAck) {
@@ -545,21 +526,14 @@ func (s *Server) executeFused(th *tm.Thread, run []*op, bops []kvstore.BatchOp, 
 		case OpIncr:
 			b.Verb = kvstore.BatchIncr
 			b.Delta = cmd.Delta
-		default: // OpDecr; fusible admits nothing else
+		default: // OpDecr; mutating admits nothing else
 			b.Verb = kvstore.BatchDecr
 			b.Delta = cmd.Delta
 		}
 		bops = append(bops, b)
 	}
 	res := bres[:len(bops)]
-	if err := s.store.MutateBatch(th, bops, res, sc); err != nil {
-		// ErrUnfusable or an engine fault: the solo path handles every
-		// case (and does its own counting).
-		for _, o := range run {
-			s.execute(th, o)
-		}
-		return
-	}
+	err := s.store.MutateBatch(th, bops, res, sc)
 	s.ops.Add(th.ID(), ctrCmdSet, stores)
 	if len(run) > 1 {
 		s.ops.Add(th.ID(), ctrFusedBatches, 1)
@@ -580,17 +554,21 @@ func (s *Server) executeFused(th *tm.Thread, run []*op, bops []kvstore.BatchOp, 
 	}
 	for k, o := range run {
 		o.batch = ack
-		o.resolve(fusedResp(o, &res[k]))
+		if err != nil {
+			o.resolve(serverError(err)) // an engine fault: the run's outcome is unknown
+		} else {
+			o.resolve(fusedResp(o, &res[k]))
+		}
 	}
 }
 
-// fusedResp renders one fused op's wire response from its BatchResult.
+// fusedResp renders one mutation's wire response from its BatchResult.
 //
-//gotle:hotpath per-op response selection for fused batches
+//gotle:hotpath per-op response selection for mutations
 func fusedResp(o *op, r *kvstore.BatchResult) []byte {
 	if r.Err != nil {
-		// Unreachable in practice: the protocol layer already enforced
-		// key and value bounds. Answer like the solo path would.
+		// The protocol layer already enforced the key bound; an oversized
+		// value is refused here.
 		if r.Err == kvstore.ErrBadVal {
 			return respTooBig
 		}
@@ -711,15 +689,9 @@ func readLineInto(br *bufio.Reader, dst []byte) ([]byte, error) {
 	return append(dst, sl...), nil
 }
 
-// execute runs one op's critical sections on the connection's thread and
-// resolves it. Mutations leave their durability ticket in o.tk for the
-// writer; responses are static slices or land in op-owned buffers.
+// run executes one read or admin op on the connection's thread and renders
+// its response: a static slice, or bytes in an op-owned buffer.
 //
-//gotle:hotpath per-op execute wrapper
-func (s *Server) execute(th *tm.Thread, o *op) {
-	o.resolve(s.run(th, o))
-}
-
 //gotle:hotpath per-op command dispatch; the serve-smoke gate measures the solo-get shape
 func (s *Server) run(th *tm.Thread, o *op) []byte {
 	cmd := &o.cmd
@@ -755,71 +727,6 @@ func (s *Server) run(th *tm.Thread, o *op) []byte {
 		out = append(out, respEnd...)
 		o.respB = out
 		return out
-
-	case OpSet, OpAdd, OpReplace, OpCas:
-		s.ops.Add(th.ID(), ctrCmdSet, 1)
-		if len(o.data) > kvstore.MaxValLen {
-			return respTooBig
-		}
-		switch cmd.Op {
-		case OpSet:
-			tk, err := s.store.SetItemD(th, cmd.Key, o.data, cmd.Flags)
-			if err != nil {
-				return serverError(err)
-			}
-			o.tk = tk
-			return respStored
-		case OpAdd:
-			ok, tk, err := s.store.AddD(th, cmd.Key, o.data, cmd.Flags)
-			return storedOr(o, ok, tk, err, respNotSt)
-		case OpReplace:
-			ok, tk, err := s.store.ReplaceD(th, cmd.Key, o.data, cmd.Flags)
-			return storedOr(o, ok, tk, err, respNotSt)
-		default:
-			st, tk, err := s.store.CompareAndSwapD(th, cmd.Key, o.data, cmd.Flags, cmd.Cas)
-			if err != nil {
-				return serverError(err)
-			}
-			switch st {
-			case kvstore.Stored:
-				o.tk = tk
-				return respStored
-			case kvstore.CASExists:
-				return respExists
-			case kvstore.CASNotFound:
-				return respNotFound
-			default:
-				return respNotSt
-			}
-		}
-
-	case OpDelete:
-		ok, tk, err := s.store.DeleteD(th, cmd.Key)
-		if err != nil {
-			return serverError(err)
-		}
-		if ok {
-			o.tk = tk
-			return respDeleted
-		}
-		return respNotFound
-
-	case OpIncr, OpDecr:
-		v, st, tk, err := s.store.IncrD(th, cmd.Key, cmd.Delta, cmd.Op == OpDecr)
-		if err != nil {
-			return serverError(err)
-		}
-		switch st {
-		case kvstore.IncrStored:
-			o.tk = tk
-			o.respB = strconv.AppendUint(o.respB[:0], v, 10)
-			o.respB = append(o.respB, '\r', '\n')
-			return o.respB
-		case kvstore.IncrNaN:
-			return respNaN
-		default:
-			return respNotFound
-		}
 
 	case OpStats:
 		return s.statsResponse(th)
@@ -857,23 +764,6 @@ func (s *Server) run(th *tm.Thread, o *op) []byte {
 	default:
 		return respError
 	}
-}
-
-// storedOr sets the durability ticket and answers STORED on success,
-// miss otherwise. The writer waits the ticket before acking (an acked
-// response must always survive a crash); with no WAL the ticket is zero
-// and the wait is free.
-//
-//gotle:hotpath per-mutation response selection
-func storedOr(o *op, ok bool, tk wal.Ticket, err error, miss []byte) []byte {
-	if err != nil {
-		return serverError(err)
-	}
-	if ok {
-		o.tk = tk
-		return respStored
-	}
-	return miss
 }
 
 // clientErrorResp formats a malformed-request reply.

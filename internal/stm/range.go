@@ -122,7 +122,7 @@ func (t *Tx) storeStripe(a memseg.Addr, src []uint64) {
 			t.extend()
 		}
 		if orec.CompareAndSwap(cur, tmclock.LockWord(t.id)) {
-			t.locks = append(t.locks, lockEntry{orec: orec, prev: cur})
+			t.locks = append(t.locks, orec)
 			break
 		}
 		// Lost a race for the orec; re-examine it.

@@ -17,7 +17,8 @@
 //     write through (in place). Readers that hit a locked orec abort.
 //   - Commit ticks the clock, validates the read set if anything committed
 //     in between, and releases the locks at the new timestamp. Aborts undo
-//     the writes in reverse order and restore the locked orecs.
+//     the writes in reverse order and release the locked orecs at a fresh
+//     timestamp of their own.
 //
 // Write-through with undo is what makes quiescence (package epoch) load
 // bearing: a doomed transaction's undo writes race with non-transactional
@@ -105,11 +106,6 @@ type undoEntry struct {
 	old  uint64
 }
 
-type lockEntry struct {
-	orec *atomic.Uint64
-	prev uint64 // orec value before we locked it (a timestamp)
-}
-
 // Tx is a per-thread transaction descriptor, reused across attempts.
 // It is not safe for concurrent use.
 type Tx struct {
@@ -118,7 +114,7 @@ type Tx struct {
 	rv    uint64 // snapshot (read version)
 	reads []readEntry
 	undo  []undoEntry
-	locks []lockEntry
+	locks []*atomic.Uint64 // orecs this attempt holds
 	live  bool
 
 	// Read-set dedup: filter remembers which orecs are already logged in
@@ -384,7 +380,7 @@ func (t *Tx) Store(a memseg.Addr, v uint64) {
 			t.extend()
 		}
 		if orec.CompareAndSwap(cur, tmclock.LockWord(t.id)) {
-			t.locks = append(t.locks, lockEntry{orec: orec, prev: cur})
+			t.locks = append(t.locks, orec)
 			break
 		}
 		// Lost a race for the orec; re-examine it.
@@ -419,18 +415,28 @@ func (t *Tx) Commit() (readOnly bool) {
 	// Injected delay between clock tick and orec release: concurrent readers
 	// and writers of these stripes see the locks held longer.
 	t.s.inj.Stall(t.id, chaos.STMLockStall)
-	for i := range t.locks {
-		t.locks[i].orec.Store(wv)
-	}
+	t.release(wv)
 	t.live = false
 	return false
 }
 
+// release unlocks every orec the attempt holds at version v.
+func (t *Tx) release(v uint64) {
+	for _, orec := range t.locks {
+		orec.Store(v)
+	}
+}
+
 // OnAbort rolls back a failed attempt: undo the write-through stores in
-// reverse order, then release the orecs at their pre-lock versions. The
-// engine calls this from its recover handler before retrying; the epoch slot
-// must remain marked active until OnAbort returns (quiescers must wait out
-// the undo, Section IV).
+// reverse order, then release the orecs at a fresh clock tick. Not at their
+// pre-lock versions: a Load samples the orec, the word, the orec again, and
+// if a whole lock, write-through and abort fitted between its two samples it
+// would see the same version twice around a dirty word. libitm's ml_wt
+// rollback does the same once its incarnation bits run out; there are none
+// here, since an abort that holds locks is the rare case. The engine calls
+// this from its recover handler before retrying; the epoch slot must remain
+// marked active until OnAbort returns (quiescers must wait out the undo,
+// Section IV).
 func (t *Tx) OnAbort() {
 	if t.s.inj.Fire(t.id, chaos.SkipUndo) {
 		// SABOTAGE (checker-teeth tests only): drop the undo log, leaving
@@ -444,8 +450,8 @@ func (t *Tx) OnAbort() {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		t.s.mem.Store(t.undo[i].addr, t.undo[i].old)
 	}
-	for i := range t.locks {
-		t.locks[i].orec.Store(t.locks[i].prev)
+	if len(t.locks) > 0 {
+		t.release(t.s.clock.Tick())
 	}
 	t.undo = t.undo[:0]
 	t.locks = t.locks[:0]

@@ -9,6 +9,7 @@ import (
 	"gotle/internal/memseg"
 	"gotle/internal/spinwait"
 	"gotle/internal/stats"
+	"gotle/internal/tmclock"
 )
 
 // run executes fn as a transaction with a simple retry loop (the full engine
@@ -105,9 +106,20 @@ func TestReadOnlyCommit(t *testing.T) {
 	}
 }
 
+// TestAbortRestoresValuesAndOrecs: an abort undoes the write-through stores
+// and unlocks the orecs at a version newer than any they held before, so a
+// reader whose two orec samples straddle the whole lock, write-through and
+// abort cannot take the same version twice for a clean read.
 func TestAbortRestoresValuesAndOrecs(t *testing.T) {
 	s, base := newSTM(t)
 	s.Memory().Store(base, 100)
+	orec := s.orecs.For(base)
+	before := orec.Load()
+	reader := s.NewTx(3)
+	reader.Begin()
+	if got := reader.Load(base); got != 100 {
+		t.Fatalf("reader saw %d, want 100", got)
+	}
 	tx := s.NewTx(1)
 	cause, aborted := attempt(tx, func(tx *Tx) {
 		tx.Store(base, 999)
@@ -119,6 +131,13 @@ func TestAbortRestoresValuesAndOrecs(t *testing.T) {
 	if got := s.Memory().Load(base); got != 100 {
 		t.Fatalf("value after undo = %d, want 100", got)
 	}
+	if after := orec.Load(); tmclock.Locked(after) || after <= before {
+		t.Fatalf("orec after abort = %#x, want unlocked and newer than %#x", after, before)
+	}
+	if reader.validate() {
+		t.Fatal("a reader that logged the word before the aborted writer locked it still validates")
+	}
+	reader.OnAbort()
 	// Orec must be unlocked: a fresh transaction can write it immediately.
 	tx2 := s.NewTx(2)
 	if _, ab := attempt(tx2, func(tx *Tx) { tx.Store(base, 1) }); ab {

@@ -375,50 +375,25 @@ func (m *Mutex) resolve() (tm.Mech, bool, bool) {
 	}
 }
 
-// Coalesce runs body as ONE critical section spanning what would otherwise
-// be several Do calls on this runtime's mutexes: nested Do calls inside
-// body flatten into a single transaction (or run under this mutex's real
-// lock in pthread mode). This is Yoo et al.'s transaction coarsening
-// (Section II.C): fewer boundaries amortize per-transaction costs, at the
-// price of larger conflict footprints. body must respect the usual
-// transactional contract.
-func (m *Mutex) Coalesce(th *tm.Thread, body func(tx tm.Tx) error) error {
-	return m.Do(th, body)
-}
-
-// ErrUnfusable is returned by DoAll when the mutexes cannot execute as one
+// ErrUnfusable is returned by Fuse.Do when the mutexes cannot execute as one
 // transaction right now (a mutex is lock-based, or two mutexes resolve to
-// different TM mechanisms). The caller should fall back to per-mutex Do
-// calls; the condition is usually transient (the adaptive controller is
-// mid-ladder) and DoAll may succeed again later.
+// different TM mechanisms). The caller falls back to per-mutex Do calls; the
+// condition is usually transient (the adaptive controller is mid-ladder).
 var ErrUnfusable = errors.New("tle: mutexes cannot fuse into one transaction")
 
-// DoAll executes body as ONE critical section spanning every mutex in ms —
-// transaction coarsening across locks (Yoo et al., Section II.C). It is
-// the fusion entry for batched servers: N adjacent operations, each its
-// own critical section under per-shard locks, amortize begin/commit/
-// quiescence costs by running as a single transaction.
+// Fuse runs ONE critical section spanning several mutexes — transaction
+// coarsening across locks (Yoo et al., Section II.C): N adjacent operations,
+// each its own critical section under per-shard locks, amortize begin/commit/
+// quiescence costs by running as a single transaction (kvstore.MutateBatch
+// is the caller). The handle is reusable: the combined resolver is bound
+// once, so fusing on every request costs no allocation per call. Set Ms
+// before each Do; the handle owns no other state.
 //
-// Soundness: all of ms must elide onto the SAME TM mechanism, so one
+// Soundness: all of Ms must elide onto the SAME TM mechanism, so one
 // conflict-detection scheme covers every word the fused body touches.
-// The combined resolve runs under the engine's serial read lock, where
-// SetPolicy's drain (write side) cannot overlap — the answer is stable
-// for the whole attempt. If any mutex is lock-based or the mechanisms
-// diverge, DoAll returns ErrUnfusable without running body.
-//
 // Tx.NoQuiesce is honored only if every mutex's policy honors it.
-// Commit/abort events are attributed to ms[0]'s observer; callers with
+// Commit/abort events are attributed to Ms[0]'s observer; callers with
 // rotating batch membership spread the attribution statistically.
-func (r *Runtime) DoAll(th *tm.Thread, ms []*Mutex, body func(tx tm.Tx) error) error {
-	f := Fuse{r: r, Ms: ms}
-	f.resolve = f.resolveAll
-	return f.Do(th, body)
-}
-
-// Fuse is a reusable handle for fused critical sections: the combined
-// resolver is bound once, so a caller that fuses on every request (the
-// server's batch executor) pays no allocation per call. Set Ms before
-// each Do; the handle owns no other state.
 type Fuse struct {
 	r *Runtime
 	// Ms is the mutex set the next Do spans. The caller may rewrite it
@@ -455,10 +430,10 @@ func (f *Fuse) resolveAll() (tm.Mech, bool, bool) {
 	return mech, honorNoQ, true
 }
 
-// Do executes body as one critical section spanning every mutex in f.Ms,
-// with DoAll's contract (ErrUnfusable on mixed or lock-based policies; a
-// single-mutex set degenerates to that mutex's own Do, which never
-// fuses and so never fails to).
+// Do executes body as one critical section spanning every mutex in f.Ms. If
+// any of them is lock-based or their mechanisms diverge it returns
+// ErrUnfusable without running body; a single-mutex set degenerates to that
+// mutex's own Do, which never fuses and so never fails to.
 func (f *Fuse) Do(th *tm.Thread, body func(tx tm.Tx) error) error {
 	ms := f.Ms
 	if len(ms) == 0 {

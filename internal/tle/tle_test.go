@@ -339,7 +339,9 @@ func TestSetRetryBudget(t *testing.T) {
 	}
 }
 
-// Coalesce merges nested critical sections into one atomic region.
+// Nested critical sections coalesce into one atomic region: Do calls inside
+// a body flatten into the outer transaction (or run under the outer mutex's
+// real lock in pthread mode) — Yoo et al.'s transaction coarsening.
 func TestCoalesceIsAtomic(t *testing.T) {
 	for p, r := range runtimes(t) {
 		t.Run(p.String(), func(t *testing.T) {
@@ -354,7 +356,7 @@ func TestCoalesceIsAtomic(t *testing.T) {
 				go func(th *tm.Thread) {
 					defer wg.Done()
 					for j := 0; j < per; j++ {
-						err := outer.Coalesce(th, func(tx tm.Tx) error {
+						err := outer.Do(th, func(tx tm.Tx) error {
 							// Two formerly-separate critical sections,
 							// coarsened: read in one, write in the other.
 							var v uint64
@@ -370,7 +372,7 @@ func TestCoalesceIsAtomic(t *testing.T) {
 							})
 						})
 						if err != nil {
-							t.Errorf("Coalesce: %v", err)
+							t.Errorf("nested Do: %v", err)
 							return
 						}
 					}
