@@ -1,7 +1,8 @@
 // Command tleserved serves the TLE kvstore over TCP, speaking the
 // memcached text protocol, with an optional adaptive per-shard policy
-// controller (internal/adaptive) walking each shard along the paper's
-// policy ladder as the observed abort mix changes.
+// controller (internal/adaptive) moving each shard from htm-cv to
+// stm-cv-noq on a capacity-abort storm and back once its holdoff expires.
+// With the controller on, -policy must name one of those two rungs.
 //
 // Examples:
 //
@@ -39,7 +40,7 @@ func main() {
 	log.SetPrefix("tleserved: ")
 	var (
 		addr       = flag.String("addr", "127.0.0.1:11222", "listen address")
-		policyName = flag.String("policy", "htm-cv", "initial policy: pthread|stm-spin|stm-cv|stm-cv-noq|htm-cv")
+		policyName = flag.String("policy", "htm-cv", "initial policy: pthread|stm-spin|stm-cv|stm-cv-noq|htm-cv; with -adaptive, htm-cv or stm-cv-noq")
 		adapt      = flag.Bool("adaptive", true, "enable the per-shard adaptive policy controller")
 		interval   = flag.Duration("interval", 50*time.Millisecond, "adaptive sampling window")
 		shards     = flag.Int("shards", 8, "kvstore shards")
@@ -84,8 +85,8 @@ func main() {
 		a = "127.0.0.1:0" // never collide with a real deployment
 	}
 
-	// The adaptive ladder spans both TM mechanisms, so the runtime is
-	// hybrid whenever the controller runs.
+	// The controller's two rungs span both TM mechanisms, so the runtime
+	// is hybrid whenever it runs.
 	r := tle.New(policy, tle.Config{
 		MemWords:        *memWords,
 		Hybrid:          *adapt,

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"fmt"
 	"testing"
 
 	"gotle/internal/htm"
@@ -9,16 +10,15 @@ import (
 	"gotle/internal/tle"
 )
 
-func cfg() Config {
-	return Config{MinStarts: 10}
-}
+// deciderAt builds a decider on rung p.
+func deciderAt(p tle.Policy) *Decider { return NewDecider(p) }
 
 // quiet and stormy windows for synthetic traces.
 var (
 	quiet    = Sample{Starts: 1000, Conflict: 0.01, Serial: 0.0}
-	conflict = Sample{Starts: 1000, Conflict: 0.80, Serial: 0.10}
 	capStorm = Sample{Starts: 1000, Capacity: 0.60, Conflict: 0.05}
-	border   = Sample{Starts: 1000, Conflict: 0.30, Serial: 0.05} // between promote and demote thresholds
+	capEdge  = Sample{Starts: 1000, Capacity: capacityDemote, Conflict: 0.03} // at the trigger, not above it
+	noisy    = Sample{Starts: 1000, Conflict: 0.30, Serial: 0.05}             // too busy to count as quiet
 )
 
 // The teeth test: a capacity-abort storm at htm-cv must demote to
@@ -26,19 +26,19 @@ var (
 // engine defers their grace periods to the batched background reclaimer —
 // and must then stay out of htm-cv for the holdoff.
 func TestCapacityStormDemotesHTMToSTMCVNoQ(t *testing.T) {
-	d := NewDecider(cfg(), Ladder, tle.PolicyHTMCondVar)
+	d := deciderAt(tle.PolicyHTMCondVar)
 	dec := d.Step(capStorm)
 	if !dec.Switched || dec.Target != tle.PolicySTMCondVarNoQ {
 		t.Fatalf("capacity storm: switched=%v target=%s, want switch to stm-cv-noq", dec.Switched, dec.Target)
 	}
 	// The shard must not crawl back into htm-cv the moment things calm
-	// down: the holdoff keeps it out even after the promote streak.
+	// down: the holdoff keeps it out even after the quiet streak.
 	for i := 0; i < 8; i++ {
 		if dec := d.Step(quiet); dec.Switched && dec.Target == tle.PolicyHTMCondVar {
 			t.Fatalf("window %d: re-promoted to htm-cv during holdoff", i)
 		}
 	}
-	// After the holdoff expires, quiet windows do climb the ladder home.
+	// After the holdoff expires, quiet windows do bring it back.
 	saw := false
 	for i := 0; i < 2*htmHoldoff && !saw; i++ {
 		saw = d.Step(quiet).Target == tle.PolicyHTMCondVar
@@ -52,7 +52,7 @@ func TestCapacityStormDemotesHTMToSTMCVNoQ(t *testing.T) {
 // moment the shard re-enters htm-cv) must be held out geometrically
 // longer each round trip, not re-admitted every htmHoldoff windows.
 func TestRepeatedCapacityStormsEscalateHoldoff(t *testing.T) {
-	d := NewDecider(cfg(), Ladder, tle.PolicyHTMCondVar)
+	d := deciderAt(tle.PolicyHTMCondVar)
 
 	// roundTrip storms the shard off htm-cv (riding out any switch
 	// cooldown), then feeds quiet windows until it climbs back,
@@ -84,63 +84,37 @@ func TestRepeatedCapacityStormsEscalateHoldoff(t *testing.T) {
 	}
 }
 
-// A sustained conflict regime walks the ladder one rung per decision —
-// never skipping, never bouncing — and parks at pthread.
-func TestConflictStormStepsDownToPthread(t *testing.T) {
-	d := NewDecider(cfg(), Ladder, tle.PolicyHTMCondVar)
-	want := []tle.Policy{tle.PolicySTMCondVarNoQ, tle.PolicySTMCondVar, tle.PolicyPthread}
-	var moves []tle.Policy
-	for i := 0; i < 20; i++ {
-		if dec := d.Step(conflict); dec.Switched {
-			moves = append(moves, dec.Target)
-		}
-	}
-	if len(moves) != len(want) {
-		t.Fatalf("moves = %v, want %v", moves, want)
-	}
-	for i := range want {
-		if moves[i] != want[i] {
-			t.Fatalf("move %d = %s, want %s", i, moves[i], want[i])
-		}
-	}
-	if d.Current() != tle.PolicyPthread {
-		t.Fatalf("parked at %s, want pthread", d.Current())
-	}
-}
-
-// Hysteresis: a borderline trace that sits between the promote and demote
-// thresholds must not oscillate. Each Step may move at most one rung, and
-// a trace alternating quiet and borderline windows must produce almost no
-// switches at all.
+// Hysteresis: a trace that sits on the trigger's edge must not oscillate.
+// Windows at exactly the capacity threshold alternating with quiet ones keep
+// a shard on htm-cv, and noisy windows alternating with quiet ones reset the
+// quiet streak every other window, so a shard on stm-cv-noq never returns.
 func TestNoOscillationOnBorderlineTrace(t *testing.T) {
-	d := NewDecider(cfg(), Ladder, tle.PolicySTMCondVar)
-	switches := 0
-	for i := 0; i < 200; i++ {
-		s := border
-		if i%2 == 0 {
-			s = quiet
+	for _, tc := range []struct {
+		start tle.Policy
+		edge  Sample
+	}{{tle.PolicyHTMCondVar, capEdge}, {tle.PolicySTMCondVarNoQ, noisy}} {
+		d := deciderAt(tc.start)
+		for i := 0; i < 200; i++ {
+			s := tc.edge
+			if i%2 == 0 {
+				s = quiet
+			}
+			if dec := d.Step(s); dec.Switched {
+				t.Fatalf("%s: window %d switched to %s", tc.start, i, dec.Target)
+			}
 		}
-		dec := d.Step(s)
-		if dec.Switched {
-			switches++
-		}
-	}
-	// The alternating trace resets the promote streak every other window
-	// and never crosses a demote threshold: the decider must hold still.
-	if switches != 0 {
-		t.Fatalf("borderline trace produced %d switches, want 0", switches)
 	}
 }
 
-// Even a trace engineered to flap (alternating storm and calm) is rate-
-// limited by cooldown + streak: at most one switch per window by
-// construction, and far fewer than the number of windows in practice.
+// Even a trace engineered to flap (a capacity storm every fourth window,
+// calm between) is rate-limited by the cooldown, the quiet streak and the
+// holdoff: far fewer switches than windows.
 func TestSwitchRateBoundedUnderFlappingTrace(t *testing.T) {
-	d := NewDecider(cfg(), Ladder, tle.PolicyHTMCondVar)
+	d := deciderAt(tle.PolicyHTMCondVar)
 	const windows = 120
 	switches := 0
 	for i := 0; i < windows; i++ {
-		s := conflict
+		s := capStorm
 		if i%4 != 0 {
 			s = quiet
 		}
@@ -148,23 +122,62 @@ func TestSwitchRateBoundedUnderFlappingTrace(t *testing.T) {
 			switches++
 		}
 	}
-	// switchCooldown (2) + promoteStreak (3) mean a full down-up round trip needs
-	// at least 7 windows; the flapping trace cannot do better.
 	if switches > windows/6 {
 		t.Fatalf("%d switches in %d windows: hysteresis not limiting flap", switches, windows)
 	}
 }
 
+// The shape of serve-write's traffic, replayed window by window: on htm-cv
+// the 2 KiB sets overflow the write budget (a capacity storm) except from
+// window 900 to 1299, where the workload runs clean; on stm-cv-noq one
+// window in three carries traffic and is quiet and the rest are idle, as
+// the benchmark's lock slices leave the elided server. Every switch is
+// pinned: each storm right after a return parks the shard twice as long as
+// the one before (64, 128, 256, 512 windows), and the storm after the clean
+// spell starts over at 64.
+func TestDeciderReplaysServeWriteSchedule(t *testing.T) {
+	storm := Sample{Starts: 900, Capacity: 0.40, Conflict: 0.01}
+	busy := Sample{Starts: 300, Conflict: 0.01}
+	idle := Sample{Starts: 20}
+	type move struct {
+		window int
+		target tle.Policy
+	}
+	const htmCV, noq = tle.PolicyHTMCondVar, tle.PolicySTMCondVarNoQ
+	want := []move{
+		{0, noq}, {66, htmCV}, {69, noq}, {198, htmCV}, {201, noq},
+		{459, htmCV}, {462, noq}, {975, htmCV}, {1300, noq},
+		{1365, htmCV}, {1368, noq}, {1497, htmCV}, {1500, noq},
+	}
+	d := deciderAt(htmCV)
+	var got []move
+	for w := 0; w < 1600; w++ {
+		s := idle
+		switch {
+		case d.Current() == htmCV && (w < 900 || w >= 1300):
+			s = storm
+		case d.Current() == htmCV || w%3 == 0:
+			s = busy
+		}
+		if dec := d.Step(s); dec.Switched {
+			got = append(got, move{w, dec.Target})
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("switches (window, target):\n got  %v\n want %v", got, want)
+	}
+}
+
 // Idle windows (too few starts) must neither demote nor count toward
-// promotion.
+// promotion, however stormy their few attempts were.
 func TestIdleWindowsDecideNothing(t *testing.T) {
-	d := NewDecider(cfg(), Ladder, tle.PolicySTMCondVar)
+	d := deciderAt(tle.PolicyHTMCondVar)
 	for i := 0; i < 50; i++ {
-		if dec := d.Step(Sample{Starts: 3, Conflict: 1.0, Serial: 1.0}); dec.Switched {
+		if dec := d.Step(Sample{Starts: minStarts - 1, Capacity: 1.0}); dec.Switched {
 			t.Fatalf("idle window %d switched to %s", i, dec.Target)
 		}
 	}
-	if d.Current() != tle.PolicySTMCondVar {
+	if d.Current() != tle.PolicyHTMCondVar {
 		t.Fatalf("idle trace moved the decider to %s", d.Current())
 	}
 }
@@ -180,7 +193,7 @@ func TestControllerLiveCapacityDemotion(t *testing.T) {
 		HTM:      htm.Config{WriteCapacityLines: 8, EventAbortPerMillion: -1},
 	})
 	s := kvstore.New(r, kvstore.Config{Shards: 2})
-	ctl, err := New(r, s.ShardMutexes(), Config{MinStarts: 16})
+	ctl, err := New(r, s.ShardMutexes(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,29 +220,27 @@ func TestControllerLiveCapacityDemotion(t *testing.T) {
 		shard, st.Policy, st.Switches, st.LastReason, st.Window)
 }
 
-// The controller must refuse observerless mutexes and drop unsupported
-// ladder rungs.
+// The controller must refuse a mutex without an observer, a runtime that
+// cannot run both rungs, and a mutex that is not on one.
 func TestControllerConstruction(t *testing.T) {
-	r := tle.New(tle.PolicySTMCondVar, tle.Config{MemWords: 1 << 14})
-	m := r.NewMutex("no-obs")
-	if _, err := New(r, []*tle.Mutex{m}, Config{}); err == nil {
-		t.Fatal("accepted a mutex without an observer")
+	refuse := func(what string, r *tle.Runtime) {
+		t.Helper()
+		if _, err := New(r, []*tle.Mutex{r.NewMutex(what)}, Config{}); err == nil {
+			t.Fatalf("accepted %s", what)
+		}
 	}
+	refuse("a mutex without an observer", tle.New(tle.PolicyHTMCondVar, tle.Config{MemWords: 1 << 14, Hybrid: true}))
+	refuse("an STM-only runtime", tle.New(tle.PolicySTMCondVarNoQ, tle.Config{MemWords: 1 << 14, Observe: true}))
+	refuse("a pthread mutex", tle.New(tle.PolicyPthread, tle.Config{MemWords: 1 << 14, Hybrid: true, Observe: true}))
 
-	ro := tle.New(tle.PolicySTMCondVar, tle.Config{MemWords: 1 << 14, Observe: true})
-	mo := ro.NewMutex("obs")
-	ctl, err := New(ro, []*tle.Mutex{mo}, Config{})
+	r := tle.New(tle.PolicySTMCondVarNoQ, tle.Config{MemWords: 1 << 14, Hybrid: true, Observe: true})
+	ctl, err := New(r, []*tle.Mutex{r.NewMutex("obs")}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// STM-only runtime: htm-cv dropped, decider starts at the mutex's
-	// own (supported) policy.
-	if got := ctl.Status()[0].Policy; got != tle.PolicySTMCondVar {
-		t.Fatalf("policy = %s", got)
+	if st := ctl.Status()[0]; st.Policy != tle.PolicySTMCondVarNoQ || st.LastReason != "none" {
+		t.Fatalf("status = %+v", st)
 	}
-	// A synthetic conflict storm still works through Tick's live
-	// sampling path: hammer the mutex with explicit retries is overkill
-	// here; just verify Tick runs and Status stays coherent.
 	if n := ctl.Tick(); n != 0 {
 		t.Fatalf("idle tick switched %d", n)
 	}

@@ -49,9 +49,9 @@ func run(pass *analysis.Pass) error {
 		pos := e.FuncNode().Pos()
 		switch {
 		case fp.WriteLines > WriteCapacityLines:
-			pass.Reportf(pos, "estimated transactional write set of this atomic body is ~%.0f cache lines, beyond the HTM write capacity (%d lines): every hardware attempt aborts on capacity, so move its mutex off htm-cv (Mutex.SetPolicy(PolicySTMCondVarNoQ); Mutex.SetRetryBudget only changes how many doomed attempts come first) or shrink the write set (Section IV)", fp.WriteLines, WriteCapacityLines)
+			pass.Reportf(pos, "estimated transactional write set of this atomic body is ~%.0f cache lines, beyond the HTM write capacity (%d lines): every hardware attempt aborts on capacity, so move its mutex off htm-cv (Mutex.SetPolicy(PolicySTMCondVarNoQ); Config.MaxRetries only changes how many doomed attempts come first) or shrink the write set (Section IV)", fp.WriteLines, WriteCapacityLines)
 		case fp.ReadLines > ReadCapacityLines:
-			pass.Reportf(pos, "estimated transactional read set of this atomic body is ~%.0f cache lines, beyond the HTM read capacity (%d lines): hardware attempts abort on capacity, so move its mutex off htm-cv (Mutex.SetPolicy(PolicySTMCondVarNoQ); Mutex.SetRetryBudget only changes how many doomed attempts come first) or shrink the traversal (Section IV)", fp.ReadLines, ReadCapacityLines)
+			pass.Reportf(pos, "estimated transactional read set of this atomic body is ~%.0f cache lines, beyond the HTM read capacity (%d lines): hardware attempts abort on capacity, so move its mutex off htm-cv (Mutex.SetPolicy(PolicySTMCondVarNoQ); Config.MaxRetries only changes how many doomed attempts come first) or shrink the traversal (Section IV)", fp.ReadLines, ReadCapacityLines)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // Import paths of the TM stack's packages. The root package gotle
@@ -36,9 +37,8 @@ const (
 // TM engine, returning the body argument and whether it runs atomically
 // or serially. Recognized entry points:
 //
-//	(*tm.Engine).Atomic(th, fn)            (*tle.Mutex).Do(th, body)
-//	(*tm.Engine).AtomicRetries(th, n, fn)  (*tle.Mutex).Await(th, cv, d, body)
-//	(*tm.Engine).Synchronized(th, fn)
+//	(*tm.Engine).Atomic(th, fn)        (*tle.Mutex).Do(th, body)
+//	(*tm.Engine).Synchronized(th, fn)  (*tle.Mutex).Await(th, cv, d, body)
 func (pkg *Package) AtomicEntry(call *ast.CallExpr) (body ast.Expr, kind EntryKind, ok bool) {
 	fn := pkg.FuncOf(call)
 	if fn == nil {
@@ -49,8 +49,6 @@ func (pkg *Package) AtomicEntry(call *ast.CallExpr) (body ast.Expr, kind EntryKi
 	switch {
 	case IsMethod(fn, PkgTM, "Engine", "Atomic"):
 		arg = 1
-	case IsMethod(fn, PkgTM, "Engine", "AtomicRetries"):
-		arg = 2
 	case IsMethod(fn, PkgTM, "Engine", "Synchronized"):
 		arg, kind = 1, EntrySynchronized
 	case IsMethod(fn, PkgTLE, "Mutex", "Do"):
@@ -181,4 +179,17 @@ func DeferSkips(pkg *Package, root ast.Node) map[*ast.FuncLit]bool {
 		return true
 	})
 	return skips
+}
+
+// TrailString renders a call trail as " (reached via f → g)" for
+// diagnostics, or "" for findings directly inside the body.
+func TrailString(trail []*types.Func) string {
+	if len(trail) == 0 {
+		return ""
+	}
+	names := make([]string, len(trail))
+	for i, fn := range trail {
+		names[i] = fn.FullName()
+	}
+	return " (reached via " + strings.Join(names, " → ") + ")"
 }

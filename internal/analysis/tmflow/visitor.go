@@ -8,12 +8,12 @@ import (
 )
 
 // A Visitor walks a critical-section body and, transitively, every
-// module-local function it can statically reach — the same contract as
-// the syntactic analysis.ReachVisitor it replaces — but each body is
-// walked under its control-flow graph, so subtrees in statically dead
-// blocks (code after Tx.Retry or panic, branches that both return) are
-// pruned instead of visited. Analyzers built on it therefore do not flag
-// path-infeasible code.
+// module-local function it can statically reach, so analyzers can enforce
+// properties over the whole dynamic extent of a transaction the way GCC's
+// transaction-safety check follows the call graph. Each body is walked
+// under its control-flow graph, so subtrees in statically dead blocks (code
+// after Tx.Retry or panic, branches that both return) are pruned instead of
+// visited: analyzers built on it do not flag path-infeasible code.
 type Visitor struct {
 	Prog *analysis.Program
 	// EnterDeferArgs, when set, also walks function literals passed to

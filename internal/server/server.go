@@ -780,7 +780,7 @@ func serverError(err error) []byte {
 
 // statsResponse renders the stats command: cache counters, server gauges,
 // and — when an adaptive controller is attached — per-shard policy,
-// switch counts, abort rates and the live queue depth.
+// switch count, last switch reason (one token) and abort rates.
 //
 //gotle:coldpath stats rendering allocates freely by design
 func (s *Server) statsResponse(th *tm.Thread) []byte {
@@ -846,6 +846,7 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 			p := fmt.Sprintf("shard%d_", st.Shard)
 			stat(p+"policy", st.Policy.String())
 			u(p+"switches", st.Switches)
+			stat(p+"reason", st.LastReason)
 			stat(p+"conflict_rate", fmt.Sprintf("%.4f", st.Window.Conflict))
 			stat(p+"capacity_rate", fmt.Sprintf("%.4f", st.Window.Capacity))
 			stat(p+"serial_rate", fmt.Sprintf("%.4f", st.Window.Serial))

@@ -351,7 +351,7 @@ func TestStatsExposesAdaptiveState(t *testing.T) {
 		HTM:      htm.Config{WriteCapacityLines: 8, EventAbortPerMillion: -1},
 	})
 	store := kvstore.New(r, kvstore.Config{Shards: 2})
-	ctl, err := adaptive.New(r, store.ShardMutexes(), adaptive.Config{MinStarts: 16})
+	ctl, err := adaptive.New(r, store.ShardMutexes(), adaptive.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,6 +391,12 @@ func TestStatsExposesAdaptiveState(t *testing.T) {
 	}
 	if st[fmt.Sprintf("shard%d_switches", shard)] == "0" {
 		t.Fatal("no switches recorded in stats")
+	}
+	if got := st[fmt.Sprintf("shard%d_reason", shard)]; got != adaptive.ReasonCapacityStorm {
+		t.Fatalf("hot shard reason = %q, want %s", got, adaptive.ReasonCapacityStorm)
+	}
+	if got := st[fmt.Sprintf("shard%d_reason", 1-shard)]; got != "none" {
+		t.Fatalf("idle shard reason = %q, want none", got)
 	}
 	t.Logf("shard%d: policy=%s switches=%s", shard, pol, st[fmt.Sprintf("shard%d_switches", shard)])
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,12 +50,33 @@ func TestSoakChaosLiveServer(t *testing.T) {
 	// Working set (16 keys) stays far below capacity: no evictions, so
 	// per-key linearizability checking is sound (linearize.KVModel).
 	store := kvstore.New(r, kvstore.Config{Shards: 4, MaxItemsPerShard: 1024})
-	ctl, err := adaptive.New(r, store.ShardMutexes(), adaptive.Config{Interval: 5 * time.Millisecond})
+	ctl, err := adaptive.New(r, store.ShardMutexes(), adaptive.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl.Start()
-	defer ctl.Stop()
+	// The controller ticks on work, not on a clock: one window per 512
+	// engine attempts keeps every shard's windows busy at any speed, the
+	// race detector's included.
+	stopTicks, ticksDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(ticksDone)
+		poll := time.NewTicker(time.Millisecond)
+		defer poll.Stop()
+		var last uint64
+		for {
+			select {
+			case <-stopTicks:
+				return
+			case <-poll.C:
+			}
+			if n := r.Engine().Snapshot().Starts; n >= last+512 {
+				ctl.Tick()
+				last = n
+			}
+		}
+	}()
+	stopTicking := sync.OnceFunc(func() { close(stopTicks); <-ticksDone })
+	defer stopTicking()
 
 	srv := New(r, store, Config{QueueDepth: 32, Controller: ctl})
 	addr, err := srv.Start()
@@ -97,6 +119,17 @@ func TestSoakChaosLiveServer(t *testing.T) {
 	res := linearize.Check(linearize.KVModel{}, hist)
 	if !res.OK {
 		t.Fatalf("history not linearizable: %s\nviolation: %+v", res.Explanation, res.Violation)
+	}
+	stopTicking()
+	var switches uint64
+	for _, st := range ctl.Status() {
+		switches += st.Switches
+		if st.Policy != tle.PolicyHTMCondVar && st.Policy != tle.PolicySTMCondVarNoQ {
+			t.Fatalf("shard %d ended on %s, not a rung", st.Shard, st.Policy)
+		}
+	}
+	if switches == 0 {
+		t.Fatal("the controller swapped no policy under the checked history")
 	}
 	t.Logf("soak: %d ops linearizable; injector=%s; tm=%s", res.Checked, inj, r.Engine().Snapshot())
 }

@@ -38,8 +38,9 @@ func TestHybridPolicySwapUnderLoad(t *testing.T) {
 			}
 		}(th)
 	}
-	// Cycle the mutex through the full ladder, repeatedly, while workers run.
-	swaps := []Policy{PolicySTMCondVarNoQ, PolicySTMCondVar, PolicyPthread, PolicySTMSpin, PolicyHTMCondVar}
+	// Cycle the mutex through the four TM policies, repeatedly, while
+	// workers run.
+	swaps := []Policy{PolicySTMCondVarNoQ, PolicySTMCondVar, PolicySTMSpin, PolicyHTMCondVar}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -76,15 +77,16 @@ func TestHybridPolicySwapUnderLoad(t *testing.T) {
 }
 
 // A single-mode runtime must refuse policies its engine cannot execute and
-// accept the ones it can.
+// accept the ones it can; and a mutex stays a lock or a transaction for
+// life, whatever the engine could run.
 func TestSetPolicySupport(t *testing.T) {
 	r := New(PolicySTMCondVar, Config{MemWords: 1 << 14})
 	m := r.NewMutex("stm-only")
 	if err := m.SetPolicy(PolicyHTMCondVar); err == nil {
 		t.Fatal("STM-only runtime accepted htm-cv")
 	}
-	if err := m.SetPolicy(PolicyPthread); err != nil {
-		t.Fatalf("pthread rejected: %v", err)
+	if err := m.SetPolicy(PolicyPthread); err == nil {
+		t.Fatal("a transactional mutex accepted pthread")
 	}
 	if err := m.SetPolicy(PolicySTMCondVarNoQ); err != nil {
 		t.Fatalf("stm-cv-noq rejected: %v", err)
@@ -99,9 +101,13 @@ func TestSetPolicySupport(t *testing.T) {
 		t.Fatal("HTM-only runtime accepted stm-cv")
 	}
 	hy := New(PolicyPthread, Config{MemWords: 1 << 14, Hybrid: true})
+	lock := hy.NewMutex("lock")
 	for _, p := range Policies {
 		if !hy.Supports(p) {
 			t.Fatalf("hybrid runtime does not support %s", p)
+		}
+		if err := lock.SetPolicy(p); err == nil {
+			t.Fatalf("a pthread runtime's mutex accepted %s", p)
 		}
 	}
 }

@@ -109,11 +109,11 @@ type Config struct {
 	// it to shake out interleaving bugs.
 	FaultInjector *chaos.Injector
 	// Hybrid builds both the STM and the simulated HTM into the engine, so
-	// individual mutexes can be switched among all of the paper's policies
-	// at runtime (Mutex.SetPolicy; the adaptive controller in package
-	// adaptive drives this). Without it, a mutex can only switch among the
-	// policies its engine's single mechanism supports. Hybrid threads
-	// consume HTM contexts: at most htm.MaxThreads live threads.
+	// individual mutexes can be switched among the paper's transactional
+	// policies at runtime (Mutex.SetPolicy; the adaptive controller in
+	// package adaptive drives this). Without it, a mutex can only switch
+	// among the policies its engine's single mechanism supports. Hybrid
+	// threads consume HTM contexts: at most htm.MaxThreads live threads.
 	Hybrid bool
 	// Observe gives every NewMutex its own stats.Counters (Mutex.Observer) —
 	// the per-lock counters the adaptive policy controller samples. Each
@@ -144,14 +144,12 @@ type Runtime struct {
 	engine  *tm.Engine
 	tracer  Tracer
 	observe bool
-	mutexes sync.Map // mid -> name, for diagnostics
-	nextMID int64
-	midMu   sync.Mutex
+	nextMID atomic.Int64
 }
 
 // New constructs a runtime for the given policy (each mutex's initial
-// policy; with Config.Hybrid, mutexes can be re-pointed individually at
-// runtime via Mutex.SetPolicy).
+// policy; with Config.Hybrid, a transactional runtime's mutexes can be
+// re-pointed individually via Mutex.SetPolicy).
 func New(policy Policy, cfg Config) *Runtime {
 	ecfg := tm.Config{
 		MemWords:        cfg.MemWords,
@@ -226,13 +224,14 @@ func (r *Runtime) NewCond() *condvar.Cond { return condvar.New() }
 // the TM policies its critical sections run as transactions and the lock
 // itself is erased.
 //
-// Each Mutex carries its own execution policy (initially the runtime's),
-// switchable at runtime with SetPolicy. Mixed policies are sound only
-// under the discipline the adaptive controller maintains: the data a mutex
-// guards is reached exclusively through that mutex's critical sections, so
-// HTM-elided, STM-elided and lock-based sections never race on the same
-// words even though their conflict-detection schemes are blind to each
-// other.
+// A Mutex is a lock or a transaction for life, as its runtime's policy
+// says. A transactional one carries its own policy (initially the
+// runtime's), switchable among the transactional policies with SetPolicy.
+// Mixed policies are sound only under the discipline the adaptive
+// controller maintains: the data a mutex guards is reached exclusively
+// through that mutex's critical sections, so HTM-elided and STM-elided
+// sections never race on the same words even though their conflict-
+// detection schemes are blind to each other.
 type Mutex struct {
 	r      *Runtime
 	mu     sync.Mutex
@@ -240,11 +239,6 @@ type Mutex struct {
 	name   string
 	policy atomic.Int32
 	obs    *stats.Counters // nil unless Config.Observe
-	// retries, when positive, overrides the engine's retry budget for this
-	// mutex's critical sections — the per-transaction retry policy of
-	// Section VII.A ("for queues that are expected to be un-contended,
-	// more retries before serialization might be appropriate").
-	retries int
 	// resolveFn is the bound method value of resolve, created once:
 	// building it inline in Do would allocate on every critical section.
 	resolveFn func() (tm.Mech, bool, bool)
@@ -263,17 +257,13 @@ type LockNamer interface {
 // NewMutex creates an elidable mutex. The name appears in diagnostics and
 // lock-order traces.
 func (r *Runtime) NewMutex(name string) *Mutex {
-	r.midMu.Lock()
-	r.nextMID++
-	mid := int(r.nextMID)
-	r.midMu.Unlock()
+	mid := int(r.nextMID.Add(1))
 	m := &Mutex{r: r, mid: mid, name: name}
 	m.resolveFn = m.resolve
 	m.policy.Store(int32(r.policy))
 	if r.observe {
 		m.obs = stats.NewCounters()
 	}
-	r.mutexes.Store(mid, name)
 	if ln, ok := r.tracer.(LockNamer); ok {
 		if _, file, line, found := runtime.Caller(1); found {
 			ln.LockCreated(mid, name, file, line)
@@ -285,45 +275,36 @@ func (r *Runtime) NewMutex(name string) *Mutex {
 // Name returns the mutex's diagnostic name.
 func (m *Mutex) Name() string { return m.name }
 
-// CurrentPolicy returns the mutex's execution policy right now. The value
-// can be stale by the time the caller acts on it; Do re-validates under
-// the appropriate lock.
+// CurrentPolicy returns the mutex's execution policy right now. SetPolicy
+// can change it under the caller; each attempt resolves its own under the
+// engine's serial read lock.
 func (m *Mutex) CurrentPolicy() Policy { return Policy(m.policy.Load()) }
 
 // Observer returns the mutex's per-lock counters (nil unless the runtime
 // was built with Config.Observe).
 func (m *Mutex) Observer() *stats.Counters { return m.obs }
 
-// SetRetryBudget overrides the number of aborted attempts this mutex's
-// critical sections tolerate before serial fallback (0 restores the engine
-// default). Tuning per lock is the knob the TMTS lacks (Section II.C,
-// citing Karnagel et al.).
-func (m *Mutex) SetRetryBudget(n int) { m.retries = n }
-
-// SetPolicy switches this mutex's execution policy, waiting until the
-// mutex is provably idle: the real lock is held (excluding lock-based
-// sections) and the engine is drained through the serial write lock
-// (excluding every in-flight transaction — elided sections of this mutex
-// included). Critical sections that race with the swap re-resolve and run
-// under the new policy; none ever runs under a mechanism that no longer
-// matches the mutex's data.
+// SetPolicy moves this mutex to another transactional policy, swapping it
+// while the engine is drained through the serial write lock (excluding
+// every in-flight transaction, elided sections of this mutex included).
+// Attempts that begin after the swap resolve the new policy; none ever
+// runs under a mechanism that no longer matches the mutex's data.
 //
-// SetPolicy fails if the runtime's engine lacks the mechanism p needs
-// (see Runtime.Supports); a hybrid runtime supports every policy.
+// SetPolicy refuses PolicyPthread, every policy on a pthread runtime (a
+// mutex stays a lock or a transaction for life), and a policy whose
+// mechanism the engine lacks (see Runtime.Supports).
 func (m *Mutex) SetPolicy(p Policy) error {
-	if !m.r.Supports(p) {
-		return fmt.Errorf("tle: mutex %q: runtime does not support policy %s", m.name, p)
+	if !p.Transactional() || !m.r.policy.Transactional() || !m.r.Supports(p) {
+		return fmt.Errorf("tle: mutex %q: cannot move from %s to %s", m.name, m.CurrentPolicy(), p)
 	}
-	m.mu.Lock()
 	m.r.engine.Drain(func() { m.policy.Store(int32(p)) })
-	m.mu.Unlock()
 	return nil
 }
 
 // Do executes body as a critical section of m on thread th.
 //
-//   - PolicyPthread: body runs under the real mutex with direct access.
-//   - TM policies: body runs as an atomic block (the lock is elided).
+//   - On a pthread runtime: body runs under the real mutex with direct access.
+//   - Otherwise: body runs as an atomic block (the lock is elided).
 //
 // body follows tm.Atomic's contract: return nil to commit/leave, return an
 // error to roll back and propagate it, call Tx.Retry to roll back and make
@@ -333,29 +314,10 @@ func (m *Mutex) Do(th *tm.Thread, body func(tx tm.Tx) error) error {
 		tr.Acquire(th.ID(), m.mid)
 		defer tr.Release(th.ID(), m.mid)
 	}
-	for {
-		p := Policy(m.policy.Load())
-		if p == PolicyPthread {
-			m.mu.Lock()
-			if Policy(m.policy.Load()) != PolicyPthread {
-				// Swapped between the load and the lock: the new policy is
-				// transactional, take the elided path instead.
-				m.mu.Unlock()
-				continue
-			}
-			return m.doLocked(th, body)
-		}
-		err := m.r.engine.AtomicOpts(th, tm.CallOpts{
-			Retries: m.retries,
-			Resolve: m.resolveFn,
-			Obs:     m.obs,
-		}, body)
-		if err == tm.ErrStale {
-			// The policy changed before the attempt began; re-dispatch.
-			continue
-		}
-		return err
+	if m.r.policy == PolicyPthread {
+		return m.doLocked(th, body)
 	}
+	return m.r.engine.AtomicOpts(th, tm.CallOpts{Resolve: m.resolveFn, Obs: m.obs}, body)
 }
 
 // resolve maps the mutex's current policy onto a TM mechanism. It runs
@@ -364,8 +326,6 @@ func (m *Mutex) Do(th *tm.Thread, body func(tx tm.Tx) error) error {
 // for the attempt that asked.
 func (m *Mutex) resolve() (tm.Mech, bool, bool) {
 	switch Policy(m.policy.Load()) {
-	case PolicyPthread:
-		return tm.MechDefault, false, false // no longer elidable: re-dispatch
 	case PolicyHTMCondVar:
 		return tm.MechHTM, false, true
 	case PolicySTMCondVarNoQ:
@@ -376,9 +336,10 @@ func (m *Mutex) resolve() (tm.Mech, bool, bool) {
 }
 
 // ErrUnfusable is returned by Fuse.Do when the mutexes cannot execute as one
-// transaction right now (a mutex is lock-based, or two mutexes resolve to
-// different TM mechanisms). The caller falls back to per-mutex Do calls; the
-// condition is usually transient (the adaptive controller is mid-ladder).
+// transaction: they are locks (a pthread runtime, for good), or two of them
+// resolve to different TM mechanisms (while the adaptive controller holds
+// their shards on different rungs). The caller falls back to per-mutex Do
+// calls.
 var ErrUnfusable = errors.New("tle: mutexes cannot fuse into one transaction")
 
 // Fuse runs ONE critical section spanning several mutexes — transaction
@@ -414,15 +375,14 @@ func (r *Runtime) NewFuse() *Fuse {
 // SetPolicy's drain cannot overlap, so the answer is stable for the
 // attempt that asked.
 func (f *Fuse) resolveAll() (tm.Mech, bool, bool) {
-	ms := f.Ms
-	mech, honorNoQ, ok := ms[0].resolve()
-	if !ok || mech == tm.MechDefault {
-		// Default mech means pthread (not elidable): unfusable.
-		return tm.MechDefault, false, false
+	if f.r.policy == PolicyPthread {
+		return tm.MechDefault, false, false // locks never fuse
 	}
+	ms := f.Ms
+	mech, honorNoQ, _ := ms[0].resolve()
 	for _, m := range ms[1:] {
-		me, h, ok := m.resolve()
-		if !ok || me != mech {
+		me, h, _ := m.resolve()
+		if me != mech {
 			return tm.MechDefault, false, false
 		}
 		honorNoQ = honorNoQ && h
@@ -457,16 +417,17 @@ func (f *Fuse) Do(th *tm.Thread, body func(tx tm.Tx) error) error {
 		Obs:     ms[0].obs,
 	}, body)
 	if err == tm.ErrStale {
-		// Unfusable right now (or a policy moved mid-call): the caller
-		// decides whether to retry fused or fall back to per-mutex Do.
+		// Unfusable (or a policy moved mid-call): the caller decides
+		// whether to retry fused or fall back to per-mutex Do.
 		return ErrUnfusable
 	}
 	return err
 }
 
-// doLocked is the pthread baseline path. The caller holds m.mu (Do
-// acquires it to double-check the policy); doLocked releases it.
+// doLocked is the pthread baseline path: body runs under m.mu with direct
+// access.
 func (m *Mutex) doLocked(th *tm.Thread, body func(tx tm.Tx) error) (err error) {
+	m.mu.Lock()
 	d := &directTx{e: m.r.engine}
 	d.allocs = d.allocBuf[:0]
 	var obs *stats.Stripe // nil records nothing

@@ -315,17 +315,16 @@ func TestMutexNames(t *testing.T) {
 // memAddr converts a uint64 offset for address arithmetic in tests.
 func memAddr(v uint64) memseg.Addr { return memseg.Addr(v) }
 
-// Per-mutex retry budgets: with every access aborting and budget 1, the
-// fallback happens after exactly one retry.
-func TestSetRetryBudget(t *testing.T) {
+// Config.MaxRetries reaches the engine: with every access aborting and a
+// budget of 1, the fallback happens after exactly one retry.
+func TestConfigMaxRetries(t *testing.T) {
 	r := New(PolicyHTMCondVar, Config{
 		MemWords:   1 << 16,
-		MaxRetries: 64, // engine default, overridden per mutex below
+		MaxRetries: 1,
 		HTM:        htm.Config{EventAbortPerMillion: 1_000_000, Seed: 9},
 	})
 	th := r.NewThread()
 	m := r.NewMutex("tuned")
-	m.SetRetryBudget(1)
 	a := r.Engine().Alloc(2)
 	if err := m.Do(th, func(tx tm.Tx) error {
 		tx.Store(a, 1)

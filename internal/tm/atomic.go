@@ -27,22 +27,12 @@ func throwAbort(cause stats.AbortCause) { abortsig.Throw(cause) }
 //
 // Nested Atomic calls are flattened into the parent transaction.
 func (e *Engine) Atomic(th *Thread, fn func(Tx) error) error {
-	return e.AtomicRetries(th, e.cfg.MaxRetries, fn)
-}
-
-// AtomicRetries is Atomic with a per-call retry budget, the transaction-by-
-// transaction retry policy Section VII.A asks for: "it would be beneficial
-// for programmers to be able to suggest retry policies on a transaction-by-
-// transaction basis". A non-positive budget uses the engine default.
-func (e *Engine) AtomicRetries(th *Thread, maxRetries int, fn func(Tx) error) error {
-	return e.AtomicOpts(th, CallOpts{Retries: maxRetries}, fn)
+	return e.AtomicOpts(th, CallOpts{}, fn)
 }
 
 // CallOpts parameterises one atomic-block execution beyond the engine
 // defaults. The zero value reproduces Atomic exactly.
 type CallOpts struct {
-	// Retries overrides the engine retry budget (non-positive = default).
-	Retries int
 	// Resolve, when non-nil, is consulted at the start of every attempt —
 	// after the attempt is pinned under the serial read lock — and selects
 	// the mechanism and whether Tx.NoQuiesce is honored for that attempt.
@@ -72,9 +62,6 @@ const (
 
 // AtomicOpts executes fn as an atomic block with per-call options.
 func (e *Engine) AtomicOpts(th *Thread, o CallOpts, fn func(Tx) error) error {
-	if o.Retries <= 0 {
-		o.Retries = e.cfg.MaxRetries // 0: follow each attempt's mechanism
-	}
 	if th.depth > 0 {
 		// Flat nesting: run in the parent's transaction. A cancel or retry
 		// unwinds the whole outer transaction via the returned error / the
@@ -108,7 +95,7 @@ func (e *Engine) AtomicOpts(th *Thread, o CallOpts, fn func(Tx) error) error {
 			return ErrRetry
 		}
 		retries++
-		budget := o.Retries
+		budget := e.cfg.MaxRetries
 		if budget <= 0 {
 			// Decided per attempt, not per engine: in a hybrid engine the
 			// same call site runs HTM or STM as its mutex's policy moves.
@@ -352,8 +339,8 @@ func (e *Engine) runSerial(th *Thread, o *CallOpts, fn func(Tx) error) error {
 	th.resetTxnState()
 	if o != nil && o.Resolve != nil {
 		// A serial run is mechanism-agnostic (exclusive, direct access),
-		// but a stale configuration still abandons the call: the caller's
-		// policy may have stopped being transactional altogether.
+		// but a stale configuration still abandons the call: a fused
+		// call's mutexes may have stopped sharing a mechanism.
 		if _, _, ok := o.Resolve(); !ok {
 			return ErrStale
 		}

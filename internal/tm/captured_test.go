@@ -290,6 +290,7 @@ func TestRetryBudgetFollowsMechanism(t *testing.T) {
 		{"htm serializes on the 3rd", 0, MechHTM, 3, 1},
 		{"explicit budget, stm", 3, MechSTM, 4, 1},
 		{"explicit budget, htm", 3, MechHTM, 3, 0},
+		{"explicit budget 1, htm", 1, MechHTM, 2, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New(Config{Mode: ModeHTM, Hybrid: true, MemWords: 1 << 16, MaxRetries: tc.maxRetries,
