@@ -85,8 +85,8 @@ chaos:
 	$(GO) run ./cmd/figures chaos -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
 # Paper-figure, quiescence, simulated-HTM, captured-store, per-policy kvstore,
-# and parallel-get and disjoint-section scaling (read at -cpu 1 against -cpu 2)
-# benchmarks with pinned -benchtime/-count. Raw text goes to
+# and parallel-get, parallel-set and disjoint-section scaling (read at -cpu 1
+# against -cpu 2) benchmarks with pinned -benchtime/-count. Raw text goes to
 # $(BENCHDIR)/current.txt; compare two captures with benchstat. CI runs the same list once through
 # (`make bench BENCHTIME=1x BENCHCOUNT=1`) so a benchmark cannot rot.
 bench:
@@ -100,7 +100,7 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/htm ./internal/tm | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkGet$$|BenchmarkSet$$' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkGetParallel' -cpu 1,2 \
+	$(GO) test -run '^$$' -bench 'BenchmarkGetParallel|BenchmarkSetParallel' -cpu 1,2 \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkDisjointScaling|BenchmarkSetsScaling' -cpu 1,2 \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tle | tee -a $(BENCHDIR)/current.txt

@@ -317,8 +317,8 @@ func run(o options) error {
 				switches, strings.Join(shards, " "))
 		}
 		// Group-commit counters: how much batch fusion and shared grace the
-		// run actually got. Zero shared_grace under real pipelined load
-		// means quiescence is not being amortized — worth investigating.
+		// run actually got, and how many freed blocks still wait out a grace
+		// period (0 once the server's connections have closed).
 		if fbStr, ok := st["fused_batches"]; ok {
 			fb, _ := strconv.ParseFloat(fbStr, 64)
 			fo, _ := strconv.ParseFloat(st["fused_ops"], 64)
@@ -326,9 +326,9 @@ func run(o options) error {
 			if fb > 0 {
 				width = fo / fb
 			}
-			fmt.Printf("fusion: batches=%s fused_ops=%s (%.1f ops/batch)  grace: quiesces=%s shared_grace=%s scans_avoided=%s\n",
+			fmt.Printf("fusion: batches=%s fused_ops=%s (%.1f ops/batch)  grace: quiesces=%s shared_grace=%s scans_avoided=%s reclaim_parked=%s\n",
 				fbStr, st["fused_ops"], width,
-				st["quiesces"], st["shared_grace"], st["scans_avoided"])
+				st["quiesces"], st["shared_grace"], st["scans_avoided"], st["reclaim_parked"])
 		}
 		// Durability counters (present only when the server runs with -wal).
 		if appendsStr, ok := st["wal_appends"]; ok {

@@ -52,7 +52,7 @@ func main() {
 		htmEvents  = flag.Int("htm-event-ppm", 5, "HTM spurious-event abort rate per million accesses (-1 disables)")
 		walDir     = flag.String("wal", "", "redo-log directory: enables durability (recover on start, group-fsync per mutation)")
 		fsyncWin   = flag.Duration("fsync-window", wal.DefaultFsyncWindow, "group-commit window: how long the WAL syncer accumulates appends before each fsync (0 = fsync eagerly)")
-		deferRecl  = flag.Bool("deferred-reclaim", true, "retire transactionally freed item memory in batched background grace periods instead of on the commit path")
+		deferRecl  = flag.Bool("deferred-reclaim", true, "free transactionally freed item memory on the freeing thread once a later commit finds its grace period over, instead of waiting for it on the commit path")
 		stripeLog  = flag.Int("stripe-shift", 3, "STM orec granularity: 1<<n consecutive words share one ownership record (3 = 64-byte cache-line stripes; 0 = per-word)")
 		replLn     = flag.String("repl-listen", "", "replication listen address: stream the per-shard commit log to follower replicas")
 		follow     = flag.String("follow", "", "follower mode: subscribe to a primary's replication stream at this address and serve read-only")
@@ -98,7 +98,6 @@ func main() {
 			EventAbortPerMillion: *htmEvents,
 		},
 	})
-	defer r.Close()
 	store := kvstore.New(r, kvstore.Config{Shards: *shards, MaxItemsPerShard: *capacity})
 
 	// Durability: recover first (replay runs through the normal mutators

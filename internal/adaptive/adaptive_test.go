@@ -22,9 +22,10 @@ var (
 )
 
 // The teeth test: a capacity-abort storm at htm-cv must demote to
-// stm-cv-noq, the rung where large freeing writers are cheap now that the
-// engine defers their grace periods to the batched background reclaimer —
-// and must then stay out of htm-cv for the holdoff.
+// stm-cv-noq, the rung where large freeing writers are cheap because the
+// engine parks their freed blocks on the committing thread instead of
+// waiting out a grace period — and must then stay out of htm-cv for the
+// holdoff.
 func TestCapacityStormDemotesHTMToSTMCVNoQ(t *testing.T) {
 	d := deciderAt(tle.PolicyHTMCondVar)
 	dec := d.Step(capStorm)

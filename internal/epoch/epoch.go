@@ -186,12 +186,13 @@ type Result struct {
 	Scanned bool
 }
 
-// Scratch is a reusable snapshot buffer for QuiesceWith. Each quiescing
-// thread owns one; the zero value is ready. Reusing it across commits makes
-// the quiesce path allocation-free in steady state (the seed allocated two
-// slices per writer commit here).
+// Scratch is a reusable snapshot buffer for QuiesceWith and Snapshot. Each
+// quiescing thread owns one; the zero value is ready. Reusing it across
+// commits makes the quiesce path allocation-free in steady state (the seed
+// allocated two slices per writer commit here).
 type Scratch struct {
 	pend []pendingSlot
+	next int // pend[:next] have moved on since the snapshot
 }
 
 type pendingSlot struct {
@@ -279,16 +280,34 @@ func (m *Manager) QuiesceWith(self *Slot, sc *Scratch) Result {
 }
 
 // scan snapshots the active slots and waits each of them out. On the leader
-// path it runs after the ticket draw — and it re-loads the slot *list*, not
-// just the seq words: a thread that registered and entered between the
-// probe's list load and the ticket is absent from the pre-ticket list, yet
-// a follower covered by the ticket may be obliged to wait for it.
-// Publishing a scan over the stale list would release that follower via
-// gpCompleted while the missed transaction still runs.
+// path it runs after the ticket draw — and Snapshot re-loads the slot
+// *list*, not just the seq words: a thread that registered and entered
+// between the probe's list load and the ticket is absent from the
+// pre-ticket list, yet a follower covered by the ticket may be obliged to
+// wait for it. Publishing a scan over the stale list would release that
+// follower via gpCompleted while the missed transaction still runs.
 func (m *Manager) scan(self *Slot, sc *Scratch) {
-	slots := *m.slots.Load()
+	m.Snapshot(self, sc)
+	var b spinwait.Backoff
+	for waited := sc.next; !m.Elapsed(sc); b.Wait() {
+		if sc.next != waited {
+			// Fresh backoff per slot: a long wait on one slot must not
+			// start the next at the maximum backoff step.
+			waited = sc.next
+			b.Reset()
+		}
+	}
+}
+
+// Snapshot records in sc which slots other than self are inside a
+// transaction now, and returns without waiting for any of them: the start
+// of a grace period that Elapsed reports the end of. A caller that has
+// just committed and passes its own slot as self may free what that
+// commit unlinked once Elapsed(sc) is true: every transaction that could
+// still hold a pointer to it was active now.
+func (m *Manager) Snapshot(self *Slot, sc *Scratch) {
 	pend := sc.pend[:0]
-	for _, s := range slots {
+	for _, s := range *m.slots.Load() {
 		if s == self {
 			continue
 		}
@@ -296,15 +315,17 @@ func (m *Manager) scan(self *Slot, sc *Scratch) {
 			pend = append(pend, pendingSlot{s: s, seen: v})
 		}
 	}
-	sc.pend = pend
-	for i := range pend {
-		// Fresh backoff per slot: a long wait on slot i must not start
-		// slot i+1 at the maximum backoff step.
-		var b spinwait.Backoff
-		for pend[i].s.seq.Load() == pend[i].seen {
-			b.Wait()
-		}
+	sc.pend, sc.next = pend, 0
+}
+
+// Elapsed reports whether every transaction sc's last Snapshot recorded has
+// finished. It stops at the first that has not and remembers how far it
+// got, so polling a long grace period costs one load per poll.
+func (m *Manager) Elapsed(sc *Scratch) bool {
+	for sc.next < len(sc.pend) && sc.pend[sc.next].s.seq.Load() != sc.pend[sc.next].seen {
+		sc.next++
 	}
+	return sc.next == len(sc.pend)
 }
 
 // completeGP publishes a finished scan: advance gpCompleted to ticket unless

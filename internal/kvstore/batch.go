@@ -310,11 +310,11 @@ func (s *Store) batchBody(tx tm.Tx, sc *BatchScratch) error {
 			res[i] = BatchResult{Err: ErrBadKey}
 		}
 	}
-	// Unconditional: the engine forces (or defers, under DeferredReclaim)
-	// the allocator-safety wait for freeing attempts regardless of this
-	// call, and the store never touches privatized item memory
-	// non-transactionally after commit, so policy-level quiescence is
-	// never needed here.
+	// Unconditional: the engine enforces the allocator-safety wait for
+	// freeing attempts regardless of this call (under DeferredReclaim the
+	// committing thread parks the blocks until it has passed), and the
+	// store never touches privatized item memory non-transactionally after
+	// commit, so policy-level quiescence is never needed here.
 	//gotle:allow noqpriv allocator safety is engine-enforced for freeing attempts; no post-commit non-transactional access to privatized items
 	tx.NoQuiesce()
 	if s.stream != nil {

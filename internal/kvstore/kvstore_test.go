@@ -578,7 +578,7 @@ func benchStore(b *testing.B, p tle.Policy) (*Store, *tm.Thread, [][]byte) {
 			b.Fatal(err)
 		}
 	}
-	b.Cleanup(func() { th.Release(); r.Close() })
+	b.Cleanup(th.Release)
 	return s, th, keys
 }
 
@@ -620,5 +620,42 @@ func BenchmarkSet(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkSetParallel runs replacing sets from GOMAXPROCS goroutines on
+// tleserved's runtime shape (hybrid, DeferredReclaim, stm-cv-noq, 8 shards
+// of 4096 items), at the two value sizes of the benchmark's serve-write
+// mix. Read it at -cpu 1,2: ns/op is wall time over all goroutines' sets,
+// and frees/op counts the replaced items the setting threads parked and
+// then freed themselves (a set that fell back to serial mode frees at once
+// and is not counted).
+func BenchmarkSetParallel(b *testing.B) {
+	for _, size := range []int{64, 2048} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			r := tle.New(tle.PolicySTMCondVarNoQ, tle.Config{MemWords: 1 << 22, Hybrid: true,
+				DeferredReclaim: true, HTM: htm.Config{EventAbortPerMillion: -1}})
+			s := New(r, Config{Shards: 8, MaxItemsPerShard: 4096})
+			th := r.NewThread()
+			keys := residentKeys(b, s, th, 4096)
+			th.Release()
+			val := bytes.Repeat([]byte("w"), size)
+			before := r.Engine().Snapshot()
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				wth := r.NewThread()
+				defer wth.Release()
+				for i := int(wth.ID()) * 977; pb.Next(); i++ {
+					if err := s.Set(wth, keys[i*7919%len(keys)], val); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.StopTimer()
+			d := r.Engine().Snapshot().Sub(before)
+			b.ReportMetric(float64(d.Reclaimed)/float64(b.N), "frees/op")
+		})
 	}
 }

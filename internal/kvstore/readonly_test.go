@@ -312,7 +312,6 @@ func BenchmarkGetParallel(b *testing.B) {
 	for _, p := range []tle.Policy{tle.PolicyPthread, tle.PolicySTMCondVar, tle.PolicySTMCondVarNoQ, tle.PolicyHTMCondVar} {
 		b.Run(p.String(), func(b *testing.B) {
 			r := tle.New(p, tle.Config{MemWords: 1 << 22, HTM: htm.Config{EventAbortPerMillion: -1}})
-			b.Cleanup(r.Close)
 			s := New(r, Config{Shards: 8, MaxItemsPerShard: 4096})
 			th := r.NewThread()
 			keys := residentKeys(b, s, th, 4096)

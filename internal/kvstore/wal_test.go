@@ -149,7 +149,6 @@ func TestWALRestartTwiceAcrossTornTail(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r.Close()
 	f, err := os.OpenFile(filepath.Join(dir, "w-00000000.wal"), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -168,10 +167,8 @@ func TestWALRestartTwiceAcrossTornTail(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r.Close()
 
 	r, s, l, recovered = openStoreWAL(t, tle.Policies[0], dir, cfg)
-	defer r.Close()
 	defer l.Close()
 	if recovered != 40 {
 		t.Fatalf("second restart recovered %d records, want all 40 acked", recovered)

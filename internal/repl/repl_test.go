@@ -27,7 +27,6 @@ const testShards = 4
 func newPrimary(t *testing.T) (*tle.Runtime, *kvstore.Store, *Source, string) {
 	t.Helper()
 	r := newRT()
-	t.Cleanup(r.Close)
 	s := kvstore.New(r, kvstore.Config{Shards: testShards})
 	src := NewSource(s.ShardCount(), nil)
 	s.AttachTap(src)
@@ -41,7 +40,6 @@ func newPrimary(t *testing.T) (*tle.Runtime, *kvstore.Store, *Source, string) {
 func newFollowerStore(t *testing.T) (*tle.Runtime, *kvstore.Store) {
 	t.Helper()
 	r := newRT()
-	t.Cleanup(r.Close)
 	return r, kvstore.New(r, kvstore.Config{Shards: testShards})
 }
 

@@ -56,7 +56,6 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 		Observe:  true,
 		HTM:      htm.Config{EventAbortPerMillion: -1},
 	})
-	defer r.Close()
 	store := kvstore.New(r, kvstore.Config{Shards: 4})
 	s := New(r, store, Config{})
 	th := r.NewThread()

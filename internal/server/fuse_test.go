@@ -6,12 +6,14 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"gotle/internal/kvstore"
 	"gotle/internal/server/client"
 	"gotle/internal/tle"
+	"gotle/internal/tm"
 	"gotle/internal/wal"
 )
 
@@ -205,4 +207,72 @@ func TestFusionCountersAdvance(t *testing.T) {
 			bursts, fb, fo)
 	}
 	t.Logf("fused_batches=%d fused_ops=%d (mean width %.1f)", fb, fo, float64(fo)/float64(fb))
+}
+
+// TestStatsReportParkedFrees runs tleserved's runtime shape (hybrid,
+// DeferredReclaim, stm-cv-noq) and overwrites one key while a transaction
+// elsewhere stays open, so no freed item can be reclaimed: stats must
+// count the first two freeing commits as grace periods (the batch sealed
+// at once and the one collecting behind it), the rest as shared without a
+// scan, and every replaced item in reclaim_parked — until the transaction
+// ends, when the next overwrite frees them all.
+func TestStatsReportParkedFrees(t *testing.T) {
+	r := tle.New(tle.PolicySTMCondVarNoQ, tle.Config{MemWords: 1 << 20, Hybrid: true, DeferredReclaim: true})
+	srv := New(r, kvstore.New(r, kvstore.Config{Shards: 4}), Config{})
+	addr, err := srv.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Shutdown(5 * time.Second) })
+	cl, err := client.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	stat := func(want map[string]uint64) {
+		t.Helper()
+		st, err := cl.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range want {
+			if got, err := strconv.ParseUint(st[k], 10, 64); err != nil || got != v {
+				t.Errorf("stats %s = %q, want %d", k, st[k], v)
+			}
+		}
+	}
+	set := func() {
+		t.Helper()
+		if err := cl.Set("k", []byte("value"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set()
+
+	holder := r.NewThread()
+	inside, leave, left := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(left)
+		defer holder.Release()
+		var once sync.Once
+		if err := r.Engine().Atomic(holder, func(tx tm.Tx) error {
+			tx.NoQuiesce() // its own commit takes no grace period
+			once.Do(func() { close(inside) })
+			<-leave
+			return nil
+		}); err != nil {
+			t.Errorf("holder: %v", err)
+		}
+	}()
+	<-inside
+	const overwrites = 10
+	for i := 0; i < overwrites; i++ {
+		set()
+	}
+	stat(map[string]uint64{"quiesces": 2, "shared_grace": overwrites - 2, "scans_avoided": overwrites - 2, "reclaim_parked": overwrites})
+
+	close(leave)
+	<-left
+	set()
+	stat(map[string]uint64{"quiesces": 2, "shared_grace": overwrites - 1, "scans_avoided": overwrites - 1, "reclaim_parked": 0})
 }

@@ -818,6 +818,7 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 	u("quiesces", es.Quiesces)
 	u("shared_grace", es.SharedGrace)
 	u("scans_avoided", es.ScansAvoided)
+	u("reclaim_parked", es.ReclaimParked())
 
 	if l := s.cfg.WAL; l != nil {
 		ws := l.Stats()

@@ -25,12 +25,14 @@ type Backoff struct {
 
 // Limits for the backoff schedule. With spinLimit=6 the spinner executes
 // 1,2,4,...,32 busy iterations before the first yield, and never asks for a
-// sleep longer than maxSleep per Wait call. What it gets is the runtime's
-// timer granularity, not what it asked for: on the 2-vCPU Linux box the
-// numbers in EXPERIMENTS.md come from, time.Sleep(1µs) and
-// time.Sleep(100µs) both return after about 1.08 ms with a busy peer, and
-// the sleep phase starts after 12 steps, a microsecond or two of waiting
-// (EXPERIMENTS.md "Scaling, 1 → 2 threads" has what that costs the STM).
+// sleep longer than maxSleep per Wait call. What it gets depends on the
+// process, not on what it asked for: on the 2-vCPU Linux box the numbers in
+// EXPERIMENTS.md come from, time.Sleep(1µs) and time.Sleep(100µs) both
+// return after about 1.08 ms with a busy peer when the network poller is
+// idle (tm-sets), while inside a tleserved serving serve-write's traffic
+// the mean backoff sleep is about 70 µs. The sleep phase starts after 12
+// steps, a microsecond or two of waiting (EXPERIMENTS.md "Scaling, 1 → 2
+// threads" has what that costs the STM).
 const (
 	spinLimit  = 6
 	yieldLimit = 12

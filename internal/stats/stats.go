@@ -105,9 +105,11 @@ const (
 	evQuiesces
 	evQuiesceNanos
 	evNoQuiesce    // commits that skipped quiescence via NoQuiesce
-	evSharedGrace  // quiesces satisfied by a concurrent scanner's grace period
+	evSharedGrace  // quiesces covered by another's grace period (see SharedGrace)
 	evScansAvoided // shared-grace hits that skipped the slot scan entirely
 	evReadsDeduped // duplicate read-set entries suppressed by dedup
+	evParked       // freed blocks parked for deferred reclamation
+	evReclaimed    // parked blocks returned to the allocator
 	evAborts       // first of numCauses
 	numEvents      = evAborts + event(numCauses)
 )
@@ -177,7 +179,8 @@ func (t *Stripe) Quiesce(d time.Duration) {
 func (t *Stripe) NoQuiesce() { t.add(evNoQuiesce, 1) }
 
 // SharedGrace records a quiescence satisfied by a concurrent quiescer's grace
-// period; scanAvoided marks the fast path that touched no epoch slot.
+// period, or frees that joined a parked batch waiting out its own;
+// scanAvoided marks the paths that touched no epoch slot.
 func (t *Stripe) SharedGrace(scanAvoided bool) {
 	t.add(evSharedGrace, 1)
 	if scanAvoided {
@@ -185,15 +188,15 @@ func (t *Stripe) SharedGrace(scanAvoided bool) {
 	}
 }
 
-// SharedGraceBatch records n quiesce obligations retired by one grace period
-// (deferred reclamation): each is shared and, having touched no slot, avoided.
-func (t *Stripe) SharedGraceBatch(n uint64) {
-	t.add(evSharedGrace, n)
-	t.add(evScansAvoided, n)
-}
-
 // ReadsDeduped records n duplicate read-set entries the STM suppressed.
 func (t *Stripe) ReadsDeduped(n uint64) { t.add(evReadsDeduped, n) }
+
+// Parked records n freed blocks parked to wait out a grace period (deferred
+// reclamation).
+func (t *Stripe) Parked(n uint64) { t.add(evParked, n) }
+
+// Reclaimed records n parked blocks returned to the allocator.
+func (t *Stripe) Reclaimed(n uint64) { t.add(evReclaimed, n) }
 
 // Snapshot is a merged, immutable view of all counters.
 type Snapshot struct {
@@ -204,12 +207,17 @@ type Snapshot struct {
 	Quiesces    uint64
 	QuiesceTime time.Duration
 	NoQuiesce   uint64
-	// SharedGrace counts quiesces satisfied by a concurrent quiescer's grace
-	// period, ScansAvoided the subset that skipped the epoch-slot scan.
+	// SharedGrace counts quiesces covered by another's grace period (a
+	// concurrent quiescer's, or a parked batch's), ScansAvoided the subset
+	// that skipped the epoch-slot scan.
 	SharedGrace  uint64
 	ScansAvoided uint64
 	ReadsDeduped uint64
-	Aborts       [NumCauses]uint64
+	// Parked counts freed blocks parked for deferred reclamation, Reclaimed
+	// those since returned to the allocator (see ReclaimParked).
+	Parked    uint64
+	Reclaimed uint64
+	Aborts    [NumCauses]uint64
 }
 
 // Snapshot sums every stripe. Starts is derived: every attempt ends in
@@ -217,6 +225,9 @@ type Snapshot struct {
 func (c *Counters) Snapshot() Snapshot {
 	sum := func(e event) uint64 { return c.s.Sum(int(e)) }
 	s := Snapshot{
+		// A block's thread counts it parked before reclaimed, so summing
+		// Reclaimed first keeps Parked >= Reclaimed in every snapshot.
+		Reclaimed:    sum(evReclaimed),
 		Commits:      sum(evCommits),
 		ReadOnly:     sum(evReadOnly),
 		SerialRuns:   sum(evSerialRuns),
@@ -226,6 +237,7 @@ func (c *Counters) Snapshot() Snapshot {
 		SharedGrace:  sum(evSharedGrace),
 		ScansAvoided: sum(evScansAvoided),
 		ReadsDeduped: sum(evReadsDeduped),
+		Parked:       sum(evParked),
 	}
 	for i := range s.Aborts {
 		s.Aborts[i] = sum(evAborts + event(i))
@@ -236,6 +248,10 @@ func (c *Counters) Snapshot() Snapshot {
 
 // Reset zeroes all counters.
 func (c *Counters) Reset() { c.s.Reset() }
+
+// ReclaimParked is the number of freed blocks waiting out a grace period
+// when the snapshot was taken.
+func (s Snapshot) ReclaimParked() uint64 { return s.Parked - s.Reclaimed }
 
 // TotalAborts sums aborts over all causes.
 func (s Snapshot) TotalAborts() uint64 {
@@ -282,6 +298,8 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		SharedGrace:  s.SharedGrace - prev.SharedGrace,
 		ScansAvoided: s.ScansAvoided - prev.ScansAvoided,
 		ReadsDeduped: s.ReadsDeduped - prev.ReadsDeduped,
+		Parked:       s.Parked - prev.Parked,
+		Reclaimed:    s.Reclaimed - prev.Reclaimed,
 	}
 	for i := range d.Aborts {
 		d.Aborts[i] = s.Aborts[i] - prev.Aborts[i]

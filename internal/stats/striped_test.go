@@ -40,21 +40,23 @@ func applyEvent(t *Stripe, want *Snapshot, k int, arg uint64) {
 			want.ScansAvoided++
 		}
 	case 6:
-		t.SharedGraceBatch(arg)
-		want.SharedGrace += arg
-		want.ScansAvoided += arg
+		t.Parked(arg)
+		want.Parked += arg
 	case 7:
 		t.ReadsDeduped(arg)
 		want.ReadsDeduped += arg
+	case 8:
+		t.Reclaimed(arg)
+		want.Reclaimed += arg
 	default:
-		c := AbortCause(k - 8)
+		c := AbortCause(k - 9)
 		t.Abort(c)
 		want.Starts++
 		want.Aborts[c]++
 	}
 }
 
-const eventKinds = 8 + NumCauses
+const eventKinds = 9 + NumCauses
 
 // 96 threads on 64 stripes: ids 65..96 share the stripes of 1..32, so 32
 // stripes have two concurrent writers. The snapshot must equal the one the

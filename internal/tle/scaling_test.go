@@ -28,7 +28,6 @@ func benchScaling(b *testing.B, keys int64, readOnly bool, build func(*tm.Engine
 	for _, p := range scalingPolicies {
 		b.Run(p.String(), func(b *testing.B) {
 			rt := New(p, Config{MemWords: 1 << 18, HTM: htm.Config{EventAbortPerMillion: -1}})
-			defer rt.Close()
 			mu, set := rt.NewMutex("set"), build(rt.Engine())
 			th := rt.NewThread()
 			for k := int64(0); k < keys; k += 2 {

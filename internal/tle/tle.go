@@ -121,11 +121,11 @@ type Config struct {
 	// another thread writes; off by default because it is still two or
 	// three more atomic adds per section, and 12 KB per mutex.
 	Observe bool
-	// DeferredReclaim enables the engine's batched background reclamation
-	// of transactionally freed blocks (tm.Config.DeferredReclaim): freeing
-	// commits that skip policy quiescence hand their blocks to a reclaimer
-	// that retires an accumulation window's worth under one shared grace
-	// period. Call Runtime.Close when done to stop the reclaimer.
+	// DeferredReclaim takes the allocator's grace period off the commit
+	// path (tm.Config.DeferredReclaim): a freeing commit that skips policy
+	// quiescence parks its blocks on its thread, which frees them on a
+	// later commit once the transactions that could still reach them have
+	// finished, or when the thread is released.
 	DeferredReclaim bool
 }
 
@@ -210,9 +210,10 @@ func (r *Runtime) Supports(p Policy) bool {
 // Engine exposes the underlying TM engine (heap access, stats).
 func (r *Runtime) Engine() *tm.Engine { return r.engine }
 
-// Close stops the engine's background work (the deferred reclaimer),
-// retiring any parked blocks first. No-op without Config.DeferredReclaim.
-func (r *Runtime) Close() { r.engine.Close() }
+// Close does nothing: a runtime owns no goroutine or file, and each
+// thread's parked frees go back to the heap in tm.Thread.Release. Callers
+// may still defer it, as for any resource.
+func (r *Runtime) Close() {}
 
 // NewThread registers a worker thread.
 func (r *Runtime) NewThread() *tm.Thread { return r.engine.NewThread() }

@@ -291,38 +291,44 @@ func (e *Engine) postCommit(th *Thread, readOnly bool) {
 			th.st.NoQuiesce()
 		}
 	}
-	if mustQuiesce && !wantQuiesce && e.reclaim != nil {
-		// Deferred reclamation: the policy layer did not ask for a wait,
-		// only the allocator did — and the allocator's rule binds the
-		// *blocks*, not this thread. Hand the frees to the reclaimer
-		// (which batches one grace period over many commits) and return
-		// without waiting. th.frees is recycled by the caller, so the
-		// handoff copies.
-		e.reclaim.handOff(th.frees)
-		for _, fn := range th.deferred {
-			fn()
+	if mustQuiesce && !wantQuiesce && e.cfg.DeferredReclaim {
+		// Only the allocator asked for a wait, and its rule binds the
+		// blocks, not this thread: park them (reclaim.go).
+		th.park()
+	} else {
+		graced := mustQuiesce || wantQuiesce
+		if graced {
+			th.quiesce()
 		}
-		return
+		for _, a := range th.frees {
+			// A grace period has retired every attempt that could hold the
+			// block — HTM attempts enter their slot too — so only a free
+			// without one dooms the block's HTM readers.
+			if e.htm != nil && !graced {
+				e.htm.InvalidateBlock(a, e.mem.BlockSize(a))
+			}
+			if e.cfg.RaceDetect {
+				e.checkFree(a)
+			}
+			e.mem.Free(a)
+		}
 	}
-	if mustQuiesce || wantQuiesce {
-		res := e.epochs.QuiesceWith(th.slot, &th.qs)
-		th.st.Quiesce(res.Wait)
-		th.obs.Quiesce(res.Wait)
-		if res.Shared {
-			th.st.SharedGrace(!res.Scanned)
-		}
-	}
-	for _, a := range th.frees {
-		if e.htm != nil {
-			e.htm.InvalidateBlock(a, e.mem.BlockSize(a))
-		}
-		if e.cfg.RaceDetect {
-			e.checkFree(a)
-		}
-		e.mem.Free(a)
+	if th.parkedWords != 0 {
+		th.reclaim()
 	}
 	for _, fn := range th.deferred {
 		fn()
+	}
+}
+
+// quiesce waits out one grace period after the thread's commit and records
+// it.
+func (th *Thread) quiesce() {
+	res := th.e.epochs.QuiesceWith(th.slot, &th.qs)
+	th.st.Quiesce(res.Wait)
+	th.obs.Quiesce(res.Wait)
+	if res.Shared {
+		th.st.SharedGrace(!res.Scanned)
 	}
 }
 
@@ -386,6 +392,9 @@ func (e *Engine) runSerial(th *Thread, o *CallOpts, fn func(Tx) error) error {
 	// No quiescence needed: the write lock excluded every transaction.
 	for _, a := range th.frees {
 		e.mem.Free(a)
+	}
+	if th.parkedWords != 0 {
+		th.reclaim()
 	}
 	for _, fnD := range th.deferred {
 		fnD()

@@ -195,15 +195,14 @@ func TestCapturedStoreLeavesNeighbourStripeAlone(t *testing.T) {
 }
 
 // Publish-then-read: a reader that follows the published pointer sees the
-// whole payload of one publication, with blocks recycled through the
-// deferred reclaimer.
+// whole payload of one publication, with blocks recycled through deferred
+// reclamation.
 func TestCapturedBlockIsWholeOncePublished(t *testing.T) {
 	for name, honorNoQ := range map[string]bool{"stm-cv": false, "stm-cv-noq": true} {
 		t.Run(name, func(t *testing.T) {
-			// Heap: the reclaimer parks up to reclaimMaxPending blocks a batch.
+			// Heap: the writer parks up to reclaimMaxWords words.
 			e := New(Config{Mode: ModeSTM, MemWords: 1 << 20, Quiesce: QuiesceAll,
 				HonorNoQuiesce: honorNoQ, DeferredReclaim: true})
-			defer e.Close()
 			root := e.Alloc(2)
 			const words = 40
 			var stop atomic.Bool

@@ -42,6 +42,13 @@ type Thread struct {
 	mech     Mech
 	honorNoQ bool
 	obs      *stats.Stripe // CallOpts.Obs's stripe for id; nil (records nothing) when the call has none
+
+	// Deferred reclamation (reclaim.go): blocks this thread's commits freed,
+	// waiting out a grace period. sealed waits for the slots gp recorded;
+	// open has no snapshot yet.
+	sealed, open []memseg.Addr
+	parkedWords  int // payload words in sealed and open
+	gp           epoch.Scratch
 }
 
 // NewThread registers a new transactional thread with the engine. Under HTM
@@ -84,15 +91,21 @@ func (e *Engine) NewThread() *Thread {
 }
 
 // Release returns the thread's resources (epoch slot, thread id — under
-// HTM, a hardware context) to the engine. The thread must be outside any
-// atomic block and must not be used afterwards. Statistics recorded by the
-// thread remain in the engine's counters.
+// HTM, a hardware context) to the engine, first waiting out a grace period
+// for the blocks it has parked under Config.DeferredReclaim and freeing
+// them. The thread must be outside any atomic block and must not be used
+// afterwards. Statistics recorded by the thread remain in the engine's
+// counters.
 func (th *Thread) Release() {
 	if th.e == nil {
 		return // already released
 	}
 	if th.depth > 0 {
 		panic("tm: Release inside an atomic block")
+	}
+	if th.parkedWords != 0 {
+		th.obs = nil // the wait belongs to no call
+		th.flushParked()
 	}
 	e := th.e
 	e.epochs.Unregister(th.slot)
@@ -305,9 +318,11 @@ func (th *Thread) freeAllocs() {
 	}
 }
 
-// txFree defers the release to commit time.
+// txFree defers the release to commit time. Freeing Nil is a no-op.
 func (th *Thread) txFree(a memseg.Addr) {
-	th.frees = append(th.frees, a)
+	if a != memseg.Nil {
+		th.frees = append(th.frees, a)
+	}
 }
 
 // rangeBuf backs Tx.RangeBuf: a word slice reused across the thread's

@@ -151,14 +151,13 @@ type Config struct {
 	// speculatively-owned words are recorded in RaceReports.
 	RaceDetect bool
 	// DeferredReclaim moves the allocator-safety quiescence of freeing STM
-	// commits off the commit path: freed blocks are handed to a background
-	// reclaimer that batches an accumulation window's worth and retires
-	// the whole batch with one shared grace period (see reclaim.go). The
-	// commit returns without waiting; the blocks return to the allocator
-	// only after the grace period. Engines with it set should be Closed
-	// when done so the reclaimer goroutine exits. Incompatible with
-	// RaceDetect (the detector needs frees at their program points); New
-	// ignores it when RaceDetect is set.
+	// commits off the commit path: a commit that skips policy quiescence
+	// parks its freed blocks on its Thread and returns without waiting;
+	// the thread frees them on a later commit, once every transaction that
+	// was active when they were parked has finished, or in Thread.Release
+	// (see reclaim.go). Incompatible with RaceDetect (the detector needs
+	// frees at their program points); New ignores it when RaceDetect is
+	// set.
 	DeferredReclaim bool
 	// HTM configures the hardware simulation.
 	HTM htm.Config
@@ -184,10 +183,6 @@ type Engine struct {
 	nextID atomic.Uint64
 	races  raceState
 
-	// reclaim is the deferred-reclamation worker (nil unless
-	// Config.DeferredReclaim).
-	reclaim *reclaimer
-
 	// freeIDs recycles thread ids released by Thread.Release — under HTM
 	// the id space is the hardware context space (htm.MaxThreads), so
 	// short-lived worker threads must return their ids.
@@ -202,6 +197,9 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	if cfg.MemWords == 0 {
 		cfg.MemWords = 1 << 22
+	}
+	if cfg.RaceDetect {
+		cfg.DeferredReclaim = false
 	}
 	e := &Engine{
 		cfg:    cfg,
@@ -226,19 +224,7 @@ func New(cfg Config) *Engine {
 		hcfg.Injector = cfg.Injector
 		e.htm = htm.New(e.mem, hcfg)
 	}
-	if cfg.DeferredReclaim && !cfg.RaceDetect {
-		e.reclaim = newReclaimer(e)
-	}
 	return e
-}
-
-// Close shuts down the engine's background work (the deferred reclaimer),
-// retiring any parked blocks first. Engines without DeferredReclaim have
-// no background work; Close is a no-op for them.
-func (e *Engine) Close() {
-	if e.reclaim != nil {
-		e.reclaim.stop()
-	}
 }
 
 // HasMech reports whether the engine can execute atomic blocks on mech.
