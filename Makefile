@@ -110,12 +110,31 @@ bench:
 # start tleserved (hybrid runtime + adaptive controller), run the
 # loopback protocol self-test, exit — once WAL-off and once WAL-on, so
 # "the binary actually serves, durably too" can never regress silently.
+# Last, the mutation path under serve-write's traffic shape (2 KiB values
+# overflow a 24-line HTM write set, so shards take every rung and the serial
+# path): a default tleserved on a free port, `loadgen -check` against it,
+# and the recorded history must linearize per key.
 serve-smoke:
 	$(GO) test -run TestZeroAllocHotPath -count 1 ./internal/server
 	$(GO) run ./cmd/tleserved -smoke
 	rm -rf $(BENCHDIR)/smoke-wal
 	$(GO) run ./cmd/tleserved -smoke -wal $(BENCHDIR)/smoke-wal
 	rm -rf $(BENCHDIR)/smoke-wal
+	mkdir -p $(BENCHDIR)
+	$(GO) build -o $(BENCHDIR)/tleserved ./cmd/tleserved
+	$(GO) build -o $(BENCHDIR)/loadgen ./cmd/loadgen
+	@log=$(BENCHDIR)/smoke-served.log; \
+	$(BENCHDIR)/tleserved -addr 127.0.0.1:0 -htm-write-lines 24 -capacity 2048 >$$log 2>&1 & pid=$$!; \
+	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null' EXIT; \
+	addr=; for i in $$(seq 100); do \
+		addr=$$(sed -n 's/^listening on \([^ ]*\).*/\1/p' $$log); \
+		[ -n "$$addr" ] && break; sleep 0.1; \
+	done; \
+	if [ -z "$$addr" ]; then cat $$log; exit 1; fi; \
+	$(BENCHDIR)/loadgen -addr $$addr -check -conns 2 -depth 8 -keyspace 32768 -skew 1.1 \
+		-valsize 64,2048 -set 60 -del 10 -ops 20000 >$(BENCHDIR)/smoke-check.txt 2>&1; \
+	cat $(BENCHDIR)/smoke-check.txt; \
+	grep -q '^check: OK' $(BENCHDIR)/smoke-check.txt
 
 # Prove the chaos checker still bites: a sabotaged engine must be caught.
 chaos-teeth:

@@ -316,9 +316,10 @@ func run(o options) error {
 			fmt.Printf("adaptive: %d policy switches [shard:policy(switches)] %s\n",
 				switches, strings.Join(shards, " "))
 		}
-		// Group-commit counters: how much batch fusion and shared grace the
-		// run actually got, and how many freed blocks still wait out a grace
-		// period (0 once the server's connections have closed).
+		// Group-commit counters: how wide the mutation runs that shared one
+		// ticket wait were, how much shared grace the run got, and how many
+		// freed blocks still wait out a grace period (0 once the server's
+		// connections have closed).
 		if fbStr, ok := st["fused_batches"]; ok {
 			fb, _ := strconv.ParseFloat(fbStr, 64)
 			fo, _ := strconv.ParseFloat(st["fused_ops"], 64)
@@ -326,9 +327,19 @@ func run(o options) error {
 			if fb > 0 {
 				width = fo / fb
 			}
-			fmt.Printf("fusion: batches=%s fused_ops=%s (%.1f ops/batch)  grace: quiesces=%s shared_grace=%s scans_avoided=%s reclaim_parked=%s\n",
+			fmt.Printf("runs: batches=%s fused_ops=%s (%.1f ops/batch)  grace: quiesces=%s shared_grace=%s scans_avoided=%s reclaim_parked=%s\n",
 				fbStr, st["fused_ops"], width,
 				st["quiesces"], st["shared_grace"], st["scans_avoided"], st["reclaim_parked"])
+		}
+		// Why transactions abort, since the server started: conflict and
+		// capacity aborts over attempts, serial runs over commits (the
+		// benchmark's tm.* ratios).
+		if _, ok := st["tm_starts"]; ok {
+			num := func(k string) float64 { v, _ := strconv.ParseFloat(st[k], 64); return v }
+			starts, commits := max(num("tm_starts"), 1), max(num("tm_commits"), 1)
+			fmt.Printf("tm: starts=%s commits=%s conflict_ratio=%.4f capacity_ratio=%.4f serial_ratio=%.4f\n",
+				st["tm_starts"], st["tm_commits"], num("tm_conflict_aborts")/starts,
+				num("tm_capacity_aborts")/starts, num("tm_serial_runs")/commits)
 		}
 		// Durability counters (present only when the server runs with -wal).
 		if appendsStr, ok := st["wal_appends"]; ok {

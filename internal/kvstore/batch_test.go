@@ -13,26 +13,27 @@ import (
 )
 
 // batchConfigs are the configurations a batch must behave identically
-// under. Across shards the three elided policies run it as one fused
-// transaction; the other two cannot fuse and run one section per op: a
-// lock-based runtime, and a hybrid one that holds two of the touched shards
-// on different TM mechanisms.
+// under: the three elided policies, the lock baseline, and a hybrid runtime
+// that holds two of the touched shards on different TM mechanisms.
 var batchConfigs = []string{"stm-spin", "stm-cv", "htm-cv", "pthread", "hybrid-mixed"}
 
-// newBatchStore builds a 4-shard store under one of batchConfigs and returns
-// nkeys keys on distinct shards.
-func newBatchStore(t *testing.T, config string, nkeys int) (*tle.Runtime, *Store, [][]byte) {
+// newBatchStore builds a 4-shard store under one of batchConfigs, on a
+// runtime built from cfg plus the config's policy, and returns nkeys keys on
+// distinct shards.
+func newBatchStore(t *testing.T, config string, nkeys int, cfg tle.Config) (*tle.Runtime, *Store, [][]byte) {
 	t.Helper()
-	var r *tle.Runtime
+	cfg.MemWords = 1 << 20
+	cfg.HTM = htm.Config{EventAbortPerMillion: -1}
+	p := tle.PolicySTMCondVar
 	if config == "hybrid-mixed" {
-		r = tle.New(tle.PolicySTMCondVar, tle.Config{MemWords: 1 << 20, Hybrid: true, HTM: htm.Config{EventAbortPerMillion: -1}})
+		cfg.Hybrid = true
 	} else {
-		p, err := tle.ParsePolicy(config)
-		if err != nil {
+		var err error
+		if p, err = tle.ParsePolicy(config); err != nil {
 			t.Fatal(err)
 		}
-		r = newRT(p)
 	}
+	r := tle.New(p, cfg)
 	s := New(r, Config{Shards: 4})
 	keys := crossShardKeys(s, nkeys)
 	if config == "hybrid-mixed" {
@@ -43,14 +44,41 @@ func newBatchStore(t *testing.T, config string, nkeys int) (*tle.Runtime, *Store
 	return r, s, keys
 }
 
-// TestMutateBatchSequentialSemantics pins the batch contract, fused or not:
-// ops in one batch behave exactly as if each had run in its own critical
-// section, back to back — including duplicate keys, where op i observes
-// the effects of ops 0..i-1 — across shards, with res filled for every op.
+// oneLockTracer fails the test when a thread enters a mutex's critical
+// section while it is inside another's, and counts the sections entered.
+type oneLockTracer struct {
+	t        *testing.T
+	mu       sync.Mutex
+	held     map[uint64]int // thread id -> mutex id it is inside
+	acquires int
+}
+
+func (tr *oneLockTracer) Acquire(tid uint64, mid int) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if h, ok := tr.held[tid]; ok {
+		tr.t.Errorf("thread %d entered mutex %d while holding mutex %d", tid, mid, h)
+	}
+	tr.held[tid] = mid
+	tr.acquires++
+}
+
+func (tr *oneLockTracer) Release(tid uint64, mid int) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	delete(tr.held, tid)
+}
+
+// TestMutateBatchSequentialSemantics pins the batch contract: ops in one
+// batch behave exactly as if each had run in its own critical section,
+// back to back — including duplicate keys, where op i observes the effects
+// of ops 0..i-1 — across shards, with res filled for every op. Each op is
+// one section on one shard mutex, and no section holds two.
 func TestMutateBatchSequentialSemantics(t *testing.T) {
 	for _, config := range batchConfigs {
 		t.Run(config, func(t *testing.T) {
-			r, s, keys := newBatchStore(t, config, 3)
+			tr := &oneLockTracer{t: t, held: map[uint64]int{}}
+			r, s, keys := newBatchStore(t, config, 3, tle.Config{Tracer: tr})
 			th := r.NewThread()
 			var sc BatchScratch
 			a, b, ctr := keys[0], keys[1], keys[2]
@@ -66,14 +94,12 @@ func TestMutateBatchSequentialSemantics(t *testing.T) {
 				{Verb: BatchDecr, Key: ctr, Delta: 100}, // floors at 0
 			}
 			res := make([]BatchResult, len(ops))
+			before := tr.acquires
 			if err := s.MutateBatch(th, ops, res, &sc); err != nil {
 				t.Fatal(err)
 			}
-			// The scratch still holds the last section's op range: the whole
-			// batch if it fused, the last op alone if it ran op by op.
-			perOp := config == "pthread" || config == "hybrid-mixed"
-			if got := sc.hi-sc.lo == 1; got != perOp {
-				t.Fatalf("last section covered ops[%d:%d]; ran op by op = %v, want %v", sc.lo, sc.hi, got, perOp)
+			if got := tr.acquires - before; got != len(ops) {
+				t.Fatalf("batch of %d ops entered %d critical sections, want one per op", len(ops), got)
 			}
 			want := []BatchResult{
 				{Store: Stored},
@@ -100,7 +126,47 @@ func TestMutateBatchSequentialSemantics(t *testing.T) {
 	}
 }
 
-// TestMutateBatchCASMidBatch pins CAS visibility inside a fused batch: a
+// TestShardObserverSeesOnlyItsOwnSections pins per-shard attribution: a
+// batch spanning three shards adds, on each shard mutex's observer, exactly
+// the commits of that shard's ops — the per-lock rates the adaptive
+// controller samples belong to the shard they are read from.
+func TestShardObserverSeesOnlyItsOwnSections(t *testing.T) {
+	for _, config := range batchConfigs {
+		t.Run(config, func(t *testing.T) {
+			r, s, keys := newBatchStore(t, config, 3, tle.Config{Observe: true})
+			th := r.NewThread()
+			defer th.Release()
+			var sc BatchScratch
+			a, b, c := keys[0], keys[1], keys[2]
+			ops := []BatchOp{
+				{Verb: BatchSet, Key: a, Val: []byte("1")},
+				{Verb: BatchSet, Key: b, Val: []byte("1")},
+				{Verb: BatchSet, Key: a, Val: []byte("2")},
+				{Verb: BatchDelete, Key: c}, // a miss still commits its section
+				{Verb: BatchSet, Key: b, Val: []byte("2")},
+				{Verb: BatchDelete, Key: a},
+			}
+			want := make([]uint64, s.ShardCount())
+			for _, op := range ops {
+				want[s.ShardFor(op.Key)]++
+			}
+			before := make([]uint64, s.ShardCount())
+			for i := range before {
+				before[i] = s.ShardMutex(i).Observer().Snapshot().Commits
+			}
+			if err := s.MutateBatch(th, ops, make([]BatchResult, len(ops)), &sc); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got := s.ShardMutex(i).Observer().Snapshot().Commits - before[i]; got != want[i] {
+					t.Errorf("shard %d observer: %d commits, want %d (its own ops)", i, got, want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestMutateBatchCASMidBatch pins CAS visibility inside a batch: a
 // set earlier in the batch advances the CAS token, so a stale token later
 // in the same batch fails exactly as it would across two solo sections.
 func TestMutateBatchCASMidBatch(t *testing.T) {
@@ -195,15 +261,15 @@ func crossShardKeys(s *Store, n int) [][]byte {
 	return keys
 }
 
-// TestMutateBatchWALTickets pins the group-commit contract, fused or not:
-// one batch produces one ticket per touched shard, the tickets become
+// TestMutateBatchWALTickets pins the group-commit contract: one batch
+// produces one ticket per touched shard, the tickets become
 // durable, and recovery replays the mutations in commit order.
 func TestMutateBatchWALTickets(t *testing.T) {
 	for _, config := range batchConfigs {
 		t.Run(config, func(t *testing.T) {
 			dir := t.TempDir()
 			build := func() (*tle.Runtime, *Store, [][]byte, *wal.Log) {
-				r, s, keys := newBatchStore(t, config, 2)
+				r, s, keys := newBatchStore(t, config, 2, tle.Config{})
 				l, err := wal.Open(dir, s.ShardCount(), wal.Options{})
 				if err != nil {
 					t.Fatal(err)
@@ -267,10 +333,10 @@ func TestMutateBatchWALTickets(t *testing.T) {
 	}
 }
 
-// TestMutateBatchConcurrentLinearizes hammers fused increments from many
-// threads: every batch is one transaction, so the final counter must be
-// exactly the sum of all fused increments — lost updates would betray a
-// torn fusion.
+// TestMutateBatchConcurrentLinearizes hammers batched increments from many
+// threads: every incr is its own critical section, so the final counter
+// must be exactly the sum of all of them — a lost update would betray a
+// section that was not atomic.
 func TestMutateBatchConcurrentLinearizes(t *testing.T) {
 	r := newRT(tle.PolicyHTMCondVar)
 	s := New(r, Config{Shards: 4})

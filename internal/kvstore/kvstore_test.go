@@ -343,7 +343,7 @@ func fullyReferencedShard(t *testing.T, r *tle.Runtime, capacity int) (*Store, *
 
 // Second chances are bounded: when every item at the tail is referenced a
 // set still terminates, evicts exactly the overflow (one item per insert,
-// alone or fused), and what it spared sits at the front unreferenced.
+// alone or in a batch), and what it spared sits at the front unreferenced.
 func TestEvictionWithWholeTailReferenced(t *testing.T) {
 	for _, p := range tle.Policies {
 		t.Run(p.String(), func(t *testing.T) {

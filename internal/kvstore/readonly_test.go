@@ -276,7 +276,7 @@ func TestReferencedBitStaysOutOfClientFlags(t *testing.T) {
 			if f := dumpFlags(t, blob, key); f != flags {
 				t.Fatalf("DumpShard flags = %#x", f)
 			}
-			// Same again through a fused batch: the incr's redo record is
+			// Same again through MutateBatch: the incr's redo record is
 			// staged there from the flags applyIncr returns.
 			var sc BatchScratch
 			res := make([]BatchResult, 1)

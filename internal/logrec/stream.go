@@ -58,7 +58,8 @@ func (s *Stream) Attach(k Sink) { s.sinks = append(s.sinks, k) }
 // ascending Seq order. Key and Val are consumed before it returns (framed
 // into the run, or into an owned parked frame). Everything this call makes
 // contiguous — recs when they arrive in order, plus any parked successors
-// — reaches each sink as one run, so a fused batch costs each sink one call.
+// — reaches each sink as one run, so a transaction's records cost each sink
+// one call.
 func (s *Stream) Publish(shard int, recs []Record) {
 	sh := &s.sh[shard]
 	sh.mu.Lock()

@@ -37,7 +37,7 @@ func (k *recSink) Emit(shard int, first uint64, n int, frames []byte) {
 	k.runs = append(k.runs, run{shard, first, n, append([]byte(nil), frames...)})
 }
 
-// TestStreamRunShape pins what a sink is promised: a fused batch arrives
+// TestStreamRunShape pins what a sink is promised: one publish arrives
 // as one run, an early arrival reaches no sink until its predecessors do,
 // and then the whole contiguous stretch arrives as one run, framed with
 // the shard stamped in.
@@ -50,7 +50,7 @@ func TestStreamRunShape(t *testing.T) {
 	st.Publish(0, []logrec.Record{mkRecord(3, "e", "5"), mkRecord(4, "f", "6")})
 	st.Publish(0, []logrec.Record{mkRecord(2, "d", "4")})
 	if len(k.runs) != 1 || k.runs[0].shard != 1 || k.runs[0].first != 8 || k.runs[0].n != 3 {
-		t.Fatalf("after a fused batch and two early arrivals: runs = %+v, want one run {shard 1, first 8, n 3}", k.runs)
+		t.Fatalf("after a three-record publish and two early arrivals: runs = %+v, want one run {shard 1, first 8, n 3}", k.runs)
 	}
 	st.Publish(0, []logrec.Record{mkRecord(1, "g", "7")})
 	if len(k.runs) != 2 || k.runs[1].shard != 0 || k.runs[1].first != 1 || k.runs[1].n != 4 {
@@ -206,7 +206,7 @@ func wireFrames(t *testing.T, addr string, shards, want int) [][][]byte {
 
 // TestConcurrentPublishersBothSinksInSeqOrder: many goroutines draw
 // per-shard sequence numbers under a lock and publish outside it, singly
-// and in fused runs, so arrival order is scrambled. Both sinks must end up
+// and in multi-record runs, so arrival order is scrambled. Both sinks must end up
 // with each shard's records in exact sequence order, and with the very
 // same frame bytes — each record is framed once, upstream of both.
 func TestConcurrentPublishersBothSinksInSeqOrder(t *testing.T) {

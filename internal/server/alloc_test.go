@@ -16,7 +16,7 @@ import (
 //
 // The gate covers the pieces the server owns end to end: field split +
 // parse (decoder), the get path and the mutation path, as a run of one and
-// as a fused run (executor + kvstore + epoch), and response encoding. Socket I/O is
+// as a multi-op run (executor + kvstore + epoch), and response encoding. Socket I/O is
 // excluded — bufio and the kernel sit outside the op lifecycle.
 func TestZeroAllocHotPath(t *testing.T) {
 	t.Run("decode", func(t *testing.T) {
@@ -49,7 +49,7 @@ func TestZeroAllocHotPath(t *testing.T) {
 }
 
 // zeroAllocExecute gates the executing half of the hot path under one
-// policy: a set on its own, a get, a fused batch, and a set that evicts.
+// policy: a set on its own, a get, an 8-op batch, and a set that evicts.
 func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 	r := tle.New(policy, tle.Config{
 		MemWords: 1 << 20,
@@ -67,8 +67,8 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 		// Through the executor's batch path, exactly as the serving
 		// pipeline runs a queued mutation (a run of one here).
 		var (
-			bops    [maxFuse]kvstore.BatchOp
-			bres    [maxFuse]kvstore.BatchResult
+			bops    [maxDrain]kvstore.BatchOp
+			bres    [maxDrain]kvstore.BatchResult
 			sc      kvstore.BatchScratch
 			ackFree = make(chan *batchAck, 4)
 			run     = [1]*op{o}
@@ -123,7 +123,7 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 		}
 		one()
 		if n := testing.AllocsPerRun(200, one); n != 0 {
-			t.Fatalf("fused batch allocates %.1f per 8-op batch", n)
+			t.Fatalf("8-op batch allocates %.1f per batch", n)
 		}
 	})
 

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"gotle/internal/chaos"
+	"gotle/internal/htm"
 	"gotle/internal/kvstore"
 	"gotle/internal/server/client"
 	"gotle/internal/tle"
@@ -38,8 +40,8 @@ func readReply(t *testing.T, br *bufio.Reader) string {
 	return strings.TrimRight(line, "\r\n")
 }
 
-// TestFusedNoReplyRuns pins fusion across noreply mutations: a pipelined
-// run of noreply sets produces no responses at all, the next replying
+// TestFusedNoReplyRuns pins runs of noreply mutations: a pipelined run of
+// noreply sets handed to one MutateBatch produces no responses at all, the next replying
 // command answers immediately, and every noreply write is applied.
 func TestFusedNoReplyRuns(t *testing.T) {
 	_, addr := startServer(t, Config{})
@@ -55,7 +57,7 @@ func TestFusedNoReplyRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The one and only response must be the get's VALUE block: any
-	// STORED leaking from a fused noreply op would land here first.
+	// STORED leaking from a noreply op in the run would land here first.
 	if got := readReply(t, br); got != "VALUE nr7 0 2" {
 		t.Fatalf("first reply = %q, want the get header", got)
 	}
@@ -83,9 +85,9 @@ func TestFusedNoReplyRuns(t *testing.T) {
 // TestFusedMixedPipelineOrder pins response ordering and per-op status
 // isolation through the mutation path: a pipelined burst mixing stores,
 // deletes, incrs, misses and interleaved gets must answer strictly in
-// order with each op's own status — fused into one transaction (stm-cv),
-// and one lock at a time on the lock baseline with a WAL, where every acked
-// reply must also be in the recovered store.
+// order with each op's own status — elided (stm-cv), and on the lock
+// baseline with a WAL, where every acked reply must also be in the
+// recovered store.
 func TestFusedMixedPipelineOrder(t *testing.T) {
 	req := "set k1 0 0 1\r\na\r\n" +
 		"add k1 0 0 1\r\nb\r\n" + // exists: NOT_STORED
@@ -163,10 +165,11 @@ func TestFusedMixedPipelineOrder(t *testing.T) {
 	})
 }
 
-// TestFusionCountersAdvance drives enough pipelined mutation bursts at
-// one connection that the executor must drain multi-op batches, then
-// checks the stats verb exposes the fusion and grace counters.
-func TestFusionCountersAdvance(t *testing.T) {
+// TestMutationRunCountersAdvance drives enough pipelined mutation bursts at
+// one connection that the executor must drain multi-op runs into one
+// MutateBatch, then checks the stats verb exposes the run counters
+// (fused_batches, fused_ops) and the grace counters.
+func TestMutationRunCountersAdvance(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	cl, err := client.Dial(addr)
 	if err != nil {
@@ -203,10 +206,66 @@ func TestFusionCountersAdvance(t *testing.T) {
 	fb, _ := strconv.ParseUint(st["fused_batches"], 10, 64)
 	fo, _ := strconv.ParseUint(st["fused_ops"], 10, 64)
 	if fb == 0 || fo < 2*fb {
-		t.Fatalf("fusion never fired across %d pipelined bursts: fused_batches=%d fused_ops=%d",
+		t.Fatalf("no multi-op run across %d pipelined bursts: fused_batches=%d fused_ops=%d",
 			bursts, fb, fo)
 	}
 	t.Logf("fused_batches=%d fused_ops=%d (mean width %.1f)", fb, fo, float64(fo)/float64(fb))
+}
+
+// TestStatsTMCountersAdvance checks the engine-wide transaction counters in
+// stats: every key is present, and sets under an HTM runtime with seeded
+// forced conflict and capacity aborts (each attempt that exhausts its retry
+// budget runs serially) advance all five.
+func TestStatsTMCountersAdvance(t *testing.T) {
+	inj := chaos.New(chaos.Config{Seed: 1, Rates: chaos.Rates{chaos.HTMConflict: 20000, chaos.HTMCapacity: 20000}})
+	r := tle.New(tle.PolicyHTMCondVar, tle.Config{MemWords: 1 << 20, HTM: htm.Config{EventAbortPerMillion: -1}, FaultInjector: inj})
+	srv := New(r, kvstore.New(r, kvstore.Config{Shards: 4}), Config{})
+	addr, err := srv.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Shutdown(5 * time.Second) })
+	cl, err := client.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	keys := []string{"tm_starts", "tm_commits", "tm_conflict_aborts", "tm_capacity_aborts", "tm_serial_runs"}
+	read := func() map[string]uint64 {
+		t.Helper()
+		st, err := cl.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]uint64{}
+		for _, k := range keys {
+			v, err := strconv.ParseUint(st[k], 10, 64)
+			if err != nil {
+				t.Fatalf("stats %s = %q: %v", k, st[k], err)
+			}
+			out[k] = v
+		}
+		return out
+	}
+	before := read()
+	const sets = 200
+	for i := 0; i < sets; i++ {
+		if err := cl.Set(fmt.Sprintf("tm%d", i%50), []byte(strings.Repeat("v", 100)), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := read()
+	for _, k := range keys {
+		if after[k] <= before[k] {
+			t.Errorf("stats %s did not advance over %d sets: %d -> %d", k, sets, before[k], after[k])
+		}
+	}
+	if d := after["tm_commits"] - before["tm_commits"]; d < sets {
+		t.Errorf("tm_commits advanced %d over %d sets", d, sets)
+	}
+	if after["tm_starts"] < after["tm_commits"]+after["tm_conflict_aborts"]+after["tm_capacity_aborts"] {
+		t.Errorf("tm_starts %d below commits + aborts: %v", after["tm_starts"], after)
+	}
 }
 
 // TestStatsReportParkedFrees runs tleserved's runtime shape (hybrid,

@@ -125,9 +125,12 @@ type Server struct {
 	ops *stats.Striped
 }
 
-// Indices into Server.ops. ctrFusedBatches counts multi-op transactions,
-// ctrFusedOps the mutations they carried (their ratio is the mean fusion
-// width).
+// Indices into Server.ops. ctrFusedBatches counts the runs of two or more
+// adjacent mutations the executor handed to one MutateBatch, ctrFusedOps
+// the mutations in those runs (their ratio is the mean drain width). Each
+// mutation is still its own critical section; a run shares its WAL tickets
+// and its one wait on them. The stats keys keep their names because
+// loadgen and the benchmark's traced run read them.
 const (
 	ctrCmdGet = iota
 	ctrCmdSet
@@ -305,11 +308,11 @@ type batchAck struct {
 	pending int
 }
 
-// maxFuse caps how many queued mutations fuse into one transaction. Wider
-// batches amortize more commit/quiescence overhead but hold shard locks
-// longer and inflate HTM footprints; 32 keeps a fused transaction well
-// inside the simulated write-set budget at default value sizes.
-const maxFuse = 32
+// maxDrain caps how many queued ops the executor takes per pass. A run of
+// adjacent mutations among them is one MutateBatch: one section per op,
+// but one set of WAL tickets, waited once, so the ack and the fsync wait
+// are amortized over the run.
+const maxDrain = 32
 
 var (
 	respError    = []byte("ERROR\r\n")
@@ -345,17 +348,17 @@ func (s *Server) handleConn(c net.Conn) {
 	}
 
 	// Executor: one tm.Thread per connection. It drains whatever the
-	// decoder has queued (up to maxFuse) and fuses adjacent mutations
-	// into single transactions; order within the queue is preserved.
+	// decoder has queued (up to maxDrain) and hands each run of adjacent
+	// mutations to one MutateBatch; order within the queue is preserved.
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		th := s.r.NewThread()
 		defer th.Release()
 		var (
-			run     [maxFuse]*op
-			bops    [maxFuse]kvstore.BatchOp
-			bres    [maxFuse]kvstore.BatchResult
+			run     [maxDrain]*op
+			bops    [maxDrain]kvstore.BatchOp
+			bres    [maxDrain]kvstore.BatchResult
 			sc      kvstore.BatchScratch
 			ackFree = make(chan *batchAck, 4)
 		)
@@ -368,7 +371,7 @@ func (s *Server) handleConn(c net.Conn) {
 			n := 1
 			run[0] = o
 		drain:
-			for n < maxFuse {
+			for n < maxDrain {
 				select {
 				case o2, ok2 := <-execQ:
 					if !ok2 {
@@ -464,9 +467,8 @@ func recycle(o *op, free chan *op) {
 }
 
 // executeBatch runs a drained slice of queued ops in order: each maximal
-// run of adjacent mutations is one MutateBatch (a run of one included: it
-// degenerates to that shard's own critical section), everything else — gets,
-// stats, admin verbs — runs on its own.
+// run of adjacent mutations is one MutateBatch (a run of one included),
+// everything else — gets, stats, admin verbs — runs on its own.
 //
 //gotle:hotpath per-batch execution; the serve-smoke gate measures the solo-set shape
 func (s *Server) executeBatch(th *tm.Thread, ops []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult, sc *kvstore.BatchScratch, ackFree chan *batchAck) {
@@ -486,7 +488,7 @@ func (s *Server) executeBatch(th *tm.Thread, ops []*op, bops []kvstore.BatchOp, 
 		for j < len(ops) && mutating(ops[j]) {
 			j++
 		}
-		s.executeFused(th, ops[i:j], bops, bres, sc, ackFree)
+		s.executeMutations(th, ops[i:j], bops, bres, sc, ackFree)
 		i = j
 	}
 }
@@ -504,12 +506,12 @@ func mutating(o *op) bool {
 	return false
 }
 
-// executeFused runs one run of adjacent mutations as a single MutateBatch,
-// which fuses them into one transaction when the touched shards allow it
-// and applies them one section at a time when they do not.
+// executeMutations runs one run of adjacent mutations as a single
+// MutateBatch — one critical section per op — and hands every op of the
+// run the batch's shared durability handle.
 //
-//gotle:hotpath fused-batch execution; the serve-smoke gate measures the fused-mutate shape
-func (s *Server) executeFused(th *tm.Thread, run []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult, sc *kvstore.BatchScratch, ackFree chan *batchAck) {
+//gotle:hotpath mutation-run execution; the serve-smoke gate measures the multi-op shape
+func (s *Server) executeMutations(th *tm.Thread, run []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult, sc *kvstore.BatchScratch, ackFree chan *batchAck) {
 	stores := uint64(0)
 	for _, o := range run {
 		cmd := &o.cmd
@@ -557,15 +559,15 @@ func (s *Server) executeFused(th *tm.Thread, run []*op, bops []kvstore.BatchOp, 
 		if err != nil {
 			o.resolve(serverError(err)) // an engine fault: the run's outcome is unknown
 		} else {
-			o.resolve(fusedResp(o, &res[k]))
+			o.resolve(mutationResp(o, &res[k]))
 		}
 	}
 }
 
-// fusedResp renders one mutation's wire response from its BatchResult.
+// mutationResp renders one mutation's wire response from its BatchResult.
 //
 //gotle:hotpath per-op response selection for mutations
-func fusedResp(o *op, r *kvstore.BatchResult) []byte {
+func mutationResp(o *op, r *kvstore.BatchResult) []byte {
 	if r.Err != nil {
 		// The protocol layer already enforced the key bound; an oversized
 		// value is refused here.
@@ -814,7 +816,15 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 	u("fused_batches", s.ops.Sum(ctrFusedBatches))
 	u("fused_ops", s.ops.Sum(ctrFusedOps))
 
+	// Engine-wide transaction counters: why are transactions aborting.
+	// Conflict aborts lump every data-conflict cause (HTM conflict, STM
+	// validation, STM encounter-time lock).
 	es := s.r.Engine().Snapshot()
+	u("tm_starts", es.Starts)
+	u("tm_commits", es.Commits)
+	u("tm_conflict_aborts", es.Aborts[stats.Conflict]+es.Aborts[stats.Validation]+es.Aborts[stats.Locked])
+	u("tm_capacity_aborts", es.Aborts[stats.Capacity])
+	u("tm_serial_runs", es.SerialRuns)
 	u("quiesces", es.Quiesces)
 	u("shared_grace", es.SharedGrace)
 	u("scans_avoided", es.ScansAvoided)

@@ -19,7 +19,6 @@
 package tle
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -242,7 +241,7 @@ type Mutex struct {
 	obs    *stats.Counters // nil unless Config.Observe
 	// resolveFn is the bound method value of resolve, created once:
 	// building it inline in Do would allocate on every critical section.
-	resolveFn func() (tm.Mech, bool, bool)
+	resolveFn func() (tm.Mech, bool)
 	pad       [4]uint64 //nolint:unused // keep mutexes off each other's lines
 }
 
@@ -321,108 +320,19 @@ func (m *Mutex) Do(th *tm.Thread, body func(tx tm.Tx) error) error {
 	return m.r.engine.AtomicOpts(th, tm.CallOpts{Resolve: m.resolveFn, Obs: m.obs}, body)
 }
 
-// resolve maps the mutex's current policy onto a TM mechanism. It runs
-// under the engine's serial read lock (or write lock, for the serial
-// path), where SetPolicy's drain cannot overlap, so the answer is stable
-// for the attempt that asked.
-func (m *Mutex) resolve() (tm.Mech, bool, bool) {
+// resolve maps the mutex's current policy onto a TM mechanism and whether
+// the policy honors Tx.NoQuiesce. It runs under the engine's serial read
+// lock, where SetPolicy's drain cannot overlap, so the answer is stable for
+// the attempt that asked; every transactional policy has an answer.
+func (m *Mutex) resolve() (tm.Mech, bool) {
 	switch Policy(m.policy.Load()) {
 	case PolicyHTMCondVar:
-		return tm.MechHTM, false, true
+		return tm.MechHTM, false
 	case PolicySTMCondVarNoQ:
-		return tm.MechSTM, true, true
+		return tm.MechSTM, true
 	default: // stm-spin, stm-cv
-		return tm.MechSTM, false, true
+		return tm.MechSTM, false
 	}
-}
-
-// ErrUnfusable is returned by Fuse.Do when the mutexes cannot execute as one
-// transaction: they are locks (a pthread runtime, for good), or two of them
-// resolve to different TM mechanisms (while the adaptive controller holds
-// their shards on different rungs). The caller falls back to per-mutex Do
-// calls.
-var ErrUnfusable = errors.New("tle: mutexes cannot fuse into one transaction")
-
-// Fuse runs ONE critical section spanning several mutexes — transaction
-// coarsening across locks (Yoo et al., Section II.C): N adjacent operations,
-// each its own critical section under per-shard locks, amortize begin/commit/
-// quiescence costs by running as a single transaction (kvstore.MutateBatch
-// is the caller). The handle is reusable: the combined resolver is bound
-// once, so fusing on every request costs no allocation per call. Set Ms
-// before each Do; the handle owns no other state.
-//
-// Soundness: all of Ms must elide onto the SAME TM mechanism, so one
-// conflict-detection scheme covers every word the fused body touches.
-// Tx.NoQuiesce is honored only if every mutex's policy honors it.
-// Commit/abort events are attributed to Ms[0]'s observer; callers with
-// rotating batch membership spread the attribution statistically.
-type Fuse struct {
-	r *Runtime
-	// Ms is the mutex set the next Do spans. The caller may rewrite it
-	// (or re-slice a scratch buffer) between calls.
-	Ms      []*Mutex
-	resolve func() (tm.Mech, bool, bool)
-}
-
-// NewFuse returns a fused-call handle on the runtime.
-func (r *Runtime) NewFuse() *Fuse {
-	f := &Fuse{r: r}
-	f.resolve = f.resolveAll
-	return f
-}
-
-// resolveAll maps the whole mutex set onto one TM mechanism, or reports
-// unfusable. It runs under the engine's serial read lock, where
-// SetPolicy's drain cannot overlap, so the answer is stable for the
-// attempt that asked.
-func (f *Fuse) resolveAll() (tm.Mech, bool, bool) {
-	if f.r.policy == PolicyPthread {
-		return tm.MechDefault, false, false // locks never fuse
-	}
-	ms := f.Ms
-	mech, honorNoQ, _ := ms[0].resolve()
-	for _, m := range ms[1:] {
-		me, h, _ := m.resolve()
-		if me != mech {
-			return tm.MechDefault, false, false
-		}
-		honorNoQ = honorNoQ && h
-	}
-	return mech, honorNoQ, true
-}
-
-// Do executes body as one critical section spanning every mutex in f.Ms. If
-// any of them is lock-based or their mechanisms diverge it returns
-// ErrUnfusable without running body; a single-mutex set degenerates to that
-// mutex's own Do, which never fuses and so never fails to.
-func (f *Fuse) Do(th *tm.Thread, body func(tx tm.Tx) error) error {
-	ms := f.Ms
-	if len(ms) == 0 {
-		return nil
-	}
-	if len(ms) == 1 {
-		return ms[0].Do(th, body)
-	}
-	if tr := f.r.tracer; tr != nil {
-		for _, m := range ms {
-			tr.Acquire(th.ID(), m.mid)
-		}
-		defer func() {
-			for i := len(ms) - 1; i >= 0; i-- {
-				f.r.tracer.Release(th.ID(), ms[i].mid)
-			}
-		}()
-	}
-	err := f.r.engine.AtomicOpts(th, tm.CallOpts{
-		Resolve: f.resolve,
-		Obs:     ms[0].obs,
-	}, body)
-	if err == tm.ErrStale {
-		// Unfusable (or a policy moved mid-call): the caller decides
-		// whether to retry fused or fall back to per-mutex Do.
-		return ErrUnfusable
-	}
-	return err
 }
 
 // doLocked is the pthread baseline path: body runs under m.mu with direct

@@ -1,8 +1,6 @@
 package tm
 
 import (
-	"errors"
-
 	"gotle/internal/abortsig"
 	"gotle/internal/chaos"
 	"gotle/internal/memseg"
@@ -36,21 +34,16 @@ type CallOpts struct {
 	// Resolve, when non-nil, is consulted at the start of every attempt —
 	// after the attempt is pinned under the serial read lock — and selects
 	// the mechanism and whether Tx.NoQuiesce is honored for that attempt.
-	// Returning ok=false abandons the call with ErrStale; the caller is
-	// expected to re-resolve its configuration and call again. Because the
-	// serial read lock is held across the attempt and configuration swaps
-	// happen under Engine.Drain (the write side), a resolution observed
-	// under the read lock cannot change mid-attempt.
-	Resolve func() (mech Mech, honorNoQuiesce bool, ok bool)
+	// Because the serial read lock is held across the attempt and
+	// configuration swaps happen under Engine.Drain (the write side), a
+	// resolution observed under the read lock cannot change mid-attempt. A
+	// serial run is mechanism-agnostic and does not consult it.
+	Resolve func() (mech Mech, honorNoQuiesce bool)
 	// Obs, when non-nil, additionally receives this call's commit/abort/
 	// serial/quiesce events (per-mutex statistics for the adaptive
 	// controller), on the calling thread's own stripe.
 	Obs *stats.Counters
 }
-
-// ErrStale is returned by AtomicOpts when CallOpts.Resolve reported that
-// the call's configuration is no longer valid before any attempt ran.
-var ErrStale = errors.New("tm: call configuration went stale")
 
 // Default retry budgets, by the mechanism the failed attempt ran under: the
 // paper's HTM falls back "after hardware transactions fail twice"; GCC's STM
@@ -81,10 +74,7 @@ func (e *Engine) AtomicOpts(th *Thread, o CallOpts, fn func(Tx) error) error {
 	var backoff spinwait.Backoff
 	retries := 0
 	for {
-		err, committed, cause, stale := e.attempt(th, &o, fn)
-		if stale {
-			return ErrStale
-		}
+		err, committed, cause := e.attempt(th, &o, fn)
 		if committed {
 			return nil
 		}
@@ -123,9 +113,8 @@ func (e *Engine) Synchronized(th *Thread, fn func(Tx) error) error {
 
 // attempt runs fn once speculatively. It returns committed=true on success;
 // otherwise cause carries the abort cause, and err is non-nil only for a
-// user cancel (which also rolls back). stale=true means o.Resolve vetoed
-// the attempt before it began.
-func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error, committed bool, cause stats.AbortCause, stale bool) {
+// user cancel (which also rolls back).
+func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error, committed bool, cause stats.AbortCause) {
 	e.serial.rlock(th.slot)
 	mech := e.defaultMech()
 	honorNoQ := e.cfg.HonorNoQuiesce
@@ -133,11 +122,7 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 		// Resolved under the read lock: a concurrent Engine.Drain (policy
 		// swap) cannot complete until this attempt releases it, so the
 		// resolution holds for the whole attempt.
-		m, h, ok := o.Resolve()
-		if !ok {
-			e.serial.runlock(th.slot)
-			return nil, false, 0, true
-		}
+		m, h := o.Resolve()
 		if m != MechDefault {
 			mech = m
 		}
@@ -203,7 +188,7 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 		th.countCommit(readOnly)
 		e.postCommit(th, readOnly)
 		e.serial.runlock(th.slot)
-		return nil, true, 0, false
+		return nil, true, 0
 	}
 
 	// Abort path: return eagerly-allocated blocks.
@@ -213,11 +198,11 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 		// explicit.
 		th.countAbort(stats.Explicit)
 		e.serial.runlock(th.slot)
-		return err, false, stats.Explicit, false
+		return err, false, stats.Explicit
 	}
 	th.countAbort(cause)
 	e.serial.runlock(th.slot)
-	return nil, false, cause, false
+	return nil, false, cause
 }
 
 // observe pins the call's per-mutex counters, if it has any, for one
@@ -343,14 +328,6 @@ func (e *Engine) runSerial(th *Thread, o *CallOpts, fn func(Tx) error) error {
 	defer e.serial.wunlock()
 
 	th.resetTxnState()
-	if o != nil && o.Resolve != nil {
-		// A serial run is mechanism-agnostic (exclusive, direct access),
-		// but a stale configuration still abandons the call: a fused
-		// call's mutexes may have stopped sharing a mechanism.
-		if _, _, ok := o.Resolve(); !ok {
-			return ErrStale
-		}
-	}
 	th.observe(o)
 	th.st.SerialRun()
 	th.obs.SerialRun()

@@ -297,7 +297,7 @@ func TestRetryBudgetFollowsMechanism(t *testing.T) {
 			th := e.NewThread()
 			a := e.Alloc(2)
 			runs := 0
-			opts := CallOpts{Resolve: func() (Mech, bool, bool) { return tc.mech, false, true }}
+			opts := CallOpts{Resolve: func() (Mech, bool) { return tc.mech, false }}
 			if err := e.AtomicOpts(th, opts, func(tx Tx) error {
 				runs++
 				if !tx.Irrevocable() && runs <= tc.aborts {

@@ -121,9 +121,9 @@ func TestAtomicRetriesNestedFlattens(t *testing.T) {
 	a := e.Alloc(2)
 	th := e.NewThread()
 	err := e.Atomic(th, func(tx Tx) error {
-		return e.AtomicOpts(th, CallOpts{Resolve: func() (Mech, bool, bool) {
+		return e.AtomicOpts(th, CallOpts{Resolve: func() (Mech, bool) {
 			t.Error("nested call resolved its own configuration")
-			return MechSTM, false, false
+			return MechSTM, false
 		}}, func(inner Tx) error {
 			inner.Store(a, 2)
 			return nil

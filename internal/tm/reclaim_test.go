@@ -21,7 +21,7 @@ func holdAttempt(t *testing.T, e *Engine, mech Mech, read func(Tx)) (release fun
 		defer close(done)
 		th := e.NewThread()
 		defer th.Release()
-		resolve := func() (Mech, bool, bool) { return mech, true, true }
+		resolve := func() (Mech, bool) { return mech, true }
 		if err := e.AtomicOpts(th, CallOpts{Resolve: resolve}, func(tx Tx) error {
 			read(tx)
 			once.Do(func() { close(parked) })

@@ -284,8 +284,9 @@ func (t Ticket) Wait() error {
 // TicketFor returns the durability handle for shard sh's record seq,
 // whether it has reached the log or is still upstream in the commit
 // stream; on a nil log (no durability) it is the zero Ticket. A shard's
-// records become durable strictly in sequence order, so a fused batch's
-// highest seq covers the whole batch with one fsync rendezvous.
+// records become durable strictly in sequence order, so the highest seq a
+// batch published on a shard covers the batch's whole share of it with one
+// fsync rendezvous.
 func (l *Log) TicketFor(sh int, seq uint64) Ticket {
 	return Ticket{l: l, shard: sh, seq: seq}
 }
@@ -306,7 +307,7 @@ func (l *Log) Append(sh int, r Record) Ticket {
 }
 
 // Emit appends a run of n framed records for shard sh, sequence numbers
-// first..first+n-1 (logrec.Sink): one lock acquisition per fused batch.
+// first..first+n-1 (logrec.Sink): one lock acquisition per run.
 func (l *Log) Emit(sh int, first uint64, n int, frames []byte) {
 	l.mu.Lock()
 	if l.admitLocked(sh, first, n) {
