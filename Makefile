@@ -65,9 +65,15 @@ race:
 	$(GO) test -race ./...
 
 # Race detector over just the TM engine packages: the fast sweep to run
-# before merging anything that touches the TM stack.
+# before merging anything that touches the TM stack. The second line repeats
+# the tests of the serial lock's slot handshake, HTM doom and read-set
+# release, deferred reclamation and shared grace periods twenty times, as
+# CI's race job does.
+RACE_STRESS = 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace'
+
 race-tm:
 	$(GO) test -race $(TM_PKGS)
+	$(GO) test -race -count=20 -run $(RACE_STRESS) ./internal/tm ./internal/htm ./internal/epoch
 
 # Short bursts of the native fuzz targets (long-form: go test -fuzz=X -fuzztime=10m).
 fuzz-short:
@@ -85,8 +91,8 @@ chaos:
 	$(GO) run ./cmd/figures chaos -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
 # Paper-figure, quiescence, simulated-HTM, captured-store, per-policy kvstore,
-# and parallel-get, parallel-set and disjoint-section scaling (read at -cpu 1
-# against -cpu 2) benchmarks with pinned -benchtime/-count. Raw text goes to
+# and parallel-get, parallel-set, disjoint-section scaling and empty-section
+# (read at -cpu 1 against -cpu 2) benchmarks with pinned -benchtime/-count. Raw text goes to
 # $(BENCHDIR)/current.txt; compare two captures with benchstat. CI runs the same list once through
 # (`make bench BENCHTIME=1x BENCHCOUNT=1`) so a benchmark cannot rot.
 bench:
@@ -102,7 +108,7 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkGetParallel|BenchmarkSetParallel' -cpu 1,2 \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkDisjointScaling|BenchmarkSetsScaling' -cpu 1,2 \
+	$(GO) test -run '^$$' -bench 'BenchmarkDisjointScaling|BenchmarkSetsScaling|BenchmarkEmptyDo' -cpu 1,2 \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tle | tee -a $(BENCHDIR)/current.txt
 
 # The network server's zero-to-OK gate: the allocation gate (the serving

@@ -23,8 +23,8 @@
 // per wall-clock schedule.
 //
 // The Injector is nil-safe: every method on a nil *Injector is a cheap
-// no-op, so the engine hot paths pay one pointer test when chaos is
-// disabled.
+// no-op, so the engine hot paths pay one inlined test when chaos is
+// disabled (Fire and Stall call out only for an enabled point).
 //
 // Two kinds of points exist:
 //
@@ -211,9 +211,11 @@ func (in *Injector) decide(tid uint64, p Point, seq uint64) (uint64, bool) {
 // Fire consults point p for thread tid and reports whether the fault fires.
 // A nil Injector, or a point with no configured rate, never fires.
 func (in *Injector) Fire(tid uint64, p Point) bool {
-	if in == nil || in.rates[p] == 0 {
-		return false
-	}
+	return in != nil && in.rates[p] != 0 && in.fire(tid, p)
+}
+
+// fire is Fire's consultation of an enabled point.
+func (in *Injector) fire(tid uint64, p Point) bool {
 	seq := in.streams[tid%streamSlots][p].Add(1)
 	in.calls[p].Add(1)
 	h, fire := in.decide(tid, p, seq)
@@ -234,7 +236,14 @@ func (in *Injector) Fire(tid uint64, p Point) bool {
 // StallIters times. Call sites place it where holding a resource longer
 // (a locked orec, an active epoch slot) stresses waiters.
 func (in *Injector) Stall(tid uint64, p Point) {
-	if in == nil || !in.Fire(tid, p) {
+	if in != nil && in.rates[p] != 0 {
+		in.stall(tid, p)
+	}
+}
+
+// stall is Stall's consultation of an enabled point.
+func (in *Injector) stall(tid uint64, p Point) {
+	if !in.fire(tid, p) {
 		return
 	}
 	for i := 0; i < in.stallIters; i++ {

@@ -10,7 +10,8 @@
 // Each registered thread owns a sequence slot: even = outside any
 // transaction, odd = inside one. A quiescer loads every slot once (the
 // "cache misses linear in the number of threads" of Section IV.C) and waits
-// for the odd ones to move.
+// for the odd ones to move. The TM engine's serial lock reads the same
+// slots as its read side.
 //
 // Grace-period sharing: the scan-and-wait above is a grace period in the
 // RCU sense, and grace periods compose — a scan that *starts* after a
@@ -42,22 +43,17 @@ import (
 // Slot is one thread's participation record. Exactly one goroutine may call
 // Enter/Exit on a slot; any goroutine may observe it.
 //
-//gotle:allow falseshare seq and Reader have the same single writer, the slot's thread; sharing its line is the point
+// The TM engine's serial lock uses seq as its read side too (package tm,
+// serialLock), as libitm keeps both in a thread's shared_state.
 type Slot struct {
 	seq atomic.Uint64
-	// Reader is a second word only the slot's thread writes, kept here
-	// because the slot is the one line every thread owns and the manager
-	// the one list of them. The TM engine's serial lock uses it as the
-	// thread's read-side flag (package tm, serialLock); epoch itself never
-	// looks at it.
-	Reader atomic.Uint32
 	// exitHook, when set, runs at the top of Exit — while the slot still
 	// reads as active. The TM engine installs a chaos-injection stall here
 	// so a stress run can hold slots active past their transactions and
 	// force quiescers to wait. Set before the slot is shared; nil costs one
 	// predictable branch.
 	exitHook func()
-	_        [40]byte // keep slots on separate cache lines
+	_        [48]byte // keep slots on separate cache lines
 }
 
 // SetExitHook installs fn to run at the start of every Exit, before the slot
@@ -66,7 +62,7 @@ func (s *Slot) SetExitHook(fn func()) { s.exitHook = fn }
 
 // Enter marks the owning thread as inside a transaction.
 func (s *Slot) Enter() {
-	// Odd = active. A plain increment suffices: only the owner writes.
+	// Odd = active. Only the owner writes; the add is a full fence.
 	s.seq.Add(1)
 }
 
@@ -157,20 +153,9 @@ func (m *Manager) Unregister(s *Slot) {
 	m.mu.Unlock()
 }
 
-// Threads reports the number of registered slots.
-func (m *Manager) Threads() int { return len(*m.slots.Load()) }
-
 // Slots returns the registered slots as of the call. The slice is a
 // snapshot shared with the manager: read it, do not modify it.
 func (m *Manager) Slots() []*Slot { return *m.slots.Load() }
-
-// GracePeriods reports the tickets issued to leader scans — contended
-// quiescers that won the election and snapshotted the slots themselves —
-// and the largest completed ticket (for tests and observability; both are
-// monotone). Uncontended quiesces and parked followers take no ticket.
-func (m *Manager) GracePeriods() (started, completed uint64) {
-	return m.gpStarted.Load(), m.gpCompleted.Load()
-}
 
 // Result describes one quiescence.
 type Result struct {

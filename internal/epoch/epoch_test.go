@@ -6,7 +6,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// gracePeriods reports the tickets issued to leader scans and the largest
+// completed one.
+func gracePeriods(m *Manager) (started, completed uint64) {
+	return m.gpStarted.Load(), m.gpCompleted.Load()
+}
 
 func TestEnterExitParity(t *testing.T) {
 	m := NewManager()
@@ -21,6 +28,20 @@ func TestEnterExitParity(t *testing.T) {
 	s.Exit()
 	if s.Active() {
 		t.Fatal("slot active after Exit")
+	}
+}
+
+// Every attempt increments its thread's slot twice and every quiescer and
+// serial writer loads all of them: two threads' slots on one line would be
+// a line both write on every attempt.
+func TestSlotIsWholeCacheLine(t *testing.T) {
+	if sz := unsafe.Sizeof(Slot{}); sz != 64 {
+		t.Fatalf("sizeof(Slot) = %d, want 64: resize the trailing pad", sz)
+	}
+	m := NewManager()
+	a, b := uintptr(unsafe.Pointer(m.Register())), uintptr(unsafe.Pointer(m.Register()))
+	if a%64 != 0 || b%64 != 0 {
+		t.Fatalf("slots at %#x and %#x are not line-aligned", a, b)
 	}
 }
 
@@ -97,12 +118,12 @@ func TestQuiesceGrandfatherClause(t *testing.T) {
 func TestUnregister(t *testing.T) {
 	m := NewManager()
 	a := m.Register()
-	if m.Threads() != 1 {
-		t.Fatalf("Threads = %d, want 1", m.Threads())
+	if len(m.Slots()) != 1 {
+		t.Fatalf("Threads = %d, want 1", len(m.Slots()))
 	}
 	m.Unregister(a)
-	if m.Threads() != 0 {
-		t.Fatalf("Threads = %d after Unregister, want 0", m.Threads())
+	if len(m.Slots()) != 0 {
+		t.Fatalf("Threads = %d after Unregister, want 0", len(m.Slots()))
 	}
 }
 
@@ -161,8 +182,8 @@ func TestConcurrentRegister(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if m.Threads() != 16 {
-		t.Fatalf("Threads = %d, want 16", m.Threads())
+	if len(m.Slots()) != 16 {
+		t.Fatalf("Threads = %d, want 16", len(m.Slots()))
 	}
 }
 
@@ -212,7 +233,7 @@ func TestRegisterUnregisterQuiesceRace(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	started, completed := m.GracePeriods()
+	started, completed := gracePeriods(m)
 	if completed > started {
 		t.Fatalf("completed grace periods (%d) exceed started (%d)", completed, started)
 	}
@@ -323,7 +344,7 @@ func TestSharedGraceCoversLateRegistration(t *testing.T) {
 		}
 		victimErr <- nil
 	}()
-	for started, _ := m.GracePeriods(); started == 0; started, _ = m.GracePeriods() {
+	for started, _ := gracePeriods(m); started == 0; started, _ = gracePeriods(m) {
 		time.Sleep(10 * time.Microsecond)
 	}
 
@@ -358,7 +379,7 @@ func TestSharedGracePublishes(t *testing.T) {
 			t.Fatalf("uncontended quiesce %d did not scan: %+v", i, res)
 		}
 	}
-	if started, completed := m.GracePeriods(); started != 0 || completed != 0 {
+	if started, completed := gracePeriods(m); started != 0 || completed != 0 {
 		t.Fatalf("uncontended quiesces touched the gp counters: (%d, %d), want (0, 0)", started, completed)
 	}
 	// Contended: an active slot forces the ticketed path, and finishing the
@@ -372,7 +393,7 @@ func TestSharedGracePublishes(t *testing.T) {
 	if res := m.QuiesceWith(self, &sc); !res.Scanned {
 		t.Fatalf("contended quiesce did not scan: %+v", res)
 	}
-	started, completed := m.GracePeriods()
+	started, completed := gracePeriods(m)
 	if started == 0 || completed != started {
 		t.Fatalf("contended quiesce did not publish its ticket: (%d, %d)", started, completed)
 	}

@@ -325,14 +325,10 @@ func (t *Tx) Live() bool { return t.live }
 // ReadOnly reports whether the attempt has performed no writes.
 func (t *Tx) ReadOnly() bool { return len(t.writes) == 0 }
 
-func (t *Tx) abort(cause stats.AbortCause) {
-	abortsig.Throw(cause)
-}
-
 // checkDoom aborts the attempt if an attacker doomed it.
 func (t *Tx) checkDoom() {
 	if s := t.c.state.Load(); s&stMask == stDoomed {
-		t.abort(causeOf(s))
+		abortsig.Throw(causeOf(s))
 	}
 }
 
@@ -341,9 +337,16 @@ func (t *Tx) checkDoom() {
 func (t *Tx) maybeEvent() {
 	t.eventGap--
 	if t.eventGap <= 0 {
-		t.eventGap = t.drawEventGap()
-		t.abort(stats.Event)
+		t.eventAbort()
 	}
+}
+
+// eventAbort draws the next gap and aborts, out of line so maybeEvent inlines.
+//
+//go:noinline
+func (t *Tx) eventAbort() {
+	t.eventGap = t.drawEventGap()
+	abortsig.Throw(stats.Event)
 }
 
 // drawEventGap draws the number of accesses up to and including the next
@@ -386,6 +389,13 @@ func (t *Tx) buffered(a memseg.Addr) (uint64, bool) {
 	if len(t.writes) == 0 {
 		return 0, false
 	}
+	return t.probe(a)
+}
+
+// probe is buffered's index lookup, out of line so buffered inlines.
+//
+//go:noinline
+func (t *Tx) probe(a memseg.Addr) (uint64, bool) {
 	if c := t.cellFor(a); c.gen == t.gen {
 		return t.writes[c.pos].val, true
 	}
@@ -473,7 +483,7 @@ func (t *Tx) Load(a memseg.Addr) uint64 {
 	t.maybeEvent()
 	if t.h.cfg.Injector.Fire(uint64(t.id), chaos.HTMConflict) {
 		// Injected coherence conflict: another core's request took our line.
-		t.abort(stats.Conflict)
+		abortsig.Throw(stats.Conflict)
 	}
 	if v, ok := t.buffered(a); ok {
 		return v
@@ -496,7 +506,7 @@ func (t *Tx) trackReadLine(line uint32) {
 // with concurrent writers.
 func (t *Tx) addReadLine(line uint32) {
 	if t.nReads >= t.h.cfg.ReadCapacityLines {
-		t.abort(stats.Capacity)
+		abortsig.Throw(stats.Capacity)
 	}
 	t.nReads++
 	rec := &t.h.lines[line]
@@ -510,7 +520,7 @@ func (t *Tx) addReadLine(line uint32) {
 	for {
 		if w := rec.writer.Load(); w != 0 && w != t.id+1 {
 			if !t.h.doom(w-1, stats.Conflict) {
-				t.abort(stats.Conflict) // writer is committing
+				abortsig.Throw(stats.Conflict) // writer is committing
 			}
 			// The victim is doomed and can never flush; revoke its
 			// claim immediately (hardware aborts the victim instantly,
@@ -535,7 +545,7 @@ func (t *Tx) Store(a memseg.Addr, v uint64) {
 	if t.h.cfg.Injector.Fire(uint64(t.id), chaos.HTMCapacity) {
 		// Injected capacity abort: the write set overflowed early, as a
 		// best-effort HTM is always allowed to decide.
-		t.abort(stats.Capacity)
+		abortsig.Throw(stats.Capacity)
 	}
 	t.trackWriteLine(a.Line())
 	t.buffer(a, v)
@@ -559,7 +569,7 @@ func (t *Tx) addWriteLine(line uint32) {
 	// here instead of charging and claiming the line a second time.
 	t.checkDoom()
 	if len(t.writeLines) >= t.h.cfg.WriteCapacityLines {
-		t.abort(stats.Capacity)
+		abortsig.Throw(stats.Capacity)
 	}
 	// Record before claiming: if claimLine aborts mid-way, OnAbort's
 	// conditional release (CAS id+1 → 0) cleans up whatever was taken.
@@ -577,7 +587,7 @@ func (t *Tx) LoadRange(a memseg.Addr, dst []uint64) {
 	t.maybeEvent()
 	if t.h.cfg.Injector.Fire(uint64(t.id), chaos.HTMConflict) {
 		// Injected coherence conflict: another core's request took our line.
-		t.abort(stats.Conflict)
+		abortsig.Throw(stats.Conflict)
 	}
 	prev := int64(-1)
 	for i := range dst {
@@ -604,7 +614,7 @@ func (t *Tx) StoreRange(a memseg.Addr, src []uint64) {
 	if t.h.cfg.Injector.Fire(uint64(t.id), chaos.HTMCapacity) {
 		// Injected capacity abort: the write set overflowed early, as a
 		// best-effort HTM is always allowed to decide.
-		t.abort(stats.Capacity)
+		abortsig.Throw(stats.Capacity)
 	}
 	prev := int64(-1)
 	for i, v := range src {
@@ -630,7 +640,7 @@ func (t *Tx) claimLine(line uint32) {
 		}
 		if w != 0 {
 			if !t.h.doom(w-1, stats.Conflict) {
-				t.abort(stats.Conflict)
+				abortsig.Throw(stats.Conflict)
 			}
 			rec.writer.CompareAndSwap(w, t.id+1)
 			continue
@@ -644,7 +654,7 @@ func (t *Tx) claimLine(line uint32) {
 	for id := uint32(0); mask != 0 && id < MaxThreads; id++ {
 		if mask&(1<<id) != 0 {
 			if !t.h.doom(id, stats.Conflict) {
-				t.abort(stats.Conflict)
+				abortsig.Throw(stats.Conflict)
 			}
 			mask &^= 1 << id
 		}
@@ -666,7 +676,7 @@ func (t *Tx) Commit() (readOnly bool) {
 		return true
 	}
 	if !t.c.state.CompareAndSwap(stateOf(t.gen, stActive), stateOf(t.gen, stCommitting)) {
-		t.abort(causeOf(t.c.state.Load()))
+		abortsig.Throw(causeOf(t.c.state.Load()))
 	}
 	// From here we cannot be doomed; flush the buffer. Readers that raced
 	// with us were doomed when we claimed their lines.

@@ -98,10 +98,10 @@ func (s *Striped) Reset() {
 type event int
 
 const (
-	evAbandoned event = iota // attempts unwound by a non-abort panic (see AbandonedStart)
-	evCommits
-	evReadOnly   // committed read-only transactions
-	evSerialRuns // attempts executed under the serial lock
+	evAbandoned  event = iota // attempts unwound by a non-abort panic (see AbandonedStart)
+	evWriting                 // committed transactions that wrote
+	evReadOnly                // committed read-only transactions
+	evSerialRuns              // attempts executed under the serial lock
 	evQuiesces
 	evQuiesceNanos
 	evNoQuiesce    // commits that skipped quiescence via NoQuiesce
@@ -150,12 +150,13 @@ func (t *Stripe) add(e event, d uint64) {
 // of those two, so the hot path counts no starts: Snapshot derives them.
 func (t *Stripe) AbandonedStart() { t.add(evAbandoned, 1) }
 
-// Commit records a commit; readOnly marks one that wrote nothing.
+// Commit records a commit, read-only or writing, with one add.
 func (t *Stripe) Commit(readOnly bool) {
-	t.add(evCommits, 1)
+	e := evWriting
 	if readOnly {
-		t.add(evReadOnly, 1)
+		e = evReadOnly
 	}
+	t.add(e, 1)
 }
 
 // Abort records a failed attempt with its cause.
@@ -220,15 +221,15 @@ type Snapshot struct {
 	Aborts    [NumCauses]uint64
 }
 
-// Snapshot sums every stripe. Starts is derived: every attempt ends in
-// exactly one commit, abort or abandonment, so the hot path never counts it.
+// Snapshot sums every stripe. Starts and Commits are derived: every attempt
+// ends in exactly one commit, abort or abandonment, and every commit is
+// read-only or writing, so the hot path counts neither.
 func (c *Counters) Snapshot() Snapshot {
 	sum := func(e event) uint64 { return c.s.Sum(int(e)) }
 	s := Snapshot{
 		// A block's thread counts it parked before reclaimed, so summing
 		// Reclaimed first keeps Parked >= Reclaimed in every snapshot.
 		Reclaimed:    sum(evReclaimed),
-		Commits:      sum(evCommits),
 		ReadOnly:     sum(evReadOnly),
 		SerialRuns:   sum(evSerialRuns),
 		Quiesces:     sum(evQuiesces),
@@ -239,6 +240,7 @@ func (c *Counters) Snapshot() Snapshot {
 		ReadsDeduped: sum(evReadsDeduped),
 		Parked:       sum(evParked),
 	}
+	s.Commits = s.ReadOnly + sum(evWriting)
 	for i := range s.Aborts {
 		s.Aborts[i] = sum(evAborts + event(i))
 	}

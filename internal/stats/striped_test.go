@@ -181,7 +181,7 @@ func TestStripedLayout(t *testing.T) {
 	// stripe count included.
 	c.Stripe(5).Commit(false)
 	c.Stripe(Stripes + 5).Commit(false)
-	if got := c.s.lines[5*c.s.per+int(evCommits)/lineWords][int(evCommits)%lineWords].Load(); got != 2 {
-		t.Fatalf("stripe 5 holds %d commits after two through its handles, want 2", got)
+	if got := c.s.lines[5*c.s.per+int(evWriting)/lineWords][int(evWriting)%lineWords].Load(); got != 2 {
+		t.Fatalf("stripe 5 holds %d writing commits after two through its handles, want 2", got)
 	}
 }

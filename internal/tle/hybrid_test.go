@@ -184,6 +184,72 @@ func TestObservedMutexCountsEveryCommit(t *testing.T) {
 	}
 }
 
+// Counters read while commits land are consistent with each other — no
+// snapshot counts more read-only commits than commits, or more commits than
+// starts — and exact once the commits stop, on the engine and on the mutex's
+// observer alike. Writing commits are rare, as gets outnumber sets in a
+// cache: a snapshot that summed the commits before the read-only ones could
+// then see more of the second.
+func TestCommitCountsStayConsistent(t *testing.T) {
+	for _, p := range []Policy{PolicySTMCondVar, PolicyHTMCondVar} {
+		t.Run(p.String(), func(t *testing.T) {
+			r := New(p, Config{MemWords: 1 << 14, Observe: true})
+			m := r.NewMutex("counted")
+			const threads, per, writeEvery = 4, 20000, 1000
+			var wg sync.WaitGroup
+			for w := 0; w < threads; w++ {
+				th := r.NewThread()
+				cell := r.Engine().Alloc(memseg.WordsPerLine) // a line per thread: no conflicts
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer th.Release()
+					for i := 0; i < per; i++ {
+						if err := m.Do(th, func(tx tm.Tx) error {
+							if v := tx.Load(cell); i%writeEvery == writeEvery-1 {
+								tx.Store(cell, v+1)
+							}
+							return nil
+						}); err != nil {
+							t.Errorf("Do: %v", err)
+							return
+						}
+					}
+				}()
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			check := func(who string, s stats.Snapshot) {
+				t.Helper()
+				if s.ReadOnly > s.Commits || s.Commits > s.Starts {
+					t.Fatalf("%s snapshot has ReadOnly %d, Commits %d, Starts %d: want ReadOnly <= Commits <= Starts",
+						who, s.ReadOnly, s.Commits, s.Starts)
+				}
+			}
+			for snaps := 0; ; snaps++ {
+				select {
+				case <-done:
+					t.Logf("%d snapshots of each while committing", snaps)
+					for _, c := range []struct {
+						who string
+						s   stats.Snapshot
+					}{{"engine", r.Engine().Snapshot()}, {"observer", m.Observer().Snapshot()}} {
+						check(c.who, c.s)
+						if ro := uint64(threads * (per - per/writeEvery)); c.s.Commits != threads*per || c.s.ReadOnly != ro {
+							t.Fatalf("%s counts %d commits, %d read-only; want %d, %d",
+								c.who, c.s.Commits, c.s.ReadOnly, threads*per, ro)
+						}
+					}
+					return
+				default:
+				}
+				check("engine", r.Engine().Snapshot())
+				check("observer", m.Observer().Snapshot())
+			}
+		})
+	}
+}
+
 // A section that allocates and then fails or retries gives the blocks back,
 // under the lock as under elision: 10 000 of them on a 4096-word heap.
 func TestCancelledSectionFreesItsAllocations(t *testing.T) {

@@ -94,6 +94,29 @@ func BenchmarkDisjointScaling(b *testing.B) {
 	benchScaling(b, 256, true, func(e *tm.Engine) scalingSet { return tmds.NewHash(e, 256) })
 }
 
+// BenchmarkEmptyDo: an empty body through Mutex.Do, the fixed cost of a
+// critical section under each policy — the benchmark's tle.do_ns probe.
+// Each goroutine has its own thread and mutex, so at -cpu 2 nothing is
+// shared but what the policy shares.
+func BenchmarkEmptyDo(b *testing.B) {
+	body := func(tm.Tx) error { return nil }
+	for _, p := range scalingPolicies {
+		b.Run(p.String(), func(b *testing.B) {
+			rt := New(p, Config{MemWords: 1 << 16})
+			b.RunParallel(func(pb *testing.PB) {
+				mu, th := rt.NewMutex("empty"), rt.NewThread()
+				defer th.Release()
+				for pb.Next() {
+					if err := mu.Do(th, body); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkSetsScaling: the Figure 5 mix on each of its three structures,
 // the cells of the benchmark's tm-sets workload at a thread count of one's
 // choosing (EXPERIMENTS.md "Scaling, 1 → 2 threads"). The extra columns say

@@ -285,10 +285,10 @@ func (m *Mutex) CurrentPolicy() Policy { return Policy(m.policy.Load()) }
 func (m *Mutex) Observer() *stats.Counters { return m.obs }
 
 // SetPolicy moves this mutex to another transactional policy, swapping it
-// while the engine is drained through the serial write lock (excluding
-// every in-flight transaction, elided sections of this mutex included).
-// Attempts that begin after the swap resolve the new policy; none ever
-// runs under a mechanism that no longer matches the mutex's data.
+// under tm.Engine.Drain: every in-flight attempt, this mutex's included, has
+// committed or aborted (their Tx.Defer actions may still run). Attempts that
+// begin after the swap resolve the new policy; none ever runs under a
+// mechanism that no longer matches the mutex's data.
 //
 // SetPolicy refuses PolicyPthread, every policy on a pthread runtime (a
 // mutex stays a lock or a transaction for life), and a policy whose

@@ -103,7 +103,7 @@ func (e *Engine) AtomicOpts(th *Thread, o CallOpts, fn func(Tx) error) error {
 
 // Synchronized executes fn irrevocably under the serial lock, like a TMTS
 // synchronized block containing unsafe operations: all concurrent
-// transactions are drained (and, under HTM, aborted) first.
+// attempts are drained (and, under HTM, aborted) first, as in Engine.Drain.
 func (e *Engine) Synchronized(th *Thread, fn func(Tx) error) error {
 	if th.depth > 0 {
 		panic("tm: Synchronized inside an atomic block")
@@ -132,7 +132,6 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 	th.mech = mech
 	th.honorNoQ = honorNoQ
 	th.observe(o)
-	th.slot.Enter()
 
 	var tx Tx
 	if mech == MechHTM {
@@ -157,7 +156,6 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 					th.st.AbandonedStart()
 					th.rollbackLive()
 					th.slot.Exit()
-					e.serial.runlock(th.slot)
 					panic(r)
 				}
 				th.rollbackLive()
@@ -177,7 +175,7 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 
 	// The slot stays active through rollback (quiescers must wait out undo
 	// operations) and through commit (so a concurrent quiescer observes
-	// the transition).
+	// the transition). Exit also leaves the serial read side.
 	th.slot.Exit()
 
 	if mech == MechSTM && th.stx != nil {
@@ -187,7 +185,6 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 	if committed {
 		th.countCommit(readOnly)
 		e.postCommit(th, readOnly)
-		e.serial.runlock(th.slot)
 		return nil, true, 0
 	}
 
@@ -197,11 +194,9 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 		// User cancel: not a conflict, no stats abort classification beyond
 		// explicit.
 		th.countAbort(stats.Explicit)
-		e.serial.runlock(th.slot)
 		return err, false, stats.Explicit
 	}
 	th.countAbort(cause)
-	e.serial.runlock(th.slot)
 	return nil, false, cause
 }
 
@@ -252,7 +247,7 @@ func (th *Thread) rollbackLive() {
 }
 
 // postCommit applies the quiescence policy, releases freed blocks and runs
-// deferred actions. Called with the serial read lock still held.
+// deferred actions, outside the serial read side: a serial section may run.
 func (e *Engine) postCommit(th *Thread, readOnly bool) {
 	// The allocator requires freeing transactions to quiesce under STM
 	// (Section VII.C); under HTM the InvalidateBlock pass below provides

@@ -17,16 +17,16 @@ import (
 // (Section II.C): once all locks are elided onto one TM, any serialization
 // of any transaction suspends unrelated transactions too.
 //
-// As in gtm_rwlock, the read side is a flag per thread, not a count in the
-// lock: a reader stores its own flag and then loads the writer word, a
-// writer sets the writer word and then loads every flag, and since each
-// stores before it loads at least one of the two sees the other. A reader
-// that sees a writer backs out and waits, which is what keeps a stream of
-// readers from starving a writer. Attempts that meet no writer thus write
-// only their own cache line, as a TSX transaction only reads the fallback
-// lock it subscribes to. The flags are the Reader words of the threads'
-// epoch slots and the registry is the epoch manager's slot list, which a
-// thread joins before its first attempt and leaves after its last.
+// As in libitm, the read side is the word privatization safety polls, the
+// thread's epoch slot (libitm's shared_state): an attempt enters its slot
+// and then loads the writer word, a writer sets the writer word and then
+// loads every slot, and since each writes before it loads at least one of
+// the two sees the other. An attempt that sees a writer exits its slot and
+// waits, so a stream of attempts cannot starve a writer. Attempts that meet
+// no writer write only their own cache line, as a TSX transaction only
+// reads the fallback lock it subscribes to. The registry is the epoch
+// manager's slot list. A writer waits for attempts only: a thread's commit
+// actions (quiescence, frees, deferred functions) follow its Exit.
 //
 // state: slWriterWaiting = a writer has announced itself and is waiting for
 // the readers to drain, slWriterHeld = it holds the lock, 0 = no writer.
@@ -41,27 +41,22 @@ const (
 	slWriterWaiting = uint64(1) << 62
 )
 
-// rlock enters the read side (one transaction attempt) for the thread
-// owning slot s.
+// rlock enters slot s, the read side of one transaction attempt; Exit on s
+// leaves it.
 func (l *serialLock) rlock(s *epoch.Slot) {
 	var b spinwait.Backoff
 	for {
-		s.Reader.Store(1)
+		s.Enter()
 		if l.state.Load() == 0 {
 			return
 		}
 		// A writer is waiting or holding: it may already have seen the
-		// flag and be waiting for it. Back out, then wait.
-		s.Reader.Store(0)
+		// slot and be waiting for it. Back out, then wait.
+		s.Exit()
 		for l.state.Load() != 0 {
 			b.Wait()
 		}
 	}
-}
-
-// runlock leaves the read side.
-func (l *serialLock) runlock(s *epoch.Slot) {
-	s.Reader.Store(0)
 }
 
 // wlock acquires the write side, waiting out current readers and barring
@@ -78,13 +73,14 @@ func (l *serialLock) wlock(onWaiting func()) {
 	if onWaiting != nil {
 		onWaiting()
 	}
-	// Phase 2: wait for every registered reader to drain, then claim. The
-	// slot list is loaded after the waiting bit is set, so a thread missing
-	// from it registered later and will see the bit before it enters.
+	// Phase 2: wait for every registered slot to be inactive, then claim.
+	// The slot list is loaded after the waiting bit is set, so a thread
+	// missing from it registered later and will see the bit before it
+	// enters, as will one whose slot was read inactive.
 	for _, s := range l.epochs.Slots() {
-		// Fresh backoff per reader, as in epoch's scan.
+		// Fresh backoff per slot, as in epoch's scan.
 		b.Reset()
-		for s.Reader.Load() != 0 {
+		for s.Active() {
 			b.Wait()
 		}
 	}

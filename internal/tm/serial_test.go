@@ -1,12 +1,14 @@
 package tm
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gotle/internal/epoch"
+	"gotle/internal/htm"
 )
 
 // newSerialLock returns a lock over its own registry; readers are the
@@ -42,8 +44,11 @@ func TestSerialLockReadersShare(t *testing.T) {
 	if l.state.Load() != 0 {
 		t.Fatalf("two readers left state = %#x: the read side wrote the shared word", l.state.Load())
 	}
-	l.runlock(a)
-	l.runlock(b)
+	if !a.Active() || !b.Active() {
+		t.Fatal("a reader's slot is inactive: the read side is the slot")
+	}
+	a.Exit()
+	b.Exit()
 }
 
 func TestSerialLockWriterExcludesReaders(t *testing.T) {
@@ -57,13 +62,16 @@ func TestSerialLockWriterExcludesReaders(t *testing.T) {
 	if ok {
 		t.Fatal("reader entered while writer held")
 	}
+	if s.Active() {
+		t.Fatal("a reader waiting for the writer left its slot active")
+	}
 	l.wunlock()
 	select {
 	case <-in:
 	case <-time.After(5 * time.Second):
 		t.Fatal("reader blocked after writer release")
 	}
-	l.runlock(s)
+	s.Exit()
 }
 
 func TestSerialLockWriterWaitsForReaders(t *testing.T) {
@@ -82,7 +90,7 @@ func TestSerialLockWriterWaitsForReaders(t *testing.T) {
 	}()
 	time.Sleep(10 * time.Millisecond)
 	drained.Store(true)
-	l.runlock(s)
+	s.Exit()
 	select {
 	case <-acquired:
 	case <-time.After(5 * time.Second):
@@ -90,8 +98,8 @@ func TestSerialLockWriterWaitsForReaders(t *testing.T) {
 	}
 }
 
-// The waiting bit blocks NEW readers, so a stream of readers cannot starve
-// a writer.
+// A reader that sees the writer leaves its slot before it waits, so a
+// stream of readers cannot starve a writer.
 func TestSerialLockWriterNotStarved(t *testing.T) {
 	l, m := newSerialLock()
 	stop := make(chan struct{})
@@ -107,7 +115,7 @@ func TestSerialLockWriterNotStarved(t *testing.T) {
 				default:
 				}
 				l.rlock(s)
-				l.runlock(s)
+				s.Exit()
 			}
 		}(m.Register())
 	}
@@ -138,51 +146,50 @@ func TestSerialLockOnWaitingHookRuns(t *testing.T) {
 	}
 }
 
-// Mutual exclusion invariant under concurrent readers and writers.
+// Mutual exclusion under threads that, like an engine's, each run attempts
+// on their own slot and now and then a serial section.
 func TestSerialLockMutualExclusion(t *testing.T) {
-	l, m := newSerialLock()
-	var readers, writers atomic.Int64
-	var violations atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(s *epoch.Slot) {
-			defer wg.Done()
-			for j := 0; j < 2000; j++ {
-				l.rlock(s)
-				readers.Add(1)
-				if writers.Load() != 0 {
-					violations.Add(1)
-				}
-				readers.Add(-1)
-				l.runlock(s)
+	for _, n := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("threads=%d", n), func(t *testing.T) {
+			l, m := newSerialLock()
+			var readers, writers, violations atomic.Int64
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(s *epoch.Slot) {
+					defer wg.Done()
+					for j := 0; j < 2000; j++ {
+						if j%10 == 0 {
+							l.wlock(nil)
+							writers.Add(1)
+							if readers.Load() != 0 || writers.Load() != 1 {
+								violations.Add(1)
+							}
+							writers.Add(-1)
+							l.wunlock()
+							continue
+						}
+						l.rlock(s)
+						readers.Add(1)
+						if writers.Load() != 0 {
+							violations.Add(1)
+						}
+						readers.Add(-1)
+						s.Exit()
+					}
+				}(m.Register())
 			}
-		}(m.Register())
-	}
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				l.wlock(nil)
-				writers.Add(1)
-				if readers.Load() != 0 || writers.Load() != 1 {
-					violations.Add(1)
-				}
-				writers.Add(-1)
-				l.wunlock()
+			wg.Wait()
+			if violations.Load() != 0 {
+				t.Fatalf("%d mutual-exclusion violations", violations.Load())
 			}
-		}()
-	}
-	wg.Wait()
-	if violations.Load() != 0 {
-		t.Fatalf("%d mutual-exclusion violations", violations.Load())
+		})
 	}
 }
 
-// A thread that registers after the writer took its snapshot of the readers
+// A thread that registers after the writer took its snapshot of the slots
 // is not on the writer's list, so nothing waits for it: it must keep itself
-// out, by seeing the writer word its own flag store is ordered before.
+// out, by seeing the writer word its own Enter is ordered before.
 func TestSerialLockLateRegistrantCannotEnter(t *testing.T) {
 	l, m := newSerialLock()
 	early := m.Register()
@@ -195,7 +202,7 @@ func TestSerialLockLateRegistrantCannotEnter(t *testing.T) {
 		l.wunlock()
 	}()
 	<-waiting
-	time.Sleep(10 * time.Millisecond) // the writer now spins on early's flag, its list taken
+	time.Sleep(10 * time.Millisecond) // the writer now spins on early's slot, its list taken
 	if l.state.Load() != slWriterWaiting {
 		t.Fatalf("state = %#x while draining, want slWriterWaiting", l.state.Load())
 	}
@@ -204,7 +211,7 @@ func TestSerialLockLateRegistrantCannotEnter(t *testing.T) {
 	if ok {
 		t.Fatal("a late registrant entered while a writer was draining")
 	}
-	l.runlock(early)
+	early.Exit()
 	select {
 	case <-held:
 	case <-time.After(5 * time.Second):
@@ -221,5 +228,54 @@ func TestSerialLockLateRegistrantCannotEnter(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the late registrant never entered after the writer left")
 	}
-	l.runlock(late)
+	late.Exit()
+}
+
+// A serial section waits for other threads' attempts, not for what their
+// commits do afterwards: a Tx.Defer action that blocks must not hold it up.
+func TestSerialSectionDoesNotWaitForCommitActions(t *testing.T) {
+	for _, mode := range []Mode{ModeSTM, ModeHTM} {
+		t.Run(mode.String(), func(t *testing.T) {
+			e := New(Config{Mode: mode, MemWords: 1 << 14, HTM: htm.Config{EventAbortPerMillion: -1}})
+			a := e.Alloc(1)
+			tha, thb := e.NewThread(), e.NewThread()
+			running, unblock, doneA := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(doneA)
+				err := e.Atomic(tha, func(tx Tx) error {
+					tx.Store(a, 1)
+					tx.Defer(func() {
+						close(running)
+						<-unblock
+					})
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+				}
+			}()
+			<-running
+			serialDone := make(chan struct{})
+			go func() {
+				defer close(serialDone)
+				if err := e.Synchronized(thb, func(tx Tx) error {
+					tx.Store(a, tx.Load(a)+1)
+					return nil
+				}); err != nil {
+					t.Error(err)
+				}
+			}()
+			select {
+			case <-serialDone:
+			case <-time.After(5 * time.Second):
+				t.Error("the serial section waited for another thread's deferred action")
+			}
+			close(unblock)
+			<-doneA
+			<-serialDone
+			if got := e.Load(a); got != 2 {
+				t.Fatalf("word = %d after one commit and one serial increment, want 2", got)
+			}
+		})
+	}
 }

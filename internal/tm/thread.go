@@ -76,8 +76,7 @@ func (e *Engine) NewThread() *Thread {
 		// Chaos: the stall runs at the top of Exit, while the slot still
 		// reads as active — committing quiescers must wait it out, exactly
 		// the window the paper's Section IV quiescence argument covers.
-		tid := id
-		th.slot.SetExitHook(func() { e.inj.Stall(tid, chaos.EpochStall) })
+		th.slot.SetExitHook(func() { e.inj.Stall(id, chaos.EpochStall) })
 	}
 	if e.stm != nil {
 		th.stx = e.stm.NewTx(id)

@@ -247,11 +247,12 @@ func (e *Engine) defaultMech() Mech {
 	return MechSTM
 }
 
-// Drain executes fn while the engine is fully serialized: the serial
-// write lock is held, every in-flight transaction has finished or been
-// doomed (HTM), and no new attempt can start until fn returns. The tle
-// layer uses it to swap a mutex's execution policy while the mutex — and
-// every other elided critical section — is provably idle.
+// Drain executes fn while the engine is fully serialized: the serial write
+// lock is held, every in-flight attempt, HTM (doomed) or STM, has committed
+// or aborted and left its epoch slot, and no new attempt can start until fn
+// returns. The commit actions after an attempt — quiescence, frees, Tx.Defer
+// functions — may still be running. The tle layer uses it to swap a mutex's
+// execution policy while no elided critical section is inside an attempt.
 func (e *Engine) Drain(fn func()) {
 	e.serial.wlock(func() {
 		if e.htm != nil {
