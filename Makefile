@@ -91,9 +91,10 @@ chaos:
 	$(GO) run ./cmd/figures chaos -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
 # Paper-figure, quiescence, simulated-HTM, captured-store, per-policy kvstore,
-# and parallel-get, parallel-set, disjoint-section scaling and empty-section
-# (read at -cpu 1 against -cpu 2) benchmarks with pinned -benchtime/-count. Raw text goes to
-# $(BENCHDIR)/current.txt; compare two captures with benchstat. CI runs the same list once through
+# parallel-get, parallel-set, disjoint-section scaling and empty-section
+# (read at -cpu 1 against -cpu 2), allocator and WAL-recovery benchmarks with
+# pinned -benchtime/-count. Raw text goes to $(BENCHDIR)/current.txt; compare
+# two captures with benchstat. CI runs the same list once through
 # (`make bench BENCHTIME=1x BENCHCOUNT=1`) so a benchmark cannot rot.
 bench:
 	mkdir -p $(BENCHDIR)
@@ -110,16 +111,20 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkDisjointScaling|BenchmarkSetsScaling|BenchmarkEmptyDo' -cpu 1,2 \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tle | tee -a $(BENCHDIR)/current.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkAllocFree|BenchmarkRecover' -benchmem \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/memseg ./internal/wal | tee -a $(BENCHDIR)/current.txt
 
 # The network server's zero-to-OK gate: the allocation gate (the serving
 # hot path must do exactly 0 allocs/op — see TestZeroAllocHotPath), then
 # start tleserved (hybrid runtime + adaptive controller), run the
 # loopback protocol self-test, exit — once WAL-off and once WAL-on, so
 # "the binary actually serves, durably too" can never regress silently.
-# Last, the mutation path under serve-write's traffic shape (2 KiB values
+# Then the mutation path under serve-write's traffic shape (2 KiB values
 # overflow a 24-line HTM write set, so shards take every rung and the serial
-# path): a default tleserved on a free port, `loadgen -check` against it,
-# and the recorded history must linearize per key.
+# path): a tleserved on a free port, `loadgen -check` against it, and the
+# recorded history must linearize per key. Last, a default tleserved (no
+# -capacity) under 64 B and 2 KiB sets over twice its item count: it must
+# fit its heap, so loadgen exits 0 and the server still answers `version`.
 serve-smoke:
 	$(GO) test -run TestZeroAllocHotPath -count 1 ./internal/server
 	$(GO) run ./cmd/tleserved -smoke
@@ -129,18 +134,28 @@ serve-smoke:
 	mkdir -p $(BENCHDIR)
 	$(GO) build -o $(BENCHDIR)/tleserved ./cmd/tleserved
 	$(GO) build -o $(BENCHDIR)/loadgen ./cmd/loadgen
-	@log=$(BENCHDIR)/smoke-served.log; \
-	$(BENCHDIR)/tleserved -addr 127.0.0.1:0 -htm-write-lines 24 -capacity 2048 >$$log 2>&1 & pid=$$!; \
+	@log=$(BENCHDIR)/smoke-served.log; pid=; \
 	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null' EXIT; \
-	addr=; for i in $$(seq 100); do \
-		addr=$$(sed -n 's/^listening on \([^ ]*\).*/\1/p' $$log); \
-		[ -n "$$addr" ] && break; sleep 0.1; \
-	done; \
-	if [ -z "$$addr" ]; then cat $$log; exit 1; fi; \
+	serve() { \
+		$(BENCHDIR)/tleserved -addr 127.0.0.1:0 "$$@" >$$log 2>&1 & pid=$$!; \
+		addr=; for i in $$(seq 100); do \
+			addr=$$(sed -n 's/^listening on \([^ ]*\).*/\1/p' $$log); \
+			[ -n "$$addr" ] && return; sleep 0.1; \
+		done; \
+		cat $$log; exit 1; \
+	}; \
+	serve -htm-write-lines 24 -capacity 2048; \
 	$(BENCHDIR)/loadgen -addr $$addr -check -conns 2 -depth 8 -keyspace 32768 -skew 1.1 \
 		-valsize 64,2048 -set 60 -del 10 -ops 20000 >$(BENCHDIR)/smoke-check.txt 2>&1; \
 	cat $(BENCHDIR)/smoke-check.txt; \
-	grep -q '^check: OK' $(BENCHDIR)/smoke-check.txt
+	grep -q '^check: OK' $(BENCHDIR)/smoke-check.txt || exit 1; \
+	kill $$pid; wait $$pid 2>/dev/null; \
+	serve; \
+	$(BENCHDIR)/loadgen -addr $$addr -conns 2 -depth 32 -keyspace 65536 \
+		-valsize 64,2048 -set 60 -ops 600000 || { cat $$log; exit 1; }; \
+	bash -c 'exec 3<>/dev/tcp/$${1%:*}/$${1##*:} && printf "version\r\n" >&3 && \
+		read -r -t 5 v <&3; echo "$$v"; case "$$v" in VERSION*) ;; *) exit 1;; esac' - $$addr || \
+		{ cat $$log; exit 1; }
 
 # Prove the chaos checker still bites: a sabotaged engine must be caught.
 chaos-teeth:

@@ -582,6 +582,53 @@ func benchStore(b *testing.B, p tle.Policy) (*Store, *tm.Thread, [][]byte) {
 	return s, th, keys
 }
 
+// TestDefaultCacheFitsDefaultHeap fills every slot of tleserved's default
+// shape (8 shards of 4096 items on a 1 << 23-word heap) with 64-byte and
+// 2 KiB values in turn, the two sizes of the benchmark's write mix. A
+// 2 KiB item is 264 words; in a 512-word block, half of the cache alone
+// would take the whole heap.
+func TestDefaultCacheFitsDefaultHeap(t *testing.T) {
+	r := tle.New(tle.PolicyPthread, tle.Config{MemWords: 1 << 23})
+	s := New(r, Config{Shards: 8, MaxItemsPerShard: 4096})
+	th := r.NewThread()
+	defer th.Release()
+	small, large := bytes.Repeat([]byte("s"), 64), bytes.Repeat([]byte("L"), 2048)
+	var filled [8]int
+	items := 0
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("heap exhausted after %d of %d items: %v", items, 8*4096, p)
+		}
+	}()
+	for i := 0; items < 8*4096; i++ {
+		key := []byte(fmt.Sprintf("fill-key-%08d", i))
+		sh := s.ShardFor(key)
+		if filled[sh] == 4096 {
+			continue
+		}
+		val := small
+		if filled[sh]%2 == 1 {
+			val = large
+		}
+		if err := s.Set(th, key, val); err != nil {
+			t.Fatal(err)
+		}
+		filled[sh]++
+		items++
+	}
+	n, err := s.Len(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Stats(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 8*4096 || st.Evictions != 0 {
+		t.Fatalf("store holds %d items after %d evictions, want %d and none", n, st.Evictions, 8*4096)
+	}
+}
+
 // BenchmarkGet times one hit on a full store under each policy: the
 // kvstore-layer cost of an elided read next to the locked one.
 func BenchmarkGet(b *testing.B) {
@@ -606,8 +653,8 @@ func BenchmarkSet(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%d", p, size), func(b *testing.B) {
 				s, th, keys := benchStore(b, p)
 				if size > 64 {
-					// A 2 KiB item takes a 4 KiB block: growing every key
-					// would need twice benchStore's heap.
+					// A 2 KiB item takes a 2.5 KiB block: growing every key
+					// would overflow benchStore's heap.
 					keys = keys[:4096]
 				}
 				val := bytes.Repeat([]byte("w"), size)

@@ -40,16 +40,26 @@ func (a Addr) Line() uint32 { return uint32(a) / WordsPerLine }
 // an alleged privatization indicate a quiescence violation.
 const Poison uint64 = 0xDEADBEEFDEADBEEF
 
-// Size classes are powers of two from 2 to 65536 payload words. One header
-// word precedes each payload and records the class.
+// Size classes hold 2, 4 and 8 payload words, then four per doubling: 10,
+// 12, 14, 16, 20, … 65536. Above 8 words a block wastes under a quarter of
+// its size (powers of two, which keep their class, waste up to half). One
+// header word precedes each payload and records the class index.
 const (
-	minClassShift = 1 // 2 words
 	maxClassShift = 16
-	numClasses    = maxClassShift - minClassShift + 1
+	numClasses    = 3 + 4*(maxClassShift-3)
 )
 
 // MaxAlloc is the largest payload (in words) a single Alloc may request.
 const MaxAlloc = 1 << maxClassShift
+
+// classWords[c] is the payload capacity of class c, for BlockSize and Free.
+var classWords = func() (t [numClasses]int) {
+	for n := 1; n <= MaxAlloc; n++ {
+		c, w := classFor(n)
+		t[c], n = w, w
+	}
+	return t
+}()
 
 // Memory is one simulated heap segment.
 type Memory struct {
@@ -117,16 +127,20 @@ func (m *Memory) CompareAndSwap(a Addr, old, new uint64) bool {
 }
 
 // classFor returns the size class index for a payload of n words, and the
-// payload capacity of that class.
+// payload capacity of that class. Above 8 words, n-1 lies in [2^k, 2^(k+1)),
+// and the quarter of that range it falls in, j = 0..3, picks the class of
+// (5+j)*2^(k-2) words.
 func classFor(n int) (int, int) {
 	if n < 1 {
 		n = 1
 	}
-	shift := bits.Len(uint(n - 1))
-	if shift < minClassShift {
-		shift = minClassShift
+	if n <= 8 {
+		shift := max(bits.Len(uint(n-1)), 1)
+		return shift - 1, 1 << shift
 	}
-	return shift - minClassShift, 1 << shift
+	k := bits.Len(uint(n-1)) - 1
+	j := (n - 1 - 1<<k) >> (k - 2) // 0..3
+	return 3 + 4*(k-3) + j, (5 + j) << (k - 2)
 }
 
 // ClassPayload reports the payload capacity, in words, of the size class
@@ -140,7 +154,7 @@ func ClassPayload(n int) int {
 // ok is false when the segment is exhausted and no freed block of the class
 // is available.
 func (m *Memory) Alloc(n int) (Addr, bool) {
-	if n <= 0 || n > 1<<maxClassShift {
+	if n <= 0 || n > MaxAlloc {
 		return Nil, false
 	}
 	class, cap := classFor(n)
@@ -194,7 +208,7 @@ func (m *Memory) BlockSize(a Addr) int {
 	if class >= numClasses {
 		panic(fmt.Sprintf("memseg: corrupt block header at %d: %d", a, class))
 	}
-	return 1 << (class + minClassShift)
+	return classWords[class]
 }
 
 // Free returns the block at a to its class's free stack, poisoning its

@@ -1,6 +1,7 @@
 package memseg
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -25,8 +26,8 @@ func TestAllocBasic(t *testing.T) {
 func TestAllocRoundsToClass(t *testing.T) {
 	m := New(1 << 16)
 	cases := []struct{ req, want int }{
-		{1, 2}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {8, 8}, {9, 16},
-		{100, 128}, {4096, 4096},
+		{1, 2}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {8, 8}, {9, 10},
+		{100, 112}, {264, 320}, {4096, 4096},
 	}
 	for _, c := range cases {
 		if got := ClassPayload(c.req); got != c.want {
@@ -126,9 +127,9 @@ func TestLiveWordsAccounting(t *testing.T) {
 	if m.LiveWords() != 0 {
 		t.Fatalf("initial LiveWords = %d", m.LiveWords())
 	}
-	a, _ := m.Alloc(10) // class 16
-	if m.LiveWords() != 16 {
-		t.Fatalf("LiveWords after alloc = %d, want 16", m.LiveWords())
+	a, _ := m.Alloc(11) // class 12
+	if m.LiveWords() != 12 {
+		t.Fatalf("LiveWords after alloc = %d, want 12", m.LiveWords())
 	}
 	m.Free(a)
 	if m.LiveWords() != 0 {
@@ -139,13 +140,72 @@ func TestLiveWordsAccounting(t *testing.T) {
 func TestBlockSizePanicsOnCorruptHeader(t *testing.T) {
 	m := New(4096)
 	a, _ := m.Alloc(4)
-	m.Store(a-1, 999) // stomp the class header
-	defer func() {
-		if recover() == nil {
-			t.Fatal("corrupt header not detected")
+	m.Store(a-1, numClasses-1) // the last class is a legal header
+	if got := m.BlockSize(a); got != MaxAlloc {
+		t.Fatalf("BlockSize with class %d header = %d, want %d", numClasses-1, got, MaxAlloc)
+	}
+	for _, bad := range []uint64{numClasses, 999} { // stomp the class header
+		m.Store(a-1, bad)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("corrupt header %d not detected", bad)
+				}
+			}()
+			m.BlockSize(a)
+		}()
+	}
+}
+
+// TestSizeClassesProperty checks every request size against the class
+// rules: the class is the smallest that holds the request, requests of up
+// to 8 words get 2, 4 or 8, larger ones waste under a quarter of their
+// block, an allocated block reports its class's size, and a freed block
+// goes back to a request of its own class and to no other.
+func TestSizeClassesProperty(t *testing.T) {
+	m := New(1 << 19)
+	m.SetPoison(false)
+	for c := 1; c < numClasses; c++ {
+		if classWords[c] <= classWords[c-1] {
+			t.Fatalf("class %d holds %d words, class %d holds %d", c, classWords[c], c-1, classWords[c-1])
 		}
-	}()
-	m.BlockSize(a)
+	}
+	if classWords[0] != 2 || classWords[numClasses-1] != MaxAlloc {
+		t.Fatalf("classes hold %d to %d words, want 2 to %d", classWords[0], classWords[numClasses-1], MaxAlloc)
+	}
+	blockOf := map[int]Addr{} // class -> its one block, freed
+	classOf := map[Addr]int{}
+	for n := 1; n <= MaxAlloc; n++ {
+		c, cap := classFor(n)
+		if cap < n || cap != classWords[c] || ClassPayload(n) != cap {
+			t.Fatalf("n=%d: class %d holds %d (table %d, ClassPayload %d)", n, c, cap, classWords[c], ClassPayload(n))
+		}
+		if c > 0 && classWords[c-1] >= n {
+			t.Fatalf("n=%d: class %d (%d words) is not the smallest; class %d holds %d", n, c, cap, c-1, classWords[c-1])
+		}
+		if n <= 8 && cap != 2 && cap != 4 && cap != 8 {
+			t.Fatalf("n=%d: small request got %d words", n, cap)
+		}
+		if n > 8 && 4*(cap-n) >= cap {
+			t.Fatalf("n=%d: %d-word block wastes %d words, a quarter or more", n, cap, cap-n)
+		}
+		prev, seen := blockOf[c]
+		if seen && n > 1<<12 {
+			continue // past 4096 words, one Alloc per class keeps the zeroing cheap
+		}
+		a, ok := m.Alloc(n)
+		if !ok {
+			t.Fatalf("Alloc(%d) failed", n)
+		}
+		if got := m.BlockSize(a); got != cap {
+			t.Fatalf("BlockSize(Alloc(%d)) = %d, want %d", n, got, cap)
+		}
+		if owner, freed := classOf[a]; seen && a != prev || !seen && freed {
+			t.Fatalf("Alloc(%d), class %d, got block %d (freed by class %d); its own freed block is %d", n, c, a, owner, prev)
+		}
+		blockOf[c], classOf[a] = a, c
+		m.Free(a)
+	}
 }
 
 func TestLoadStoreCAS(t *testing.T) {
@@ -266,15 +326,23 @@ func TestQuickFreshBlocksZeroed(t *testing.T) {
 	}
 }
 
+// BenchmarkAllocFree pairs an Alloc with its Free: a 4-word block (the
+// benchmark's memseg.alloc_free_ns probe) and a 2 KiB kvstore item's 264.
 func BenchmarkAllocFree(b *testing.B) {
-	m := New(1 << 20)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			a, ok := m.Alloc(4)
-			if !ok {
-				b.Fatal("exhausted")
-			}
-			m.Free(a)
-		}
-	})
+	for _, n := range []int{4, 264} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			m := New(1 << 20)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					a, ok := m.Alloc(n)
+					if !ok {
+						b.Error("exhausted")
+						return
+					}
+					m.Free(a)
+				}
+			})
+		})
+	}
 }

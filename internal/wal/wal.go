@@ -1,9 +1,14 @@
 package wal
 
 import (
+	"bufio"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -187,7 +192,12 @@ func (l *Log) segmentsList() ([]int, error) {
 // sequence order, so acked records form a gapless run from the first
 // segment on and nothing past a gap was ever acked.
 //
-// apply may be nil (scan only). Recover returns the records replayed.
+// apply may be nil (scan only). The record passed to apply, its Key and Val
+// included, is valid only during the call: the frames stream through one
+// reused buffer, so an apply that keeps bytes must copy them. Recovery holds
+// that buffer (as large as the largest frame) and one read buffer, not the
+// segments. A read error other than the end of a segment fails the
+// recovery. Recover returns the records replayed.
 func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 	if l.opened {
 		return 0, fmt.Errorf("wal: Recover called twice")
@@ -198,31 +208,15 @@ func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 	}
 	total := 0
 	last := make([]uint64, len(l.bufTops))
-replay:
+	br, frame := bufio.NewReaderSize(nil, 64<<10), make([]byte, 0, 4<<10)
 	for _, idx := range idxs {
-		b, err := os.ReadFile(filepath.Join(l.dir, segName(idx)))
+		n, gap, err := replaySegment(filepath.Join(l.dir, segName(idx)), br, &frame, last, apply)
+		total += n
 		if err != nil {
 			return total, err
 		}
-		for off := 0; off < len(b); {
-			rec, n, err := logrec.DecodeRecord(b[off:])
-			if err != nil {
-				break // torn or corrupt: drop this segment's tail
-			}
-			sh := int(rec.Shard)
-			if sh >= len(last) || rec.Seq != last[sh]+1 {
-				// An impossible shard or a sequence gap: stop
-				// conservatively, for every shard.
-				break replay
-			}
-			if apply != nil {
-				if err := apply(sh, rec); err != nil {
-					return total, fmt.Errorf("wal: replay shard %d seq %d: %w", sh, rec.Seq, err)
-				}
-			}
-			last[sh] = rec.Seq
-			total++
-			off += n
+		if gap {
+			break
 		}
 	}
 	nextIdx := 0
@@ -243,6 +237,58 @@ replay:
 	l.wg.Add(1)
 	go l.syncLoop()
 	return total, nil
+}
+
+// replaySegment applies the intact records of the segment at path in file
+// order, continuing each shard's sequence from last; it reads through br
+// into the reused *frame. A torn or corrupt frame ends the segment; gap
+// reports a record that does not continue its shard's sequence, which ends
+// the replay.
+func replaySegment(path string, br *bufio.Reader, frame *[]byte, last []uint64, apply func(int, Record) error) (n int, gap bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, false, err
+	}
+	defer f.Close()
+	br.Reset(f)
+	for {
+		// The length prefix only sizes the read: whether the frame is
+		// intact is logrec.DecodeRecord's decision.
+		b := (*frame)[:logrec.FrameHeader]
+		_, err := io.ReadFull(br, b)
+		if err == nil {
+			size := logrec.FrameHeader + int(binary.LittleEndian.Uint32(b))
+			if size > logrec.FrameHeader+logrec.MaxPayload {
+				return n, false, nil // corrupt; refused before it is allocated
+			}
+			b = slices.Grow(b, size-len(b))[:size]
+			*frame = b
+			_, err = io.ReadFull(br, b[logrec.FrameHeader:])
+		}
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return n, false, nil // the segment's end, or a torn frame
+		}
+		if err != nil {
+			return n, false, fmt.Errorf("wal: read %s: %w", path, err)
+		}
+		rec, _, err := logrec.DecodeRecord(b)
+		if err != nil {
+			return n, false, nil // corrupt: drop this segment's tail
+		}
+		sh := int(rec.Shard)
+		if sh >= len(last) || rec.Seq != last[sh]+1 {
+			// An impossible shard or a sequence gap: stop
+			// conservatively, for every shard.
+			return n, true, nil
+		}
+		if apply != nil {
+			if err := apply(sh, rec); err != nil {
+				return n, false, fmt.Errorf("wal: replay shard %d seq %d: %w", sh, rec.Seq, err)
+			}
+		}
+		last[sh] = rec.Seq
+		n++
+	}
 }
 
 // LastSeq reports shard sh's last recovered sequence number (0 when the
