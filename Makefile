@@ -92,9 +92,10 @@ chaos:
 
 # Paper-figure, quiescence, simulated-HTM, captured-store, per-policy kvstore,
 # parallel-get, parallel-set, disjoint-section scaling and empty-section
-# (read at -cpu 1 against -cpu 2), allocator and WAL-recovery benchmarks with
-# pinned -benchtime/-count. Raw text goes to $(BENCHDIR)/current.txt; compare
-# two captures with benchstat. CI runs the same list once through
+# (read at -cpu 1 against -cpu 2), allocator, WAL-recovery and store-replay
+# benchmarks with pinned -benchtime/-count. Raw text goes to
+# $(BENCHDIR)/current.txt; compare two captures with benchstat. CI runs the
+# same list once through
 # (`make bench BENCHTIME=1x BENCHCOUNT=1`) so a benchmark cannot rot.
 bench:
 	mkdir -p $(BENCHDIR)
@@ -112,7 +113,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkDisjointScaling|BenchmarkSetsScaling|BenchmarkEmptyDo' -cpu 1,2 \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tle | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkAllocFree|BenchmarkRecover' -benchmem \
-		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/memseg ./internal/wal | tee -a $(BENCHDIR)/current.txt
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/memseg ./internal/wal ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
 
 # The network server's zero-to-OK gate: the allocation gate (the serving
 # hot path must do exactly 0 allocs/op — see TestZeroAllocHotPath), then

@@ -100,9 +100,9 @@ func main() {
 	})
 	store := kvstore.New(r, kvstore.Config{Shards: *shards, MaxItemsPerShard: *capacity})
 
-	// Durability: recover first (replay runs through the normal mutators
-	// while no WAL is attached, so nothing is re-logged), then attach so
-	// every mutation from here on is redo-logged in commit order.
+	// Durability: recover first (replay runs one irrevocable section per
+	// record while no WAL is attached, so nothing is re-logged), then attach
+	// so every mutation from here on is redo-logged in commit order.
 	var wlog *wal.Log
 	if *walDir != "" {
 		win := *fsyncWin
@@ -114,7 +114,7 @@ func main() {
 			log.Fatal(err)
 		}
 		rth := r.NewThread()
-		recovered, err := wlog.Recover(func(_ int, rec wal.Record) error { return store.Apply(rth, rec) })
+		recovered, err := store.Recover(rth, wlog)
 		rth.Release()
 		if err != nil {
 			log.Fatal(err)
@@ -122,7 +122,8 @@ func main() {
 		if err := store.AttachWAL(wlog); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("wal: recovered %d records from %s\n", recovered, *walDir)
+		fmt.Printf("wal: recovered %d records from %s in %.1f ms\n", recovered, *walDir,
+			float64(wlog.Stats().RecoverTime.Microseconds())/1e3)
 	}
 
 	// Replication. Cursor discipline is shared with the WAL: with one

@@ -275,7 +275,7 @@ func TestMutateBatchWALTickets(t *testing.T) {
 					t.Fatal(err)
 				}
 				rth := r.NewThread()
-				if _, err = l.Recover(func(_ int, rec wal.Record) error { return s.Apply(rth, rec) }); err != nil {
+				if _, err = s.Recover(rth, l); err != nil {
 					t.Fatal(err)
 				}
 				rth.Release()

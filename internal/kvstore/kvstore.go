@@ -224,9 +224,10 @@ func (s *Store) ShardMutexes() []*tle.Mutex {
 	return ms
 }
 
-// Apply replays one logged mutation: WAL recovery and a follower's apply
-// loop are this call per record. A store's own replay runs with nothing
-// attached, so recovered records are not re-logged.
+// Apply replays one logged mutation as a transaction, beside readers: a
+// follower's apply loop is this call per record. WAL recovery (Recover)
+// runs it inside a serial section per record, with nothing attached, so
+// recovered records are not re-logged.
 func (s *Store) Apply(th *tm.Thread, rec logrec.Record) error {
 	switch rec.Op {
 	case logrec.OpSet:
@@ -240,9 +241,31 @@ func (s *Store) Apply(th *tm.Thread, rec logrec.Record) error {
 	return fmt.Errorf("kvstore: unknown log op %v", rec.Op)
 }
 
+// Recover replays l into the store, which must not be serving yet and must
+// have nothing attached (call AttachWAL after it). Nothing runs beside a
+// recovering store, so speculation buys it nothing: each record runs in its
+// own irrevocable section (Engine.Synchronized), the shard's Do flattens
+// into it, and the mutation runs with direct loads and stores, with no
+// write buffer, commit or capacity abort. One section per record, not one
+// per log: a serial section frees the blocks it replaced only at its end,
+// so the heap reuses them as the replay goes. A record the store refuses
+// ends the replay with its error. Recover returns the records replayed.
+func (s *Store) Recover(th *tm.Thread, l *wal.Log) (int, error) {
+	var rec wal.Record
+	body := func(tm.Tx) error { return s.Apply(th, rec) } // bound once, not per record
+	e := s.r.Engine()
+	return l.Recover(func(sh int, r wal.Record) error {
+		rec = r
+		if err := e.Synchronized(th, body); err != nil {
+			return fmt.Errorf("kvstore: replay shard %d seq %d: %w", sh, r.Seq, err)
+		}
+		return nil
+	})
+}
+
 // AttachWAL arms redo logging: every committed mutation from here on
 // reaches l as a wal.Record in the shard's serialization order. Call it
-// after any recovery replay (Apply, with nothing attached), before
+// after any recovery replay (Recover, with nothing attached), before
 // AttachTap and before serving traffic. The per-shard sequence words are
 // seeded from the log's recovered tail, so fresh records continue it.
 func (s *Store) AttachWAL(l *wal.Log) error {

@@ -26,7 +26,7 @@ func openStoreWAL(t *testing.T, p tle.Policy, dir string, cfg Config) (*tle.Runt
 		t.Fatalf("wal.Open: %v", err)
 	}
 	th := r.NewThread()
-	recovered, err := l.Recover(func(_ int, rec wal.Record) error { return s.Apply(th, rec) })
+	recovered, err := s.Recover(th, l)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}

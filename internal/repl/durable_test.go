@@ -21,7 +21,7 @@ func openStoreLog(t *testing.T, r *tle.Runtime, store *kvstore.Store, dir string
 		t.Fatal(err)
 	}
 	th := r.NewThread()
-	_, err = l.Recover(func(_ int, rec wal.Record) error { return store.Apply(th, rec) })
+	_, err = store.Recover(th, l)
 	th.Release()
 	if err == nil {
 		err = store.AttachWAL(l)

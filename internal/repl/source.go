@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -231,6 +230,7 @@ func (s *Source) handle(c net.Conn) {
 		return
 	}
 	hErr := ""
+	next := make([]uint64, s.shards) // the handshake cursor: sub.cur's first value, and the sender's own copy
 	for i, cur := range cursors {
 		if cur < s.sh[i].base {
 			hErr = fmt.Sprintf("shard %d cursor %d predates retained history (base %d); snapshot transfer is not supported", i, cur, s.sh[i].base)
@@ -240,7 +240,7 @@ func (s *Source) handle(c net.Conn) {
 			hErr = fmt.Sprintf("shard %d cursor %d is ahead of the source (last %d); the follower belongs to a different history", i, cur, s.sh[i].next-1)
 			break
 		}
-		sub.cur[i] = cur + 1
+		next[i] = cur + 1
 	}
 	var r *wal.Reader
 	if hErr == "" && s.log != nil {
@@ -253,6 +253,7 @@ func (s *Source) handle(c net.Conn) {
 		fmt.Fprintf(c, "ERR %s\r\n", hErr)
 		return
 	}
+	copy(sub.cur, next)
 	s.subs[sub] = struct{}{}
 	s.mu.Unlock()
 	fmt.Fprintf(c, "OK %d\r\n", s.shards)
@@ -277,7 +278,7 @@ func (s *Source) handle(c net.Conn) {
 		}
 	}()
 
-	s.sender(sub, r)
+	s.sender(sub, r, next)
 }
 
 // drop unsubscribes sub and wakes its sender to exit.
@@ -303,12 +304,13 @@ const senderBatchBytes = 64 << 10
 // that never come) times out and reconnects instead of hanging forever.
 const keepaliveInterval = time.Second
 
-// sender streams frames from the subscriber's cursor, read back from the
-// log through r, or from memory when r is nil, and a tip frame whenever
-// the follower has everything shippable.
-func (s *Source) sender(sub *subscriber, r *wal.Reader) {
+// sender streams frames from the subscriber's handshake cursor cur, read
+// back from the log through r, or from memory when r is nil, and a tip
+// frame whenever the follower has everything shippable. cur is the
+// sender's own: on the log path it runs ahead of sub.cur by the batch in
+// out.
+func (s *Source) sender(sub *subscriber, r *wal.Reader, cur []uint64) {
 	var out []byte
-	cur := slices.Clone(sub.cur) // the log path's cursor, ahead of sub.cur by the batch in out
 	tip := make([]uint64, s.shards)
 	resend := true // the first idle pass sends the tips
 	var closing <-chan struct{} = s.closeCh

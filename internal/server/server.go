@@ -123,6 +123,9 @@ type Server struct {
 	// ops holds the counters the connections' executors bump per op, each
 	// on the stripe of its own thread id.
 	ops *stats.Striped
+	// tm0 is the engine's counters at New: stats reports the transactions
+	// since, not a recovery replay's.
+	tm0 stats.Snapshot
 }
 
 // Indices into Server.ops. ctrFusedBatches counts the runs of two or more
@@ -147,6 +150,7 @@ func New(r *tle.Runtime, store *kvstore.Store, cfg Config) *Server {
 		store:  store,
 		active: make(map[net.Conn]struct{}),
 		ops:    stats.NewStriped(numCtrs),
+		tm0:    r.Engine().Snapshot(),
 	}
 }
 
@@ -786,6 +790,11 @@ func serverError(err error) []byte {
 //
 //gotle:coldpath stats rendering allocates freely by design
 func (s *Server) statsResponse(th *tm.Thread) []byte {
+	// The engine's counters as the command arrives, before its own reads of
+	// the store; what happened before New (a recovery replay, one serial
+	// section per record) is not traffic.
+	all := s.r.Engine().Snapshot()
+	es := all.Sub(s.tm0)
 	var b []byte
 	stat := func(k, v string) {
 		b = append(b, "STAT "...)
@@ -819,7 +828,6 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 	// Engine-wide transaction counters: why are transactions aborting.
 	// Conflict aborts lump every data-conflict cause (HTM conflict, STM
 	// validation, STM encounter-time lock).
-	es := s.r.Engine().Snapshot()
 	u("tm_starts", es.Starts)
 	u("tm_commits", es.Commits)
 	u("tm_conflict_aborts", es.Aborts[stats.Conflict]+es.Aborts[stats.Validation]+es.Aborts[stats.Locked])
@@ -828,7 +836,7 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 	u("quiesces", es.Quiesces)
 	u("shared_grace", es.SharedGrace)
 	u("scans_avoided", es.ScansAvoided)
-	u("reclaim_parked", es.ReclaimParked())
+	u("reclaim_parked", all.ReclaimParked())
 
 	if l := s.cfg.WAL; l != nil {
 		ws := l.Stats()
@@ -837,6 +845,7 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 		u("wal_bytes", ws.Bytes)
 		u("wal_segments", ws.Segments)
 		u("recovered_records", ws.Recovered)
+		u("recover_us", uint64(ws.RecoverTime.Microseconds()))
 	}
 	if cs := s.store.CommitStream(); cs != nil {
 		released, parked := cs.Counts()

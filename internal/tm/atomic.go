@@ -326,8 +326,8 @@ func (e *Engine) runSerial(th *Thread, o *CallOpts, fn func(Tx) error) error {
 	th.observe(o)
 	th.st.SerialRun()
 	th.obs.SerialRun()
-	tx := &serialTx{th: th}
-	th.cur = tx
+	th.wrote = false
+	th.cur = serialTx{th: th}
 	th.depth = 1
 	var err error
 	retried := false
@@ -344,7 +344,7 @@ func (e *Engine) runSerial(th *Thread, o *CallOpts, fn func(Tx) error) error {
 				panic(r)
 			}
 		}()
-		err = fn(tx)
+		err = fn(th.cur)
 	}()
 	if retried {
 		th.freeAllocs()
@@ -352,7 +352,7 @@ func (e *Engine) runSerial(th *Thread, o *CallOpts, fn func(Tx) error) error {
 		return ErrRetry
 	}
 	if err != nil {
-		if tx.wrote {
+		if th.wrote {
 			th.st.AbandonedStart()
 			panic("tm: cancel of an irrevocable transaction after writes")
 		}
@@ -360,7 +360,7 @@ func (e *Engine) runSerial(th *Thread, o *CallOpts, fn func(Tx) error) error {
 		th.countAbort(stats.Explicit)
 		return err
 	}
-	th.countCommit(!tx.wrote)
+	th.countCommit(!th.wrote)
 	// No quiescence needed: the write lock excluded every transaction.
 	for _, a := range th.frees {
 		e.mem.Free(a)

@@ -279,3 +279,23 @@ func TestSerialSectionDoesNotWaitForCommitActions(t *testing.T) {
 		})
 	}
 }
+
+// A serial section allocates nothing of its own: a single-threaded replay
+// runs one per record.
+func TestSerialSectionAllocatesNothing(t *testing.T) {
+	for _, mode := range []Mode{ModeSTM, ModeHTM} {
+		t.Run(mode.String(), func(t *testing.T) {
+			e := New(Config{Mode: mode, MemWords: 1 << 14, HTM: htm.Config{EventAbortPerMillion: -1}})
+			th := e.NewThread()
+			defer th.Release()
+			body := func(Tx) error { return nil }
+			if n := testing.AllocsPerRun(100, func() {
+				if err := e.Synchronized(th, body); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Fatalf("Synchronized with an empty body: %v allocs per section, want 0", n)
+			}
+		})
+	}
+}

@@ -35,7 +35,8 @@ type Thread struct {
 	frees     []memseg.Addr
 	deferred  []func()
 	noQuiesce bool
-	cur       Tx // active wrapper for flat nesting
+	wrote     bool // a serial section has stored: it can no longer cancel
+	cur       Tx   // active wrapper for flat nesting
 
 	// Per-call configuration, pinned by attempt/runSerial for the duration
 	// of one top-level execution (see CallOpts).
@@ -250,42 +251,41 @@ func (w htmTx) Irrevocable() bool                    { return false }
 
 // ---- serial (irrevocable) wrapper ----
 
-type serialTx struct {
-	th    *Thread
-	wrote bool
-}
+// serialTx is one pointer, like the wrappers above, so a serial section
+// allocates nothing; whether it has stored is Thread.wrote.
+type serialTx struct{ th *Thread }
 
-func (w *serialTx) Load(a memseg.Addr) uint64 { return w.th.e.mem.Load(a) }
-func (w *serialTx) Store(a memseg.Addr, v uint64) {
-	w.wrote = true
+func (w serialTx) Load(a memseg.Addr) uint64 { return w.th.e.mem.Load(a) }
+func (w serialTx) Store(a memseg.Addr, v uint64) {
+	w.th.wrote = true
 	w.th.e.mem.Store(a, v)
 }
-func (w *serialTx) LoadRange(a memseg.Addr, dst []uint64) {
+func (w serialTx) LoadRange(a memseg.Addr, dst []uint64) {
 	for i := range dst {
 		dst[i] = w.th.e.mem.Load(a + memseg.Addr(i))
 	}
 }
-func (w *serialTx) StoreRange(a memseg.Addr, src []uint64) {
-	w.wrote = true
+func (w serialTx) StoreRange(a memseg.Addr, src []uint64) {
+	w.th.wrote = true
 	w.th.e.mem.StoreRange(a, src) // every other thread is parked: one bulk copy
 }
-func (w *serialTx) RangeBuf(n int) []uint64 { return w.th.rangeBuf(n) }
-func (w *serialTx) Alloc(n int) memseg.Addr { return w.th.txAlloc(n) }
-func (w *serialTx) Free(a memseg.Addr)      { w.th.txFree(a) }
-func (w *serialTx) NoQuiesce()              {}
-func (w *serialTx) Defer(fn func())         { w.th.deferred = append(w.th.deferred, fn) }
+func (w serialTx) RangeBuf(n int) []uint64 { return w.th.rangeBuf(n) }
+func (w serialTx) Alloc(n int) memseg.Addr { return w.th.txAlloc(n) }
+func (w serialTx) Free(a memseg.Addr)      { w.th.txFree(a) }
+func (w serialTx) NoQuiesce()              {}
+func (w serialTx) Defer(fn func())         { w.th.deferred = append(w.th.deferred, fn) }
 
 // Retry in an irrevocable transaction is only legal before the first write:
 // there is no undo log to roll back. The engine's condition-variable
 // discipline (check the predicate before mutating) guarantees this in
 // well-formed programs.
-func (w *serialTx) Retry() {
-	if w.wrote {
+func (w serialTx) Retry() {
+	if w.th.wrote {
 		panic("tm: Retry after writes in an irrevocable transaction")
 	}
 	throwRetry()
 }
-func (w *serialTx) Irrevocable() bool { return true }
+func (w serialTx) Irrevocable() bool { return true }
 
 // throwRetry aborts the attempt with the explicit (user retry) cause.
 func throwRetry() {

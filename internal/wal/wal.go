@@ -60,8 +60,10 @@ type Stats struct {
 	Fsyncs uint64
 	// Bytes counts bytes written to segment files.
 	Bytes uint64
-	// Recovered counts records replayed by Recover at open.
-	Recovered uint64
+	// Recovered counts records replayed by Recover at open, RecoverTime
+	// how long that took.
+	Recovered   uint64
+	RecoverTime time.Duration
 	// Segments counts segment files created this run (rotation).
 	Segments uint64
 }
@@ -86,7 +88,8 @@ type Log struct {
 	appends   atomic.Uint64
 	bytes     atomic.Uint64
 	recovered atomic.Uint64 // startup only, never contended
-	_         [40]byte      // pad: appender group and syncer group on separate lines
+	recoverNs atomic.Int64  // startup only, never contended
+	_         [32]byte      // pad: appender group and syncer group on separate lines
 	fsyncs    atomic.Uint64
 	segments  atomic.Uint64
 
@@ -207,6 +210,7 @@ func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 	if l.opened {
 		return 0, fmt.Errorf("wal: Recover called twice")
 	}
+	t0 := time.Now()
 	idxs, err := l.segmentsList()
 	if err != nil {
 		return 0, err
@@ -244,6 +248,7 @@ func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 	copy(l.durable, last)
 	l.segments.Add(1)
 	l.recovered.Store(uint64(total))
+	l.recoverNs.Store(int64(time.Since(t0)))
 	l.opened = true
 	l.wg.Add(1)
 	go l.syncLoop()
@@ -368,10 +373,13 @@ func atOrBelow(a, b []uint64) bool {
 func (r *Reader) Next(fn func(shard int, seq uint64, frame []byte) error) error {
 	left := uint64(0)
 	r.l.mu.Lock()
-	for i, d := range r.l.durable {
-		left += d - r.last[i]
+	for _, d := range r.l.durable {
+		left += d
 	}
 	r.l.mu.Unlock()
+	for _, l := range r.last {
+		left -= l // the reader's own: read outside the log's lock
+	}
 	// Durable frames are a prefix of the file series, so the next left
 	// frames are exactly the ones to read, and no read goes past them.
 	for ; left > 0; left-- {
@@ -648,11 +656,12 @@ func (l *Log) rotateLocked() error {
 // Stats snapshots the log's counters.
 func (l *Log) Stats() Stats {
 	return Stats{
-		Appends:   l.appends.Load(),
-		Fsyncs:    l.fsyncs.Load(),
-		Bytes:     l.bytes.Load(),
-		Recovered: l.recovered.Load(),
-		Segments:  l.segments.Load(),
+		Appends:     l.appends.Load(),
+		Fsyncs:      l.fsyncs.Load(),
+		Bytes:       l.bytes.Load(),
+		Recovered:   l.recovered.Load(),
+		RecoverTime: time.Duration(l.recoverNs.Load()),
+		Segments:    l.segments.Load(),
 	}
 }
 
