@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	tmvet [-C dir] [-run txsafe,noqpriv] [flags] [packages]
+//	tmvet [-C dir] [-run txsafe,txpure] [flags] [packages]
 //
 // Packages default to ./... relative to the module directory. Exit
 // status is 1 when any (non-baselined) diagnostic is reported, 2 on
@@ -39,11 +39,8 @@ import (
 	"gotle/internal/analysis/gostuck"
 	"gotle/internal/analysis/hotalloc"
 	"gotle/internal/analysis/lockorder"
-	"gotle/internal/analysis/noqpriv"
 	"gotle/internal/analysis/protdom"
 	"gotle/internal/analysis/tmflow"
-	"gotle/internal/analysis/txblock"
-	"gotle/internal/analysis/txescape"
 	"gotle/internal/analysis/txpure"
 	"gotle/internal/analysis/txsafe"
 	"gotle/internal/diagfmt"
@@ -52,12 +49,9 @@ import (
 var analyzers = []*analysis.Analyzer{
 	txsafe.Analyzer,
 	txpure.Analyzer,
-	txescape.Analyzer,
 	cvlast.Analyzer,
-	noqpriv.Analyzer,
 	lockorder.Analyzer,
 	capest.Analyzer,
-	txblock.Analyzer,
 	ackorder.Analyzer,
 	hotalloc.Analyzer,
 	falseshare.Analyzer,
@@ -116,7 +110,6 @@ func main() {
 	baseline := flag.String("baseline", "", "baseline file: report only findings not listed in it")
 	writeBaseline := flag.String("write-baseline", "", "snapshot current findings to this baseline file and exit")
 	rank := flag.Bool("capest-rank", false, "print atomic bodies ranked by HTM capacity pressure and exit")
-	effStats := flag.Bool("effect-stats", false, "print effect-summary cache hit/miss counters to stderr after the run")
 	timing := flag.Bool("timing", false, "print per-analyzer wall-clock and effect-cache breakdown to stderr after the run")
 	censusDump := flag.Bool("protdom-census", false, "print the protection-domain census summary and exit")
 	flag.Parse()
@@ -161,16 +154,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tmvet: %v\n", err)
 		os.Exit(2)
 	}
-	if *effStats || *timing {
+	if *timing {
 		hits, misses := tmflow.EffectCacheStats()
-		total := hits + misses
 		rate := 0.0
-		if total > 0 {
+		if total := hits + misses; total > 0 {
 			rate = 100 * float64(hits) / float64(total)
 		}
 		fmt.Fprintf(os.Stderr, "tmvet: effect-summary cache: %d hits, %d misses (%.1f%% hit rate)\n", hits, misses, rate)
-	}
-	if *timing {
 		for _, t := range timings {
 			fmt.Fprintf(os.Stderr, "tmvet: %-12s %8.1fms  %d finding(s)\n",
 				t.Name, float64(t.Wall.Microseconds())/1000, t.Findings)

@@ -49,7 +49,7 @@ func runScenario(skipQuiescence bool) []tm.RaceReport {
 		e.Atomic(wt, func(tx tm.Tx) error {
 			tx.Store(block, 999)        // write-through: dirty value in place
 			close(writerIn)             //gotle:allow txsafe harness choreography: signal mid-speculation so the main goroutine can race the doomed writer
-			<-writerGo                  //gotle:allow txsafe,txblock harness choreography: hold the doomed transaction open until released
+			<-writerGo                  //gotle:allow txsafe harness choreography: hold the doomed transaction open until released
 			return fmt.Errorf("doomed") // abort: undo runs
 		})
 	}()

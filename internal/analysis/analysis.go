@@ -8,13 +8,15 @@
 // transaction-safe code, condition-variable waits must be a transaction's
 // last operation, and TM.NoQuiesce is only sound for transactions that do
 // not privatize. Go has no such compiler support, so this package supplies
-// it as a vet-style suite. The analyzers live in subpackages
-// (txsafe, txpure, txescape, cvlast, noqpriv, lockorder, capest, and the
-// serving-path four: txblock, ackorder, hotalloc, falseshare) and are
-// driven together by cmd/tmvet; see DESIGN.md for the mapping from each
-// analyzer to the compiler check it substitutes for.
+// it as a vet-style suite. The ten analyzers live in subpackages and are
+// driven together by cmd/tmvet: one per question a critical section
+// raises (txsafe: what may it call or wait on; txpure: what may it write
+// or publish outside TM memory; cvlast, lockorder, capest), the serving
+// path's (ackorder, hotalloc, falseshare), and the whole-program census's
+// (protdom, gostuck). DESIGN.md maps each analyzer to the compiler check
+// it substitutes for.
 //
-// Four source directives interact with the suite:
+// Three source directives interact with the suite:
 //
 //	//gotle:allow rule[,rule...] [reason]
 //
@@ -22,13 +24,6 @@
 // diagnostics at that line. Every suppression should carry a reason; the
 // annotated sites in examples/ and internal/x265sim double as teaching
 // cases for the paper's Listing 1-3 hazards.
-//
-//	//gotle:irrevocable [reason]
-//
-// in a function's doc comment declares that the function knowingly
-// performs irrevocable actions and is only reached from irrevocable
-// contexts (Engine.Synchronized bodies, Tx.Defer actions, or the pthread
-// baseline); txsafe treats calls to it as opaque instead of walking in.
 //
 //	//gotle:hotpath [reason]
 //
@@ -271,4 +266,40 @@ func IsMethod(fn *types.Func, pkgpath, recv, name string) bool {
 			strings.HasPrefix(fn.FullName(), "("+pkgpath+"."+recv+")")
 	}
 	return rp == pkgpath && rn == recv
+}
+
+// IsGlobal reports whether v is a package-level variable of pkg.
+func (pkg *Package) IsGlobal(v *types.Var) bool {
+	return !v.IsField() && v.Parent() == pkg.Types.Scope()
+}
+
+// AssignedValue returns the right-hand expression feeding the i-th target
+// of as: its own, or the one multi-value expression feeding every target.
+func AssignedValue(as *ast.AssignStmt, i int) ast.Expr {
+	switch {
+	case len(as.Rhs) == len(as.Lhs):
+		return as.Rhs[i]
+	case len(as.Rhs) == 1:
+		return as.Rhs[0]
+	}
+	return nil
+}
+
+// RootIdent returns the base identifier of a selector/index/deref chain,
+// or nil (e.g. when the base is a call result).
+func RootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }

@@ -3,19 +3,26 @@ package analysis_test
 import (
 	"testing"
 
+	"gotle/internal/analysis/ackorder"
 	"gotle/internal/analysis/analysistest"
+	"gotle/internal/analysis/capest"
 	"gotle/internal/analysis/cvlast"
-	"gotle/internal/analysis/noqpriv"
-	"gotle/internal/analysis/txescape"
+	"gotle/internal/analysis/falseshare"
+	"gotle/internal/analysis/gostuck"
+	"gotle/internal/analysis/hotalloc"
+	"gotle/internal/analysis/lockorder"
+	"gotle/internal/analysis/protdom"
 	"gotle/internal/analysis/txpure"
 	"gotle/internal/analysis/txsafe"
 )
 
 // TestListings runs the whole suite over a fixture reproducing the
 // paper's Listing 1-3 hazard shapes, checking that the analyzers
-// compose: one line can carry wants for several rules.
+// compose: one line can carry wants for several rules, and a site that
+// several hazards meet at is reported once.
 func TestListings(t *testing.T) {
 	analysistest.Run(t, "testdata/src/listings",
-		txsafe.Analyzer, txpure.Analyzer, txescape.Analyzer,
-		cvlast.Analyzer, noqpriv.Analyzer)
+		txsafe.Analyzer, txpure.Analyzer, cvlast.Analyzer, lockorder.Analyzer,
+		capest.Analyzer, ackorder.Analyzer, hotalloc.Analyzer, falseshare.Analyzer,
+		protdom.Analyzer, gostuck.Analyzer)
 }

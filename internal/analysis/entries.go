@@ -61,7 +61,7 @@ func (e *Entry) TxParam() *types.Var {
 // are deduplicated, so a named function passed to Mutex.Do from several
 // call sites is analyzed once and diagnostics attach to its declaration.
 // Synchronized bodies are excluded: they run irrevocably and may perform
-// unsafe actions by design.
+// irrevocable actions by design.
 func AtomicEntries(pkg *Package) []*Entry {
 	var out []*Entry
 	for _, e := range pkg.Prog.entries() {
@@ -74,9 +74,9 @@ func AtomicEntries(pkg *Package) []*Entry {
 
 // AllEntries returns every critical-section body in the program whose
 // syntax lives in pkg — atomic AND synchronized. Synchronized bodies run
-// serially and irrevocably, so most analyzers exempt them, but blocking
-// there stalls every policy behind the global serial lock; txblock audits
-// both kinds.
+// serially and irrevocably, so most analyzers exempt them, but waiting
+// there stalls every policy behind the global serial lock; txsafe checks
+// both kinds for waits.
 func AllEntries(pkg *Package) []*Entry {
 	var out []*Entry
 	for _, e := range pkg.Prog.entries() {

@@ -149,7 +149,7 @@ func (c *checker) call(pkg *analysis.Package, call *ast.CallExpr, amortized, sel
 		return
 	}
 	if analysis.IsRuntimeFn(fn) || analysis.IsTicketWait(fn) {
-		return // trusted TM runtime; blocking is txblock's concern
+		return // trusted TM runtime; waiting is txsafe's concern
 	}
 	if c.pass.Prog.Coldpath(fn) {
 		return // deliberately unoptimized branch, trusted by annotation

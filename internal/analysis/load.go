@@ -19,8 +19,8 @@ import (
 
 // A Program is a fully type-checked load of the module's packages (plus
 // any test fixtures added with AddDir). All analyzers in one tmvet or test
-// run share one Program, which is what lets txsafe and noqpriv walk call
-// graphs across package boundaries without a fact store.
+// run share one Program, which is what lets txsafe walk call graphs
+// across package boundaries without a fact store.
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package // module-local packages in dependency order
@@ -30,7 +30,6 @@ type Program struct {
 	std      types.Importer
 	gc       types.Importer
 	fnDecls  map[*types.Func]funcDecl
-	irrev    map[*types.Func]bool
 	hot      map[*types.Func]bool
 	cold     map[*types.Func]bool
 	suppress map[string]map[int][]string // filename -> line -> allowed rules
@@ -130,7 +129,6 @@ func newProgram() *Program {
 		export:   make(map[string]string),
 		std:      importer.ForCompiler(fset, "source", nil),
 		fnDecls:  make(map[*types.Func]funcDecl),
-		irrev:    make(map[*types.Func]bool),
 		hot:      make(map[*types.Func]bool),
 		cold:     make(map[*types.Func]bool),
 		suppress: make(map[string]map[int][]string),
@@ -223,8 +221,8 @@ func (prog *Program) addPackage(importPath, dir string, filenames []string) (*Pa
 	return pkg, nil
 }
 
-// indexPackage records the package's function declarations, irrevocable
-// annotations, and //gotle:allow suppressions.
+// indexPackage records the package's function declarations, their
+// hotpath/coldpath directives, and //gotle:allow suppressions.
 func (prog *Program) indexPackage(pkg *Package) {
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
@@ -237,9 +235,6 @@ func (prog *Program) indexPackage(pkg *Package) {
 				continue
 			}
 			prog.fnDecls[fn] = funcDecl{pkg: pkg, decl: fd}
-			if hasDirective(fd.Doc, "gotle:irrevocable") {
-				prog.irrev[fn] = true
-			}
 			if hasDirective(fd.Doc, "gotle:hotpath") {
 				prog.hot[fn] = true
 			}
@@ -274,9 +269,6 @@ func (prog *Program) DeclOf(fn *types.Func) (*Package, *ast.FuncDecl) {
 	}
 	return fd.pkg, fd.decl
 }
-
-// Irrevocable reports whether fn carries a //gotle:irrevocable annotation.
-func (prog *Program) Irrevocable(fn *types.Func) bool { return prog.irrev[fn] }
 
 // Hotpath reports whether fn's doc comment carries //gotle:hotpath: the
 // function is a root of the allocation-free serving path and hotalloc

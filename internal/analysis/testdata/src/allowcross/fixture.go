@@ -1,25 +1,32 @@
-// Cross-pass suppression fixture: one line trips both txescape and txpure
-// at the same position. The allow directive names txescape only, so the
-// co-located txpure finding must survive — suppression is per-rule, and
+// Cross-pass suppression fixture: one call trips both lockorder and txsafe
+// at the same position. The allow directive names lockorder only, so the
+// co-located txsafe finding must survive — suppression is per-rule, and
 // the runner's (pos, rule) dedup must not fold diagnostics from different
 // analyzers.
 package fixture
 
 import (
-	"gotle/internal/memseg"
+	"time"
+
+	"gotle/internal/condvar"
+	"gotle/internal/tle"
 	"gotle/internal/tm"
 )
 
 var (
-	eng       *tm.Engine
-	th        *tm.Thread
-	published memseg.Addr
+	th  *tm.Thread
+	muA *tle.Mutex
+	muB *tle.Mutex
+	cv  *condvar.Cond
 )
 
-func Publish() {
-	eng.Atomic(th, func(tx tm.Tx) error {
-		//gotle:allow txescape the consumer reads it only after the harness joins
-		published = tx.Alloc(2) // want txpure:"package-level variable published"
+func noop(tx tm.Tx) error { return nil }
+
+func Reenter() {
+	muA.Do(th, func(tx tm.Tx) error {
+		muB.Do(th, noop)
+		//gotle:allow lockorder the harness re-enters muB deliberately
+		muB.Await(th, cv, time.Second, noop) // want txsafe:"Mutex.Await inside an atomic block"
 		return nil
 	})
 }

@@ -15,8 +15,9 @@ const (
 	PkgCondvar = "gotle/internal/condvar"
 	PkgMemseg  = "gotle/internal/memseg"
 	// PkgWAL is the redo log. It is deliberately NOT in RuntimePkgs: the
-	// serving-path analyzers (txblock, ackorder) track its Ticket.Wait
-	// durability rendezvous, and hotalloc audits its hot append path.
+	// analyzers track its Ticket.Wait durability rendezvous (txsafe inside
+	// critical sections, ackorder before response writes), and hotalloc
+	// audits its hot append path.
 	PkgWAL = "gotle/internal/wal"
 )
 
@@ -110,7 +111,7 @@ func IsFreeCall(fn *types.Func) bool {
 
 // IsTicketWait reports whether fn is wal.Ticket.Wait, the durability
 // rendezvous that blocks until a record is covered by a group-commit
-// fsync. txblock flags it inside critical sections; ackorder requires it
+// fsync. txsafe flags it inside critical sections; ackorder requires it
 // before the op's response write.
 func IsTicketWait(fn *types.Func) bool {
 	return IsMethod(fn, PkgWAL, "Ticket", "Wait")

@@ -1,23 +1,23 @@
 package tmflow
 
 // Interprocedural effect summaries: a cached per-function lattice of
-// {blocks, allocates, writes-response, waits-ticket} effects, computed
-// bottom-up over the `go list -deps` call graph the Program loads in
-// dependency order — the same memoization shape as FuncSummary, extended
-// with the serving-path effects PRs 5–7 made load-bearing.
+// {allocates, writes-response, waits-ticket} effects, computed bottom-up
+// over the `go list -deps` call graph the Program loads in dependency
+// order — the same memoization shape as FuncSummary, extended with the
+// serving-path effects the server's zero-allocation and durability
+// contracts made load-bearing.
 //
-// The lattice is a powerset of four bits, so joins are bitwise OR and the
+// The lattice is a powerset of three bits, so joins are bitwise OR and the
 // bottom-up computation is trivially monotone. Soundness follows the
 // suite's standing trade-offs: the TM runtime's packages are trusted
 // primitives (no effects), interface and function-value calls are
-// conservative (assumed to block and allocate), and known standard
-// library calls are classified by an explicit table (BlockingCallDesc,
-// AllocCallDesc) — unknown stdlib calls are assumed to allocate but not
-// to block, matching txsafe's explicit-denylist philosophy for blocking.
+// conservative (assumed to allocate), and known standard library calls are
+// classified by an explicit table (AllocCallDesc) — unknown stdlib calls
+// are assumed to allocate.
 //
-// The analyzers built on the summaries (txblock, ackorder, hotalloc) use
-// them as walk pruners and call-site facts: a callee whose summary lacks
-// the effect of interest is opaque to the walk, which is what keeps the
+// The analyzers built on the summaries (ackorder, hotalloc) use them as
+// walk pruners and call-site facts: a callee whose summary lacks the
+// effect of interest is opaque to the walk, which is what keeps the
 // whole-program passes inside the lint budget. Cache hit/miss counters
 // (EffectCacheStats) expose how much the memoization saves; the numbers
 // are recorded in EXPERIMENTS.md.
@@ -33,16 +33,12 @@ import (
 	"gotle/internal/analysis"
 )
 
-// Effect is a bitset over the four serving-path effects.
+// Effect is a bitset over the three serving-path effects.
 type Effect uint8
 
 const (
-	// EffBlocks: the function can block the calling goroutine — channel
-	// operations, syscalls and file/network I/O, sleeps, native sync
-	// waits, wal.Ticket.Wait.
-	EffBlocks Effect = 1 << iota
 	// EffAllocates: the function can allocate on the Go heap.
-	EffAllocates
+	EffAllocates Effect = 1 << iota
 	// EffWritesResponse: the function can write response bytes toward a
 	// client connection (bufio.Writer/net.Conn writes, io.WriteString).
 	EffWritesResponse
@@ -51,7 +47,7 @@ const (
 	EffWaitsTicket
 )
 
-// String renders the set as "blocks|allocates|writes-response|waits-ticket".
+// String renders the set as "allocates|writes-response|waits-ticket".
 func (e Effect) String() string {
 	if e == 0 {
 		return "none"
@@ -61,7 +57,6 @@ func (e Effect) String() string {
 		bit  Effect
 		name string
 	}{
-		{EffBlocks, "blocks"},
 		{EffAllocates, "allocates"},
 		{EffWritesResponse, "writes-response"},
 		{EffWaitsTicket, "waits-ticket"},
@@ -99,7 +94,7 @@ func (s *EffectSummary) Site(e Effect) (EffectSite, bool) {
 }
 
 func (s *EffectSummary) add(e Effect, site EffectSite) {
-	for bit := EffBlocks; bit <= EffWaitsTicket; bit <<= 1 {
+	for bit := EffAllocates; bit <= EffWaitsTicket; bit <<= 1 {
 		if e&bit == 0 {
 			continue
 		}
@@ -138,7 +133,7 @@ func ResetEffectCacheStats() {
 
 // EffectOf returns fn's memoized effect summary. Functions without a
 // body in the loaded program summarize to no effects — callers classify
-// external calls themselves (BlockingCallDesc, AllocCallDesc) before
+// external calls themselves (AllocCallDesc) before
 // consulting the summary. Recursive cycles observe the in-progress
 // (empty) summary, which under-approximates exactly once, like
 // FuncSummary.
@@ -187,9 +182,6 @@ func effectsOfBody(prog *analysis.Program, pkg *analysis.Package, body *ast.Bloc
 			}
 			return false
 		}
-		if desc := ChanOpDesc(pkg, n); desc != "" {
-			s.add(EffBlocks, EffectSite{Pos: n.Pos(), What: desc})
-		}
 		if desc := AllocNodeDesc(pkg, n); desc != "" {
 			s.add(EffAllocates, EffectSite{Pos: n.Pos(), What: desc})
 		}
@@ -220,11 +212,11 @@ func effectsOfCall(prog *analysis.Program, pkg *analysis.Package, call *ast.Call
 	fn := pkg.FuncOf(call)
 	if fn == nil {
 		// Function value / method value: the callee is dynamic.
-		s.add(EffBlocks|EffAllocates, EffectSite{Pos: call.Pos(), What: "dynamic call (conservative)"})
+		s.add(EffAllocates, EffectSite{Pos: call.Pos(), What: "dynamic call (conservative)"})
 		return
 	}
 	if analysis.IsTicketWait(fn) {
-		s.add(EffWaitsTicket|EffBlocks, EffectSite{Pos: call.Pos(), What: "wal.Ticket.Wait (group-commit fsync rendezvous)"})
+		s.add(EffWaitsTicket, EffectSite{Pos: call.Pos(), What: "wal.Ticket.Wait (group-commit fsync rendezvous)"})
 		return
 	}
 	if analysis.IsRuntimeFn(fn) {
@@ -233,13 +225,10 @@ func effectsOfCall(prog *analysis.Program, pkg *analysis.Package, call *ast.Call
 	if desc := RespWriteDesc(pkg, call); desc != "" {
 		s.add(EffWritesResponse, EffectSite{Pos: call.Pos(), What: desc})
 	}
-	if desc := BlockingCallDesc(fn); desc != "" {
-		s.add(EffBlocks, EffectSite{Pos: call.Pos(), What: desc})
-	}
 	if _, decl := prog.DeclOf(fn); decl != nil && decl.Body != nil {
 		// Module-local callee: fold in its bottom-up summary.
 		sub := EffectOf(prog, fn)
-		for bit := EffBlocks; bit <= EffWaitsTicket; bit <<= 1 {
+		for bit := EffAllocates; bit <= EffWaitsTicket; bit <<= 1 {
 			if !sub.Has(bit) {
 				continue
 			}
@@ -253,8 +242,7 @@ func effectsOfCall(prog *analysis.Program, pkg *analysis.Package, call *ast.Call
 	}
 	if fn.Pkg() != nil && fn.Pkg().Path() != pkg.Path {
 		// External function with no loaded body and no explicit
-		// classification: assume it allocates (hotalloc's strict default)
-		// but not that it blocks (blocking is an explicit denylist).
+		// classification: assume it allocates (hotalloc's strict default).
 		if desc := AllocCallDesc(fn); desc != "" {
 			s.add(EffAllocates, EffectSite{Pos: call.Pos(), What: desc})
 		} else if !AllocFreeExtern(fn) {
@@ -264,89 +252,6 @@ func effectsOfCall(prog *analysis.Program, pkg *analysis.Package, call *ast.Call
 }
 
 // ---- shared direct-effect classifiers ----
-
-// ChanOpDesc classifies n as a channel operation (always both blocking
-// and irrevocable): send, receive, select, range over a channel.
-func ChanOpDesc(pkg *analysis.Package, n ast.Node) string {
-	switch n := n.(type) {
-	case *ast.SendStmt:
-		return "channel send"
-	case *ast.UnaryExpr:
-		if n.Op == token.ARROW {
-			return "channel receive"
-		}
-	case *ast.SelectStmt:
-		return "select"
-	case *ast.RangeStmt:
-		if t := pkg.Info.Types[n.X].Type; t != nil {
-			if _, ok := types.Unalias(t.Underlying()).(*types.Chan); ok {
-				return "range over a channel"
-			}
-		}
-	}
-	return ""
-}
-
-// BlockingCallDesc classifies fn as a call that can block the calling
-// goroutine, returning a description or "". The set is an explicit
-// denylist (unknown functions are NOT assumed to block): syscall-backed
-// I/O, sleeps, native sync waits, and the WAL durability rendezvous.
-func BlockingCallDesc(fn *types.Func) string {
-	if analysis.IsTicketWait(fn) {
-		return "wal.Ticket.Wait blocks on the group-commit fsync"
-	}
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return ""
-	}
-	path, name := pkg.Path(), fn.Name()
-	_, recv := analysis.RecvType(fn)
-	switch {
-	case path == "os":
-		if recv == "File" {
-			return "os.File." + name + " issues a file I/O syscall"
-		}
-		switch name {
-		case "Open", "OpenFile", "Create", "ReadFile", "WriteFile", "Remove",
-			"RemoveAll", "Rename", "Mkdir", "MkdirAll", "ReadDir", "Stat":
-			return "os." + name + " issues a file-system syscall"
-		}
-	case path == "net" || strings.HasPrefix(path, "net/"):
-		return path + "." + name + " performs network I/O"
-	case path == "syscall":
-		return "syscall." + name + " is a raw syscall"
-	case path == "time" && (name == "Sleep" || name == "After" || name == "Tick"):
-		return "time." + name + " waits on the wall clock"
-	case path == "bufio":
-		switch recv {
-		case "Writer":
-			switch name {
-			case "Write", "WriteString", "WriteByte", "WriteRune", "Flush", "ReadFrom":
-				return "bufio.Writer." + name + " may flush to the underlying writer"
-			}
-		case "Reader":
-			switch name {
-			case "Read", "ReadByte", "ReadBytes", "ReadSlice", "ReadString", "ReadLine", "Peek", "ReadRune", "WriteTo":
-				return "bufio.Reader." + name + " may read from the underlying reader"
-			}
-		}
-	case path == "io":
-		switch name {
-		case "ReadFull", "ReadAll", "Copy", "CopyN", "CopyBuffer", "WriteString":
-			return "io." + name + " drives the underlying reader/writer"
-		}
-	case path == "sync":
-		switch {
-		case (recv == "Mutex" || recv == "RWMutex") && (name == "Lock" || name == "RLock"):
-			return "sync." + recv + "." + name + " can block on a contended lock"
-		case recv == "WaitGroup" && name == "Wait":
-			return "sync.WaitGroup.Wait blocks until the group drains"
-		case recv == "Cond" && name == "Wait":
-			return "sync.Cond.Wait parks the goroutine"
-		}
-	}
-	return ""
-}
 
 // RespWriteDesc classifies call as a response write toward a client
 // connection: Write-family methods on bufio.Writer, Write on net.Conn,
@@ -483,7 +388,7 @@ func AllocFreeExtern(fn *types.Func) bool {
 		return true
 	case "sync", "sync/atomic", "runtime", "math", "math/bits", "unsafe", "time", "os", "net", "syscall":
 		// sync/atomic and friends do not allocate; os/net/syscall calls
-		// are blocking findings (txblock), not allocation findings.
+		// are txsafe findings inside sections, not allocation findings.
 		return true
 	}
 	return false

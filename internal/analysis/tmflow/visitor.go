@@ -14,15 +14,10 @@ import (
 // under its control-flow graph, so subtrees in statically dead blocks (code
 // after Tx.Retry or panic, branches that both return) are pruned instead of
 // visited: analyzers built on it do not flag path-infeasible code.
+// Function literals passed to Tx.Defer are not walked: deferred actions
+// run post-commit and may perform irrevocable effects by design.
 type Visitor struct {
 	Prog *analysis.Program
-	// EnterDeferArgs, when set, also walks function literals passed to
-	// Tx.Defer. Default off: deferred actions run post-commit and may
-	// perform irrevocable effects by design.
-	EnterDeferArgs bool
-	// SkipIrrevocable, when set, treats callees annotated
-	// //gotle:irrevocable as opaque.
-	SkipIrrevocable bool
 	// Opaque, when non-nil, stops descent into callees it reports true
 	// for (the call node itself is still visited).
 	Opaque func(fn *types.Func) bool
@@ -39,10 +34,7 @@ func (v *Visitor) Walk(pkg *analysis.Package, root ast.Node) {
 }
 
 func (v *Visitor) walk(pkg *analysis.Package, root ast.Node, trail []*types.Func, visited map[*types.Func]bool) {
-	var skips map[*ast.FuncLit]bool
-	if !v.EnterDeferArgs {
-		skips = analysis.DeferSkips(pkg, root)
-	}
+	skips := analysis.DeferSkips(pkg, root)
 	var f *Func
 	if body, ok := root.(*ast.BlockStmt); ok {
 		f = Of(pkg, body)
@@ -69,9 +61,6 @@ func (v *Visitor) walk(pkg *analysis.Package, root ast.Node, trail []*types.Func
 		if call, ok := n.(*ast.CallExpr); ok {
 			fn := pkg.FuncOf(call)
 			if fn == nil || visited[fn] {
-				return true
-			}
-			if v.SkipIrrevocable && v.Prog.Irrevocable(fn) {
 				return true
 			}
 			if v.Opaque != nil && v.Opaque(fn) {

@@ -1,11 +1,20 @@
-// Package txpure implements the transaction-purity analyzer: writes
-// inside an atomic body must target TM-managed memory (Tx.Store), because
-// the undo log cannot revert a write to the Go heap when the transaction
-// aborts, and an atomic body may execute any number of times before it
-// commits (PAPER.md Section II.B).
+// Package txpure implements the transaction-purity analyzer: what may an
+// atomic body write or publish outside TM memory. Writes inside an atomic
+// body must target TM-managed memory (Tx.Store), because the undo log
+// cannot revert a write to the Go heap when the transaction aborts, and an
+// atomic body may execute any number of times before it commits (PAPER.md
+// Section II.B). Transactional handles must not outlive the section either
+// (Section IV.B).
 //
-// Flagged, in order of severity:
+// Flagged, each store once:
 //
+//   - a tm.Tx stored anywhere that outlives the body (a global, a field or
+//     element, a captured variable), or captured by a Tx.Defer action,
+//     which runs after commit: the handle is valid only inside its own
+//     atomic body, on the body's goroutine;
+//   - a memseg.Addr published to a global, a field or an element: visible
+//     before the transaction commits, and dangling if the attempt aborts
+//     after Tx.Alloc (publish through Tx.Store, or after the section);
 //   - a write to a package-level variable: globally visible before the
 //     transaction commits, and never rolled back;
 //   - a write through a captured reference (pointer, struct field, slice
@@ -17,10 +26,11 @@
 //
 // Deliberately allowed: the write-only "out parameter" idiom — a captured
 // local assigned inside the body with `=` and read only after the
-// critical section returns (`v = tx.Load(addr)`). Each re-execution fully
-// overwrites the previous attempt's value and the caller sees only the
-// committed one. Writes inside Tx.Defer actions run post-commit, exactly
-// once, and are likewise exempt.
+// critical section returns (`v = tx.Load(addr)`, `a = tx.Alloc(1)`). Each
+// re-execution fully overwrites the previous attempt's value and the
+// caller sees only the committed one. Stores into body-local structures
+// die with the attempt. Writes inside Tx.Defer actions run post-commit,
+// exactly once, and are likewise exempt.
 package txpure
 
 import (
@@ -35,7 +45,7 @@ import (
 // Analyzer is the txpure pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "txpure",
-	Doc:  "flag non-transactional writes in atomic bodies that the undo log cannot revert",
+	Doc:  "flag writes and handle escapes from atomic bodies that the undo log cannot revert",
 	Run:  run,
 }
 
@@ -46,16 +56,27 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
+// A checker judges the stores of one atomic body.
+type checker struct {
+	pass  *analysis.Pass
+	pkg   *analysis.Package
+	f     *tmflow.Func
+	fnode ast.Node
+	// staleRead holds the variables some read of which can observe the
+	// value they held at body entry.
+	staleRead map[*types.Var]bool
+}
+
 func checkEntry(pass *analysis.Pass, e *analysis.Entry) {
 	pkg := e.BodyPkg
-	fnode := e.FuncNode()
 	skips := analysis.DeferSkips(pkg, e.Body())
-	f := tmflow.Of(pkg, e.Body())
+	c := &checker{pass: pass, pkg: pkg, f: tmflow.Of(pkg, e.Body()), fnode: e.FuncNode(),
+		staleRead: make(map[*types.Var]bool)}
 
 	// Occurrences of an identifier as the target of a plain `=` store
 	// write the variable without reading it; every other use is a read.
 	storeOnly := make(map[*ast.Ident]bool)
-	walk(f, e.Body(), skips, func(n ast.Node) {
+	walk(c.f, e.Body(), skips, func(n ast.Node) {
 		if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN {
 			for _, lhs := range as.Lhs {
 				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
@@ -69,135 +90,180 @@ func checkEntry(pass *analysis.Pass, e *analysis.Entry) {
 	// that incoming value is the previous attempt's leak. Reads that are
 	// overwritten first on every path are the out-parameter idiom and
 	// never observe it.
-	staleRead := make(map[*types.Var]bool)
-	walk(f, e.Body(), skips, func(n ast.Node) {
+	walk(c.f, e.Body(), skips, func(n ast.Node) {
 		id, ok := n.(*ast.Ident)
 		if !ok || storeOnly[id] {
 			return
 		}
-		if v, ok := pkg.Info.Uses[id].(*types.Var); ok && f.InitialReaches(v, id) {
-			staleRead[v] = true
+		if v, ok := pkg.Info.Uses[id].(*types.Var); ok && c.f.InitialReaches(v, id) {
+			c.staleRead[v] = true
 		}
 	})
 
-	walk(f, e.Body(), skips, func(n ast.Node) {
+	txv := e.TxParam()
+	walk(c.f, e.Body(), skips, func(n ast.Node) {
 		switch n := n.(type) {
+		case *ast.FuncLit:
+			// A deferred action runs post-commit: using the Tx inside it
+			// is a stale-handle bug even though other irrevocable effects
+			// are allowed there.
+			if skips[n] && txv != nil {
+				ast.Inspect(n.Body, func(m ast.Node) bool {
+					if id, ok := m.(*ast.Ident); ok && pkg.Info.Uses[id] == txv {
+						pass.Reportf(id.Pos(), "transaction handle %s captured by a Tx.Defer action: deferred actions run after commit, when the handle is stale", txv.Name())
+					}
+					return true
+				})
+			}
 		case *ast.AssignStmt:
 			if n.Tok == token.DEFINE {
 				return
 			}
-			for _, lhs := range n.Lhs {
-				checkWrite(pass, pkg, f, fnode, lhs, n.Tok != token.ASSIGN, staleRead)
+			for i, lhs := range n.Lhs {
+				if !c.checkEscape(lhs, analysis.AssignedValue(n, i)) {
+					c.checkWrite(lhs, n.Tok != token.ASSIGN)
+				}
 			}
 		case *ast.IncDecStmt:
-			checkWrite(pass, pkg, f, fnode, n.X, true, staleRead)
+			c.checkWrite(n.X, true)
 		}
 	})
 }
 
+// checkEscape flags a store of a Tx or a TM address into a location that
+// outlives or escapes the section, and reports whether it did. For Tx
+// handles even a captured local escapes (any use after the body returns
+// is stale); for addresses, captured plain locals are the sanctioned
+// out-parameter idiom. A field, element or pointee escapes unless its
+// root is a variable of the body (a scratch struct that dies with the
+// attempt).
+func (c *checker) checkEscape(lhs, rhs ast.Expr) bool {
+	if rhs == nil {
+		return false
+	}
+	t := c.pkg.Info.Types[rhs].Type
+	if t == nil {
+		return false
+	}
+	isTx := analysis.IsTxType(t)
+	if !isTx && !analysis.IsAddrType(t) {
+		return false
+	}
+	var target string
+	switch l := ast.Unparen(lhs).(type) {
+	case *ast.Ident:
+		v := c.varOf(l)
+		switch {
+		case v == nil:
+		case c.pkg.IsGlobal(v):
+			target = "package-level variable " + v.Name()
+		case isTx && c.isCaptured(v):
+			target = "captured variable " + v.Name()
+		}
+	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
+		if root := analysis.RootIdent(l); root != nil {
+			if v, ok := c.pkg.Info.Uses[root].(*types.Var); ok && !v.IsField() && !c.pkg.IsGlobal(v) && !c.isCaptured(v) {
+				return false
+			}
+		}
+		switch l.(type) {
+		case *ast.SelectorExpr:
+			target = "a struct field"
+		case *ast.IndexExpr:
+			target = "a container element"
+		default:
+			target = "a pointed-to location"
+		}
+	}
+	if target == "" {
+		return false
+	}
+	if isTx {
+		c.pass.Reportf(lhs.Pos(), "transaction handle stored into %s: a Tx is only valid inside its own atomic body and is stale after commit", target)
+	} else {
+		c.pass.Reportf(lhs.Pos(), "TM address published to %s from inside an atomic block: visible before commit, and dangling if the attempt aborts after Tx.Alloc (publish via Tx.Store, or after the critical section)", target)
+	}
+	return true
+}
+
 // checkWrite judges one assignment target. compound marks read-modify-
 // write forms (`+=`, `++`), which inherently read their target.
-func checkWrite(pass *analysis.Pass, pkg *analysis.Package, f *tmflow.Func, fnode ast.Node, lhs ast.Expr, compound bool, staleRead map[*types.Var]bool) {
+func (c *checker) checkWrite(lhs ast.Expr, compound bool) {
 	lhs = ast.Unparen(lhs)
 	if id, ok := lhs.(*ast.Ident); ok {
-		if id.Name == "_" {
-			return
-		}
-		v := varOf(pkg, id)
+		v := c.varOf(id)
 		if v == nil {
 			return
 		}
 		// A compound write reads its own target, but only observes the
 		// previous attempt's value when no plain write precedes it on some
 		// path (v = ...; v++ reads this attempt's value and is safe).
-		compoundStale := compound && f.InitialReaches(v, id)
+		compoundStale := compound && c.f.InitialReaches(v, id)
 		switch {
-		case isGlobal(pkg, v):
-			pass.Reportf(lhs.Pos(), "write to package-level variable %s in an atomic block: globally visible before commit and not rolled back on abort (use Tx.Store on TM memory, or Tx.Defer)", v.Name())
-		case isCaptured(pkg, fnode, v) && (compoundStale || staleRead[v]):
-			pass.Reportf(lhs.Pos(), "captured variable %s is read and written in this atomic block: a re-execution after abort observes the previous attempt's value, e.g. an accumulation double-counts on retry (keep a body-local and assign the captured variable exactly once)", v.Name())
+		case c.pkg.IsGlobal(v):
+			c.pass.Reportf(lhs.Pos(), "write to package-level variable %s in an atomic block: globally visible before commit and not rolled back on abort (use Tx.Store on TM memory, or Tx.Defer)", v.Name())
+		case c.isCaptured(v) && (compoundStale || c.staleRead[v]):
+			c.pass.Reportf(lhs.Pos(), "captured variable %s is read and written in this atomic block: a re-execution after abort observes the previous attempt's value, e.g. an accumulation double-counts on retry (keep a body-local and assign the captured variable exactly once)", v.Name())
 		}
 		return
 	}
 	// Selector / index / deref target: the write lands wherever the root
 	// reference leads. If the root is captured or global, the target
 	// outlives the attempt and escapes the undo log.
-	root := rootIdent(lhs)
+	root := analysis.RootIdent(lhs)
 	if root == nil {
 		return
 	}
-	v := varOf(pkg, root)
+	v := c.varOf(root)
 	if v == nil {
 		return
 	}
 	switch {
-	case isGlobal(pkg, v):
-		pass.Reportf(lhs.Pos(), "write through package-level variable %s in an atomic block: not rolled back on abort (use Tx.Store on TM memory, or Tx.Defer)", v.Name())
-	case isCaptured(pkg, fnode, v):
-		pass.Reportf(lhs.Pos(), "write through captured %s in an atomic block: the target outlives the attempt and the undo log cannot revert it (move the data into TM memory, or defer the write with Tx.Defer)", v.Name())
+	case c.pkg.IsGlobal(v):
+		c.pass.Reportf(lhs.Pos(), "write through package-level variable %s in an atomic block: not rolled back on abort (use Tx.Store on TM memory, or Tx.Defer)", v.Name())
+	case c.isCaptured(v):
+		c.pass.Reportf(lhs.Pos(), "write through captured %s in an atomic block: the target outlives the attempt and the undo log cannot revert it (move the data into TM memory, or defer the write with Tx.Defer)", v.Name())
 	}
 }
 
-// varOf resolves an identifier to the variable it names.
-func varOf(pkg *analysis.Package, id *ast.Ident) *types.Var {
-	if v, ok := pkg.Info.Uses[id].(*types.Var); ok {
+// varOf resolves an identifier to the variable it names; the blank
+// identifier names none.
+func (c *checker) varOf(id *ast.Ident) *types.Var {
+	if id.Name == "_" {
+		return nil
+	}
+	if v, ok := c.pkg.Info.Uses[id].(*types.Var); ok {
 		return v
 	}
-	if v, ok := pkg.Info.Defs[id].(*types.Var); ok {
+	if v, ok := c.pkg.Info.Defs[id].(*types.Var); ok {
 		return v
 	}
 	return nil
 }
 
-func isGlobal(pkg *analysis.Package, v *types.Var) bool {
-	return !v.IsField() && v.Parent() == pkg.Types.Scope()
-}
-
 // isCaptured reports whether v is a free variable of the body: declared
 // outside the function node (the body's own parameters and results count
 // as local).
-func isCaptured(pkg *analysis.Package, fnode ast.Node, v *types.Var) bool {
-	if v.IsField() || v.Pkg() == nil || isGlobal(pkg, v) {
+func (c *checker) isCaptured(v *types.Var) bool {
+	if v.IsField() || v.Pkg() == nil || c.pkg.IsGlobal(v) {
 		return false
 	}
-	return v.Pos() < fnode.Pos() || v.Pos() > fnode.End()
+	return v.Pos() < c.fnode.Pos() || v.Pos() > c.fnode.End()
 }
 
-// rootIdent returns the base identifier of a selector/index/deref chain,
-// or nil (e.g. when the base is a call result).
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// walk visits the live nodes of body, skipping function literals deferred
-// with Tx.Defer (they run post-commit) and subtrees the control-flow graph
-// proves unreachable (after Tx.Retry or panic, branches that both return),
-// but descending into other nested literals, which execute within the
+// walk visits the live nodes of body, skipping the interiors of function
+// literals deferred with Tx.Defer (they run post-commit; the literal node
+// itself is visited) and subtrees the control-flow graph proves
+// unreachable (after Tx.Retry or panic, branches that both return), but
+// descending into other nested literals, which execute within the
 // transaction.
 func walk(f *tmflow.Func, body ast.Node, skips map[*ast.FuncLit]bool, visit func(ast.Node)) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		if f.Dead(n) {
+		if n == nil || f.Dead(n) {
 			return false
 		}
-		if lit, ok := n.(*ast.FuncLit); ok && skips[lit] {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
+		visit(n)
+		lit, ok := n.(*ast.FuncLit)
+		return !ok || !skips[lit]
 	})
 }

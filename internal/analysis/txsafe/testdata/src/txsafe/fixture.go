@@ -1,6 +1,6 @@
 // Fixture for the txsafe analyzer: irrevocable actions inside atomic
 // bodies, reached directly and through the call graph, plus the
-// sanctioned escape hatches (Tx.Defer, Synchronized, //gotle:irrevocable).
+// sanctioned escape hatches (Tx.Defer, Synchronized).
 package fixture
 
 import (
@@ -64,25 +64,11 @@ func logAfter() {
 	})
 }
 
-//gotle:irrevocable only reached from serial-irrevocable contexts
-func serialOnly() {
-	fmt.Println("serial")
-}
-
 // synchronizedOK is clean: Synchronized bodies run serially and
 // irrevocably, so I/O is permitted there.
 func synchronizedOK() {
 	eng.Synchronized(th, func(tx tm.Tx) error {
 		fmt.Println("serial sections may do I/O")
-		return nil
-	})
-}
-
-// annotatedCallOK is clean: the callee declares itself irrevocable, so
-// the walker treats it as opaque.
-func annotatedCallOK() {
-	eng.Atomic(th, func(tx tm.Tx) error {
-		serialOnly()
 		return nil
 	})
 }

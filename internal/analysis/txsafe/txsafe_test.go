@@ -14,3 +14,17 @@ func TestTxsafe(t *testing.T) {
 func TestTxsafeFix(t *testing.T) {
 	analysistest.RunFix(t, "testdata/src/txsafefix", txsafe.Analyzer)
 }
+
+// TestTxsafeWaits pins the wait and io classes in both entry kinds.
+func TestTxsafeWaits(t *testing.T) {
+	analysistest.Run(t, "testdata/src/waits", txsafe.Analyzer)
+}
+
+// TestTxsafeNoQuiesce pins NoQuiesce in privatizing transactions.
+func TestTxsafeNoQuiesce(t *testing.T) {
+	analysistest.Run(t, "testdata/src/noquiesce", txsafe.Analyzer)
+}
+
+func TestTxsafeNoQuiesceFix(t *testing.T) {
+	analysistest.RunFix(t, "testdata/src/noquiescefix", txsafe.Analyzer)
+}

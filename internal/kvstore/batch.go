@@ -213,7 +213,7 @@ func (s *Store) batchBody(tx tm.Tx, sc *BatchScratch) error {
 	// committing thread parks the blocks until it has passed), and the
 	// store never touches privatized item memory non-transactionally after
 	// commit, so policy-level quiescence is never needed here.
-	//gotle:allow noqpriv allocator safety is engine-enforced for freeing attempts; no post-commit non-transactional access to privatized items
+	//gotle:allow txsafe allocator safety is engine-enforced for freeing attempts; no post-commit non-transactional access to privatized items
 	tx.NoQuiesce()
 	if s.stream != nil {
 		tx.Defer(sc.flushFn) // publishes whatever the op above staged

@@ -470,7 +470,7 @@ func (en *encoder) writer() {
 			}
 			x, ok := en.outQ.DequeueReady(tx)
 			if !ok {
-				//gotle:allow noqpriv guarded: the retry path dequeued (and freed) nothing, and the rollback discards the attempt entirely
+				//gotle:allow txsafe guarded: the retry path dequeued (and freed) nothing, and the rollback discards the attempt entirely
 				tx.NoQuiesce()
 				tx.Retry()
 			}
