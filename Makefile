@@ -42,15 +42,21 @@ bench-check:
 
 # Static analysis: standard go vet plus the transaction-safety suite
 # (cmd/tmvet; see DESIGN.md "Static analysis"). tmvet exits non-zero on
-# any diagnostic not in the tmvet.base snapshot, so this target is a
+# any diagnostic not in the tmvet.base snapshot, and the snapshot must
+# stay empty (comments aside): a finding is fixed or carries a
+# //gotle:allow with its reason, never baselined away. So this target is a
 # gate, not a report. The whole recipe also carries a wall-clock budget:
-# the interprocedural passes (effect summaries + the four serving-path
-# analyzers) must stay fast enough to run on every push, so the target
+# the interprocedural passes (census, call-graph walks, allocation
+# summaries) must stay fast enough to run on every push, so the target
 # fails if the full sweep exceeds LINT_BUDGET seconds.
 LINT_BUDGET ?= 90
 
 lint:
 	@start=$$(date +%s); \
+	if grep -v -e '^#' -e '^[[:space:]]*$$' tmvet.base >&2; then \
+		echo "lint: tmvet.base must list no findings: fix them or allow them with a reason" >&2; \
+		exit 1; \
+	fi; \
 	$(GO) vet ./... || exit 1; \
 	$(GO) run ./cmd/tmvet -baseline tmvet.base ./... || exit 1; \
 	took=$$(( $$(date +%s) - start )); \

@@ -12,7 +12,8 @@
 // usage or load errors. Diagnostics use the repo-wide
 // "position: rule: message" format shared with lockcheck's dynamic
 // report, and are suppressed per line by //gotle:allow directives (see
-// package analysis).
+// package analysis). Whatever -run selects, an allow naming none of the
+// seven registered rules is reported under the rule "allow".
 //
 // Beyond the basic run:
 //
@@ -20,7 +21,8 @@
 //	-fix                apply suggested fixes to the source files in place
 //	-baseline FILE      report only findings absent from FILE's snapshot
 //	-write-baseline FILE  snapshot current findings to FILE and exit clean
-//	-capest-rank        print every atomic body ranked by HTM capacity pressure
+//	-timing             print the effect-summary cache and per-analyzer wall clock
+//	-protdom-census     print the protection-domain census summary and exit
 package main
 
 import (
@@ -28,15 +30,13 @@ import (
 	"fmt"
 	"os"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
 	"gotle/internal/analysis"
-	"gotle/internal/analysis/ackorder"
-	"gotle/internal/analysis/capest"
 	"gotle/internal/analysis/cvlast"
 	"gotle/internal/analysis/falseshare"
-	"gotle/internal/analysis/gostuck"
 	"gotle/internal/analysis/hotalloc"
 	"gotle/internal/analysis/lockorder"
 	"gotle/internal/analysis/protdom"
@@ -51,16 +51,17 @@ var analyzers = []*analysis.Analyzer{
 	txpure.Analyzer,
 	cvlast.Analyzer,
 	lockorder.Analyzer,
-	capest.Analyzer,
-	ackorder.Analyzer,
 	hotalloc.Analyzer,
 	falseshare.Analyzer,
 	protdom.Analyzer,
-	gostuck.Analyzer,
 }
 
+// allowCheck runs with every selection and knows every registered rule,
+// so `-run txsafe` does not flag an allow for protdom.
+var allowCheck = analysis.UnknownAllows(analyzers)
+
 // selectAnalyzers resolves the -run flag: a comma-separated list of
-// names or path.Match globs ("tx*,ackorder"). A pattern matching no
+// names or path.Match globs ("tx*,protdom"). A pattern matching no
 // analyzer is an error naming the valid set.
 func selectAnalyzers(spec string) ([]*analysis.Analyzer, error) {
 	var selected []*analysis.Analyzer
@@ -109,7 +110,6 @@ func main() {
 	fix := flag.Bool("fix", false, "apply suggested fixes to the source files")
 	baseline := flag.String("baseline", "", "baseline file: report only findings not listed in it")
 	writeBaseline := flag.String("write-baseline", "", "snapshot current findings to this baseline file and exit")
-	rank := flag.Bool("capest-rank", false, "print atomic bodies ranked by HTM capacity pressure and exit")
 	timing := flag.Bool("timing", false, "print per-analyzer wall-clock and effect-cache breakdown to stderr after the run")
 	censusDump := flag.Bool("protdom-census", false, "print the protection-domain census summary and exit")
 	flag.Parse()
@@ -138,18 +138,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *rank {
-		for _, r := range capest.Rank(prog) {
-			fmt.Println(capest.FormatRanked(prog, r))
-		}
-		return
-	}
 	if *censusDump {
 		printCensus(prog)
 		return
 	}
 
-	diags, timings, err := analysis.RunTimed(prog, prog.Packages, selected)
+	diags, timings, err := analysis.RunTimed(prog, prog.Packages, slices.Concat(selected, []*analysis.Analyzer{allowCheck}))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tmvet: %v\n", err)
 		os.Exit(2)
@@ -249,8 +243,8 @@ func main() {
 // EXPERIMENTS.md.
 func printCensus(prog *analysis.Program) {
 	stats := tmflow.CensusOf(prog).Stats()
-	fmt.Printf("protdom census: %d locations (%d shared), %d goroutine roots (%d multi-instance), %d channel ops\n",
-		stats.Locations, stats.Shared, stats.Roots, stats.MultiRoots, stats.ChanOps)
+	fmt.Printf("protdom census: %d locations (%d shared), %d goroutine roots (%d multi-instance)\n",
+		stats.Locations, stats.Shared, stats.Roots, stats.MultiRoots)
 	labels := make([]string, 0, len(stats.ByDiscipline))
 	for l := range stats.ByDiscipline {
 		labels = append(labels, l)

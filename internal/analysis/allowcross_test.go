@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"testing"
 
+	"gotle/internal/analysis"
 	"gotle/internal/analysis/analysistest"
 	"gotle/internal/analysis/lockorder"
 	"gotle/internal/analysis/txsafe"
@@ -12,8 +13,10 @@ import (
 // call that trips both lockorder and txsafe at the same position, with an
 // allow naming only lockorder, must still surface the txsafe finding.
 // This guards both the suppression key (rule name, not position) and the
-// runner's consecutive-(pos, rule) dedup.
+// runner's consecutive-(pos, rule) dedup. An allow naming a rule outside
+// the registry is reported by the allow check.
 func TestAllowCross(t *testing.T) {
+	registry := []*analysis.Analyzer{lockorder.Analyzer, txsafe.Analyzer}
 	analysistest.Run(t, "testdata/src/allowcross",
-		lockorder.Analyzer, txsafe.Analyzer)
+		append(registry, analysis.UnknownAllows(registry))...)
 }

@@ -8,13 +8,13 @@
 // transaction-safe code, condition-variable waits must be a transaction's
 // last operation, and TM.NoQuiesce is only sound for transactions that do
 // not privatize. Go has no such compiler support, so this package supplies
-// it as a vet-style suite. The ten analyzers live in subpackages and are
+// it as a vet-style suite. The seven analyzers live in subpackages and are
 // driven together by cmd/tmvet: one per question a critical section
 // raises (txsafe: what may it call or wait on; txpure: what may it write
-// or publish outside TM memory; cvlast, lockorder, capest), the serving
-// path's (ackorder, hotalloc, falseshare), and the whole-program census's
-// (protdom, gostuck). DESIGN.md maps each analyzer to the compiler check
-// it substitutes for.
+// or publish outside TM memory; cvlast: is a wait its last operation;
+// lockorder: are its locks taken in one order), the serving path's
+// (hotalloc, falseshare), and the whole-program census's (protdom).
+// DESIGN.md maps each analyzer to the compiler check it substitutes for.
 //
 // Three source directives interact with the suite:
 //
@@ -23,7 +23,8 @@
 // on (or immediately above) a flagged line suppresses the named rules'
 // diagnostics at that line. Every suppression should carry a reason; the
 // annotated sites in examples/ and internal/x265sim double as teaching
-// cases for the paper's Listing 1-3 hazards.
+// cases for the paper's Listing 1-3 hazards. An allow naming a rule the
+// driver does not register is itself a finding (UnknownAllows).
 //
 //	//gotle:hotpath [reason]
 //
@@ -183,6 +184,36 @@ func RunTimed(prog *Program, pkgs []*Package, analyzers []*Analyzer) ([]Diagnost
 		out = append(out, d)
 	}
 	return out, timings, nil
+}
+
+// UnknownAllows returns the pseudo-analyzer "allow", which reports every
+// //gotle:allow directive naming a rule outside registry. Such an allow
+// suppresses nothing, and one naming a deleted rule would otherwise outlive
+// it unnoticed. A driver passes its full registry, whatever subset it runs.
+func UnknownAllows(registry []*Analyzer) *Analyzer {
+	known := map[string]bool{"all": true}
+	for _, a := range registry {
+		known[a.Name] = true
+	}
+	return &Analyzer{
+		Name: "allow",
+		Doc:  "flag //gotle:allow directives that name no registered rule",
+		Run: func(pass *Pass) error {
+			for _, file := range pass.Pkg.Files {
+				for _, cg := range file.Comments {
+					for _, c := range cg.List {
+						rules, _ := allowedRules(c.Text)
+						for _, r := range rules {
+							if !known[r] {
+								pass.Reportf(c.Pos(), "//gotle:allow names %q, which is not a tmvet rule", r)
+							}
+						}
+					}
+				}
+			}
+			return nil
+		},
+	}
 }
 
 // Format renders a diagnostic in the repo-wide "position: rule: message"

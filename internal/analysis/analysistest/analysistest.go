@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -218,11 +219,17 @@ func collectWants(t *testing.T, prog *analysis.Program, pkg *analysis.Package) [
 	return wants
 }
 
-// cutWant returns the clause text of a "// want ..." comment.
+// cutWant returns the clause text of a "// want ..." comment, or of a
+// want trailing a directive in the same comment, for diagnostics reported
+// at the directive itself ("//gotle:allow rule reason // want ...").
 func cutWant(text string) (string, bool) {
+	if strings.HasPrefix(text, "//gotle:") {
+		_, rest, ok := strings.Cut(text, " // want ")
+		return rest, ok && rest != ""
+	}
 	for _, prefix := range []string{"// want ", "//want "} {
-		if len(text) > len(prefix) && text[:len(prefix)] == prefix {
-			return text[len(prefix):], true
+		if rest, ok := strings.CutPrefix(text, prefix); ok && rest != "" {
+			return rest, true
 		}
 	}
 	return "", false

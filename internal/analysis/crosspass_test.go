@@ -3,12 +3,9 @@ package analysis_test
 import (
 	"testing"
 
-	"gotle/internal/analysis/ackorder"
 	"gotle/internal/analysis/analysistest"
-	"gotle/internal/analysis/capest"
 	"gotle/internal/analysis/cvlast"
 	"gotle/internal/analysis/falseshare"
-	"gotle/internal/analysis/gostuck"
 	"gotle/internal/analysis/hotalloc"
 	"gotle/internal/analysis/lockorder"
 	"gotle/internal/analysis/protdom"
@@ -23,6 +20,5 @@ import (
 func TestListings(t *testing.T) {
 	analysistest.Run(t, "testdata/src/listings",
 		txsafe.Analyzer, txpure.Analyzer, cvlast.Analyzer, lockorder.Analyzer,
-		capest.Analyzer, ackorder.Analyzer, hotalloc.Analyzer, falseshare.Analyzer,
-		protdom.Analyzer, gostuck.Analyzer)
+		hotalloc.Analyzer, falseshare.Analyzer, protdom.Analyzer)
 }

@@ -31,11 +31,11 @@
 // their interiors are checked. Tx.Defer arguments DO escape (the engine
 // retains them until commit) and are flagged.
 //
-// The walk descends only into module-local callees whose effect summary
-// carries EffAllocates; summary-clean callees are pruned, which is what
-// keeps the transitive audit inside the lint budget. //gotle:coldpath
-// marks deliberately unoptimized branches (error replies, stats
-// rendering) as opaque.
+// The walk descends only into module-local callees whose allocation
+// summary (tmflow.EffectOf) says they may allocate; summary-clean callees
+// are pruned, which is what keeps the transitive audit inside the lint
+// budget. //gotle:coldpath marks deliberately unoptimized branches (error
+// replies, stats rendering) as opaque.
 package hotalloc
 
 import (
@@ -173,7 +173,7 @@ func (c *checker) call(pkg *analysis.Package, call *ast.CallExpr, amortized, sel
 			return
 		}
 		c.visited[fn] = true
-		if tmflow.EffectOf(c.pass.Prog, fn).Has(tmflow.EffAllocates) {
+		if tmflow.EffectOf(c.pass.Prog, fn).Allocates {
 			// Summary prefilter: descend only where something may allocate;
 			// the precise walk then re-judges each site under the
 			// amortization rules the summary does not model.

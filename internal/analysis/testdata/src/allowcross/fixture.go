@@ -2,7 +2,8 @@
 // at the same position. The allow directive names lockorder only, so the
 // co-located txsafe finding must survive — suppression is per-rule, and
 // the runner's (pos, rule) dedup must not fold diagnostics from different
-// analyzers.
+// analyzers. An allow naming a rule no analyzer registers suppresses
+// nothing and is reported where it stands.
 package fixture
 
 import (
@@ -29,4 +30,9 @@ func Reenter() {
 		muB.Await(th, cv, time.Second, noop) // want txsafe:"Mutex.Await inside an atomic block"
 		return nil
 	})
+}
+
+func Stale() {
+	//gotle:allow nosuchrule names no registered analyzer // want allow:"names \"nosuchrule\", which is not a tmvet rule"
+	muA.Do(th, noop)
 }

@@ -14,10 +14,9 @@ const (
 	PkgTLE     = "gotle/internal/tle"
 	PkgCondvar = "gotle/internal/condvar"
 	PkgMemseg  = "gotle/internal/memseg"
-	// PkgWAL is the redo log. It is deliberately NOT in RuntimePkgs: the
-	// analyzers track its Ticket.Wait durability rendezvous (txsafe inside
-	// critical sections, ackorder before response writes), and hotalloc
-	// audits its hot append path.
+	// PkgWAL is the redo log. It is deliberately NOT in RuntimePkgs:
+	// txsafe flags its Ticket.Wait durability rendezvous inside critical
+	// sections, and hotalloc audits its hot append path.
 	PkgWAL = "gotle/internal/wal"
 )
 
@@ -111,8 +110,8 @@ func IsFreeCall(fn *types.Func) bool {
 
 // IsTicketWait reports whether fn is wal.Ticket.Wait, the durability
 // rendezvous that blocks until a record is covered by a group-commit
-// fsync. txsafe flags it inside critical sections; ackorder requires it
-// before the op's response write.
+// fsync. txsafe flags it inside critical sections as a wait; hotalloc
+// trusts it as allocation-free.
 func IsTicketWait(fn *types.Func) bool {
 	return IsMethod(fn, PkgWAL, "Ticket", "Wait")
 }

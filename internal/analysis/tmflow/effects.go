@@ -1,26 +1,24 @@
 package tmflow
 
-// Interprocedural effect summaries: a cached per-function lattice of
-// {allocates, writes-response, waits-ticket} effects, computed bottom-up
-// over the `go list -deps` call graph the Program loads in dependency
-// order — the same memoization shape as FuncSummary, extended with the
-// serving-path effects the server's zero-allocation and durability
-// contracts made load-bearing.
+// Interprocedural allocation summaries: a cached per-function verdict —
+// can this function allocate on the Go heap, and where does the first
+// allocation come from — computed bottom-up over the `go list -deps` call
+// graph the Program loads in dependency order, the same memoization shape
+// as FuncSummary.
 //
-// The lattice is a powerset of three bits, so joins are bitwise OR and the
-// bottom-up computation is trivially monotone. Soundness follows the
-// suite's standing trade-offs: the TM runtime's packages are trusted
-// primitives (no effects), interface and function-value calls are
+// The verdict is one bit, so joins are OR and the bottom-up computation is
+// trivially monotone. Soundness follows the suite's standing trade-offs:
+// the TM runtime's packages (and wal.Ticket.Wait) are trusted primitives
+// that allocate nothing, interface and function-value calls are
 // conservative (assumed to allocate), and known standard library calls are
 // classified by an explicit table (AllocCallDesc) — unknown stdlib calls
 // are assumed to allocate.
 //
-// The analyzers built on the summaries (ackorder, hotalloc) use them as
-// walk pruners and call-site facts: a callee whose summary lacks the
-// effect of interest is opaque to the walk, which is what keeps the
-// whole-program passes inside the lint budget. Cache hit/miss counters
-// (EffectCacheStats) expose how much the memoization saves; the numbers
-// are recorded in EXPERIMENTS.md.
+// hotalloc uses the summaries as a walk pruner: a callee whose summary
+// says it cannot allocate is opaque to the walk, which is what keeps the
+// transitive audit inside the lint budget. Cache hit/miss counters
+// (EffectCacheStats, printed by `tmvet -timing`) expose how much the
+// memoization saves.
 
 import (
 	"go/ast"
@@ -33,78 +31,24 @@ import (
 	"gotle/internal/analysis"
 )
 
-// Effect is a bitset over the three serving-path effects.
-type Effect uint8
-
-const (
-	// EffAllocates: the function can allocate on the Go heap.
-	EffAllocates Effect = 1 << iota
-	// EffWritesResponse: the function can write response bytes toward a
-	// client connection (bufio.Writer/net.Conn writes, io.WriteString).
-	EffWritesResponse
-	// EffWaitsTicket: the function waits a wal.Ticket (directly or
-	// through a callee), resolving a mutation's durability.
-	EffWaitsTicket
-)
-
-// String renders the set as "allocates|writes-response|waits-ticket".
-func (e Effect) String() string {
-	if e == 0 {
-		return "none"
-	}
-	var parts []string
-	for _, p := range []struct {
-		bit  Effect
-		name string
-	}{
-		{EffAllocates, "allocates"},
-		{EffWritesResponse, "writes-response"},
-		{EffWaitsTicket, "waits-ticket"},
-	} {
-		if e&p.bit != 0 {
-			parts = append(parts, p.name)
-		}
-	}
-	return strings.Join(parts, "|")
-}
-
 // An EffectSite records where (and through whom) a summary first picked
-// up one effect bit, so a caller's diagnostic can explain the origin.
+// up its allocation, so a caller's diagnostic can explain the origin.
 type EffectSite struct {
 	Pos  token.Pos
-	What string      // human description of the effect's origin
-	Via  *types.Func // callee the effect is inherited from; nil = direct
+	What string      // human description of the allocation's origin
+	Via  *types.Func // callee the allocation is inherited from; nil = direct
 }
 
-// An EffectSummary is the interprocedural effect abstract of one
-// function: the union of its own direct effects and its statically
-// resolved callees' summaries.
+// An EffectSummary is the interprocedural allocation abstract of one
+// function: whether it or any statically resolved callee can allocate.
 type EffectSummary struct {
-	Effects Effect
-	sites   map[Effect]EffectSite // first site observed per bit
+	Allocates bool
+	Site      EffectSite // first allocation observed; zero unless Allocates
 }
 
-// Has reports whether the summary carries every bit of e.
-func (s *EffectSummary) Has(e Effect) bool { return s.Effects&e == e }
-
-// Site returns the first recorded origin of effect bit e.
-func (s *EffectSummary) Site(e Effect) (EffectSite, bool) {
-	site, ok := s.sites[e]
-	return site, ok
-}
-
-func (s *EffectSummary) add(e Effect, site EffectSite) {
-	for bit := EffAllocates; bit <= EffWaitsTicket; bit <<= 1 {
-		if e&bit == 0 {
-			continue
-		}
-		s.Effects |= bit
-		if s.sites == nil {
-			s.sites = make(map[Effect]EffectSite)
-		}
-		if _, ok := s.sites[bit]; !ok {
-			s.sites[bit] = site
-		}
+func (s *EffectSummary) add(site EffectSite) {
+	if !s.Allocates {
+		s.Allocates, s.Site = true, site
 	}
 }
 
@@ -131,8 +75,8 @@ func ResetEffectCacheStats() {
 	effectMisses.Store(0)
 }
 
-// EffectOf returns fn's memoized effect summary. Functions without a
-// body in the loaded program summarize to no effects — callers classify
+// EffectOf returns fn's memoized allocation summary. Functions without a
+// body in the loaded program summarize to allocation-free — callers classify
 // external calls themselves (AllocCallDesc) before
 // consulting the summary. Recursive cycles observe the in-progress
 // (empty) summary, which under-approximates exactly once, like
@@ -150,7 +94,7 @@ func EffectOf(prog *analysis.Program, fn *types.Func) *EffectSummary {
 	effectMu.Unlock()
 
 	if analysis.IsRuntimeFn(fn) {
-		return s // trusted primitive: no effects
+		return s // trusted primitive: allocates nothing
 	}
 	pkg, decl := prog.DeclOf(fn)
 	if decl == nil || decl.Body == nil {
@@ -162,7 +106,7 @@ func EffectOf(prog *analysis.Program, fn *types.Func) *EffectSummary {
 	return s
 }
 
-// effectsOfBody accumulates body's effects into s: direct operations,
+// effectsOfBody accumulates body's allocations into s: direct operations,
 // plus the summaries of statically resolved module-local callees.
 // Function-literal interiors are excluded (they run as their own bodies);
 // the literal's creation itself is an allocation unless it is a Tx.Defer
@@ -178,12 +122,12 @@ func effectsOfBody(prog *analysis.Program, pkg *analysis.Package, body *ast.Bloc
 		}
 		if lit, ok := n.(*ast.FuncLit); ok && lit.Body != body {
 			if !skips[lit] {
-				s.add(EffAllocates, EffectSite{Pos: lit.Pos(), What: "function literal (closure) creation"})
+				s.add(EffectSite{Pos: lit.Pos(), What: "function literal (closure) creation"})
 			}
 			return false
 		}
 		if desc := AllocNodeDesc(pkg, n); desc != "" {
-			s.add(EffAllocates, EffectSite{Pos: n.Pos(), What: desc})
+			s.add(EffectSite{Pos: n.Pos(), What: desc})
 		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -198,45 +142,30 @@ func effectsOfBody(prog *analysis.Program, pkg *analysis.Package, body *ast.Bloc
 func effectsOfCall(prog *analysis.Program, pkg *analysis.Package, call *ast.CallExpr, s *EffectSummary) {
 	if isTypeConversion(pkg, call) {
 		if desc := ConvAllocDesc(pkg, call); desc != "" {
-			s.add(EffAllocates, EffectSite{Pos: call.Pos(), What: desc})
+			s.add(EffectSite{Pos: call.Pos(), What: desc})
 		}
 		return
 	}
 	if name, ok := builtinName(pkg, call); ok {
 		switch name {
 		case "make", "new", "append":
-			s.add(EffAllocates, EffectSite{Pos: call.Pos(), What: "builtin " + name})
+			s.add(EffectSite{Pos: call.Pos(), What: "builtin " + name})
 		}
 		return
 	}
 	fn := pkg.FuncOf(call)
 	if fn == nil {
 		// Function value / method value: the callee is dynamic.
-		s.add(EffAllocates, EffectSite{Pos: call.Pos(), What: "dynamic call (conservative)"})
+		s.add(EffectSite{Pos: call.Pos(), What: "dynamic call (conservative)"})
 		return
 	}
-	if analysis.IsTicketWait(fn) {
-		s.add(EffWaitsTicket, EffectSite{Pos: call.Pos(), What: "wal.Ticket.Wait (group-commit fsync rendezvous)"})
-		return
-	}
-	if analysis.IsRuntimeFn(fn) {
-		return // trusted TM primitive
-	}
-	if desc := RespWriteDesc(pkg, call); desc != "" {
-		s.add(EffWritesResponse, EffectSite{Pos: call.Pos(), What: desc})
+	if analysis.IsRuntimeFn(fn) || analysis.IsTicketWait(fn) {
+		return // trusted TM primitive, or the fsync rendezvous
 	}
 	if _, decl := prog.DeclOf(fn); decl != nil && decl.Body != nil {
 		// Module-local callee: fold in its bottom-up summary.
-		sub := EffectOf(prog, fn)
-		for bit := EffAllocates; bit <= EffWaitsTicket; bit <<= 1 {
-			if !sub.Has(bit) {
-				continue
-			}
-			what := "calls " + fn.FullName()
-			if site, ok := sub.Site(bit); ok {
-				what += " (" + site.What + ")"
-			}
-			s.add(bit, EffectSite{Pos: call.Pos(), What: what, Via: fn})
+		if sub := EffectOf(prog, fn); sub.Allocates {
+			s.add(EffectSite{Pos: call.Pos(), What: "calls " + fn.FullName() + " (" + sub.Site.What + ")", Via: fn})
 		}
 		return
 	}
@@ -244,44 +173,21 @@ func effectsOfCall(prog *analysis.Program, pkg *analysis.Package, call *ast.Call
 		// External function with no loaded body and no explicit
 		// classification: assume it allocates (hotalloc's strict default).
 		if desc := AllocCallDesc(fn); desc != "" {
-			s.add(EffAllocates, EffectSite{Pos: call.Pos(), What: desc})
+			s.add(EffectSite{Pos: call.Pos(), What: desc})
 		} else if !AllocFreeExtern(fn) {
-			s.add(EffAllocates, EffectSite{Pos: call.Pos(), What: "calls " + fn.FullName() + " (unclassified; cannot prove allocation-free)"})
+			s.add(EffectSite{Pos: call.Pos(), What: "calls " + fn.FullName() + " (unclassified; cannot prove allocation-free)"})
 		}
 	}
 }
 
 // ---- shared direct-effect classifiers ----
 
-// RespWriteDesc classifies call as a response write toward a client
-// connection: Write-family methods on bufio.Writer, Write on net.Conn,
-// or io.WriteString. Flush is deliberately excluded — flushing pushes
-// bytes already admitted past the durability gate.
-func RespWriteDesc(pkg *analysis.Package, call *ast.CallExpr) string {
-	fn := pkg.FuncOf(call)
-	if fn == nil {
-		return ""
-	}
-	switch {
-	case analysis.IsMethod(fn, "bufio", "Writer", "Write"),
-		analysis.IsMethod(fn, "bufio", "Writer", "WriteString"),
-		analysis.IsMethod(fn, "bufio", "Writer", "WriteByte"):
-		return "bufio.Writer." + fn.Name()
-	case analysis.IsMethod(fn, "net", "Conn", "Write"),
-		analysis.IsMethod(fn, "net", "TCPConn", "Write"):
-		return "net.Conn.Write"
-	case fn.Pkg() != nil && fn.Pkg().Path() == "io" && fn.Name() == "WriteString":
-		return "io.WriteString"
-	}
-	return ""
-}
-
 // AllocNodeDesc classifies non-call syntax that allocates: composite
 // literals with heap-backed storage (slices, maps, address-taken
 // structs) and string building. Context-free — the amortized idioms
 // (cap-guarded make, append-into-reused-buffer) are recognized by
 // hotalloc, which sees the surrounding statements; for summary purposes
-// a cold-path allocation still marks the function EffAllocates.
+// a cold-path allocation still marks the function as allocating.
 func AllocNodeDesc(pkg *analysis.Package, n ast.Node) string {
 	switch n := n.(type) {
 	case *ast.UnaryExpr:

@@ -48,8 +48,8 @@ func caller() int { return leaf() }
 
 	tmflow.ResetEffectCacheStats()
 	sum1 := tmflow.EffectOf(prog, caller1)
-	if sum1.Has(tmflow.EffAllocates) {
-		t.Fatalf("v1 caller summary = %v, want allocation-free", sum1.Effects)
+	if sum1.Allocates {
+		t.Fatalf("v1 caller summary = %+v, want allocation-free", sum1)
 	}
 	if hits, misses := tmflow.EffectCacheStats(); misses < 2 {
 		// caller + leaf both computed fresh.
@@ -82,20 +82,20 @@ func caller() int { return len(leaf()) }
 
 	tmflow.ResetEffectCacheStats()
 	sum2 := tmflow.EffectOf(prog, caller2)
-	if !sum2.Has(tmflow.EffAllocates) {
-		t.Fatalf("v2 caller summary = %v, want allocates (inherited from the edited leaf)", sum2.Effects)
+	if !sum2.Allocates {
+		t.Fatalf("v2 caller summary = %+v, want allocates (inherited from the edited leaf)", sum2)
 	}
 	if hits, misses := tmflow.EffectCacheStats(); misses < 2 {
 		t.Fatalf("v2 compute: hits=%d misses=%d, want >= 2 misses (stale v1 entries must not answer)", hits, misses)
 	}
 	// The allocation's origin is attributed through the call chain.
-	if site, ok := sum2.Site(tmflow.EffAllocates); !ok || site.Via == nil || site.Via.Name() != "leaf" {
+	if site := sum2.Site; site.Via == nil || site.Via.Name() != "leaf" {
 		t.Fatalf("v2 allocation site = %+v, want inherited via leaf", site)
 	}
 
 	// The v1 objects still answer from cache, untouched by the edit.
 	tmflow.ResetEffectCacheStats()
-	if s := tmflow.EffectOf(prog, caller1); s.Has(tmflow.EffAllocates) {
+	if s := tmflow.EffectOf(prog, caller1); s.Allocates {
 		t.Fatalf("v1 caller summary mutated by the v2 load")
 	}
 	if hits, misses := tmflow.EffectCacheStats(); hits != 1 || misses != 0 {

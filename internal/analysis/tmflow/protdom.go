@@ -5,7 +5,7 @@ package tmflow
 // synchronization context of every access to them — transactional (and
 // under which tle.Mutex), native-mutex, sync/atomic, construction,
 // channel-transferred, or plain. The census is the fact layer under the
-// transaction-aware race gate (protdom, gostuck):
+// transaction-aware race gate, protdom:
 // `go test -race` cannot see a plain load racing with an elided critical
 // section, because the transactional accesses do not happen on the failing
 // interleaving, so the gate has to be static.
@@ -175,9 +175,6 @@ type GoRoot struct {
 	spawners map[int]bool
 	startPkg *analysis.Package
 	start    *ast.BlockStmt
-	// spawnCall lets the walker unify channel arguments with the spawned
-	// function's parameters.
-	spawnCall *ast.CallExpr
 }
 
 // A ProtCensus is the complete protection-domain fact base for one
@@ -185,11 +182,8 @@ type GoRoot struct {
 type ProtCensus struct {
 	Locations []*Location
 	Roots     []*GoRoot
-	ChanOps   []*ChanOp
-	Selects   []*SelectInfo
 
-	byObj     map[*types.Var]*Location
-	chanState *chanState
+	byObj map[*types.Var]*Location
 }
 
 type censusKey struct {
@@ -231,8 +225,8 @@ func censusScope(path string) bool {
 
 // selfGuardedType reports whether a field or variable of type t carries
 // its own synchronization and is excluded from the census: native sync
-// primitives, typed atomics, channels (the channel census tracks those),
-// and the TM runtime's own types (tle.Mutex, condvar.Cond, stats blocks).
+// primitives, typed atomics, channels, and the TM runtime's own types
+// (tle.Mutex, condvar.Cond, stats blocks).
 func selfGuardedType(t types.Type) bool {
 	t = types.Unalias(t)
 	if ptr, ok := t.(*types.Pointer); ok {
@@ -441,14 +435,13 @@ type CensusStats struct {
 	Shared       int
 	Roots        int
 	MultiRoots   int
-	ChanOps      int
 	ByDiscipline map[string]int
 }
 
 // Stats computes the census summary. Mixed labels are folded to their
 // family so the table stays readable.
 func (c *ProtCensus) Stats() CensusStats {
-	s := CensusStats{Roots: len(c.Roots), ChanOps: len(c.ChanOps), ByDiscipline: map[string]int{}}
+	s := CensusStats{Roots: len(c.Roots), ByDiscipline: map[string]int{}}
 	for _, l := range c.Locations {
 		s.Locations++
 		if c.Shared(l) {
@@ -520,7 +513,6 @@ func (c *ProtCensus) finalize() {
 	for _, l := range c.Locations {
 		sort.Slice(l.Accesses, func(i, j int) bool { return l.Accesses[i].Pos < l.Accesses[j].Pos })
 	}
-	sort.Slice(c.ChanOps, func(i, j int) bool { return c.ChanOps[i].Pos < c.ChanOps[j].Pos })
 }
 
 // RootDesc names root i for diagnostics.

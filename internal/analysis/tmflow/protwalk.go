@@ -38,9 +38,8 @@ type walkKey struct {
 }
 
 type censusBuilder struct {
-	prog  *analysis.Program
-	c     *ProtCensus
-	chans *chanState
+	prog *analysis.Program
+	c    *ProtCensus
 
 	walked    map[walkKey]bool
 	lockFacts map[*ast.BlockStmt][]map[string]bool
@@ -54,7 +53,6 @@ func newCensusBuilder(prog *analysis.Program) *censusBuilder {
 		c: &ProtCensus{
 			byObj: map[*types.Var]*Location{},
 		},
-		chans:     newChanState(),
 		walked:    map[walkKey]bool{},
 		lockFacts: map[*ast.BlockStmt][]map[string]bool{},
 		goRoots:   map[*ast.GoStmt]*GoRoot{},
@@ -87,14 +85,10 @@ func (b *censusBuilder) build() *ProtCensus {
 		}
 	}
 	// Every go statement's target, walked under its own root.
-	for g, root := range b.goRoots {
+	for _, root := range b.goRoots {
 		if root.start != nil {
 			b.walkBody(root.startPkg, root.start, walkCtx{root: root.Index})
 		}
-		if root.spawnCall != nil {
-			b.chans.recordCallArgs(root.startPkg, root.spawnCall, root.startPkg.FuncOf(root.spawnCall))
-		}
-		_ = g
 	}
 
 	// Multi-instance fixpoint: a root spawned inside a loop, or spawned by
@@ -132,9 +126,6 @@ func (b *censusBuilder) build() *ProtCensus {
 		}
 	}
 
-	b.c.ChanOps = b.chans.ops
-	b.c.Selects = b.chans.selects
-	b.c.chanState = b.chans
 	b.c.finalize()
 	return b.c
 }
@@ -198,7 +189,6 @@ func (b *censusBuilder) addGoRoot(pkg *analysis.Package, g *ast.GoStmt, inLoop b
 		if fn := pkg.FuncOf(g.Call); fn != nil && !analysis.IsRuntimeFn(fn) {
 			if dpkg, decl := b.prog.DeclOf(fn); decl != nil && decl.Body != nil {
 				root.startPkg, root.start = dpkg, decl.Body
-				root.spawnCall = g.Call
 			}
 		}
 	}
@@ -220,7 +210,6 @@ func (b *censusBuilder) walkBody(pkg *analysis.Package, body *ast.BlockStmt, ctx
 		b: b, pkg: pkg, f: f, ctx: ctx,
 		skips: analysis.DeferSkips(pkg, body),
 	}
-	b.chans.indexSelects(pkg, body)
 
 	for i, blk := range f.G.Blocks {
 		if !blk.Live {
@@ -395,11 +384,9 @@ func (w *walker) scanNode(n ast.Node) {
 		for _, l := range n.Lhs {
 			w.scanLValue(l, compound)
 		}
-		w.b.chans.recordAssign(w.pkg, n)
 	case *ast.IncDecStmt:
 		w.scanLValue(n.X, true)
 	case *ast.SendStmt:
-		w.b.chans.recordSend(w.pkg, n, w.ctx.root)
 		w.scanExpr(n.Chan, true, false)
 		w.scanExpr(n.Value, true, false)
 	case *ast.ExprStmt:
@@ -435,12 +422,10 @@ func (w *walker) scanNode(n ast.Node) {
 					for _, v := range vs.Values {
 						w.scanExpr(v, true, false)
 					}
-					w.b.chans.recordDecl(w.pkg, vs)
 				}
 			}
 		}
 	case *ast.RangeStmt:
-		w.b.chans.recordRange(w.pkg, n, w.ctx.root)
 		w.scanExpr(n.X, true, false)
 		for _, kv := range []ast.Expr{n.Key, n.Value} {
 			if kv != nil {
@@ -522,9 +507,6 @@ func (w *walker) scanExpr(e ast.Expr, read, write bool) {
 			// Taking the address of a censused location lets the pointee
 			// be read and written wherever the pointer flows.
 			w.addrEscape(e.X)
-		case token.ARROW:
-			w.b.chans.recordRecv(w.pkg, e, w.ctx.root)
-			w.scanExpr(e.X, true, false)
 		default:
 			w.scanExpr(e.X, true, false)
 		}
@@ -568,7 +550,6 @@ func (w *walker) scanComposite(lit *ast.CompositeLit) {
 		}
 		w.scanExpr(el, true, false)
 	}
-	w.b.chans.recordComposite(w.pkg, lit)
 }
 
 // addrEscape handles &expr in non-atomic context: the location's address
@@ -625,11 +606,6 @@ func (w *walker) handleCall(call *ast.CallExpr, deferred bool) {
 
 	if name, ok := builtinName(pkg, call); ok {
 		switch name {
-		case "close":
-			if len(call.Args) == 1 {
-				w.b.chans.recordClose(pkg, call, w.ctx.root)
-				w.scanExpr(call.Args[0], true, false)
-			}
 		case "delete":
 			if len(call.Args) == 2 {
 				w.scanExpr(call.Args[0], true, true)
@@ -639,10 +615,6 @@ func (w *walker) handleCall(call *ast.CallExpr, deferred bool) {
 			if len(call.Args) == 2 {
 				w.scanExpr(call.Args[0], true, true)
 				w.scanExpr(call.Args[1], true, false)
-			}
-		case "append":
-			for _, a := range call.Args {
-				w.scanExpr(a, true, false)
 			}
 		default:
 			for _, a := range call.Args {
@@ -680,14 +652,9 @@ func (w *walker) handleCall(call *ast.CallExpr, deferred bool) {
 	}
 
 	if fn == nil || analysis.IsRuntimeFn(fn) && fn.Pkg().Path() != analysis.PkgMemseg {
-		// A callee we will not walk can satisfy its channel arguments on
-		// its own (signal.Notify hands the channel to the runtime): they
-		// leave the census's domain.
-		w.b.chans.recordCallArgs(pkg, call, nil)
 		return
 	}
 	if dpkg, decl := w.b.prog.DeclOf(fn); decl != nil && decl.Body != nil {
-		w.b.chans.recordCallArgs(pkg, call, fn)
 		ctx := walkCtx{root: w.ctx.root, txKey: w.ctx.txKey, txPretty: w.ctx.txPretty}
 		if !deferred {
 			ctx.held = heldKeys(w.held)
@@ -695,8 +662,6 @@ func (w *walker) handleCall(call *ast.CallExpr, deferred bool) {
 			ctx.held = w.ctx.held
 		}
 		w.b.walkBody(dpkg, decl.Body, ctx)
-	} else {
-		w.b.chans.recordCallArgs(pkg, call, nil)
 	}
 }
 

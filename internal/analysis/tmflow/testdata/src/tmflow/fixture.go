@@ -1,11 +1,10 @@
 // Fixture for the tmflow unit tests: reaching-definition facts, dead-code
-// pruning, footprint arithmetic, and lock identity. The tests locate
-// declarations by name and NewMutex calls by their source text, so the
-// code here can move freely as long as the names stay.
+// pruning, and lock identity. The tests locate declarations by name and
+// NewMutex calls by their source text, so the code here can move freely as
+// long as the names stay.
 package fixture
 
 import (
-	"gotle/internal/memseg"
 	"gotle/internal/tle"
 	"gotle/internal/tm"
 )
@@ -59,12 +58,3 @@ func taken() int {
 
 func seed() int   { return 4 }
 func sink(p *int) { _ = p }
-
-func footprint(tx tm.Tx, a memseg.Addr) {
-	tx.Store(a, 1)
-	tx.Store(a+1, 2) // same cache line as a+0
-	tx.Store(a+8, 3) // second line
-	for i := 0; i < 100; i++ {
-		_ = tx.Load(a + memseg.Addr(i)) // loop-variant: widened by trip count
-	}
-}

@@ -157,21 +157,6 @@ func TestDeadAfterPanic(t *testing.T) {
 	}
 }
 
-func TestFootprintOf(t *testing.T) {
-	pkg := fixturePkg(t)
-	body := declOf(t, pkg, "footprint").Body
-	fp := tmflow.FootprintOf(pkg, body)
-	// Three constant-offset stores on the same base dedup into two cache
-	// lines (offsets 0 and 1 share one); the 100-iteration loop-variant
-	// load widens the read estimate by the trip count.
-	if fp.WriteLines != 2 {
-		t.Errorf("WriteLines = %v, want 2", fp.WriteLines)
-	}
-	if fp.ReadLines != 100 {
-		t.Errorf("ReadLines = %v, want 100", fp.ReadLines)
-	}
-}
-
 // newMutexLine finds the 1-based line of the NewMutex call whose name
 // literal is q, straight from the fixture source text so the test does
 // not mirror the resolver it checks.

@@ -95,6 +95,12 @@ type CrashConfig struct {
 	Phase1Ops, Phase2Ops int
 	// KillMin/KillMax bound the seeded kill delay after phase 1 starts.
 	KillMin, KillMax time.Duration
+	// ChopTail cuts the second half of the newest WAL segment off
+	// between the kill and the restart, so the restarted server has lost
+	// acked records. It exists to prove the round catches a log that
+	// forgets what it acked (the harness's teeth); a real round leaves it
+	// false.
+	ChopTail bool
 }
 
 func (c CrashConfig) withDefaults() CrashConfig {
@@ -179,6 +185,12 @@ func RunCrash(cfg CrashConfig) CrashResult {
 		return res
 	}
 	res.Phase1Acked = parseCompleted(p1out)
+	if cfg.ChopTail {
+		if err := chopNewestSegment(walDir); err != nil {
+			res.Err = fmt.Errorf("chop WAL tail: %w", err)
+			return res
+		}
+	}
 
 	// Phase 2: restart from the same WAL, then verify the merged history
 	// (presweep pins the recovered state before fresh load runs).
@@ -207,6 +219,24 @@ func RunCrash(cfg CrashConfig) CrashResult {
 	srv2.cmd.Process.Signal(syscall.SIGTERM)
 	srv2.reap()
 	return res
+}
+
+// chopNewestSegment truncates the newest WAL segment (segment names are
+// zero-padded, so the last in lexical order) to half its length.
+func chopNewestSegment(walDir string) error {
+	segs, err := filepath.Glob(filepath.Join(walDir, "w-*.wal"))
+	if err != nil {
+		return err
+	}
+	if len(segs) == 0 {
+		return fmt.Errorf("no segment in %s", walDir)
+	}
+	newest := segs[len(segs)-1]
+	fi, err := os.Stat(newest)
+	if err != nil {
+		return err
+	}
+	return os.Truncate(newest, fi.Size()/2)
 }
 
 // startServer launches tleserved with the WAL enabled and waits for it to

@@ -427,7 +427,6 @@ func (s *Server) handleConn(c net.Conn) {
 				}
 			}
 			if resp != nil && !broken {
-				//gotle:allow ackorder each batch's tickets are waited exactly once above; later ops in the batch reuse the memoized verdict (a.waited)
 				if _, err := bw.Write(resp); err != nil {
 					// Client gone: keep draining respQ so the decoder
 					// and executor never block on a dead writer.

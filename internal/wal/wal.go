@@ -567,7 +567,6 @@ func (l *Log) syncLoop() {
 	// the closed-flag returns below after Close's final wake(), and a late
 	// stray wake on the cap-1 channel is harmless. Closing it instead
 	// would race the appenders' wake() send.
-	//gotle:allow gostuck exits via closed flag after Close's wake()
 	for range l.dirty {
 		if w := l.opts.FsyncWindow; w > 0 {
 			l.mu.Lock()
