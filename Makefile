@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 CHAOS_RUNS ?= 5
 CHAOS_SEED ?= 1
 
-.PHONY: all build test bench-check lint race race-tm fuzz-short chaos chaos-teeth bench serve-smoke crash-smoke crash-chaos repl-smoke repl-chaos loc clean
+.PHONY: all build test bench-check lint race race-tm race-stress fuzz-short chaos chaos-teeth bench serve-smoke crash-smoke crash-chaos repl-smoke repl-chaos loc clean
 
 CRASH_SEED ?= 1
 
@@ -42,23 +42,18 @@ bench-check:
 
 # Static analysis: standard go vet plus the transaction-safety suite
 # (cmd/tmvet; see DESIGN.md "Static analysis"). tmvet exits non-zero on
-# any diagnostic not in the tmvet.base snapshot, and the snapshot must
-# stay empty (comments aside): a finding is fixed or carries a
-# //gotle:allow with its reason, never baselined away. So this target is a
-# gate, not a report. The whole recipe also carries a wall-clock budget:
-# the interprocedural passes (census, call-graph walks, allocation
-# summaries) must stay fast enough to run on every push, so the target
-# fails if the full sweep exceeds LINT_BUDGET seconds.
+# any diagnostic: a finding is fixed or carries a //gotle:allow with its
+# reason. So this target is a gate, not a report. The whole recipe also
+# carries a wall-clock budget: the interprocedural passes (census,
+# call-graph walks, allocation summaries) must stay fast enough to run on
+# every push, so the target fails if the full sweep exceeds LINT_BUDGET
+# seconds.
 LINT_BUDGET ?= 90
 
 lint:
 	@start=$$(date +%s); \
-	if grep -v -e '^#' -e '^[[:space:]]*$$' tmvet.base >&2; then \
-		echo "lint: tmvet.base must list no findings: fix them or allow them with a reason" >&2; \
-		exit 1; \
-	fi; \
 	$(GO) vet ./... || exit 1; \
-	$(GO) run ./cmd/tmvet -baseline tmvet.base ./... || exit 1; \
+	$(GO) run ./cmd/tmvet ./... || exit 1; \
 	took=$$(( $$(date +%s) - start )); \
 	echo "lint: clean in $${took}s (budget $(LINT_BUDGET)s)"; \
 	if [ $$took -gt $(LINT_BUDGET) ]; then \
@@ -71,15 +66,18 @@ race:
 	$(GO) test -race ./...
 
 # Race detector over just the TM engine packages: the fast sweep to run
-# before merging anything that touches the TM stack. The second line repeats
-# the tests of the serial lock's slot handshake, HTM doom and read-set
-# release, deferred reclamation and shared grace periods twenty times, as
-# CI's race job does.
-RACE_STRESS = 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace'
-
+# before merging anything that touches the TM stack, ending with
+# race-stress.
 race-tm:
 	$(GO) test -race $(TM_PKGS)
-	$(GO) test -race -count=20 -run $(RACE_STRESS) ./internal/tm ./internal/htm ./internal/epoch
+	$(MAKE) race-stress
+
+# The tests of the serial lock's slot handshake, HTM doom and read-set
+# release, deferred reclamation and shared grace periods, twenty times under
+# the race detector; CI's race job runs this target.
+race-stress:
+	$(GO) test -race -count=20 -run 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace' \
+		./internal/tm ./internal/htm ./internal/epoch
 
 # Short bursts of the native fuzz targets (long-form: go test -fuzz=X -fuzztime=10m).
 fuzz-short:

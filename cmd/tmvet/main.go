@@ -8,19 +8,17 @@
 //	tmvet [-C dir] [-run txsafe,txpure] [flags] [packages]
 //
 // Packages default to ./... relative to the module directory. Exit
-// status is 1 when any (non-baselined) diagnostic is reported, 2 on
-// usage or load errors. Diagnostics use the repo-wide
-// "position: rule: message" format shared with lockcheck's dynamic
-// report, and are suppressed per line by //gotle:allow directives (see
-// package analysis). Whatever -run selects, an allow naming none of the
-// seven registered rules is reported under the rule "allow".
+// status is 1 when any diagnostic is reported, 2 on usage or load
+// errors. Diagnostics use the repo-wide "position: rule: message" format
+// shared with lockcheck's dynamic report, and are suppressed per line by
+// //gotle:allow directives (see package analysis). Whatever -run selects,
+// an allow naming none of the seven registered rules is reported under
+// the rule "allow".
 //
 // Beyond the basic run:
 //
 //	-json               emit diagnostics as a JSON array (internal/diagfmt.Record)
 //	-fix                apply suggested fixes to the source files in place
-//	-baseline FILE      report only findings absent from FILE's snapshot
-//	-write-baseline FILE  snapshot current findings to FILE and exit clean
 //	-timing             print the effect-summary cache and per-analyzer wall clock
 //	-protdom-census     print the protection-domain census summary and exit
 package main
@@ -108,8 +106,6 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
 	fix := flag.Bool("fix", false, "apply suggested fixes to the source files")
-	baseline := flag.String("baseline", "", "baseline file: report only findings not listed in it")
-	writeBaseline := flag.String("write-baseline", "", "snapshot current findings to this baseline file and exit")
 	timing := flag.Bool("timing", false, "print per-analyzer wall-clock and effect-cache breakdown to stderr after the run")
 	censusDump := flag.Bool("protdom-census", false, "print the protection-domain census summary and exit")
 	flag.Parse()
@@ -159,33 +155,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tmvet: %-12s %8.1fms  %d finding(s)\n",
 				t.Name, float64(t.Wall.Microseconds())/1000, t.Findings)
 		}
-	}
-
-	if *writeBaseline != "" {
-		keys := make([]string, 0, len(diags))
-		for _, d := range diags {
-			keys = append(keys, baselineKey(prog, d))
-		}
-		if err := diagfmt.WriteBaseline(*writeBaseline, keys); err != nil {
-			fmt.Fprintf(os.Stderr, "tmvet: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("tmvet: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return
-	}
-	if *baseline != "" {
-		known, err := diagfmt.ReadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tmvet: %v\n", err)
-			os.Exit(2)
-		}
-		fresh := diags[:0]
-		for _, d := range diags {
-			if !known[baselineKey(prog, d)] {
-				fresh = append(fresh, d)
-			}
-		}
-		diags = fresh
 	}
 
 	if *fix {
@@ -258,12 +227,4 @@ func printCensus(prog *analysis.Program) {
 	for _, l := range labels {
 		fmt.Printf("  %-20s %d\n", l, stats.ByDiscipline[l])
 	}
-}
-
-// baselineKey is the finding's identity in a baseline file: file, rule,
-// and message, no line number, so findings survive unrelated edits above
-// them.
-func baselineKey(prog *analysis.Program, d analysis.Diagnostic) string {
-	pos := prog.Fset.Position(d.Pos)
-	return diagfmt.BaselineKey(diagfmt.Rel(pos.Filename), d.Rule, d.Message)
 }

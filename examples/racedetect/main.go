@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"gotle/internal/memseg"
-	"gotle/internal/stm"
 	"gotle/internal/tm"
 )
 
@@ -31,7 +30,6 @@ func runScenario(skipQuiescence bool) []tm.RaceReport {
 		Mode: tm.ModeSTM, MemWords: 1 << 16,
 		Quiesce:    quiesce,
 		RaceDetect: true,
-		CM:         stm.CMSuicide,
 	})
 	cell := e.Alloc(2)  // shared pointer cell
 	block := e.Alloc(4) // payload handed between threads

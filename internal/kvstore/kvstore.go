@@ -49,7 +49,6 @@ import (
 	"strconv"
 	"sync"
 
-	"gotle/internal/condvar"
 	"gotle/internal/logrec"
 	"gotle/internal/memseg"
 	"gotle/internal/stats"
@@ -158,9 +157,6 @@ type Store struct {
 	// wal issues the durability tickets for records sent down stream; a
 	// nil log (no AttachWAL) issues zero, already-durable tickets.
 	wal *wal.Log
-	// notFull supports blocking Set when a shard is saturated with
-	// in-flight evictions (not used by default paths; exposed for apps).
-	notFull *condvar.Cond
 	// solos recycles the one-op batches behind Set, Delete, Incr and the
 	// other single-key mutators (*solo).
 	solos sync.Pool
@@ -189,11 +185,10 @@ func New(r *tle.Runtime, cfg Config) *Store {
 	nbk := ceilPow2(cfg.BucketsPerShard)
 	cfg.Shards, cfg.BucketsPerShard = nsh, nbk
 	s := &Store{
-		r:       r,
-		cfg:     cfg,
-		shards:  make([]shard, nsh),
-		gets:    stats.NewStriped(2 * nsh),
-		notFull: r.NewCond(),
+		r:      r,
+		cfg:    cfg,
+		shards: make([]shard, nsh),
+		gets:   stats.NewStriped(2 * nsh),
 	}
 	for i := range s.shards {
 		s.shards[i] = shard{

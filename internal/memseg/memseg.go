@@ -73,28 +73,22 @@ type Memory struct {
 	// phase hit the same class, where sharing is inherent).
 	//gotle:allow falseshare cross-class contention is rare by construction; same-class contention is inherent to a shared free list
 	freeHeads [numClasses]atomic.Uint64
-	poison    bool
 	liveBytes atomic.Int64 // live payload words, advisory accounting
 }
 
 // New returns a segment of the given size in words. Sizes below 1024 words
-// are rounded up. Poisoning of freed blocks is enabled by default; see
-// SetPoison.
+// are rounded up.
 func New(words int) *Memory {
 	if words < 1024 {
 		words = 1024
 	}
 	m := &Memory{
-		words:  make([]uint64, words),
-		limit:  uint64(words),
-		poison: true,
+		words: make([]uint64, words),
+		limit: uint64(words),
 	}
 	m.next.Store(1) // skip word 0 (Nil)
 	return m
 }
-
-// SetPoison toggles poisoning of freed blocks.
-func (m *Memory) SetPoison(on bool) { m.poison = on }
 
 // Size reports the segment size in words.
 func (m *Memory) Size() int { return len(m.words) }
@@ -221,9 +215,7 @@ func (m *Memory) Free(a Addr) {
 		return
 	}
 	cap := m.BlockSize(a)
-	if m.poison {
-		bulkSet(m.words[int(a)+1:int(a)+cap], Poison)
-	}
+	bulkSet(m.words[int(a)+1:int(a)+cap], Poison)
 	m.liveBytes.Add(int64(-cap))
 	class := int(atomic.LoadUint64(&m.words[a-1]))
 	head := &m.freeHeads[class]

@@ -96,17 +96,6 @@ func TestFreeNilIsNoop(t *testing.T) {
 	m.Free(Nil) // must not panic
 }
 
-func TestSetPoisonOff(t *testing.T) {
-	m := New(4096)
-	m.SetPoison(false)
-	a, _ := m.Alloc(4)
-	m.Store(a+1, 42)
-	m.Free(a)
-	if v := m.Load(a + 1); v == Poison {
-		t.Fatal("poisoning happened with poison disabled")
-	}
-}
-
 func TestReuseSameClass(t *testing.T) {
 	m := New(4096)
 	a, _ := m.Alloc(16)
@@ -164,7 +153,6 @@ func TestBlockSizePanicsOnCorruptHeader(t *testing.T) {
 // goes back to a request of its own class and to no other.
 func TestSizeClassesProperty(t *testing.T) {
 	m := New(1 << 19)
-	m.SetPoison(false)
 	for c := 1; c < numClasses; c++ {
 		if classWords[c] <= classWords[c-1] {
 			t.Fatalf("class %d holds %d words, class %d holds %d", c, classWords[c], c-1, classWords[c-1])

@@ -50,9 +50,6 @@ func (t *Tx) loadStripe(a memseg.Addr, dst []uint64) {
 				}
 				return
 			}
-			if t.waitCM(orec) {
-				continue
-			}
 			t.abort(stats.Locked)
 		}
 		for i := range dst {
@@ -60,9 +57,9 @@ func (t *Tx) loadStripe(a memseg.Addr, dst []uint64) {
 		}
 		v2 := orec.Load()
 		if v1 != v2 {
-			// The orec moved underneath the reads; retry once the writer
-			// settles, unless our snapshot is already doomed.
-			if tmclock.Locked(v2) && tmclock.Owner(v2) != t.id && !t.waitCM(orec) {
+			// The orec moved underneath the reads: abort if a writer holds
+			// it now, re-read if its commit has already landed.
+			if tmclock.Locked(v2) && tmclock.Owner(v2) != t.id {
 				t.abort(stats.Locked)
 			}
 			continue
@@ -110,9 +107,6 @@ func (t *Tx) storeStripe(a memseg.Addr, src []uint64) {
 		if tmclock.Locked(cur) {
 			if tmclock.Owner(cur) == t.id {
 				break // stripe already owned: just log and write
-			}
-			if t.waitCM(orec) {
-				continue
 			}
 			t.abort(stats.Locked)
 		}

@@ -47,8 +47,6 @@ type Config struct {
 	// StripeShift groups 1<<StripeShift consecutive words per orec
 	// (default 0: per-word orecs).
 	StripeShift int
-	// CM selects the contention manager (default CMSuicide; see cm.go).
-	CM CM
 	// Injector, when non-nil, is consulted at the chaos fault points
 	// (forced validation aborts, delayed orec release, and the skip-undo
 	// sabotage point). Nil disables injection.
@@ -60,12 +58,7 @@ type STM struct {
 	mem   *memseg.Memory
 	clock *tmclock.Clock
 	orecs *tmclock.Table
-	cm    CM
 	inj   *chaos.Injector
-	// prio slots are written only on the slow path (priority escalation
-	// after repeated aborts) and scanned read-only at commit.
-	//gotle:allow falseshare written only on the abort slow path; the common case is a read-only scan
-	prio [prioSlots]atomic.Uint64
 }
 
 // New creates an STM over the given heap.
@@ -77,7 +70,6 @@ func New(mem *memseg.Memory, cfg Config) *STM {
 		mem:   mem,
 		clock: &tmclock.Clock{},
 		orecs: tmclock.NewTable(cfg.OrecSizeLog2, cfg.StripeShift),
-		cm:    cfg.CM,
 		inj:   cfg.Injector,
 	}
 }
@@ -155,7 +147,6 @@ func (t *Tx) Begin() {
 	t.attempt++
 	t.filter.reset()
 	t.filterOn = t.dedupMode == dedupEager
-	t.announcePriority()
 	t.live = true
 }
 
@@ -291,17 +282,14 @@ func (t *Tx) Load(a memseg.Addr) uint64 {
 			if tmclock.Owner(v1) == t.id {
 				return t.s.mem.Load(a) // read own write-through value
 			}
-			if t.waitCM(orec) {
-				continue
-			}
 			t.abort(stats.Locked)
 		}
 		val := t.s.mem.Load(a)
 		v2 := orec.Load()
 		if v1 != v2 {
-			// The orec moved underneath the read; retry the read once the
-			// writer settles, unless our snapshot is already doomed.
-			if tmclock.Locked(v2) && tmclock.Owner(v2) != t.id && !t.waitCM(orec) {
+			// The orec moved underneath the read: abort if a writer holds
+			// it now, re-read if its commit has already landed.
+			if tmclock.Locked(v2) && tmclock.Owner(v2) != t.id {
 				t.abort(stats.Locked)
 			}
 			continue
@@ -335,15 +323,12 @@ func (t *Tx) loadFiltered(a memseg.Addr) uint64 {
 			if tmclock.Owner(v1) == t.id {
 				return t.s.mem.Load(a) // read own write-through value
 			}
-			if t.waitCM(orec) {
-				continue
-			}
 			t.abort(stats.Locked)
 		}
 		val := t.s.mem.Load(a)
 		v2 := orec.Load()
 		if v1 != v2 {
-			if tmclock.Locked(v2) && tmclock.Owner(v2) != t.id && !t.waitCM(orec) {
+			if tmclock.Locked(v2) && tmclock.Owner(v2) != t.id {
 				t.abort(stats.Locked)
 			}
 			continue
@@ -368,9 +353,6 @@ func (t *Tx) Store(a memseg.Addr, v uint64) {
 		if tmclock.Locked(cur) {
 			if tmclock.Owner(cur) == t.id {
 				break // stripe already owned: just log and write
-			}
-			if t.waitCM(orec) {
-				continue
 			}
 			t.abort(stats.Locked)
 		}

@@ -321,6 +321,71 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 }
 
+// The one contention policy left is suicide, as in ml_wt: a conflicting
+// access aborts its own transaction. It must still preserve atomicity
+// under contention.
+func TestCMCorrectnessUnderContention(t *testing.T) {
+	t.Run("suicide", func(t *testing.T) {
+		s, base := newSTM(t)
+		const threads, per = 6, 1500
+		var wg sync.WaitGroup
+		for i := 0; i < threads; i++ {
+			tx := s.NewTx(uint64(i + 1))
+			wg.Add(1)
+			go func(tx *Tx) {
+				defer wg.Done()
+				for j := 0; j < per; j++ {
+					run(tx, func(tx *Tx) {
+						tx.Store(base, tx.Load(base)+1)
+					})
+				}
+			}(tx)
+		}
+		wg.Wait()
+		if got := s.Memory().Load(base); got != threads*per {
+			t.Fatalf("counter = %d, want %d", got, threads*per)
+		}
+	})
+}
+
+// A load that extends the snapshot must re-check its orec afterwards: a
+// writer that locks the stripe and commits between the load's second orec
+// sample and the extend's clock read lands inside the new snapshot, so
+// without the re-check the load returns the pre-commit value and the
+// increment built on it is lost. Each body reads a private word first, so
+// the counter load usually finds its orec newer than the snapshot and
+// extends; fresh rounds give the window many chances to open.
+func TestLateLoadAfterExtend(t *testing.T) {
+	const threads = 6
+	per, rounds := 5000, 150
+	if raceEnabled {
+		// Instrumented rounds run about 40x slower; a few long rounds
+		// catch the lost update as reliably there.
+		per, rounds = 20000, 8
+	}
+	for r := 0; r < rounds; r++ {
+		s, base := newSTM(t)
+		var wg sync.WaitGroup
+		for i := 0; i < threads; i++ {
+			tx, priv := s.NewTx(uint64(i+1)), base+memseg.Addr(8*(i+1))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < per; j++ {
+					run(tx, func(tx *Tx) {
+						tx.Load(priv)
+						tx.Store(base, tx.Load(base)+1)
+					})
+				}
+			}()
+		}
+		wg.Wait()
+		if got := s.Memory().Load(base); got != uint64(threads*per) {
+			t.Fatalf("round %d: counter = %d, want %d (lost updates)", r, got, threads*per)
+		}
+	}
+}
+
 // Isolation: an invariant spanning two words (y == 2*x) must hold in every
 // transactional read, under concurrent updates.
 func TestTwoWordInvariant(t *testing.T) {

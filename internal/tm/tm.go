@@ -142,10 +142,6 @@ type Config struct {
 	MaxRetries int
 	// StripeShift configures the STM orec table (words per orec, log2).
 	StripeShift int
-	// CM selects the STM contention manager (stm.CMSuicide, stm.CMPolite,
-	// stm.CMTimestamp) — the programmer-specified conflict policy the
-	// paper's conclusion asks the TMTS to expose.
-	CM stm.CM
 	// RaceDetect enables the T-Rex-style privatization-race detector
 	// (racecheck.go): non-transactional accesses and frees that touch
 	// speculatively-owned words are recorded in RaceReports.
@@ -215,7 +211,6 @@ func New(cfg Config) *Engine {
 	if cfg.Hybrid || cfg.Mode == ModeSTM {
 		e.stm = stm.New(e.mem, stm.Config{
 			StripeShift: cfg.StripeShift,
-			CM:          cfg.CM,
 			Injector:    cfg.Injector,
 		})
 	}
