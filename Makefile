@@ -40,10 +40,11 @@ test:
 bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# Static analysis: standard go vet plus the transaction-safety suite
-# (cmd/tmvet; see DESIGN.md "Static analysis"). tmvet exits non-zero on
-# any diagnostic: a finding is fixed or carries a //gotle:allow with its
-# reason. So this target is a gate, not a report. The whole recipe also
+# Static analysis: gofmt (analyzer fixtures under testdata/ excepted: their
+# layout is what the analyzers see), standard go vet, and the
+# transaction-safety suite (cmd/tmvet; see DESIGN.md "Static analysis").
+# tmvet exits non-zero on any diagnostic: a finding is fixed or carries a
+# //gotle:allow with its reason. So this target is a gate, not a report. The whole recipe also
 # carries a wall-clock budget: the interprocedural passes (census,
 # call-graph walks, allocation summaries) must stay fast enough to run on
 # every push, so the target fails if the full sweep exceeds LINT_BUDGET
@@ -52,6 +53,8 @@ LINT_BUDGET ?= 90
 
 lint:
 	@start=$$(date +%s); \
+	bad=$$(gofmt -l $$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.*')); \
+	if [ -n "$$bad" ]; then echo "lint: not gofmt-clean:" >&2; echo "$$bad" >&2; exit 1; fi; \
 	$(GO) vet ./... || exit 1; \
 	$(GO) run ./cmd/tmvet ./... || exit 1; \
 	took=$$(( $$(date +%s) - start )); \

@@ -102,7 +102,7 @@ func entryOuterLock(e *analysis.Entry) LockID {
 // summary enters sections.
 type sectionEvent struct {
 	pos     token.Pos
-	lock    LockID   // direct section (callee == nil)
+	lock    LockID // direct section (callee == nil)
 	callee  *types.Func
 	summary *Summary // callee's summary
 }

@@ -13,9 +13,10 @@ import (
 // critical section, exactly as under the lock baseline: an elided lock is
 // invisible to the TM (the paper's lock erasure, Section IV.A), so one
 // transaction spanning several shards would collide with every other
-// batch that touched any of them. What a batch shares is the durability
-// handle: one WAL ticket per touched shard, waited once for the whole run
-// (see PORTING.md).
+// batch that touched any of them. Each section ends by reading its shard's
+// WAL sequence word, and each op's result carries the ticket for the
+// sequence it read: a reply waits for the ticket of every shard sequence
+// its sections read (see PORTING.md).
 
 // BatchVerb selects one operation of a batch.
 type BatchVerb int
@@ -54,6 +55,10 @@ type BatchResult struct {
 	Incr    IncrStatus  // BatchIncr/BatchDecr
 	NewVal  uint64      // BatchIncr/BatchDecr, valid when Incr == IncrStored
 	Err     error
+	// Durable is the ticket for the shard sequence the op's section read:
+	// it covers what the op wrote and every write it observed, whatever
+	// the outcome. Wait on it before acking; zero with no WAL attached.
+	Durable wal.Ticket
 }
 
 // Batch validation errors (allocated once: the reject path stays on the
@@ -70,12 +75,6 @@ var (
 // Each executor goroutine owns one; the zero value is ready. A scratch
 // must stay with one Store.
 type BatchScratch struct {
-	// Tickets holds one durability handle per touched shard for the most
-	// recent batch (empty when no WAL is attached or nothing mutated).
-	// Wait on every entry before acking the batch's ops.
-	Tickets []wal.Ticket
-
-	lastSeq []uint64     // per shard: highest sequence number this batch published, 0 = none
 	recs    []wal.Record // the section in flight's redo records, published at its commit
 	store   *Store
 	flushFn func() // one closure, reused across sections (tx.Defer target)
@@ -86,6 +85,7 @@ type BatchScratch struct {
 	res    *BatchResult
 	hash   uint64
 	si     int
+	seq    uint64 // the shard sequence the section read last
 	bodyFn func(tx tm.Tx) error
 
 	// numB is the digit arena for incr/decr results: applyIncr appends each
@@ -103,21 +103,18 @@ type BatchScratch struct {
 // res[i].Err and are skipped. The contract is sequential, never atomic as a
 // group: each op runs in its own critical section on its own shard, so op i
 // observes the effects of ops 0..i-1 and other threads' sections may
-// interleave between them. No section holds two shard mutexes. When a WAL
-// is attached, sc.Tickets receives one group-commit ticket per touched
-// shard. A returned error is an engine failure; the ops before the failing
-// one have committed and the ops after it did not run.
+// interleave between them. No section holds two shard mutexes. Each
+// committed op's result carries its Durable ticket. A returned error is an
+// engine failure; the ops before the failing one have committed and the
+// ops after it did not run.
 //
 //gotle:hotpath per-batch mutation entry; covered by the serve-smoke AllocsPerRun gate
 func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, sc *BatchScratch) error {
 	if len(ops) != len(res) {
 		return errResLen
 	}
-	sc.Tickets = sc.Tickets[:0]
 	if sc.store == nil {
 		sc.store = s
-		//gotle:allow hotalloc sized once per scratch lifetime: one slot per shard
-		sc.lastSeq = make([]uint64, len(s.shards))
 		//gotle:allow hotalloc bound once per scratch lifetime, reused by every section
 		sc.bodyFn = func(tx tm.Tx) error { return s.batchBody(tx, sc) }
 		// The one hand-off of committed records downstream, run post-commit.
@@ -125,15 +122,13 @@ func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, sc 
 		// must not allocate a fresh func per section.
 		//gotle:allow hotalloc bound once per scratch lifetime, reused by every section
 		sc.flushFn = func() {
-			if n := len(sc.recs); n > 0 {
+			if len(sc.recs) > 0 {
 				s.stream.Publish(sc.si, sc.recs)
-				sc.lastSeq[sc.si] = sc.recs[n-1].Seq
 			}
 		}
 	} else if sc.store != s {
 		return errScratchMove
 	}
-	clear(sc.lastSeq)
 	sc.numB = sc.numB[:0]
 
 	var err error
@@ -155,15 +150,7 @@ func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, sc 
 		if err = s.shards[sc.si].mu.Do(th, sc.bodyFn); err != nil {
 			break
 		}
-	}
-	if s.wal != nil {
-		// A shard's records become durable in sequence order, so the ticket
-		// for the highest one published covers the shard's whole share.
-		for si, seq := range sc.lastSeq {
-			if seq != 0 {
-				sc.Tickets = append(sc.Tickets, s.wal.TicketFor(si, seq))
-			}
-		}
+		res[i].Durable = s.wal.TicketFor(sc.si, sc.seq)
 	}
 	return err
 }
@@ -216,7 +203,8 @@ func (s *Store) batchBody(tx tm.Tx, sc *BatchScratch) error {
 	//gotle:allow txsafe allocator safety is engine-enforced for freeing attempts; no post-commit non-transactional access to privatized items
 	tx.NoQuiesce()
 	if s.stream != nil {
-		tx.Defer(sc.flushFn) // publishes whatever the op above staged
+		sc.seq = tx.Load(sh.base + shWalSeq) // last read: the section's durability point
+		tx.Defer(sc.flushFn)                 // publishes whatever the op above staged
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gotle/internal/htm"
 	"gotle/internal/tle"
@@ -261,16 +262,19 @@ func crossShardKeys(s *Store, n int) [][]byte {
 	return keys
 }
 
-// TestMutateBatchWALTickets pins the group-commit contract: one batch
-// produces one ticket per touched shard, the tickets become
-// durable, and recovery replays the mutations in commit order.
+// TestMutateBatchWALTickets pins the ack contract: each op's Durable ticket
+// covers its own record, and the NOT_STORED add at the end, which logs
+// nothing, covers the set it observed, before any fsync has run (the
+// window parks the syncer). Tickets are waited newest first, so no wait
+// rides on an earlier one's fsync. Recovery replays the mutations in
+// commit order.
 func TestMutateBatchWALTickets(t *testing.T) {
 	for _, config := range batchConfigs {
 		t.Run(config, func(t *testing.T) {
 			dir := t.TempDir()
 			build := func() (*tle.Runtime, *Store, [][]byte, *wal.Log) {
 				r, s, keys := newBatchStore(t, config, 2, tle.Config{})
-				l, err := wal.Open(dir, s.ShardCount(), wal.Options{})
+				l, err := wal.Open(dir, s.ShardCount(), wal.Options{FsyncWindow: 300 * time.Millisecond})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -294,17 +298,23 @@ func TestMutateBatchWALTickets(t *testing.T) {
 				{Verb: BatchSet, Key: keys[0], Val: []byte("v2"), Flags: 9},
 				{Verb: BatchDelete, Key: keys[1]},
 				{Verb: BatchAdd, Key: keys[1], Val: []byte("zz")}, // fresh after the delete: stores and logs
+				{Verb: BatchAdd, Key: keys[0], Val: []byte("no")}, // exists: NOT_STORED, logs nothing
 			}
+			// The shard sequence each op's ticket must cover.
+			covers := []uint64{1, 1, 2, 2, 3, 2}
 			res := make([]BatchResult, len(ops))
 			if err := s.MutateBatch(th, ops, res, &sc); err != nil {
 				t.Fatal(err)
 			}
-			if len(sc.Tickets) != 2 {
-				t.Fatalf("tickets = %d, want one per touched shard (2)", len(sc.Tickets))
+			if res[5].Store != NotStored {
+				t.Fatalf("add of a present key = %v, want NOT_STORED", res[5].Store)
 			}
-			for i, tk := range sc.Tickets {
-				if err := tk.Wait(); err != nil {
-					t.Fatalf("ticket %d: %v", i, err)
+			for i := len(ops) - 1; i >= 0; i-- {
+				if err := res[i].Durable.Wait(); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+				if sh := s.ShardFor(ops[i].Key); l.Durable(sh) < covers[i] {
+					t.Fatalf("op %d acked with shard %d durable to %d, want %d", i, sh, l.Durable(sh), covers[i])
 				}
 			}
 			st := l.Stats()

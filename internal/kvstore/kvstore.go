@@ -509,11 +509,14 @@ func nextCas(tx tm.Tx, sh *shard) uint64 {
 	return c
 }
 
-// Item is one cache entry as returned by GetItem.
+// Item is one cache entry as returned by GetItem. Durable, on a hit or a
+// miss, is the ticket for the shard sequence the get's section read: it
+// covers every write the get observed. Zero with no WAL attached.
 type Item struct {
-	Value []byte
-	Flags uint32
-	CAS   uint64
+	Value   []byte
+	Flags   uint32
+	CAS     uint64
+	Durable wal.Ticket
 }
 
 // Get returns the value for key. A hit marks the item referenced, which
@@ -548,6 +551,7 @@ func (s *Store) GetItemAppend(th *tm.Thread, key, dst []byte) ([]byte, Item, boo
 	bucket := sh.bucket(h)
 	base := len(dst)
 	var it Item
+	var seq uint64
 	found := false
 	out := dst
 	err := sh.mu.Do(th, func(tx tm.Tx) error {
@@ -557,22 +561,26 @@ func (s *Store) GetItemAppend(th *tm.Thread, key, dst []byte) ([]byte, Item, boo
 		// previous attempt's bytes.
 		out = out[:base] //gotle:allow txpure the only cross-attempt read is this rewind to the pre-call length; the bytes beyond base are write-only per attempt
 		_, item := s.findInChain(tx, sh, bucket, key)
-		if item == memseg.Nil {
-			found = false
-			return nil
+		found = item != memseg.Nil
+		if found {
+			meta := tx.Load(item + itMeta)
+			keyWords := (int(meta>>32) + 7) / 8
+			out = unpackAppend(tx, item+itData+memseg.Addr(keyWords), int(meta&0xFFFFFFFF), out) //gotle:allow txpure append-only past base, rewound above; a committed attempt's bytes are the last attempt's
+			fl := tx.Load(item + itFlags)
+			if fl&itReferenced == 0 {
+				// The only store a get ever makes, once per item per trip
+				// down the eviction list: every later hit is a read-only
+				// attempt.
+				tx.Store(item+itFlags, fl|itReferenced)
+			}
+			it.Flags = uint32(fl)          //gotle:allow txpure write-once out-param, read only after Do returns
+			it.CAS = tx.Load(item + itCas) //gotle:allow txpure write-once out-param, read only after Do returns
 		}
-		meta := tx.Load(item + itMeta)
-		keyWords := (int(meta>>32) + 7) / 8
-		out = unpackAppend(tx, item+itData+memseg.Addr(keyWords), int(meta&0xFFFFFFFF), out) //gotle:allow txpure append-only past base, rewound above; a committed attempt's bytes are the last attempt's
-		fl := tx.Load(item + itFlags)
-		if fl&itReferenced == 0 {
-			// The only store a get ever makes, once per item per trip down
-			// the eviction list: every later hit is a read-only attempt.
-			tx.Store(item+itFlags, fl|itReferenced)
+		if s.stream != nil {
+			// Last, so that sets on the shard's other keys conflict with
+			// this read for as short a time as possible.
+			seq = tx.Load(sh.base + shWalSeq)
 		}
-		it.Flags = uint32(fl)          //gotle:allow txpure write-once out-param, read only after Do returns
-		it.CAS = tx.Load(item + itCas) //gotle:allow txpure write-once out-param, read only after Do returns
-		found = true
 		return nil
 	})
 	if err != nil {
@@ -582,10 +590,11 @@ func (s *Store) GetItemAppend(th *tm.Thread, key, dst []byte) ([]byte, Item, boo
 	// counter in the TM heap would make every get a writer.
 	if !found {
 		s.gets.Add(th.ID(), 2*si+getMisses, 1)
-		return out[:base], Item{}, false, nil
+		return out[:base], Item{Durable: s.wal.TicketFor(si, seq)}, false, nil
 	}
 	s.gets.Add(th.ID(), 2*si+getHits, 1)
 	it.Value = out[base:]
+	it.Durable = s.wal.TicketFor(si, seq)
 	return out, it, true, nil
 }
 
@@ -627,10 +636,10 @@ type solo struct {
 }
 
 // one runs a single mutation the only way a shard is mutated: as a
-// MutateBatch, here of one op, on a scratch from s.solos. The ticket is the
-// zero, already-durable one when nothing was logged; on an error (a bad key
-// or value length included) the result reads as "nothing happened".
-func (s *Store) one(th *tm.Thread, op BatchOp) (BatchResult, wal.Ticket, error) {
+// MutateBatch, here of one op, on a scratch from s.solos. On an error (a
+// bad key or value length included) the result reads as "nothing
+// happened", with the zero ticket.
+func (s *Store) one(th *tm.Thread, op BatchOp) (BatchResult, error) {
 	so, _ := s.solos.Get().(*solo)
 	if so == nil {
 		so = new(solo)
@@ -638,10 +647,6 @@ func (s *Store) one(th *tm.Thread, op BatchOp) (BatchResult, wal.Ticket, error) 
 	so.ops[0] = op
 	err := s.MutateBatch(th, so.ops[:], so.res[:], &so.sc)
 	res := so.res[0]
-	var tk wal.Ticket
-	if len(so.sc.Tickets) > 0 {
-		tk = so.sc.Tickets[0]
-	}
 	s.solos.Put(so)
 	if err == nil {
 		err = res.Err
@@ -649,7 +654,7 @@ func (s *Store) one(th *tm.Thread, op BatchOp) (BatchResult, wal.Ticket, error) 
 	if err != nil {
 		res = BatchResult{Store: NotStored, Incr: IncrNotFound, Err: err}
 	}
-	return res, tk, err
+	return res, err
 }
 
 // Set inserts or replaces key's value, evicting from the tail of the
@@ -668,26 +673,26 @@ func (s *Store) SetItem(th *tm.Thread, key, val []byte, flags uint32) error {
 // SetItemD is SetItem returning a durability ticket: Wait on it before
 // acking the client. With no WAL attached the ticket is a no-op.
 func (s *Store) SetItemD(th *tm.Thread, key, val []byte, flags uint32) (wal.Ticket, error) {
-	_, tk, err := s.one(th, BatchOp{Verb: BatchSet, Key: key, Val: val, Flags: flags})
-	return tk, err
+	res, err := s.one(th, BatchOp{Verb: BatchSet, Key: key, Val: val, Flags: flags})
+	return res.Durable, err
 }
 
 // Add stores only if key is absent; reports whether it stored.
 func (s *Store) Add(th *tm.Thread, key, val []byte, flags uint32) (bool, error) {
-	res, _, err := s.one(th, BatchOp{Verb: BatchAdd, Key: key, Val: val, Flags: flags})
+	res, err := s.one(th, BatchOp{Verb: BatchAdd, Key: key, Val: val, Flags: flags})
 	return res.Store == Stored, err
 }
 
 // Replace stores only if key is present; reports whether it stored.
 func (s *Store) Replace(th *tm.Thread, key, val []byte, flags uint32) (bool, error) {
-	res, _, err := s.one(th, BatchOp{Verb: BatchReplace, Key: key, Val: val, Flags: flags})
+	res, err := s.one(th, BatchOp{Verb: BatchReplace, Key: key, Val: val, Flags: flags})
 	return res.Store == Stored, err
 }
 
 // CompareAndSwap stores only if key is present and its CAS token equals
 // cas (from a previous GetItem).
 func (s *Store) CompareAndSwap(th *tm.Thread, key, val []byte, flags uint32, cas uint64) (StoreStatus, error) {
-	res, _, err := s.one(th, BatchOp{Verb: BatchCAS, Key: key, Val: val, Flags: flags, Cas: cas})
+	res, err := s.one(th, BatchOp{Verb: BatchCAS, Key: key, Val: val, Flags: flags, Cas: cas})
 	return res.Store, err
 }
 
@@ -802,7 +807,7 @@ func (s *Store) Incr(th *tm.Thread, key []byte, delta uint64, decr bool) (uint64
 	if decr {
 		verb = BatchDecr
 	}
-	res, _, err := s.one(th, BatchOp{Verb: verb, Key: key, Delta: delta})
+	res, err := s.one(th, BatchOp{Verb: verb, Key: key, Delta: delta})
 	return res.NewVal, res.Incr, err
 }
 
@@ -932,8 +937,8 @@ func (s *Store) Delete(th *tm.Thread, key []byte) (bool, error) {
 
 // DeleteD is Delete with a durability ticket.
 func (s *Store) DeleteD(th *tm.Thread, key []byte) (bool, wal.Ticket, error) {
-	res, tk, err := s.one(th, BatchOp{Verb: BatchDelete, Key: key})
-	return res.Removed, tk, err
+	res, err := s.one(th, BatchOp{Verb: BatchDelete, Key: key})
+	return res.Removed, res.Durable, err
 }
 
 // applyDelete reports whether an item was unlinked and freed (false = miss,

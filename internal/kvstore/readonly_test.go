@@ -283,10 +283,8 @@ func TestReferencedBitStaysOutOfClientFlags(t *testing.T) {
 			if err := s.MutateBatch(th, []BatchOp{{Verb: BatchIncr, Key: key, Delta: 900}}, res, &sc); err != nil {
 				t.Fatal(err)
 			}
-			for _, tk := range sc.Tickets {
-				if err := tk.Wait(); err != nil {
-					t.Fatal(err)
-				}
+			if err := res[0].Durable.Wait(); err != nil {
+				t.Fatal(err)
 			}
 			if err := l.Close(); err != nil {
 				t.Fatal(err)

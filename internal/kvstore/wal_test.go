@@ -184,7 +184,8 @@ func TestWALRestartTwiceAcrossTornTail(t *testing.T) {
 }
 
 // TestWALTicketZeroOnMiss checks that precondition-failed mutations log
-// nothing and hand back a no-op ticket.
+// nothing and, on shards nothing was written to, hand back a ticket that
+// is already durable.
 func TestWALTicketZeroOnMiss(t *testing.T) {
 	dir := t.TempDir()
 	r, s, l, _ := openStoreWAL(t, tle.Policies[0], dir, Config{Shards: 2})
@@ -205,16 +206,20 @@ func TestWALTicketZeroOnMiss(t *testing.T) {
 		}
 		return res[0]
 	}
-	if res := one(BatchOp{Verb: BatchReplace, Key: []byte("ghost"), Val: []byte("v")}); res.Store != NotStored || len(sc.Tickets) != 0 {
-		t.Fatalf("replace(ghost) = %v with %d tickets", res.Store, len(sc.Tickets))
+	if res := one(BatchOp{Verb: BatchReplace, Key: []byte("ghost"), Val: []byte("v")}); res.Store != NotStored {
+		t.Fatalf("replace(ghost) = %v", res.Store)
+	} else if err := res.Durable.Wait(); err != nil {
+		t.Fatalf("miss ticket wait: %v", err)
 	}
 	if st := l.Stats(); st.Appends != 0 {
 		t.Fatalf("missed mutations appended %d records", st.Appends)
 	}
-	if res := one(BatchOp{Verb: BatchAdd, Key: []byte("k"), Val: []byte("v")}); res.Store != Stored || len(sc.Tickets) != 1 {
-		t.Fatalf("add = %v with %d tickets", res.Store, len(sc.Tickets))
-	} else if err := sc.Tickets[0].Wait(); err != nil {
+	if res := one(BatchOp{Verb: BatchAdd, Key: []byte("k"), Val: []byte("v")}); res.Store != Stored {
+		t.Fatalf("add = %v", res.Store)
+	} else if err := res.Durable.Wait(); err != nil {
 		t.Fatal(err)
+	} else if d := l.Durable(s.ShardFor([]byte("k"))); d != 1 {
+		t.Fatalf("add acked with its shard durable to %d, want 1", d)
 	}
 	if st := l.Stats(); st.Appends != 1 {
 		t.Fatalf("Appends = %d want 1", st.Appends)

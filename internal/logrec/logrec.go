@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Op is the redo operation kind.
@@ -89,7 +90,9 @@ var (
 func AppendRecord(buf []byte, r Record) []byte {
 	payloadLen := PayloadMin + len(r.Key) + len(r.Val)
 	start := len(buf)
-	buf = append(buf, make([]byte, FrameHeader+payloadLen)...)
+	// Every byte of the frame is written below. slices.Grow, unlike
+	// append(buf, make(...)...), allocates nothing under -race either.
+	buf = slices.Grow(buf, FrameHeader+payloadLen)[:start+FrameHeader+payloadLen]
 	p := buf[start:]
 	binary.LittleEndian.PutUint32(p[0:4], uint32(payloadLen))
 	pay := p[FrameHeader:]

@@ -91,6 +91,19 @@ func waitDurable(t *testing.T, l *wal.Log, src *Source) {
 	}
 }
 
+// waitDropped waits until the source has dropped every follower: a
+// subscription it has not yet seen close could still send it records.
+func waitDropped(t *testing.T, src *Source) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for statOf(src, "repl_followers") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the source never dropped a stopped follower")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // statOf reads one numeric field of the source's stats.
 func statOf(src *Source, name string) uint64 {
 	for _, kv := range src.StatLines() {
@@ -240,6 +253,7 @@ func TestFollowerCatchesUpFromLog(t *testing.T) {
 		writeKeys(t, pr, ps, 0, 300)
 		waitCaughtUp(t, src, fw)
 		fw.Stop()
+		waitDropped(t, src)
 		sent := statOf(src, "repl_log_catchup_records")
 		writeKeys(t, pr, ps, 300, 600)
 		waitDurable(t, l, src)
@@ -265,6 +279,7 @@ func TestFollowerCatchesUpFromLog(t *testing.T) {
 		if err := fl.Close(); err != nil {
 			t.Fatal(err)
 		}
+		waitDropped(t, src)
 		sent := statOf(src, "repl_log_catchup_records")
 		writeKeys(t, pr, ps, 300, 600)
 		waitDurable(t, l, src)

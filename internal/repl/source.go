@@ -370,13 +370,21 @@ func (s *Source) sendMemory(sub *subscriber, out []byte) ([]byte, int, error) {
 func (s *Source) sendLog(sub *subscriber, r *wal.Reader, cur []uint64, out []byte) ([]byte, int, error) {
 	sent, n := 0, 0
 	flush := func() error {
+		// Counted before the write, since the follower may apply the batch
+		// before Write returns, and taken back if the write fails. The
+		// cursor moves after it, so Close's drain waits for the write.
+		s.mu.Lock()
+		s.fromLog += uint64(n)
+		s.mu.Unlock()
 		if _, err := sub.conn.Write(out); err != nil {
+			s.mu.Lock()
+			s.fromLog -= uint64(n)
+			s.mu.Unlock()
 			return err
 		}
 		out = out[:0]
 		s.mu.Lock()
 		copy(sub.cur, cur)
-		s.fromLog += uint64(n)
 		s.mu.Unlock()
 		sent, n = sent+n, 0
 		return nil

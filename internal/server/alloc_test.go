@@ -6,6 +6,7 @@ import (
 	"gotle/internal/htm"
 	"gotle/internal/kvstore"
 	"gotle/internal/tle"
+	"gotle/internal/wal"
 )
 
 // TestZeroAllocHotPath is the allocation gate for the serving path: with
@@ -16,8 +17,9 @@ import (
 //
 // The gate covers the pieces the server owns end to end: field split +
 // parse (decoder), the get path and the mutation path, as a run of one and
-// as a multi-op run (executor + kvstore + epoch), and response encoding. Socket I/O is
-// excluded — bufio and the kernel sit outside the op lifecycle.
+// as a multi-op run (executor + kvstore + epoch), without and with a WAL
+// (the writer's ticket waits included), and response encoding. Socket I/O
+// is excluded — bufio and the kernel sit outside the op lifecycle.
 func TestZeroAllocHotPath(t *testing.T) {
 	t.Run("decode", func(t *testing.T) {
 		var o op
@@ -49,7 +51,8 @@ func TestZeroAllocHotPath(t *testing.T) {
 }
 
 // zeroAllocExecute gates the executing half of the hot path under one
-// policy: a set on its own, a get, an 8-op batch, and a set that evicts.
+// policy: a set on its own, a get, an 8-op batch, a set that evicts, and a
+// set and a get on a store with a WAL.
 func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 	r := tle.New(policy, tle.Config{
 		MemWords: 1 << 20,
@@ -67,23 +70,23 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 		// Through the executor's batch path, exactly as the serving
 		// pipeline runs a queued mutation (a run of one here).
 		var (
-			bops    [maxDrain]kvstore.BatchOp
-			bres    [maxDrain]kvstore.BatchResult
-			sc      kvstore.BatchScratch
-			ackFree = make(chan *batchAck, 4)
-			run     = [1]*op{o}
+			bops [maxDrain]kvstore.BatchOp
+			bres [maxDrain]kvstore.BatchResult
+			sc   kvstore.BatchScratch
+			run  = [1]*op{o}
 		)
 		key := []byte("allockey")
 		data := []byte("value")
 		one := func() {
 			o.cmd = Command{Op: OpSet, Key: key, Flags: 1}
 			o.data = data
-			s.executeBatch(th, run[:], bops[:0], bres[:], &sc, ackFree)
+			s.executeBatch(th, run[:], bops[:0], bres[:], &sc)
 			<-o.done
 			if len(o.resp) == 0 {
 				t.Fatal("empty response")
 			}
 			o.resp = nil
+			o.tickets = o.tickets[:0]
 		}
 		one()
 		if n := testing.AllocsPerRun(200, one); n != 0 {
@@ -97,6 +100,7 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 			if resp := s.run(th, o); len(resp) == 0 {
 				t.Fatal("empty response")
 			}
+			o.tickets = o.tickets[:0]
 		}
 		one()
 		if n := testing.AllocsPerRun(200, one); n != 0 {
@@ -164,6 +168,59 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 		}
 		if got := after.Evictions - before.Evictions; got < 200 {
 			t.Fatalf("%d evictions over 200+ sets: the shape does not evict", got)
+		}
+	})
+
+	t.Run("wal", func(t *testing.T) {
+		// The set and the two-key gets again, on a store with a WAL, each
+		// reply's tickets waited as the writer waits them.
+		durable := kvstore.New(r, kvstore.Config{Shards: 4})
+		l, err := wal.Open(t.TempDir(), durable.ShardCount(), wal.Options{FsyncWindow: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if _, err := durable.Recover(th, l); err != nil {
+			t.Fatal(err)
+		}
+		if err := durable.AttachWAL(l); err != nil {
+			t.Fatal(err)
+		}
+		ds := New(r, durable, Config{WAL: l})
+		var (
+			bops [maxDrain]kvstore.BatchOp
+			bres [maxDrain]kvstore.BatchResult
+			sc   kvstore.BatchScratch
+			run  = [1]*op{o}
+		)
+		key, data := []byte("walkey"), []byte("value")
+		gets := Command{Op: OpGets, Keys: [][]byte{key, []byte("missing")}}
+		wait := func(want int) {
+			if len(o.tickets) != want {
+				t.Fatalf("%d tickets, want %d", len(o.tickets), want)
+			}
+			for _, tk := range o.tickets {
+				if err := tk.Wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			o.tickets = o.tickets[:0]
+		}
+		one := func() {
+			o.cmd = Command{Op: OpSet, Key: key, Flags: 1}
+			o.data = data
+			ds.executeBatch(th, run[:], bops[:0], bres[:], &sc)
+			<-o.done
+			wait(1)
+			o.cmd = gets
+			if resp := ds.run(th, o); len(resp) == 0 {
+				t.Fatal("empty response")
+			}
+			wait(2)
+		}
+		one()
+		if n := testing.AllocsPerRun(200, one); n != 0 {
+			t.Fatalf("set and two-key gets with a WAL allocate %.1f per pair", n)
 		}
 	})
 }

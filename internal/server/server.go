@@ -62,11 +62,11 @@ type Config struct {
 	Version string
 	// Controller, when set, exposes per-shard adaptive state via stats.
 	Controller *adaptive.Controller
-	// WAL, when set, is the store's attached redo log. The server never
-	// appends to it directly — the kvstore tap does that inside the commit
-	// order — but it waits each mutation's durability ticket before acking
-	// (so a reply implies the record is fsynced) and surfaces the log's
-	// counters via stats.
+	// WAL, when set, is the store's attached redo log, read only for its
+	// counters in stats. The kvstore tap appends to it inside the commit
+	// order, and the store hands out its tickets: a reply waits for the
+	// ticket of every shard sequence its sections read, so it implies that
+	// everything the reply wrote or observed is fsynced.
 	WAL *wal.Log
 	// ReadOnly rejects every mutating verb with "SERVER_ERROR readonly".
 	// Follower replicas serve with this set: the replication stream is the
@@ -131,9 +131,9 @@ type Server struct {
 // Indices into Server.ops. ctrFusedBatches counts the runs of two or more
 // adjacent mutations the executor handed to one MutateBatch, ctrFusedOps
 // the mutations in those runs (their ratio is the mean drain width). Each
-// mutation is still its own critical section; a run shares its WAL tickets
-// and its one wait on them. The stats keys keep their names because
-// loadgen and the benchmark's traced run read them.
+// mutation is still its own critical section with its own ticket. The stats
+// keys keep their names because loadgen and the benchmark's traced run read
+// them.
 const (
 	ctrCmdGet = iota
 	ctrCmdSet
@@ -280,10 +280,10 @@ type op struct {
 	done chan struct{} // cap-1 signal, reused across recycles
 	quit bool
 
-	// batch is a mutation's durability handle, shared by every op of its
-	// run and waited by the writer strictly after the executor has moved
-	// on; nil for reads, and when nothing was logged.
-	batch *batchAck
+	// tickets holds one WAL ticket per shard section the op ran: the
+	// writer waits them all before writing the reply, strictly after the
+	// executor has moved on. Zero tickets (no WAL) cost nothing to wait.
+	tickets []wal.Ticket
 
 	// Op-owned storage, grown on demand and kept across recycling.
 	lineB []byte // request line; cmd.Key/cmd.Keys alias it
@@ -299,23 +299,8 @@ func (o *op) resolve(resp []byte) {
 	o.done <- struct{}{}
 }
 
-// batchAck is the shared durability handle of one run of mutations: one WAL
-// ticket per touched shard. The writer waits the tickets when it reaches
-// the batch's first op and recycles the handle when the last op passes.
-// Only the writer touches err/waited/pending (the done signal orders the
-// executor's ticket writes before them).
-type batchAck struct {
-	tickets []wal.Ticket
-	free    chan *batchAck
-	err     error
-	waited  bool
-	pending int
-}
-
 // maxDrain caps how many queued ops the executor takes per pass. A run of
-// adjacent mutations among them is one MutateBatch: one section per op,
-// but one set of WAL tickets, waited once, so the ack and the fsync wait
-// are amortized over the run.
+// adjacent mutations among them is one MutateBatch, one section per op.
 const maxDrain = 32
 
 var (
@@ -360,11 +345,10 @@ func (s *Server) handleConn(c net.Conn) {
 		th := s.r.NewThread()
 		defer th.Release()
 		var (
-			run     [maxDrain]*op
-			bops    [maxDrain]kvstore.BatchOp
-			bres    [maxDrain]kvstore.BatchResult
-			sc      kvstore.BatchScratch
-			ackFree = make(chan *batchAck, 4)
+			run  [maxDrain]*op
+			bops [maxDrain]kvstore.BatchOp
+			bres [maxDrain]kvstore.BatchResult
+			sc   kvstore.BatchScratch
 		)
 		closed := false
 		for !closed {
@@ -388,7 +372,7 @@ func (s *Server) handleConn(c net.Conn) {
 					break drain
 				}
 			}
-			s.executeBatch(th, run[:n], bops[:0], bres[:], &sc, ackFree)
+			s.executeBatch(th, run[:n], bops[:0], bres[:], &sc)
 			s.queued.Add(-int64(n))
 		}
 	}()
@@ -396,7 +380,9 @@ func (s *Server) handleConn(c net.Conn) {
 	// Writer: responses strictly in request order; owns the socket close.
 	// The durability gate lives here, not in the executor: waiting out a
 	// group-commit fsync must overlap the execution of later ops, or the
-	// fsync window would serialize the whole pipeline.
+	// fsync window would serialize the whole pipeline. A shard's records
+	// become durable in order, so the tickets of one fsync after the first
+	// cost one load each.
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -406,23 +392,12 @@ func (s *Server) handleConn(c net.Conn) {
 		for o := range respQ {
 			<-o.done
 			resp := o.resp
-			if a := o.batch; a != nil {
-				if !a.waited {
-					a.waited = true
-					for _, tk := range a.tickets {
-						if a.err = tk.Wait(); a.err != nil {
-							break
-						}
-					}
-				}
-				if a.err != nil && resp != nil {
-					// Applied in memory but not durable: refuse the ack.
-					resp = serverError(a.err)
-				}
-				if a.pending--; a.pending == 0 {
-					select {
-					case a.free <- a:
-					default:
+			if resp != nil {
+				for _, tk := range o.tickets {
+					if err := tk.Wait(); err != nil {
+						// Applied in memory but not durable: refuse the ack.
+						resp = serverError(err)
+						break
 					}
 				}
 			}
@@ -462,7 +437,7 @@ func recycle(o *op, free chan *op) {
 	o.data = nil
 	o.resp = nil
 	o.quit = false
-	o.batch = nil
+	o.tickets = o.tickets[:0]
 	select {
 	case free <- o:
 	default:
@@ -474,7 +449,7 @@ func recycle(o *op, free chan *op) {
 // everything else — gets, stats, admin verbs — runs on its own.
 //
 //gotle:hotpath per-batch execution; the serve-smoke gate measures the solo-set shape
-func (s *Server) executeBatch(th *tm.Thread, ops []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult, sc *kvstore.BatchScratch, ackFree chan *batchAck) {
+func (s *Server) executeBatch(th *tm.Thread, ops []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult, sc *kvstore.BatchScratch) {
 	i := 0
 	for i < len(ops) {
 		if !mutating(ops[i]) {
@@ -491,7 +466,7 @@ func (s *Server) executeBatch(th *tm.Thread, ops []*op, bops []kvstore.BatchOp, 
 		for j < len(ops) && mutating(ops[j]) {
 			j++
 		}
-		s.executeMutations(th, ops[i:j], bops, bres, sc, ackFree)
+		s.executeMutations(th, ops[i:j], bops, bres, sc)
 		i = j
 	}
 }
@@ -510,11 +485,11 @@ func mutating(o *op) bool {
 }
 
 // executeMutations runs one run of adjacent mutations as a single
-// MutateBatch — one critical section per op — and hands every op of the
-// run the batch's shared durability handle.
+// MutateBatch — one critical section per op — and hands each op its own
+// result's ticket.
 //
 //gotle:hotpath mutation-run execution; the serve-smoke gate measures the multi-op shape
-func (s *Server) executeMutations(th *tm.Thread, run []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult, sc *kvstore.BatchScratch, ackFree chan *batchAck) {
+func (s *Server) executeMutations(th *tm.Thread, run []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult, sc *kvstore.BatchScratch) {
 	stores := uint64(0)
 	for _, o := range run {
 		cmd := &o.cmd
@@ -544,26 +519,13 @@ func (s *Server) executeMutations(th *tm.Thread, run []*op, bops []kvstore.Batch
 		s.ops.Add(th.ID(), ctrFusedBatches, 1)
 		s.ops.Add(th.ID(), ctrFusedOps, uint64(len(run)))
 	}
-	var ack *batchAck
-	if len(sc.Tickets) > 0 {
-		select {
-		case ack = <-ackFree:
-		default:
-			//gotle:allow hotalloc pool miss only; steady state recycles acks through ackFree
-			ack = &batchAck{free: ackFree}
-		}
-		ack.tickets = append(ack.tickets[:0], sc.Tickets...)
-		ack.err = nil
-		ack.waited = false
-		ack.pending = len(run)
-	}
 	for k, o := range run {
-		o.batch = ack
 		if err != nil {
 			o.resolve(serverError(err)) // an engine fault: the run's outcome is unknown
-		} else {
-			o.resolve(mutationResp(o, &res[k]))
+			continue
 		}
+		o.tickets = append(o.tickets, res[k].Durable)
+		o.resolve(mutationResp(o, &res[k]))
 	}
 }
 
@@ -712,6 +674,7 @@ func (s *Server) run(th *tm.Thread, o *op) []byte {
 			if err != nil {
 				return serverError(err)
 			}
+			o.tickets = append(o.tickets, it.Durable) // a miss is acked too
 			if !ok {
 				continue
 			}

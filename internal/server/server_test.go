@@ -429,12 +429,12 @@ func TestParseCommandTable(t *testing.T) {
 	}
 	bad := []string{
 		"", "get", "set k", "set k 0 0", "set k 0 0 notanum",
-		"set k 4294967296 0 1",       // flags overflow
-		"set k 0 0 99999999",         // data length beyond cap
-		"cas k 0 0 1",                // missing cas token
-		"incr k", "incr k -1",        // bad delta
-		"delete", "frobnicate k",     // unknown verb
-		"get \x01bad",                // control char in key
+		"set k 4294967296 0 1", // flags overflow
+		"set k 0 0 99999999",   // data length beyond cap
+		"cas k 0 0 1",          // missing cas token
+		"incr k", "incr k -1",  // bad delta
+		"delete", "frobnicate k", // unknown verb
+		"get \x01bad", // control char in key
 		"set " + strings.Repeat("k", 251) + " 0 0 1", // key too long
 		"stats items",
 	}

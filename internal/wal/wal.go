@@ -78,6 +78,10 @@ type Stats struct {
 type Log struct {
 	dir  string
 	opts Options
+	// durable is, per shard, the highest seq covered by an fsync: stored
+	// only under mu (the cond broadcasts over it), loaded without it, so a
+	// ticket that is already durable costs one load.
+	durable []durableWord
 
 	// Stats counters, grouped by writer so each goroutine's words share a
 	// line with words only it updates: appends/bytes belong to the
@@ -93,14 +97,13 @@ type Log struct {
 	fsyncs    atomic.Uint64
 	segments  atomic.Uint64
 
-	// mu guards everything below: the shared batch buffer, the active
-	// segment, and the durability watermarks the cond broadcasts over.
+	// mu guards everything below: the shared batch buffer and the active
+	// segment.
 	mu      sync.Mutex
 	cond    *sync.Cond
 	buf     []byte   // framed contiguous records, not yet written
 	spare   []byte   // recycled batch buffer (keeps appends alloc-free)
 	bufTops []uint64 // per shard: highest seq framed into buf/file
-	durable []uint64 // per shard: highest seq covered by an fsync
 	tops    []uint64 // scratch: bufTops snapshot cut with each batch
 	onSync  func(durable []uint64)
 	// ends[k] is, per shard, the last seq before segment seg0+k (Recover
@@ -116,6 +119,13 @@ type Log struct {
 
 	dirty chan struct{} // capacity 1: wake the syncer
 	wg    sync.WaitGroup
+}
+
+// durableWord is one shard's durable watermark on its own cache line: the
+// syncer stores it once per fsync and every reply of that shard loads it.
+type durableWord struct {
+	atomic.Uint64
+	_ [56]byte
 }
 
 // Manifest pins the layout version and shard count: records are routed by
@@ -139,7 +149,7 @@ func Open(dir string, shards int, opts Options) (*Log, error) {
 		dir:     dir,
 		opts:    opts.withDefaults(),
 		bufTops: make([]uint64, shards),
-		durable: make([]uint64, shards),
+		durable: make([]durableWord, shards),
 		tops:    make([]uint64, shards),
 		dirty:   make(chan struct{}, 1),
 	}
@@ -245,7 +255,7 @@ func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 	l.segIdx, l.seg0 = nextIdx, nextIdx
 	l.ends = [][]uint64{last}
 	copy(l.bufTops, last)
-	copy(l.durable, last)
+	l.storeDurable(last)
 	l.segments.Add(1)
 	l.recovered.Store(uint64(total))
 	l.recoverNs.Store(int64(time.Since(t0)))
@@ -372,9 +382,9 @@ func atOrBelow(a, b []uint64) bool {
 // spends the reader.
 func (r *Reader) Next(fn func(shard int, seq uint64, frame []byte) error) error {
 	left := uint64(0)
-	r.l.mu.Lock()
-	for _, d := range r.l.durable {
-		left += d
+	r.l.mu.Lock() // one cut: the syncer stores the words under mu
+	for i := range r.l.durable {
+		left += r.l.durable[i].Load()
 	}
 	r.l.mu.Unlock()
 	for _, l := range r.last {
@@ -436,10 +446,14 @@ func (r *Reader) Close() {
 
 // Durable reports the highest sequence number of shard sh covered by an
 // fsync.
-func (l *Log) Durable(sh int) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.durable[sh]
+func (l *Log) Durable(sh int) uint64 { return l.durable[sh].Load() }
+
+// storeDurable publishes the per-shard watermarks in d; the caller holds
+// mu, or nothing runs beside it yet.
+func (l *Log) storeDurable(d []uint64) {
+	for i, v := range d {
+		l.durable[i].Store(v)
+	}
 }
 
 // OnSync registers fn to run after each fsync with the per-shard durable
@@ -473,16 +487,16 @@ type Ticket struct {
 // Wait blocks until the record is covered by an fsync (or the log failed
 // or closed first, in which case it returns the error).
 func (t Ticket) Wait() error {
-	if t.l == nil {
+	l := t.l
+	if l == nil || l.Durable(t.shard) >= t.seq {
 		return nil
 	}
-	l := t.l
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.durable[t.shard] < t.seq && l.err == nil {
+	for l.Durable(t.shard) < t.seq && l.err == nil {
 		l.cond.Wait()
 	}
-	if l.durable[t.shard] >= t.seq {
+	if l.Durable(t.shard) >= t.seq {
 		return nil
 	}
 	return l.err
@@ -491,10 +505,13 @@ func (t Ticket) Wait() error {
 // TicketFor returns the durability handle for shard sh's record seq,
 // whether it has reached the log or is still upstream in the commit
 // stream; on a nil log (no durability) it is the zero Ticket. A shard's
-// records become durable strictly in sequence order, so the highest seq a
-// batch published on a shard covers the batch's whole share of it with one
-// fsync rendezvous.
+// records become durable strictly in sequence order, so the ticket for the
+// shard sequence a section read covers everything that section wrote or
+// observed on the shard.
 func (l *Log) TicketFor(sh int, seq uint64) Ticket {
+	if l == nil {
+		return Ticket{}
+	}
 	return Ticket{l: l, shard: sh, seq: seq}
 }
 
@@ -608,7 +625,7 @@ func (l *Log) syncLoop() {
 			l.mu.Unlock()
 			return
 		}
-		copy(l.durable, l.tops)
+		l.storeDurable(l.tops)
 		l.segSize += int64(len(chunk))
 		l.fsyncs.Add(1)
 		l.bytes.Add(uint64(len(chunk)))
@@ -640,7 +657,7 @@ func (l *Log) rotateLocked() error {
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: rotate segment %d: %w", l.segIdx, err)
 	}
-	l.ends = append(l.ends, slices.Clone(l.durable))
+	l.ends = append(l.ends, slices.Clone(l.tops)) // the watermarks just stored
 	l.segIdx++
 	f, err := os.OpenFile(filepath.Join(l.dir, segName(l.segIdx)), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
