@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"os/signal"
 	"runtime/pprof"
@@ -100,8 +101,18 @@ func main() {
 	})
 	store := kvstore.New(r, kvstore.Config{Shards: *shards, MaxItemsPerShard: *capacity})
 
-	// Durability: recover first (replay runs one irrevocable section per
-	// record while no WAL is attached, so nothing is re-logged), then attach
+	// The replication listener is bound before the replay and served after
+	// it: a follower that dials meanwhile waits in the accept queue instead
+	// of backing off.
+	var replL net.Listener
+	if *replLn != "" {
+		if replL, err = net.Listen("tcp", *replLn); err != nil {
+			log.Fatal(err)
+		}
+	}
+
+	// Durability: recover first (replay runs one irrevocable section per 64
+	// records while no WAL is attached, so nothing is re-logged), then attach
 	// so every mutation from here on is redo-logged in commit order.
 	var wlog *wal.Log
 	if *walDir != "" {
@@ -142,14 +153,11 @@ func main() {
 	}
 	var src *repl.Source
 	var fw *repl.Follower
-	if *replLn != "" {
+	if replL != nil {
 		src = repl.NewSource(store.ShardCount(), walTail())
 		store.AttachTap(src)
-		raddr, err := src.Start(*replLn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("repl: streaming on %s\n", raddr)
+		src.Serve(replL)
+		fmt.Printf("repl: streaming on %s\n", replL.Addr())
 	}
 	if *follow != "" {
 		fw = repl.NewFollower(r, store, *follow, walTail())

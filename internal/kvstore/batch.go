@@ -46,6 +46,18 @@ type BatchOp struct {
 	Delta uint64 // BatchIncr/BatchDecr only
 }
 
+// check reports why the store refuses op (a bad key or value length), nil
+// when it takes it: MutateBatch skips a refused op, Recover stops at one.
+func (op *BatchOp) check() error {
+	if len(op.Key) == 0 || len(op.Key) > MaxKeyLen {
+		return ErrBadKey
+	}
+	if op.Verb.IsStore() && len(op.Val) > MaxValLen {
+		return ErrBadVal
+	}
+	return nil
+}
+
 // BatchResult is the per-op outcome. Exactly one of the verb-specific
 // fields is meaningful, selected by the op's Verb; Err, when non-nil,
 // means the op was rejected before the transaction and did not run.
@@ -135,12 +147,8 @@ func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, sc 
 	nsh := uint64(len(s.shards))
 	for i := range ops {
 		op := &ops[i]
-		if len(op.Key) == 0 || len(op.Key) > MaxKeyLen {
-			res[i] = BatchResult{Err: ErrBadKey}
-			continue
-		}
-		if op.Verb.IsStore() && len(op.Val) > MaxValLen {
-			res[i] = BatchResult{Err: ErrBadVal}
+		if bad := op.check(); bad != nil {
+			res[i] = BatchResult{Err: bad}
 			continue
 		}
 		sc.op, sc.res = op, &res[i]

@@ -220,9 +220,7 @@ func (s *Store) ShardMutexes() []*tle.Mutex {
 }
 
 // Apply replays one logged mutation as a transaction, beside readers: a
-// follower's apply loop is this call per record. WAL recovery (Recover)
-// runs it inside a serial section per record, with nothing attached, so
-// recovered records are not re-logged.
+// follower's apply loop is this call per record.
 func (s *Store) Apply(th *tm.Thread, rec logrec.Record) error {
 	switch rec.Op {
 	case logrec.OpSet:
@@ -236,26 +234,74 @@ func (s *Store) Apply(th *tm.Thread, rec logrec.Record) error {
 	return fmt.Errorf("kvstore: unknown log op %v", rec.Op)
 }
 
+// replayBatch is how many records Recover applies per serial section.
+const replayBatch = 64
+
 // Recover replays l into the store, which must not be serving yet and must
-// have nothing attached (call AttachWAL after it). Nothing runs beside a
-// recovering store, so speculation buys it nothing: each record runs in its
-// own irrevocable section (Engine.Synchronized), the shard's Do flattens
-// into it, and the mutation runs with direct loads and stores, with no
-// write buffer, commit or capacity abort. One section per record, not one
-// per log: a serial section frees the blocks it replaced only at its end,
-// so the heap reuses them as the replay goes. A record the store refuses
-// ends the replay with its error. Recover returns the records replayed.
+// have nothing attached (call AttachWAL after it), so nothing is re-logged.
+// Nothing runs beside a recovering store, so speculation buys it nothing:
+// each run of replayBatch records is one irrevocable section
+// (Engine.Synchronized) around one MutateBatch, whose per-op Do flattens
+// into it, so the mutations run with direct loads and stores, with no write
+// buffer, commit or capacity abort. A section holds a batch, not the whole
+// log, because a serial section frees the blocks it replaced only at its
+// end, and the heap should reuse them as the replay goes. The log hands
+// each record out of a reused frame, so keys and values are copied into
+// one reused arena. A record the store refuses ends the replay inside
+// l.Recover, before the log is armed: the batch ahead of it commits and
+// the error names its shard and seq. Recover returns the records replayed.
 func (s *Store) Recover(th *tm.Thread, l *wal.Log) (int, error) {
-	var rec wal.Record
-	body := func(tm.Tx) error { return s.Apply(th, rec) } // bound once, not per record
-	e := s.r.Engine()
-	return l.Recover(func(sh int, r wal.Record) error {
-		rec = r
-		if err := e.Synchronized(th, body); err != nil {
-			return fmt.Errorf("kvstore: replay shard %d seq %d: %w", sh, r.Seq, err)
+	var (
+		ops   [replayBatch]BatchOp
+		res   [replayBatch]BatchResult
+		sc    BatchScratch
+		arena []byte
+		n     int
+	)
+	body := func(tm.Tx) error { return s.MutateBatch(th, ops[:n], res[:n], &sc) }
+	flush := func() error {
+		if n == 0 {
+			return nil
+		}
+		err := s.r.Engine().Synchronized(th, body)
+		n, arena = 0, arena[:0]
+		if err != nil {
+			return fmt.Errorf("kvstore: replay: %w", err)
+		}
+		return nil
+	}
+	got, err := l.Recover(func(sh int, r wal.Record) error {
+		op := BatchOp{Verb: BatchSet, Key: r.Key, Val: r.Val, Flags: r.Flags}
+		var bad error
+		switch r.Op {
+		case logrec.OpSet:
+		case logrec.OpDelete:
+			op.Verb = BatchDelete
+		default:
+			bad = fmt.Errorf("kvstore: unknown log op %v", r.Op)
+		}
+		if bad == nil {
+			bad = op.check()
+		}
+		if bad != nil {
+			if err := flush(); err != nil {
+				return err
+			}
+			return fmt.Errorf("kvstore: replay shard %d seq %d: %w", sh, r.Seq, bad)
+		}
+		k := len(arena)
+		arena = append(append(arena, r.Key...), r.Val...)
+		op.Key, op.Val = arena[k:k+len(r.Key)], arena[k+len(r.Key):]
+		ops[n] = op
+		if n++; n == replayBatch {
+			return flush()
 		}
 		return nil
 	})
+	if err == nil {
+		err = flush()
+	}
+	return got, err
 }
 
 // AttachWAL arms redo logging: every committed mutation from here on

@@ -46,6 +46,7 @@ type Follower struct {
 
 	connected    atomic.Bool
 	sessions     atomic.Uint64 // successful handshakes
+	dialFailures atomic.Uint64 // dials the primary refused or let time out
 	appliedTotal atomic.Uint64 // records applied by this process
 
 	mu      sync.Mutex
@@ -135,6 +136,7 @@ func (f *Follower) run() {
 func (f *Follower) session() error {
 	conn, err := net.DialTimeout("tcp", f.addr, 2*time.Second)
 	if err != nil {
+		f.dialFailures.Add(1)
 		return err
 	}
 	f.mu.Lock()
@@ -272,6 +274,7 @@ func (f *Follower) StatLines() [][2]string {
 		{"repl_role", "follower"},
 		{"repl_connected", strconv.FormatBool(f.connected.Load())},
 		{"repl_reconnects", strconv.FormatUint(max(f.sessions.Load(), 1)-1, 10)},
+		{"repl_dial_failures", strconv.FormatUint(f.dialFailures.Load(), 10)},
 		{"repl_applied_records", strconv.FormatUint(f.appliedTotal.Load(), 10)},
 	}
 	var totalLag uint64

@@ -228,3 +228,67 @@ func TestHandshakeRejectsStrangers(t *testing.T) {
 		t.Fatalf("legal handshake: got %q, want OK 4", line)
 	}
 }
+
+// statLine returns the value of one of the follower's stats lines.
+func statLine(fw *Follower, name string) string {
+	for _, kv := range fw.StatLines() {
+		if kv[0] == name {
+			return kv[1]
+		}
+	}
+	return ""
+}
+
+// TestFollowerDialsBeforeServe: a follower that dials a primary whose
+// listener is bound but not yet served (the primary is still replaying its
+// log) waits in the accept queue and attaches once Serve starts, with no
+// failed dial and no reconnect. A follower dialing a port nobody listens on
+// counts its failed dials.
+func TestFollowerDialsBeforeServe(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, fs := newFollowerStore(t)
+	fw := NewFollower(fr, fs, ln.Addr().String(), nil)
+	fw.Start()
+	defer fw.Stop()
+
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close()
+	dr, ds := newFollowerStore(t)
+	lost := NewFollower(dr, ds, dead.Addr().String(), nil)
+	lost.Start()
+	defer lost.Stop()
+
+	time.Sleep(200 * time.Millisecond) // several backoff steps, had a dial been refused
+	pr, ps := newFollowerStore(t)
+	src := NewSource(ps.ShardCount(), nil)
+	ps.AttachTap(src)
+	src.Serve(ln)
+	defer src.Close(time.Second)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for statLine(fw, "repl_connected") != "true" {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never connected; dial failures %s", statLine(fw, "repl_dial_failures"))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if f, r := statLine(fw, "repl_dial_failures"), statLine(fw, "repl_reconnects"); f != "0" || r != "0" {
+		t.Fatalf("repl_dial_failures %s, repl_reconnects %s; want 0, 0", f, r)
+	}
+	if f := statLine(lost, "repl_dial_failures"); f == "0" || f == "" {
+		t.Fatalf("a follower of a closed port reports %q failed dials", f)
+	}
+	th := pr.NewThread()
+	defer th.Release()
+	if err := ps.Set(th, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, src, fw)
+	assertConverged(t, pr, ps, fr, fs)
+}

@@ -175,6 +175,15 @@ func (s *Source) Start(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.Serve(ln)
+	return ln.Addr(), nil
+}
+
+// Serve serves subscriptions on ln in the background; Close closes ln. A
+// primary binds its listener before it replays its log and serves it after:
+// a follower that dials meanwhile waits in the accept queue instead of being
+// refused and backing off.
+func (s *Source) Serve(ln net.Listener) {
 	s.ln = ln
 	s.wg.Add(1)
 	go func() {
@@ -194,7 +203,6 @@ func (s *Source) Start(addr string) (net.Addr, error) {
 			}()
 		}
 	}()
-	return ln.Addr(), nil
 }
 
 // handle runs one subscription: handshake, then the sender loop, with an

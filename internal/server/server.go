@@ -754,7 +754,7 @@ func serverError(err error) []byte {
 func (s *Server) statsResponse(th *tm.Thread) []byte {
 	// The engine's counters as the command arrives, before its own reads of
 	// the store; what happened before New (a recovery replay, one serial
-	// section per record) is not traffic.
+	// section per 64 records) is not traffic.
 	all := s.r.Engine().Snapshot()
 	es := all.Sub(s.tm0)
 	var b []byte

@@ -281,7 +281,7 @@ func TestSerialSectionDoesNotWaitForCommitActions(t *testing.T) {
 }
 
 // A serial section allocates nothing of its own: a single-threaded replay
-// runs one per record.
+// runs one per 64 records.
 func TestSerialSectionAllocatesNothing(t *testing.T) {
 	for _, mode := range []Mode{ModeSTM, ModeHTM} {
 		t.Run(mode.String(), func(t *testing.T) {
