@@ -154,6 +154,9 @@ func (c *checker) call(pkg *analysis.Package, call *ast.CallExpr, amortized, sel
 	if c.pass.Prog.Coldpath(fn) {
 		return // deliberately unoptimized branch, trusted by annotation
 	}
+	if fn.FullName() == "slices.Grow" && selfAppend[call] {
+		return // x = slices.Grow(x, n): amortized like self-append
+	}
 	if desc := tmflow.AllocCallDesc(fn); desc != "" {
 		c.pass.Reportf(call.Pos(), "%s on the hot path%s", desc, via)
 		return
@@ -210,6 +213,9 @@ func (c *checker) boxing(pkg *analysis.Package, call *ast.CallExpr, fn *types.Fu
 			pt = params.At(i).Type()
 		} else {
 			continue
+		}
+		if _, isTParam := pt.(*types.TypeParam); isTParam {
+			continue // instantiated statically, never boxed
 		}
 		if _, isIface := types.Unalias(pt.Underlying()).(*types.Interface); !isIface {
 			continue
@@ -291,17 +297,25 @@ func condReadsCap(pkg *analysis.Package, cond ast.Expr) bool {
 	return found
 }
 
-// selfAppends returns the append calls whose result feeds back into the
-// same base: `x = append(x, ...)`, `x = append(x[:0], ...)`,
-// `x.f = append(x.f, ...)`, and `return append(dst, ...)` (the caller
-// owns and reuses dst). Growth is amortized; steady state is
-// allocation-free.
+// selfAppends returns the append (and slices.Grow) calls whose result
+// feeds back into the same base: `x = append(x, ...)`, `x =
+// append(x[:0], ...)`, `x.f = append(x.f, ...)`, `x = slices.Grow(x,
+// n)[:m]`, and `return append(dst, ...)` (the caller owns and reuses dst;
+// a returned slices.Grow is not admitted). Growth is amortized; steady
+// state is allocation-free.
 func selfAppends(pkg *analysis.Package, body *ast.BlockStmt) map[*ast.CallExpr]bool {
 	out := map[*ast.CallExpr]bool{}
-	isAppend := func(e ast.Expr) (*ast.CallExpr, bool) {
-		call, ok := ast.Unparen(e).(*ast.CallExpr)
+	isAppend := func(e ast.Expr, grow bool) (*ast.CallExpr, bool) {
+		e = ast.Unparen(e)
+		if sl, ok := e.(*ast.SliceExpr); ok && grow {
+			e = ast.Unparen(sl.X) // slices.Grow(x, n)[:m]
+		}
+		call, ok := e.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
 			return nil, false
+		}
+		if fn := pkg.FuncOf(call); fn != nil && fn.FullName() == "slices.Grow" {
+			return call, grow
 		}
 		name, ok := builtinName(pkg, call)
 		return call, ok && name == "append"
@@ -313,7 +327,7 @@ func selfAppends(pkg *analysis.Package, body *ast.BlockStmt) map[*ast.CallExpr]b
 				return true
 			}
 			for i, rhs := range n.Rhs {
-				call, ok := isAppend(rhs)
+				call, ok := isAppend(rhs, true)
 				if !ok {
 					continue
 				}
@@ -327,7 +341,7 @@ func selfAppends(pkg *analysis.Package, body *ast.BlockStmt) map[*ast.CallExpr]b
 			}
 		case *ast.ReturnStmt:
 			for _, r := range n.Results {
-				if call, ok := isAppend(r); ok {
+				if call, ok := isAppend(r, false); ok {
 					out[call] = true
 				}
 			}

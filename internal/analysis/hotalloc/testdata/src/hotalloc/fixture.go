@@ -8,6 +8,8 @@ package fixture
 
 import (
 	"fmt"
+	"hash/crc32"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -27,6 +29,23 @@ func (c *conn) grow(n int) {
 		c.buf = make([]byte, 0, n)
 	}
 	c.buf = append(c.buf[:0], c.line...)
+}
+
+// growFrame is the frame encoder's shape: slices.Grow of the reused base
+// is self-append (its type-parameter argument is not boxed) and crc32 is
+// allowlisted; Grow of another slice allocates.
+//gotle:hotpath fixture: slices.Grow and crc32
+func (c *conn) growFrame(n int) uint32 {
+	c.buf = slices.Grow(c.buf, n)[:n]
+	out := slices.Grow(c.line, n) // want hotalloc:"calls slices.Grow.*not on the allocation-free allowlist"
+	return crc32.ChecksumIEEE(c.buf) + uint32(len(out))
+}
+
+// growNew returns a fresh Grow, which allocates on every call: only the
+// assignment form reuses a base.
+//gotle:hotpath fixture: returned slices.Grow
+func growNew(n int) []byte {
+	return slices.Grow([]byte(nil), n) // want hotalloc:"calls slices.Grow.*not on the allocation-free allowlist"
 }
 
 // direct flags the direct allocation vocabulary; the trailing

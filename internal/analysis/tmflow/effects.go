@@ -292,6 +292,8 @@ func AllocFreeExtern(fn *types.Func) bool {
 	case "encoding/binary":
 		// The endian Uint/PutUint methods compile to loads and stores.
 		return true
+	case "hash/crc32":
+		return name == "ChecksumIEEE" || name == "Checksum" || name == "Update"
 	case "sync", "sync/atomic", "runtime", "math", "math/bits", "unsafe", "time", "os", "net", "syscall":
 		// sync/atomic and friends do not allocate; os/net/syscall calls
 		// are txsafe findings inside sections, not allocation findings.

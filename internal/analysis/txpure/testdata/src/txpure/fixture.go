@@ -22,6 +22,23 @@ func globals() {
 	})
 }
 
+// The same writes one static call down, where a section's real work
+// lives: the walk follows callees for package-level writes. A local of the
+// callee stays quiet.
+func globalsViaCallee() {
+	eng.Atomic(th, func(tx tm.Tx) error {
+		touchGlobals(tx.Load(0))
+		return nil
+	})
+}
+
+func touchGlobals(v uint64) {
+	n := int(v)
+	n++
+	counter += n  // want txpure:"package-level variable counter.*reached via .*touchGlobals"
+	gmap["k"] = n // want txpure:"package-level variable gmap.*reached via .*touchGlobals"
+}
+
 // accum is the kvstore.Len bug shape: the captured accumulator keeps the
 // previous attempt's value across a retry.
 func accum(addrs []memseg.Addr) int {

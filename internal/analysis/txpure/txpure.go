@@ -15,8 +15,9 @@
 //   - a memseg.Addr published to a global, a field or an element: visible
 //     before the transaction commits, and dangling if the attempt aborts
 //     after Tx.Alloc (publish through Tx.Store, or after the section);
-//   - a write to a package-level variable: globally visible before the
-//     transaction commits, and never rolled back;
+//   - a write to a package-level variable, in the body or in any function
+//     it statically calls: globally visible before the transaction
+//     commits, and never rolled back;
 //   - a write through a captured reference (pointer, struct field, slice
 //     or map element): the target outlives the attempt, so the leak is
 //     shared with other goroutines;
@@ -128,6 +129,29 @@ func checkEntry(pass *analysis.Pass, e *analysis.Entry) {
 			c.checkWrite(n.X, true)
 		}
 	})
+
+	// A package-level write is wrong anywhere in the section's extent, so
+	// static callees are checked for it too (the body's own sites above).
+	v := &tmflow.Visitor{Prog: pass.Prog, Opaque: analysis.IsRuntimeFn, Visit: func(pkg *analysis.Package, n ast.Node, trail []*types.Func) bool {
+		var lhs []ast.Expr
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				lhs = n.Lhs
+			}
+		case *ast.IncDecStmt:
+			lhs = []ast.Expr{n.X}
+		}
+		for _, l := range lhs {
+			if root := analysis.RootIdent(l); root != nil && len(trail) > 0 {
+				if g, ok := pkg.Info.Uses[root].(*types.Var); ok && pkg.IsGlobal(g) {
+					pass.Reportf(l.Pos(), "write to or through package-level variable %s in an atomic block: not rolled back on abort (use Tx.Store on TM memory, or Tx.Defer)%s", g.Name(), analysis.TrailString(trail))
+				}
+			}
+		}
+		return true
+	}}
+	v.Walk(pkg, e.Body())
 }
 
 // checkEscape flags a store of a Tx or a TM address into a location that

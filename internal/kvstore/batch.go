@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"errors"
+	"strconv"
 
 	"gotle/internal/tm"
 	"gotle/internal/wal"
@@ -79,36 +80,13 @@ var (
 	ErrBadKey = errors.New("kvstore: bad key length")
 	ErrBadVal = errors.New("kvstore: value exceeds MaxValLen")
 
-	errResLen      = errors.New("kvstore: MutateBatch len(ops) != len(res)")
-	errScratchMove = errors.New("kvstore: BatchScratch reused across stores")
+	errResLen = errors.New("kvstore: MutateBatch len(ops) != len(res)")
+	errNested = errors.New("kvstore: MutateBatch inside a transaction with a sink attached")
 )
 
-// BatchScratch carries the reusable state of one connection's batches.
-// Each executor goroutine owns one; the zero value is ready. A scratch
-// must stay with one Store.
-type BatchScratch struct {
-	recs    []wal.Record // the section in flight's redo records, published at its commit
-	store   *Store
-	flushFn func() // one closure, reused across sections (tx.Defer target)
-
-	// The section in flight, parked here so bodyFn (bound once) can reach
-	// it: a fresh closure per op would cost an allocation.
-	op     *BatchOp
-	res    *BatchResult
-	hash   uint64
-	si     int
-	seq    uint64 // the shard sequence the section read last
-	bodyFn func(tx tm.Tx) error
-
-	// numB is the digit arena for incr/decr results: applyIncr appends each
-	// op's decimal bytes here so a run of counters stages WAL records
-	// without per-op allocations. Emptied per batch; each section's attempt
-	// truncates it to numBase, where that section started: a retry drops its
-	// earlier attempt's digits, and no section rewrites the bytes an earlier
-	// section's record was staged from.
-	numB    []byte
-	numBase int
-}
+// BatchScratch is an empty placeholder kept for MutateBatch's callers that
+// still pass one; the store keeps no per-connection state.
+type BatchScratch struct{}
 
 // MutateBatch applies ops in order, filling res (len(res) must equal
 // len(ops)) with per-op outcomes. Rejected ops (bad key/value length) get
@@ -120,30 +98,18 @@ type BatchScratch struct {
 // engine failure; the ops before the failing one have committed and the
 // ops after it did not run.
 //
+// A committed write reaches the commit stream after its section returns,
+// which is after its commit only at top level: with a sink attached,
+// MutateBatch refuses to run inside another transaction.
+//
 //gotle:hotpath per-batch mutation entry; covered by the serve-smoke AllocsPerRun gate
-func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, sc *BatchScratch) error {
+func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, _ *BatchScratch) error {
 	if len(ops) != len(res) {
 		return errResLen
 	}
-	if sc.store == nil {
-		sc.store = s
-		//gotle:allow hotalloc bound once per scratch lifetime, reused by every section
-		sc.bodyFn = func(tx tm.Tx) error { return s.batchBody(tx, sc) }
-		// The one hand-off of committed records downstream, run post-commit.
-		// One closure for the life of the scratch: tx.Defer on the hot path
-		// must not allocate a fresh func per section.
-		//gotle:allow hotalloc bound once per scratch lifetime, reused by every section
-		sc.flushFn = func() {
-			if len(sc.recs) > 0 {
-				s.stream.Publish(sc.si, sc.recs)
-			}
-		}
-	} else if sc.store != s {
-		return errScratchMove
+	if s.stream != nil && th.InTx() {
+		return errNested
 	}
-	sc.numB = sc.numB[:0]
-
-	var err error
 	nsh := uint64(len(s.shards))
 	for i := range ops {
 		op := &ops[i]
@@ -151,57 +117,67 @@ func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, sc 
 			res[i] = BatchResult{Err: bad}
 			continue
 		}
-		sc.op, sc.res = op, &res[i]
-		sc.hash = fnv1a(op.Key)
-		sc.si = int(sc.hash % nsh)
-		sc.numBase = len(sc.numB)
-		if err = s.shards[sc.si].mu.Do(th, sc.bodyFn); err != nil {
-			break
+		h := fnv1a(op.Key)
+		si := int(h % nsh)
+		sh := &s.shards[si]
+		var (
+			r      BatchResult
+			seq    uint64
+			logged wal.Op
+			fl     uint32
+		)
+		err := sh.mu.Do(th, func(tx tm.Tx) error {
+			r, seq, logged, fl = s.batchBody(tx, sh, h, op)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		res[i].Durable = s.wal.TicketFor(sc.si, sc.seq)
+		if logged != 0 {
+			recs := [1]wal.Record{{Op: logged, Seq: seq, Flags: fl, Key: op.Key}}
+			var digits [20]byte
+			if op.Verb == BatchIncr || op.Verb == BatchDecr {
+				recs[0].Val = strconv.AppendUint(digits[:0], r.NewVal, 10)
+			} else if logged == wal.OpSet {
+				recs[0].Val = op.Val
+			}
+			s.stream.Publish(si, recs[:])
+		}
+		r.Durable = s.wal.TicketFor(si, seq)
+		res[i] = r
 	}
-	return err
+	return nil
 }
 
-// batchBody is the transaction body of one op, sc.op on shard sc.si: the
-// one place a shard is mutated. res and the staged records are write-only
-// across attempts: reset at the top, assigned wholesale, never read — a
-// retry cannot observe a prior attempt.
+// batchBody is the transaction body of op on shard sh: the one place a
+// shard is mutated. It returns the op's result, the shard sequence it read
+// last (the section's durability point) and, when it wrote with a sink
+// attached, its redo record's op and flags; the record's Seq is then that
+// sequence, drawn inside tx, so the log order equals the shard's
+// serialization order. MutateBatch builds the record after commit from op
+// (an incr's digits from NewVal): a whole record returned out of every
+// section cost replay about 5 %.
 //
-//gotle:hotpath the mutating transaction body, entered via the scratch's bound closure
-func (s *Store) batchBody(tx tm.Tx, sc *BatchScratch) error {
-	op, sh, h := sc.op, &s.shards[sc.si], sc.hash
-	sc.recs = sc.recs[:0]
-	sc.numB = sc.numB[:sc.numBase]
+//gotle:hotpath the mutating transaction body
+func (s *Store) batchBody(tx tm.Tx, sh *shard, h uint64, op *BatchOp) (res BatchResult, seq uint64, logged wal.Op, flags uint32) {
 	switch op.Verb {
 	case BatchSet, BatchAdd, BatchReplace, BatchCAS:
-		st := s.applyStore(tx, sh, h, op.Key, op.Val, op.Flags, op.Verb, op.Cas)
-		*sc.res = BatchResult{Store: st}
-		if st == Stored {
-			s.stageWAL(tx, sh, sc, wal.OpSet, op.Flags, op.Key, op.Val)
+		res.Store = s.applyStore(tx, sh, h, op.Key, op.Val, op.Flags, op.Verb, op.Cas)
+		if res.Store == Stored {
+			logged, flags = wal.OpSet, op.Flags
 		}
 	case BatchDelete:
-		rm := s.applyDelete(tx, sh, h, op.Key)
-		*sc.res = BatchResult{Removed: rm}
-		if rm {
-			s.stageWAL(tx, sh, sc, wal.OpDelete, 0, op.Key, nil)
+		res.Removed = s.applyDelete(tx, sh, h, op.Key)
+		if res.Removed {
+			logged = wal.OpDelete
 		}
 	case BatchIncr, BatchDecr:
-		nv, full, fl, st := s.applyIncr(tx, sh, h, op.Key, op.Delta, op.Verb == BatchDecr, sc.numB)
-		var nb []byte
-		if full != nil {
-			// Re-adopt the arena: append inside applyIncr may have grown
-			// it. Growth amortizes to zero once the arena reaches the
-			// connection's steady batch shape.
-			sc.numB = full
-			nb = full[sc.numBase:]
-		}
-		*sc.res = BatchResult{Incr: st, NewVal: nv}
-		if st == IncrStored {
-			s.stageWAL(tx, sh, sc, wal.OpSet, fl, op.Key, nb)
+		res.NewVal, flags, res.Incr = s.applyIncr(tx, sh, h, op.Key, op.Delta, op.Verb == BatchDecr)
+		if res.Incr == IncrStored {
+			logged = wal.OpSet
 		}
 	default:
-		*sc.res = BatchResult{Err: ErrBadKey}
+		res.Err = ErrBadKey
 	}
 	// Unconditional: the engine enforces the allocator-safety wait for
 	// freeing attempts regardless of this call (under DeferredReclaim the
@@ -210,25 +186,15 @@ func (s *Store) batchBody(tx tm.Tx, sc *BatchScratch) error {
 	// commit, so policy-level quiescence is never needed here.
 	//gotle:allow txsafe allocator safety is engine-enforced for freeing attempts; no post-commit non-transactional access to privatized items
 	tx.NoQuiesce()
-	if s.stream != nil {
-		sc.seq = tx.Load(sh.base + shWalSeq) // last read: the section's durability point
-		tx.Defer(sc.flushFn)                 // publishes whatever the op above staged
-	}
-	return nil
-}
-
-// stageWAL is the commit-pipeline tap. It draws the shard's next commit
-// sequence number inside tx — so the number rolls back with the attempt and
-// the log order equals the shard's serialization order — and stages a redo
-// record in the scratch; flushFn publishes it post-commit, the sanctioned
-// channel for irrevocable effects, keeping the fsync wait out of the
-// transaction. Key/val alias the op's buffers: the commit stream frames
-// them during the deferred call, before MutateBatch returns.
-func (s *Store) stageWAL(tx tm.Tx, sh *shard, sc *BatchScratch, op wal.Op, flags uint32, key, val []byte) {
 	if s.stream == nil {
-		return
+		return res, 0, 0, 0
 	}
-	seq := tx.Load(sh.base+shWalSeq) + 1
-	tx.Store(sh.base+shWalSeq, seq)
-	sc.recs = append(sc.recs, wal.Record{Seq: seq, Op: op, Flags: flags, Key: key, Val: val})
+	// Last, so that sets on the shard's other keys conflict with this
+	// read for as short a time as possible.
+	seq = tx.Load(sh.base + shWalSeq)
+	if logged != 0 {
+		seq++
+		tx.Store(sh.base+shWalSeq, seq)
+	}
+	return res, seq, logged, flags
 }

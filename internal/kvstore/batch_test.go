@@ -2,14 +2,18 @@ package kvstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gotle/internal/htm"
+	"gotle/internal/logrec"
 	"gotle/internal/tle"
+	"gotle/internal/tm"
 	"gotle/internal/wal"
 )
 
@@ -81,7 +85,6 @@ func TestMutateBatchSequentialSemantics(t *testing.T) {
 			tr := &oneLockTracer{t: t, held: map[uint64]int{}}
 			r, s, keys := newBatchStore(t, config, 3, tle.Config{Tracer: tr})
 			th := r.NewThread()
-			var sc BatchScratch
 			a, b, ctr := keys[0], keys[1], keys[2]
 
 			ops := []BatchOp{
@@ -96,7 +99,7 @@ func TestMutateBatchSequentialSemantics(t *testing.T) {
 			}
 			res := make([]BatchResult, len(ops))
 			before := tr.acquires
-			if err := s.MutateBatch(th, ops, res, &sc); err != nil {
+			if err := s.MutateBatch(th, ops, res, nil); err != nil {
 				t.Fatal(err)
 			}
 			if got := tr.acquires - before; got != len(ops) {
@@ -137,7 +140,6 @@ func TestShardObserverSeesOnlyItsOwnSections(t *testing.T) {
 			r, s, keys := newBatchStore(t, config, 3, tle.Config{Observe: true})
 			th := r.NewThread()
 			defer th.Release()
-			var sc BatchScratch
 			a, b, c := keys[0], keys[1], keys[2]
 			ops := []BatchOp{
 				{Verb: BatchSet, Key: a, Val: []byte("1")},
@@ -155,7 +157,7 @@ func TestShardObserverSeesOnlyItsOwnSections(t *testing.T) {
 			for i := range before {
 				before[i] = s.ShardMutex(i).Observer().Snapshot().Commits
 			}
-			if err := s.MutateBatch(th, ops, make([]BatchResult, len(ops)), &sc); err != nil {
+			if err := s.MutateBatch(th, ops, make([]BatchResult, len(ops)), nil); err != nil {
 				t.Fatal(err)
 			}
 			for i := range want {
@@ -174,7 +176,6 @@ func TestMutateBatchCASMidBatch(t *testing.T) {
 	r := newRT(tle.PolicySTMCondVar)
 	s := New(r, Config{Shards: 4})
 	th := r.NewThread()
-	var sc BatchScratch
 
 	if err := s.Set(th, []byte("k"), []byte("v0")); err != nil {
 		t.Fatal(err)
@@ -191,7 +192,7 @@ func TestMutateBatchCASMidBatch(t *testing.T) {
 		{Verb: BatchCAS, Key: []byte("gone"), Val: []byte("x"), Cas: 1}, // absent: NOT_FOUND
 	}
 	res := make([]BatchResult, len(ops))
-	if err := s.MutateBatch(th, ops, res, &sc); err != nil {
+	if err := s.MutateBatch(th, ops, res, nil); err != nil {
 		t.Fatal(err)
 	}
 	if res[0].Store != Stored || res[1].Store != CASExists || res[2].Store != CASNotFound {
@@ -208,7 +209,6 @@ func TestMutateBatchErrorIsolation(t *testing.T) {
 	r := newRT(tle.PolicySTMCondVar)
 	s := New(r, Config{Shards: 4})
 	th := r.NewThread()
-	var sc BatchScratch
 
 	longKey := []byte(strings.Repeat("k", MaxKeyLen+1))
 	bigVal := bytes.Repeat([]byte("v"), MaxValLen+1)
@@ -220,7 +220,7 @@ func TestMutateBatchErrorIsolation(t *testing.T) {
 		{Verb: BatchDelete, Key: nil},
 	}
 	res := make([]BatchResult, len(ops))
-	if err := s.MutateBatch(th, ops, res, &sc); err != nil {
+	if err := s.MutateBatch(th, ops, res, nil); err != nil {
 		t.Fatal(err)
 	}
 	if res[0].Err != nil || res[0].Store != Stored {
@@ -291,7 +291,6 @@ func TestMutateBatchWALTickets(t *testing.T) {
 
 			r, s, keys, l := build()
 			th := r.NewThread()
-			var sc BatchScratch
 			ops := []BatchOp{
 				{Verb: BatchSet, Key: keys[0], Val: []byte("v0"), Flags: 3},
 				{Verb: BatchSet, Key: keys[1], Val: []byte("v1")},
@@ -303,7 +302,7 @@ func TestMutateBatchWALTickets(t *testing.T) {
 			// The shard sequence each op's ticket must cover.
 			covers := []uint64{1, 1, 2, 2, 3, 2}
 			res := make([]BatchResult, len(ops))
-			if err := s.MutateBatch(th, ops, res, &sc); err != nil {
+			if err := s.MutateBatch(th, ops, res, nil); err != nil {
 				t.Fatal(err)
 			}
 			if res[5].Store != NotStored {
@@ -367,7 +366,6 @@ func TestMutateBatchConcurrentLinearizes(t *testing.T) {
 			defer wg.Done()
 			wth := r.NewThread()
 			defer wth.Release()
-			var sc BatchScratch
 			ops := make([]BatchOp, width)
 			res := make([]BatchResult, width)
 			for b := 0; b < batches; b++ {
@@ -380,7 +378,7 @@ func TestMutateBatchConcurrentLinearizes(t *testing.T) {
 						ops[i] = BatchOp{Verb: BatchSet, Key: []byte(fmt.Sprintf("w%d-%d", w, i)), Val: []byte("x")}
 					}
 				}
-				if err := s.MutateBatch(wth, ops, res, &sc); err != nil {
+				if err := s.MutateBatch(wth, ops, res, nil); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
@@ -399,5 +397,61 @@ func TestMutateBatchConcurrentLinearizes(t *testing.T) {
 	want := fmt.Sprint(workers * batches * (width / 2))
 	if v, ok, _ := s.Get(th, []byte("ctr")); !ok || string(v) != want {
 		t.Fatalf("ctr = %q, %v; want %s", v, ok, want)
+	}
+}
+
+// countSink counts the records a commit stream releases to it.
+type countSink struct{ n atomic.Int64 }
+
+func (c *countSink) Emit(_ int, _ uint64, n int, _ []byte) { c.n.Add(int64(n)) }
+
+// TestMutateBatchRefusedNestedWithSink pins the nesting rule: a section's
+// record is published after MutateBatch's Do returns, which is after its
+// commit only at top level, so with a sink attached MutateBatch refuses to
+// run inside another transaction and publishes nothing. At top level the
+// same op commits and publishes its one record.
+func TestMutateBatchRefusedNestedWithSink(t *testing.T) {
+	for _, p := range []tle.Policy{tle.PolicySTMCondVar, tle.PolicyHTMCondVar} {
+		t.Run(p.String(), func(t *testing.T) {
+			r := newRT(p)
+			s := New(r, Config{Shards: 2})
+			sink := &countSink{}
+			s.AttachTap(sink)
+			th := r.NewThread()
+			defer th.Release()
+			ops := []BatchOp{{Verb: BatchSet, Key: []byte("k"), Val: []byte("v")}}
+			res := make([]BatchResult, 1)
+			err := r.Engine().Atomic(th, func(tm.Tx) error { return s.MutateBatch(th, ops, res, nil) })
+			if !errors.Is(err, errNested) {
+				t.Fatalf("nested MutateBatch = %v, want %v", err, errNested)
+			}
+			if released, _ := s.CommitStream().Counts(); released != 0 || sink.n.Load() != 0 {
+				t.Fatalf("nested MutateBatch published %d records (sink saw %d), want 0", released, sink.n.Load())
+			}
+			if _, ok, _ := s.Get(th, ops[0].Key); ok {
+				t.Fatal("refused nested MutateBatch stored its key")
+			}
+			if err := s.MutateBatch(th, ops, res, nil); err != nil || res[0].Store != Stored {
+				t.Fatalf("top-level MutateBatch = %v, %v", res[0].Store, err)
+			}
+			if sink.n.Load() != 1 {
+				t.Fatalf("top-level set published %d records, want 1", sink.n.Load())
+			}
+			// Recover nests MutateBatch in a serial section, so the same
+			// rule refuses a replay into a store with a sink attached.
+			dir := t.TempDir()
+			writeLog(t, dir, s, []wal.Record{{Op: logrec.OpSet, Key: []byte("r"), Val: []byte("v")}})
+			l, err := wal.Open(dir, s.ShardCount(), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if _, err := s.Recover(th, l); !errors.Is(err, errNested) {
+				t.Fatalf("Recover with a sink attached = %v, want %v", err, errNested)
+			}
+			if sink.n.Load() != 1 {
+				t.Fatalf("refused Recover published %d records, want 1 in all", sink.n.Load())
+			}
+		})
 	}
 }

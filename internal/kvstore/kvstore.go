@@ -47,7 +47,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
-	"sync"
 
 	"gotle/internal/logrec"
 	"gotle/internal/memseg"
@@ -157,9 +156,6 @@ type Store struct {
 	// wal issues the durability tickets for records sent down stream; a
 	// nil log (no AttachWAL) issues zero, already-durable tickets.
 	wal *wal.Log
-	// solos recycles the one-op batches behind Set, Delete, Incr and the
-	// other single-key mutators (*solo).
-	solos sync.Pool
 }
 
 type shard struct {
@@ -254,11 +250,10 @@ func (s *Store) Recover(th *tm.Thread, l *wal.Log) (int, error) {
 	var (
 		ops   [replayBatch]BatchOp
 		res   [replayBatch]BatchResult
-		sc    BatchScratch
 		arena []byte
 		n     int
 	)
-	body := func(tm.Tx) error { return s.MutateBatch(th, ops[:n], res[:n], &sc) }
+	body := func(tm.Tx) error { return s.MutateBatch(th, ops[:n], res[:n], nil) }
 	flush := func() error {
 		if n == 0 {
 			return nil
@@ -674,33 +669,20 @@ func (st StoreStatus) String() string {
 	}
 }
 
-// solo is one recycled batch of one.
-type solo struct {
-	sc  BatchScratch
-	ops [1]BatchOp
-	res [1]BatchResult
-}
-
 // one runs a single mutation the only way a shard is mutated: as a
-// MutateBatch, here of one op, on a scratch from s.solos. On an error (a
-// bad key or value length included) the result reads as "nothing
-// happened", with the zero ticket.
+// MutateBatch, here of one op. On an error (a bad key or value length
+// included) the result reads as "nothing happened", with the zero ticket.
 func (s *Store) one(th *tm.Thread, op BatchOp) (BatchResult, error) {
-	so, _ := s.solos.Get().(*solo)
-	if so == nil {
-		so = new(solo)
-	}
-	so.ops[0] = op
-	err := s.MutateBatch(th, so.ops[:], so.res[:], &so.sc)
-	res := so.res[0]
-	s.solos.Put(so)
+	ops := [1]BatchOp{op}
+	var res [1]BatchResult
+	err := s.MutateBatch(th, ops[:], res[:], nil)
 	if err == nil {
-		err = res.Err
+		err = res[0].Err
 	}
 	if err != nil {
-		res = BatchResult{Store: NotStored, Incr: IncrNotFound, Err: err}
+		return BatchResult{Store: NotStored, Incr: IncrNotFound, Err: err}, err
 	}
-	return res, err
+	return res[0], nil
 }
 
 // Set inserts or replaces key's value, evicting from the tail of the
@@ -857,31 +839,26 @@ func (s *Store) Incr(th *tm.Thread, key []byte, delta uint64, decr bool) (uint64
 	return res.NewVal, res.Incr, err
 }
 
-// applyIncr is the incr/decr logic. It returns the new counter value, its
-// decimal bytes (for the redo record), the item's flags and the status.
-//
-// The new value's digits are appended to dst; newBytes is the full
-// appended slice, so the digits are newBytes[len(dst):]. batchBody hands
-// in its scratch arena (and re-adopts the returned slice, since append may
-// have grown it) so a run of incrs stays allocation-free. The current
-// value is read into a stack buffer (a stored counter never exceeds 20
-// digits), so the read side allocates nothing.
-func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint64, decr bool, dst []byte) (newVal uint64, newBytes []byte, flags uint32, status IncrStatus) {
+// applyIncr is the incr/decr logic. It returns the new counter value, the
+// item's flags and the status. The current value is read, and the new one
+// formatted, in stack buffers (a decimal uint64 never exceeds 20 digits),
+// so it allocates nothing.
+func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint64, decr bool) (newVal uint64, flags uint32, status IncrStatus) {
 	bucket := sh.bucket(h)
 	linkAt, item := s.findInChain(tx, sh, bucket, key)
 	if item == memseg.Nil {
-		return 0, nil, 0, IncrNotFound
+		return 0, 0, IncrNotFound
 	}
 	meta := tx.Load(item + itMeta)
 	keyWords := (int(meta>>32) + 7) / 8
 	valLen := int(meta & 0xFFFFFFFF)
 	if valLen > 20 {
-		return 0, nil, 0, IncrNaN // a decimal uint64 never exceeds 20 digits
+		return 0, 0, IncrNaN // a decimal uint64 never exceeds 20 digits
 	}
 	var curB [20]byte
 	cur, ok := parseDecimal(unpackAppend(tx, item+itData+memseg.Addr(keyWords), valLen, curB[:0]))
 	if !ok {
-		return 0, nil, 0, IncrNaN
+		return 0, 0, IncrNaN
 	}
 	var next uint64
 	if decr {
@@ -893,8 +870,8 @@ func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint6
 	} else {
 		next = cur + delta // wraps at 2^64, like memcached
 	}
-	full := strconv.AppendUint(dst, next, 10)
-	digits := full[len(dst):]
+	var nextB [20]byte
+	digits := strconv.AppendUint(nextB[:0], next, 10)
 	fl := tx.Load(item + itFlags)
 	if len(digits) == valLen {
 		// Same digit count: overwrite the value words in place. The
@@ -902,7 +879,7 @@ func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint6
 		// zero-padding never clobbers key bytes.
 		packBytes(tx, item+itData+memseg.Addr(keyWords), digits)
 		tx.Store(item+itCas, nextCas(tx, sh))
-		return next, full, uint32(fl), IncrStored
+		return next, uint32(fl), IncrStored
 	}
 	// Digit count changed: reallocate the item (same key, new value).
 	tx.Store(linkAt, tx.Load(item+itChain))
@@ -917,7 +894,7 @@ func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint6
 	tx.Store(fresh+itChain, tx.Load(bucket))
 	tx.Store(bucket, uint64(fresh))
 	s.lruPushFront(tx, sh, fresh)
-	return next, full, uint32(fl), IncrStored
+	return next, uint32(fl), IncrStored
 }
 
 // parseDecimal parses an unsigned decimal byte string strictly (no sign,

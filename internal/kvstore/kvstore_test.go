@@ -373,8 +373,7 @@ func TestEvictionWithWholeTailReferenced(t *testing.T) {
 			for i := range ops {
 				ops[i] = BatchOp{Verb: BatchSet, Key: []byte(fmt.Sprintf("new-%d", i+1)), Val: []byte("v")}
 			}
-			var sc BatchScratch
-			if err := s.MutateBatch(th, ops, make([]BatchResult, len(ops)), &sc); err != nil {
+			if err := s.MutateBatch(th, ops, make([]BatchResult, len(ops)), nil); err != nil {
 				t.Fatal(err)
 			}
 			st, _ := s.Stats(th)

@@ -278,9 +278,8 @@ func TestReferencedBitStaysOutOfClientFlags(t *testing.T) {
 			}
 			// Same again through MutateBatch: the incr's redo record is
 			// staged there from the flags applyIncr returns.
-			var sc BatchScratch
 			res := make([]BatchResult, 1)
-			if err := s.MutateBatch(th, []BatchOp{{Verb: BatchIncr, Key: key, Delta: 900}}, res, &sc); err != nil {
+			if err := s.MutateBatch(th, []BatchOp{{Verb: BatchIncr, Key: key, Delta: 900}}, res, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := res[0].Durable.Wait(); err != nil {

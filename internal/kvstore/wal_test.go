@@ -197,11 +197,10 @@ func TestWALTicketZeroOnMiss(t *testing.T) {
 	} else if err := tk.Wait(); err != nil {
 		t.Fatalf("zero ticket wait: %v", err)
 	}
-	var sc BatchScratch
 	one := func(op BatchOp) BatchResult {
 		t.Helper()
 		var res [1]BatchResult
-		if err := s.MutateBatch(th, []BatchOp{op}, res[:], &sc); err != nil || res[0].Err != nil {
+		if err := s.MutateBatch(th, []BatchOp{op}, res[:], nil); err != nil || res[0].Err != nil {
 			t.Fatalf("%+v: %v, %v", op, err, res[0].Err)
 		}
 		return res[0]
@@ -301,6 +300,75 @@ func TestWALConcurrentWriters(t *testing.T) {
 			}
 			if want := int(stats.Sets + stats.Deletes); total != want {
 				t.Fatalf("log holds %d records, store counted %d mutations", total, want)
+			}
+		})
+	}
+}
+
+// TestSingleKeyMutatorsAllocateNothing gates the batches of one behind the
+// single-key mutators on a store with a WAL, each ticket waited: a set, a
+// delete hit, a delete miss, an incr and a decr that change the digit
+// count (so the item is reallocated), once warm, allocate nothing.
+func TestSingleKeyMutatorsAllocateNothing(t *testing.T) {
+	for _, p := range []tle.Policy{tle.PolicySTMCondVar, tle.PolicyHTMCondVar} {
+		t.Run(p.String(), func(t *testing.T) {
+			r := newRT(p)
+			s := New(r, Config{Shards: 4})
+			l, err := wal.Open(t.TempDir(), s.ShardCount(), wal.Options{FsyncWindow: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			th := r.NewThread()
+			defer th.Release()
+			if _, err := s.Recover(th, l); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AttachWAL(l); err != nil {
+				t.Fatal(err)
+			}
+			wait := func(tk wal.Ticket, err error) {
+				if err == nil {
+					err = tk.Wait()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Keys and values are converted inside each call, so one that
+			// escapes costs an allocation per op.
+			shapes := []struct {
+				name string
+				fn   func()
+			}{
+				{"set", func() { wait(s.SetItemD(th, []byte("walkey"), []byte("value"), 1)) }},
+				{"delete-miss", func() {
+					_, tk, err := s.DeleteD(th, []byte("missing"))
+					wait(tk, err)
+				}},
+				{"set+delete", func() {
+					wait(s.SetItemD(th, []byte("walkey"), []byte("value"), 1))
+					if rm, tk, err := s.DeleteD(th, []byte("walkey")); !rm {
+						t.Fatal("delete missed the key just set")
+					} else {
+						wait(tk, err)
+					}
+				}},
+				{"incr+decr", func() {
+					if nv, st, err := s.Incr(th, []byte("walctr"), 1, false); err != nil || st != IncrStored || nv != 10 {
+						t.Fatalf("incr = %d, %v, %v", nv, st, err)
+					}
+					if nv, st, err := s.Incr(th, []byte("walctr"), 1, true); err != nil || st != IncrStored || nv != 9 {
+						t.Fatalf("decr = %d, %v, %v", nv, st, err)
+					}
+				}},
+			}
+			wait(s.SetItemD(th, []byte("walctr"), []byte("9"), 0))
+			for _, sh := range shapes {
+				sh.fn()
+				if n := testing.AllocsPerRun(200, sh.fn); n != 0 {
+					t.Errorf("%s allocates %.1f/op", sh.name, n)
+				}
 			}
 		})
 	}

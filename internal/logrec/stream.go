@@ -18,7 +18,7 @@ type Sink interface {
 
 // Stream is the one place that turns unordered post-commit publishes into
 // per-shard contiguous runs. Sequence numbers are drawn inside the
-// mutating transaction, but the deferred actions that publish them
+// mutating transaction, but the post-commit calls that publish them
 // interleave across threads, so a record can arrive before its
 // predecessor, and consumers may only see each shard's contiguous prefix.
 // The Stream parks early arrivals and releases them with their
@@ -72,10 +72,7 @@ func (s *Stream) Publish(shard int, recs []Record) {
 			run = AppendRecord(run, r)
 			sh.next++
 		} else {
-			// A predecessor drawn by another thread has not been
-			// published yet.
-			sh.parked[r.Seq] = AppendRecord(nil, r)
-			sh.parkedN++
+			sh.park(r)
 		}
 	}
 	for f, ok := sh.parked[sh.next]; ok; f, ok = sh.parked[sh.next] {
@@ -85,12 +82,22 @@ func (s *Stream) Publish(shard int, recs []Record) {
 	}
 	if n := int(sh.next - first); n > 0 {
 		for _, k := range s.sinks {
+			//gotle:allow hotalloc a sink appends the run into a buffer it reuses (wal.Log; TestZeroAllocHotPath/*/wal measures 0) or keeps it as history by design (repl.Source without a WAL)
 			k.Emit(shard, first, n, run)
 		}
 		sh.released += uint64(n)
 	}
 	sh.scratch = run[:0]
 	sh.mu.Unlock()
+}
+
+// park holds r, whose predecessor drawn by another thread has not been
+// published yet, in an owned frame until it has.
+//
+//gotle:coldpath only a record that overtook an unpublished predecessor on its shard parks
+func (sh *streamShard) park(r Record) {
+	sh.parked[r.Seq] = AppendRecord(nil, r)
+	sh.parkedN++
 }
 
 // Counts reports how many records the stream has released to its sinks

@@ -72,7 +72,6 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 		var (
 			bops [maxDrain]kvstore.BatchOp
 			bres [maxDrain]kvstore.BatchResult
-			sc   kvstore.BatchScratch
 			run  = [1]*op{o}
 		)
 		key := []byte("allockey")
@@ -80,7 +79,7 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 		one := func() {
 			o.cmd = Command{Op: OpSet, Key: key, Flags: 1}
 			o.data = data
-			s.executeBatch(th, run[:], bops[:0], bres[:], &sc)
+			s.executeBatch(th, run[:], bops[:0], bres[:])
 			<-o.done
 			if len(o.resp) == 0 {
 				t.Fatal("empty response")
@@ -109,7 +108,6 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 	})
 
 	t.Run("fused", func(t *testing.T) {
-		var sc kvstore.BatchScratch
 		ops := make([]kvstore.BatchOp, 8)
 		res := make([]kvstore.BatchResult, 8)
 		keys := make([][]byte, 8)
@@ -121,7 +119,7 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 			for i := range ops {
 				ops[i] = kvstore.BatchOp{Verb: kvstore.BatchSet, Key: keys[i], Val: val}
 			}
-			if err := store.MutateBatch(th, ops, res, &sc); err != nil {
+			if err := store.MutateBatch(th, ops, res, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -136,7 +134,6 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 		// key that is not resident and evicts the least recent one.
 		const capacity = 8
 		small := kvstore.New(r, kvstore.Config{Shards: 1, MaxItemsPerShard: capacity})
-		var sc kvstore.BatchScratch
 		var ops [1]kvstore.BatchOp
 		var res [1]kvstore.BatchResult
 		keys := make([][]byte, 4*capacity)
@@ -148,7 +145,7 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 		one := func() {
 			ops[0] = kvstore.BatchOp{Verb: kvstore.BatchSet, Key: keys[i%len(keys)], Val: val}
 			i++
-			if err := small.MutateBatch(th, ops[:], res[:], &sc); err != nil {
+			if err := small.MutateBatch(th, ops[:], res[:], nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -190,10 +187,9 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 		var (
 			bops [maxDrain]kvstore.BatchOp
 			bres [maxDrain]kvstore.BatchResult
-			sc   kvstore.BatchScratch
 			run  = [1]*op{o}
 		)
-		key, data := []byte("walkey"), []byte("value")
+		key, data := []byte("walkey"), []byte("9")
 		gets := Command{Op: OpGets, Keys: [][]byte{key, []byte("missing")}}
 		wait := func(want int) {
 			if len(o.tickets) != want {
@@ -209,7 +205,7 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 		one := func() {
 			o.cmd = Command{Op: OpSet, Key: key, Flags: 1}
 			o.data = data
-			ds.executeBatch(th, run[:], bops[:0], bres[:], &sc)
+			ds.executeBatch(th, run[:], bops[:0], bres[:])
 			<-o.done
 			wait(1)
 			o.cmd = gets
@@ -217,10 +213,28 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 				t.Fatal("empty response")
 			}
 			wait(2)
+			// 9 → 10 → 9 changes the digit count both ways, so each
+			// reallocates the item; the delete then removes it.
+			for _, step := range [...]struct {
+				cmd  Command
+				want string
+			}{
+				{Command{Op: OpIncr, Key: key, Delta: 1}, "10\r\n"},
+				{Command{Op: OpDecr, Key: key, Delta: 1}, "9\r\n"},
+				{Command{Op: OpDelete, Key: key}, "DELETED\r\n"},
+			} {
+				o.cmd = step.cmd
+				ds.executeBatch(th, run[:], bops[:0], bres[:])
+				<-o.done
+				if string(o.resp) != step.want {
+					t.Fatalf("%v replied %q, want %q", step.cmd.Op, o.resp, step.want)
+				}
+				wait(1)
+			}
 		}
 		one()
 		if n := testing.AllocsPerRun(200, one); n != 0 {
-			t.Fatalf("set and two-key gets with a WAL allocate %.1f per pair", n)
+			t.Fatalf("set, two-key gets, incr, decr and delete with a WAL allocate %.1f per round", n)
 		}
 	})
 }

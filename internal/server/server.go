@@ -348,7 +348,6 @@ func (s *Server) handleConn(c net.Conn) {
 			run  [maxDrain]*op
 			bops [maxDrain]kvstore.BatchOp
 			bres [maxDrain]kvstore.BatchResult
-			sc   kvstore.BatchScratch
 		)
 		closed := false
 		for !closed {
@@ -372,7 +371,7 @@ func (s *Server) handleConn(c net.Conn) {
 					break drain
 				}
 			}
-			s.executeBatch(th, run[:n], bops[:0], bres[:], &sc)
+			s.executeBatch(th, run[:n], bops[:0], bres[:])
 			s.queued.Add(-int64(n))
 		}
 	}()
@@ -449,7 +448,7 @@ func recycle(o *op, free chan *op) {
 // everything else — gets, stats, admin verbs — runs on its own.
 //
 //gotle:hotpath per-batch execution; the serve-smoke gate measures the solo-set shape
-func (s *Server) executeBatch(th *tm.Thread, ops []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult, sc *kvstore.BatchScratch) {
+func (s *Server) executeBatch(th *tm.Thread, ops []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult) {
 	i := 0
 	for i < len(ops) {
 		if !mutating(ops[i]) {
@@ -466,7 +465,7 @@ func (s *Server) executeBatch(th *tm.Thread, ops []*op, bops []kvstore.BatchOp, 
 		for j < len(ops) && mutating(ops[j]) {
 			j++
 		}
-		s.executeMutations(th, ops[i:j], bops, bres, sc)
+		s.executeMutations(th, ops[i:j], bops, bres)
 		i = j
 	}
 }
@@ -489,7 +488,7 @@ func mutating(o *op) bool {
 // result's ticket.
 //
 //gotle:hotpath mutation-run execution; the serve-smoke gate measures the multi-op shape
-func (s *Server) executeMutations(th *tm.Thread, run []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult, sc *kvstore.BatchScratch) {
+func (s *Server) executeMutations(th *tm.Thread, run []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult) {
 	stores := uint64(0)
 	for _, o := range run {
 		cmd := &o.cmd
@@ -513,7 +512,7 @@ func (s *Server) executeMutations(th *tm.Thread, run []*op, bops []kvstore.Batch
 		bops = append(bops, b)
 	}
 	res := bres[:len(bops)]
-	err := s.store.MutateBatch(th, bops, res, sc)
+	err := s.store.MutateBatch(th, bops, res, nil)
 	s.ops.Add(th.ID(), ctrCmdSet, stores)
 	if len(run) > 1 {
 		s.ops.Add(th.ID(), ctrFusedBatches, 1)

@@ -14,7 +14,7 @@
 //     shard's serialization order — durability rides the same optimistic
 //     commit order the TM establishes, rather than a second synchronization
 //     layer bolted on outside it. Records may be *published* out of order
-//     (post-commit deferred actions interleave across threads);
+//     (post-commit publishes interleave across threads);
 //     logrec.Stream, upstream, releases only each shard's contiguous
 //     prefix, so the log takes records in sequence order and never reorders.
 //
