@@ -123,27 +123,23 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/memseg ./internal/wal ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
 
 # The network server's zero-to-OK gate: the allocation gate (the serving
-# hot path must do exactly 0 allocs/op — see TestZeroAllocHotPath), then
-# start tleserved (hybrid runtime + adaptive controller), run the
-# loopback protocol self-test, exit — once WAL-off and once WAL-on, so
-# "the binary actually serves, durably too" can never regress silently.
-# Then the mutation path under serve-write's traffic shape (2 KiB values
-# overflow a 24-line HTM write set, so shards take every rung and the serial
-# path): a tleserved on a free port, `loadgen -check` against it, and the
-# recorded history must linearize per key. Last, a default tleserved (no
-# -capacity) under 64 B and 2 KiB sets over twice its item count: it must
-# fit its heap, so loadgen exits 0 and the server still answers `version`.
+# hot path must do exactly 0 allocs/op — see TestZeroAllocHotPath), then the
+# binaries, built once. The mutation path under serve-write's traffic shape
+# (2 KiB values overflow a 24-line HTM write set, so shards take every rung
+# and the serial path): a tleserved on a free port, `loadgen -check` against
+# it, and the recorded history must linearize per key; once WAL-off and once
+# with -wal, so "the binary actually serves, durably too" can never regress
+# silently. Last, a default tleserved (no -capacity) under 64 B and 2 KiB
+# sets over twice its item count: it must fit its heap, so loadgen exits 0
+# and the server still answers `version`.
 serve-smoke:
 	$(GO) test -run TestZeroAllocHotPath -count 1 ./internal/server
-	$(GO) run ./cmd/tleserved -smoke
-	rm -rf $(BENCHDIR)/smoke-wal
-	$(GO) run ./cmd/tleserved -smoke -wal $(BENCHDIR)/smoke-wal
 	rm -rf $(BENCHDIR)/smoke-wal
 	mkdir -p $(BENCHDIR)
 	$(GO) build -o $(BENCHDIR)/tleserved ./cmd/tleserved
 	$(GO) build -o $(BENCHDIR)/loadgen ./cmd/loadgen
 	@log=$(BENCHDIR)/smoke-served.log; pid=; \
-	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null' EXIT; \
+	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf $(BENCHDIR)/smoke-wal' EXIT; \
 	serve() { \
 		$(BENCHDIR)/tleserved -addr 127.0.0.1:0 "$$@" >$$log 2>&1 & pid=$$!; \
 		addr=; for i in $$(seq 100); do \
@@ -152,12 +148,14 @@ serve-smoke:
 		done; \
 		cat $$log; exit 1; \
 	}; \
-	serve -htm-write-lines 24 -capacity 2048; \
-	$(BENCHDIR)/loadgen -addr $$addr -check -conns 2 -depth 8 -keyspace 32768 -skew 1.1 \
-		-valsize 64,2048 -set 60 -del 10 -ops 20000 >$(BENCHDIR)/smoke-check.txt 2>&1; \
-	cat $(BENCHDIR)/smoke-check.txt; \
-	grep -q '^check: OK' $(BENCHDIR)/smoke-check.txt || exit 1; \
-	kill $$pid; wait $$pid 2>/dev/null; \
+	for wal in "" "-wal $(BENCHDIR)/smoke-wal"; do \
+		serve -htm-write-lines 24 -capacity 2048 $$wal; \
+		$(BENCHDIR)/loadgen -addr $$addr -check -conns 2 -depth 8 -keyspace 32768 -skew 1.1 \
+			-valsize 64,2048 -set 60 -del 10 -ops 20000 >$(BENCHDIR)/smoke-check.txt 2>&1; \
+		cat $(BENCHDIR)/smoke-check.txt; \
+		grep -q '^check: OK' $(BENCHDIR)/smoke-check.txt || { cat $$log; exit 1; }; \
+		kill $$pid; wait $$pid 2>/dev/null; \
+	done; \
 	serve; \
 	$(BENCHDIR)/loadgen -addr $$addr -conns 2 -depth 32 -keyspace 65536 \
 		-valsize 64,2048 -set 60 -ops 600000 || { cat $$log; exit 1; }; \

@@ -316,19 +316,11 @@ func run(o options) error {
 			fmt.Printf("adaptive: %d policy switches [shard:policy(switches)] %s\n",
 				switches, strings.Join(shards, " "))
 		}
-		// Group-commit counters: how wide the mutation runs that shared one
-		// ticket wait were, how much shared grace the run got, and how many
-		// freed blocks still wait out a grace period (0 once the server's
-		// connections have closed).
-		if fbStr, ok := st["fused_batches"]; ok {
-			fb, _ := strconv.ParseFloat(fbStr, 64)
-			fo, _ := strconv.ParseFloat(st["fused_ops"], 64)
-			width := 0.0
-			if fb > 0 {
-				width = fo / fb
-			}
-			fmt.Printf("runs: batches=%s fused_ops=%s (%.1f ops/batch)  grace: quiesces=%s shared_grace=%s scans_avoided=%s reclaim_parked=%s\n",
-				fbStr, st["fused_ops"], width,
+		// How much shared grace the run got, and how many freed blocks still
+		// wait out a grace period (0 once the server's connections have
+		// closed).
+		if _, ok := st["quiesces"]; ok {
+			fmt.Printf("grace: quiesces=%s shared_grace=%s scans_avoided=%s reclaim_parked=%s\n",
 				st["quiesces"], st["shared_grace"], st["scans_avoided"], st["reclaim_parked"])
 		}
 		// Why transactions abort, since the server started: conflict and

@@ -7,7 +7,6 @@
 // Examples:
 //
 //	tleserved -addr 127.0.0.1:11222 -policy htm-cv -adaptive
-//	tleserved -smoke            # start, self-test over loopback, exit
 //
 // The -htm-write-lines flag shrinks the simulated HTM's write-set budget;
 // with the default 512 lines (32 KiB) no legal memcached value can
@@ -31,7 +30,6 @@ import (
 	"gotle/internal/kvstore"
 	"gotle/internal/repl"
 	"gotle/internal/server"
-	"gotle/internal/server/client"
 	"gotle/internal/tle"
 	"gotle/internal/wal"
 )
@@ -57,15 +55,11 @@ func main() {
 		stripeLog  = flag.Int("stripe-shift", 3, "STM orec granularity: 1<<n consecutive words share one ownership record (3 = 64-byte cache-line stripes; 0 = per-word)")
 		replLn     = flag.String("repl-listen", "", "replication listen address: stream the per-shard commit log to follower replicas")
 		follow     = flag.String("follow", "", "follower mode: subscribe to a primary's replication stream at this address and serve read-only")
-		smoke      = flag.Bool("smoke", false, "start, run a loopback self-test, and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (stopped at shutdown)")
 	)
 	flag.Parse()
 	if *replLn != "" && *follow != "" {
 		log.Fatal("-repl-listen and -follow are mutually exclusive (a node is a primary or a follower, not both)")
-	}
-	if *smoke && *follow != "" {
-		log.Fatal("-smoke exercises mutations, which a follower rejects; run it against a primary")
 	}
 
 	if *cpuprofile != "" {
@@ -80,10 +74,6 @@ func main() {
 	policy, err := tle.ParsePolicy(*policyName)
 	if err != nil {
 		log.Fatal(err)
-	}
-	a := *addr
-	if *smoke {
-		a = "127.0.0.1:0" // never collide with a real deployment
 	}
 
 	// The controller's two rungs span both TM mechanisms, so the runtime
@@ -176,7 +166,7 @@ func main() {
 	}
 
 	scfg := server.Config{
-		Addr:       a,
+		Addr:       *addr,
 		MaxConns:   *maxConns,
 		QueueDepth: *queueDepth,
 		Controller: ctl,
@@ -196,106 +186,24 @@ func main() {
 	}
 	fmt.Printf("listening on %s (policy=%s adaptive=%v shards=%d)\n", bound, policy, *adapt, *shards)
 
-	// closeWAL flushes and fsyncs the tail after the server has drained
-	// (every acked mutation is already durable; this just tidies up).
-	closeWAL := func() {
-		if wlog == nil {
-			return
-		}
-		if err := wlog.Close(); err != nil {
-			log.Printf("wal close: %v", err)
-		}
-	}
-	// closeRepl runs after the server drains (no more publishes) and
-	// before closeWAL: the source flushes its retained tail to connected
-	// followers, a follower stops applying.
-	closeRepl := func() {
-		if src != nil {
-			src.Close(5 * time.Second)
-		}
-		if fw != nil {
-			fw.Stop()
-		}
-	}
-
-	if *smoke {
-		if err := runSmoke(bound.String()); err != nil {
-			srv.Shutdown(2 * time.Second)
-			closeRepl()
-			closeWAL()
-			log.Fatalf("SMOKE FAIL: %v", err)
-		}
-		srv.Shutdown(5 * time.Second)
-		closeRepl()
-		closeWAL()
-		fmt.Println("SMOKE OK")
-		return
-	}
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("draining...")
 	srv.Shutdown(10 * time.Second)
-	closeRepl()
-	closeWAL()
-}
-
-// runSmoke exercises every protocol verb over loopback.
-func runSmoke(addr string) error {
-	c, err := client.Dial(addr)
-	if err != nil {
-		return err
+	// Replication stops after the server drains (no more publishes) and
+	// before the WAL closes: the source flushes its retained tail to
+	// connected followers, a follower stops applying.
+	if src != nil {
+		src.Close(5 * time.Second)
 	}
-	defer c.Close()
-	if _, err := c.Version(); err != nil {
-		return fmt.Errorf("version: %w", err)
+	if fw != nil {
+		fw.Stop()
 	}
-	if err := c.Set("smoke", []byte("v1"), 3); err != nil {
-		return err
-	}
-	it, ok, err := c.Get("smoke")
-	if err != nil || !ok || string(it.Value) != "v1" || it.Flags != 3 {
-		return fmt.Errorf("get after set = %+v,%v,%v", it, ok, err)
-	}
-	items, err := c.Gets("smoke")
-	if err != nil || len(items) != 1 || items[0].CAS == 0 {
-		return fmt.Errorf("gets = %+v,%v", items, err)
-	}
-	if rsp, err := c.Store("cas", "smoke", []byte("v2"), 0, items[0].CAS); err != nil || !rsp.Stored() {
-		return fmt.Errorf("cas = %+v,%v", rsp, err)
-	}
-	if err := c.Set("ctr", []byte("41"), 0); err != nil {
-		return err
-	}
-	if v, ok, err := c.Incr("ctr", 1, false); err != nil || !ok || v != 42 {
-		return fmt.Errorf("incr = %d,%v,%v", v, ok, err)
-	}
-	// A pipelined burst, answered in order.
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := c.SendSet(fmt.Sprintf("burst%d", i), []byte("b"), 0); err != nil {
-			return err
+	// Every acked mutation is already durable; this fsyncs the tail.
+	if wlog != nil {
+		if err := wlog.Close(); err != nil {
+			log.Printf("wal close: %v", err)
 		}
 	}
-	for i := 0; i < n; i++ {
-		rsp, err := c.Recv()
-		if err != nil {
-			return fmt.Errorf("burst recv %d: %w", i, err)
-		}
-		if !rsp.Stored() && !rsp.Busy() {
-			return fmt.Errorf("burst %d: %+v", i, rsp)
-		}
-	}
-	if ok, err := c.Delete("smoke"); err != nil || !ok {
-		return fmt.Errorf("delete = %v,%v", ok, err)
-	}
-	st, err := c.Stats()
-	if err != nil {
-		return err
-	}
-	if _, found := st["cmd_set"]; !found {
-		return fmt.Errorf("stats missing cmd_set: %v", st)
-	}
-	return nil
 }

@@ -8,13 +8,13 @@ import (
 	"gotle/internal/wal"
 )
 
-// MutateBatch is the one way into a shard: the serving path hands it the
-// adjacent mutations of one connection's pipeline, the single-key mutators
-// (Set, Delete, Incr, ...) a batch of one. Each op is its own shard's
+// MutateBatch is the one way into a shard: Mutate, which the server and the
+// single-key mutators (Set, Delete, Incr, ...) call, hands it a batch of
+// one, Recover a run of replayed records. Each op is its own shard's
 // critical section, exactly as under the lock baseline: an elided lock is
 // invisible to the TM (the paper's lock erasure, Section IV.A), so one
 // transaction spanning several shards would collide with every other
-// batch that touched any of them. Each section ends by reading its shard's
+// section that touched any of them. Each section ends by reading its shard's
 // WAL sequence word, and each op's result carries the ticket for the
 // sequence it read: a reply waits for the ticket of every shard sequence
 // its sections read (see PORTING.md).

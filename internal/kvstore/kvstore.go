@@ -216,18 +216,29 @@ func (s *Store) ShardMutexes() []*tle.Mutex {
 }
 
 // Apply replays one logged mutation as a transaction, beside readers: a
-// follower's apply loop is this call per record.
+// follower's apply loop is this call per record. A delete's miss is not an
+// error: a follower that diverged is caught by the converge harness's shard
+// dumps.
 func (s *Store) Apply(th *tm.Thread, rec logrec.Record) error {
+	op, err := opOf(rec)
+	if err == nil {
+		_, err = s.Mutate(th, op)
+	}
+	return err
+}
+
+// opOf decodes a logged mutation into the op that replays it, or says why
+// the store refuses it.
+func opOf(rec logrec.Record) (BatchOp, error) {
+	op := BatchOp{Verb: BatchSet, Key: rec.Key, Val: rec.Val, Flags: rec.Flags}
 	switch rec.Op {
 	case logrec.OpSet:
-		return s.SetItem(th, rec.Key, rec.Val, rec.Flags)
 	case logrec.OpDelete:
-		// A miss on a follower would mean divergence; the converge harness
-		// catches that via the shard dumps, so just apply and move on.
-		_, err := s.Delete(th, rec.Key)
-		return err
+		op.Verb = BatchDelete
+	default:
+		return op, fmt.Errorf("kvstore: unknown log op %v", rec.Op)
 	}
-	return fmt.Errorf("kvstore: unknown log op %v", rec.Op)
+	return op, op.check()
 }
 
 // replayBatch is how many records Recover applies per serial section.
@@ -266,18 +277,7 @@ func (s *Store) Recover(th *tm.Thread, l *wal.Log) (int, error) {
 		return nil
 	}
 	got, err := l.Recover(func(sh int, r wal.Record) error {
-		op := BatchOp{Verb: BatchSet, Key: r.Key, Val: r.Val, Flags: r.Flags}
-		var bad error
-		switch r.Op {
-		case logrec.OpSet:
-		case logrec.OpDelete:
-			op.Verb = BatchDelete
-		default:
-			bad = fmt.Errorf("kvstore: unknown log op %v", r.Op)
-		}
-		if bad == nil {
-			bad = op.check()
-		}
+		op, bad := opOf(r)
 		if bad != nil {
 			if err := flush(); err != nil {
 				return err
@@ -669,10 +669,11 @@ func (st StoreStatus) String() string {
 	}
 }
 
-// one runs a single mutation the only way a shard is mutated: as a
+// Mutate runs a single mutation the only way a shard is mutated: as a
 // MutateBatch, here of one op. On an error (a bad key or value length
-// included) the result reads as "nothing happened", with the zero ticket.
-func (s *Store) one(th *tm.Thread, op BatchOp) (BatchResult, error) {
+// included) the result reads as "nothing happened", with the zero ticket,
+// and its Err is the returned error.
+func (s *Store) Mutate(th *tm.Thread, op BatchOp) (BatchResult, error) {
 	ops := [1]BatchOp{op}
 	var res [1]BatchResult
 	err := s.MutateBatch(th, ops[:], res[:], nil)
@@ -701,26 +702,26 @@ func (s *Store) SetItem(th *tm.Thread, key, val []byte, flags uint32) error {
 // SetItemD is SetItem returning a durability ticket: Wait on it before
 // acking the client. With no WAL attached the ticket is a no-op.
 func (s *Store) SetItemD(th *tm.Thread, key, val []byte, flags uint32) (wal.Ticket, error) {
-	res, err := s.one(th, BatchOp{Verb: BatchSet, Key: key, Val: val, Flags: flags})
+	res, err := s.Mutate(th, BatchOp{Verb: BatchSet, Key: key, Val: val, Flags: flags})
 	return res.Durable, err
 }
 
 // Add stores only if key is absent; reports whether it stored.
 func (s *Store) Add(th *tm.Thread, key, val []byte, flags uint32) (bool, error) {
-	res, err := s.one(th, BatchOp{Verb: BatchAdd, Key: key, Val: val, Flags: flags})
+	res, err := s.Mutate(th, BatchOp{Verb: BatchAdd, Key: key, Val: val, Flags: flags})
 	return res.Store == Stored, err
 }
 
 // Replace stores only if key is present; reports whether it stored.
 func (s *Store) Replace(th *tm.Thread, key, val []byte, flags uint32) (bool, error) {
-	res, err := s.one(th, BatchOp{Verb: BatchReplace, Key: key, Val: val, Flags: flags})
+	res, err := s.Mutate(th, BatchOp{Verb: BatchReplace, Key: key, Val: val, Flags: flags})
 	return res.Store == Stored, err
 }
 
 // CompareAndSwap stores only if key is present and its CAS token equals
 // cas (from a previous GetItem).
 func (s *Store) CompareAndSwap(th *tm.Thread, key, val []byte, flags uint32, cas uint64) (StoreStatus, error) {
-	res, err := s.one(th, BatchOp{Verb: BatchCAS, Key: key, Val: val, Flags: flags, Cas: cas})
+	res, err := s.Mutate(th, BatchOp{Verb: BatchCAS, Key: key, Val: val, Flags: flags, Cas: cas})
 	return res.Store, err
 }
 
@@ -835,7 +836,7 @@ func (s *Store) Incr(th *tm.Thread, key []byte, delta uint64, decr bool) (uint64
 	if decr {
 		verb = BatchDecr
 	}
-	res, err := s.one(th, BatchOp{Verb: verb, Key: key, Delta: delta})
+	res, err := s.Mutate(th, BatchOp{Verb: verb, Key: key, Delta: delta})
 	return res.NewVal, res.Incr, err
 }
 
@@ -960,7 +961,7 @@ func (s *Store) Delete(th *tm.Thread, key []byte) (bool, error) {
 
 // DeleteD is Delete with a durability ticket.
 func (s *Store) DeleteD(th *tm.Thread, key []byte) (bool, wal.Ticket, error) {
-	res, err := s.one(th, BatchOp{Verb: BatchDelete, Key: key})
+	res, err := s.Mutate(th, BatchOp{Verb: BatchDelete, Key: key})
 	return res.Removed, res.Durable, err
 }
 

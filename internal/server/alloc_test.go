@@ -16,8 +16,8 @@ import (
 // the gate is exact (0.0 allocs/op), not a budget.
 //
 // The gate covers the pieces the server owns end to end: field split +
-// parse (decoder), the get path and the mutation path, as a run of one and
-// as a multi-op run (executor + kvstore + epoch), without and with a WAL
+// parse (decoder), the get path and the mutation path (executor + kvstore +
+// epoch), a multi-op MutateBatch as WAL replay runs it, without and with a WAL
 // (the writer's ticket waits included), and response encoding. Socket I/O
 // is excluded — bufio and the kernel sit outside the op lifecycle.
 func TestZeroAllocHotPath(t *testing.T) {
@@ -51,8 +51,8 @@ func TestZeroAllocHotPath(t *testing.T) {
 }
 
 // zeroAllocExecute gates the executing half of the hot path under one
-// policy: a set on its own, a get, an 8-op batch, a set that evicts, and a
-// set and a get on a store with a WAL.
+// policy: a set, a get, an 8-op MutateBatch, a set that evicts, and a
+// set, a get, an incr, a decr and a delete on a store with a WAL.
 func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 	r := tle.New(policy, tle.Config{
 		MemWords: 1 << 20,
@@ -67,24 +67,15 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 	o := &op{done: make(chan struct{}, 1)}
 
 	t.Run("set", func(t *testing.T) {
-		// Through the executor's batch path, exactly as the serving
-		// pipeline runs a queued mutation (a run of one here).
-		var (
-			bops [maxDrain]kvstore.BatchOp
-			bres [maxDrain]kvstore.BatchResult
-			run  = [1]*op{o}
-		)
+		// Through run, exactly as the executor runs a queued mutation.
 		key := []byte("allockey")
 		data := []byte("value")
 		one := func() {
 			o.cmd = Command{Op: OpSet, Key: key, Flags: 1}
 			o.data = data
-			s.executeBatch(th, run[:], bops[:0], bres[:])
-			<-o.done
-			if len(o.resp) == 0 {
+			if resp := s.run(th, o); len(resp) == 0 {
 				t.Fatal("empty response")
 			}
-			o.resp = nil
 			o.tickets = o.tickets[:0]
 		}
 		one()
@@ -184,11 +175,6 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 			t.Fatal(err)
 		}
 		ds := New(r, durable, Config{WAL: l})
-		var (
-			bops [maxDrain]kvstore.BatchOp
-			bres [maxDrain]kvstore.BatchResult
-			run  = [1]*op{o}
-		)
 		key, data := []byte("walkey"), []byte("9")
 		gets := Command{Op: OpGets, Keys: [][]byte{key, []byte("missing")}}
 		wait := func(want int) {
@@ -205,8 +191,9 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 		one := func() {
 			o.cmd = Command{Op: OpSet, Key: key, Flags: 1}
 			o.data = data
-			ds.executeBatch(th, run[:], bops[:0], bres[:])
-			<-o.done
+			if resp := ds.run(th, o); string(resp) != "STORED\r\n" {
+				t.Fatalf("set replied %q", resp)
+			}
 			wait(1)
 			o.cmd = gets
 			if resp := ds.run(th, o); len(resp) == 0 {
@@ -224,10 +211,8 @@ func zeroAllocExecute(t *testing.T, policy tle.Policy) {
 				{Command{Op: OpDelete, Key: key}, "DELETED\r\n"},
 			} {
 				o.cmd = step.cmd
-				ds.executeBatch(th, run[:], bops[:0], bres[:])
-				<-o.done
-				if string(o.resp) != step.want {
-					t.Fatalf("%v replied %q, want %q", step.cmd.Op, o.resp, step.want)
+				if resp := ds.run(th, o); string(resp) != step.want {
+					t.Fatalf("%v replied %q, want %q", step.cmd.Op, resp, step.want)
 				}
 				wait(1)
 			}

@@ -128,17 +128,10 @@ type Server struct {
 	tm0 stats.Snapshot
 }
 
-// Indices into Server.ops. ctrFusedBatches counts the runs of two or more
-// adjacent mutations the executor handed to one MutateBatch, ctrFusedOps
-// the mutations in those runs (their ratio is the mean drain width). Each
-// mutation is still its own critical section with its own ticket. The stats
-// keys keep their names because loadgen and the benchmark's traced run read
-// them.
+// Indices into Server.ops.
 const (
 	ctrCmdGet = iota
 	ctrCmdSet
-	ctrFusedBatches
-	ctrFusedOps
 	numCtrs
 )
 
@@ -299,10 +292,6 @@ func (o *op) resolve(resp []byte) {
 	o.done <- struct{}{}
 }
 
-// maxDrain caps how many queued ops the executor takes per pass. A run of
-// adjacent mutations among them is one MutateBatch, one section per op.
-const maxDrain = 32
-
 var (
 	respError    = []byte("ERROR\r\n")
 	respBusy     = []byte("SERVER_ERROR busy\r\n")
@@ -336,43 +325,16 @@ func (s *Server) handleConn(c net.Conn) {
 		free <- &op{done: make(chan struct{}, 1)}
 	}
 
-	// Executor: one tm.Thread per connection. It drains whatever the
-	// decoder has queued (up to maxDrain) and hands each run of adjacent
-	// mutations to one MutateBatch; order within the queue is preserved.
+	// Executor: one tm.Thread per connection, running the queued ops in
+	// arrival order.
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		th := s.r.NewThread()
 		defer th.Release()
-		var (
-			run  [maxDrain]*op
-			bops [maxDrain]kvstore.BatchOp
-			bres [maxDrain]kvstore.BatchResult
-		)
-		closed := false
-		for !closed {
-			o, ok := <-execQ
-			if !ok {
-				return
-			}
-			n := 1
-			run[0] = o
-		drain:
-			for n < maxDrain {
-				select {
-				case o2, ok2 := <-execQ:
-					if !ok2 {
-						closed = true
-						break drain
-					}
-					run[n] = o2
-					n++
-				default:
-					break drain
-				}
-			}
-			s.executeBatch(th, run[:n], bops[:0], bres[:])
-			s.queued.Add(-int64(n))
+		for o := range execQ {
+			o.resolve(s.run(th, o))
+			s.queued.Add(-1)
 		}
 	}()
 
@@ -440,91 +402,6 @@ func recycle(o *op, free chan *op) {
 	select {
 	case free <- o:
 	default:
-	}
-}
-
-// executeBatch runs a drained slice of queued ops in order: each maximal
-// run of adjacent mutations is one MutateBatch (a run of one included),
-// everything else — gets, stats, admin verbs — runs on its own.
-//
-//gotle:hotpath per-batch execution; the serve-smoke gate measures the solo-set shape
-func (s *Server) executeBatch(th *tm.Thread, ops []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult) {
-	i := 0
-	for i < len(ops) {
-		if !mutating(ops[i]) {
-			ops[i].resolve(s.run(th, ops[i]))
-			i++
-			continue
-		}
-		if s.cfg.ReadOnly {
-			ops[i].resolve(respReadonly)
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(ops) && mutating(ops[j]) {
-			j++
-		}
-		s.executeMutations(th, ops[i:j], bops, bres)
-		i = j
-	}
-}
-
-// mutating reports whether an op would change store state. Adjacent
-// mutating ops form one MutateBatch run; on a ReadOnly server (follower
-// replica) they are refused before reaching a shard.
-//
-//gotle:hotpath per-op dispatch predicate
-func mutating(o *op) bool {
-	switch o.cmd.Op {
-	case OpSet, OpAdd, OpReplace, OpCas, OpDelete, OpIncr, OpDecr:
-		return true
-	}
-	return false
-}
-
-// executeMutations runs one run of adjacent mutations as a single
-// MutateBatch — one critical section per op — and hands each op its own
-// result's ticket.
-//
-//gotle:hotpath mutation-run execution; the serve-smoke gate measures the multi-op shape
-func (s *Server) executeMutations(th *tm.Thread, run []*op, bops []kvstore.BatchOp, bres []kvstore.BatchResult) {
-	stores := uint64(0)
-	for _, o := range run {
-		cmd := &o.cmd
-		b := kvstore.BatchOp{Key: cmd.Key}
-		switch cmd.Op {
-		case OpSet, OpAdd, OpReplace, OpCas:
-			stores++
-			b.Verb = kvstore.BatchVerb(cmd.Op - OpSet)
-			b.Val = o.data
-			b.Flags = cmd.Flags
-			b.Cas = cmd.Cas
-		case OpDelete:
-			b.Verb = kvstore.BatchDelete
-		case OpIncr:
-			b.Verb = kvstore.BatchIncr
-			b.Delta = cmd.Delta
-		default: // OpDecr; mutating admits nothing else
-			b.Verb = kvstore.BatchDecr
-			b.Delta = cmd.Delta
-		}
-		bops = append(bops, b)
-	}
-	res := bres[:len(bops)]
-	err := s.store.MutateBatch(th, bops, res, nil)
-	s.ops.Add(th.ID(), ctrCmdSet, stores)
-	if len(run) > 1 {
-		s.ops.Add(th.ID(), ctrFusedBatches, 1)
-		s.ops.Add(th.ID(), ctrFusedOps, uint64(len(run)))
-	}
-	for k, o := range run {
-		if err != nil {
-			o.resolve(serverError(err)) // an engine fault: the run's outcome is unknown
-			continue
-		}
-		o.tickets = append(o.tickets, res[k].Durable)
-		o.resolve(mutationResp(o, &res[k]))
 	}
 }
 
@@ -655,13 +532,30 @@ func readLineInto(br *bufio.Reader, dst []byte) ([]byte, error) {
 	return append(dst, sl...), nil
 }
 
-// run executes one read or admin op on the connection's thread and renders
-// its response: a static slice, or bytes in an op-owned buffer.
+// run executes one op on the connection's thread and renders its response:
+// a static slice, or bytes in an op-owned buffer. A mutation is one section
+// on its key's shard; its reply waits for the ticket of the shard sequence
+// that section read, as a get's waits for each key's.
 //
-//gotle:hotpath per-op command dispatch; the serve-smoke gate measures the solo-get shape
+//gotle:hotpath per-op command dispatch; the serve-smoke gate measures the get and mutation shapes
 func (s *Server) run(th *tm.Thread, o *op) []byte {
 	cmd := &o.cmd
 	switch cmd.Op {
+	case OpSet, OpAdd, OpReplace, OpCas, OpDelete, OpIncr, OpDecr:
+		// A follower's only writer is its replication stream.
+		if s.cfg.ReadOnly {
+			return respReadonly
+		}
+		if cmd.Op.HasData() {
+			s.ops.Add(th.ID(), ctrCmdSet, 1)
+		}
+		// The seven mutating verbs are declared in BatchVerb's order.
+		b := kvstore.BatchOp{Verb: kvstore.BatchVerb(cmd.Op - OpSet), Key: cmd.Key,
+			Val: o.data, Flags: cmd.Flags, Cas: cmd.Cas, Delta: cmd.Delta}
+		r, _ := s.store.Mutate(th, b) // r.Err carries any error
+		o.tickets = append(o.tickets, r.Durable)
+		return mutationResp(o, &r)
+
 	case OpGet, OpGets:
 		s.ops.Add(th.ID(), ctrCmdGet, uint64(len(cmd.Keys)))
 		out := o.respB[:0]
@@ -783,8 +677,6 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 	u("shed_ops", s.shedOps.Load())
 	u("shed_connections", s.shedConns.Load())
 	u("protocol_errors", s.protoErrs.Load())
-	u("fused_batches", s.ops.Sum(ctrFusedBatches))
-	u("fused_ops", s.ops.Sum(ctrFusedOps))
 
 	// Engine-wide transaction counters: why are transactions aborting.
 	// Conflict aborts lump every data-conflict cause (HTM conflict, STM
