@@ -12,9 +12,10 @@ CHAOS_SEED ?= 1
 CRASH_SEED ?= 1
 
 # The TM stack proper: the packages `make race-tm` sweeps before merging
-# engine changes.
+# engine changes, with the orec table and the heap every engine is built on.
 TM_PKGS = ./internal/stm/... ./internal/htm/... ./internal/epoch/... \
-	./internal/tm/... ./internal/tle/... ./internal/condvar/...
+	./internal/tm/... ./internal/tle/... ./internal/condvar/... \
+	./internal/tmclock/... ./internal/memseg/...
 
 # Microbenchmark settings for `make bench`. The repository's performance
 # record is BENCHMARK.json + benchmark/, not this target: it exists so CI can
@@ -99,8 +100,9 @@ chaos:
 
 # Paper-figure, quiescence, simulated-HTM, captured-store, per-policy kvstore,
 # parallel-get, parallel-set, disjoint-section scaling and empty-section
-# (read at -cpu 1 against -cpu 2), allocator, WAL-recovery and store-replay
-# benchmarks with pinned -benchtime/-count. Raw text goes to
+# (read at -cpu 1 against -cpu 2), allocator, WAL-recovery, store-replay and
+# runtime-construction (B/op is a runtime's footprint) benchmarks with pinned
+# -benchtime/-count. Raw text goes to
 # $(BENCHDIR)/current.txt; compare two captures with benchstat. CI runs the
 # same list once through
 # (`make bench BENCHTIME=1x BENCHCOUNT=1`) so a benchmark cannot rot.
@@ -119,8 +121,8 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkDisjointScaling|BenchmarkSetsScaling|BenchmarkEmptyDo' -cpu 1,2 \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tle | tee -a $(BENCHDIR)/current.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkAllocFree|BenchmarkRecover' -benchmem \
-		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/memseg ./internal/wal ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkAllocFree|BenchmarkRecover|BenchmarkNewRuntime' -benchmem \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/memseg ./internal/wal ./internal/kvstore ./internal/tle | tee -a $(BENCHDIR)/current.txt
 
 # The network server's zero-to-OK gate: the allocation gate (the serving
 # hot path must do exactly 0 allocs/op — see TestZeroAllocHotPath), then the

@@ -30,6 +30,7 @@
 package stm
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"gotle/internal/abortsig"
@@ -41,8 +42,9 @@ import (
 
 // Config holds STM construction parameters.
 type Config struct {
-	// OrecSizeLog2 sets the orec table to 1<<OrecSizeLog2 entries
-	// (default 20).
+	// OrecSizeLog2 caps the orec table at 1<<OrecSizeLog2 entries
+	// (default 20). Below the cap the table has one orec per heap stripe,
+	// rounded up to a power of two.
 	OrecSizeLog2 int
 	// StripeShift groups 1<<StripeShift consecutive words per orec
 	// (default 0: per-word orecs).
@@ -61,15 +63,19 @@ type STM struct {
 	inj   *chaos.Injector
 }
 
-// New creates an STM over the given heap.
+// New creates an STM over the given heap. Index masks the stripe number and
+// no valid address reaches mem.Size(), so a table of nextPow2(stripes) orecs
+// gives every address the slot the capped table would; a larger table's
+// other slots are never touched.
 func New(mem *memseg.Memory, cfg Config) *STM {
 	if cfg.OrecSizeLog2 == 0 {
 		cfg.OrecSizeLog2 = 20
 	}
+	lastStripe := uint(mem.Size()-1) >> max(cfg.StripeShift, 0)
 	return &STM{
 		mem:   mem,
 		clock: &tmclock.Clock{},
-		orecs: tmclock.NewTable(cfg.OrecSizeLog2, cfg.StripeShift),
+		orecs: tmclock.NewTable(min(cfg.OrecSizeLog2, bits.Len(lastStripe)), cfg.StripeShift),
 		inj:   cfg.Injector,
 	}
 }

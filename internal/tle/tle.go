@@ -95,7 +95,9 @@ type Config struct {
 	MaxRetries int
 	// HTM tunes the hardware simulation for PolicyHTMCondVar.
 	HTM htm.Config
-	// StripeShift tunes the STM orec table (words per orec, log2).
+	// StripeShift tunes the STM orec table (words per orec, log2). The
+	// table has one orec per stripe of the heap, rounded up to a power of
+	// two and capped at 1<<20 (stm.Config.OrecSizeLog2).
 	StripeShift int
 	// Tracer, when non-nil, observes lock acquire/release events (the
 	// two-phase-locking checker in package lockcheck implements it).

@@ -141,6 +141,8 @@ type Config struct {
 	// budget of the policy they resolve to, not of Mode.
 	MaxRetries int
 	// StripeShift configures the STM orec table (words per orec, log2).
+	// The table has one orec per stripe of the heap, rounded up to a power
+	// of two and capped at 1<<20 (stm.Config.OrecSizeLog2).
 	StripeShift int
 	// RaceDetect enables the T-Rex-style privatization-race detector
 	// (racecheck.go): non-transactional accesses and frees that touch
