@@ -127,13 +127,15 @@ bench:
 # The network server's zero-to-OK gate: the allocation gate (the serving
 # hot path must do exactly 0 allocs/op — see TestZeroAllocHotPath), then the
 # binaries, built once. The mutation path under serve-write's traffic shape
-# (2 KiB values overflow a 24-line HTM write set, so shards take every rung
-# and the serial path): a tleserved on a free port, `loadgen -check` against
-# it, and the recorded history must linearize per key; once WAL-off and once
-# with -wal, so "the binary actually serves, durably too" can never regress
-# silently. Last, a default tleserved (no -capacity) under 64 B and 2 KiB
-# sets over twice its item count: it must fit its heap, so loadgen exits 0
-# and the server still answers `version`.
+# (2 KiB values overflow a 24-line HTM write set, so shards take the serial
+# path and leave htm-cv): a tleserved on a free port, `loadgen -check`
+# against it, and the recorded history must linearize per key and loadgen's
+# `adaptive:` line must show no shard with more than one switch (a
+# demotion is for good); once WAL-off and once with -wal, so "the binary
+# actually serves, durably too" can never regress silently. Last, a default
+# tleserved (no -capacity) under 64 B and 2 KiB sets over twice its item
+# count: it must fit its heap, so loadgen exits 0 and the server still
+# answers `version`.
 serve-smoke:
 	$(GO) test -run TestZeroAllocHotPath -count 1 ./internal/server
 	rm -rf $(BENCHDIR)/smoke-wal
@@ -156,6 +158,9 @@ serve-smoke:
 			-valsize 64,2048 -set 60 -del 10 -ops 20000 >$(BENCHDIR)/smoke-check.txt 2>&1; \
 		cat $(BENCHDIR)/smoke-check.txt; \
 		grep -q '^check: OK' $(BENCHDIR)/smoke-check.txt || { cat $$log; exit 1; }; \
+		a=$$(grep '^adaptive:' $(BENCHDIR)/smoke-check.txt) && \
+			! echo "$$a" | grep -qE '\(([2-9]|[0-9]{2,})\)' || \
+			{ echo "serve-smoke: no adaptive line, or a shard switched more than once"; cat $$log; exit 1; }; \
 		kill $$pid; wait $$pid 2>/dev/null; \
 	done; \
 	serve; \

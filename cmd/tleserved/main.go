@@ -1,7 +1,7 @@
 // Command tleserved serves the TLE kvstore over TCP, speaking the
 // memcached text protocol, with an optional adaptive per-shard policy
 // controller (internal/adaptive) moving each shard from htm-cv to
-// stm-cv-noq on a capacity-abort storm and back once its holdoff expires.
+// stm-cv-noq, for good, on a capacity-abort storm.
 // With the controller on, -policy must name one of those two rungs.
 //
 // Examples:
@@ -40,7 +40,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:11222", "listen address")
 		policyName = flag.String("policy", "htm-cv", "initial policy: pthread|stm-spin|stm-cv|stm-cv-noq|htm-cv; with -adaptive, htm-cv or stm-cv-noq")
-		adapt      = flag.Bool("adaptive", true, "enable the per-shard adaptive policy controller")
+		adapt      = flag.Bool("adaptive", true, "enable the per-shard adaptive policy controller: a shard leaves htm-cv for stm-cv-noq, for good, on a capacity-abort storm")
 		interval   = flag.Duration("interval", 50*time.Millisecond, "adaptive sampling window")
 		shards     = flag.Int("shards", 8, "kvstore shards")
 		capacity   = flag.Int("capacity", 4096, "max items per shard (second-chance eviction past it)")

@@ -1,192 +1,42 @@
 package adaptive
 
 import (
-	"fmt"
 	"testing"
 
 	"gotle/internal/htm"
 	"gotle/internal/kvstore"
 	"gotle/internal/stats"
 	"gotle/internal/tle"
+	"gotle/internal/tm"
 )
 
-// deciderAt builds a decider on rung p.
-func deciderAt(p tle.Policy) *Decider { return NewDecider(p) }
-
-// quiet and stormy windows for synthetic traces.
-var (
-	quiet    = Sample{Starts: 1000, Conflict: 0.01, Serial: 0.0}
-	capStorm = Sample{Starts: 1000, Capacity: 0.60, Conflict: 0.05}
-	capEdge  = Sample{Starts: 1000, Capacity: capacityDemote, Conflict: 0.03} // at the trigger, not above it
-	noisy    = Sample{Starts: 1000, Conflict: 0.30, Serial: 0.05}             // too busy to count as quiet
-)
-
-// The teeth test: a capacity-abort storm at htm-cv must demote to
-// stm-cv-noq, the rung where large freeing writers are cheap because the
-// engine parks their freed blocks on the committing thread instead of
-// waiting out a grace period — and must then stay out of htm-cv for the
-// holdoff.
+// The rule, window by window: a busy window whose capacity aborts pass 10%
+// of its attempts demotes; one at exactly 10%, one too idle to count
+// however stormy, and one busy with conflicts or serial runs alone do not.
 func TestCapacityStormDemotesHTMToSTMCVNoQ(t *testing.T) {
-	d := deciderAt(tle.PolicyHTMCondVar)
-	dec := d.Step(capStorm)
-	if !dec.Switched || dec.Target != tle.PolicySTMCondVarNoQ {
-		t.Fatalf("capacity storm: switched=%v target=%s, want switch to stm-cv-noq", dec.Switched, dec.Target)
-	}
-	// The shard must not crawl back into htm-cv the moment things calm
-	// down: the holdoff keeps it out even after the quiet streak.
-	for i := 0; i < 8; i++ {
-		if dec := d.Step(quiet); dec.Switched && dec.Target == tle.PolicyHTMCondVar {
-			t.Fatalf("window %d: re-promoted to htm-cv during holdoff", i)
-		}
-	}
-	// After the holdoff expires, quiet windows do bring it back.
-	saw := false
-	for i := 0; i < 2*htmHoldoff && !saw; i++ {
-		saw = d.Step(quiet).Target == tle.PolicyHTMCondVar
-	}
-	if !saw {
-		t.Fatal("never re-promoted to htm-cv after holdoff expiry")
-	}
-}
-
-// A workload whose capacity storms are intrinsic (the storm returns the
-// moment the shard re-enters htm-cv) must be held out geometrically
-// longer each round trip, not re-admitted every htmHoldoff windows.
-func TestRepeatedCapacityStormsEscalateHoldoff(t *testing.T) {
-	d := deciderAt(tle.PolicyHTMCondVar)
-
-	// roundTrip storms the shard off htm-cv (riding out any switch
-	// cooldown), then feeds quiet windows until it climbs back,
-	// returning how many quiet windows the climb took.
-	roundTrip := func() int {
-		demoted := false
-		for i := 0; i < 10 && !demoted; i++ {
-			dec := d.Step(capStorm)
-			demoted = dec.Switched && dec.Target == tle.PolicySTMCondVarNoQ
-		}
-		if !demoted {
-			t.Fatal("capacity storm never demoted the shard")
-		}
-		for i := 1; i <= 2000; i++ {
-			if d.Step(quiet).Target == tle.PolicyHTMCondVar {
-				return i
-			}
-		}
-		t.Fatal("never re-promoted to htm-cv")
-		return 0
-	}
-
-	first := roundTrip()
-	second := roundTrip()
-	third := roundTrip()
-	if second < first+htmHoldoff || third < second+2*htmHoldoff {
-		t.Fatalf("holdoff not escalating: round trips took %d, %d, %d windows",
-			first, second, third)
-	}
-}
-
-// Hysteresis: a trace that sits on the trigger's edge must not oscillate.
-// Windows at exactly the capacity threshold alternating with quiet ones keep
-// a shard on htm-cv, and noisy windows alternating with quiet ones reset the
-// quiet streak every other window, so a shard on stm-cv-noq never returns.
-func TestNoOscillationOnBorderlineTrace(t *testing.T) {
 	for _, tc := range []struct {
-		start tle.Policy
-		edge  Sample
-	}{{tle.PolicyHTMCondVar, capEdge}, {tle.PolicySTMCondVarNoQ, noisy}} {
-		d := deciderAt(tc.start)
-		for i := 0; i < 200; i++ {
-			s := tc.edge
-			if i%2 == 0 {
-				s = quiet
-			}
-			if dec := d.Step(s); dec.Switched {
-				t.Fatalf("%s: window %d switched to %s", tc.start, i, dec.Target)
-			}
+		name string
+		s    Sample
+		want bool
+	}{
+		{"capStorm", Sample{Starts: 1000, Capacity: 0.60, Conflict: 0.05}, true},
+		{"capEdge", Sample{Starts: 1000, Capacity: capacityDemote, Conflict: 0.03}, false},
+		{"idleAtCapacity1", Sample{Starts: minStarts - 1, Capacity: 1.0}, false},
+		{"busyAtMinStarts", Sample{Starts: minStarts, Capacity: 1.0}, true},
+		{"quiet", Sample{Starts: 1000, Conflict: 0.01}, false},
+		{"noisy", Sample{Starts: 1000, Conflict: 0.30, Serial: 0.05}, false},
+	} {
+		if got := demotes(tc.s); got != tc.want {
+			t.Errorf("%s: demotes(%+v) = %v, want %v", tc.name, tc.s, got, tc.want)
 		}
 	}
 }
 
-// Even a trace engineered to flap (a capacity storm every fourth window,
-// calm between) is rate-limited by the cooldown, the quiet streak and the
-// holdoff: far fewer switches than windows.
-func TestSwitchRateBoundedUnderFlappingTrace(t *testing.T) {
-	d := deciderAt(tle.PolicyHTMCondVar)
-	const windows = 120
-	switches := 0
-	for i := 0; i < windows; i++ {
-		s := capStorm
-		if i%4 != 0 {
-			s = quiet
-		}
-		if dec := d.Step(s); dec.Switched {
-			switches++
-		}
-	}
-	if switches > windows/6 {
-		t.Fatalf("%d switches in %d windows: hysteresis not limiting flap", switches, windows)
-	}
-}
-
-// The shape of serve-write's traffic, replayed window by window: on htm-cv
-// the 2 KiB sets overflow the write budget (a capacity storm) except from
-// window 900 to 1299, where the workload runs clean; on stm-cv-noq one
-// window in three carries traffic and is quiet and the rest are idle, as
-// the benchmark's lock slices leave the elided server. Every switch is
-// pinned: each storm right after a return parks the shard twice as long as
-// the one before (64, 128, 256, 512 windows), and the storm after the clean
-// spell starts over at 64.
-func TestDeciderReplaysServeWriteSchedule(t *testing.T) {
-	storm := Sample{Starts: 900, Capacity: 0.40, Conflict: 0.01}
-	busy := Sample{Starts: 300, Conflict: 0.01}
-	idle := Sample{Starts: 20}
-	type move struct {
-		window int
-		target tle.Policy
-	}
-	const htmCV, noq = tle.PolicyHTMCondVar, tle.PolicySTMCondVarNoQ
-	want := []move{
-		{0, noq}, {66, htmCV}, {69, noq}, {198, htmCV}, {201, noq},
-		{459, htmCV}, {462, noq}, {975, htmCV}, {1300, noq},
-		{1365, htmCV}, {1368, noq}, {1497, htmCV}, {1500, noq},
-	}
-	d := deciderAt(htmCV)
-	var got []move
-	for w := 0; w < 1600; w++ {
-		s := idle
-		switch {
-		case d.Current() == htmCV && (w < 900 || w >= 1300):
-			s = storm
-		case d.Current() == htmCV || w%3 == 0:
-			s = busy
-		}
-		if dec := d.Step(s); dec.Switched {
-			got = append(got, move{w, dec.Target})
-		}
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("switches (window, target):\n got  %v\n want %v", got, want)
-	}
-}
-
-// Idle windows (too few starts) must neither demote nor count toward
-// promotion, however stormy their few attempts were.
-func TestIdleWindowsDecideNothing(t *testing.T) {
-	d := deciderAt(tle.PolicyHTMCondVar)
-	for i := 0; i < 50; i++ {
-		if dec := d.Step(Sample{Starts: minStarts - 1, Capacity: 1.0}); dec.Switched {
-			t.Fatalf("idle window %d switched to %s", i, dec.Target)
-		}
-	}
-	if d.Current() != tle.PolicyHTMCondVar {
-		t.Fatalf("idle trace moved the decider to %s", d.Current())
-	}
-}
-
-// Live teeth test: a hybrid runtime with a tiny HTM write budget serving
-// large values must observe real capacity aborts and demote the hot
-// shard off htm-cv via the Controller (no synthetic samples).
-func TestControllerLiveCapacityDemotion(t *testing.T) {
+// stormy builds a hybrid runtime whose 8-line HTM write budget a 2 KiB
+// value overflows, a two-shard store on it and a controller over the
+// shards.
+func stormy(t *testing.T) (*tle.Runtime, *kvstore.Store, *Controller) {
+	t.Helper()
 	r := tle.New(tle.PolicyHTMCondVar, tle.Config{
 		MemWords: 1 << 20,
 		Hybrid:   true,
@@ -198,16 +48,52 @@ func TestControllerLiveCapacityDemotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r, s, ctl
+}
+
+// setN sets key to val n times on thread th.
+func setN(t *testing.T, s *kvstore.Store, th *tm.Thread, key, val []byte, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := s.Set(th, key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Idle windows (too few attempts) must not demote through the live
+// controller either, however many of their few attempts overflowed.
+func TestIdleWindowsDecideNothing(t *testing.T) {
+	r, s, ctl := stormy(t)
+	th := r.NewThread()
+	key := []byte("bigkey")
+	shard := s.ShardFor(key)
+	for w := 0; w < 50; w++ {
+		setN(t, s, th, key, make([]byte, 2048), 4)
+		if n := ctl.Tick(); n != 0 {
+			t.Fatalf("idle window %d switched %d shards", w, n)
+		}
+	}
+	st := ctl.Status()[shard]
+	if st.Policy != tle.PolicyHTMCondVar || st.Switches != 0 {
+		t.Fatalf("idle trace moved the shard: %+v", st)
+	}
+	if st.Window.Starts >= minStarts || st.Window.Capacity <= capacityDemote {
+		t.Fatalf("window %+v is not an idle stormy one", st.Window)
+	}
+}
+
+// Live teeth test: a hybrid runtime with a tiny HTM write budget serving
+// large values must observe real capacity aborts and demote the hot
+// shard off htm-cv via the Controller (no synthetic samples).
+func TestControllerLiveCapacityDemotion(t *testing.T) {
+	r, s, ctl := stormy(t)
 	th := r.NewThread()
 	val := make([]byte, 2048) // 256 words = 32 lines >> the 8-line budget
 	key := []byte("bigkey")
 	shard := s.ShardFor(key)
 	for w := 0; w < 4; w++ {
-		for i := 0; i < 50; i++ {
-			if err := s.Set(th, key, val); err != nil {
-				t.Fatal(err)
-			}
-		}
+		setN(t, s, th, key, val, 50)
 		ctl.Tick()
 	}
 	st := ctl.Status()[shard]
@@ -217,8 +103,36 @@ func TestControllerLiveCapacityDemotion(t *testing.T) {
 	if st.Switches == 0 {
 		t.Fatal("controller recorded no switches")
 	}
-	t.Logf("shard %d: policy=%s switches=%d reason=%q window=%+v",
-		shard, st.Policy, st.Switches, st.LastReason, st.Window)
+	t.Logf("shard %d: policy=%s switches=%d window=%+v", shard, st.Policy, st.Switches, st.Window)
+}
+
+// A demoted shard stays demoted: after its storm, 100 busy windows of
+// small sets that no longer overflow anything leave it on stm-cv-noq with
+// the one switch, and the cold shard never moves.
+func TestDemotionIsForGood(t *testing.T) {
+	r, s, ctl := stormy(t)
+	th := r.NewThread()
+	key := []byte("bigkey")
+	shard := s.ShardFor(key)
+	setN(t, s, th, key, make([]byte, 2048), 50)
+	if n := ctl.Tick(); n != 1 {
+		t.Fatalf("storm window switched %d shards, want 1", n)
+	}
+	small := make([]byte, 64)
+	for w := 0; w < 100; w++ {
+		setN(t, s, th, key, small, 100)
+		if n := ctl.Tick(); n != 0 {
+			t.Fatalf("quiet window %d switched %d shards", w, n)
+		}
+	}
+	sts := ctl.Status()
+	if st := sts[shard]; st.Policy != tle.PolicySTMCondVarNoQ || st.Switches != 1 ||
+		st.Window.Starts < minStarts || st.Window.Capacity != 0 {
+		t.Fatalf("hot shard after 100 busy quiet windows: %+v, want stm-cv-noq after 1 switch", st)
+	}
+	if st := sts[1-shard]; st.Policy != tle.PolicyHTMCondVar || st.Switches != 0 {
+		t.Fatalf("cold shard moved: %+v", st)
+	}
 }
 
 // The controller must refuse a mutex without an observer, a runtime that
@@ -239,7 +153,7 @@ func TestControllerConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := ctl.Status()[0]; st.Policy != tle.PolicySTMCondVarNoQ || st.LastReason != "none" {
+	if st := ctl.Status()[0]; st.Policy != tle.PolicySTMCondVarNoQ || st.Switches != 0 {
 		t.Fatalf("status = %+v", st)
 	}
 	if n := ctl.Tick(); n != 0 {

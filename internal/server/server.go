@@ -719,7 +719,6 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 			p := fmt.Sprintf("shard%d_", st.Shard)
 			stat(p+"policy", st.Policy.String())
 			u(p+"switches", st.Switches)
-			stat(p+"reason", st.LastReason)
 			stat(p+"conflict_rate", fmt.Sprintf("%.4f", st.Window.Conflict))
 			stat(p+"capacity_rate", fmt.Sprintf("%.4f", st.Window.Capacity))
 			stat(p+"serial_rate", fmt.Sprintf("%.4f", st.Window.Serial))

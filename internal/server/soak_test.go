@@ -21,7 +21,8 @@ import (
 // connection) over a hybrid runtime with the light fault mix injected —
 // forced STM validation failures, lock stalls, HTM conflict/capacity
 // aborts, epoch stalls and spurious serial entries — while the adaptive
-// controller concurrently swaps shard policies underneath the traffic.
+// controller concurrently demotes shards underneath the traffic, each at
+// most once.
 // Every get/set/delete from every client is recorded with a Wing-Gong
 // recorder and the per-key histories must linearize: no fault or policy
 // swap may surface as a torn value, lost write, or stale read.
@@ -126,6 +127,9 @@ func TestSoakChaosLiveServer(t *testing.T) {
 		switches += st.Switches
 		if st.Policy != tle.PolicyHTMCondVar && st.Policy != tle.PolicySTMCondVarNoQ {
 			t.Fatalf("shard %d ended on %s, not a rung", st.Shard, st.Policy)
+		}
+		if st.Switches > 1 {
+			t.Fatalf("shard %d switched %d times: a demotion is for good", st.Shard, st.Switches)
 		}
 	}
 	if switches == 0 {
