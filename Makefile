@@ -42,7 +42,9 @@ bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Static analysis: gofmt (analyzer fixtures under testdata/ excepted: their
-# layout is what the analyzers see), standard go vet, and the
+# layout is what the analyzers see), a Windows and a macOS build (the
+# simulated heap's mapping is unix-only, with a Go-heap fallback elsewhere),
+# standard go vet, and the
 # transaction-safety suite (cmd/tmvet; see DESIGN.md "Static analysis").
 # tmvet exits non-zero on any diagnostic: a finding is fixed or carries a
 # //gotle:allow with its reason. So this target is a gate, not a report. The whole recipe also
@@ -56,6 +58,7 @@ lint:
 	@start=$$(date +%s); \
 	bad=$$(gofmt -l $$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.*')); \
 	if [ -n "$$bad" ]; then echo "lint: not gofmt-clean:" >&2; echo "$$bad" >&2; exit 1; fi; \
+	GOOS=windows $(GO) build ./... && GOOS=darwin $(GO) build ./... || exit 1; \
 	$(GO) vet ./... || exit 1; \
 	$(GO) run ./cmd/tmvet ./... || exit 1; \
 	took=$$(( $$(date +%s) - start )); \

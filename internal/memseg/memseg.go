@@ -14,11 +14,15 @@
 // racing with a privatizing free — the bug class that quiescence exists to
 // prevent (Section IV) — reads a recognizable poison value instead of
 // silently wrong data.
+//
+// The segment and the STM's orec table come from Map, which the collector
+// cannot see: a program that drops runtimes releases them at its next GC.
 package memseg
 
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -63,7 +67,7 @@ var classWords = func() (t [numClasses]int) {
 
 // Memory is one simulated heap segment.
 type Memory struct {
-	words []uint64
+	words []uint64      // from Map; a method whose last use of m points into it ends in runtime.KeepAlive(m)
 	next  atomic.Uint64 // bump pointer (word index of next fresh block)
 	limit uint64
 	// freeHeads[c] packs (aba count << 32 | addr) for class c's free stack.
@@ -73,7 +77,7 @@ type Memory struct {
 	// phase hit the same class, where sharing is inherent).
 	//gotle:allow falseshare cross-class contention is rare by construction; same-class contention is inherent to a shared free list
 	freeHeads [numClasses]atomic.Uint64
-	liveBytes atomic.Int64 // live payload words, advisory accounting
+	liveWords atomic.Int64 // live payload words, advisory accounting
 }
 
 // New returns a segment of the given size in words. Sizes below 1024 words
@@ -83,9 +87,10 @@ func New(words int) *Memory {
 		words = 1024
 	}
 	m := &Memory{
-		words: make([]uint64, words),
+		words: Map[uint64](words),
 		limit: uint64(words),
 	}
+	runtime.SetFinalizer(m, func(m *Memory) { Unmap(m.words) })
 	m.next.Store(1) // skip word 0 (Nil)
 	return m
 }
@@ -97,12 +102,15 @@ func (m *Memory) Size() int { return len(m.words) }
 // path: under STM it is a plain (weakly isolated) read, which is precisely
 // why privatization needs quiescence.
 func (m *Memory) Load(a Addr) uint64 {
-	return atomic.LoadUint64(&m.words[a])
+	v := atomic.LoadUint64(&m.words[a])
+	runtime.KeepAlive(m)
+	return v
 }
 
 // Store atomically writes the word at a via the non-instrumented path.
 func (m *Memory) Store(a Addr, v uint64) {
 	atomic.StoreUint64(&m.words[a], v)
+	runtime.KeepAlive(m)
 }
 
 // StoreRange writes src to the consecutive words starting at a as one bulk
@@ -113,11 +121,14 @@ func (m *Memory) Store(a Addr, v uint64) {
 func (m *Memory) StoreRange(a Addr, src []uint64) {
 	//gotle:allow protdom exclusive owner; bulkCopy is atomic under -race
 	bulkCopy(m.words[int(a):int(a)+len(src)], src)
+	runtime.KeepAlive(m)
 }
 
 // CompareAndSwap performs a CAS on the word at a.
 func (m *Memory) CompareAndSwap(a Addr, old, new uint64) bool {
-	return atomic.CompareAndSwapUint64(&m.words[a], old, new)
+	ok := atomic.CompareAndSwapUint64(&m.words[a], old, new)
+	runtime.KeepAlive(m)
+	return ok
 }
 
 // classFor returns the size class index for a payload of n words, and the
@@ -164,7 +175,7 @@ func (m *Memory) Alloc(n int) (Addr, bool) {
 		newHead := (h+(1<<32)) & ^uint64(0xFFFFFFFF) | (next & 0xFFFFFFFF)
 		if head.CompareAndSwap(h, newHead) {
 			m.zero(a, cap)
-			m.liveBytes.Add(int64(cap))
+			m.liveWords.Add(int64(cap))
 			return a, true
 		}
 	}
@@ -181,7 +192,7 @@ func (m *Memory) Alloc(n int) (Addr, bool) {
 			a := hdr + 1
 			// No clearing: words past the bump pointer have never been
 			// handed out, so they are still zero from construction.
-			m.liveBytes.Add(int64(cap))
+			m.liveWords.Add(int64(cap))
 			return a, true
 		}
 	}
@@ -193,12 +204,14 @@ func (m *Memory) zero(a Addr, n int) {
 	// exclusively, and bulkSet swaps to atomic stores under -race.
 	//gotle:allow protdom exclusive owner; bulkSet is atomic under -race
 	bulkSet(m.words[int(a):int(a)+n], 0)
+	runtime.KeepAlive(m)
 }
 
 // BlockSize reports the payload capacity of the block at a, which must be an
 // address previously returned by Alloc.
 func (m *Memory) BlockSize(a Addr) int {
 	class := atomic.LoadUint64(&m.words[a-1])
+	runtime.KeepAlive(m)
 	if class >= numClasses {
 		panic(fmt.Sprintf("memseg: corrupt block header at %d: %d", a, class))
 	}
@@ -216,7 +229,7 @@ func (m *Memory) Free(a Addr) {
 	}
 	cap := m.BlockSize(a)
 	bulkSet(m.words[int(a)+1:int(a)+cap], Poison)
-	m.liveBytes.Add(int64(-cap))
+	m.liveWords.Add(int64(-cap))
 	class := int(atomic.LoadUint64(&m.words[a-1]))
 	head := &m.freeHeads[class]
 	for {
@@ -230,7 +243,12 @@ func (m *Memory) Free(a Addr) {
 }
 
 // LiveWords reports the number of currently allocated payload words.
-func (m *Memory) LiveWords() int64 { return m.liveBytes.Load() }
+func (m *Memory) LiveWords() int64 { return m.liveWords.Load() }
+
+// MappedBytes reports the bytes Map holds outside the Go heap, process-wide.
+func MappedBytes() int64 { return mapped.Load() }
+
+var mapped atomic.Int64
 
 // Used reports how many words of the segment have ever been claimed from the
 // bump pointer (freed blocks still count; they are recycled per class).

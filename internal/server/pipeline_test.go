@@ -274,7 +274,8 @@ func TestReadOnlyRefusesMutations(t *testing.T) {
 // TestStatsTMCountersAdvance checks the engine-wide transaction counters in
 // stats: every key is present, and sets under an HTM runtime with seeded
 // forced conflict and capacity aborts (each attempt that exhausts its retry
-// budget runs serially) advance all five.
+// budget runs serially) advance all five. The simulated heap's gauges are
+// there too: its size stays, and the sets' items raise its live bytes.
 func TestStatsTMCountersAdvance(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 1, Rates: chaos.Rates{chaos.HTMConflict: 20000, chaos.HTMCapacity: 20000}})
 	r := tle.New(tle.PolicyHTMCondVar, tle.Config{MemWords: 1 << 20, HTM: htm.Config{EventAbortPerMillion: -1}, FaultInjector: inj})
@@ -289,7 +290,8 @@ func TestStatsTMCountersAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	keys := []string{"tm_starts", "tm_commits", "tm_conflict_aborts", "tm_capacity_aborts", "tm_serial_runs"}
+	keys := []string{"tm_starts", "tm_commits", "tm_conflict_aborts", "tm_capacity_aborts", "tm_serial_runs",
+		"heap_bytes", "heap_used_bytes", "heap_live_bytes"}
 	read := func() map[string]uint64 {
 		t.Helper()
 		st, err := cl.Stats()
@@ -314,7 +316,16 @@ func TestStatsTMCountersAdvance(t *testing.T) {
 		}
 	}
 	after := read()
+	if after["heap_bytes"] != 8<<20 || before["heap_bytes"] != 8<<20 {
+		t.Errorf("heap_bytes %d then %d, want the 1<<20-word heap's %d", before["heap_bytes"], after["heap_bytes"], 8<<20)
+	}
+	if after["heap_live_bytes"] > after["heap_used_bytes"] || after["heap_used_bytes"] > after["heap_bytes"] {
+		t.Errorf("heap gauges out of order: live %d, used %d, size %d", after["heap_live_bytes"], after["heap_used_bytes"], after["heap_bytes"])
+	}
 	for _, k := range keys {
+		if k == "heap_bytes" || k == "heap_used_bytes" {
+			continue
+		}
 		if after[k] <= before[k] {
 			t.Errorf("stats %s did not advance over %d sets: %d -> %d", k, sets, before[k], after[k])
 		}

@@ -640,8 +640,8 @@ func serverError(err error) []byte {
 }
 
 // statsResponse renders the stats command: cache counters, server gauges,
-// and — when an adaptive controller is attached — per-shard policy,
-// switch count, last switch reason (one token) and abort rates.
+// the simulated heap's size, claimed and live bytes, and — when an adaptive
+// controller is attached — per-shard policy, switch count and abort rates.
 //
 //gotle:coldpath stats rendering allocates freely by design
 func (s *Server) statsResponse(th *tm.Thread) []byte {
@@ -690,6 +690,13 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 	u("shared_grace", es.SharedGrace)
 	u("scans_avoided", es.ScansAvoided)
 	u("reclaim_parked", all.ReclaimParked())
+
+	// The simulated heap is mapped outside the Go heap, so only these show
+	// it, and how close the bump pointer is to exhausting it.
+	mem := s.r.Engine().Memory()
+	u("heap_bytes", uint64(mem.Size())*8)
+	u("heap_used_bytes", uint64(mem.Used())*8)
+	u("heap_live_bytes", uint64(mem.LiveWords())*8)
 
 	if l := s.cfg.WAL; l != nil {
 		ws := l.Stats()

@@ -11,6 +11,7 @@
 package tmclock
 
 import (
+	"runtime"
 	"sync/atomic"
 	"unsafe"
 
@@ -56,6 +57,8 @@ func LockWord(id uint64) uint64 { return lockBit | id }
 // alternating pairs, seeds 2, 3), so the layout is flat.
 // Padding each orec to a line costs eight times the footprint for the same
 // separation.
+// The orecs come from memseg.Map, and a finalizer unmaps them once the Table
+// is garbage: an orec pointer is valid while its holder reaches the Table.
 type Table struct {
 	//gotle:allow falseshare the layout note above rejected per-orec padding (8x footprint) and interleaving (measured slower); stripeShift is the mitigation
 	recs []atomic.Uint64
@@ -77,11 +80,13 @@ func NewTable(sizeLog2, stripeShift int) *Table {
 	if stripeShift < 0 {
 		stripeShift = 0
 	}
-	return &Table{
-		recs:        make([]atomic.Uint64, 1<<sizeLog2),
+	t := &Table{
+		recs:        memseg.Map[atomic.Uint64](1 << sizeLog2),
 		mask:        uint32(1<<sizeLog2 - 1),
 		stripeShift: uint32(stripeShift),
 	}
+	runtime.SetFinalizer(t, func(t *Table) { memseg.Unmap(t.recs) })
+	return t
 }
 
 // Len reports the number of orecs.
