@@ -138,7 +138,8 @@ bench:
 # actually serves, durably too" can never regress silently. Last, a default
 # tleserved (no -capacity) under 64 B and 2 KiB sets over twice its item
 # count: it must fit its heap, so loadgen exits 0 and the server still
-# answers `version`.
+# answers `version`; its `heap_used_bytes` and `heap_live_bytes` after the
+# fill are printed, not gated, so every log carries the heap footprint.
 serve-smoke:
 	$(GO) test -run TestZeroAllocHotPath -count 1 ./internal/server
 	rm -rf $(BENCHDIR)/smoke-wal
@@ -169,7 +170,10 @@ serve-smoke:
 	serve; \
 	$(BENCHDIR)/loadgen -addr $$addr -conns 2 -depth 32 -keyspace 65536 \
 		-valsize 64,2048 -set 60 -ops 600000 || { cat $$log; exit 1; }; \
-	bash -c 'exec 3<>/dev/tcp/$${1%:*}/$${1##*:} && printf "version\r\n" >&3 && \
+	bash -c 'exec 3<>/dev/tcp/$${1%:*}/$${1##*:} && printf "stats\r\nversion\r\n" >&3 && \
+		while read -r -t 5 l <&3; do case "$$l" in END*) break;; \
+			"STAT heap_used_bytes "*|"STAT heap_live_bytes "*) echo "serve-smoke: $${l#STAT }" | tr -d "\r";; esac; \
+		done; \
 		read -r -t 5 v <&3; echo "$$v"; case "$$v" in VERSION*) ;; *) exit 1;; esac' - $$addr || \
 		{ cat $$log; exit 1; }
 

@@ -584,16 +584,21 @@ func benchStore(b *testing.B, p tle.Policy) (*Store, *tm.Thread, [][]byte) {
 // TestDefaultCacheFitsDefaultHeap fills every slot of tleserved's default
 // shape (8 shards of 4096 items on a 1 << 23-word heap) with 64-byte and
 // 2 KiB values in turn, the two sizes of the benchmark's write mix. A
-// 2 KiB item is 264 words; in a 512-word block, half of the cache alone
-// would take the whole heap.
+// 2 KiB item with this test's key is 265 words; rounded up to a power of
+// two, half of the cache alone would take the whole heap. The fill must
+// also stay tight: past the shards' own blocks, the heap it claims is
+// within an eighth of the words its items ask for, block headers
+// included.
 func TestDefaultCacheFitsDefaultHeap(t *testing.T) {
 	r := tle.New(tle.PolicyPthread, tle.Config{MemWords: 1 << 23})
 	s := New(r, Config{Shards: 8, MaxItemsPerShard: 4096})
+	mem := r.Engine().Memory()
+	fixed := mem.Used()
 	th := r.NewThread()
 	defer th.Release()
 	small, large := bytes.Repeat([]byte("s"), 64), bytes.Repeat([]byte("L"), 2048)
 	var filled [8]int
-	items := 0
+	items, asked := 0, int64(0)
 	defer func() {
 		if p := recover(); p != nil {
 			t.Fatalf("heap exhausted after %d of %d items: %v", items, 8*4096, p)
@@ -614,6 +619,11 @@ func TestDefaultCacheFitsDefaultHeap(t *testing.T) {
 		}
 		filled[sh]++
 		items++
+		asked += int64(wordsFor(len(key), len(val)))
+	}
+	if used := mem.Used() - fixed; 8*(used-asked) > asked {
+		t.Errorf("items asked for %d words and claimed %d past the shards' %d: %.1f%% over, want under 12.5%%",
+			asked, used, fixed, 100*float64(used-asked)/float64(asked))
 	}
 	n, err := s.Len(th)
 	if err != nil {

@@ -44,13 +44,14 @@ func (a Addr) Line() uint32 { return uint32(a) / WordsPerLine }
 // an alleged privatization indicate a quiescence violation.
 const Poison uint64 = 0xDEADBEEFDEADBEEF
 
-// Size classes hold 2, 4 and 8 payload words, then four per doubling: 10,
-// 12, 14, 16, 20, … 65536. Above 8 words a block wastes under a quarter of
-// its size (powers of two, which keep their class, waste up to half). One
-// header word precedes each payload and records the class index.
+// Size classes hold 2, 4 and 8 payload words, then eight per doubling: 9,
+// 10, … 16, 18, 20, … 32, 36, … 65536. Above 8 words a block wastes under a
+// ninth of its size, and powers of two and every size from 9 to 16 words
+// have a class of their own. One header word precedes each payload and
+// records the class index.
 const (
 	maxClassShift = 16
-	numClasses    = 3 + 4*(maxClassShift-3)
+	numClasses    = 3 + 8*(maxClassShift-3)
 )
 
 // MaxAlloc is the largest payload (in words) a single Alloc may request.
@@ -72,9 +73,10 @@ type Memory struct {
 	limit uint64
 	// freeHeads[c] packs (aba count << 32 | addr) for class c's free stack.
 	// Dense free-list heads: padding to a line per class would cost
-	// numClasses*56 bytes to speed up only the cross-class-contention
-	// case, which the size-class routing makes rare (threads in the same
-	// phase hit the same class, where sharing is inherent).
+	// numClasses*56 bytes (about 6 KB) to speed up only the
+	// cross-class-contention case, which the size-class routing makes rare
+	// (threads in the same phase hit the same class, where sharing is
+	// inherent).
 	//gotle:allow falseshare cross-class contention is rare by construction; same-class contention is inherent to a shared free list
 	freeHeads [numClasses]atomic.Uint64
 	liveWords atomic.Int64 // live payload words, advisory accounting
@@ -133,8 +135,8 @@ func (m *Memory) CompareAndSwap(a Addr, old, new uint64) bool {
 
 // classFor returns the size class index for a payload of n words, and the
 // payload capacity of that class. Above 8 words, n-1 lies in [2^k, 2^(k+1)),
-// and the quarter of that range it falls in, j = 0..3, picks the class of
-// (5+j)*2^(k-2) words.
+// and the eighth of that range it falls in, j = 0..7, picks the class of
+// (9+j)*2^(k-3) words.
 func classFor(n int) (int, int) {
 	if n < 1 {
 		n = 1
@@ -144,47 +146,29 @@ func classFor(n int) (int, int) {
 		return shift - 1, 1 << shift
 	}
 	k := bits.Len(uint(n-1)) - 1
-	j := (n - 1 - 1<<k) >> (k - 2) // 0..3
-	return 3 + 4*(k-3) + j, (5 + j) << (k - 2)
-}
-
-// ClassPayload reports the payload capacity, in words, of the size class
-// that Alloc would use for a request of n words.
-func ClassPayload(n int) int {
-	_, cap := classFor(n)
-	return cap
+	j := (n - 1 - 1<<k) >> (k - 3) // 0..7
+	return 3 + 8*(k-3) + j, (9 + j) << (k - 3)
 }
 
 // Alloc returns the address of a zeroed block with room for n payload words.
-// ok is false when the segment is exhausted and no freed block of the class
-// is available.
+// Once the bump pointer is spent and the request's class has no freed block,
+// the nearest larger class with one serves it; that block keeps its own
+// class, so BlockSize and Free see its full size. ok is false when no block
+// is left that can hold n words.
 func (m *Memory) Alloc(n int) (Addr, bool) {
 	if n <= 0 || n > MaxAlloc {
 		return Nil, false
 	}
 	class, cap := classFor(n)
-	// Try the free stack first.
-	head := &m.freeHeads[class]
-	for {
-		h := head.Load()
-		a := Addr(h & 0xFFFFFFFF)
-		if a == Nil {
-			break
-		}
-		next := atomic.LoadUint64(&m.words[a]) // next pointer stored in payload word 0
-		newHead := (h+(1<<32)) & ^uint64(0xFFFFFFFF) | (next & 0xFFFFFFFF)
-		if head.CompareAndSwap(h, newHead) {
-			m.zero(a, cap)
-			m.liveWords.Add(int64(cap))
-			return a, true
-		}
+	if a := m.reuse(class); a != Nil {
+		return a, true
 	}
 	// Fresh block from the bump pointer: header word + payload.
 	need := uint64(cap + 1)
 	for {
 		cur := m.next.Load()
 		if cur+need > m.limit {
-			return Nil, false
+			break
 		}
 		if m.next.CompareAndSwap(cur, cur+need) {
 			hdr := Addr(cur)
@@ -194,6 +178,32 @@ func (m *Memory) Alloc(n int) (Addr, bool) {
 			// handed out, so they are still zero from construction.
 			m.liveWords.Add(int64(cap))
 			return a, true
+		}
+	}
+	for c := class + 1; c < numClasses; c++ {
+		if a := m.reuse(c); a != Nil {
+			return a, true
+		}
+	}
+	return Nil, false
+}
+
+// reuse takes a block off class c's free stack, zeroed and counted live, or
+// returns Nil if the stack is empty.
+func (m *Memory) reuse(c int) Addr {
+	head := &m.freeHeads[c]
+	for {
+		h := head.Load()
+		a := Addr(h & 0xFFFFFFFF)
+		if a == Nil {
+			return Nil
+		}
+		next := atomic.LoadUint64(&m.words[a]) // next pointer stored in payload word 0
+		newHead := (h+(1<<32)) & ^uint64(0xFFFFFFFF) | (next & 0xFFFFFFFF)
+		if head.CompareAndSwap(h, newHead) {
+			m.zero(a, classWords[c])
+			m.liveWords.Add(int64(classWords[c]))
+			return a
 		}
 	}
 }

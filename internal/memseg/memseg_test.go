@@ -26,12 +26,12 @@ func TestAllocBasic(t *testing.T) {
 func TestAllocRoundsToClass(t *testing.T) {
 	m := New(1 << 16)
 	cases := []struct{ req, want int }{
-		{1, 2}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {8, 8}, {9, 10},
-		{100, 112}, {264, 320}, {4096, 4096},
+		{1, 2}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {8, 8}, {9, 9},
+		{100, 104}, {264, 288}, {4096, 4096},
 	}
 	for _, c := range cases {
-		if got := ClassPayload(c.req); got != c.want {
-			t.Errorf("ClassPayload(%d) = %d, want %d", c.req, got, c.want)
+		if _, got := classFor(c.req); got != c.want {
+			t.Errorf("classFor(%d) holds %d words, want %d", c.req, got, c.want)
 		}
 		a, ok := m.Alloc(c.req)
 		if !ok {
@@ -76,6 +76,58 @@ func TestAllocExhaustion(t *testing.T) {
 	}
 }
 
+// TestAllocTakesLargerFreeBlockWhenExhausted spends the bump pointer, frees
+// one 16-word block and asks for 10 words, whose class has never been
+// freed: the 16-word block must serve it whole, and go back to its own
+// class when freed.
+func TestAllocTakesLargerFreeBlockWhenExhausted(t *testing.T) {
+	m := New(1024)
+	var big []Addr
+	for {
+		a, ok := m.Alloc(16)
+		if !ok {
+			break
+		}
+		big = append(big, a)
+	}
+	for {
+		if _, ok := m.Alloc(2); !ok {
+			break
+		}
+	}
+	victim := big[len(big)/2]
+	for i := 0; i < 16; i++ {
+		m.Store(victim+Addr(i), ^uint64(0))
+	}
+	m.Free(victim)
+	if _, ok := m.Alloc(17); ok {
+		t.Fatal("Alloc(17) succeeded with only a 16-word block free")
+	}
+	live := m.LiveWords()
+	a, ok := m.Alloc(10)
+	if !ok {
+		t.Fatal("Alloc(10) failed with a free 16-word block on the heap")
+	}
+	if a != victim || m.BlockSize(a) != 16 {
+		t.Fatalf("Alloc(10) = block %d of %d words, want the freed block %d of 16", a, m.BlockSize(a), victim)
+	}
+	for i := 0; i < 16; i++ {
+		if v := m.Load(a + Addr(i)); v != 0 {
+			t.Fatalf("borrowed block word %d = %#x, want 0", i, v)
+		}
+	}
+	if got := m.LiveWords() - live; got != 16 {
+		t.Fatalf("LiveWords rose by %d, want 16", got)
+	}
+	if _, ok := m.Alloc(10); ok {
+		t.Fatal("second Alloc(10) succeeded with no block free")
+	}
+	m.Free(a)
+	if b, ok := m.Alloc(16); !ok || b != victim {
+		t.Fatalf("Alloc(16) after freeing the borrowed block = %d, %v, want %d", b, ok, victim)
+	}
+}
+
 func TestFreePoisons(t *testing.T) {
 	m := New(4096)
 	a, _ := m.Alloc(8)
@@ -116,9 +168,9 @@ func TestLiveWordsAccounting(t *testing.T) {
 	if m.LiveWords() != 0 {
 		t.Fatalf("initial LiveWords = %d", m.LiveWords())
 	}
-	a, _ := m.Alloc(11) // class 12
-	if m.LiveWords() != 12 {
-		t.Fatalf("LiveWords after alloc = %d, want 12", m.LiveWords())
+	a, _ := m.Alloc(11) // class 11
+	if m.LiveWords() != 11 {
+		t.Fatalf("LiveWords after alloc = %d, want 11", m.LiveWords())
 	}
 	m.Free(a)
 	if m.LiveWords() != 0 {
@@ -148,11 +200,12 @@ func TestBlockSizePanicsOnCorruptHeader(t *testing.T) {
 
 // TestSizeClassesProperty checks every request size against the class
 // rules: the class is the smallest that holds the request, requests of up
-// to 8 words get 2, 4 or 8, larger ones waste under a quarter of their
-// block, an allocated block reports its class's size, and a freed block
-// goes back to a request of its own class and to no other.
+// to 8 words get 2, 4 or 8, larger ones waste under a ninth of their
+// block, every power of two has a class of its own, an allocated block
+// reports its class's size, and a freed block goes back to a request of
+// its own class and to no other.
 func TestSizeClassesProperty(t *testing.T) {
-	m := New(1 << 19)
+	m := New(1 << 20)
 	for c := 1; c < numClasses; c++ {
 		if classWords[c] <= classWords[c-1] {
 			t.Fatalf("class %d holds %d words, class %d holds %d", c, classWords[c], c-1, classWords[c-1])
@@ -165,8 +218,8 @@ func TestSizeClassesProperty(t *testing.T) {
 	classOf := map[Addr]int{}
 	for n := 1; n <= MaxAlloc; n++ {
 		c, cap := classFor(n)
-		if cap < n || cap != classWords[c] || ClassPayload(n) != cap {
-			t.Fatalf("n=%d: class %d holds %d (table %d, ClassPayload %d)", n, c, cap, classWords[c], ClassPayload(n))
+		if cap < n || cap != classWords[c] {
+			t.Fatalf("n=%d: class %d holds %d (table %d)", n, c, cap, classWords[c])
 		}
 		if c > 0 && classWords[c-1] >= n {
 			t.Fatalf("n=%d: class %d (%d words) is not the smallest; class %d holds %d", n, c, cap, c-1, classWords[c-1])
@@ -174,8 +227,11 @@ func TestSizeClassesProperty(t *testing.T) {
 		if n <= 8 && cap != 2 && cap != 4 && cap != 8 {
 			t.Fatalf("n=%d: small request got %d words", n, cap)
 		}
-		if n > 8 && 4*(cap-n) >= cap {
-			t.Fatalf("n=%d: %d-word block wastes %d words, a quarter or more", n, cap, cap-n)
+		if n > 8 && 9*(cap-n) >= cap {
+			t.Fatalf("n=%d: %d-word block wastes %d words, a ninth or more", n, cap, cap-n)
+		}
+		if n >= 2 && n&(n-1) == 0 && cap != n {
+			t.Fatalf("n=%d: a power of two got a %d-word block", n, cap)
 		}
 		prev, seen := blockOf[c]
 		if seen && n > 1<<12 {
