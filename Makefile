@@ -103,8 +103,9 @@ chaos:
 
 # Paper-figure, quiescence, simulated-HTM, captured-store, per-policy kvstore,
 # parallel-get, parallel-set, disjoint-section scaling and empty-section
-# (read at -cpu 1 against -cpu 2), allocator, WAL-recovery, store-replay and
-# runtime-construction (B/op is a runtime's footprint) benchmarks with pinned
+# (read at -cpu 1 against -cpu 2), allocator, WAL-recovery, store-replay,
+# runtime-construction (B/op is a runtime's footprint) and connection-footprint
+# (B/conn is what a connection's ops hold after its requests) benchmarks with pinned
 # -benchtime/-count. Raw text goes to
 # $(BENCHDIR)/current.txt; compare two captures with benchstat. CI runs the
 # same list once through
@@ -124,8 +125,9 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkDisjointScaling|BenchmarkSetsScaling|BenchmarkEmptyDo' -cpu 1,2 \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tle | tee -a $(BENCHDIR)/current.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkAllocFree|BenchmarkRecover|BenchmarkNewRuntime' -benchmem \
-		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/memseg ./internal/wal ./internal/kvstore ./internal/tle | tee -a $(BENCHDIR)/current.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkAllocFree|BenchmarkRecover|BenchmarkNewRuntime|BenchmarkConnFootprint' -benchmem \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/memseg ./internal/wal ./internal/kvstore ./internal/tle \
+		./internal/server | tee -a $(BENCHDIR)/current.txt
 
 # The network server's zero-to-OK gate: the allocation gate (the serving
 # hot path must do exactly 0 allocs/op — see TestZeroAllocHotPath), then the
@@ -139,7 +141,8 @@ bench:
 # tleserved (no -capacity) under 64 B and 2 KiB sets over twice its item
 # count: it must fit its heap, so loadgen exits 0 and the server still
 # answers `version`; its `heap_used_bytes` and `heap_live_bytes` after the
-# fill are printed, not gated, so every log carries the heap footprint.
+# fill, and its `VmHWM` (peak resident size, from /proc where there is one),
+# are printed, not gated, so every log carries the server's footprint.
 serve-smoke:
 	$(GO) test -run TestZeroAllocHotPath -count 1 ./internal/server
 	rm -rf $(BENCHDIR)/smoke-wal
@@ -175,7 +178,8 @@ serve-smoke:
 			"STAT heap_used_bytes "*|"STAT heap_live_bytes "*) echo "serve-smoke: $${l#STAT }" | tr -d "\r";; esac; \
 		done; \
 		read -r -t 5 v <&3; echo "$$v"; case "$$v" in VERSION*) ;; *) exit 1;; esac' - $$addr || \
-		{ cat $$log; exit 1; }
+		{ cat $$log; exit 1; }; \
+	sed -n 's/^VmHWM:[[:space:]]*/serve-smoke: VmHWM /p' /proc/$$pid/status 2>/dev/null || true
 
 # Prove the chaos checker still bites: a sabotaged engine must be caught.
 chaos-teeth:

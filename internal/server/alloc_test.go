@@ -16,7 +16,7 @@ import (
 // the gate is exact (0.0 allocs/op), not a budget.
 //
 // The gate covers the pieces the server owns end to end: field split +
-// parse (decoder), the get path and the mutation path (executor + kvstore +
+// parse (decoder), an op's round through the connection's pool, the get path and the mutation path (executor + kvstore +
 // epoch), a multi-op MutateBatch as WAL replay runs it, without and with a WAL
 // (the writer's ticket waits included), and response encoding. Socket I/O
 // is excluded — bufio and the kernel sit outside the op lifecycle.
@@ -41,6 +41,25 @@ func TestZeroAllocHotPath(t *testing.T) {
 		warm()
 		if n := testing.AllocsPerRun(200, warm); n != 0 {
 			t.Fatalf("decode path allocates %.1f times per 4 commands", n)
+		}
+	})
+	t.Run("pool", func(t *testing.T) {
+		// An op's round through a warm connection: the decoder pops it,
+		// the executor resolves it, the writer takes the signal and pushes
+		// it back.
+		p := newOpPool(4)
+		one := func() {
+			o := p.get()
+			o.resolve(respStored)
+			<-o.done
+			recycle(o, p)
+		}
+		one()
+		if n := testing.AllocsPerRun(200, one); n != 0 {
+			t.Fatalf("pop, resolve and recycle allocate %.1f/op", n)
+		}
+		if p.made != 1 {
+			t.Fatalf("%d ops made for one in flight", p.made)
 		}
 	})
 	// Both mechanisms the adaptive ladder serves from: an HTM descriptor

@@ -10,15 +10,22 @@
 //
 // Per-connection pipeline (three goroutines per connection):
 //
-//	decoder  — reads and parses request lines + data blocks, performs
-//	           admission control: if the connection's execution queue is
-//	           full the op is answered "SERVER_ERROR busy" immediately
-//	           (shed) instead of stalling the socket;
+//	decoder  — pops an op off the connection's pool, reads and parses a
+//	           request line + data block into it, performs admission
+//	           control: if the connection's execution queue is full the op
+//	           is answered "SERVER_ERROR busy" immediately (shed) instead
+//	           of stalling the socket;
 //	executor — owns the connection's tm.Thread and runs each op's TLE
 //	           critical sections in arrival order;
 //	writer   — emits responses strictly in request order: every op
 //	           (executed or shed) carries a done-channel the writer
-//	           awaits before writing, so pipelining never reorders.
+//	           awaits before writing, so pipelining never reorders; then
+//	           pushes the op back onto the pool.
+//
+// The pool is a last-in first-out stack that makes an op only when it is
+// empty, so a connection holds as many ops, and as many request and reply
+// buffers, as it has had requests in flight at once, not as many as its
+// queues could hold.
 //
 // Admission control is two-level: a connection cap at accept time (late
 // connections get "SERVER_ERROR busy" and a close) and the per-connection
@@ -126,6 +133,10 @@ type Server struct {
 	// tm0 is the engine's counters at New: stats reports the transactions
 	// since, not a recovery replay's.
 	tm0 stats.Snapshot
+
+	// connDone, when set before Serve, is handed each connection's op pool
+	// once its writer has pushed back every op it will (a test hook).
+	connDone func(*opPool)
 }
 
 // Indices into Server.ops.
@@ -272,6 +283,7 @@ type op struct {
 	resp []byte        // wire response (static, or aliases respB)
 	done chan struct{} // cap-1 signal, reused across recycles
 	quit bool
+	next *op // the op below this one on the pool's stack
 
 	// tickets holds one WAL ticket per shard section the op ran: the
 	// writer waits them all before writing the reply, strictly after the
@@ -283,6 +295,60 @@ type op struct {
 	dataB []byte
 	respB []byte
 	valB  []byte // get-path value scratch
+}
+
+// opPool is one connection's ops: a stack the decoder pops and the writer
+// pushes, so the op reused next is the one written last, and the ops deeper
+// down — with the buffers they would grow — are touched only when that many
+// requests are in flight at once. An op is made when the stack is empty, up
+// to limit; past it the decoder waits for the writer.
+type opPool struct {
+	mu    sync.Mutex
+	ready sync.Cond // L is &mu; put signals a get waiting at the limit
+	top   *op
+	made  int
+	limit int
+}
+
+func newOpPool(limit int) *opPool {
+	p := &opPool{limit: limit}
+	p.ready.L = &p.mu
+	return p
+}
+
+// get pops the most recently written op, or makes one while fewer than
+// limit exist; at the limit it waits for put.
+//
+//gotle:hotpath per-op pop from the connection's stack
+func (p *opPool) get() *op {
+	p.mu.Lock()
+	for p.top == nil && p.made == p.limit {
+		p.ready.Wait()
+	}
+	o := p.top
+	if o != nil {
+		p.top = o.next
+		o.next = nil
+	} else {
+		p.made++
+	}
+	p.mu.Unlock()
+	if o == nil {
+		//gotle:allow hotalloc at most limit per connection, each the first time that many requests are in flight
+		o = &op{done: make(chan struct{}, 1)}
+	}
+	return o
+}
+
+// put pushes an op whose reply is written back onto the stack.
+//
+//gotle:hotpath per-op push onto the connection's stack
+func (p *opPool) put(o *op) {
+	p.mu.Lock()
+	o.next = p.top
+	p.top = o
+	p.mu.Unlock()
+	p.ready.Signal() // one load when nothing waits
 }
 
 func (o *op) resolve(resp []byte) {
@@ -317,13 +383,10 @@ func (s *Server) handleConn(c net.Conn) {
 	execQ := make(chan *op, s.cfg.QueueDepth)
 	respQ := make(chan *op, 2*s.cfg.QueueDepth)
 	// Op pool. Every live op is in respQ or in one goroutine's hands, so
-	// respQ's capacity plus slack bounds the population: the decoder
-	// blocks on the pool only when it would block on respQ anyway, and
-	// the writer's recycle can never overflow it.
-	free := make(chan *op, cap(respQ)+4)
-	for i := 0; i < cap(free); i++ {
-		free <- &op{done: make(chan struct{}, 1)}
-	}
+	// respQ's capacity plus slack bounds the population: the decoder blocks
+	// on respQ before it could wait on the pool. Below that bound ops are
+	// made as the requests in flight first need them.
+	pool := newOpPool(cap(respQ) + 4)
 
 	// Executor: one tm.Thread per connection, running the queued ops in
 	// arrival order.
@@ -373,7 +436,7 @@ func (s *Server) handleConn(c net.Conn) {
 				bw.Flush()
 			}
 			quit := o.quit
-			recycle(o, free)
+			recycle(o, pool)
 			if quit {
 				break
 			}
@@ -383,9 +446,12 @@ func (s *Server) handleConn(c net.Conn) {
 		for o := range respQ {
 			<-o.done
 		}
+		if s.connDone != nil {
+			s.connDone(pool)
+		}
 	}()
 
-	s.decodeLoop(c, execQ, respQ, free)
+	s.decodeLoop(c, execQ, respQ, pool)
 	close(execQ)
 	close(respQ)
 }
@@ -394,15 +460,12 @@ func (s *Server) handleConn(c net.Conn) {
 // per-request state cleared and its grown buffers kept.
 //
 //gotle:hotpath per-op recycle returns the op and its buffers to the pool
-func recycle(o *op, free chan *op) {
+func recycle(o *op, pool *opPool) {
 	o.data = nil
 	o.resp = nil
 	o.quit = false
 	o.tickets = o.tickets[:0]
-	select {
-	case free <- o:
-	default:
-	}
+	pool.put(o)
 }
 
 // mutationResp renders one mutation's wire response from its BatchResult.
@@ -454,15 +517,15 @@ func mutationResp(o *op, r *kvstore.BatchResult) []byte {
 // allocating.
 //
 //gotle:hotpath per-connection decode loop; all steady-state work reuses op-owned buffers
-func (s *Server) decodeLoop(c net.Conn, execQ, respQ chan *op, free chan *op) {
+func (s *Server) decodeLoop(c net.Conn, execQ, respQ chan *op, pool *opPool) {
 	//gotle:allow hotalloc once per connection, not per op; the loop below reuses op-owned buffers
 	br := bufio.NewReaderSize(c, 16<<10)
 	var fields [][]byte
 	for {
-		o := <-free
+		o := pool.get()
 		line, err := readLineInto(br, o.lineB[:0])
 		if err != nil {
-			recycle(o, free)
+			recycle(o, pool)
 			return
 		}
 		o.lineB = line
@@ -475,7 +538,7 @@ func (s *Server) decodeLoop(c net.Conn, execQ, respQ chan *op, free chan *op) {
 			}
 			buf := o.dataB[:need]
 			if _, err := io.ReadFull(br, buf); err != nil {
-				recycle(o, free)
+				recycle(o, pool)
 				return
 			}
 			if buf[o.cmd.Bytes] != '\r' || buf[o.cmd.Bytes+1] != '\n' {

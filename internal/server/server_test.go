@@ -18,6 +18,13 @@ import (
 
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
+	return startServerWith(t, cfg, nil)
+}
+
+// startServerWith is startServer with the connDone hook set before the
+// server serves.
+func startServerWith(tb testing.TB, cfg Config, connDone func(*opPool)) (*Server, string) {
+	tb.Helper()
 	r := tle.New(tle.PolicySTMCondVar, tle.Config{
 		MemWords: 1 << 20,
 		Observe:  true,
@@ -25,11 +32,12 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	})
 	store := kvstore.New(r, kvstore.Config{Shards: 4})
 	srv := New(r, store, cfg)
+	srv.connDone = connDone
 	addr, err := srv.Start()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Shutdown(5 * time.Second) })
+	tb.Cleanup(func() { srv.Shutdown(5 * time.Second) })
 	return srv, addr.String()
 }
 
