@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 CHAOS_RUNS ?= 5
 CHAOS_SEED ?= 1
 
-.PHONY: all build test bench-check lint race race-tm race-stress fuzz-short chaos chaos-teeth bench serve-smoke crash-smoke crash-chaos repl-smoke repl-chaos loc clean
+.PHONY: all build test bench-check lint race race-tm race-stress stress fuzz-short chaos chaos-teeth bench serve-smoke crash-smoke crash-chaos repl-smoke repl-chaos loc clean
 
 CRASH_SEED ?= 1
 
@@ -86,6 +86,15 @@ race-stress:
 	$(GO) test -race -count=20 -run 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace' \
 		./internal/tm ./internal/htm ./internal/epoch
 
+# The same handshake tests with the STM's and HTM's interleaving tests, the
+# registration/claim race among them, twenty times without the race
+# detector: the only build in which relstore's release stores are plain
+# MOVs, so the only one that runs the orderings the TM stack ships with.
+# CI's test job runs this target.
+stress:
+	$(GO) test -count=20 -run 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace|TestLateLoadAfterExtend|TestCMCorrectnessUnderContention|TestConcurrentIncrements|TestReadRegistrationRacesWriteClaim' \
+		./internal/tm ./internal/htm ./internal/epoch ./internal/stm
+
 # Short bursts of the native fuzz targets (long-form: go test -fuzz=X -fuzztime=10m).
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime $(FUZZTIME) ./internal/wal
@@ -103,7 +112,8 @@ chaos:
 
 # Paper-figure, quiescence, simulated-HTM, captured-store, per-policy kvstore,
 # parallel-get, parallel-set, disjoint-section scaling and empty-section
-# (read at -cpu 1 against -cpu 2), allocator, WAL-recovery, store-replay,
+# (read at -cpu 1 against -cpu 2), matched-access calibration (fixed and
+# per-line cost of a section, lock vs HTM vs STM), allocator, WAL-recovery, store-replay,
 # runtime-construction (B/op is a runtime's footprint) and connection-footprint
 # (B/conn is what a connection's ops hold after its requests) benchmarks with pinned
 # -benchtime/-count. Raw text goes to
@@ -124,6 +134,8 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkGetParallel|BenchmarkSetParallel' -cpu 1,2 \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkDisjointScaling|BenchmarkSetsScaling|BenchmarkEmptyDo' -cpu 1,2 \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tle | tee -a $(BENCHDIR)/current.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkMatchedAccess' -cpu 1 \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tle | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkAllocFree|BenchmarkRecover|BenchmarkNewRuntime|BenchmarkConnFootprint' -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/memseg ./internal/wal ./internal/kvstore ./internal/tle \

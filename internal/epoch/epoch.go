@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gotle/internal/relstore"
 	"gotle/internal/spinwait"
 )
 
@@ -60,20 +61,27 @@ type Slot struct {
 // transitions to inactive. Must be called before the slot's thread runs.
 func (s *Slot) SetExitHook(fn func()) { s.exitHook = fn }
 
-// Enter marks the owning thread as inside a transaction.
+// Enter marks the owning thread as inside a transaction. Odd = active. The
+// add is a full fence, the one fence an attempt needs: it is this side's
+// half of two Dekker handshakes, the serial lock's (enter, then load the
+// writer word) and quiescence's (enter, then read the heap, against a
+// committer that stores to the heap, then loads the slots).
 func (s *Slot) Enter() {
-	// Odd = active. Only the owner writes; the add is a full fence.
 	s.seq.Add(1)
 }
 
 // Exit marks the owning thread as outside any transaction. It must balance a
 // previous Enter; the transaction's undo/cleanup must be complete before
-// Exit, since observers treat Exit as "no longer able to race".
+// Exit, since observers treat Exit as "no longer able to race". Only the
+// owner writes seq, so Exit is a load and a release store, libitm's
+// read_unlock: every access of the transaction is ordered before it, which
+// is all a quiescer or a serial writer that sees the slot even relies on.
+// The thread's later loads may pass it; the next Enter's add orders them.
 func (s *Slot) Exit() {
 	if s.exitHook != nil {
 		s.exitHook()
 	}
-	s.seq.Add(1)
+	relstore.Store64(&s.seq, s.seq.Load()+1)
 }
 
 // Active reports whether the slot is currently inside a transaction.

@@ -45,6 +45,14 @@
 // flushed at commit; doomed transactions may observe inconsistent values
 // but can never commit them, so committed transactions are serializable.
 //
+// TSX begins and commits in hardware, so the simulator keeps locked
+// instructions where conflict detection needs them and no others: a new
+// read line's stamp store (the reader's half of a Dekker handshake whose
+// other half is a claimer's CAS, see addReadLine), a write claim's CAS,
+// the commit CAS and the flush. The state stores that begin and end an
+// attempt and a committed writer's claim releases are release stores
+// (package relstore), plain MOVs on amd64.
+//
 // Retry policy and the serial fallback lock live in the engine (package tm).
 package htm
 
@@ -58,6 +66,7 @@ import (
 	"gotle/internal/abortsig"
 	"gotle/internal/chaos"
 	"gotle/internal/memseg"
+	"gotle/internal/relstore"
 	"gotle/internal/spinwait"
 	"gotle/internal/stats"
 )
@@ -312,9 +321,11 @@ func (t *Tx) Begin() {
 	if t.live {
 		panic("htm: Begin on live transaction")
 	}
-	// A plain store: it also resets a stale doom, left by an attacker that
-	// doomed us between the last attempt's cleanup and now.
-	t.c.state.Store(stateOf(t.gen, stActive))
+	// A release store: it also resets a stale doom, left by an attacker that
+	// doomed the last attempt after its cleanup. Nothing needs it visible
+	// before the attempt's first stamp or claim, each a full fence; until
+	// then a claimer finds no stamp of this generation to doom it for.
+	relstore.Store64(&t.c.state, stateOf(t.gen, stActive))
 	t.writes = t.writes[:0]
 	t.live = true
 }
@@ -683,6 +694,14 @@ func (t *Tx) Commit() (readOnly bool) {
 	for _, w := range t.writes {
 		t.h.mem.Store(w.addr, w.val)
 	}
+	// Then give the claims back with release stores, ordered after the
+	// flush: a reader that finds a line unclaimed reads the flushed value.
+	// None can have been stolen. A steal dooms first, and doom fails from
+	// the CAS above until endAttempt's state store, which follows these.
+	for _, line := range t.writeLines {
+		relstore.Store32(&t.h.lines[line].writer, 0)
+	}
+	t.writeLines = t.writeLines[:0]
 	t.endAttempt()
 	return false
 }
@@ -693,10 +712,12 @@ func (t *Tx) Commit() (readOnly bool) {
 func (t *Tx) OnAbort() { t.endAttempt() }
 
 // endAttempt ends an attempt, committed or failed: it gives back every
-// write claim, releases the read set and resets status. The writer release
-// is conditional: a doomed attempt's claim may have been stolen. The read
-// set goes all at once — the next generation makes every stamp stale, and
-// with them the index cells.
+// write claim a failed attempt still lists, releases the read set and
+// resets status. That writer release is conditional: a doomed attempt's
+// claim may have been stolen. The read set goes all at once — the next
+// generation makes every stamp stale, and with them the index cells. The
+// state store is a release store: a claimer that still loads the old state
+// dooms only the attempt that just ended, and the next Begin overwrites it.
 func (t *Tx) endAttempt() {
 	for _, line := range t.writeLines {
 		t.h.lines[line].writer.CompareAndSwap(t.id+1, 0)
@@ -716,7 +737,7 @@ func (t *Tx) endAttempt() {
 		}
 		t.gen = 1
 	}
-	t.c.state.Store(stateOf(t.gen, stInactive))
+	relstore.Store64(&t.c.state, stateOf(t.gen, stInactive))
 	t.live = false
 }
 

@@ -47,7 +47,7 @@ func TestZeroAllocHotPath(t *testing.T) {
 		// An op's round through a warm connection: the decoder pops it,
 		// the executor resolves it, the writer takes the signal and pushes
 		// it back.
-		p := newOpPool(4)
+		p := &opPool{}
 		one := func() {
 			o := p.get()
 			o.resolve(respStored)

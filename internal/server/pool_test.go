@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
-	"time"
 	"unsafe"
 
 	"gotle/internal/server/client"
@@ -72,7 +71,7 @@ func TestConnOpsFollowInFlight(t *testing.T) {
 	})
 	p := <-pools
 	ops, grown, _ := poolFootprint(p)
-	t.Logf("%d sets at depth %d: %d ops made, %d grew a value block (bound %d)", n, depth, p.made, grown, p.limit)
+	t.Logf("%d sets at depth %d: %d ops made, %d grew a value block", n, depth, p.made, grown)
 	if ops != p.made {
 		t.Fatalf("%d ops made but %d back on the stack", p.made, ops)
 	}
@@ -81,35 +80,6 @@ func TestConnOpsFollowInFlight(t *testing.T) {
 	}
 	if grown == 0 {
 		t.Fatal("no op grew a value block: the walk saw none of the sets")
-	}
-}
-
-// TestOpPoolWaitsAtItsBound pins the pool's bound: with limit ops out the
-// next get waits, and the put of any one of them hands it over.
-func TestOpPoolWaitsAtItsBound(t *testing.T) {
-	p := newOpPool(3)
-	var out []*op
-	for i := 0; i < p.limit; i++ {
-		out = append(out, p.get())
-	}
-	got := make(chan *op)
-	go func() { got <- p.get() }()
-	select {
-	case <-got:
-		t.Fatal("get past the bound did not wait")
-	case <-time.After(20 * time.Millisecond):
-	}
-	p.put(out[1])
-	select {
-	case o := <-got:
-		if o != out[1] {
-			t.Fatal("the waiting get did not take the op put back")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("put did not wake the waiting get")
-	}
-	if p.made != p.limit {
-		t.Fatalf("%d ops made, limit %d", p.made, p.limit)
 	}
 }
 

@@ -300,31 +300,20 @@ type op struct {
 // opPool is one connection's ops: a stack the decoder pops and the writer
 // pushes, so the op reused next is the one written last, and the ops deeper
 // down — with the buffers they would grow — are touched only when that many
-// requests are in flight at once. An op is made when the stack is empty, up
-// to limit; past it the decoder waits for the writer.
+// requests are in flight at once. An op is made when the stack is empty.
+// The pool needs no bound of its own: every op out is in respQ or in one
+// goroutine's hands, so the decoder's respQ send bounds them at cap(respQ)+2.
 type opPool struct {
-	mu    sync.Mutex
-	ready sync.Cond // L is &mu; put signals a get waiting at the limit
-	top   *op
-	made  int
-	limit int
+	mu   sync.Mutex
+	top  *op
+	made int
 }
 
-func newOpPool(limit int) *opPool {
-	p := &opPool{limit: limit}
-	p.ready.L = &p.mu
-	return p
-}
-
-// get pops the most recently written op, or makes one while fewer than
-// limit exist; at the limit it waits for put.
+// get pops the most recently written op, or makes one if the stack is empty.
 //
 //gotle:hotpath per-op pop from the connection's stack
 func (p *opPool) get() *op {
 	p.mu.Lock()
-	for p.top == nil && p.made == p.limit {
-		p.ready.Wait()
-	}
 	o := p.top
 	if o != nil {
 		p.top = o.next
@@ -334,7 +323,7 @@ func (p *opPool) get() *op {
 	}
 	p.mu.Unlock()
 	if o == nil {
-		//gotle:allow hotalloc at most limit per connection, each the first time that many requests are in flight
+		//gotle:allow hotalloc at most cap(respQ)+2 per connection, each the first time that many requests are in flight
 		o = &op{done: make(chan struct{}, 1)}
 	}
 	return o
@@ -348,7 +337,6 @@ func (p *opPool) put(o *op) {
 	o.next = p.top
 	p.top = o
 	p.mu.Unlock()
-	p.ready.Signal() // one load when nothing waits
 }
 
 func (o *op) resolve(resp []byte) {
@@ -382,11 +370,9 @@ func (s *Server) handleConn(c net.Conn) {
 
 	execQ := make(chan *op, s.cfg.QueueDepth)
 	respQ := make(chan *op, 2*s.cfg.QueueDepth)
-	// Op pool. Every live op is in respQ or in one goroutine's hands, so
-	// respQ's capacity plus slack bounds the population: the decoder blocks
-	// on respQ before it could wait on the pool. Below that bound ops are
-	// made as the requests in flight first need them.
-	pool := newOpPool(cap(respQ) + 4)
+	// Op pool: ops are made as the requests in flight first need them, and
+	// the decoder's respQ send bounds how many there can be.
+	pool := &opPool{}
 
 	// Executor: one tm.Thread per connection, running the queued ops in
 	// arrival order.

@@ -14,6 +14,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"gotle/internal/relstore"
 )
 
 // AbortCause classifies why a transaction attempt failed.
@@ -46,7 +48,8 @@ func (c AbortCause) String() string {
 	return causeNames[c]
 }
 
-// Stripes is every Striped's stripe count: htm.MaxThreads, a hybrid engine's live-thread limit.
+// Stripes is a Striped's stripe count, and the number of thread ids that own
+// a stripe of a Counters: htm.MaxThreads, a hybrid engine's live-thread limit.
 const Stripes = 64
 
 const lineWords = 8 // counters per cache line
@@ -55,20 +58,29 @@ type line [lineWords]atomic.Uint64
 
 // Striped is n counters kept Stripes times over, each stripe on cache lines
 // of its own: a writer adds to the stripe its thread id selects, a reader sums
-// them all. Adds are atomic, so sums are exact at any thread count; thread
-// ids are small, dense and recycled (tm.Engine.NewThread), so up to Stripes
-// live threads write no line another thread writes. It is the one counter
-// layout in the tree: the engine's and each observed mutex's Counters,
-// kvstore's hit/miss counters and the server's per-op counters.
+// them all. Thread ids are small, dense and recycled (tm.Engine.NewThread),
+// so up to Stripes live threads write no line another thread writes. It is
+// the one counter layout in the tree: the engine's and each observed mutex's
+// Counters, kvstore's hit/miss counters and the server's per-op counters.
+//
+// Add is an atomic add on stripe id % Stripes, so sums are exact whatever
+// ids share a stripe. A Counters has one stripe more and two kinds of them:
+// ids below Stripes own theirs, and since ids are unique among live threads
+// their adds are a load and a release store (relstore), no locked
+// instruction; every larger id shares the last, the overflow stripe, whose
+// adds stay atomic. A reader's sum is exact either way, up to the adds in
+// flight.
 type Striped struct {
 	per   int    // lines per stripe
-	lines []line // Stripes*per of them, stripe-major; 64-byte elements, so line-aligned
+	lines []line // per lines per stripe, stripe-major; 64-byte elements, so line-aligned
 }
 
 // NewStriped returns n zeroed counters, a stripe rounded up to whole lines.
-func NewStriped(n int) *Striped {
+func NewStriped(n int) *Striped { return newStriped(n, Stripes) }
+
+func newStriped(n, stripes int) *Striped {
 	per := (n + lineWords - 1) / lineWords
-	return &Striped{per: per, lines: make([]line, Stripes*per)}
+	return &Striped{per: per, lines: make([]line, stripes*per)}
 }
 
 // Add adds d to counter i of the stripe that stripe (a thread id) selects.
@@ -79,13 +91,14 @@ func (s *Striped) Add(stripe uint64, i int, d uint64) {
 // Sum reads counter i over all stripes.
 func (s *Striped) Sum(i int) uint64 {
 	var n uint64
-	for st := 0; st < Stripes; st++ {
+	for st := 0; st < len(s.lines)/s.per; st++ {
 		n += s.lines[st*s.per+i/lineWords][i%lineWords].Load()
 	}
 	return n
 }
 
-// Reset zeroes every counter (between benchmark trials).
+// Reset zeroes every counter (between benchmark trials). An owned stripe's
+// add that runs across it may write back the count from before it.
 func (s *Striped) Reset() {
 	for l := range s.lines {
 		for w := range s.lines[l] {
@@ -116,32 +129,43 @@ const (
 
 // Counters is one set of transaction counters: a TM engine has one for all it
 // runs, and every observed tle.Mutex (tle.Config.Observe) one for the sections
-// run under it. A thread records through the Stripe its id selects.
+// run under it. A thread records through the Stripe its id selects: its own
+// below Stripes, the shared overflow stripe above (see Striped).
 type Counters struct {
 	s       *Striped
-	stripes [Stripes]Stripe
+	stripes [Stripes + 1]Stripe
 }
 
 // NewCounters returns a zeroed counter set.
 func NewCounters() *Counters {
-	c := &Counters{s: NewStriped(int(numEvents))}
+	c := &Counters{s: newStriped(int(numEvents), Stripes+1)}
 	for i := range c.stripes {
-		c.stripes[i] = Stripe{c.s.lines[i*c.s.per : (i+1)*c.s.per]}
+		c.stripes[i] = Stripe{lines: c.s.lines[i*c.s.per : (i+1)*c.s.per], shared: i == Stripes}
 	}
 	return c
 }
 
-// Stripe returns the handle thread id records through.
-func (c *Counters) Stripe(id uint64) *Stripe { return &c.stripes[id%Stripes] }
+// Stripe returns the handle thread id records through. The caller's id
+// must be unique among the threads recording into c while it does: ids
+// below Stripes own their stripe.
+func (c *Counters) Stripe(id uint64) *Stripe { return &c.stripes[min(id, Stripes)] }
 
 // Stripe is a handle to one stripe of a Counters. A nil *Stripe records
 // nothing, so a caller with an optional second sink needs no test of its own;
 // neither does one whose count is usually zero.
-type Stripe struct{ lines []line } // the stripe's lines of the Counters' Striped
+type Stripe struct {
+	lines  []line // the stripe's lines of the Counters' Striped
+	shared bool   // the overflow stripe: adds are atomic
+}
 
 func (t *Stripe) add(e event, d uint64) {
 	if t != nil && d != 0 {
-		t.lines[e/lineWords][e%lineWords].Add(d)
+		w := &t.lines[e/lineWords][e%lineWords]
+		if t.shared {
+			w.Add(d)
+			return
+		}
+		relstore.Store64(w, w.Load()+d)
 	}
 }
 

@@ -58,9 +58,9 @@ func applyEvent(t *Stripe, want *Snapshot, k int, arg uint64) {
 
 const eventKinds = 9 + NumCauses
 
-// 96 threads on 64 stripes: ids 65..96 share the stripes of 1..32, so 32
-// stripes have two concurrent writers. The snapshot must equal the one the
-// same event streams produce serially.
+// 96 threads on 64 owned stripes: ids 64..96 share the overflow stripe, 33
+// concurrent writers on one stripe. The snapshot must equal the one the same
+// event streams produce serially.
 func TestCountersExactWithSharedStripes(t *testing.T) {
 	const threads, per = 96, 2000
 	c := NewCounters()
@@ -177,11 +177,48 @@ func TestStripedLayout(t *testing.T) {
 	if c.s.per*lineWords < int(numEvents) {
 		t.Fatalf("Counters stripe holds %d words, events need %d", c.s.per*lineWords, numEvents)
 	}
-	// A thread's handle records on the stripe its id selects, ids past the
-	// stripe count included.
+	// A thread's handle records on the stripe its id selects; ids past the
+	// stripe count all record on the overflow stripe after the last.
 	c.Stripe(5).Commit(false)
 	c.Stripe(Stripes + 5).Commit(false)
-	if got := c.s.lines[5*c.s.per+int(evWriting)/lineWords][int(evWriting)%lineWords].Load(); got != 2 {
-		t.Fatalf("stripe 5 holds %d writing commits after two through its handles, want 2", got)
+	c.Stripe(Stripes).Commit(false)
+	for st, want := range map[int]uint64{5: 1, Stripes: 2} {
+		if got := c.s.lines[st*c.s.per+int(evWriting)/lineWords][int(evWriting)%lineWords].Load(); got != want {
+			t.Fatalf("stripe %d holds %d writing commits, want %d", st, got, want)
+		}
+	}
+	if got := c.Snapshot().Commits; got != 3 {
+		t.Fatalf("Snapshot().Commits = %d, want 3: the overflow stripe is summed too", got)
+	}
+}
+
+// Thread id Stripes+1 runs beside id 1, whose stripe it selected when the
+// stripe was id % Stripes: an owned stripe's add is a plain load and store,
+// so two live writers on one stripe would lose counts. Both must be exact.
+func TestOverflowIDBesideItsAlias(t *testing.T) {
+	const per = 100000
+	c := NewCounters()
+	one, past := c.Stripe(1), c.Stripe(Stripes+1)
+	if one == past {
+		t.Fatal("ids 1 and Stripes+1 share a stripe")
+	}
+	var wg sync.WaitGroup
+	for _, st := range []*Stripe{one, past} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				st.Commit(false)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, st := range []*Stripe{one, past} {
+		if got := st.lines[evWriting/lineWords][evWriting%lineWords].Load(); got != per {
+			t.Fatalf("stripe counts %d commits, want %d", got, per)
+		}
+	}
+	if got := c.Snapshot().Commits; got != 2*per {
+		t.Fatalf("Snapshot().Commits = %d, want %d", got, 2*per)
 	}
 }

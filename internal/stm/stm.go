@@ -36,6 +36,7 @@ import (
 	"gotle/internal/abortsig"
 	"gotle/internal/chaos"
 	"gotle/internal/memseg"
+	"gotle/internal/relstore"
 	"gotle/internal/stats"
 	"gotle/internal/tmclock"
 )
@@ -408,10 +409,15 @@ func (t *Tx) Commit() (readOnly bool) {
 	return false
 }
 
-// release unlocks every orec the attempt holds at version v.
+// release unlocks every orec the attempt holds at version v, with ml_wt's
+// release stores: the attempt's write-through stores (or, on abort, its
+// undo) are ordered before each, so a reader that sees an orec unlocked
+// sees the words it covers. Nothing later needs the new version visible
+// at once: until it is, readers find the orec still locked and abort, as
+// they would a moment earlier.
 func (t *Tx) release(v uint64) {
 	for _, orec := range t.locks {
-		orec.Store(v)
+		relstore.Store64(orec, v)
 	}
 }
 

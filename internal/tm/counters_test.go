@@ -80,18 +80,22 @@ func TestCallObsSeesTheCallsEvents(t *testing.T) {
 	}
 }
 
-// Threads past the 64 stripes share them and nothing is lost: 96 threads of an
-// STM engine (no hardware-context limit), each with its own word.
+// Threads past the 64 owned stripes share the overflow stripe and nothing is
+// lost: 96 live threads of an STM engine (no hardware-context limit), each
+// with its own word, commit at once once all are registered, so ids 64..96
+// add to the overflow stripe concurrently while 1..63 add to their own.
 func TestEngineCountersExactPastStripeCount(t *testing.T) {
 	e := New(Config{Mode: ModeSTM, MemWords: 1 << 14, Quiesce: QuiesceNone})
 	const threads, per = 96, 200
 	var wg sync.WaitGroup
+	start := make(chan struct{})
 	for i := 0; i < threads; i++ {
 		th := e.NewThread()
 		a := e.Alloc(8)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-start
 			for j := 0; j < per; j++ {
 				if err := e.Atomic(th, func(tx Tx) error { tx.Store(a, uint64(j)); return nil }); err != nil {
 					t.Error(err)
@@ -99,6 +103,7 @@ func TestEngineCountersExactPastStripeCount(t *testing.T) {
 			}
 		}()
 	}
+	close(start)
 	wg.Wait()
 	if s := e.Snapshot(); s.Commits != threads*per || s.Starts != s.Commits+s.TotalAborts() {
 		t.Fatalf("snapshot = %+v, want %d commits", s, threads*per)
