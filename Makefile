@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 CHAOS_RUNS ?= 5
 CHAOS_SEED ?= 1
 
-.PHONY: all build test bench-check lint race race-tm race-stress stress fuzz-short chaos chaos-teeth bench serve-smoke crash-smoke crash-chaos repl-smoke repl-chaos loc clean
+.PHONY: all build test bench-check lint mutate race race-tm race-stress stress fuzz-short chaos chaos-teeth bench serve-smoke crash-smoke crash-chaos repl-smoke repl-chaos loc clean
 
 CRASH_SEED ?= 1
 
@@ -48,10 +48,9 @@ bench-check:
 # transaction-safety suite (cmd/tmvet; see DESIGN.md "Static analysis").
 # tmvet exits non-zero on any diagnostic: a finding is fixed or carries a
 # //gotle:allow with its reason. So this target is a gate, not a report. The whole recipe also
-# carries a wall-clock budget: the interprocedural passes (census,
-# call-graph walks, allocation summaries) must stay fast enough to run on
-# every push, so the target fails if the full sweep exceeds LINT_BUDGET
-# seconds.
+# carries a wall-clock budget: the interprocedural passes (call-graph
+# walks, allocation summaries) must stay fast enough to run on every push,
+# so the target fails if the full sweep exceeds LINT_BUDGET seconds.
 LINT_BUDGET ?= 90
 
 lint:
@@ -68,6 +67,16 @@ lint:
 		exit 1; \
 	fi
 
+# The mutation table (internal/analysis/mutate_test.go, behind the mutate
+# build tag so `go test ./...` never builds it): seeded bug shapes, each
+# applied to a copy of the tree, and which layers catch each one — every
+# tmvet analyzer, `go test -race` on the tests the shape names, lockcheck,
+# the engine's RaceDetect tests and the chaos sweep. It fails when the
+# unmutated copy is caught or a shape is caught by no layer; the table it
+# prints is DESIGN.md §7's.
+mutate:
+	$(GO) test -tags mutate -count=1 -timeout 30m -run TestMutationTable -v ./internal/analysis
+
 # Tier-1 under the race detector.
 race:
 	$(GO) test -race ./...
@@ -79,11 +88,11 @@ race-tm:
 	$(GO) test -race $(TM_PKGS)
 	$(MAKE) race-stress
 
-# The tests of the serial lock's slot handshake, HTM doom and read-set
-# release, deferred reclamation and shared grace periods, twenty times under
-# the race detector; CI's race job runs this target.
+# The tests of the serial lock's slot handshake, HTM doom, read-set release
+# and claim steals, deferred reclamation and shared grace periods, twenty
+# times under the race detector; CI's race job runs this target.
 race-stress:
-	$(GO) test -race -count=20 -run 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace' \
+	$(GO) test -race -count=20 -run 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace|TestStealSparesNextAttemptsClaim' \
 		./internal/tm ./internal/htm ./internal/epoch
 
 # The same handshake tests with the STM's and HTM's interleaving tests, the
@@ -92,7 +101,7 @@ race-stress:
 # MOVs, so the only one that runs the orderings the TM stack ships with.
 # CI's test job runs this target.
 stress:
-	$(GO) test -count=20 -run 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace|TestLateLoadAfterExtend|TestCMCorrectnessUnderContention|TestConcurrentIncrements|TestReadRegistrationRacesWriteClaim' \
+	$(GO) test -count=20 -run 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace|TestLateLoadAfterExtend|TestCMCorrectnessUnderContention|TestConcurrentIncrements|TestReadRegistrationRacesWriteClaim|TestStealSparesNextAttemptsClaim' \
 		./internal/tm ./internal/htm ./internal/epoch ./internal/stm
 
 # Short bursts of the native fuzz targets (long-form: go test -fuzz=X -fuzztime=10m).

@@ -12,7 +12,7 @@
 // errors. Diagnostics use the repo-wide "position: rule: message" format
 // shared with lockcheck's dynamic report, and are suppressed per line by
 // //gotle:allow directives (see package analysis). Whatever -run selects,
-// an allow naming none of the seven registered rules is reported under
+// an allow naming none of the four registered rules is reported under
 // the rule "allow".
 //
 // Beyond the basic run:
@@ -20,7 +20,6 @@
 //	-json               emit diagnostics as a JSON array (internal/diagfmt.Record)
 //	-fix                apply suggested fixes to the source files in place
 //	-timing             print the effect-summary cache and per-analyzer wall clock
-//	-protdom-census     print the protection-domain census summary and exit
 package main
 
 import (
@@ -33,11 +32,8 @@ import (
 	"strings"
 
 	"gotle/internal/analysis"
-	"gotle/internal/analysis/cvlast"
 	"gotle/internal/analysis/falseshare"
 	"gotle/internal/analysis/hotalloc"
-	"gotle/internal/analysis/lockorder"
-	"gotle/internal/analysis/protdom"
 	"gotle/internal/analysis/tmflow"
 	"gotle/internal/analysis/txpure"
 	"gotle/internal/analysis/txsafe"
@@ -47,19 +43,16 @@ import (
 var analyzers = []*analysis.Analyzer{
 	txsafe.Analyzer,
 	txpure.Analyzer,
-	cvlast.Analyzer,
-	lockorder.Analyzer,
 	hotalloc.Analyzer,
 	falseshare.Analyzer,
-	protdom.Analyzer,
 }
 
 // allowCheck runs with every selection and knows every registered rule,
-// so `-run txsafe` does not flag an allow for protdom.
+// so `-run txsafe` does not flag an allow for hotalloc.
 var allowCheck = analysis.UnknownAllows(analyzers)
 
 // selectAnalyzers resolves the -run flag: a comma-separated list of
-// names or path.Match globs ("tx*,protdom"). A pattern matching no
+// names or path.Match globs ("tx*,hotalloc"). A pattern matching no
 // analyzer is an error naming the valid set.
 func selectAnalyzers(spec string) ([]*analysis.Analyzer, error) {
 	var selected []*analysis.Analyzer
@@ -107,7 +100,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
 	fix := flag.Bool("fix", false, "apply suggested fixes to the source files")
 	timing := flag.Bool("timing", false, "print per-analyzer wall-clock and effect-cache breakdown to stderr after the run")
-	censusDump := flag.Bool("protdom-census", false, "print the protection-domain census summary and exit")
 	flag.Parse()
 
 	if *list {
@@ -132,11 +124,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tmvet: %v\n", err)
 		os.Exit(2)
-	}
-
-	if *censusDump {
-		printCensus(prog)
-		return
 	}
 
 	diags, timings, err := analysis.RunTimed(prog, prog.Packages, slices.Concat(selected, []*analysis.Analyzer{allowCheck}))
@@ -204,27 +191,5 @@ func main() {
 	}
 	if len(diags) > 0 {
 		os.Exit(1)
-	}
-}
-
-// printCensus renders the protection-domain census summary: location and
-// goroutine-root counts plus the per-discipline histogram recorded in
-// EXPERIMENTS.md.
-func printCensus(prog *analysis.Program) {
-	stats := tmflow.CensusOf(prog).Stats()
-	fmt.Printf("protdom census: %d locations (%d shared), %d goroutine roots (%d multi-instance)\n",
-		stats.Locations, stats.Shared, stats.Roots, stats.MultiRoots)
-	labels := make([]string, 0, len(stats.ByDiscipline))
-	for l := range stats.ByDiscipline {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool {
-		if stats.ByDiscipline[labels[i]] != stats.ByDiscipline[labels[j]] {
-			return stats.ByDiscipline[labels[i]] > stats.ByDiscipline[labels[j]]
-		}
-		return labels[i] < labels[j]
-	})
-	for _, l := range labels {
-		fmt.Printf("  %-20s %d\n", l, stats.ByDiscipline[l])
 	}
 }

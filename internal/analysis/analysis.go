@@ -5,16 +5,16 @@
 //
 // The paper's programming model relies on GCC enforcing the C++ TM
 // Technical Specification at compile time: atomic blocks may only call
-// transaction-safe code, condition-variable waits must be a transaction's
-// last operation, and TM.NoQuiesce is only sound for transactions that do
-// not privatize. Go has no such compiler support, so this package supplies
-// it as a vet-style suite. The seven analyzers live in subpackages and are
-// driven together by cmd/tmvet: one per question a critical section
-// raises (txsafe: what may it call or wait on; txpure: what may it write
-// or publish outside TM memory; cvlast: is a wait its last operation;
-// lockorder: are its locks taken in one order), the serving path's
-// (hotalloc, falseshare), and the whole-program census's (protdom).
-// DESIGN.md maps each analyzer to the compiler check it substitutes for.
+// transaction-safe code, and TM.NoQuiesce is only sound for transactions
+// that do not privatize. Go has no such compiler support, so this package
+// supplies it as a vet-style suite. The four analyzers live in
+// subpackages and are driven together by cmd/tmvet: one per question a
+// critical section raises (txsafe: what may it call or wait on; txpure:
+// what may it write or publish outside TM memory) and the serving path's
+// (hotalloc, falseshare). Races on Go memory are left to `go test -race`,
+// races on TM memory to tm.Config.RaceDetect, and two-phase locking to
+// the lockcheck tracer. DESIGN.md maps each analyzer to the compiler
+// check it substitutes for.
 //
 // Three source directives interact with the suite:
 //
@@ -110,9 +110,6 @@ func (p *Pass) Report(d Diagnostic) {
 	d.Rule = p.Analyzer.Name
 	*p.diags = append(*p.diags, d)
 }
-
-// Position resolves a token.Pos against the program's file set.
-func (p *Pass) Position(pos token.Pos) token.Position { return p.Prog.Fset.Position(pos) }
 
 // An AnalyzerTiming is one analyzer's aggregate cost over a Run: total
 // wall-clock across all packages and the number of findings it reported

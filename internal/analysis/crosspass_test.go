@@ -4,11 +4,8 @@ import (
 	"testing"
 
 	"gotle/internal/analysis/analysistest"
-	"gotle/internal/analysis/cvlast"
 	"gotle/internal/analysis/falseshare"
 	"gotle/internal/analysis/hotalloc"
-	"gotle/internal/analysis/lockorder"
-	"gotle/internal/analysis/protdom"
 	"gotle/internal/analysis/txpure"
 	"gotle/internal/analysis/txsafe"
 )
@@ -19,6 +16,5 @@ import (
 // several hazards meet at is reported once.
 func TestListings(t *testing.T) {
 	analysistest.Run(t, "testdata/src/listings",
-		txsafe.Analyzer, txpure.Analyzer, cvlast.Analyzer, lockorder.Analyzer,
-		hotalloc.Analyzer, falseshare.Analyzer, protdom.Analyzer)
+		txsafe.Analyzer, txpure.Analyzer, hotalloc.Analyzer, falseshare.Analyzer)
 }

@@ -1,33 +1,29 @@
-// Cross-pass suppression fixture: one call trips both lockorder and txsafe
-// at the same position. The allow directive names lockorder only, so the
-// co-located txsafe finding must survive — suppression is per-rule, and
-// the runner's (pos, rule) dedup must not fold diagnostics from different
-// analyzers. An allow naming a rule no analyzer registers suppresses
-// nothing and is reported where it stands.
+// Cross-pass suppression fixture: one statement trips both txsafe and
+// txpure. The allow directive names txpure only, so the co-located txsafe
+// finding must survive — suppression is per-rule, not per-line. An allow
+// naming a rule no analyzer registers suppresses nothing and is reported
+// where it stands.
 package fixture
 
 import (
-	"time"
-
-	"gotle/internal/condvar"
+	"gotle/internal/memseg"
 	"gotle/internal/tle"
 	"gotle/internal/tm"
 )
 
 var (
-	th  *tm.Thread
-	muA *tle.Mutex
-	muB *tle.Mutex
-	cv  *condvar.Cond
+	th        *tm.Thread
+	muA       *tle.Mutex
+	handoff   chan memseg.Addr
+	published memseg.Addr
 )
 
 func noop(tx tm.Tx) error { return nil }
 
-func Reenter() {
+func Receive() {
 	muA.Do(th, func(tx tm.Tx) error {
-		muB.Do(th, noop)
-		//gotle:allow lockorder the harness re-enters muB deliberately
-		muB.Await(th, cv, time.Second, noop) // want txsafe:"Mutex.Await inside an atomic block"
+		//gotle:allow txpure the harness publishes the handed-off address deliberately
+		published = <-handoff // want txsafe:"channel receive inside an atomic block"
 		return nil
 	})
 }

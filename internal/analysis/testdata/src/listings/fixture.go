@@ -72,7 +72,7 @@ func waitAndSignal(flagA memseg.Addr) {
 	eng.Atomic(th, func(tx tm.Tx) error {
 		cv.Signal() // want txsafe:"SignalTx"
 		if tx.Load(flagA) == 0 {
-			cv.Wait(time.Second) // want cvlast:"not the atomic body's last operation"
+			cv.Wait(time.Second) // want txsafe:"condvar.Cond.Wait parks the goroutine"
 		}
 		return nil
 	})

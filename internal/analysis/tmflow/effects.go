@@ -3,8 +3,7 @@ package tmflow
 // Interprocedural allocation summaries: a cached per-function verdict —
 // can this function allocate on the Go heap, and where does the first
 // allocation come from — computed bottom-up over the `go list -deps` call
-// graph the Program loads in dependency order, the same memoization shape
-// as FuncSummary.
+// graph the Program loads in dependency order.
 //
 // The verdict is one bit, so joins are OR and the bottom-up computation is
 // trivially monotone. Soundness follows the suite's standing trade-offs:
@@ -79,8 +78,7 @@ func ResetEffectCacheStats() {
 // body in the loaded program summarize to allocation-free — callers classify
 // external calls themselves (AllocCallDesc) before
 // consulting the summary. Recursive cycles observe the in-progress
-// (empty) summary, which under-approximates exactly once, like
-// FuncSummary.
+// (empty) summary, which under-approximates exactly once.
 func EffectOf(prog *analysis.Program, fn *types.Func) *EffectSummary {
 	effectMu.Lock()
 	if s, ok := effectCache[fn]; ok {

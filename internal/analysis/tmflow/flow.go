@@ -1,12 +1,11 @@
 // Package tmflow is the dataflow layer under the tmvet analyzers: a
 // per-function control-flow graph (package cfg) with reaching-definition
-// facts, a small origin lattice for lock identities, and cached
-// interprocedural function summaries (critical sections entered, TM
-// footprint touched). It replaces the purely syntactic tree walk the
-// analyzers originally ran on, which is what lets them suppress findings
-// on statically infeasible paths (code after Tx.Retry or panic, branches
-// that both return) and reason about order — the same step up GCC's TM TS
-// checking takes over a per-statement check.
+// facts, a transitive call-graph walk (Visitor), and cached
+// interprocedural allocation summaries (EffectOf). It replaces the purely
+// syntactic tree walk the analyzers originally ran on, which is what lets
+// them suppress findings on statically infeasible paths (code after
+// Tx.Retry or panic, branches that both return) and reason about order —
+// the same step up GCC's TM TS checking takes over a per-statement check.
 package tmflow
 
 import (
@@ -33,8 +32,6 @@ type Func struct {
 	// (the previous attempt's leak, for a retried transaction) can still
 	// reach it.
 	initialReach map[*ast.Ident]bool
-	// defs lists the definition right-hand sides of each tracked variable.
-	defs map[*types.Var][]ast.Expr
 }
 
 var flowCache sync.Map // *ast.BlockStmt -> *Func
@@ -49,7 +46,6 @@ func Of(pkg *analysis.Package, body *ast.BlockStmt) *Func {
 		Body:         body,
 		conservative: make(map[*types.Var]bool),
 		initialReach: make(map[*ast.Ident]bool),
-		defs:         make(map[*types.Var][]ast.Expr),
 	}
 	f.G = cfg.New(body, cfg.Options{NoReturn: func(call *ast.CallExpr) bool {
 		return NoReturn(pkg, call)
@@ -102,25 +98,10 @@ func (f *Func) InitialReaches(v *types.Var, id *ast.Ident) bool {
 	return reach
 }
 
-// SingleDef returns the unique definition right-hand side of v within the
-// body, or nil when v has several definitions, is address-taken, or is
-// defined without an initializer.
-func (f *Func) SingleDef(v *types.Var) ast.Expr {
-	if f.conservative[v] {
-		return nil
-	}
-	ds := f.defs[v]
-	if len(ds) == 1 {
-		return ds[0]
-	}
-	return nil
-}
-
 // An event is one ordered read or definition of a variable inside a block.
 type event struct {
 	read *ast.Ident // a use of def == nil
 	def  *types.Var
-	rhs  ast.Expr // def initializer, when 1:1
 }
 
 func (f *Func) analyze() {
@@ -167,7 +148,6 @@ func (f *Func) analyze() {
 			for _, e := range evs {
 				if e.def != nil {
 					universe[e.def] = true
-					f.defs[e.def] = append(f.defs[e.def], e.rhs)
 				}
 			}
 		}
@@ -243,7 +223,7 @@ func (f *Func) nodeEvents(n ast.Node) []event {
 			return true
 		})
 	}
-	defOf := func(id *ast.Ident, rhs ast.Expr) {
+	defOf := func(id *ast.Ident) {
 		var v *types.Var
 		if dv, ok := info.Defs[id].(*types.Var); ok {
 			v = dv
@@ -251,7 +231,7 @@ func (f *Func) nodeEvents(n ast.Node) []event {
 			v = uv
 		}
 		if v != nil && !v.IsField() {
-			evs = append(evs, event{def: v, rhs: rhs})
+			evs = append(evs, event{def: v})
 		}
 	}
 	switch n := n.(type) {
@@ -260,16 +240,12 @@ func (f *Func) nodeEvents(n ast.Node) []event {
 			reads(r)
 		}
 		compound := n.Tok != token.ASSIGN && n.Tok != token.DEFINE
-		for i, l := range n.Lhs {
+		for _, l := range n.Lhs {
 			if id, ok := ast.Unparen(l).(*ast.Ident); ok && id.Name != "_" {
 				if compound {
 					evs = append(evs, event{read: id})
 				}
-				var rhs ast.Expr
-				if len(n.Lhs) == len(n.Rhs) {
-					rhs = n.Rhs[i]
-				}
-				defOf(id, rhs)
+				defOf(id)
 			} else {
 				reads(l)
 			}
@@ -277,7 +253,7 @@ func (f *Func) nodeEvents(n ast.Node) []event {
 	case *ast.IncDecStmt:
 		if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
 			evs = append(evs, event{read: id})
-			defOf(id, nil)
+			defOf(id)
 		} else {
 			reads(n.X)
 		}
@@ -291,12 +267,8 @@ func (f *Func) nodeEvents(n ast.Node) []event {
 				for _, val := range vs.Values {
 					reads(val)
 				}
-				for i, name := range vs.Names {
-					var rhs ast.Expr
-					if len(vs.Values) == len(vs.Names) {
-						rhs = vs.Values[i]
-					}
-					defOf(name, rhs)
+				for _, name := range vs.Names {
+					defOf(name)
 				}
 			}
 		}
@@ -306,7 +278,7 @@ func (f *Func) nodeEvents(n ast.Node) []event {
 		reads(n.X)
 		for _, kv := range []ast.Expr{n.Key, n.Value} {
 			if id, ok := kv.(*ast.Ident); ok && id.Name != "_" {
-				defOf(id, nil)
+				defOf(id)
 			}
 		}
 	case *ast.SendStmt:

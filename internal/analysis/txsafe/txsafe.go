@@ -13,11 +13,11 @@
 //
 //   - wait: channel sends, receives, select and range over a channel,
 //     time.Sleep/After/Tick, native sync waits (Mutex.Lock, WaitGroup.Wait,
-//     Cond.Wait) and wal.Ticket.Wait. Inside an atomic body such a wait can
-//     never be satisfied under elision — the transaction cannot observe
-//     the concurrent update it waits for — and inside a Synchronized body
-//     it stalls every policy behind the global serial lock. Flagged in
-//     both entry kinds.
+//     Cond.Wait), condvar.Cond.Wait and wal.Ticket.Wait. Inside an atomic
+//     body such a wait can never be satisfied under elision — the
+//     transaction cannot observe the concurrent update it waits for — and
+//     inside a Synchronized body it stalls every policy behind the global
+//     serial lock. Flagged in both entry kinds.
 //   - io: file, network and buffered I/O (os, net, syscall, bufio, io):
 //     the syscall blocks the transaction and re-fires on every retry.
 //   - irrevocable: go statements, close, console and log output, the rest
@@ -331,11 +331,15 @@ const (
 )
 
 // classify is the table of calls no critical section may make freely,
-// all of them outside the module except wal.Ticket.Wait. It is an
-// explicit denylist: a call it does not name is not a hazard.
+// all of them outside the module except wal.Ticket.Wait and
+// condvar.Cond.Wait. It is an explicit denylist: a call it does not name
+// is not a hazard.
 func classify(fn *types.Func) (hazard, bool) {
 	if analysis.IsTicketWait(fn) {
 		return hazard{classWait, "wal.Ticket.Wait blocks on the group-commit fsync", ""}, true
+	}
+	if analysis.IsCondMethod(fn, "Wait") {
+		return hazard{classWait, "condvar.Cond.Wait parks the goroutine", "a transaction that waits holds its speculative state while blocked, wherever the wait sits; observe the predicate, call Tx.Retry, and let Mutex.Await wait after rollback"}, true
 	}
 	pkg := fn.Pkg()
 	if pkg == nil {

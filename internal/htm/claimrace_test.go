@@ -124,3 +124,46 @@ func TestReadRegistrationRacesWriteClaim(t *testing.T) {
 		t.Fatal("no round produced a conflict: the two sides never met")
 	}
 }
+
+// TestStealSparesNextAttemptsClaim drives a stalled steal across its
+// victim's next attempt, one step at a time: a stealer loads writer A's
+// claim on line x; A's attempt ends; the stealer's doom (steal's first
+// half) finds it ended; A's next attempt claims x again; only then does
+// the stealer's CAS (steal's second half) run. That CAS must not take the
+// new attempt's claim, which nobody doomed. If it did, a reader would find
+// x unclaimed and A would commit over what it read: here the reader loads
+// x before A commits and y after, and must never commit A's y without A's
+// x.
+func TestStealSparesNextAttemptsClaim(t *testing.T) {
+	h, base := newHTM(t, Config{})
+	x, y := base, base+128 // distinct lines
+	a, r := h.NewTx(0), h.NewTx(1)
+	rec := &h.lines[x.Line()]
+
+	a.Begin()
+	a.Store(x, 1)
+	w := rec.writer.Load()
+	a.OnAbort()
+	if !h.doomClaim(w) {
+		t.Fatal("doom refused an attempt that has ended")
+	}
+	a.Begin()
+	a.Store(x, 1)
+	a.Store(y, 1)
+	rec.writer.CompareAndSwap(w, 0)
+	if got := rec.writer.Load(); got != a.claim() {
+		t.Errorf("line x's writer = %#x after the stale steal, want the live attempt's claim %#x", got, a.claim())
+	}
+
+	r.Begin()
+	vx := r.Load(x)
+	_, aborted := attempt2(a, func(*Tx) {})
+	vy := r.Load(y)
+	r.Commit()
+	if vx != vy {
+		t.Fatalf("reader committed x=%d, y=%d: A's attempt lost its claim on x to a steal aimed at the attempt before it", vx, vy)
+	}
+	if !aborted {
+		t.Fatal("A committed although the reader read its claimed line")
+	}
+}

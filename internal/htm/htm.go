@@ -94,6 +94,21 @@ const (
 // stateOf is the state word of an attempt of generation gen in status st.
 func stateOf(gen uint32, st uint64) uint64 { return uint64(gen)<<genShift | st }
 
+// A write claim names one attempt, not just its context: the context id
+// plus one in the low byte (so no claim is 0) and the low bits of the
+// attempt's generation above it. An attacker that loaded attempt g's claim
+// can then neither doom nor take the claim attempt g+1 of the same context
+// holds, however long it stalls between its steps (up to a wrap of the
+// claim's generation bits).
+const (
+	claimIDBits = 8
+	claimGens   = 1<<(32-claimIDBits) - 1 // the generation bits a claim keeps
+	anyGen      = ^uint32(0)              // dooms whatever attempt is running
+)
+
+// claimOf is the write claim of attempt gen of context id.
+func claimOf(id, gen uint32) uint32 { return gen<<claimIDBits | (id + 1) }
+
 // causeOf is the abort cause a doomed state carries.
 func causeOf(state uint64) stats.AbortCause {
 	return stats.AbortCause(state >> causeShift & causeMask)
@@ -134,10 +149,11 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// lineRec is the shared conflict state of one 64-byte line: writer is id+1
-// of the transaction with the line in its write set, or 0. Only a write
-// claim lives here. Who reads the line is recorded in the readers' own
-// contexts (see context), so a read leaves the record untouched.
+// lineRec is the shared conflict state of one 64-byte line: writer is the
+// claim (claimOf) of the attempt with the line in its write set, or 0.
+// Only a write claim lives here. Who reads the line is recorded in the
+// readers' own contexts (see context), so a read leaves the record
+// untouched.
 //
 // The simulator MODELS cache lines: lineRec density mirrors the modeled
 // line table, and padding it would distort what the model measures.
@@ -333,6 +349,9 @@ func (t *Tx) Begin() {
 // Live reports whether an attempt is in progress.
 func (t *Tx) Live() bool { return t.live }
 
+// claim is the write claim of the current attempt.
+func (t *Tx) claim() uint32 { return claimOf(t.id, t.gen) }
+
 // ReadOnly reports whether the attempt has performed no writes.
 func (t *Tx) ReadOnly() bool { return len(t.writes) == 0 }
 
@@ -437,13 +456,18 @@ func (t *Tx) growIndex() {
 	}
 }
 
-// doom tries to abort the transaction with the given id (caller has observed
-// a conflict with it). It reports false when the victim is committing and
-// thus cannot be doomed — the caller must abort itself.
-func (h *HTM) doom(victim uint32, cause stats.AbortCause) bool {
+// doom tries to abort attempt gen (its claim's generation bits) of context
+// victim, or with anyGen whatever attempt it is running (caller has
+// observed a conflict with it). It reports false when that attempt is
+// committing and thus cannot be doomed — the caller must abort itself — and
+// true once it is doomed or has ended.
+func (h *HTM) doom(victim, gen uint32, cause stats.AbortCause) bool {
 	c := &h.ctx[victim]
 	for {
 		s := c.state.Load()
+		if gen != anyGen && uint32(s>>genShift)&claimGens != gen {
+			return true // that attempt has ended
+		}
 		switch s & stMask {
 		case stActive:
 			if c.state.CompareAndSwap(s, s&^stMask|stDoomed|uint64(cause)<<causeShift) {
@@ -463,8 +487,26 @@ func (h *HTM) doom(victim uint32, cause stats.AbortCause) bool {
 // all at once.
 func (h *HTM) DoomAll(cause stats.AbortCause) {
 	for m := h.live.Load(); m != 0; m &= m - 1 {
-		h.doom(uint32(bits.TrailingZeros64(m)), cause)
+		h.doom(uint32(bits.TrailingZeros64(m)), anyGen, cause)
 	}
+}
+
+// doomClaim dooms the attempt that holds (or held) write claim w, as doom.
+func (h *HTM) doomClaim(w uint32) bool {
+	return h.doom(w&(1<<claimIDBits-1)-1, w>>claimIDBits, stats.Conflict)
+}
+
+// steal revokes write claim w of line record rec, replacing it with
+// claim (0 to leave the line unclaimed). The claim's attempt is doomed
+// first, so it can never flush; steal reports false, taking nothing, when
+// that attempt is committing. The CAS fails harmlessly if the attempt's
+// own cleanup (a conditional release) or another stealer got there first.
+func (h *HTM) steal(rec *lineRec, w, claim uint32) bool {
+	if !h.doomClaim(w) {
+		return false
+	}
+	rec.writer.CompareAndSwap(w, claim)
+	return true
 }
 
 // readers returns the contexts among mask that hold line in their current
@@ -528,21 +570,18 @@ func (t *Tx) addReadLine(line uint32) {
 	// each side then loads the other's word, so one of the two sees the
 	// other (a claimer looks for stamps in readers). A stamp left behind
 	// by an abort below goes stale with the generation.
+	mine := t.claim()
 	for {
-		if w := rec.writer.Load(); w != 0 && w != t.id+1 {
-			if !t.h.doom(w-1, stats.Conflict) {
+		if w := rec.writer.Load(); w != 0 && w != mine {
+			// Revoke the claim at once (hardware aborts the victim
+			// instantly, our victims abort lazily at their next access).
+			if !t.h.steal(rec, w, 0) {
 				abortsig.Throw(stats.Conflict) // writer is committing
 			}
-			// The victim is doomed and can never flush; revoke its
-			// claim immediately (hardware aborts the victim instantly,
-			// our victims abort lazily at their next access). The
-			// victim's own cleanup uses a conditional release, so the
-			// steal is safe.
-			rec.writer.CompareAndSwap(w, 0)
 			continue
 		}
 		t.stamps[line].Store(t.gen)
-		if w := rec.writer.Load(); w != 0 && w != t.id+1 {
+		if w := rec.writer.Load(); w != 0 && w != mine {
 			continue
 		}
 		break
@@ -566,7 +605,7 @@ func (t *Tx) Store(a memseg.Addr, v uint64) {
 // trackWriteLine puts a line in the write set: holding the line's writer
 // claim is "already in the write set".
 func (t *Tx) trackWriteLine(line uint32) {
-	if t.h.lines[line].writer.Load() != t.id+1 {
+	if t.h.lines[line].writer.Load() != t.claim() {
 		t.addWriteLine(line)
 	}
 }
@@ -583,7 +622,7 @@ func (t *Tx) addWriteLine(line uint32) {
 		abortsig.Throw(stats.Capacity)
 	}
 	// Record before claiming: if claimLine aborts mid-way, OnAbort's
-	// conditional release (CAS id+1 → 0) cleans up whatever was taken.
+	// conditional release (CAS claim → 0) cleans up whatever was taken.
 	t.writeLines = append(t.writeLines, line)
 	t.claimLine(line)
 }
@@ -643,20 +682,20 @@ func (t *Tx) StoreRange(a memseg.Addr, src []uint64) {
 // readers and writers.
 func (t *Tx) claimLine(line uint32) {
 	rec := &t.h.lines[line]
+	mine := t.claim()
 	// Evict a conflicting writer, stealing its claim once it is doomed.
 	for {
 		w := rec.writer.Load()
-		if w == t.id+1 {
+		if w == mine {
 			break
 		}
 		if w != 0 {
-			if !t.h.doom(w-1, stats.Conflict) {
+			if !t.h.steal(rec, w, mine) {
 				abortsig.Throw(stats.Conflict)
 			}
-			rec.writer.CompareAndSwap(w, t.id+1)
 			continue
 		}
-		if rec.writer.CompareAndSwap(0, t.id+1) {
+		if rec.writer.CompareAndSwap(0, mine) {
 			break
 		}
 	}
@@ -664,7 +703,7 @@ func (t *Tx) claimLine(line uint32) {
 	mask := t.h.readers(line, t.h.live.Load()&^t.bit)
 	for id := uint32(0); mask != 0 && id < MaxThreads; id++ {
 		if mask&(1<<id) != 0 {
-			if !t.h.doom(id, stats.Conflict) {
+			if !t.h.doom(id, anyGen, stats.Conflict) {
 				abortsig.Throw(stats.Conflict)
 			}
 			mask &^= 1 << id
@@ -719,8 +758,9 @@ func (t *Tx) OnAbort() { t.endAttempt() }
 // state store is a release store: a claimer that still loads the old state
 // dooms only the attempt that just ended, and the next Begin overwrites it.
 func (t *Tx) endAttempt() {
+	mine := t.claim()
 	for _, line := range t.writeLines {
-		t.h.lines[line].writer.CompareAndSwap(t.id+1, 0)
+		t.h.lines[line].writer.CompareAndSwap(mine, 0)
 	}
 	t.writeLines = t.writeLines[:0]
 	t.nReads = 0
@@ -752,14 +792,12 @@ func (h *HTM) InvalidateBlock(a memseg.Addr, words int) {
 	for line := first; line <= last; line++ {
 		rec := &h.lines[line]
 		if w := rec.writer.Load(); w != 0 {
-			if h.doom(w-1, stats.Conflict) {
-				rec.writer.CompareAndSwap(w, 0)
-			}
+			h.steal(rec, w, 0)
 		}
 		mask := h.readers(line, h.live.Load())
 		for id := uint32(0); mask != 0 && id < MaxThreads; id++ {
 			if mask&(1<<id) != 0 {
-				h.doom(id, stats.Conflict)
+				h.doom(id, anyGen, stats.Conflict)
 				mask &^= 1 << id
 			}
 		}
@@ -776,8 +814,7 @@ func (h *HTM) NontxLoad(a memseg.Addr) uint64 {
 		if w == 0 {
 			break
 		}
-		if h.doom(w-1, stats.Conflict) {
-			rec.writer.CompareAndSwap(w, 0)
+		if h.steal(rec, w, 0) {
 			break
 		}
 		// Writer is committing: its flush is running on a live goroutine
@@ -790,7 +827,7 @@ func (h *HTM) NontxLoad(a memseg.Addr) uint64 {
 	// if it already reached Committing its flush wins and our caller sees
 	// either value, both of which are legal outcomes of the race).
 	if w := rec.writer.Load(); w != 0 {
-		h.doom(w-1, stats.Conflict)
+		h.doomClaim(w)
 	}
 	return v
 }
@@ -805,8 +842,7 @@ func (h *HTM) NontxStore(a memseg.Addr, v uint64) {
 		if w == 0 {
 			break
 		}
-		if h.doom(w-1, stats.Conflict) {
-			rec.writer.CompareAndSwap(w, 0)
+		if h.steal(rec, w, 0) {
 			break
 		}
 		b.Wait()
@@ -817,7 +853,7 @@ func (h *HTM) NontxStore(a memseg.Addr, v uint64) {
 			// Readers that are committing are read-only on this line’s
 			// value flow; their commit does not depend on future values,
 			// so it is safe to proceed without dooming them.
-			h.doom(id, stats.Conflict)
+			h.doom(id, anyGen, stats.Conflict)
 			mask &^= 1 << id
 		}
 	}
@@ -825,6 +861,6 @@ func (h *HTM) NontxStore(a memseg.Addr, v uint64) {
 	// Doom any transaction that claimed the line while we were writing, so
 	// its buffered value cannot silently overwrite ours at flush time.
 	if w := rec.writer.Load(); w != 0 {
-		h.doom(w-1, stats.Conflict)
+		h.doomClaim(w)
 	}
 }

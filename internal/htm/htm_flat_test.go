@@ -268,8 +268,8 @@ func TestStolenWriteClaimOnDoomedAttempt(t *testing.T) {
 	loser.Store(base, 1)
 	winner.Begin()
 	winner.Store(base, 2) // dooms loser, steals the claim
-	if got := h.lines[line].writer.Load(); got != winner.id+1 {
-		t.Fatalf("writer = %d after the steal, want winner's %d", got, winner.id+1)
+	if got := h.lines[line].writer.Load(); got != winner.claim() {
+		t.Fatalf("writer = %d after the steal, want winner's %d", got, winner.claim())
 	}
 	// The interleaving Store's entry check cannot see: doomed after the
 	// check, before the line is tracked.
@@ -277,8 +277,8 @@ func TestStolenWriteClaimOnDoomedAttempt(t *testing.T) {
 	if !aborted || cause != stats.Conflict {
 		t.Fatalf("doomed attempt re-tracking its stolen line: aborted=%v cause=%v, want a conflict abort", aborted, cause)
 	}
-	if got := h.lines[line].writer.Load(); got != winner.id+1 {
-		t.Fatalf("writer = %d after loser's abort, want winner's %d still", got, winner.id+1)
+	if got := h.lines[line].writer.Load(); got != winner.claim() {
+		t.Fatalf("writer = %d after loser's abort, want winner's %d still", got, winner.claim())
 	}
 	if winner.c.state.Load() != stateOf(winner.gen, stActive) {
 		t.Fatal("the doomed attempt doomed the transaction that beat it")

@@ -337,7 +337,6 @@ func (s *Store) AttachTap(t logrec.Sink) {
 		// Attach-before-serving contract: no goroutine runs transactions
 		// against the store yet, so this raw store cannot race the
 		// transactional s.stream readers on the commit path.
-		//gotle:allow protdom attach-before-serving; no concurrent transactions yet
 		s.stream = logrec.NewStream(last)
 	}
 	s.stream.Attach(t)

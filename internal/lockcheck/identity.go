@@ -6,40 +6,29 @@ import (
 	"gotle/internal/diagfmt"
 )
 
-// SiteKey canonicalizes a lock-creation site into the identity string both
-// halves of the lock-order tooling agree on: the dynamic checker records it
-// when the runtime reports NewMutex (via LockCreated), and the static
-// lockorder analyzer computes the same string from the NewMutex call's
-// source position. The path is shortened with diagfmt.Rel exactly like
-// every other diagnostic position, so the two sides key a lock
-// identically.
-func SiteKey(file string, line int) string {
-	return fmt.Sprintf("%s:%d", diagfmt.Rel(file), line)
-}
-
 // lockIdent is one mutex's identity as reported by the runtime.
 type lockIdent struct {
 	name string
-	site string // SiteKey of the NewMutex call, "" when unknown
+	site string // file:line of the NewMutex call, "" when unknown
 }
 
 // LockCreated records mutex mid's name and creation site. The TLE runtime
 // calls it from NewMutex when its Tracer also implements the optional
 // tle.LockNamer interface; mid numbering matches the Acquire/Release
-// events.
+// events. The path is shortened with diagfmt.Rel, like every other
+// diagnostic position.
 func (c *Checker) LockCreated(mid int, name, file string, line int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.locks == nil {
 		c.locks = make(map[int]lockIdent)
 	}
-	c.locks[mid] = lockIdent{name: name, site: SiteKey(file, line)}
+	c.locks[mid] = lockIdent{name: name, site: fmt.Sprintf("%s:%d", diagfmt.Rel(file), line)}
 }
 
-// LockKey returns mid's canonical identity, "name@site" when the creation
-// site was reported and the bare name (or the numeric id) otherwise. This
-// is the naming the static lockorder analyzer uses for site-resolved
-// locks, so grep-joining static and dynamic findings works.
+// LockKey returns mid's canonical identity, "name@file:line" when the
+// creation site was reported and the bare name (or the numeric id)
+// otherwise, so a report names two locks of one name apart.
 func (c *Checker) LockKey(mid int) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

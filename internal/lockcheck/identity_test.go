@@ -1,17 +1,17 @@
 package lockcheck
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
+	"gotle/internal/diagfmt"
 	"gotle/internal/tle"
 )
 
 // TestLockKeyRoundTrip drives the real runtime hook end to end: NewMutex
 // on a runtime whose tracer implements tle.LockNamer must record exactly
-// the "name@file:line" identity the static lockorder analyzer derives
-// from the NewMutex call's source position (tmflow's LockID test is the
-// static half; both sides canonicalize through SiteKey).
+// the "name@file:line" identity of the NewMutex call's source position.
 func TestLockKeyRoundTrip(t *testing.T) {
 	c := New()
 	r := tle.New(tle.PolicyPthread, tle.Config{MemWords: 1 << 10, Tracer: c})
@@ -23,7 +23,7 @@ func TestLockKeyRoundTrip(t *testing.T) {
 	if mu == nil {
 		t.Fatal("NewMutex returned nil")
 	}
-	want := "roundtrip@" + SiteKey(file, line+1)
+	want := fmt.Sprintf("roundtrip@%s:%d", diagfmt.Rel(file), line+1)
 	keys := c.LockKeys()
 	if len(keys) != 1 {
 		t.Fatalf("LockKeys = %v, want exactly one entry", keys)

@@ -13,6 +13,13 @@
 // transactions and is a candidate for naive lock elision; a flagged program
 // needs refactoring first (e.g. the ready-flag transformation of
 // Listing 4, available as tmds.LinkedQueue).
+//
+// The checker also keeps the lock-order graph of the whole trace, every
+// thread's: an edge a→b once some thread acquires b while holding a. An
+// acquire that closes a cycle is an inversion. Under elision the nested
+// sections flatten into one transaction, but every abort that falls back
+// to the serial path or the pthread policy takes the real locks in both
+// orders, and can deadlock.
 package lockcheck
 
 import (
@@ -79,19 +86,27 @@ type threadState struct {
 
 // Checker accumulates acquire/release events. It implements tle.Tracer,
 // and also tle.LockNamer (see identity.go), so a runtime configured with
-// it reports each mutex's creation site and the checker can name locks the
-// same way the static lockorder analyzer does.
+// it reports each mutex's creation site and the checker names each lock
+// by name and site.
 type Checker struct {
 	mu         sync.Mutex
 	threads    map[uint64]*threadState
 	locks      map[int]lockIdent
 	violations []Violation
 	errs       []string
+	// order maps each lock to the locks acquired while holding it, with
+	// the site of the first such acquire; inversions are the acquires
+	// that closed a cycle in it, rendered.
+	order      map[int]map[int]string
+	inversions []inversion
 }
+
+// An inversion is one acquire that closed a cycle in the lock-order graph.
+type inversion struct{ site, msg string }
 
 // New returns an empty checker.
 func New() *Checker {
-	return &Checker{threads: make(map[uint64]*threadState)}
+	return &Checker{threads: make(map[uint64]*threadState), order: make(map[int]map[int]string)}
 }
 
 // Acquire records that thread tid entered the critical section of mutex mid.
@@ -121,9 +136,47 @@ func (c *Checker) Acquire(tid uint64, mid int) {
 	}
 	if h := ts.held[mid]; h != nil {
 		h.count++
-	} else {
-		ts.held[mid] = &hold{count: 1, site: site}
+		return
 	}
+	for m, h := range ts.held {
+		if _, ok := c.order[m][mid]; ok {
+			continue
+		}
+		if c.order[m] == nil {
+			c.order[m] = make(map[int]string)
+		}
+		c.order[m][mid] = site
+		if back, ok := c.reaches(mid, m); ok {
+			c.inversions = append(c.inversions, inversion{site, fmt.Sprintf(
+				"thread %d acquired lock %s while holding %s (acquired at %s), but lock %s was taken before %s at %s: the two orders can deadlock",
+				tid, c.lockKeyLocked(mid), c.lockKeyLocked(m), h.site, c.lockKeyLocked(mid), c.lockKeyLocked(m), back)})
+		}
+	}
+	ts.held[mid] = &hold{count: 1, site: site}
+}
+
+// reaches reports whether the lock-order graph leads from lock a to lock
+// b, and the site of the first edge of such a path.
+func (c *Checker) reaches(a, b int) (string, bool) {
+	for first, site := range c.order[a] {
+		seen := map[int]bool{a: true}
+		stack := []int{first}
+		for len(stack) > 0 {
+			m := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if m == b {
+				return site, true
+			}
+			if seen[m] {
+				continue
+			}
+			seen[m] = true
+			for next := range c.order[m] {
+				stack = append(stack, next)
+			}
+		}
+	}
+	return "", false
 }
 
 // callerSite walks up the stack past the checker and the TLE runtime to
@@ -190,7 +243,8 @@ func (c *Checker) Errors() []string {
 // Report renders all findings in the repo-wide "position: rule: message"
 // diagnostic line format (package diagfmt) shared with cmd/tmvet, using
 // the violating acquire's source position. Rules: "lockcheck/2pl" for
-// two-phase-locking violations, "lockcheck/trace" for protocol errors.
+// two-phase-locking violations, "lockcheck/order" for lock-order
+// inversions, "lockcheck/trace" for protocol errors.
 func (c *Checker) Report() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -198,15 +252,19 @@ func (c *Checker) Report() []string {
 	for _, v := range c.violations {
 		out = append(out, diagfmt.Line(v.AcquiredSite, "lockcheck/2pl", v.String()))
 	}
+	for _, inv := range c.inversions {
+		out = append(out, diagfmt.Line(inv.site, "lockcheck/order", inv.msg))
+	}
 	for _, e := range c.errs {
 		out = append(out, diagfmt.Line("", "lockcheck/trace", e))
 	}
 	return out
 }
 
-// Clean reports whether the trace so far is two-phase-locking compliant.
+// Clean reports whether the trace so far is two-phase-locking compliant
+// and takes its locks in one order.
 func (c *Checker) Clean() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.violations) == 0 && len(c.errs) == 0
+	return len(c.violations) == 0 && len(c.errs) == 0 && len(c.inversions) == 0
 }

@@ -21,6 +21,39 @@ func TestWellNestedIsClean(t *testing.T) {
 	}
 }
 
+// Nestings that take the same locks in opposite orders are each 2PL-clean,
+// but together they can deadlock: the checker reports the acquire that
+// closes the cycle, over two locks or more, and nothing for one order.
+func TestLockOrderInversionFlagged(t *testing.T) {
+	nest := func(c *Checker, tid uint64, outer, inner int) {
+		c.Acquire(tid, outer)
+		c.Acquire(tid, inner)
+		c.Release(tid, inner)
+		c.Release(tid, outer)
+	}
+	for _, tc := range []struct {
+		name  string
+		pairs [][2]int
+		bad   bool
+	}{
+		{"one order", [][2]int{{1, 2}, {1, 2}, {2, 3}, {1, 3}}, false},
+		{"two locks", [][2]int{{1, 2}, {2, 1}}, true},
+		{"three locks", [][2]int{{1, 2}, {2, 3}, {3, 1}}, true},
+	} {
+		c := New()
+		for i, p := range tc.pairs {
+			nest(c, uint64(i+1), p[0], p[1])
+		}
+		rep := c.Report()
+		if tc.bad != !c.Clean() || len(c.Violations()) != 0 {
+			t.Fatalf("%s: clean=%v, 2PL violations %v, report %v", tc.name, c.Clean(), c.Violations(), rep)
+		}
+		if tc.bad && (len(rep) != 1 || !strings.Contains(rep[0], ": lockcheck/order: ")) {
+			t.Fatalf("%s: Report() = %v, want one lockcheck/order line", tc.name, rep)
+		}
+	}
+}
+
 func TestSequentialEpisodesAreClean(t *testing.T) {
 	c := New()
 	for i := 0; i < 5; i++ {

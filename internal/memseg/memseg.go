@@ -121,7 +121,6 @@ func (m *Memory) Store(a Addr, v uint64) {
 // lock it holds. Anyone else touching those words is already outside a
 // correct execution, which is what lets bulkCopy use plain stores.
 func (m *Memory) StoreRange(a Addr, src []uint64) {
-	//gotle:allow protdom exclusive owner; bulkCopy is atomic under -race
 	bulkCopy(m.words[int(a):int(a)+len(src)], src)
 	runtime.KeepAlive(m)
 }
@@ -212,7 +211,6 @@ func (m *Memory) zero(a Addr, n int) {
 	// The bulk store races no transaction: zero runs on freshly popped
 	// (Alloc) or freshly privatized (Free) blocks the caller owns
 	// exclusively, and bulkSet swaps to atomic stores under -race.
-	//gotle:allow protdom exclusive owner; bulkSet is atomic under -race
 	bulkSet(m.words[int(a):int(a)+n], 0)
 	runtime.KeepAlive(m)
 }

@@ -249,9 +249,8 @@ type Mutex struct {
 
 // LockNamer is an optional extension of Tracer. When the configured
 // tracer also implements it, NewMutex reports each mutex's name and
-// creation site (runtime.Caller of the NewMutex call), giving analysis
-// tools a stable lock identity that matches what static analysis derives
-// from the same source position (lockcheck.SiteKey).
+// creation site (runtime.Caller of the NewMutex call), giving tracers
+// such as lockcheck a stable lock identity to report.
 type LockNamer interface {
 	LockCreated(mid int, name, file string, line int)
 }

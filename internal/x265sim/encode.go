@@ -187,7 +187,6 @@ func (en *encoder) scheduler() {
 		// laMu transaction below, and the frame thread reads outNodes[fIdx]
 		// only after drawing fIdx from lookQ — the transactional queue
 		// hand-off is the happens-before edge, not a shared lock.
-		//gotle:allow protdom ordered by the lookQ hand-off transaction
 		en.outNodes[f] = node
 		err = en.laMu.Await(th, en.laCv, en.cfg.WaitTimeout, func(tx tm.Tx) error {
 			if en.failed.Load() {

@@ -161,11 +161,11 @@ func RunListing3(r *tle.Runtime, items int) (values []uint64, err error) {
 			doErr := d.outMu.Do(th, func(tx tm.Tx) error {
 				node := d.outQ.Enqueue(tx, want)
 				// Listing 3: produce while the queue lock is held. The
-				// helper interaction happens in nested critical sections.
-				// The static lockorder analyzer sees exactly what the paper's
-				// engineers saw: produceInline completes nested sections on
-				// reqMu/respMu while outMu's transaction is still speculative.
-				//gotle:allow lockorder deliberate Listing 3 hazard; RunListing4 is the fix
+				// helper interaction happens in nested critical sections:
+				// produceInline completes sections on reqMu/respMu while
+				// outMu's transaction is still speculative, which is what
+				// the lockcheck tracer flags as a two-phase-locking
+				// violation (TestLockcheckClassifiesListings).
 				if perr := d.produceInline(th, want); perr != nil {
 					return perr
 				}
