@@ -20,6 +20,12 @@ func TestTxsafeWaits(t *testing.T) {
 	analysistest.Run(t, "testdata/src/waits", txsafe.Analyzer)
 }
 
+// TestTxsafeCondvar pins condvar.Cond.Wait as a wait in every position of
+// a section body, and Mutex.Await with Tx.Retry as the clean protocol.
+func TestTxsafeCondvar(t *testing.T) {
+	analysistest.Run(t, "testdata/src/condvar", txsafe.Analyzer)
+}
+
 // TestTxsafeNoQuiesce pins NoQuiesce in privatizing transactions.
 func TestTxsafeNoQuiesce(t *testing.T) {
 	analysistest.Run(t, "testdata/src/noquiesce", txsafe.Analyzer)
