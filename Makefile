@@ -89,10 +89,11 @@ race-tm:
 	$(MAKE) race-stress
 
 # The tests of the serial lock's slot handshake, HTM doom, read-set release
-# and claim steals, deferred reclamation and shared grace periods, twenty
-# times under the race detector; CI's race job runs this target.
+# and claim steals, deferred reclamation, shared grace periods and the
+# per-thread block caches, twenty times under the race detector; CI's race
+# job runs this target.
 race-stress:
-	$(GO) test -race -count=20 -run 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace|TestStealSparesNextAttemptsClaim' \
+	$(GO) test -race -count=20 -run 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace|TestStealSparesNextAttemptsClaim|TestThreadCacheChurn' \
 		./internal/tm ./internal/htm ./internal/epoch
 
 # The same handshake tests with the STM's and HTM's interleaving tests, the
@@ -101,7 +102,7 @@ race-stress:
 # MOVs, so the only one that runs the orderings the TM stack ships with.
 # CI's test job runs this target.
 stress:
-	$(GO) test -count=20 -run 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace|TestLateLoadAfterExtend|TestCMCorrectnessUnderContention|TestConcurrentIncrements|TestReadRegistrationRacesWriteClaim|TestStealSparesNextAttemptsClaim' \
+	$(GO) test -count=20 -run 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace|TestLateLoadAfterExtend|TestCMCorrectnessUnderContention|TestConcurrentIncrements|TestReadRegistrationRacesWriteClaim|TestStealSparesNextAttemptsClaim|TestThreadCacheChurn' \
 		./internal/tm ./internal/htm ./internal/epoch ./internal/stm
 
 # Short bursts of the native fuzz targets (long-form: go test -fuzz=X -fuzztime=10m).
@@ -122,7 +123,8 @@ chaos:
 # Paper-figure, quiescence, simulated-HTM, captured-store, per-policy kvstore,
 # parallel-get, parallel-set, disjoint-section scaling and empty-section
 # (read at -cpu 1 against -cpu 2), matched-access calibration (fixed and
-# per-line cost of a section, lock vs HTM vs STM), allocator, WAL-recovery, store-replay,
+# per-line cost of a section, lock vs HTM vs STM), allocator (shared stacks
+# against a thread's cache, at -cpu 1,2), WAL-recovery, store-replay,
 # runtime-construction (B/op is a runtime's footprint) and connection-footprint
 # (B/conn is what a connection's ops hold after its requests) benchmarks with pinned
 # -benchtime/-count. Raw text goes to
@@ -146,8 +148,10 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tle | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkMatchedAccess' -cpu 1 \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tle | tee -a $(BENCHDIR)/current.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkAllocFree|BenchmarkRecover|BenchmarkNewRuntime|BenchmarkConnFootprint' -benchmem \
-		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/memseg ./internal/wal ./internal/kvstore ./internal/tle \
+	$(GO) test -run '^$$' -bench 'BenchmarkAllocFree' -cpu 1,2 -benchmem \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/memseg | tee -a $(BENCHDIR)/current.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkRecover|BenchmarkNewRuntime|BenchmarkConnFootprint' -benchmem \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/wal ./internal/kvstore ./internal/tle \
 		./internal/server | tee -a $(BENCHDIR)/current.txt
 
 # The network server's zero-to-OK gate: the allocation gate (the serving

@@ -61,6 +61,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 
 	"gotle/internal/abortsig"
@@ -179,9 +180,9 @@ type context struct {
 	// in one store.
 	state atomic.Uint64
 	// stamps holds one word per line: stamps[l] equal to the generation
-	// means l is in the current read set. Allocated when the id first goes
-	// live and never cleared or freed; pages the thread never reads through
-	// stay untouched.
+	// means l is in the current read set. Mapped when the id first goes
+	// live (HTM.maps) and never cleared; pages the thread never reads
+	// through stay untouched.
 	//
 	//gotle:allow falseshare one writer, the context's own thread: neighbouring stamps cannot ping-pong
 	stamps []atomic.Uint32
@@ -194,7 +195,8 @@ type context struct {
 type HTM struct {
 	mem *memseg.Memory
 	//gotle:allow falseshare the simulator models cache-line conflict state; density is the model, not an accident
-	lines []lineRec
+	lines []lineRec // maps.lines
+	maps  *maps
 	cfg   Config
 	// eventLog is ln(1-p) for the per-access event probability p, the
 	// denominator of every geometric gap draw; 0 when p is 0 or 1.
@@ -206,12 +208,34 @@ type HTM struct {
 	ctx  []context // MaxThreads of them, in their own line-aligned block
 }
 
+// maps holds the tables that come from memseg.Map, outside the Go heap
+// like the segment they describe: the line records and each context's
+// stamps. A line record or stamp is valid while its holder reaches the
+// HTM. maps points at nothing that leads back to the HTM — a descriptor
+// does, and the HTM reaches its descriptors — so its finalizer runs once
+// the HTM is garbage and unmaps them.
+type maps struct {
+	//gotle:allow falseshare the simulator models cache-line conflict state; density is the model, not an accident
+	lines  []lineRec
+	stamps [MaxThreads][]atomic.Uint32
+}
+
 // New creates an HTM simulator over the given heap.
 func New(mem *memseg.Memory, cfg Config) *HTM {
 	nLines := mem.Size()/memseg.WordsPerLine + 1
+	mp := &maps{lines: memseg.Map[lineRec](nLines)}
+	runtime.SetFinalizer(mp, func(mp *maps) {
+		memseg.Unmap(mp.lines)
+		for _, s := range mp.stamps {
+			if s != nil {
+				memseg.Unmap(s)
+			}
+		}
+	})
 	h := &HTM{
 		mem:   mem,
-		lines: make([]lineRec, nLines),
+		lines: mp.lines,
+		maps:  mp,
 		cfg:   cfg.withDefaults(),
 		ctx:   make([]context, MaxThreads),
 	}
@@ -301,7 +325,8 @@ func (h *HTM) NewTx(id uint64) *Tx {
 	seed := h.cfg.Seed ^ int64(id*2654435761+1)
 	t := c.tx
 	if t == nil {
-		c.stamps = make([]atomic.Uint32, len(h.lines))
+		c.stamps = memseg.Map[atomic.Uint32](len(h.lines))
+		h.maps.stamps[id] = c.stamps
 		c.state.Store(stateOf(1, stInactive)) // 0 is the stamp of a line never read
 		t = &Tx{
 			h:      h,

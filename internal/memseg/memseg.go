@@ -10,10 +10,11 @@
 //
 // The allocator is a lock-free size-class allocator: fresh blocks come from
 // an atomic bump pointer, freed blocks go onto per-class Treiber stacks with
-// version-counted heads. Freed blocks are poisoned so that a transaction
-// racing with a privatizing free — the bug class that quiescence exists to
-// prevent (Section IV) — reads a recognizable poison value instead of
-// silently wrong data.
+// version-counted heads, and a thread with a Cache keeps its own freed
+// blocks in front of those stacks (cache.go). Freed blocks are poisoned so
+// that a transaction racing with a privatizing free — the bug class that
+// quiescence exists to prevent (Section IV) — reads a recognizable poison
+// value instead of silently wrong data.
 //
 // The segment and the STM's orec table come from Map, which the collector
 // cannot see: a program that drops runtimes releases them at its next GC.
@@ -23,6 +24,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -79,7 +81,12 @@ type Memory struct {
 	// inherent).
 	//gotle:allow falseshare cross-class contention is rare by construction; same-class contention is inherent to a shared free list
 	freeHeads [numClasses]atomic.Uint64
-	liveWords atomic.Int64 // live payload words, advisory accounting
+	liveWords atomic.Int64 // payload words live through Alloc and Free; see LiveWords
+
+	// counts holds the live count of every Cache made over the segment,
+	// for LiveWords. None is dropped: a thread's successor reuses its cache.
+	countMu sync.Mutex
+	counts  []*liveCount
 }
 
 // New returns a segment of the given size in words. Sizes below 1024 words
@@ -158,12 +165,26 @@ func (m *Memory) Alloc(n int) (Addr, bool) {
 	if n <= 0 || n > MaxAlloc {
 		return Nil, false
 	}
-	class, cap := classFor(n)
+	class, _ := classFor(n)
+	a, w := m.take(class)
+	if a == Nil {
+		return Nil, false
+	}
+	m.liveWords.Add(int64(w))
+	return a, true
+}
+
+// take returns a zeroed block of the given class, from its free stack or
+// the bump pointer, or else the nearest larger class's freed block, with
+// the block's payload words; Nil when none is left. The caller counts it
+// live.
+func (m *Memory) take(class int) (Addr, int) {
 	if a := m.reuse(class); a != Nil {
-		return a, true
+		return a, classWords[class]
 	}
 	// Fresh block from the bump pointer: header word + payload.
-	need := uint64(cap + 1)
+	w := classWords[class]
+	need := uint64(w + 1)
 	for {
 		cur := m.next.Load()
 		if cur+need > m.limit {
@@ -172,23 +193,21 @@ func (m *Memory) Alloc(n int) (Addr, bool) {
 		if m.next.CompareAndSwap(cur, cur+need) {
 			hdr := Addr(cur)
 			atomic.StoreUint64(&m.words[hdr], uint64(class))
-			a := hdr + 1
 			// No clearing: words past the bump pointer have never been
 			// handed out, so they are still zero from construction.
-			m.liveWords.Add(int64(cap))
-			return a, true
+			return hdr + 1, w
 		}
 	}
 	for c := class + 1; c < numClasses; c++ {
 		if a := m.reuse(c); a != Nil {
-			return a, true
+			return a, classWords[c]
 		}
 	}
-	return Nil, false
+	return Nil, 0
 }
 
-// reuse takes a block off class c's free stack, zeroed and counted live, or
-// returns Nil if the stack is empty.
+// reuse takes a block off class c's free stack, zeroed, or returns Nil if
+// the stack is empty.
 func (m *Memory) reuse(c int) Addr {
 	head := &m.freeHeads[c]
 	for {
@@ -201,7 +220,6 @@ func (m *Memory) reuse(c int) Addr {
 		newHead := (h+(1<<32)) & ^uint64(0xFFFFFFFF) | (next & 0xFFFFFFFF)
 		if head.CompareAndSwap(h, newHead) {
 			m.zero(a, classWords[c])
-			m.liveWords.Add(int64(classWords[c]))
 			return a
 		}
 	}
@@ -235,10 +253,21 @@ func (m *Memory) Free(a Addr) {
 	if a == Nil {
 		return
 	}
-	cap := m.BlockSize(a)
-	bulkSet(m.words[int(a)+1:int(a)+cap], Poison)
-	m.liveWords.Add(int64(-cap))
-	class := int(atomic.LoadUint64(&m.words[a-1]))
+	class, w := m.poison(a)
+	m.liveWords.Add(int64(-w))
+	m.push(class, a)
+}
+
+// poison checks the header of the block at a, as BlockSize does, poisons
+// its payload past word 0, and returns its class and payload words.
+func (m *Memory) poison(a Addr) (int, int) {
+	w := m.BlockSize(a)
+	bulkSet(m.words[int(a)+1:int(a)+w], Poison)
+	return int(atomic.LoadUint64(&m.words[a-1])), w
+}
+
+// push links the poisoned block at a onto class's free stack.
+func (m *Memory) push(class int, a Addr) {
 	head := &m.freeHeads[class]
 	for {
 		h := head.Load()
@@ -250,8 +279,18 @@ func (m *Memory) Free(a Addr) {
 	}
 }
 
-// LiveWords reports the number of currently allocated payload words.
-func (m *Memory) LiveWords() int64 { return m.liveWords.Load() }
+// LiveWords reports the number of currently allocated payload words: those
+// the shared stacks and bump pointer handed out through Alloc and Free, and
+// every cache's own count. It is exact once no thread is allocating.
+func (m *Memory) LiveWords() int64 {
+	n := m.liveWords.Load()
+	m.countMu.Lock()
+	for _, c := range m.counts {
+		n += int64(c.n.Load())
+	}
+	m.countMu.Unlock()
+	return n
+}
 
 // MappedBytes reports the bytes Map holds outside the Go heap, process-wide.
 func MappedBytes() int64 { return mapped.Load() }

@@ -371,22 +371,32 @@ func TestQuickFreshBlocksZeroed(t *testing.T) {
 }
 
 // BenchmarkAllocFree pairs an Alloc with its Free: a 4-word block (the
-// benchmark's memseg.alloc_free_ns probe) and a 2 KiB kvstore item's 264.
+// benchmark's memseg.alloc_free_ns probe) and a 2 KiB kvstore item's 264,
+// through the shared stacks and through each goroutine's own Cache. Run it
+// at -cpu 1,2: the shared rows' two-CPU ns/op is the CAS and counter
+// traffic a cache takes off the heap's shared words.
 func BenchmarkAllocFree(b *testing.B) {
-	for _, n := range []int{4, 264} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			m := New(1 << 20)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					a, ok := m.Alloc(n)
-					if !ok {
-						b.Error("exhausted")
-						return
+	for _, via := range []string{"shared", "cache"} {
+		for _, n := range []int{4, 264} {
+			b.Run(fmt.Sprintf("%s/%d", via, n), func(b *testing.B) {
+				m := New(1 << 20)
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					alloc, free := m.Alloc, m.Free
+					if via == "cache" {
+						c := m.NewCache()
+						alloc, free = c.Alloc, c.Free
 					}
-					m.Free(a)
-				}
+					for pb.Next() {
+						a, ok := alloc(n)
+						if !ok {
+							b.Error("exhausted")
+							return
+						}
+						free(a)
+					}
+				})
 			})
-		})
+		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // TestDroppedHeapsAreUnmapped: the collector cannot see the mappings, so
 // only the finalizers release them. Sixteen dropped heaps and orec tables of
 // tleserved's shape (1<<23 words, 1<<20 orecs), a few pages of each touched,
-// must all be unmapped after one collection.
+// each heap with a block cache that allocated and freed, must all be
+// unmapped after one collection.
 func TestDroppedHeapsAreUnmapped(t *testing.T) {
 	base := int64(-1)
 	for base != memseg.MappedBytes() { // settle what earlier tests dropped
@@ -24,6 +25,10 @@ func TestDroppedHeapsAreUnmapped(t *testing.T) {
 	}
 	for i := 0; i < 16; i++ {
 		m := memseg.New(1 << 23)
+		c := m.NewCache()
+		if a, ok := c.Alloc(4); ok {
+			c.Free(a)
+		}
 		orecs := tmclock.NewTable(20, 3)
 		for a := memseg.Addr(1); a < 1<<23; a += 1 << 20 {
 			m.Store(a, uint64(i))

@@ -20,15 +20,19 @@ func settle() {
 	}
 }
 
-// newRuntimeBytes reports what tle.New takes for policy p under cfg: the
-// bytes it maps outside the Go heap (heap and orec table) and the Go heap
-// it allocates.
-func newRuntimeBytes(p Policy, cfg Config) (mapped int64, heap uint64) {
+// newRuntimeBytes reports what tle.New takes for policy p under cfg, and
+// then one NewThread when thread is set: the bytes they map outside the Go
+// heap (heap, orec table, the HTM's line records and the thread's stamps)
+// and the Go heap they allocate.
+func newRuntimeBytes(p Policy, cfg Config, thread bool) (mapped int64, heap uint64) {
 	settle()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	m0 := memseg.MappedBytes()
 	rt := New(p, cfg)
+	if thread {
+		rt.NewThread()
+	}
 	m1 := memseg.MappedBytes()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(rt)
@@ -43,12 +47,12 @@ func newRuntimeBytes(p Policy, cfg Config) (mapped int64, heap uint64) {
 // both counters are per process.
 func TestRuntimeFootprintTracksHeap(t *testing.T) {
 	for _, p := range Policies {
-		if m, h := newRuntimeBytes(p, Config{MemWords: 1 << 18}); uint64(m)+h > 9*mib/2 {
+		if m, h := newRuntimeBytes(p, Config{MemWords: 1 << 18}, false); uint64(m)+h > 9*mib/2 {
 			t.Errorf("%s on a 1<<18-word heap takes %.2f MiB mapped + %.2f MiB Go heap, want <= 4.5 in all",
 				p, float64(m)/mib, float64(h)/mib)
 		}
 	}
-	m, h := newRuntimeBytes(PolicySTMCondVar, Config{MemWords: 1 << 23, StripeShift: 3})
+	m, h := newRuntimeBytes(PolicySTMCondVar, Config{MemWords: 1 << 23, StripeShift: 3}, false)
 	if got := uint64(m) + h; got < 72*mib || got > 73*mib {
 		t.Errorf("stm-cv on a 1<<23-word heap, 8-word stripes, takes %.2f MiB mapped + %.2f MiB Go heap, want 72-73 in all",
 			float64(m)/mib, float64(h)/mib)
@@ -62,7 +66,7 @@ func BenchmarkNewRuntime(b *testing.B) {
 	for _, p := range Policies {
 		b.Run(p.String(), func(b *testing.B) {
 			b.ReportAllocs()
-			m, _ := newRuntimeBytes(p, Config{MemWords: 1 << 18})
+			m, _ := newRuntimeBytes(p, Config{MemWords: 1 << 18}, false)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				New(p, Config{MemWords: 1 << 18})

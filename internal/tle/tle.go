@@ -340,7 +340,7 @@ func (m *Mutex) resolve() (tm.Mech, bool) {
 // access.
 func (m *Mutex) doLocked(th *tm.Thread, body func(tx tm.Tx) error) (err error) {
 	m.mu.Lock()
-	d := &directTx{e: m.r.engine}
+	d := &directTx{e: m.r.engine, th: th}
 	d.allocs = d.allocBuf[:0]
 	var obs *stats.Stripe // nil records nothing
 	if m.obs != nil {
@@ -403,8 +403,11 @@ func (m *Mutex) Await(th *tm.Thread, cv *condvar.Cond, timeout time.Duration, bo
 }
 
 // directTx is the pthread policy's Tx: direct access under a real lock.
+// Its blocks come from and go back to th's block cache, as an elided
+// section's do.
 type directTx struct {
 	e        *tm.Engine
+	th       *tm.Thread
 	wrote    bool
 	deferred []func()
 	rbuf     []uint64 // Tx.RangeBuf backing store
@@ -438,10 +441,7 @@ func (d *directTx) RangeBuf(n int) []uint64 {
 	return d.rbuf[:n]
 }
 func (d *directTx) Alloc(n int) memseg.Addr {
-	a, ok := d.e.Memory().Alloc(n)
-	if !ok {
-		panic("tle: simulated heap exhausted")
-	}
+	a := d.th.Alloc(n)
 	d.allocs = append(d.allocs, a)
 	return a
 }
@@ -449,11 +449,11 @@ func (d *directTx) Alloc(n int) memseg.Addr {
 // freeAllocs returns the section's allocations after a retry or cancel.
 func (d *directTx) freeAllocs() {
 	for _, a := range d.allocs {
-		d.e.Memory().Free(a)
+		d.th.Free(a)
 	}
 }
 func (d *directTx) Free(a memseg.Addr) {
-	d.deferred = append(d.deferred, func() { d.e.Memory().Free(a) })
+	d.deferred = append(d.deferred, func() { d.th.Free(a) })
 }
 func (d *directTx) NoQuiesce()        {}
 func (d *directTx) Defer(fn func())   { d.deferred = append(d.deferred, fn) }

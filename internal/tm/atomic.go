@@ -133,11 +133,9 @@ func (e *Engine) attempt(th *Thread, o *CallOpts, fn func(Tx) error) (err error,
 	th.honorNoQ = honorNoQ
 	th.observe(o)
 
-	var tx Tx
+	var tx Tx = th.stx
 	if mech == MechHTM {
-		tx = htmTx{th: th}
-	} else {
-		tx = stmTx{th: th}
+		tx = th.htx
 	}
 	th.cur = tx
 	th.depth = 1
@@ -290,7 +288,7 @@ func (e *Engine) postCommit(th *Thread, readOnly bool) {
 			if e.cfg.RaceDetect {
 				e.checkFree(a)
 			}
-			e.mem.Free(a)
+			th.mc.Free(a)
 		}
 	}
 	if th.parkedWords != 0 {
@@ -363,7 +361,7 @@ func (e *Engine) runSerial(th *Thread, o *CallOpts, fn func(Tx) error) error {
 	th.countCommit(!th.wrote)
 	// No quiescence needed: the write lock excluded every transaction.
 	for _, a := range th.frees {
-		e.mem.Free(a)
+		th.mc.Free(a)
 	}
 	if th.parkedWords != 0 {
 		th.reclaim()

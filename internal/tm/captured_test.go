@@ -24,7 +24,8 @@ func pattern(seq uint64, n int) []uint64 {
 }
 
 // An attempt that fills a fresh block acquires nothing and logs nothing for
-// it, and its abort hands the block straight back.
+// it, and its abort hands the block straight back: the thread's next
+// allocation of its class gets it.
 func TestCapturedStoresLogNothing(t *testing.T) {
 	e := New(Config{Mode: ModeSTM, MemWords: 1 << 16})
 	th := e.NewThread()
@@ -52,8 +53,12 @@ func TestCapturedStoresLogNothing(t *testing.T) {
 	if live := e.Memory().LiveWords(); live != baseline {
 		t.Fatalf("LiveWords = %d after the abort, want %d", live, baseline)
 	}
-	if again := e.Alloc(300); again != blk {
-		t.Fatalf("aborted block %d is not at the head of its free list (got %d)", blk, again)
+	var again memseg.Addr
+	if err := e.Atomic(th, func(tx Tx) error { again = tx.Alloc(300); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if again != blk {
+		t.Fatalf("aborted block %d is not at the head of the thread's free list (got %d)", blk, again)
 	}
 }
 
@@ -122,8 +127,12 @@ func TestFreeOfCapturedBlock(t *testing.T) {
 		t.Fatalf("LiveWords = %d, want %d (only the second block live)", live, baseline+8)
 	}
 	// A double free would leave the block linked to itself.
-	if x, y := e.Alloc(8), e.Alloc(8); x != blk || y == blk {
-		t.Fatalf("free list after commit hands out %d then %d; freed block was %d", x, y, blk)
+	var x, y memseg.Addr
+	if err := e.Atomic(th, func(tx Tx) error { x, y = tx.Alloc(8), tx.Alloc(8); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if x != blk || y == blk {
+		t.Fatalf("the thread's free list after commit hands out %d then %d; freed block was %d", x, y, blk)
 	}
 }
 

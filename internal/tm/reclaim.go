@@ -74,7 +74,7 @@ func (th *Thread) flushParked() {
 func (th *Thread) freeParked(blocks []memseg.Addr) {
 	for _, a := range blocks {
 		th.parkedWords -= th.e.mem.BlockSize(a)
-		th.e.mem.Free(a)
+		th.mc.Free(a)
 	}
 	th.st.Reclaimed(uint64(len(blocks)))
 }

@@ -17,9 +17,12 @@ type Thread struct {
 	st   *stats.Stripe // the engine counters' stripe for id
 	slot *epoch.Slot
 	qs   epoch.Scratch // reusable quiesce snapshot buffer (allocation-free commits)
-	stx  *stm.Tx
-	htx  *htm.Tx
-	rbuf []uint64 // Tx.RangeBuf backing store (allocation-free range staging)
+	stx  *stmTx        // nil when the engine has no STM
+	htx  *htmTx        // nil when the engine has no HTM
+	rbuf []uint64      // Tx.RangeBuf backing store (allocation-free range staging)
+	// mc is the thread's block cache: every block the thread allocates or
+	// frees, in or out of a section, goes through it.
+	mc *memseg.Cache
 
 	// Per-transaction state, reset at each top-level attempt.
 	depth int
@@ -57,21 +60,23 @@ type Thread struct {
 // panics beyond that, like exhausting hardware contexts); call
 // Thread.Release when a worker exits so its context can be reused.
 func (e *Engine) NewThread() *Thread {
-	var id uint64
-	e.freeIDs.Lock()
-	if n := len(e.freeIDs.ids); n > 0 {
-		id = e.freeIDs.ids[n-1]
-		e.freeIDs.ids = e.freeIDs.ids[:n-1]
+	var it idleThread
+	e.idle.Lock()
+	if n := len(e.idle.threads); n > 0 {
+		it = e.idle.threads[n-1]
+		e.idle.threads = e.idle.threads[:n-1]
 	}
-	e.freeIDs.Unlock()
-	if id == 0 {
-		id = e.nextID.Add(1)
+	e.idle.Unlock()
+	if it.id == 0 {
+		it = idleThread{id: e.nextID.Add(1), mc: e.mem.NewCache()}
 	}
+	id := it.id
 	th := &Thread{
 		e:    e,
 		id:   id,
 		st:   e.ctr.Stripe(id),
 		slot: e.epochs.Register(),
+		mc:   it.mc,
 	}
 	if e.inj != nil {
 		// Chaos: the stall runs at the top of Exit, while the slot still
@@ -80,10 +85,10 @@ func (e *Engine) NewThread() *Thread {
 		th.slot.SetExitHook(func() { e.inj.Stall(id, chaos.EpochStall) })
 	}
 	if e.stm != nil {
-		th.stx = e.stm.NewTx(id)
+		th.stx = &stmTx{e.stm.NewTx(id), th}
 	}
 	if e.htm != nil {
-		th.htx = e.htm.NewTx(id) // panics past htm.MaxThreads
+		th.htx = &htmTx{e.htm.NewTx(id), th} // panics past htm.MaxThreads
 	}
 	th.mech = e.defaultMech()
 	th.honorNoQ = e.cfg.HonorNoQuiesce
@@ -91,11 +96,12 @@ func (e *Engine) NewThread() *Thread {
 }
 
 // Release returns the thread's resources (epoch slot, thread id — under
-// HTM, a hardware context) to the engine, first waiting out a grace period
-// for the blocks it has parked under Config.DeferredReclaim and freeing
-// them. The thread must be outside any atomic block and must not be used
-// afterwards. Statistics recorded by the thread remain in the engine's
-// counters.
+// HTM, a hardware context — and block cache) to the engine, first waiting
+// out a grace period for the blocks it has parked under
+// Config.DeferredReclaim and freeing them. The blocks its cache holds go
+// back to the shared heap. The thread must be outside any atomic block and
+// must not be used afterwards. Statistics recorded by the thread remain in
+// the engine's counters.
 func (th *Thread) Release() {
 	if th.e == nil {
 		return // already released
@@ -112,12 +118,14 @@ func (th *Thread) Release() {
 	if th.htx != nil {
 		th.htx.Release()
 	}
-	e.freeIDs.Lock()
-	e.freeIDs.ids = append(e.freeIDs.ids, th.id)
-	e.freeIDs.Unlock()
+	th.mc.Drain()
+	e.idle.Lock()
+	e.idle.threads = append(e.idle.threads, idleThread{th.id, th.mc})
+	e.idle.Unlock()
 	th.e = nil
 	th.stx = nil
 	th.htx = nil
+	th.mc = nil
 }
 
 // ID returns the thread's engine-unique id.
@@ -199,55 +207,60 @@ type Tx interface {
 
 // ---- STM wrapper ----
 
-// stmTx instruments every access through the STM except stores into
-// captured memory (Thread.allocs), which cost what they cost under a lock:
-// no orec acquisition, no undo entry, one bulk copy for a range. Loads keep
-// the normal path — a captured word's orec may cover a live neighbour's
-// words too, and reading it costs nothing shared. libitm's ml_wt has no such
-// path; the observation is Dragojević, Ni and Adl-Tabatabai's (SPAA 2009).
-// htmTx must not take it: real hardware buffers those lines in L1 like any
-// other, so they count against WriteCapacityLines.
-type stmTx struct{ th *Thread }
+// stmTx is the thread's STM descriptor as a Tx, built once per thread.
+// Load and LoadRange are the descriptor's own, promoted: a section's load
+// is one interface call into the STM, as a lock's is one into memory.
+// Stores into captured memory (Thread.allocs) skip the STM and cost what
+// they cost under a lock: no orec acquisition, no undo entry, one bulk copy
+// for a range. Loads keep the normal path — a captured word's orec may
+// cover a live neighbour's words too, and reading it costs nothing shared.
+// libitm's ml_wt has no such path; the observation is Dragojević, Ni and
+// Adl-Tabatabai's (SPAA 2009). htmTx must not take it: real hardware
+// buffers those lines in L1 like any other, so they count against
+// WriteCapacityLines.
+type stmTx struct {
+	*stm.Tx
+	th *Thread
+}
 
-func (w stmTx) Load(a memseg.Addr) uint64 { return w.th.stx.Load(a) }
-func (w stmTx) Store(a memseg.Addr, v uint64) {
+func (w *stmTx) Store(a memseg.Addr, v uint64) {
 	if w.th.captured(a, 1) {
 		w.th.e.mem.Store(a, v)
 		return
 	}
-	w.th.stx.Store(a, v)
+	w.Tx.Store(a, v)
 }
-func (w stmTx) LoadRange(a memseg.Addr, d []uint64) { w.th.stx.LoadRange(a, d) }
-func (w stmTx) StoreRange(a memseg.Addr, s []uint64) {
+func (w *stmTx) StoreRange(a memseg.Addr, s []uint64) {
 	if w.th.captured(a, len(s)) {
 		w.th.e.mem.StoreRange(a, s)
 		return
 	}
-	w.th.stx.StoreRange(a, s)
+	w.Tx.StoreRange(a, s)
 }
-func (w stmTx) RangeBuf(n int) []uint64 { return w.th.rangeBuf(n) }
-func (w stmTx) Alloc(n int) memseg.Addr { return w.th.txAlloc(n) }
-func (w stmTx) Free(a memseg.Addr)      { w.th.txFree(a) }
-func (w stmTx) NoQuiesce()              { w.th.requestNoQuiesce() }
-func (w stmTx) Defer(fn func())         { w.th.deferred = append(w.th.deferred, fn) }
-func (w stmTx) Retry()                  { throwRetry() }
-func (w stmTx) Irrevocable() bool       { return false }
+func (w *stmTx) RangeBuf(n int) []uint64 { return w.th.rangeBuf(n) }
+func (w *stmTx) Alloc(n int) memseg.Addr { return w.th.txAlloc(n) }
+func (w *stmTx) Free(a memseg.Addr)      { w.th.txFree(a) }
+func (w *stmTx) NoQuiesce()              { w.th.requestNoQuiesce() }
+func (w *stmTx) Defer(fn func())         { w.th.deferred = append(w.th.deferred, fn) }
+func (w *stmTx) Retry()                  { throwRetry() }
+func (w *stmTx) Irrevocable() bool       { return false }
 
 // ---- HTM wrapper ----
 
-type htmTx struct{ th *Thread }
+// htmTx is the thread's HTM descriptor as a Tx, built once per thread; its
+// Load, Store, LoadRange and StoreRange are the descriptor's own.
+type htmTx struct {
+	*htm.Tx
+	th *Thread
+}
 
-func (w htmTx) Load(a memseg.Addr) uint64            { return w.th.htx.Load(a) }
-func (w htmTx) Store(a memseg.Addr, v uint64)        { w.th.htx.Store(a, v) }
-func (w htmTx) LoadRange(a memseg.Addr, d []uint64)  { w.th.htx.LoadRange(a, d) }
-func (w htmTx) StoreRange(a memseg.Addr, s []uint64) { w.th.htx.StoreRange(a, s) }
-func (w htmTx) RangeBuf(n int) []uint64              { return w.th.rangeBuf(n) }
-func (w htmTx) Alloc(n int) memseg.Addr              { return w.th.txAlloc(n) }
-func (w htmTx) Free(a memseg.Addr)                   { w.th.txFree(a) }
-func (w htmTx) NoQuiesce()                           {} // meaningless under strong isolation
-func (w htmTx) Defer(fn func())                      { w.th.deferred = append(w.th.deferred, fn) }
-func (w htmTx) Retry()                               { throwRetry() }
-func (w htmTx) Irrevocable() bool                    { return false }
+func (w *htmTx) RangeBuf(n int) []uint64 { return w.th.rangeBuf(n) }
+func (w *htmTx) Alloc(n int) memseg.Addr { return w.th.txAlloc(n) }
+func (w *htmTx) Free(a memseg.Addr)      { w.th.txFree(a) }
+func (w *htmTx) NoQuiesce()              {} // meaningless under strong isolation
+func (w *htmTx) Defer(fn func())         { w.th.deferred = append(w.th.deferred, fn) }
+func (w *htmTx) Retry()                  { throwRetry() }
+func (w *htmTx) Irrevocable() bool       { return false }
 
 // ---- serial (irrevocable) wrapper ----
 
@@ -302,10 +315,7 @@ func (th *Thread) requestNoQuiesce() {
 
 // txAlloc allocates eagerly; aborts roll the allocation back.
 func (th *Thread) txAlloc(n int) memseg.Addr {
-	a, ok := th.e.mem.Alloc(n)
-	if !ok {
-		panic("tm: simulated heap exhausted")
-	}
+	a := th.Alloc(n)
 	th.allocs = append(th.allocs, allocRange{a, a + memseg.Addr(n)})
 	return a
 }
@@ -313,9 +323,24 @@ func (th *Thread) txAlloc(n int) memseg.Addr {
 // freeAllocs returns the attempt's allocations after an abort or cancel.
 func (th *Thread) freeAllocs() {
 	for _, b := range th.allocs {
-		th.e.mem.Free(b.a)
+		th.mc.Free(b.a)
 	}
 }
+
+// Alloc allocates a block non-transactionally from the thread's cache:
+// Engine.Alloc for code that holds a Thread, such as a section under a real
+// lock. It panics when the heap is exhausted.
+func (th *Thread) Alloc(n int) memseg.Addr {
+	a, ok := th.mc.Alloc(n)
+	if !ok {
+		panic("tm: simulated heap exhausted")
+	}
+	return a
+}
+
+// Free releases a block non-transactionally into the thread's cache, under
+// Engine.Free's contract: no transaction can still reach it.
+func (th *Thread) Free(a memseg.Addr) { th.mc.Free(a) }
 
 // txFree defers the release to commit time. Freeing Nil is a no-op.
 func (th *Thread) txFree(a memseg.Addr) {

@@ -9,7 +9,8 @@
 //
 //   - Engine: one TM instance over one simulated heap. Construction selects
 //     the execution mode (STM or HTM) and the quiescence policy.
-//   - Thread: a per-goroutine context (ids, logs, stats, epoch slot).
+//   - Thread: a per-goroutine context (ids, logs, stats, epoch slot, block
+//     cache).
 //   - Tx: the access interface handed to an atomic block's body.
 //
 // Atomic blocks retry on conflict; after Config.MaxRetries failed attempts
@@ -181,13 +182,21 @@ type Engine struct {
 	nextID atomic.Uint64
 	races  raceState
 
-	// freeIDs recycles thread ids released by Thread.Release — under HTM
-	// the id space is the hardware context space (htm.MaxThreads), so
-	// short-lived worker threads must return their ids.
-	freeIDs struct {
+	// idle keeps what Thread.Release hands back for the next NewThread: the
+	// thread's id — under HTM the id space is the hardware context space
+	// (htm.MaxThreads), so short-lived worker threads must return their
+	// ids — and its block cache, emptied, so a cache too is paid for once
+	// per id.
+	idle struct {
 		sync.Mutex
-		ids []uint64
+		threads []idleThread
 	}
+}
+
+// idleThread is a released thread's id and block cache.
+type idleThread struct {
+	id uint64
+	mc *memseg.Cache
 }
 
 // New constructs an engine. The zero Config selects STM with quiescence
