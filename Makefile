@@ -88,21 +88,24 @@ race-tm:
 	$(GO) test -race $(TM_PKGS)
 	$(MAKE) race-stress
 
-# The tests of the serial lock's slot handshake, HTM doom, read-set release
-# and claim steals, deferred reclamation, shared grace periods and the
-# per-thread block caches, twenty times under the race detector; CI's race
-# job runs this target.
+# The tests of the serial lock's slot handshake, HTM doom, the HTM's read
+# registration against a write claim, read-set release and claim steals,
+# deferred reclamation, quiescence and the per-thread block caches: both
+# stress targets run them twenty times.
+HANDSHAKE_TESTS = TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestQuiesce|TestReadRegistrationRacesWriteClaim|TestStealSparesNextAttemptsClaim|TestThreadCacheChurn
+
+# The handshake tests under the race detector; CI's race job runs this
+# target.
 race-stress:
-	$(GO) test -race -count=20 -run 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace|TestStealSparesNextAttemptsClaim|TestThreadCacheChurn' \
+	$(GO) test -race -count=20 -run '$(HANDSHAKE_TESTS)' \
 		./internal/tm ./internal/htm ./internal/epoch
 
-# The same handshake tests with the STM's and HTM's interleaving tests, the
-# registration/claim race among them, twenty times without the race
-# detector: the only build in which relstore's release stores are plain
-# MOVs, so the only one that runs the orderings the TM stack ships with.
-# CI's test job runs this target.
+# The handshake tests with the STM's interleaving tests, twenty times
+# without the race detector: the only build in which relstore's release
+# stores are plain MOVs, so the only one that runs the orderings the TM
+# stack ships with. CI's test job runs this target.
 stress:
-	$(GO) test -count=20 -run 'TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestSharedGrace|TestLateLoadAfterExtend|TestCMCorrectnessUnderContention|TestConcurrentIncrements|TestReadRegistrationRacesWriteClaim|TestStealSparesNextAttemptsClaim|TestThreadCacheChurn' \
+	$(GO) test -count=20 -run '$(HANDSHAKE_TESTS)|TestLateLoadAfterExtend|TestCMCorrectnessUnderContention|TestConcurrentIncrements' \
 		./internal/tm ./internal/htm ./internal/epoch ./internal/stm
 
 # Short bursts of the native fuzz targets (long-form: go test -fuzz=X -fuzztime=10m).
@@ -136,7 +139,7 @@ bench:
 	$(GO) test -run '^$$' \
 		-bench 'BenchmarkFig2Compress|BenchmarkFig2Decompress|BenchmarkFig3X265|BenchmarkFig5Sets|BenchmarkQuiescenceCost' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee $(BENCHDIR)/current.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkSharedGrace' \
+	$(GO) test -run '^$$' -bench 'BenchmarkQuiesceIdle' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/epoch | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkTxReadOnly16|BenchmarkTxRMW|BenchmarkSmallTxAfterLargeTx|BenchmarkCapturedStoreRange' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/htm ./internal/tm | tee -a $(BENCHDIR)/current.txt

@@ -339,8 +339,7 @@ func BenchmarkKVCache(b *testing.B) {
 
 // BenchmarkQuiescenceCost: the raw cost of the epoch wait as concurrency
 // grows — the "cache misses linear in the number of threads" of
-// Section IV.C. The sharedGP% metric is the fraction of quiesces satisfied
-// by a concurrent committer's grace period instead of a private scan.
+// Section IV.C.
 func BenchmarkQuiescenceCost(b *testing.B) {
 	for _, threads := range []int{1, 2, 4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
@@ -365,7 +364,6 @@ func BenchmarkQuiescenceCost(b *testing.B) {
 				}(th)
 			}
 			th := e.NewThread()
-			before := e.Snapshot()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := e.Atomic(th, func(tx tm.Tx) error {
@@ -376,10 +374,6 @@ func BenchmarkQuiescenceCost(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			s := e.Snapshot().Sub(before)
-			if s.Quiesces > 0 {
-				b.ReportMetric(100*float64(s.SharedGrace)/float64(s.Quiesces), "sharedGP%")
-			}
 			close(stop)
 			time.Sleep(time.Millisecond)
 		})

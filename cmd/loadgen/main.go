@@ -320,8 +320,8 @@ func run(o options) error {
 		// wait out a grace period (0 once the server's connections have
 		// closed).
 		if _, ok := st["quiesces"]; ok {
-			fmt.Printf("grace: quiesces=%s shared_grace=%s scans_avoided=%s reclaim_parked=%s\n",
-				st["quiesces"], st["shared_grace"], st["scans_avoided"], st["reclaim_parked"])
+			fmt.Printf("grace: quiesces=%s shared_grace=%s reclaim_parked=%s\n",
+				st["quiesces"], st["shared_grace"], st["reclaim_parked"])
 		}
 		// Why transactions abort, since the server started: conflict and
 		// capacity aborts over attempts, serial runs over commits (the

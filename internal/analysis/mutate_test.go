@@ -91,9 +91,9 @@ var shapes = []shape{
 	{"hotalloc: a get copies its value", []edit{{kv,
 		"it.Value = out[base:]", "it.Value = append([]byte(nil), out[base:]...)"}},
 		[]string{"-run", "TestZeroAllocHotPath", "./internal/server"}},
-	{"falseshare: the grace-period tickets share a line", []edit{{"internal/epoch/epoch.go",
-		"gpStarted atomic.Uint64\n\t_         [56]byte\n", "gpStarted atomic.Uint64\n"}},
-		[]string{"-run", "TestSharedGrace", "./internal/epoch"}},
+	{"falseshare: neighbouring HTM contexts' state words share a line", []edit{{"internal/htm/htm.go",
+		"\ttx *Tx\n\t_  [24]byte // a line per context: the fields after state never change\n", "\ttx *Tx\n"}},
+		[]string{"-run", "TestTxIsWholeCacheLines", "./internal/htm"}},
 	{"protdom: a raw read racing a raw write the section orders", []edit{{pbzip,
 		"if tx.Load(p.done+memseg.Addr(seq)) == 0 {", "if p.outData[seq] == nil || tx.Load(p.done+memseg.Addr(seq)) == 0 {"}},
 		[]string{"-run", "TestRoundTrip|TestWorkerCounts", "./internal/pbzip"}},
@@ -114,6 +114,12 @@ var shapes = []shape{
 		"if v1 > t.rv {\n\t\t\tt.extend() // aborts on failure\n\t\t\tif orec.Load() != v1 {\n\t\t\t\treturn", "if false {\n\t\t\tt.extend() // aborts on failure\n\t\t\tif orec.Load() != v1 {\n\t\t\t\treturn"}, {"internal/stm/stm.go",
 		"if v1 > t.rv {\n\t\t\tt.extend() // aborts on failure\n\t\t\tif orec.Load() != v1 {\n\t\t\t\tcontinue", "if false {\n\t\t\tt.extend() // aborts on failure\n\t\t\tif orec.Load() != v1 {\n\t\t\t\tcontinue"}},
 		[]string{"-run", "TestTwoWordInvariant|TestLateLoadAfterExtend", "./internal/stm"}},
+	{"epoch: QuiesceWith returns before its grace period", []edit{{"internal/epoch/epoch.go",
+		"m.Snapshot(self, sc)\n\tif m.Elapsed(sc) {", "m.Snapshot(self, sc)\n\tif true || m.Elapsed(sc) {"}},
+		[]string{"-run", "TestQuiesceNeverReturnsEarly|TestQuiesceWaitsForActive", "./internal/epoch"}},
+	{"tm: the serial writer stops waiting for attempts in flight", []edit{{"internal/tm/serial.go",
+		"\tl.epochs.QuiesceWith(nil, &l.sc)\n", ""}},
+		[]string{"-run", "TestSerialLock", "./internal/tm"}},
 	{"tm: NoQuiesce lets a freeing commit skip its grace period", []edit{{"internal/tm/atomic.go",
 		"mustQuiesce := stmAttempt && len(th.frees) > 0", "mustQuiesce := false"}},
 		[]string{"-run", "Reclaim|Captured|Quiesce", "./internal/tm"}},

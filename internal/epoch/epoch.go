@@ -1,4 +1,4 @@
-// Package epoch implements the quiescence mechanism used by the STM.
+// Package epoch is the TM engine's one grace-period primitive.
 //
 // GCC's libitm has no built-in privatization safety, so a committing
 // transaction runs "code similar in spirit to a user-space RCU Epoch"
@@ -8,28 +8,18 @@
 // privatized.
 //
 // Each registered thread owns a sequence slot: even = outside any
-// transaction, odd = inside one. A quiescer loads every slot once (the
-// "cache misses linear in the number of threads" of Section IV.C) and waits
-// for the odd ones to move. The TM engine's serial lock reads the same
-// slots as its read side.
+// transaction, odd = inside one. Snapshot loads every slot once (the "cache
+// misses linear in the number of threads" of Section IV.C) and records the
+// odd ones; Elapsed reports when each recorded slot has moved on; a grace
+// period is the time between the two. Three waits are that one grace
+// period:
+//   - quiescence: QuiesceWith is Snapshot, then Elapsed polled until true;
+//   - deferred reclamation: package tm seals a batch of frees with a
+//     Snapshot and frees it on a later commit that finds Elapsed;
+//   - the serial lock's drain: a writer that has barred new attempts
+//     quiesces, so every attempt in flight has left.
 //
-// Grace-period sharing: the scan-and-wait above is a grace period in the
-// RCU sense, and grace periods compose — a scan that *starts* after a
-// quiescer's entry and completes covers everything that quiescer is obliged
-// to wait for. Contended quiescers therefore elect a leader: one thread
-// takes a ticket (gpStarted), re-snapshots the slots *after* the ticket,
-// runs the scan, and publishes the ticket as completed (gpCompleted, the
-// RCU gp_seq analogue). Every other contended quiescer records its entry
-// point (a gpStarted load) and parks until gpCompleted passes it — a
-// ticket larger than the entry point was issued after the follower
-// arrived, so its snapshot saw (and its scan waited out) every transaction
-// the follower is obliged to wait for. N concurrent quiescers thus cost at
-// most two scans: the incumbent leader's (which may predate some
-// followers) and one successor's, whose ticket exceeds every parked
-// follower's entry point. The uncontended path — no transaction in flight
-// anywhere — takes no ticket and publishes nothing, so it performs no
-// read-modify-write on shared counters at all: just the slot loads the
-// paper's design requires.
+// The TM engine's serial lock reads the same slots as its read side.
 package epoch
 
 import (
@@ -91,34 +81,6 @@ func (s *Slot) Active() bool { return s.seq.Load()%2 == 1 }
 type Manager struct {
 	mu    sync.Mutex
 	slots atomic.Pointer[[]*Slot]
-	// scanHook, when set, runs on the contended path between the probe pass
-	// and taking the grace-period ticket. Tests park a scanner here to prove
-	// the post-ticket snapshot re-loads the slot list
-	// (TestSharedGraceCoversLateRegistration). Set before the manager is
-	// shared; nil costs one branch on the contended path only.
-	scanHook func()
-	_        [32]byte // keep the grace counters off the slots pointer's line
-
-	// leaderMu elects the single scanning quiescer. Contended quiescers
-	// that lose the race park on gpCompleted instead of scanning — the
-	// rendezvous that lets one snapshot scan retire a whole convoy of
-	// concurrent commits.
-	leaderMu sync.Mutex
-	_        [40]byte
-
-	// gpStarted issues one ticket per leader scan, in entry order. A scan
-	// whose ticket is larger than a quiescer's entry point took its slot
-	// snapshot after that quiescer arrived, so its completion covers every
-	// transaction the quiescer must wait for.
-	gpStarted atomic.Uint64
-	_         [56]byte
-
-	// gpCompleted is the monotonically increasing completed-grace-period
-	// counter (the RCU gp_seq analogue): the largest ticket whose scan ran
-	// to completion. Waiting quiescers poll this single word instead of
-	// re-scanning the whole slot array.
-	gpCompleted atomic.Uint64
-	_           [56]byte
 }
 
 // NewManager returns an empty manager.
@@ -130,7 +92,7 @@ func NewManager() *Manager {
 }
 
 // Register adds a slot for a new thread. Registration is copy-on-write so
-// Quiesce can scan without locks.
+// Snapshot can scan without locks.
 func (m *Manager) Register() *Slot {
 	s := &Slot{}
 	m.mu.Lock()
@@ -161,28 +123,9 @@ func (m *Manager) Unregister(s *Slot) {
 	m.mu.Unlock()
 }
 
-// Slots returns the registered slots as of the call. The slice is a
-// snapshot shared with the manager: read it, do not modify it.
-func (m *Manager) Slots() []*Slot { return *m.slots.Load() }
-
-// Result describes one quiescence.
-type Result struct {
-	// Wait is the time spent waiting on active slots (zero when none were
-	// active or the shared fast path hit).
-	Wait time.Duration
-	// Shared reports that the wait was satisfied by a concurrent
-	// quiescer's grace period rather than by this caller's own scan.
-	Shared bool
-	// Scanned reports that the caller performed its own snapshot scan of
-	// the slot array. Shared && !Scanned is the fast path that was covered
-	// before taking a snapshot: it returns without waiting on any slot.
-	Scanned bool
-}
-
-// Scratch is a reusable snapshot buffer for QuiesceWith and Snapshot. Each
-// quiescing thread owns one; the zero value is ready. Reusing it across
-// commits makes the quiesce path allocation-free in steady state (the seed
-// allocated two slices per writer commit here).
+// Scratch is one grace period's record, reused across grace periods so
+// that neither Snapshot nor QuiesceWith allocates in steady state. Each
+// waiter owns one; the zero value is ready.
 type Scratch struct {
 	pend []pendingSlot
 	next int // pend[:next] have moved on since the snapshot
@@ -193,94 +136,17 @@ type pendingSlot struct {
 	seen uint64
 }
 
-// Quiesce waits until every transaction that was active when Quiesce was
-// called has finished (committed or aborted and cleaned up). self, if
-// non-nil, is skipped: the caller has already committed and its slot may
-// still read as active.
-//
-// Sharing contract: a caller's own transaction, if any, must already have
-// finished its commit/abort cleanup before calling Quiesce (the engine
-// guarantees this by exiting the slot first). That is what lets one
-// quiescer's completed scan stand in for another's.
-func (m *Manager) Quiesce(self *Slot) Result {
-	var sc Scratch
-	return m.QuiesceWith(self, &sc)
-}
-
-// QuiesceWith is Quiesce with a caller-owned scratch buffer, avoiding the
-// per-call snapshot allocation on the engine's commit path.
-func (m *Manager) QuiesceWith(self *Slot, sc *Scratch) Result {
-	// Probe pass: with no transaction in flight — the common case under
-	// light load, and the path every commit pays — quiesce must cost
-	// nothing beyond the slot loads themselves. No ticket, no publish, no
-	// read-modify-write on a shared counter.
-	slots := *m.slots.Load()
-	busy := false
-	for _, s := range slots {
-		if s != self && s.seq.Load()%2 == 1 {
-			busy = true
-			break
-		}
-	}
-	if !busy {
-		return Result{Scanned: true}
-	}
-
-	if m.scanHook != nil {
-		m.scanHook()
+// QuiesceWith waits out one grace period: it returns once every
+// transaction other than self's that was active when it was called has
+// finished (committed, or aborted and cleaned up), and reports how long it
+// waited. self may be nil; a caller that has just committed passes its
+// own slot, which may still read as active.
+func (m *Manager) QuiesceWith(self *Slot, sc *Scratch) time.Duration {
+	m.Snapshot(self, sc)
+	if m.Elapsed(sc) {
+		return 0
 	}
 	start := time.Now()
-	// Entry point: any leader ticket issued after this load — gpStarted
-	// RMWs are totally ordered, so ticket > entry means exactly that —
-	// belongs to a scan whose snapshot postdates our arrival. Its
-	// completion covers everything we must wait for.
-	entry := m.gpStarted.Load()
-	if m.gpCompleted.Load() > entry {
-		return Result{Shared: true}
-	}
-	if self != nil && self.seq.Load()%2 == 1 {
-		// Caller outside the sharing contract: its own transaction still
-		// reads as active. It can neither publish (its scan omits its own
-		// slot) nor park as a follower (a leader's scan waits for *this*
-		// slot to exit — mutual wait). Scan privately, off the election.
-		m.scan(self, sc)
-		return Result{Wait: time.Since(start), Scanned: true}
-	}
-	// Leader election. Losers park on gpCompleted: they are retired in
-	// bulk by the first leader scan ticketed after their entry point —
-	// either the incumbent's successor or, if the convoy has drained, a
-	// scan they win themselves.
-	var b spinwait.Backoff
-	for {
-		if m.gpCompleted.Load() > entry {
-			return Result{Wait: time.Since(start), Shared: true}
-		}
-		if m.leaderMu.TryLock() {
-			break
-		}
-		b.Wait()
-	}
-	if m.gpCompleted.Load() > entry {
-		// Published between our check and the lock: covered after all.
-		m.leaderMu.Unlock()
-		return Result{Wait: time.Since(start), Shared: true}
-	}
-	ticket := m.gpStarted.Add(1)
-	m.scan(self, sc)
-	m.completeGP(ticket)
-	m.leaderMu.Unlock()
-	return Result{Wait: time.Since(start), Scanned: true}
-}
-
-// scan snapshots the active slots and waits each of them out. On the leader
-// path it runs after the ticket draw — and Snapshot re-loads the slot
-// *list*, not just the seq words: a thread that registered and entered
-// between the probe's list load and the ticket is absent from the
-// pre-ticket list, yet a follower covered by the ticket may be obliged to
-// wait for it. Publishing a scan over the stale list would release that
-// follower via gpCompleted while the missed transaction still runs.
-func (m *Manager) scan(self *Slot, sc *Scratch) {
-	m.Snapshot(self, sc)
 	var b spinwait.Backoff
 	for waited := sc.next; !m.Elapsed(sc); b.Wait() {
 		if sc.next != waited {
@@ -290,6 +156,7 @@ func (m *Manager) scan(self *Slot, sc *Scratch) {
 			b.Reset()
 		}
 	}
+	return time.Since(start)
 }
 
 // Snapshot records in sc which slots other than self are inside a
@@ -297,7 +164,8 @@ func (m *Manager) scan(self *Slot, sc *Scratch) {
 // of a grace period that Elapsed reports the end of. A caller that has
 // just committed and passes its own slot as self may free what that
 // commit unlinked once Elapsed(sc) is true: every transaction that could
-// still hold a pointer to it was active now.
+// still hold a pointer to it was active now. The slot list is loaded here,
+// so a thread missing from it registered later and entered later.
 func (m *Manager) Snapshot(self *Slot, sc *Scratch) {
 	pend := sc.pend[:0]
 	for _, s := range *m.slots.Load() {
@@ -319,15 +187,4 @@ func (m *Manager) Elapsed(sc *Scratch) bool {
 		sc.next++
 	}
 	return sc.next == len(sc.pend)
-}
-
-// completeGP publishes a finished scan: advance gpCompleted to ticket unless
-// a later scan already did.
-func (m *Manager) completeGP(ticket uint64) {
-	for {
-		cur := m.gpCompleted.Load()
-		if cur >= ticket || m.gpCompleted.CompareAndSwap(cur, ticket) {
-			return
-		}
-	}
 }

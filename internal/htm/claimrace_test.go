@@ -34,8 +34,14 @@ func TestReadRegistrationRacesWriteClaim(t *testing.T) {
 	x, y := base, base+128 // distinct lines
 	w, r := h.NewTx(0), h.NewTx(1)
 
-	const maxRounds = 40000
-	deadline := time.Now().Add(2 * time.Second)
+	maxRounds, limit := uint64(40000), 2*time.Second
+	if raceEnabled {
+		// The detector's instrumentation narrows the window a missing
+		// re-check opens to a few rounds in 100 000; five times the rounds
+		// catch it as reliably there.
+		maxRounds, limit = 200000, 20*time.Second
+	}
+	deadline := time.Now().Add(limit)
 	var (
 		wAt, rAt   atomic.Uint64 // the round each side has reached x in
 		wEnd, rEnd atomic.Uint64 // the round each side has finished

@@ -201,7 +201,7 @@ func TestMutationRunCountersAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"quiesces", "shared_grace", "scans_avoided"} {
+	for _, k := range []string{"quiesces", "shared_grace"} {
 		if _, ok := st[k]; !ok {
 			t.Fatalf("stats missing %q", k)
 		}
@@ -481,10 +481,10 @@ func TestStatsReportParkedFrees(t *testing.T) {
 	for i := 0; i < overwrites; i++ {
 		set()
 	}
-	stat(map[string]uint64{"quiesces": 2, "shared_grace": overwrites - 2, "scans_avoided": overwrites - 2, "reclaim_parked": overwrites})
+	stat(map[string]uint64{"quiesces": 2, "shared_grace": overwrites - 2, "reclaim_parked": overwrites})
 
 	close(leave)
 	<-left
 	set()
-	stat(map[string]uint64{"quiesces": 2, "shared_grace": overwrites - 1, "scans_avoided": overwrites - 1, "reclaim_parked": 0})
+	stat(map[string]uint64{"quiesces": 2, "shared_grace": overwrites - 1, "reclaim_parked": 0})
 }

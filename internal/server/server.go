@@ -737,7 +737,6 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 	u("tm_serial_runs", es.SerialRuns)
 	u("quiesces", es.Quiesces)
 	u("shared_grace", es.SharedGrace)
-	u("scans_avoided", es.ScansAvoided)
 	u("reclaim_parked", all.ReclaimParked())
 
 	// The simulated heap is mapped outside the Go heap, so only these show

@@ -118,8 +118,7 @@ const (
 	evQuiesces
 	evQuiesceNanos
 	evNoQuiesce    // commits that skipped quiescence via NoQuiesce
-	evSharedGrace  // quiesces covered by another's grace period (see SharedGrace)
-	evScansAvoided // shared-grace hits that skipped the slot scan entirely
+	evSharedGrace  // freeing commits that joined a parked batch (see SharedGrace)
 	evReadsDeduped // duplicate read-set entries suppressed by dedup
 	evParked       // freed blocks parked for deferred reclamation
 	evReclaimed    // parked blocks returned to the allocator
@@ -203,15 +202,9 @@ func (t *Stripe) Quiesce(d time.Duration) {
 // NoQuiesce records a commit that skipped quiescence through Tx.NoQuiesce.
 func (t *Stripe) NoQuiesce() { t.add(evNoQuiesce, 1) }
 
-// SharedGrace records a quiescence satisfied by a concurrent quiescer's grace
-// period, or frees that joined a parked batch waiting out its own;
-// scanAvoided marks the paths that touched no epoch slot.
-func (t *Stripe) SharedGrace(scanAvoided bool) {
-	t.add(evSharedGrace, 1)
-	if scanAvoided {
-		t.add(evScansAvoided, 1)
-	}
-}
+// SharedGrace records a freeing commit whose blocks joined a parked batch
+// that waits out one grace period for all of them (deferred reclamation).
+func (t *Stripe) SharedGrace() { t.add(evSharedGrace, 1) }
 
 // ReadsDeduped records n duplicate read-set entries the STM suppressed.
 func (t *Stripe) ReadsDeduped(n uint64) { t.add(evReadsDeduped, n) }
@@ -232,9 +225,10 @@ type Snapshot struct {
 	Quiesces    uint64
 	QuiesceTime time.Duration
 	NoQuiesce   uint64
-	// SharedGrace counts quiesces covered by another's grace period (a
-	// concurrent quiescer's, or a parked batch's), ScansAvoided the subset
-	// that skipped the epoch-slot scan.
+	// SharedGrace counts freeing commits covered by a parked batch's grace
+	// period. ScansAvoided is always 0: no path skips the slot scan since
+	// quiescers stopped sharing grace periods. It stays for the benchmark
+	// module, which sums it.
 	SharedGrace  uint64
 	ScansAvoided uint64
 	ReadsDeduped uint64
@@ -260,7 +254,6 @@ func (c *Counters) Snapshot() Snapshot {
 		QuiesceTime:  time.Duration(sum(evQuiesceNanos)),
 		NoQuiesce:    sum(evNoQuiesce),
 		SharedGrace:  sum(evSharedGrace),
-		ScansAvoided: sum(evScansAvoided),
 		ReadsDeduped: sum(evReadsDeduped),
 		Parked:       sum(evParked),
 	}
@@ -322,7 +315,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		QuiesceTime:  s.QuiesceTime - prev.QuiesceTime,
 		NoQuiesce:    s.NoQuiesce - prev.NoQuiesce,
 		SharedGrace:  s.SharedGrace - prev.SharedGrace,
-		ScansAvoided: s.ScansAvoided - prev.ScansAvoided,
 		ReadsDeduped: s.ReadsDeduped - prev.ReadsDeduped,
 		Parked:       s.Parked - prev.Parked,
 		Reclaimed:    s.Reclaimed - prev.Reclaimed,
@@ -340,7 +332,7 @@ func (s Snapshot) String() string {
 		s.Starts, s.Commits, s.TotalAborts(), 100*s.AbortRate(),
 		s.SerialRuns, 100*s.SerialRate(), s.Quiesces, s.QuiesceTime)
 	if s.SharedGrace > 0 {
-		fmt.Fprintf(&b, " sharedGrace=%d scansAvoided=%d", s.SharedGrace, s.ScansAvoided)
+		fmt.Fprintf(&b, " sharedGrace=%d", s.SharedGrace)
 	}
 	if s.ReadsDeduped > 0 {
 		fmt.Fprintf(&b, " readsDeduped=%d", s.ReadsDeduped)

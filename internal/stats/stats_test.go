@@ -90,24 +90,24 @@ func TestQuiesceAccounting(t *testing.T) {
 func TestSharedGraceAndDedupAccounting(t *testing.T) {
 	r := NewCounters()
 	th := r.Stripe(1)
-	th.SharedGrace(true)
-	th.SharedGrace(false)
+	th.SharedGrace()
+	th.SharedGrace()
 	th.ReadsDeduped(5)
 	th.ReadsDeduped(0) // no-op
 	s := r.Snapshot()
-	if s.SharedGrace != 2 || s.ScansAvoided != 1 || s.ReadsDeduped != 5 {
+	if s.SharedGrace != 2 || s.ReadsDeduped != 5 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	out := s.String()
 	if !strings.Contains(out, "sharedGrace=2") || !strings.Contains(out, "readsDeduped=5") {
 		t.Fatalf("String() = %q, missing new counters", out)
 	}
-	diff := s.Sub(Snapshot{SharedGrace: 1, ScansAvoided: 1, ReadsDeduped: 2})
-	if diff.SharedGrace != 1 || diff.ScansAvoided != 0 || diff.ReadsDeduped != 3 {
+	diff := s.Sub(Snapshot{SharedGrace: 1, ReadsDeduped: 2})
+	if diff.SharedGrace != 1 || diff.ReadsDeduped != 3 {
 		t.Fatalf("diff = %+v", diff)
 	}
 	r.Reset()
-	if s := r.Snapshot(); s.SharedGrace != 0 || s.ScansAvoided != 0 || s.ReadsDeduped != 0 {
+	if s := r.Snapshot(); s.SharedGrace != 0 || s.ReadsDeduped != 0 {
 		t.Fatalf("snapshot after Reset = %+v", s)
 	}
 }

@@ -34,11 +34,8 @@ func applyEvent(t *Stripe, want *Snapshot, k int, arg uint64) {
 		t.NoQuiesce()
 		want.NoQuiesce++
 	case 5:
-		t.SharedGrace(arg%2 == 0)
+		t.SharedGrace()
 		want.SharedGrace++
-		if arg%2 == 0 {
-			want.ScansAvoided++
-		}
 	case 6:
 		t.Parked(arg)
 		want.Parked += arg

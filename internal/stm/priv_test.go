@@ -96,7 +96,7 @@ func TestQuiescencePreventsTheRace(t *testing.T) {
 	privSlot.Exit()
 	// Privatization safety: wait out every transaction concurrent with the
 	// privatizing commit.
-	mgr.Quiesce(privSlot)
+	mgr.QuiesceWith(privSlot, new(epoch.Scratch))
 	if got := mem.Load(blk); got != 42 {
 		t.Fatalf("quiesced private read saw %d, want committed 42", got)
 	}
@@ -148,7 +148,7 @@ func TestProxyPrivatizationOrdering(t *testing.T) {
 		writerSlot.Exit()
 		close(done)
 	}()
-	mgr.Quiesce(takerSlot)
+	mgr.QuiesceWith(takerSlot, new(epoch.Scratch))
 	<-done
 	if got := mem.Load(msg); got != 7 {
 		t.Fatalf("after quiescence consumer saw %d, want 7", got)

@@ -302,12 +302,9 @@ func (e *Engine) postCommit(th *Thread, readOnly bool) {
 // quiesce waits out one grace period after the thread's commit and records
 // it.
 func (th *Thread) quiesce() {
-	res := th.e.epochs.QuiesceWith(th.slot, &th.qs)
-	th.st.Quiesce(res.Wait)
-	th.obs.Quiesce(res.Wait)
-	if res.Shared {
-		th.st.SharedGrace(!res.Scanned)
-	}
+	wait := th.e.epochs.QuiesceWith(th.slot, &th.qs)
+	th.st.Quiesce(wait)
+	th.obs.Quiesce(wait)
 }
 
 // runSerial executes fn irrevocably: it drains all transactions via the

@@ -37,7 +37,7 @@ func (th *Thread) park() {
 	if len(th.open) == 0 {
 		th.st.Quiesce(0) // the batch's one grace period; nobody waits for it
 	} else {
-		th.st.SharedGrace(true)
+		th.st.SharedGrace()
 	}
 	for _, a := range th.frees {
 		th.parkedWords += th.e.mem.BlockSize(a)

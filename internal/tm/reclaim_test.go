@@ -155,9 +155,9 @@ func TestDeferredReclaimSharesGrace(t *testing.T) {
 
 	s := e.Snapshot()
 	total := uint64(workers * opsPerWorker)
-	if s.Quiesces != 2*workers || s.SharedGrace != total-2*workers || s.ScansAvoided != s.SharedGrace {
-		t.Fatalf("quiesces=%d sharedGrace=%d scansAvoided=%d, want %d, %d, %d",
-			s.Quiesces, s.SharedGrace, s.ScansAvoided, 2*workers, total-2*workers, total-2*workers)
+	if s.Quiesces != 2*workers || s.SharedGrace != total-2*workers {
+		t.Fatalf("quiesces=%d sharedGrace=%d, want %d, %d",
+			s.Quiesces, s.SharedGrace, 2*workers, total-2*workers)
 	}
 	if n := s.ReclaimParked(); n != total {
 		t.Fatalf("ReclaimParked = %d with the peer inside its transaction, want %d", n, total)

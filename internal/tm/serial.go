@@ -25,8 +25,10 @@ import (
 // waits, so a stream of attempts cannot starve a writer. Attempts that meet
 // no writer write only their own cache line, as a TSX transaction only
 // reads the fallback lock it subscribes to. The registry is the epoch
-// manager's slot list. A writer waits for attempts only: a thread's commit
-// actions (quiescence, frees, deferred functions) follow its Exit.
+// manager's slot list, and the writer's wait is the epoch grace period that
+// quiescence and deferred reclamation wait out. A writer waits for attempts
+// only: a thread's commit actions (quiescence, frees, deferred functions)
+// follow its Exit.
 //
 // state: slWriterWaiting = a writer has announced itself and is waiting for
 // the readers to drain, slWriterHeld = it holds the lock, 0 = no writer.
@@ -34,6 +36,7 @@ type serialLock struct {
 	state  atomic.Uint64
 	_      [56]byte
 	epochs *epoch.Manager
+	sc     epoch.Scratch // the drain's; only the writer holding the waiting bit uses it
 }
 
 const (
@@ -73,17 +76,12 @@ func (l *serialLock) wlock(onWaiting func()) {
 	if onWaiting != nil {
 		onWaiting()
 	}
-	// Phase 2: wait for every registered slot to be inactive, then claim.
-	// The slot list is loaded after the waiting bit is set, so a thread
-	// missing from it registered later and will see the bit before it
-	// enters, as will one whose slot was read inactive.
-	for _, s := range l.epochs.Slots() {
-		// Fresh backoff per slot, as in epoch's scan.
-		b.Reset()
-		for s.Active() {
-			b.Wait()
-		}
-	}
+	// Phase 2: wait out one grace period, then claim. Its snapshot loads
+	// the slot list after the waiting bit is set, so a thread missing from
+	// it registered later and will see the bit before it enters, as will
+	// one whose slot was read inactive or has moved on since: an attempt
+	// that enters after the bit backs out without running.
+	l.epochs.QuiesceWith(nil, &l.sc)
 	l.state.Store(slWriterHeld)
 }
 
