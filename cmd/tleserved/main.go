@@ -101,9 +101,10 @@ func main() {
 		}
 	}
 
-	// Durability: recover first (replay runs one irrevocable section per 64
-	// records while no WAL is attached, so nothing is re-logged), then attach
-	// so every mutation from here on is redo-logged in commit order.
+	// Durability: recover first (replay applies the records that survive,
+	// one irrevocable section per 64, while no WAL is attached, so nothing
+	// is re-logged), then attach so every mutation from here on is
+	// redo-logged in commit order.
 	var wlog *wal.Log
 	if *walDir != "" {
 		win := *fsyncWin
@@ -116,6 +117,10 @@ func main() {
 		}
 		rth := r.NewThread()
 		recovered, err := store.Recover(rth, wlog)
+		if err != nil {
+			log.Fatal(err)
+		}
+		applied, err := store.Stats(rth)
 		rth.Release()
 		if err != nil {
 			log.Fatal(err)
@@ -123,8 +128,8 @@ func main() {
 		if err := store.AttachWAL(wlog); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("wal: recovered %d records from %s in %.1f ms\n", recovered, *walDir,
-			float64(wlog.Stats().RecoverTime.Microseconds())/1e3)
+		fmt.Printf("wal: recovered %d records from %s in %.1f ms, %d applied\n", recovered, *walDir,
+			float64(store.RecoverTime().Microseconds())/1e3, applied.Sets+applied.Deletes)
 	}
 
 	// Replication. Cursor discipline is shared with the WAL: with one

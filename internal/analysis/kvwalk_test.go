@@ -11,7 +11,7 @@ import (
 
 // TestWalkReachesShardMutations pins that kvstore's shard section stays
 // statically visible: the walk the per-section analyzers make from the
-// section MutateBatch enters reaches the three functions that mutate a
+// section Mutate enters reaches the three functions that mutate a
 // shard. A body entered through a func-typed field or variable is opaque
 // to that walk, and txsafe, txpure and hotalloc would check none of them.
 func TestWalkReachesShardMutations(t *testing.T) {
@@ -20,20 +20,20 @@ func TestWalkReachesShardMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkg := prog.Lookup("gotle/internal/kvstore")
-	var batch *ast.FuncDecl
+	var mutate *ast.FuncDecl
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "MutateBatch" {
-				batch = fd
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "Mutate" {
+				mutate = fd
 			}
 		}
 	}
-	if batch == nil {
-		t.Fatal("kvstore.MutateBatch not found")
+	if mutate == nil {
+		t.Fatal("kvstore.Mutate not found")
 	}
 	reached := map[string]bool{"applyStore": false, "applyIncr": false, "applyDelete": false}
 	for _, e := range analysis.AtomicEntries(pkg) {
-		if e.Call.Pos() < batch.Pos() || e.Call.End() > batch.End() {
+		if e.Call.Pos() < mutate.Pos() || e.Call.End() > mutate.End() {
 			continue
 		}
 		v := &tmflow.Visitor{Prog: prog, Opaque: analysis.IsRuntimeFn, Visit: func(_ *analysis.Package, _ ast.Node, trail []*types.Func) bool {
@@ -48,7 +48,7 @@ func TestWalkReachesShardMutations(t *testing.T) {
 	}
 	for name, ok := range reached {
 		if !ok {
-			t.Errorf("no walk from a section entered in MutateBatch reaches %s", name)
+			t.Errorf("no walk from a section entered in Mutate reaches %s", name)
 		}
 	}
 }

@@ -8,16 +8,16 @@ import (
 	"gotle/internal/wal"
 )
 
-// MutateBatch is the one way into a shard: Mutate, which the server and the
-// single-key mutators (Set, Delete, Incr, ...) call, hands it a batch of
-// one, Recover a run of replayed records. Each op is its own shard's
-// critical section, exactly as under the lock baseline: an elided lock is
-// invisible to the TM (the paper's lock erasure, Section IV.A), so one
-// transaction spanning several shards would collide with every other
-// section that touched any of them. Each section ends by reading its shard's
-// WAL sequence word, and each op's result carries the ticket for the
-// sequence it read: a reply waits for the ticket of every shard sequence
-// its sections read (see PORTING.md).
+// Mutate is the one way into a shard: the server and the single-key
+// mutators (Set, Delete, Incr, ...) call it, Recover calls it for each
+// record it applies, and MutateBatch calls it per op. Each op is its own
+// shard's critical section, exactly as under the lock baseline: an elided
+// lock is invisible to the TM (the paper's lock erasure, Section IV.A), so
+// one transaction spanning several shards would collide with every other
+// section that touched any of them. Each section ends by reading its
+// shard's WAL sequence word, and each op's result carries the ticket for
+// the sequence it read: a reply waits for the ticket of every shard
+// sequence its sections read (see PORTING.md).
 
 // BatchVerb selects one operation of a batch.
 type BatchVerb int
@@ -35,9 +35,9 @@ const (
 // IsStore reports whether v is a conditional-store verb (takes a value).
 func (v BatchVerb) IsStore() bool { return v <= BatchCAS }
 
-// BatchOp is one mutation in a batch. Key and Val must remain stable until
-// MutateBatch returns (the commit stream frames the redo records, which
-// alias them, before that).
+// BatchOp is one mutation. Key and Val must remain stable until Mutate
+// returns (the commit stream frames the redo records, which alias them,
+// before that).
 type BatchOp struct {
 	Verb  BatchVerb
 	Key   []byte
@@ -48,7 +48,8 @@ type BatchOp struct {
 }
 
 // check reports why the store refuses op (a bad key or value length), nil
-// when it takes it: MutateBatch skips a refused op, Recover stops at one.
+// when it takes it: Mutate refuses the op, MutateBatch skips it, Recover
+// stops at it.
 func (op *BatchOp) check() error {
 	if len(op.Key) == 0 || len(op.Key) > MaxKeyLen {
 		return ErrBadKey
@@ -81,69 +82,86 @@ var (
 	ErrBadVal = errors.New("kvstore: value exceeds MaxValLen")
 
 	errResLen = errors.New("kvstore: MutateBatch len(ops) != len(res)")
-	errNested = errors.New("kvstore: MutateBatch inside a transaction with a sink attached")
+	errNested = errors.New("kvstore: Mutate inside a transaction with a sink attached")
 )
 
 // BatchScratch is an empty placeholder kept for MutateBatch's callers that
 // still pass one; the store keeps no per-connection state.
 type BatchScratch struct{}
 
-// MutateBatch applies ops in order, filling res (len(res) must equal
-// len(ops)) with per-op outcomes. Rejected ops (bad key/value length) get
-// res[i].Err and are skipped. The contract is sequential, never atomic as a
-// group: each op runs in its own critical section on its own shard, so op i
-// observes the effects of ops 0..i-1 and other threads' sections may
-// interleave between them. No section holds two shard mutexes. Each
-// committed op's result carries its Durable ticket. A returned error is an
-// engine failure; the ops before the failing one have committed and the
-// ops after it did not run.
+// Mutate runs one mutation as its shard's critical section and, with a
+// sink attached, publishes its redo record once the section has returned.
+// On an error (a bad key or value length included) the result reads as
+// "nothing happened", with the zero ticket, and its Err is the returned
+// error. A committed op's result carries its Durable ticket.
 //
 // A committed write reaches the commit stream after its section returns,
 // which is after its commit only at top level: with a sink attached,
-// MutateBatch refuses to run inside another transaction.
+// Mutate refuses to run inside another transaction.
 //
-//gotle:hotpath per-batch mutation entry; covered by the serve-smoke AllocsPerRun gate
+//gotle:hotpath per-op mutation entry; covered by the serve-smoke AllocsPerRun gate
+func (s *Store) Mutate(th *tm.Thread, op BatchOp) (BatchResult, error) {
+	err := op.check()
+	if err == nil && s.stream != nil && th.InTx() {
+		err = errNested
+	}
+	if err != nil {
+		return refused(err), err
+	}
+	h := fnv1a(op.Key)
+	si := int(h % uint64(len(s.shards)))
+	sh := &s.shards[si]
+	var (
+		r      BatchResult
+		seq    uint64
+		logged wal.Op
+		fl     uint32
+	)
+	if err := sh.mu.Do(th, func(tx tm.Tx) error {
+		r, seq, logged, fl = s.batchBody(tx, sh, h, &op)
+		return nil
+	}); err != nil {
+		return refused(err), err
+	}
+	if logged != 0 {
+		recs := [1]wal.Record{{Op: logged, Seq: seq, Flags: fl, Key: op.Key}}
+		var digits [20]byte
+		if op.Verb == BatchIncr || op.Verb == BatchDecr {
+			recs[0].Val = strconv.AppendUint(digits[:0], r.NewVal, 10)
+		} else if logged == wal.OpSet {
+			recs[0].Val = op.Val
+		}
+		s.stream.Publish(si, recs[:])
+	}
+	r.Durable = s.wal.TicketFor(si, seq)
+	return r, nil
+}
+
+// refused is the result of an op that did not run.
+func refused(err error) BatchResult {
+	return BatchResult{Store: NotStored, Incr: IncrNotFound, Err: err}
+}
+
+// MutateBatch applies ops in order through Mutate, filling res (len(res)
+// must equal len(ops)) with per-op outcomes. Rejected ops (bad key/value
+// length) get res[i].Err and are skipped. The contract is sequential, never
+// atomic as a group: op i observes the effects of ops 0..i-1 and other
+// threads' sections may interleave between them. A returned error is an
+// engine failure; the ops before the failing one have committed and the ops
+// after it did not run.
 func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, _ *BatchScratch) error {
 	if len(ops) != len(res) {
 		return errResLen
 	}
-	if s.stream != nil && th.InTx() {
-		return errNested
-	}
-	nsh := uint64(len(s.shards))
 	for i := range ops {
-		op := &ops[i]
-		if bad := op.check(); bad != nil {
+		if bad := ops[i].check(); bad != nil {
 			res[i] = BatchResult{Err: bad}
 			continue
 		}
-		h := fnv1a(op.Key)
-		si := int(h % nsh)
-		sh := &s.shards[si]
-		var (
-			r      BatchResult
-			seq    uint64
-			logged wal.Op
-			fl     uint32
-		)
-		err := sh.mu.Do(th, func(tx tm.Tx) error {
-			r, seq, logged, fl = s.batchBody(tx, sh, h, op)
-			return nil
-		})
+		r, err := s.Mutate(th, ops[i])
 		if err != nil {
 			return err
 		}
-		if logged != 0 {
-			recs := [1]wal.Record{{Op: logged, Seq: seq, Flags: fl, Key: op.Key}}
-			var digits [20]byte
-			if op.Verb == BatchIncr || op.Verb == BatchDecr {
-				recs[0].Val = strconv.AppendUint(digits[:0], r.NewVal, 10)
-			} else if logged == wal.OpSet {
-				recs[0].Val = op.Val
-			}
-			s.stream.Publish(si, recs[:])
-		}
-		r.Durable = s.wal.TicketFor(si, seq)
 		res[i] = r
 	}
 	return nil
@@ -154,9 +172,9 @@ func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, _ *
 // last (the section's durability point) and, when it wrote with a sink
 // attached, its redo record's op and flags; the record's Seq is then that
 // sequence, drawn inside tx, so the log order equals the shard's
-// serialization order. MutateBatch builds the record after commit from op
-// (an incr's digits from NewVal): a whole record returned out of every
-// section cost replay about 5 %.
+// serialization order. Mutate builds the record after commit from op (an
+// incr's digits from NewVal): a whole record returned out of every section
+// cost replay about 5 %.
 //
 //gotle:hotpath the mutating transaction body
 func (s *Store) batchBody(tx tm.Tx, sh *shard, h uint64, op *BatchOp) (res BatchResult, seq uint64, logged wal.Op, flags uint32) {

@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
+	"time"
 
 	"gotle/internal/logrec"
 	"gotle/internal/memseg"
@@ -156,6 +157,8 @@ type Store struct {
 	// wal issues the durability tickets for records sent down stream; a
 	// nil log (no AttachWAL) issues zero, already-durable tickets.
 	wal *wal.Log
+	// recoverTime is how long Recover took, scan and apply (zero before).
+	recoverTime time.Duration
 }
 
 type shard struct {
@@ -239,64 +242,6 @@ func opOf(rec logrec.Record) (BatchOp, error) {
 		return op, fmt.Errorf("kvstore: unknown log op %v", rec.Op)
 	}
 	return op, op.check()
-}
-
-// replayBatch is how many records Recover applies per serial section.
-const replayBatch = 64
-
-// Recover replays l into the store, which must not be serving yet and must
-// have nothing attached (call AttachWAL after it), so nothing is re-logged.
-// Nothing runs beside a recovering store, so speculation buys it nothing:
-// each run of replayBatch records is one irrevocable section
-// (Engine.Synchronized) around one MutateBatch, whose per-op Do flattens
-// into it, so the mutations run with direct loads and stores, with no write
-// buffer, commit or capacity abort. A section holds a batch, not the whole
-// log, because a serial section frees the blocks it replaced only at its
-// end, and the heap should reuse them as the replay goes. The log hands
-// each record out of a reused frame, so keys and values are copied into
-// one reused arena. A record the store refuses ends the replay inside
-// l.Recover, before the log is armed: the batch ahead of it commits and
-// the error names its shard and seq. Recover returns the records replayed.
-func (s *Store) Recover(th *tm.Thread, l *wal.Log) (int, error) {
-	var (
-		ops   [replayBatch]BatchOp
-		res   [replayBatch]BatchResult
-		arena []byte
-		n     int
-	)
-	body := func(tm.Tx) error { return s.MutateBatch(th, ops[:n], res[:n], nil) }
-	flush := func() error {
-		if n == 0 {
-			return nil
-		}
-		err := s.r.Engine().Synchronized(th, body)
-		n, arena = 0, arena[:0]
-		if err != nil {
-			return fmt.Errorf("kvstore: replay: %w", err)
-		}
-		return nil
-	}
-	got, err := l.Recover(func(sh int, r wal.Record) error {
-		op, bad := opOf(r)
-		if bad != nil {
-			if err := flush(); err != nil {
-				return err
-			}
-			return fmt.Errorf("kvstore: replay shard %d seq %d: %w", sh, r.Seq, bad)
-		}
-		k := len(arena)
-		arena = append(append(arena, r.Key...), r.Val...)
-		op.Key, op.Val = arena[k:k+len(r.Key)], arena[k+len(r.Key):]
-		ops[n] = op
-		if n++; n == replayBatch {
-			return flush()
-		}
-		return nil
-	})
-	if err == nil {
-		err = flush()
-	}
-	return got, err
 }
 
 // AttachWAL arms redo logging: every committed mutation from here on
@@ -666,23 +611,6 @@ func (st StoreStatus) String() string {
 	default:
 		return fmt.Sprintf("status(%d)", int(st))
 	}
-}
-
-// Mutate runs a single mutation the only way a shard is mutated: as a
-// MutateBatch, here of one op. On an error (a bad key or value length
-// included) the result reads as "nothing happened", with the zero ticket,
-// and its Err is the returned error.
-func (s *Store) Mutate(th *tm.Thread, op BatchOp) (BatchResult, error) {
-	ops := [1]BatchOp{op}
-	var res [1]BatchResult
-	err := s.MutateBatch(th, ops[:], res[:], nil)
-	if err == nil {
-		err = res[0].Err
-	}
-	if err != nil {
-		return BatchResult{Store: NotStored, Incr: IncrNotFound, Err: err}, err
-	}
-	return res[0], nil
 }
 
 // Set inserts or replaces key's value, evicting from the tail of the

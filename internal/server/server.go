@@ -753,7 +753,7 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 		u("wal_bytes", ws.Bytes)
 		u("wal_segments", ws.Segments)
 		u("recovered_records", ws.Recovered)
-		u("recover_us", uint64(ws.RecoverTime.Microseconds()))
+		u("recover_us", uint64(s.store.RecoverTime().Microseconds()))
 	}
 	if cs := s.store.CommitStream(); cs != nil {
 		released, parked := cs.Counts()
