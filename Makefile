@@ -111,6 +111,7 @@ stress:
 # Short bursts of the native fuzz targets (long-form: go test -fuzz=X -fuzztime=10m).
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzPackUnpack -fuzztime $(FUZZTIME) ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME) ./internal/bzlike
 	$(GO) test -run '^$$' -fuzz FuzzCompressRoundTrip -fuzztime $(FUZZTIME) ./internal/bzlike
@@ -153,9 +154,9 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tle | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkAllocFree' -cpu 1,2 -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/memseg | tee -a $(BENCHDIR)/current.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkRecover|BenchmarkNewRuntime|BenchmarkConnFootprint' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkRecover|BenchmarkNewRuntime|BenchmarkConnFootprint|BenchmarkFrameCodec' -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/wal ./internal/kvstore ./internal/tle \
-		./internal/server | tee -a $(BENCHDIR)/current.txt
+		./internal/server ./internal/logrec | tee -a $(BENCHDIR)/current.txt
 
 # The network server's zero-to-OK gate: the allocation gate (the serving
 # hot path must do exactly 0 allocs/op — see TestZeroAllocHotPath), then the

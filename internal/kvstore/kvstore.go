@@ -223,25 +223,26 @@ func (s *Store) ShardMutexes() []*tle.Mutex {
 // error: a follower that diverged is caught by the converge harness's shard
 // dumps.
 func (s *Store) Apply(th *tm.Thread, rec logrec.Record) error {
-	op, err := opOf(rec)
+	var op BatchOp
+	err := opOf(&op, &rec)
 	if err == nil {
 		_, err = s.Mutate(th, op)
 	}
 	return err
 }
 
-// opOf decodes a logged mutation into the op that replays it, or says why
-// the store refuses it.
-func opOf(rec logrec.Record) (BatchOp, error) {
-	op := BatchOp{Verb: BatchSet, Key: rec.Key, Val: rec.Val, Flags: rec.Flags}
+// opOf decodes a logged mutation into op (all but Cas and Delta), the op
+// that replays it, or says why the store refuses it.
+func opOf(op *BatchOp, rec *logrec.Record) error {
+	op.Verb, op.Key, op.Val, op.Flags = BatchSet, rec.Key, rec.Val, rec.Flags
 	switch rec.Op {
 	case logrec.OpSet:
 	case logrec.OpDelete:
 		op.Verb = BatchDelete
 	default:
-		return op, fmt.Errorf("kvstore: unknown log op %v", rec.Op)
+		return fmt.Errorf("kvstore: unknown log op %v", rec.Op)
 	}
-	return op, op.check()
+	return op.check()
 }
 
 // AttachWAL arms redo logging: every committed mutation from here on

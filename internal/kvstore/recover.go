@@ -78,14 +78,13 @@ func (s *Store) Recover(th *tm.Thread, l *wal.Log) (int, error) {
 	rp := newReplayer(s, th)
 	defer rp.unmap()
 	got, err := l.Recover(func(sh int, r wal.Record) error {
-		op, bad := opOf(r)
-		if bad != nil {
+		if bad := opOf(&rp.op, &r); bad != nil {
 			if err := rp.finish(); err != nil {
 				return err
 			}
 			return fmt.Errorf("kvstore: replay shard %d seq %d: %w", sh, r.Seq, bad)
 		}
-		return rp.record(&op)
+		return rp.record(&rp.op)
 	})
 	if err == nil {
 		err = rp.finish()
@@ -146,6 +145,7 @@ type replayer struct {
 	used, dused   int
 	batch         [replayBatch]replayOp
 	nb            int
+	op            BatchOp // the record being read
 	body          func(tm.Tx) error
 	probe         int // held-back sets per shard before the check
 }
@@ -358,7 +358,7 @@ func (rp *replayer) direct1(si int, op *BatchOp, cas uint64) error {
 // the batch once full.
 func (rp *replayer) push(si int, verb BatchVerb, key, val []byte, flags uint32, cas uint64) error {
 	o := &rp.batch[rp.nb]
-	o.op = BatchOp{Verb: verb, Key: key, Val: val, Flags: flags}
+	o.op.Verb, o.op.Key, o.op.Val, o.op.Flags = verb, key, val, flags
 	o.shard, o.cas = si, 0
 	if verb == BatchSet {
 		sh := &rp.sh[si]

@@ -1,4 +1,4 @@
-// Package logrec is the shared record frame codec: the CRC + length-
+// Package logrec is the shared record frame codec: the CRC-32C + length-
 // prefixed encoding of one logical kvstore mutation. Two consumers frame
 // the SAME records — internal/wal writes them to disk, internal/repl
 // streams them to follower replicas over TCP — so the codec lives in one
@@ -10,7 +10,7 @@
 //
 // Frame layout:
 //
-//	u32 payloadLen | u32 crc32(payload) | payload
+//	u32 payloadLen | u32 crc32c(payload) | payload
 //	payload: u8 op | u16 shard | u64 seq | u32 flags | u32 keyLen | key | val
 //
 // all little-endian. valLen is implied by payloadLen.
@@ -76,6 +76,12 @@ const (
 	MaxPayload = 1 << 20
 )
 
+// castagnoli is the CRC-32C table: amd64 and arm64 compute it in hardware.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum is a frame's checksum of its payload.
+func Checksum(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
+
 var (
 	// ErrTorn marks an incomplete frame at the end of the input: the
 	// process died mid-append (disk) or the stream was cut mid-frame
@@ -103,7 +109,7 @@ func AppendRecord(buf []byte, r Record) []byte {
 	binary.LittleEndian.PutUint32(pay[15:19], uint32(len(r.Key)))
 	copy(pay[19:], r.Key)
 	copy(pay[19+len(r.Key):], r.Val)
-	binary.LittleEndian.PutUint32(p[4:8], crc32.ChecksumIEEE(pay))
+	binary.LittleEndian.PutUint32(p[4:8], Checksum(pay))
 	return buf
 }
 
@@ -126,7 +132,7 @@ func DecodeRecord(b []byte) (Record, int, error) {
 		return Record{}, 0, ErrTorn
 	}
 	pay := b[FrameHeader : FrameHeader+payloadLen]
-	if crc32.ChecksumIEEE(pay) != binary.LittleEndian.Uint32(b[4:8]) {
+	if Checksum(pay) != binary.LittleEndian.Uint32(b[4:8]) {
 		return Record{}, 0, ErrCorrupt
 	}
 	r := Record{

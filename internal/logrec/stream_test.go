@@ -166,7 +166,7 @@ func wireFrames(t *testing.T, addr string, shards, want int) [][][]byte {
 	}
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(10 * time.Second))
-	hello := fmt.Sprintf("REPL v1 %d", shards)
+	hello := fmt.Sprintf("%s %d", repl.Protocol, shards)
 	for i := 0; i < shards; i++ {
 		hello += " 0"
 	}

@@ -189,10 +189,11 @@ func TestHandshakeRejectsStrangers(t *testing.T) {
 	defer src.Close(time.Second)
 
 	for _, hs := range []string{
-		"REPL v1 4 0 0 0 0\r\n", // below base
-		"REPL v1 4 9 5 5 5\r\n", // ahead of published tip (tip == base here)
-		"REPL v1 2 5 5\r\n",     // wrong shard count
-		"HELLO\r\n",             // not a handshake
+		Protocol + " 4 0 0 0 0\r\n", // below base
+		Protocol + " 4 9 5 5 5\r\n", // ahead of published tip (tip == base here)
+		Protocol + " 2 5 5\r\n",     // wrong shard count
+		"REPL v1 4 5 5 5 5\r\n",     // the IEEE-framed protocol, at the legal base
+		"HELLO\r\n",                 // not a handshake
 	} {
 		c, err := net.Dial("tcp", addr.String())
 		if err != nil {
@@ -217,7 +218,7 @@ func TestHandshakeRejectsStrangers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Write([]byte("REPL v1 4 5 5 5 5\r\n")); err != nil {
+	if _, err := c.Write([]byte(Protocol + " 4 5 5 5 5\r\n")); err != nil {
 		t.Fatal(err)
 	}
 	line, err := readLine(newConnReader(c))

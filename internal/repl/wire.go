@@ -11,7 +11,7 @@
 // Wire protocol, in connection order:
 //
 //  1. Handshake (text): the follower sends
-//     "REPL v1 <shards> <cursor0> <cursor1> ...\r\n" where cursor[i] is
+//     "REPL v2 <shards> <cursor0> <cursor1> ...\r\n" where cursor[i] is
 //     the highest sequence number it has already applied for shard i
 //     (zero for a fresh replica). The source answers "OK <shards>\r\n"
 //     and resumes the stream from cursor+1 per shard, or "ERR <msg>\r\n"
@@ -37,7 +37,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"strconv"
 	"strings"
@@ -85,7 +84,7 @@ func AppendRecordFrame(buf []byte, r logrec.Record) []byte {
 }
 
 // AppendTipFrame appends a tip envelope frame: kind byte, then the same
-// "u32 payloadLen | u32 crc32(payload)" header the record codec uses, with
+// "u32 payloadLen | u32 crc32c(payload)" header the record codec uses, with
 // payload "u16 nshards | nshards × u64 seq".
 func AppendTipFrame(buf []byte, tips []uint64) []byte {
 	payloadLen := 2 + 8*len(tips)
@@ -99,7 +98,7 @@ func AppendTipFrame(buf []byte, tips []uint64) []byte {
 	for i, s := range tips {
 		binary.LittleEndian.PutUint64(pay[2+8*i:], s)
 	}
-	binary.LittleEndian.PutUint32(p[5:9], crc32.ChecksumIEEE(pay))
+	binary.LittleEndian.PutUint32(p[5:9], logrec.Checksum(pay))
 	return buf
 }
 
@@ -133,7 +132,7 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 			return Frame{}, 0, ErrTorn
 		}
 		pay := b[1+logrec.FrameHeader : 1+logrec.FrameHeader+payloadLen]
-		if crc32.ChecksumIEEE(pay) != binary.LittleEndian.Uint32(b[5:9]) {
+		if logrec.Checksum(pay) != binary.LittleEndian.Uint32(b[5:9]) {
 			return Frame{}, 0, ErrCorrupt
 		}
 		n := int(binary.LittleEndian.Uint16(pay[0:2]))
@@ -198,11 +197,14 @@ func newConnReader(c io.Reader) *bufio.Reader {
 
 // ---- text lines: handshake and acks ----
 
+// Protocol opens a handshake line: v2 frames carry CRC-32C, v1 IEEE CRCs.
+const Protocol = "REPL v2"
+
 var errBadHandshake = errors.New("repl: bad handshake line")
 
 // appendHandshake formats the follower's opening line.
 func appendHandshake(buf []byte, cursors []uint64) []byte {
-	buf = append(buf, "REPL v1 "...)
+	buf = append(buf, Protocol+" "...)
 	buf = strconv.AppendInt(buf, int64(len(cursors)), 10)
 	for _, c := range cursors {
 		buf = append(buf, ' ')
@@ -211,9 +213,9 @@ func appendHandshake(buf []byte, cursors []uint64) []byte {
 	return append(buf, '\r', '\n')
 }
 
-// parseHandshake parses "REPL v1 <n> <c0> ... <cn-1>" (line without CRLF).
+// parseHandshake parses a handshake line without its CRLF.
 func parseHandshake(line string) ([]uint64, error) {
-	rest, ok := strings.CutPrefix(line, "REPL v1 ")
+	rest, ok := strings.CutPrefix(line, Protocol+" ")
 	if !ok {
 		return nil, errBadHandshake
 	}

@@ -1,9 +1,7 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -127,8 +125,13 @@ type durableWord struct {
 
 // Manifest pins the layout version and shard count: records are routed by
 // key hash, so a reopen with a different shard count would replay records
-// into the wrong shards' sequence spaces.
-const manifestName = "MANIFEST"
+// into the wrong shards' sequence spaces, and a log of another frame format
+// (v2 framed with IEEE CRCs, v3 with CRC-32C) would replay as empty.
+const manifestName, manifestVersion = "MANIFEST", "gotle-wal v3"
+
+func manifestBody(shards int) string {
+	return fmt.Sprintf("%s\nshards %d\n", manifestVersion, shards)
+}
 
 // Open creates or reopens a log directory for the given shard count. No
 // appends are accepted until Recover has run.
@@ -156,7 +159,7 @@ func Open(dir string, shards int, opts Options) (*Log, error) {
 
 func checkManifest(dir string, shards int) error {
 	path := filepath.Join(dir, manifestName)
-	want := fmt.Sprintf("gotle-wal v2\nshards %d\n", shards)
+	want := manifestBody(shards)
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return writeManifest(dir, path, want)
@@ -228,8 +231,8 @@ func syncDir(dir string) error {
 // fsEvents, when set, is told each file-system step the log takes whose
 // order durability rests on: "manifest-tmp" (MANIFEST's temporary file
 // created), "manifest" (renamed into place), "create" (a segment),
-// "syncdir" and "durable" (an fsync that moved the durable watermarks, so
-// acks).
+// "syncdir", "written" (a batch written to its segment, not yet fsynced)
+// and "durable" (an fsync that moved the durable watermarks, so acks).
 // Tests set it.
 var fsEvents func(event string)
 
@@ -277,11 +280,12 @@ func (l *Log) segmentsList() ([]int, error) {
 // segment on and nothing past a gap was ever acked.
 //
 // apply may be nil (scan only). The record passed to apply, its Key and Val
-// included, is valid only during the call: the frames stream through one
-// reused buffer, so an apply that keeps bytes must copy them. Recovery holds
-// that buffer (as large as the largest frame) and one read buffer, not the
-// segments. A read error other than the end of a segment fails the
-// recovery. Recover returns the records replayed.
+// included, is valid only during the call: each frame is decoded in place in
+// the one read buffer the segments stream through, so an apply that keeps
+// bytes must copy them. Recovery holds that buffer (scanBytes, or the
+// largest frame if that is larger) and no frame buffer, not the segments. A
+// read error other than the end of a segment fails the recovery. Recover
+// returns the records replayed.
 func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 	if l.opened {
 		return 0, fmt.Errorf("wal: Recover called twice")
@@ -292,14 +296,9 @@ func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 	}
 	total := 0
 	last := make([]uint64, len(l.bufTops))
-	br, frame := bufio.NewReaderSize(nil, 64<<10), make([]byte, 0, 4<<10)
+	var sc scanner
 	for _, idx := range idxs {
-		n, gap, err := replaySegment(filepath.Join(l.dir, segName(idx)), br, &frame, last, func(sh int, r Record, _ []byte) error {
-			if apply == nil {
-				return nil
-			}
-			return apply(sh, r)
-		})
+		n, gap, err := replaySegment(filepath.Join(l.dir, segName(idx)), &sc, last, apply)
 		total += n
 		if err != nil {
 			return total, err
@@ -333,78 +332,100 @@ func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 	return total, nil
 }
 
-// replaySegment visits the intact records of the segment at path in file
-// order, with each record's frame, continuing each shard's sequence from
-// last; it reads through br into the reused *frame. A torn or corrupt frame
-// ends the segment; gap reports a record that does not continue its shard's
-// sequence, which ends the replay.
-func replaySegment(path string, br *bufio.Reader, frame *[]byte, last []uint64, visit func(int, Record, []byte) error) (n int, gap bool, err error) {
+// replaySegment replays the intact records of the segment at path in file
+// order through sc, continuing each shard's sequence from last. A torn or
+// corrupt frame ends the segment; gap reports a record that does not
+// continue its shard's sequence, which ends the replay.
+func replaySegment(path string, sc *scanner, last []uint64, apply func(int, Record) error) (n int, gap bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false, err
 	}
 	defer f.Close()
-	br.Reset(f)
+	sc.reset(f)
 	for {
-		rec, ok, err := readFrame(br, frame)
+		rec, _, ok, err := sc.next()
 		if err != nil {
 			return n, false, fmt.Errorf("wal: read %s: %w", path, err)
 		}
 		if !ok {
 			return n, false, nil
 		}
-		b := *frame
 		sh := int(rec.Shard)
 		if sh >= len(last) || rec.Seq != last[sh]+1 {
 			// An impossible shard or a sequence gap: stop
 			// conservatively, for every shard.
 			return n, true, nil
 		}
-		if err := visit(sh, rec, b); err != nil {
-			return n, false, fmt.Errorf("wal: replay shard %d seq %d: %w", sh, rec.Seq, err)
+		if apply != nil {
+			if err := apply(sh, rec); err != nil {
+				return n, false, fmt.Errorf("wal: replay shard %d seq %d: %w", sh, rec.Seq, err)
+			}
 		}
 		last[sh] = rec.Seq
 		n++
 	}
 }
 
-// readFrame reads the next frame through br into the reused *frame and
-// decodes it. ok is false where the segment ends: at its end, at a torn
-// frame, or at a corrupt one.
-func readFrame(br *bufio.Reader, frame *[]byte) (rec Record, ok bool, err error) {
-	// The length prefix only sizes the read: whether the frame is intact
-	// is logrec.DecodeRecord's decision.
-	b := (*frame)[:logrec.FrameHeader]
-	_, err = io.ReadFull(br, b)
-	if err == nil {
-		size := logrec.FrameHeader + int(binary.LittleEndian.Uint32(b))
-		if size > logrec.FrameHeader+logrec.MaxPayload {
-			return rec, false, nil // corrupt; refused before it is allocated
+// scanBytes is the size of a scanner's reads. A variable only so that tests
+// can cut frames across reads.
+var scanBytes = 64 << 10
+
+// scanner reads one segment through one reused buffer, scanBytes at a
+// time, and decodes each frame in place. A frame cut by the end of a read
+// moves to the front of the buffer before the next; the buffer grows only
+// to hold a frame larger than a read, of at most logrec.MaxPayload.
+type scanner struct {
+	f        *os.File
+	buf      []byte
+	pos, end int // buf[pos:end] is read and not yet decoded
+}
+
+// reset points the scanner at the start of segment file f.
+func (s *scanner) reset(f *os.File) { s.f, s.pos, s.end = f, 0, 0 }
+
+// next decodes the segment's next frame. ok is false where the segment
+// ends: at its end, at a torn frame, or at a corrupt one. frame, and rec's
+// Key and Val, alias the buffer until the next call.
+func (s *scanner) next() (rec Record, frame []byte, ok bool, err error) {
+	for {
+		rec, n, err := logrec.DecodeRecord(s.buf[s.pos:s.end])
+		if err == nil {
+			s.pos += n
+			return rec, s.buf[s.pos-n : s.pos], true, nil
 		}
-		b = slices.Grow(b, size-len(b))[:size]
-		_, err = io.ReadFull(br, b[logrec.FrameHeader:])
+		if err != logrec.ErrTorn {
+			return rec, nil, false, nil // corrupt: drop this segment's tail
+		}
+		// Move the torn frame to the front, make room for all of it (its
+		// length, being torn, not corrupt, is at most MaxPayload), read on.
+		s.end, s.pos = copy(s.buf, s.buf[s.pos:s.end]), 0
+		need := logrec.FrameHeader
+		if s.end >= need {
+			need += int(binary.LittleEndian.Uint32(s.buf))
+		}
+		if need = max(need, scanBytes); need > len(s.buf) {
+			s.buf = slices.Grow(s.buf[:s.end], need-s.end)[:need]
+		}
+		m, err := s.f.Read(s.buf[s.end:])
+		if m == 0 {
+			if err == io.EOF {
+				err = nil
+			}
+			return rec, nil, false, err // the segment's end, or a torn frame
+		}
+		s.end += m
 	}
-	*frame = b
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return rec, false, nil // the segment's end, or a torn frame
-	}
-	if err != nil {
-		return rec, false, err
-	}
-	rec, _, err = logrec.DecodeRecord(b)
-	return rec, err == nil, nil // corrupt: drop this segment's tail
 }
 
 // Reader reads back, in file order, the records appended to a log since
 // Recover, up to the durable watermarks, and keeps its place (an open
-// segment and the bytes buffered from it) between calls: each Next reads
-// only what was fsynced since the one before.
+// segment and the bytes read from it but not yet returned) between calls:
+// each Next goes on where the one before stopped.
 type Reader struct {
 	l     *Log
 	seg   int      // index of the segment being read
-	f     *os.File // nil until the segment is opened
-	br    *bufio.Reader
-	frame []byte
+	sc    scanner  // sc.f is nil until the segment is opened
 	after []uint64 // per shard: records at or below are read, not returned
 	last  []uint64 // per shard: the last seq read
 }
@@ -426,8 +447,6 @@ func (l *Log) NewReader(after []uint64) (*Reader, error) {
 	return &Reader{
 		l:     l,
 		seg:   l.seg0 + k,
-		br:    bufio.NewReaderSize(nil, 64<<10),
-		frame: make([]byte, 0, 4<<10),
 		after: slices.Clone(after),
 		last:  slices.Clone(l.ends[k]),
 	}, nil
@@ -459,9 +478,11 @@ func (r *Reader) Next(fn func(shard int, seq uint64, frame []byte) error) error 
 		left -= l // the reader's own: read outside the log's lock
 	}
 	// Durable frames are a prefix of the file series, so the next left
-	// frames are exactly the ones to read, and no read goes past them.
+	// frames are exactly the ones to return. A read may take in bytes past
+	// them, of frames still being written; they wait in the scanner's
+	// buffer for a later call.
 	for ; left > 0; left-- {
-		rec, err := r.read()
+		rec, frame, err := r.read()
 		if err != nil {
 			return err
 		}
@@ -471,7 +492,7 @@ func (r *Reader) Next(fn func(shard int, seq uint64, frame []byte) error) error 
 		}
 		r.last[sh] = rec.Seq
 		if rec.Seq > r.after[sh] {
-			if err := fn(sh, rec.Seq, r.frame); err != nil {
+			if err := fn(sh, rec.Seq, frame); err != nil {
 				return err
 			}
 		}
@@ -479,36 +500,34 @@ func (r *Reader) Next(fn func(shard int, seq uint64, frame []byte) error) error 
 	return nil
 }
 
-// read returns the next frame, into r.frame; where a segment ends, the
-// durable run goes on in the next one.
-func (r *Reader) read() (Record, error) {
+// read returns the next frame; where a segment ends, the durable run goes
+// on in the next one.
+func (r *Reader) read() (Record, []byte, error) {
 	for {
-		if r.f == nil {
+		if r.sc.f == nil {
 			f, err := os.Open(filepath.Join(r.l.dir, segName(r.seg)))
 			if err != nil {
-				return Record{}, err
+				return Record{}, nil, err
 			}
-			r.f = f
-			r.br.Reset(f)
+			r.sc.reset(f)
 		}
-		rec, ok, err := readFrame(r.br, &r.frame)
+		rec, frame, ok, err := r.sc.next()
 		if err != nil {
-			return rec, fmt.Errorf("wal: read segment %d: %w", r.seg, err)
+			return rec, nil, fmt.Errorf("wal: read segment %d: %w", r.seg, err)
 		}
 		if ok {
-			return rec, nil
+			return rec, frame, nil
 		}
-		r.f.Close()
-		r.f = nil
+		r.Close()
 		r.seg++
 	}
 }
 
 // Close releases the reader's open segment.
 func (r *Reader) Close() {
-	if r.f != nil {
-		r.f.Close()
-		r.f = nil
+	if r.sc.f != nil {
+		r.sc.f.Close()
+		r.sc.reset(nil)
 	}
 }
 
@@ -682,6 +701,7 @@ func (l *Log) syncLoop() {
 		// next batch while this one hits the disk.
 		_, werr := f.Write(chunk)
 		if werr == nil {
+			fsEvent("written")
 			werr = f.Sync()
 		}
 

@@ -2,11 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -309,7 +312,7 @@ func TestManifestWrittenWhole(t *testing.T) {
 	defer func() { fsEvents = nil }()
 	// What a crash between creating the temporary file and renaming it
 	// leaves behind.
-	if err := os.WriteFile(path+".tmp", []byte("gotle-wal v2\nsh"), 0o644); err != nil {
+	if err := os.WriteFile(path+".tmp", []byte(manifestBody(2)[:len(manifestVersion)+3]), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l, _ := openLog(t, dir, 2, Options{}, nil)
@@ -319,7 +322,7 @@ func TestManifestWrittenWhole(t *testing.T) {
 	if len(seen) != 0 {
 		t.Fatal(seen)
 	}
-	if b, err := os.ReadFile(path); err != nil || string(b) != "gotle-wal v2\nshards 2\n" {
+	if b, err := os.ReadFile(path); err != nil || string(b) != manifestBody(2) {
 		t.Fatalf("MANIFEST %q, %v", b, err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
@@ -341,6 +344,38 @@ func TestManifestRejectsShardMismatch(t *testing.T) {
 	l.Close()
 	if _, err := Open(dir, 8, Options{}); err == nil {
 		t.Fatal("reopen with a different shard count succeeded")
+	}
+}
+
+// TestManifestRefusesIEEELog: a log written before frames carried CRC-32C
+// (a "gotle-wal v2" MANIFEST, IEEE CRCs) fails Open with an error that
+// names both versions. Past the MANIFEST its frames would all fail their
+// CRC, and it would replay as an empty log.
+func TestManifestRefusesIEEELog(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("gotle-wal v2\nshards 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var seg []byte
+	for seq := uint64(1); seq <= 3; seq++ {
+		start := len(seg)
+		seg = logrec.AppendRecord(seg, mkRecord(seq, OpSet, "k", "v", 0))
+		binary.LittleEndian.PutUint32(seg[start+4:], crc32.ChecksumIEEE(seg[start+logrec.FrameHeader:]))
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(0)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir, 1, Options{})
+	if err == nil || !strings.Contains(err.Error(), "gotle-wal v2") || !strings.Contains(err.Error(), manifestVersion) {
+		t.Fatalf("Open of a v2 log: %v; want an error naming gotle-wal v2 and %s", err, manifestVersion)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifestBody(1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, n := openLog(t, dir, 1, Options{}, nil)
+	l.Close()
+	if n != 0 {
+		t.Fatalf("IEEE frames under a %s MANIFEST replayed %d records; the refusal guards nothing", manifestVersion, n)
 	}
 }
 
@@ -389,7 +424,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 	}
 	for cut := last; cut <= len(seg); cut++ {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("gotle-wal v2\nshards 1\n"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifestBody(1)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, segName(0)), seg[:cut], 0o644); err != nil {
@@ -446,7 +481,7 @@ func TestCorruptMidFileStopsAtPrefix(t *testing.T) {
 	mut[off+logrec.FrameHeader+2] ^= 0xff
 
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("gotle-wal v2\nshards 1\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifestBody(1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, segName(0)), mut, 0o644); err != nil {
@@ -513,7 +548,7 @@ func TestRecoverTwiceAcrossTornTail(t *testing.T) {
 // of segments written. rec builds the record with sequence number seq.
 func writeSegments(tb testing.TB, dir string, n, segBytes int, rec func(seq uint64) Record) int {
 	tb.Helper()
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("gotle-wal v2\nshards 1\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifestBody(1)), 0o644); err != nil {
 		tb.Fatal(err)
 	}
 	var seg []byte
@@ -875,5 +910,83 @@ func TestReaderKeepsItsPlace(t *testing.T) {
 	continues(t, got, []uint64{100, 100})
 	if len(got) != 100 {
 		t.Fatalf("a reader at 100 per shard read %d records, want 100", len(got))
+	}
+}
+
+// TestReaderSplitFrame reads while the syncer has written a batch it has
+// not yet fsynced, with reads shorter than two frames: the read that
+// completes the last durable frame takes in part of the next, which is not
+// durable. Next returns the durable frames only; the next Next returns the
+// split frame once, whole. No descriptor stays open.
+func TestReaderSplitFrame(t *testing.T) {
+	frame := func(seq uint64) []byte {
+		return logrec.AppendRecord(nil, Record{Seq: seq, Op: OpSet, Key: []byte(fmt.Sprintf("key:%04d", seq)), Val: []byte("value")})
+	}
+	size := len(frame(1))
+	defer func(n int) { scanBytes = n }(scanBytes)
+	scanBytes = size * 13 / 10
+	var armed atomic.Bool
+	var split bool
+	var r *Reader
+	var next func()
+	fsEvents = func(ev string) {
+		if ev != "written" || !armed.Load() || split {
+			return
+		}
+		// Frames 3 and 4 are in the file, and only 1 and 2 are durable.
+		next()
+		_, _, err := logrec.DecodeRecord(r.sc.buf[r.sc.pos:r.sc.end])
+		split = r.sc.end > r.sc.pos && err == logrec.ErrTorn
+	}
+	defer func() { fsEvents = nil }()
+	l, _ := openLog(t, t.TempDir(), 1, Options{FsyncWindow: -1}, nil)
+	l.Close() // a log's first start opens descriptors for good; count after it
+	before := openFDs(t)
+
+	l, _ = openLog(t, t.TempDir(), 1, Options{FsyncWindow: -1}, nil)
+	defer l.Close()
+	r, err := l.NewReader([]uint64{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	var bad []string
+	next = func() {
+		err := r.Next(func(sh int, seq uint64, fr []byte) error {
+			if !bytes.Equal(fr, frame(seq)) {
+				bad = append(bad, fmt.Sprintf("seq %d: frame %x", seq, fr))
+			}
+			if d := l.Durable(0); seq > d {
+				bad = append(bad, fmt.Sprintf("seq %d returned at durable %d", seq, d))
+			}
+			got = append(got, seq)
+			return nil
+		})
+		if err != nil {
+			bad = append(bad, err.Error())
+		}
+	}
+	emit := func(first uint64) {
+		l.Emit(0, first, 2, append(frame(first), frame(first+1)...))
+		if err := l.TicketFor(0, first+1).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	emit(1)
+	armed.Store(true)
+	emit(3)
+	if !split || !slices.Equal(got, []uint64{1, 2}) {
+		t.Fatalf("read %v while 3 and 4 were written but not durable; a part of 3 held back: %v", got, split)
+	}
+	next()
+	if len(bad) != 0 || !slices.Equal(got, []uint64{1, 2, 3, 4}) {
+		t.Fatalf("read %v: %v", got, bad)
+	}
+	r.Close()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := openFDs(t); after != before {
+		t.Fatalf("%d descriptors open after the reader and the log closed, %d before", after, before)
 	}
 }
