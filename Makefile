@@ -70,8 +70,8 @@ lint:
 # The mutation table (internal/analysis/mutate_test.go, behind the mutate
 # build tag so `go test ./...` never builds it): seeded bug shapes, each
 # applied to a copy of the tree, and which layers catch each one — every
-# tmvet analyzer, `go test -race` on the tests the shape names, lockcheck,
-# the engine's RaceDetect tests and the chaos sweep. It fails when the
+# tmvet analyzer, `go test -race` on the tests the shape names, lockcheck
+# and the chaos sweep. It fails when the
 # unmutated copy is caught or a shape is caught by no layer; the table it
 # prints is DESIGN.md §7's.
 mutate:

@@ -12,9 +12,9 @@
 // critical section raises (txsafe: what may it call or wait on; txpure:
 // what may it write or publish outside TM memory) and the serving path's
 // (hotalloc, falseshare). Races on Go memory are left to `go test -race`,
-// races on TM memory to tm.Config.RaceDetect, and two-phase locking to
-// the lockcheck tracer. DESIGN.md maps each analyzer to the compiler
-// check it substitutes for.
+// and two-phase locking to the lockcheck tracer. Races on TM memory come
+// from a NoQuiesce in a transaction that privatizes, which txsafe flags.
+// DESIGN.md maps each analyzer to the compiler check it substitutes for.
 //
 // Three source directives interact with the suite:
 //

@@ -17,8 +17,8 @@ import (
 // The mutation table: seeded bug shapes, each applied to a copy of the real
 // tree, and the checking layers that catch each one. A layer is one tmvet
 // analyzer (a finding under its rule), `go test -race` on the tests the
-// shape names, or a fixed test set standing for lockcheck, the TM engine's
-// RaceDetect and the chaos sweep (a failing test). Run it with
+// shape names, or a fixed test set standing for lockcheck or the chaos
+// sweep (a failing test). Run it with
 // `make mutate`; it fails if the unmutated copy is caught by anything or a
 // shape by nothing, and prints the table recorded in DESIGN.md §7.
 
@@ -38,7 +38,6 @@ var mutationLayers = []struct {
 	args []string // go test arguments
 }{
 	{"lockcheck", []string{"-run", "Is2PLClean|LockcheckClassifies", "./internal/x265sim", "./internal/kvstore"}},
-	{"racedetect", []string{"-run", "TestRaceDetector", "./internal/tm"}},
 	{"chaos", []string{"-run", "TestChaosSweep", "."}},
 }
 
@@ -123,9 +122,6 @@ var shapes = []shape{
 	{"tm: NoQuiesce lets a freeing commit skip its grace period", []edit{{"internal/tm/atomic.go",
 		"mustQuiesce := stmAttempt && len(th.frees) > 0", "mustQuiesce := false"}},
 		[]string{"-run", "Reclaim|Captured|Quiesce", "./internal/tm"}},
-	{"tm: a non-transactional load skips the privatization check", []edit{{"internal/tm/tm.go",
-		"e.checkNontx(\"load\", a)", "_ = a"}},
-		nil},
 }
 
 func TestMutationTable(t *testing.T) {

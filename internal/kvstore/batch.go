@@ -9,12 +9,12 @@ import (
 )
 
 // Mutate is the one way into a shard: the server and the single-key
-// mutators (Set, Delete, Incr, ...) call it, Recover calls it for each
-// record it applies, and MutateBatch calls it per op. Each op is its own
-// shard's critical section, exactly as under the lock baseline: an elided
-// lock is invisible to the TM (the paper's lock erasure, Section IV.A), so
-// one transaction spanning several shards would collide with every other
-// section that touched any of them. Each section ends by reading its
+// mutators (SetItemD, DeleteD and their wrappers) call it, Recover calls
+// it for each record it applies, and MutateBatch calls it per op. Each op
+// is its own shard's critical section, exactly as under the lock baseline:
+// an elided lock is invisible to the TM (the paper's lock erasure, Section
+// IV.A), so one transaction spanning several shards would collide with
+// every other section that touched any of them. Each section ends by reading its
 // shard's WAL sequence word, and each op's result carries the ticket for
 // the sequence it read: a reply waits for the ticket of every shard
 // sequence its sections read (see PORTING.md).

@@ -634,30 +634,11 @@ func (s *Store) SetItemD(th *tm.Thread, key, val []byte, flags uint32) (wal.Tick
 	return res.Durable, err
 }
 
-// Add stores only if key is absent; reports whether it stored.
-func (s *Store) Add(th *tm.Thread, key, val []byte, flags uint32) (bool, error) {
-	res, err := s.Mutate(th, BatchOp{Verb: BatchAdd, Key: key, Val: val, Flags: flags})
-	return res.Store == Stored, err
-}
-
-// Replace stores only if key is present; reports whether it stored.
-func (s *Store) Replace(th *tm.Thread, key, val []byte, flags uint32) (bool, error) {
-	res, err := s.Mutate(th, BatchOp{Verb: BatchReplace, Key: key, Val: val, Flags: flags})
-	return res.Store == Stored, err
-}
-
-// CompareAndSwap stores only if key is present and its CAS token equals
-// cas (from a previous GetItem).
-func (s *Store) CompareAndSwap(th *tm.Thread, key, val []byte, flags uint32, cas uint64) (StoreStatus, error) {
-	res, err := s.Mutate(th, BatchOp{Verb: BatchCAS, Key: key, Val: val, Flags: flags, Cas: cas})
-	return res.Store, err
-}
-
-// applyStore is the conditional store behind Set, Add, Replace and
-// CompareAndSwap: find, check the verb's precondition, unlink and free any
-// old entry, evict down to capacity, insert the new one. It touches only
-// sh's words. WAL staging and the NoQuiesce decision stay with batchBody,
-// which sees the whole transaction.
+// applyStore is the conditional store behind the store verbs (BatchSet,
+// BatchAdd, BatchReplace, BatchCAS): find, check the verb's precondition,
+// unlink and free any old entry, evict down to capacity, insert the new
+// one. It touches only sh's words. WAL staging and the NoQuiesce decision
+// stay with batchBody, which sees the whole transaction.
 func (s *Store) applyStore(tx tm.Tx, sh *shard, h uint64, key, val []byte, flags uint32, verb BatchVerb, wantCas uint64) StoreStatus {
 	bucket := sh.bucket(h)
 	linkAt, old := s.findInChain(tx, sh, bucket, key)
@@ -739,7 +720,7 @@ func (s *Store) makeRoom(tx tm.Tx, sh *shard, count uint64) (evicted uint64) {
 	return evicted
 }
 
-// IncrStatus is the outcome of an Incr/Decr.
+// IncrStatus is the outcome of a BatchIncr or BatchDecr.
 type IncrStatus int
 
 const (
@@ -751,24 +732,14 @@ const (
 	IncrNaN
 )
 
-// Incr adds (or, with decr, subtracts) delta from the decimal counter
-// stored at key, all within one critical section — the read-parse-format-
-// write cycle is atomic, which is exactly the kind of compound operation
-// lock elision must keep indivisible. Decrement floors at zero, increment
-// wraps at 2^64, matching memcached. The redo record is a logical OpSet of
-// the post-arithmetic decimal bytes (flags preserved): replay must not
-// re-run the arithmetic, because the pre-state it read may itself be a
-// replayed value.
-func (s *Store) Incr(th *tm.Thread, key []byte, delta uint64, decr bool) (uint64, IncrStatus, error) {
-	verb := BatchIncr
-	if decr {
-		verb = BatchDecr
-	}
-	res, err := s.Mutate(th, BatchOp{Verb: verb, Key: key, Delta: delta})
-	return res.NewVal, res.Incr, err
-}
-
-// applyIncr is the incr/decr logic. It returns the new counter value, the
+// applyIncr adds (or, with decr, subtracts) delta from the decimal
+// counter stored at key, within the shard's critical section: the
+// read-parse-format-write cycle is atomic, which is exactly the kind of
+// compound operation lock elision must keep indivisible. Decrement floors
+// at zero, increment wraps at 2^64, matching memcached. Mutate logs a
+// logical OpSet of the post-arithmetic decimal bytes (flags preserved):
+// replay must not re-run the arithmetic, because the pre-state it read may
+// itself be a replayed value. It returns the new counter value, the
 // item's flags and the status. The current value is read, and the new one
 // formatted, in stack buffers (a decimal uint64 never exceeds 20 digits),
 // so it allocates nothing.

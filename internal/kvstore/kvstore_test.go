@@ -104,8 +104,8 @@ func TestStripedOrecs(t *testing.T) {
 					wth := r.NewThread()
 					defer wth.Release()
 					for i := 0; i < rounds; i++ {
-						if _, st, err := s.Incr(wth, []byte("ctr"), 1, false); err != nil || st != IncrStored {
-							t.Errorf("Incr: %v %v", st, err)
+						if res, err := s.Mutate(wth, BatchOp{Verb: BatchIncr, Key: []byte("ctr"), Delta: 1}); err != nil || res.Incr != IncrStored {
+							t.Errorf("incr: %v %v", res.Incr, err)
 							return
 						}
 					}

@@ -7,108 +7,86 @@ import (
 	"gotle/internal/tle"
 )
 
-// The memcached storage verbs (add/replace/cas) and arithmetic (incr/decr)
-// must behave identically under every elision policy.
-func TestConditionalStoreVerbs(t *testing.T) {
+// A verbStep is one Mutate call, the result it must return and the key's
+// value and flags after it (value "" means the key is absent). When cas is
+// set, the op's CAS token is read from it as the step runs; when saveCas is
+// set, the key's token after the step is kept there.
+type verbStep struct {
+	op      BatchOp
+	cas     *uint64
+	want    BatchResult
+	value   string
+	flags   uint32
+	saveCas *uint64
+}
+
+// runVerbSteps runs steps in order on a fresh store under every elision
+// policy: the memcached verbs must behave identically under each.
+func runVerbSteps(t *testing.T, steps []verbStep) {
 	for _, p := range tle.Policies {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			r := newRT(p)
 			s := New(r, Config{})
 			th := r.NewThread()
-
-			// add: stores on absent, refuses on present.
-			if ok, err := s.Add(th, []byte("a"), []byte("1"), 7); err != nil || !ok {
-				t.Fatalf("Add absent = %v,%v", ok, err)
-			}
-			if ok, err := s.Add(th, []byte("a"), []byte("2"), 0); err != nil || ok {
-				t.Fatalf("Add present = %v,%v", ok, err)
-			}
-			it, ok, err := s.GetItem(th, []byte("a"))
-			if err != nil || !ok || string(it.Value) != "1" || it.Flags != 7 || it.CAS == 0 {
-				t.Fatalf("GetItem after add = %+v,%v,%v", it, ok, err)
-			}
-
-			// replace: refuses on absent, stores on present.
-			if ok, _ := s.Replace(th, []byte("b"), []byte("x"), 0); ok {
-				t.Fatal("Replace stored on absent key")
-			}
-			if ok, err := s.Replace(th, []byte("a"), []byte("3"), 9); err != nil || !ok {
-				t.Fatalf("Replace present = %v,%v", ok, err)
-			}
-			it2, _, _ := s.GetItem(th, []byte("a"))
-			if string(it2.Value) != "3" || it2.Flags != 9 {
-				t.Fatalf("after replace = %+v", it2)
-			}
-			if it2.CAS == it.CAS {
-				t.Fatal("replace did not advance the CAS token")
-			}
-
-			// cas: stale token → EXISTS, current token → STORED, missing
-			// key → NOT_FOUND.
-			if st, _ := s.CompareAndSwap(th, []byte("a"), []byte("z"), 0, it.CAS); st != CASExists {
-				t.Fatalf("stale cas = %s", st)
-			}
-			if st, _ := s.CompareAndSwap(th, []byte("a"), []byte("4"), 0, it2.CAS); st != Stored {
-				t.Fatalf("fresh cas = %s", st)
-			}
-			if st, _ := s.CompareAndSwap(th, []byte("gone"), []byte("z"), 0, 1); st != CASNotFound {
-				t.Fatalf("cas on absent = %s", st)
-			}
-			if v, _, _ := s.Get(th, []byte("a")); string(v) != "4" {
-				t.Fatalf("after cas = %q", v)
+			for i, st := range steps {
+				op := st.op
+				if st.cas != nil {
+					op.Cas = *st.cas
+				}
+				if res, err := s.Mutate(th, op); err != nil || res != st.want {
+					t.Fatalf("step %d (verb %d, key %q): %+v, %v; want %+v", i, op.Verb, op.Key, res, err, st.want)
+				}
+				it, ok, err := s.GetItem(th, op.Key)
+				if err != nil || ok != (st.value != "") || string(it.Value) != st.value || it.Flags != st.flags || ok && it.CAS == 0 {
+					t.Fatalf("step %d: %q reads %+v, %v, %v; want %q, flags %d", i, op.Key, it, ok, err, st.value, st.flags)
+				}
+				if st.saveCas != nil {
+					*st.saveCas = it.CAS
+				}
 			}
 		})
 	}
 }
 
-func TestIncrDecr(t *testing.T) {
-	for _, p := range tle.Policies {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			r := newRT(p)
-			s := New(r, Config{})
-			th := r.NewThread()
+// add stores on absent and refuses on present; replace refuses on absent
+// and stores on present, advancing the CAS token; cas answers EXISTS to a
+// stale token, stores on the current one, and answers NOT_FOUND on a
+// missing key.
+func TestConditionalStoreVerbs(t *testing.T) {
+	var addCas, replaceCas uint64
+	one := uint64(1)
+	a, b, gone := []byte("a"), []byte("b"), []byte("gone")
+	runVerbSteps(t, []verbStep{
+		{op: BatchOp{Verb: BatchAdd, Key: a, Val: []byte("1"), Flags: 7}, want: BatchResult{Store: Stored}, value: "1", flags: 7, saveCas: &addCas},
+		{op: BatchOp{Verb: BatchAdd, Key: a, Val: []byte("2")}, want: BatchResult{Store: NotStored}, value: "1", flags: 7},
+		{op: BatchOp{Verb: BatchReplace, Key: b, Val: []byte("x")}, want: BatchResult{Store: NotStored}},
+		{op: BatchOp{Verb: BatchReplace, Key: a, Val: []byte("3"), Flags: 9}, want: BatchResult{Store: Stored}, value: "3", flags: 9, saveCas: &replaceCas},
+		{op: BatchOp{Verb: BatchCAS, Key: a, Val: []byte("z")}, cas: &addCas, want: BatchResult{Store: CASExists}, value: "3", flags: 9},
+		{op: BatchOp{Verb: BatchCAS, Key: a, Val: []byte("4")}, cas: &replaceCas, want: BatchResult{Store: Stored}, value: "4"},
+		{op: BatchOp{Verb: BatchCAS, Key: gone, Val: []byte("z")}, cas: &one, want: BatchResult{Store: CASNotFound}},
+	})
+}
 
-			if _, st, err := s.Incr(th, []byte("n"), 1, false); err != nil || st != IncrNotFound {
-				t.Fatalf("incr absent = %v,%v", st, err)
-			}
-			if err := s.Set(th, []byte("n"), []byte("9")); err != nil {
-				t.Fatal(err)
-			}
-			// 9 + 1 = 10: digit count grows, forcing the realloc path.
-			if v, st, err := s.Incr(th, []byte("n"), 1, false); err != nil || st != IncrStored || v != 10 {
-				t.Fatalf("incr 9+1 = %d,%v,%v", v, st, err)
-			}
-			// 10 + 5 = 15: same digit count, in-place path.
-			if v, st, _ := s.Incr(th, []byte("n"), 5, false); st != IncrStored || v != 15 {
-				t.Fatalf("incr 10+5 = %d,%v", v, st)
-			}
-			if got, _, _ := s.Get(th, []byte("n")); string(got) != "15" {
-				t.Fatalf("stored bytes = %q", got)
-			}
-			// decr floors at zero.
-			if v, st, _ := s.Incr(th, []byte("n"), 100, true); st != IncrStored || v != 0 {
-				t.Fatalf("decr floor = %d,%v", v, st)
-			}
-			if got, _, _ := s.Get(th, []byte("n")); string(got) != "0" {
-				t.Fatalf("floored bytes = %q", got)
-			}
-			// non-numeric values are rejected.
-			s.Set(th, []byte("s"), []byte("abc"))
-			if _, st, _ := s.Incr(th, []byte("s"), 1, false); st != IncrNaN {
-				t.Fatalf("incr NaN = %v", st)
-			}
-			// flags survive the realloc path.
-			s.SetItem(th, []byte("f"), []byte("99"), 42)
-			if _, st, _ := s.Incr(th, []byte("f"), 1, false); st != IncrStored {
-				t.Fatal("incr 99+1")
-			}
-			if it, _, _ := s.GetItem(th, []byte("f")); it.Flags != 42 || string(it.Value) != "100" {
-				t.Fatalf("after realloc = %+v", it)
-			}
-		})
-	}
+// incr and decr answer NOT_FOUND on a missing key and NaN on a value that
+// is not a decimal counter; decr floors at zero, and the flags survive the
+// path that reallocates a counter that grows a digit.
+func TestIncrDecr(t *testing.T) {
+	n, str, f := []byte("n"), []byte("s"), []byte("f")
+	runVerbSteps(t, []verbStep{
+		{op: BatchOp{Verb: BatchIncr, Key: n, Delta: 1}, want: BatchResult{Incr: IncrNotFound}},
+		{op: BatchOp{Verb: BatchSet, Key: n, Val: []byte("9")}, value: "9"},
+		// 9 + 1 = 10: digit count grows, forcing the realloc path.
+		{op: BatchOp{Verb: BatchIncr, Key: n, Delta: 1}, want: BatchResult{NewVal: 10}, value: "10"},
+		// 10 + 5 = 15: same digit count, in-place path.
+		{op: BatchOp{Verb: BatchIncr, Key: n, Delta: 5}, want: BatchResult{NewVal: 15}, value: "15"},
+		// decr floors at zero.
+		{op: BatchOp{Verb: BatchDecr, Key: n, Delta: 100}, want: BatchResult{NewVal: 0}, value: "0"},
+		{op: BatchOp{Verb: BatchSet, Key: str, Val: []byte("abc")}, value: "abc"},
+		{op: BatchOp{Verb: BatchIncr, Key: str, Delta: 1}, want: BatchResult{Incr: IncrNaN}, value: "abc"},
+		{op: BatchOp{Verb: BatchSet, Key: f, Val: []byte("99"), Flags: 42}, value: "99", flags: 42},
+		{op: BatchOp{Verb: BatchIncr, Key: f, Delta: 1}, want: BatchResult{NewVal: 100}, value: "100", flags: 42},
+	})
 }
 
 // CAS tokens must be unique and monotone per key, including across

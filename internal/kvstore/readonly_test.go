@@ -259,8 +259,8 @@ func TestReferencedBitStaysOutOfClientFlags(t *testing.T) {
 			}
 			// 98+1: same width, in place. 99+1: a digit more, reallocated.
 			for _, want := range []uint64{99, 100} {
-				if v, st, err := s.Incr(th, key, 1, false); err != nil || st != IncrStored || v != want {
-					t.Fatalf("Incr = %d, %v, %v; want %d", v, st, err, want)
+				if res, err := s.Mutate(th, BatchOp{Verb: BatchIncr, Key: key, Delta: 1}); err != nil || res.Incr != IncrStored || res.NewVal != want {
+					t.Fatalf("incr = %d, %v, %v; want %d", res.NewVal, res.Incr, err, want)
 				}
 			}
 			if w := rawFlags(t, s, th, key); w != flags {

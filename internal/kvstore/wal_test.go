@@ -75,11 +75,11 @@ func TestWALRoundTripAcrossRestart(t *testing.T) {
 						last = tk
 						want[ctr] = "9"
 					}
-					nv, st, err := s.Incr(th, []byte(ctr), 1, false)
-					if err != nil || st != IncrStored {
-						t.Fatalf("Incr: %v %v", st, err)
+					res, err := s.Mutate(th, BatchOp{Verb: BatchIncr, Key: []byte(ctr), Delta: 1})
+					if err != nil || res.Incr != IncrStored {
+						t.Fatalf("incr: %v %v", res.Incr, err)
 					}
-					want[ctr] = fmt.Sprintf("%d", nv)
+					want[ctr] = fmt.Sprintf("%d", res.NewVal)
 				default:
 					val := fmt.Sprintf("v%d.%d", i, rng.Intn(1000))
 					tk, err := s.SetItemD(th, []byte(key), []byte(val), uint32(i))
@@ -355,11 +355,11 @@ func TestSingleKeyMutatorsAllocateNothing(t *testing.T) {
 					}
 				}},
 				{"incr+decr", func() {
-					if nv, st, err := s.Incr(th, []byte("walctr"), 1, false); err != nil || st != IncrStored || nv != 10 {
-						t.Fatalf("incr = %d, %v, %v", nv, st, err)
+					if res, err := s.Mutate(th, BatchOp{Verb: BatchIncr, Key: []byte("walctr"), Delta: 1}); err != nil || res.Incr != IncrStored || res.NewVal != 10 {
+						t.Fatalf("incr = %d, %v, %v", res.NewVal, res.Incr, err)
 					}
-					if nv, st, err := s.Incr(th, []byte("walctr"), 1, true); err != nil || st != IncrStored || nv != 9 {
-						t.Fatalf("decr = %d, %v, %v", nv, st, err)
+					if res, err := s.Mutate(th, BatchOp{Verb: BatchDecr, Key: []byte("walctr"), Delta: 1}); err != nil || res.Incr != IncrStored || res.NewVal != 9 {
+						t.Fatalf("decr = %d, %v, %v", res.NewVal, res.Incr, err)
 					}
 				}},
 			}

@@ -84,14 +84,6 @@ func New(mem *memseg.Memory, cfg Config) *STM {
 // Clock exposes the global version clock (the HTM simulator and tests use it).
 func (s *STM) Clock() *tmclock.Clock { return s.clock }
 
-// SpeculativelyOwned reports whether a live transaction holds the orec
-// covering a — i.e. whether the word may contain uncommitted write-through
-// state. The engine's race detector (tm/racecheck.go) uses this to flag
-// non-transactional accesses that missed quiescence.
-func (s *STM) SpeculativelyOwned(a memseg.Addr) bool {
-	return tmclock.Locked(s.orecs.For(a).Load())
-}
-
 // Memory returns the heap this STM instruments.
 func (s *STM) Memory() *memseg.Memory { return s.mem }
 

@@ -285,9 +285,6 @@ func (e *Engine) postCommit(th *Thread, readOnly bool) {
 			if e.htm != nil && !graced {
 				e.htm.InvalidateBlock(a, e.mem.BlockSize(a))
 			}
-			if e.cfg.RaceDetect {
-				e.checkFree(a)
-			}
 			th.mc.Free(a)
 		}
 	}
@@ -379,9 +376,6 @@ func (e *Engine) FreeTM(a memseg.Addr) {
 	}
 	if e.htm != nil {
 		e.htm.InvalidateBlock(a, e.mem.BlockSize(a))
-	}
-	if e.cfg.RaceDetect {
-		e.checkFree(a)
 	}
 	e.mem.Free(a)
 }

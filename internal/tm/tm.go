@@ -145,18 +145,12 @@ type Config struct {
 	// The table has one orec per stripe of the heap, rounded up to a power
 	// of two and capped at 1<<20 (stm.Config.OrecSizeLog2).
 	StripeShift int
-	// RaceDetect enables the T-Rex-style privatization-race detector
-	// (racecheck.go): non-transactional accesses and frees that touch
-	// speculatively-owned words are recorded in RaceReports.
-	RaceDetect bool
 	// DeferredReclaim moves the allocator-safety quiescence of freeing STM
 	// commits off the commit path: a commit that skips policy quiescence
 	// parks its freed blocks on its Thread and returns without waiting;
 	// the thread frees them on a later commit, once every transaction that
 	// was active when they were parked has finished, or in Thread.Release
-	// (see reclaim.go). Incompatible with RaceDetect (the detector needs
-	// frees at their program points); New ignores it when RaceDetect is
-	// set.
+	// (see reclaim.go).
 	DeferredReclaim bool
 	// HTM configures the hardware simulation.
 	HTM htm.Config
@@ -180,7 +174,6 @@ type Engine struct {
 	ctr    *stats.Counters
 	inj    *chaos.Injector
 	nextID atomic.Uint64
-	races  raceState
 
 	// idle keeps what Thread.Release hands back for the next NewThread: the
 	// thread's id — under HTM the id space is the hardware context space
@@ -204,9 +197,6 @@ type idleThread struct {
 func New(cfg Config) *Engine {
 	if cfg.MemWords == 0 {
 		cfg.MemWords = 1 << 22
-	}
-	if cfg.RaceDetect {
-		cfg.DeferredReclaim = false
 	}
 	e := &Engine{
 		cfg:    cfg,
@@ -293,9 +283,6 @@ func (e *Engine) Load(a memseg.Addr) uint64 {
 	if e.htm != nil {
 		return e.htm.NontxLoad(a)
 	}
-	if e.cfg.RaceDetect {
-		e.checkNontx("load", a)
-	}
 	return e.mem.Load(a)
 }
 
@@ -304,9 +291,6 @@ func (e *Engine) Store(a memseg.Addr, v uint64) {
 	if e.htm != nil {
 		e.htm.NontxStore(a, v)
 		return
-	}
-	if e.cfg.RaceDetect {
-		e.checkNontx("store", a)
 	}
 	e.mem.Store(a, v)
 }

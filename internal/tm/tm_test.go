@@ -116,6 +116,27 @@ func TestNestedAtomicFlattens(t *testing.T) {
 	}
 }
 
+// A nested call carrying its own per-call options flattens into the parent:
+// it runs in the parent's transaction, and its Resolve is never consulted
+// because the parent's mechanism and engine-wide retry budget stay in charge.
+func TestAtomicRetriesNestedFlattens(t *testing.T) {
+	e := New(Config{Mode: ModeSTM, MemWords: 1 << 16, MaxRetries: 5})
+	a := e.Alloc(2)
+	th := e.NewThread()
+	err := e.Atomic(th, func(tx Tx) error {
+		return e.AtomicOpts(th, CallOpts{Resolve: func() (Mech, bool) {
+			t.Error("nested call resolved its own configuration")
+			return MechSTM, false
+		}}, func(inner Tx) error {
+			inner.Store(a, 2)
+			return nil
+		})
+	})
+	if err != nil || e.Load(a) != 2 {
+		t.Fatalf("nested AtomicOpts: %v, val=%d", err, e.Load(a))
+	}
+}
+
 func TestNestedCancelAbortsWhole(t *testing.T) {
 	boom := errors.New("boom")
 	for name, e := range engines(t) {
