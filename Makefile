@@ -124,7 +124,9 @@ chaos:
 	$(GO) test . -run TestChaos -v
 	$(GO) run ./cmd/figures chaos -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
-# Paper-figure, quiescence, simulated-HTM, captured-store, per-policy kvstore,
+# Paper-figure, quiescence, simulated-HTM, captured-store, capacity-storm
+# (a tleserved-shaped fill of 64 B and 2 KiB sets: ns/set, capacity aborts
+# and serial runs per set until the shards leave htm-cv), per-policy kvstore,
 # parallel-get, parallel-set, disjoint-section scaling and empty-section
 # (read at -cpu 1 against -cpu 2), matched-access calibration (fixed and
 # per-line cost of a section, lock vs HTM vs STM), allocator (shared stacks
@@ -142,8 +144,8 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkQuiesceIdle' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/epoch | tee -a $(BENCHDIR)/current.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkTxReadOnly16|BenchmarkTxRMW|BenchmarkSmallTxAfterLargeTx|BenchmarkCapturedStoreRange' \
-		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/htm ./internal/tm | tee -a $(BENCHDIR)/current.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkTxReadOnly16|BenchmarkTxRMW|BenchmarkSmallTxAfterLargeTx|BenchmarkCapturedStoreRange|BenchmarkCapacityStorm' \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/htm ./internal/tm ./internal/adaptive | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkGet$$|BenchmarkSet$$' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kvstore | tee -a $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkGetParallel|BenchmarkSetParallel' -cpu 1,2 \
@@ -165,7 +167,9 @@ bench:
 # path and leave htm-cv): a tleserved on a free port, `loadgen -check`
 # against it, and the recorded history must linearize per key and loadgen's
 # `adaptive:` line must show no shard with more than one switch (a
-# demotion is for good); once WAL-off and once with -wal, so "the binary
+# demotion is for good), and its `tm_capacity_aborts` and `tm_serial_runs`
+# are printed, not gated (how many big sets overflowed the HTM before their
+# shards left it); once WAL-off and once with -wal, so "the binary
 # actually serves, durably too" can never regress silently. Last, a default
 # tleserved (no -capacity) under 64 B and 2 KiB sets over twice its item
 # count: it must fit its heap, so loadgen exits 0 and the server still
@@ -188,6 +192,14 @@ serve-smoke:
 		done; \
 		cat $$log; exit 1; \
 	}; \
+	stats() { \
+		bash -c 'exec 3<>/dev/tcp/$${1%:*}/$${1##*:} && printf "stats\r\nversion\r\n" >&3 && shift && \
+			while read -r -t 5 l <&3; do case "$$l" in END*) break;; esac; \
+				for k; do case "$$l" in "STAT $$k "*) echo "serve-smoke: $${l#STAT }" | tr -d "\r";; esac; done; \
+			done; \
+			read -r -t 5 v <&3; echo "$$v"; case "$$v" in VERSION*) ;; *) exit 1;; esac' - $$addr "$$@" || \
+			{ cat $$log; exit 1; }; \
+	}; \
 	for wal in "" "-wal $(BENCHDIR)/smoke-wal"; do \
 		serve -htm-write-lines 24 -capacity 2048 $$wal; \
 		$(BENCHDIR)/loadgen -addr $$addr -check -conns 2 -depth 8 -keyspace 32768 -skew 1.1 \
@@ -197,17 +209,13 @@ serve-smoke:
 		a=$$(grep '^adaptive:' $(BENCHDIR)/smoke-check.txt) && \
 			! echo "$$a" | grep -qE '\(([2-9]|[0-9]{2,})\)' || \
 			{ echo "serve-smoke: no adaptive line, or a shard switched more than once"; cat $$log; exit 1; }; \
+		stats tm_capacity_aborts tm_serial_runs; \
 		kill $$pid; wait $$pid 2>/dev/null; \
 	done; \
 	serve; \
 	$(BENCHDIR)/loadgen -addr $$addr -conns 2 -depth 32 -keyspace 65536 \
 		-valsize 64,2048 -set 60 -ops 600000 || { cat $$log; exit 1; }; \
-	bash -c 'exec 3<>/dev/tcp/$${1%:*}/$${1##*:} && printf "stats\r\nversion\r\n" >&3 && \
-		while read -r -t 5 l <&3; do case "$$l" in END*) break;; \
-			"STAT heap_used_bytes "*|"STAT heap_live_bytes "*) echo "serve-smoke: $${l#STAT }" | tr -d "\r";; esac; \
-		done; \
-		read -r -t 5 v <&3; echo "$$v"; case "$$v" in VERSION*) ;; *) exit 1;; esac' - $$addr || \
-		{ cat $$log; exit 1; }; \
+	stats heap_used_bytes heap_live_bytes; \
 	sed -n 's/^VmHWM:[[:space:]]*/serve-smoke: VmHWM /p' /proc/$$pid/status 2>/dev/null || true
 
 # Prove the chaos checker still bites: a sabotaged engine must be caught.

@@ -41,7 +41,7 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:11222", "listen address")
 		policyName = flag.String("policy", "htm-cv", "initial policy: pthread|stm-spin|stm-cv|stm-cv-noq|htm-cv; with -adaptive, htm-cv or stm-cv-noq")
 		adapt      = flag.Bool("adaptive", true, "enable the per-shard adaptive policy controller: a shard leaves htm-cv for stm-cv-noq, for good, on a capacity-abort storm")
-		interval   = flag.Duration("interval", 50*time.Millisecond, "adaptive sampling window")
+		interval   = flag.Duration("interval", 50*time.Millisecond, "adaptive sampling window (a capacity storm is also looked at as it happens)")
 		shards     = flag.Int("shards", 8, "kvstore shards")
 		capacity   = flag.Int("capacity", 4096, "max items per shard (second-chance eviction past it)")
 		memWords   = flag.Int("mem", 1<<23, "simulated TM heap size in words")

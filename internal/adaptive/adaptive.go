@@ -5,17 +5,22 @@
 //	htm-cv → stm-cv-noq
 //
 // Capacity is the paper's reason to leave HTM (Section VII): a write set
-// that overflows the hardware budget aborts on every attempt and falls back
-// to serial after two tries. Figure 5 shows NoQuiesce paying off on exactly
-// those big freeing writers, and with deferred reclamation their frees no
-// longer force a synchronous grace period, so stm-cv-noq is where they land.
+// that overflows the hardware budget aborts on every attempt, so its first
+// capacity abort sends the section to the serial lock (tm.CallOpts). Figure
+// 5 shows NoQuiesce paying off on exactly those big freeing writers, and
+// with deferred reclamation their frees no longer force a synchronous grace
+// period, so stm-cv-noq is where they land.
 //
 // The rule: a window with at least 64 attempts whose capacity aborts pass
 // 10% of them demotes its shard. A window with fewer attempts is idle and
-// decides nothing. There is no way back: which write sets overflow the
-// budget is a property of the data served, so a shard that returned to
-// htm-cv stormed again within a second (EXPERIMENTS "Adaptive per-shard
-// policy"). A shard therefore switches at most once.
+// decides nothing. Windows close every Interval, but a storm need not wait
+// for that: every wakeEvery-th capacity abort of a shard's mutex wakes the
+// controller (tle.Mutex.OnCapacity), which applies the same rule to each
+// htm-cv shard's window so far and leaves the window open. Traffic without
+// capacity aborts never wakes it. There is no way back: which write sets
+// overflow the budget is a property of the data served, so a shard that
+// returned to htm-cv stormed again within a second (EXPERIMENTS "Adaptive
+// per-shard policy"). A shard therefore switches at most once.
 package adaptive
 
 import (
@@ -39,6 +44,7 @@ type Config struct {
 const (
 	minStarts      = 64   // windows with fewer attempts are idle
 	capacityDemote = 0.10 // capacity-abort rate above which htm-cv is abandoned
+	wakeEvery      = 8    // a shard's capacity aborts per wake-up of the controller
 )
 
 // Sample is one window's observation of one mutex, as rates over the
@@ -82,6 +88,8 @@ type ShardStatus struct {
 type shardCtl struct {
 	mu   *tle.Mutex
 	prev stats.Snapshot
+	wake chan<- struct{} // the controller's
+	caps atomic.Uint32   // capacity aborts the mutex has reported
 
 	mtx      sync.Mutex
 	switches uint64
@@ -93,11 +101,11 @@ type shardCtl struct {
 type Controller struct {
 	cfg    Config
 	shards []*shardCtl
+	wake   chan struct{} // one slot: a storm's wake-ups coalesce
+	wakes  atomic.Uint64 // wake-ups the sampling loop has taken
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-	started  atomic.Bool
+	startOnce, stopOnce sync.Once
+	stop, done          chan struct{}
 }
 
 // New builds a controller over mutexes. The runtime must run both rungs
@@ -110,7 +118,7 @@ func New(r *tle.Runtime, mutexes []*tle.Mutex, cfg Config) (*Controller, error) 
 	if cfg.Interval <= 0 {
 		cfg.Interval = 50 * time.Millisecond
 	}
-	c := &Controller{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
+	c := &Controller{cfg: cfg, wake: make(chan struct{}, 1), stop: make(chan struct{}), done: make(chan struct{})}
 	for i, m := range mutexes {
 		if m.Observer() == nil {
 			return nil, fmt.Errorf("adaptive: mutex %d has no observer (build the runtime with Observe)", i)
@@ -119,22 +127,50 @@ func New(r *tle.Runtime, mutexes []*tle.Mutex, cfg Config) (*Controller, error) 
 		if p != tle.PolicyHTMCondVar && p != tle.PolicySTMCondVarNoQ {
 			return nil, fmt.Errorf("adaptive: mutex %d is on %s, not htm-cv or stm-cv-noq", i, p)
 		}
-		c.shards = append(c.shards, &shardCtl{mu: m, prev: m.Observer().Snapshot()})
+		c.shards = append(c.shards, &shardCtl{mu: m, prev: m.Observer().Snapshot(), wake: c.wake})
+	}
+	for _, sc := range c.shards {
+		sc.mu.OnCapacity(sc.capacity)
 	}
 	return c, nil
 }
 
-// Tick runs one sampling window over every shard and demotes each shard
+// capacity is the shard mutex's capacity hook: every wakeEvery-th call
+// offers the controller a wake-up, without blocking.
+func (sc *shardCtl) capacity() {
+	if sc.caps.Add(1)%wakeEvery != 0 {
+		return
+	}
+	select {
+	case sc.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
+// Tick closes one sampling window over every shard and demotes each shard
 // still on htm-cv whose window stormed. It returns the number of switches
 // performed. Tests and deterministic drivers call it directly; Start calls
 // it on the configured interval.
-func (c *Controller) Tick() int {
+func (c *Controller) Tick() int { return c.decide(true) }
+
+// decide applies the rule to each shard's window so far. Closing, it
+// samples every shard and starts its next window; otherwise (a wake-up) it
+// looks only at the shards still on htm-cv and leaves their windows open.
+func (c *Controller) decide(closing bool) int {
 	switched := 0
 	for i, sc := range c.shards {
+		onHTM := sc.mu.CurrentPolicy() == tle.PolicyHTMCondVar
+		if !onHTM && !closing {
+			continue
+		}
 		cur := sc.mu.Observer().Snapshot()
 		s := sampleOf(cur.Sub(sc.prev))
-		sc.prev = cur
-		demote := sc.mu.CurrentPolicy() == tle.PolicyHTMCondVar && demotes(s)
+		demote := onHTM && demotes(s)
+		if closing {
+			sc.prev = cur
+		} else if !demote {
+			continue // Status keeps showing the last closed window
+		}
 		if demote {
 			if err := sc.mu.SetPolicy(tle.PolicySTMCondVarNoQ); err != nil {
 				// New checked that the runtime runs both rungs: an error
@@ -155,35 +191,37 @@ func (c *Controller) Tick() int {
 	return switched
 }
 
-// Start launches the sampling loop. Stop halts it and waits.
+// Start launches the sampling loop: a window closes every Interval, and a
+// wake-up decides early. Stop halts it and waits.
 func (c *Controller) Start() {
-	if !c.started.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer close(c.done)
-		t := time.NewTicker(c.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-t.C:
-				c.Tick()
+	c.startOnce.Do(func() {
+		go func() {
+			defer close(c.done)
+			t := time.NewTicker(c.cfg.Interval)
+			defer t.Stop()
+			for {
+				select {
+				case <-c.stop:
+					return
+				case <-t.C:
+					c.Tick()
+				case <-c.wake:
+					c.wakes.Add(1)
+					c.decide(false)
+				}
 			}
-		}
-	}()
+		}()
+	})
 }
 
 // Stop halts the sampling loop started by Start and waits for it to exit.
-// Safe to call multiple times and without a prior Start.
+// Safe to call multiple times and without a prior Start. The mutexes keep
+// their hooks; with no loop to take it, the one wake-up slot stays full
+// and their offers are dropped.
 func (c *Controller) Stop() {
-	c.stopOnce.Do(func() {
-		close(c.stop)
-	})
-	if c.started.Load() {
-		<-c.done
-	}
+	c.stopOnce.Do(func() { close(c.stop) })
+	c.startOnce.Do(func() { close(c.done) }) // never started: nothing to wait for
+	<-c.done
 }
 
 // Status snapshots every shard's controller state.

@@ -1,7 +1,11 @@
 package adaptive
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"gotle/internal/htm"
 	"gotle/internal/kvstore"
@@ -106,6 +110,68 @@ func TestControllerLiveCapacityDemotion(t *testing.T) {
 	t.Logf("shard %d: policy=%s switches=%d window=%+v", shard, st.Policy, st.Switches, st.Window)
 }
 
+// A capacity storm wakes the controller: with an hour-long window, a
+// one-shard store whose 24-line HTM write budget 2 KiB values overflow
+// leaves htm-cv while two goroutines set them, long before the first tick.
+// 64 B values, which fit, never wake it.
+func TestCapacityStormWakesController(t *testing.T) {
+	for _, tc := range []struct {
+		size  int
+		storm bool
+	}{{2048, true}, {64, false}} {
+		t.Run(fmt.Sprintf("%dB", tc.size), func(t *testing.T) {
+			r := tle.New(tle.PolicyHTMCondVar, tle.Config{
+				MemWords: 1 << 21,
+				Hybrid:   true,
+				Observe:  true,
+				HTM:      htm.Config{WriteCapacityLines: 24, EventAbortPerMillion: -1},
+			})
+			s := kvstore.New(r, kvstore.Config{Shards: 1, MaxItemsPerShard: 512})
+			ctl, err := New(r, s.ShardMutexes(), Config{Interval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctl.Start()
+			defer ctl.Stop()
+			mu := s.ShardMutexes()[0]
+			const perWorker = 2000
+			deadline := time.Now().Add(10 * time.Second)
+			var wg sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					th := r.NewThread()
+					defer th.Release()
+					val := make([]byte, tc.size)
+					for i := 0; ; i++ {
+						if tc.storm && (mu.CurrentPolicy() != tle.PolicyHTMCondVar || time.Now().After(deadline)) {
+							return
+						}
+						if !tc.storm && i == perWorker {
+							return
+						}
+						if err := s.Set(th, []byte(fmt.Sprintf("w%d-%d", w, i%256)), val); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			ctl.Stop()
+			st, wakes := ctl.Status()[0], ctl.wakes.Load()
+			t.Logf("%+v after %d wake-ups and %d capacity aborts", st, wakes, mu.Observer().Snapshot().Aborts[stats.Capacity])
+			if tc.storm && (st.Policy != tle.PolicySTMCondVarNoQ || st.Switches != 1) {
+				t.Fatalf("2 KiB sets left the shard on %s after %d wake-ups, want stm-cv-noq before the first tick", st.Policy, wakes)
+			}
+			if !tc.storm && (wakes != 0 || st.Policy != tle.PolicyHTMCondVar) {
+				t.Fatalf("64 B sets woke the controller %d times, policy %s", wakes, st.Policy)
+			}
+		})
+	}
+}
+
 // A demoted shard stays demoted: after its storm, 100 busy windows of
 // small sets that no longer overflow anything leave it on stm-cv-noq with
 // the one switch, and the cold shard never moves.
@@ -186,4 +252,66 @@ func TestSampleOfRatesAreOverStarts(t *testing.T) {
 	if z := sampleOf(stats.Snapshot{}); z != (Sample{}) {
 		t.Fatalf("sampleOf(zero) = %+v, want zero", z)
 	}
+}
+
+// BenchmarkCapacityStorm is the fill a fresh tleserved starts with under
+// serve-write's traffic: a store of tleserved's shape (8 shards of 2048
+// items, a 24-line HTM write budget, the controller at 50 ms) takes 16 384
+// sets of distinct keys from two goroutines, split by key parity as the
+// benchmark's prefill splits them: even keys get 64 B values, odd keys
+// 2 KiB. The 2 KiB sets overflow the HTM until their shard leaves htm-cv.
+// ns/op is the whole fill; capacity-aborts/set and serial-runs/set say how
+// much of it was spent before the shards demoted.
+func BenchmarkCapacityStorm(b *testing.B) {
+	const sets = 16384
+	small, large := make([]byte, 64), make([]byte, 2048)
+	var caps, serial uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC() // unmap the previous fill's heap
+		r := tle.New(tle.PolicyHTMCondVar, tle.Config{
+			MemWords:        1 << 23,
+			Hybrid:          true,
+			Observe:         true,
+			DeferredReclaim: true,
+			StripeShift:     3,
+			HTM:             htm.Config{WriteCapacityLines: 24, EventAbortPerMillion: 5},
+		})
+		s := kvstore.New(r, kvstore.Config{Shards: 8, MaxItemsPerShard: 2048})
+		ctl, err := New(r, s.ShardMutexes(), Config{Interval: 50 * time.Millisecond})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctl.Start()
+		b.StartTimer()
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				th := r.NewThread()
+				defer th.Release()
+				for k := w; k < sets; k += 2 {
+					val := small
+					if k%2 == 1 {
+						val = large
+					}
+					if err := s.Set(th, []byte(fmt.Sprintf("key:%08d", k)), val); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		b.StopTimer()
+		ctl.Stop()
+		es := r.Engine().Snapshot()
+		caps += es.Aborts[stats.Capacity]
+		serial += es.SerialRuns
+	}
+	n := float64(b.N) * sets
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/set")
+	b.ReportMetric(float64(caps)/n, "capacity-aborts/set")
+	b.ReportMetric(float64(serial)/n, "serial-runs/set")
 }

@@ -27,7 +27,7 @@ func AblationRetry(cfg Fig3Config, budgets []int) *Table {
 	t := &Table{
 		Title:  fmt.Sprintf("Ablation: HTM retry budget before serial fallback (x265 %s, 4 workers)", size.Name),
 		Header: []string{"retries", "time(s)", "abort%", "serial-fallback%"},
-		Notes:  []string{"paper configuration: 2 retries (Section VII)"},
+		Notes:  []string{"engine default: 2 retries, 3 attempts (libitm makes 2, DESIGN.md §6.10); a capacity abort goes serial at once"},
 	}
 	for _, budget := range budgets {
 		r := tle.New(tle.PolicyHTMCondVar, tle.Config{

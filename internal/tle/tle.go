@@ -89,9 +89,10 @@ func (p Policy) Transactional() bool { return p != PolicyPthread }
 type Config struct {
 	// MemWords sizes the simulated heap (default 1<<22).
 	MemWords int
-	// MaxRetries overrides the engine retry budget (0 = engine default:
-	// 2 for an attempt that ran under HTM — the paper's fallback setting —
-	// and 8 for one that ran under STM).
+	// MaxRetries overrides the engine retry budget, the retries after a
+	// section's first aborted attempt (0 = engine default: 2 for an attempt
+	// that ran under HTM, so 3 attempts, and 8 for one that ran under STM).
+	// An HTM capacity abort goes serial at once whatever the budget.
 	MaxRetries int
 	// HTM tunes the hardware simulation for PolicyHTMCondVar.
 	HTM htm.Config
@@ -244,7 +245,12 @@ type Mutex struct {
 	// resolveFn is the bound method value of resolve, created once:
 	// building it inline in Do would allocate on every critical section.
 	resolveFn func() (tm.Mech, bool)
-	pad       [4]uint64 //nolint:unused // keep mutexes off each other's lines
+	// capacityFn is the bound method value of capacity, likewise.
+	capacityFn func()
+	pad        [4]uint64 //nolint:unused // keep mutexes off each other's lines
+	// onCapacity is the hook OnCapacity installed, if any. It sits past
+	// the pad, off the line of policy, which every attempt reads.
+	onCapacity atomic.Pointer[func()]
 }
 
 // LockNamer is an optional extension of Tracer. When the configured
@@ -261,6 +267,7 @@ func (r *Runtime) NewMutex(name string) *Mutex {
 	mid := int(r.nextMID.Add(1))
 	m := &Mutex{r: r, mid: mid, name: name}
 	m.resolveFn = m.resolve
+	m.capacityFn = m.capacity
 	m.policy.Store(int32(r.policy))
 	if r.observe {
 		m.obs = stats.NewCounters()
@@ -302,6 +309,21 @@ func (m *Mutex) SetPolicy(p Policy) error {
 	return nil
 }
 
+// OnCapacity makes every capacity abort of one of m's HTM attempts call fn,
+// just before the section goes serial (tm.CallOpts.OnCapacity). fn runs on
+// the section's path, so it must neither block nor allocate. The adaptive
+// controller installs one to hear of a capacity storm before its window
+// closes. It may be installed while m serves.
+func (m *Mutex) OnCapacity(fn func()) { m.onCapacity.Store(&fn) }
+
+// capacity is every section's tm.CallOpts.OnCapacity: it calls the
+// installed hook, so traffic that never overflows the HTM pays nothing.
+func (m *Mutex) capacity() {
+	if fn := m.onCapacity.Load(); fn != nil {
+		(*fn)()
+	}
+}
+
 // Do executes body as a critical section of m on thread th.
 //
 //   - On a pthread runtime: body runs under the real mutex with direct access.
@@ -318,7 +340,7 @@ func (m *Mutex) Do(th *tm.Thread, body func(tx tm.Tx) error) error {
 	if m.r.policy == PolicyPthread {
 		return m.doLocked(th, body)
 	}
-	return m.r.engine.AtomicOpts(th, tm.CallOpts{Resolve: m.resolveFn, Obs: m.obs}, body)
+	return m.r.engine.AtomicOpts(th, tm.CallOpts{Resolve: m.resolveFn, Obs: m.obs, OnCapacity: m.capacityFn}, body)
 }
 
 // resolve maps the mutex's current policy onto a TM mechanism and whether

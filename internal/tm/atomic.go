@@ -20,8 +20,10 @@ func throwAbort(cause stats.AbortCause) { abortsig.Throw(cause) }
 //   - A nil return commits. A non-nil return cancels: all transactional
 //     effects roll back and Atomic returns the error.
 //   - Tx.Retry cancels and returns ErrRetry (condition waiting).
-//   - After the retry budget's worth of conflict aborts (Config.MaxRetries)
-//     the block re-executes under the engine's serial lock, irrevocably.
+//   - After the retry budget's worth of aborts (Config.MaxRetries) the
+//     block re-executes under the engine's serial lock, irrevocably. An HTM
+//     attempt's capacity abort goes there at once: the same write set would
+//     overflow again.
 //
 // Nested Atomic calls are flattened into the parent transaction.
 func (e *Engine) Atomic(th *Thread, fn func(Tx) error) error {
@@ -43,11 +45,17 @@ type CallOpts struct {
 	// serial/quiesce events (per-mutex statistics for the adaptive
 	// controller), on the calling thread's own stripe.
 	Obs *stats.Counters
+	// OnCapacity, when non-nil, is called after an HTM attempt's capacity
+	// abort, just before the call goes serial. It runs on the section's
+	// path, outside any attempt, so it must neither block nor allocate.
+	OnCapacity func()
 }
 
 // Default retry budgets, by the mechanism the failed attempt ran under: the
-// paper's HTM falls back "after hardware transactions fail twice"; GCC's STM
-// retries longer.
+// retries after the first attempt, so an HTM call makes 3 attempts before
+// going serial and an STM call 9. GCC's STM retries longer than its HTM.
+// A capacity abort of an HTM attempt spends no budget: it goes serial at
+// once.
 const (
 	htmRetries = 2
 	stmRetries = 8
@@ -83,6 +91,15 @@ func (e *Engine) AtomicOpts(th *Thread, o CallOpts, fn func(Tx) error) error {
 		}
 		if cause == stats.Explicit {
 			return ErrRetry
+		}
+		if cause == stats.Capacity && th.mech == MechHTM {
+			// The hardware marks a capacity abort not worth retrying (the
+			// RETRY bit is clear), and libitm goes straight to the serial
+			// lock on one (htm_abort_should_retry).
+			if o.OnCapacity != nil {
+				o.OnCapacity()
+			}
+			return e.runSerial(th, &o, fn)
 		}
 		retries++
 		budget := e.cfg.MaxRetries

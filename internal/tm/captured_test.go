@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gotle/internal/chaos"
 	"gotle/internal/htm"
 	"gotle/internal/memseg"
 	"gotle/internal/stats"
@@ -264,7 +265,8 @@ func TestCapturedBlockIsWholeOncePublished(t *testing.T) {
 }
 
 // HTM attempts buffer their own allocations like any other line: a 2 KiB
-// fill still overflows a 24-line write set.
+// fill still overflows a 24-line write set, and its one capacity abort
+// sends the call serial.
 func TestHTMChargesCapacityForOwnAllocations(t *testing.T) {
 	e := New(Config{Mode: ModeHTM, MemWords: 1 << 16,
 		HTM: htm.Config{WriteCapacityLines: 24, EventAbortPerMillion: -1}})
@@ -275,7 +277,7 @@ func TestHTMChargesCapacityForOwnAllocations(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if s := e.Snapshot(); s.Aborts[stats.Capacity] != 3 || s.SerialRuns != 1 {
+	if s := e.Snapshot(); s.Aborts[stats.Capacity] != 1 || s.SerialRuns != 1 {
 		t.Fatalf("256-word fill under 24 write lines: %v", s)
 	}
 }
@@ -283,22 +285,29 @@ func TestHTMChargesCapacityForOwnAllocations(t *testing.T) {
 // The default retry budget follows the mechanism the attempt ran under,
 // not the engine's Mode: in a hybrid engine started in ModeHTM an STM call
 // rides out eight aborts, an HTM call serializes after two, and an explicit
-// Config.MaxRetries overrides both.
+// Config.MaxRetries overrides both. An HTM capacity abort spends no budget:
+// the call goes serial at once, whatever MaxRetries says.
 func TestRetryBudgetFollowsMechanism(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		maxRetries int
 		mech       Mech
+		cause      stats.AbortCause
 		aborts     int // speculative executions that abort before one may commit
 		serial     uint64
 	}{
-		{"stm rides out 8", 0, MechSTM, 8, 0},
-		{"stm serializes on the 9th", 0, MechSTM, 9, 1},
-		{"htm rides out 2", 0, MechHTM, 2, 0},
-		{"htm serializes on the 3rd", 0, MechHTM, 3, 1},
-		{"explicit budget, stm", 3, MechSTM, 4, 1},
-		{"explicit budget, htm", 3, MechHTM, 3, 0},
-		{"explicit budget 1, htm", 1, MechHTM, 2, 1},
+		{"stm rides out 8", 0, MechSTM, stats.Validation, 8, 0},
+		{"stm serializes on the 9th", 0, MechSTM, stats.Validation, 9, 1},
+		{"htm rides out 2", 0, MechHTM, stats.Validation, 2, 0},
+		{"htm serializes on the 3rd", 0, MechHTM, stats.Validation, 3, 1},
+		{"explicit budget, stm", 3, MechSTM, stats.Validation, 4, 1},
+		{"explicit budget, htm", 3, MechHTM, stats.Validation, 3, 0},
+		{"explicit budget 1, htm", 1, MechHTM, stats.Validation, 2, 1},
+		{"htm conflict rides out 2", 0, MechHTM, stats.Conflict, 2, 0},
+		{"stm conflict rides out 8", 0, MechSTM, stats.Conflict, 8, 0},
+		{"htm capacity serializes on the 1st", 0, MechHTM, stats.Capacity, 1, 1},
+		{"explicit budget, htm capacity", 3, MechHTM, stats.Capacity, 1, 1},
+		{"stm capacity keeps the budget", 0, MechSTM, stats.Capacity, 8, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New(Config{Mode: ModeHTM, Hybrid: true, MemWords: 1 << 16, MaxRetries: tc.maxRetries,
@@ -310,7 +319,7 @@ func TestRetryBudgetFollowsMechanism(t *testing.T) {
 			if err := e.AtomicOpts(th, opts, func(tx Tx) error {
 				runs++
 				if !tx.Irrevocable() && runs <= tc.aborts {
-					throwAbort(stats.Validation)
+					throwAbort(tc.cause)
 				}
 				tx.Store(a, uint64(runs))
 				return nil
@@ -318,10 +327,30 @@ func TestRetryBudgetFollowsMechanism(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := e.Snapshot()
-			if s.SerialRuns != tc.serial || s.Aborts[stats.Validation] != uint64(tc.aborts) {
+			if s.SerialRuns != tc.serial || s.Aborts[tc.cause] != uint64(tc.aborts) {
 				t.Fatalf("%d aborts then commit: %v", tc.aborts, s)
 			}
 		})
+	}
+}
+
+// An injected capacity abort is a capacity abort: the call goes serial
+// after it, and OnCapacity hears of it once.
+func TestInjectedCapacityGoesSerial(t *testing.T) {
+	inj := chaos.New(chaos.Config{Seed: 1, Rates: chaos.Rates{chaos.HTMCapacity: 1_000_000}})
+	e := New(Config{Mode: ModeHTM, MemWords: 1 << 16, Injector: inj,
+		HTM: htm.Config{EventAbortPerMillion: -1}})
+	th := e.NewThread()
+	a := e.Alloc(2)
+	heard := 0
+	if err := e.AtomicOpts(th, CallOpts{OnCapacity: func() { heard++ }}, func(tx Tx) error {
+		tx.Store(a, 1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Snapshot(); s.Aborts[stats.Capacity] != 1 || s.SerialRuns != 1 || heard != 1 || e.Load(a) != 1 {
+		t.Fatalf("one injected capacity abort: heard %d, %v", heard, s)
 	}
 }
 

@@ -13,7 +13,7 @@
 //     cache).
 //   - Tx: the access interface handed to an atomic block's body.
 //
-// Atomic blocks retry on conflict; after Config.MaxRetries failed attempts
+// Atomic blocks retry on conflict; after Config.MaxRetries retries
 // they acquire the serial lock and run irrevocably, just as GCC's TM
 // "disables concurrency, runs in isolation, and re-enables concurrent
 // transactional execution upon its completion" (Section II.B). Synchronized
@@ -134,12 +134,13 @@ type Config struct {
 	// not resolve one. Threads of a hybrid engine consume HTM contexts,
 	// so at most htm.MaxThreads threads may be live at once.
 	Hybrid bool
-	// MaxRetries is the number of aborted attempts before an atomic block
-	// falls back to serial-irrevocable execution. The paper's HTM falls
-	// back "after hardware transactions fail twice"; GCC's STM retries
-	// longer. Zero selects the default for the mechanism each attempt ran
-	// under — 2 for HTM, 8 for STM — so a hybrid engine's calls get the
-	// budget of the policy they resolve to, not of Mode.
+	// MaxRetries is the number of retries an atomic block makes after its
+	// first aborted attempt: the block falls back to serial-irrevocable
+	// execution when attempt MaxRetries+1 aborts. Zero selects the default
+	// for the mechanism each attempt ran under — 2 for HTM (3 attempts), 8
+	// for STM (9) — so a hybrid engine's calls get the budget of the policy
+	// they resolve to, not of Mode. An HTM attempt's capacity abort spends
+	// no budget and goes serial at once, as libitm's does (DESIGN.md §6).
 	MaxRetries int
 	// StripeShift configures the STM orec table (words per orec, log2).
 	// The table has one orec per stripe of the heap, rounded up to a power
