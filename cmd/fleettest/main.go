@@ -2,9 +2,10 @@
 // loadgen binaries, one seed per round, in one of two modes:
 //
 //	fleettest crash   kill-9 crash consistency (internal/harness.RunCrash):
-//	                  start the server with -wal, load it, SIGKILL it at a
-//	                  seeded random point, restart from the log, and require
-//	                  the combined pre/post-crash history to linearize per
+//	                  start the server with -wal, load it and stop it with
+//	                  SIGTERM (its WAL compacts), restart it, load it,
+//	                  SIGKILL it at a seeded random point, restart from the
+//	                  log, and require the combined history to linearize per
 //	                  key — acked writes must survive, unacked writes may go
 //	                  either way.
 //	fleettest repl    replication convergence (internal/harness.RunRepl): one

@@ -83,6 +83,7 @@ type ShardStatus struct {
 	Policy   tle.Policy
 	Switches uint64 // 0, or 1 once the shard has left htm-cv
 	Window   Sample // most recent non-trivial window
+	Demoted  Sample // the window that demoted the shard; zero while on htm-cv
 }
 
 type shardCtl struct {
@@ -94,6 +95,7 @@ type shardCtl struct {
 	mtx      sync.Mutex
 	switches uint64
 	window   Sample
+	demoted  Sample
 }
 
 // Controller samples a set of mutexes (typically a store's shards) and
@@ -182,6 +184,7 @@ func (c *Controller) decide(closing bool) int {
 		sc.mtx.Lock()
 		if demote {
 			sc.switches++
+			sc.demoted = s
 		}
 		if s.Starts > 0 {
 			sc.window = s
@@ -234,6 +237,7 @@ func (c *Controller) Status() []ShardStatus {
 			Policy:   sc.mu.CurrentPolicy(),
 			Switches: sc.switches,
 			Window:   sc.window,
+			Demoted:  sc.demoted,
 		}
 		sc.mtx.Unlock()
 	}

@@ -254,6 +254,74 @@ func TestSampleOfRatesAreOverStarts(t *testing.T) {
 	}
 }
 
+// TestDemotingWindowStaysVisible runs BenchmarkCapacityStorm's fill (8
+// shards of 2 048 items, 64 B and 2 KiB sets on two threads, a 24-line HTM
+// write budget) and then closes one more window: each shard that left
+// htm-cv reports, beside that last window, the window that demoted it, whose
+// capacity-abort rate is over the demotion threshold.
+func TestDemotingWindowStaysVisible(t *testing.T) {
+	r := tle.New(tle.PolicyHTMCondVar, tle.Config{
+		MemWords:        1 << 23,
+		Hybrid:          true,
+		Observe:         true,
+		DeferredReclaim: true,
+		StripeShift:     3,
+		HTM:             htm.Config{WriteCapacityLines: 24, EventAbortPerMillion: -1},
+	})
+	s := kvstore.New(r, kvstore.Config{Shards: 8, MaxItemsPerShard: 2048})
+	ctl, err := New(r, s.ShardMutexes(), Config{Interval: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.Start()
+	small, large := make([]byte, 64), make([]byte, 2048)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			th := r.NewThread()
+			defer th.Release()
+			for k := w; k < 16384; k += 2 {
+				val := small
+				if k%2 == 1 {
+					val = large
+				}
+				if err := s.Set(th, []byte(fmt.Sprintf("key:%08d", k)), val); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	ctl.Stop()
+	th := r.NewThread()
+	defer th.Release()
+	for k := 0; k < 4096; k++ { // a quiet window: 64 B overwrites
+		if err := s.Set(th, []byte(fmt.Sprintf("key:%08d", k&^1)), small); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctl.Tick()
+	demoted := 0
+	for _, st := range ctl.Status() {
+		if st.Switches == 0 {
+			if st.Demoted != (Sample{}) {
+				t.Fatalf("shard %d, still on %s, reports a demoting window %+v", st.Shard, st.Policy, st.Demoted)
+			}
+			continue
+		}
+		demoted++
+		if st.Demoted.Capacity <= capacityDemote || st.Demoted == st.Window {
+			t.Fatalf("shard %d: demoting window %+v, last window %+v; want the storm's beside the quiet one", st.Shard, st.Demoted, st.Window)
+		}
+	}
+	if demoted == 0 {
+		t.Fatal("the fill demoted no shard")
+	}
+}
+
 // BenchmarkCapacityStorm is the fill a fresh tleserved starts with under
 // serve-write's traffic: a store of tleserved's shape (8 shards of 2048
 // items, a 24-line HTM write budget, the controller at 50 ms) takes 16 384

@@ -19,7 +19,11 @@ import (
 // process, RunCrash kills the WHOLE server — tleserved running with -wal,
 // under live loadgen traffic — at a seeded random point, restarts it from
 // the log, and requires the combined pre- and post-crash client history
-// to linearize per key:
+// to linearize per key. Before the kill comes a clean restart: the first
+// server is loaded and stopped with SIGTERM, so its WAL Close compacts the
+// log into a base, and the server that is killed recovered from that base
+// and logs its tail above it; the history of all three runs is checked as
+// one:
 //
 //   - every acked-at-kill write must survive recovery (acked implies
 //     fsynced implies inside the replayed prefix);
@@ -91,7 +95,8 @@ func (c FleetConfig) withDefaults(keyspace, setPct int) FleetConfig {
 type CrashConfig struct {
 	FleetConfig
 	// Phase1Ops is the phase-1 budget — deliberately enormous; the kill
-	// truncates it. Phase2Ops is the post-restart verification load.
+	// truncates it. Phase2Ops is the post-restart verification load, and
+	// the load before the clean restart.
 	Phase1Ops, Phase2Ops int
 	// KillMin/KillMax bound the seeded kill delay after phase 1 starts.
 	KillMin, KillMax time.Duration
@@ -124,8 +129,10 @@ func (c CrashConfig) withDefaults() CrashConfig {
 type CrashResult struct {
 	Seed      int64
 	KillAfter time.Duration
-	// Recovered is the record count the restarted server replayed.
-	Recovered int
+	// Recovered is the record count the restarted server replayed;
+	// CleanRecovered the one the server after the clean restart replayed,
+	// the base's live keys.
+	Recovered, CleanRecovered int
 	// Phase1Acked counts operations completed before the kill.
 	Phase1Acked int
 	Err         error
@@ -135,8 +142,8 @@ func (r CrashResult) String() string {
 	if r.Err != nil {
 		return fmt.Sprintf("seed=%d kill@%v FAIL: %v", r.Seed, r.KillAfter.Round(time.Millisecond), r.Err)
 	}
-	return fmt.Sprintf("seed=%d kill@%v acked=%d recovered=%d linearizable=yes",
-		r.Seed, r.KillAfter.Round(time.Millisecond), r.Phase1Acked, r.Recovered)
+	return fmt.Sprintf("seed=%d kill@%v base=%d acked=%d recovered=%d linearizable=yes",
+		r.Seed, r.KillAfter.Round(time.Millisecond), r.CleanRecovered, r.Phase1Acked, r.Recovered)
 }
 
 // RunCrash executes one seeded kill-9 round trip. Any Err means either an
@@ -149,17 +156,44 @@ func RunCrash(cfg CrashConfig) CrashResult {
 	res.KillAfter = cfg.KillMin + time.Duration(rng.Int63n(int64(cfg.KillMax-cfg.KillMin)+1))
 
 	walDir := filepath.Join(cfg.WorkDir, "wal")
+	cleanFile := filepath.Join(cfg.WorkDir, "phase0-history.json")
 	histFile := filepath.Join(cfg.WorkDir, "phase1-history.json")
 
-	// Phase 1: server up, load on, SIGKILL mid-flight.
+	// Phase 0: server up, a load run to its end, SIGTERM: the WAL's Close
+	// compacts the log into a base.
+	srv0, err := startServer(cfg, walDir)
+	if err != nil {
+		res.Err = fmt.Errorf("phase 0 server: %w", err)
+		return res
+	}
+	defer srv0.stop()
+	lg0, err := startLoadgen(cfg.FleetConfig, srv0.addr, cfg.Phase2Ops, cfg.Seed+2_000_000,
+		"-history-out", cleanFile)
+	if err != nil {
+		res.Err = fmt.Errorf("phase 0 loadgen: %w", err)
+		return res
+	}
+	if out, err := lg0.wait(60 * time.Second); err != nil || !strings.Contains(out, "check: OK") {
+		res.Err = fmt.Errorf("phase 0 loadgen: %v\n%s", err, tail(out))
+		return res
+	}
+	srv0.cmd.Process.Signal(syscall.SIGTERM)
+	srv0.reap()
+	if segs, _ := filepath.Glob(filepath.Join(walDir, "w-*.wal")); len(segs) != 0 {
+		res.Err = fmt.Errorf("a clean shutdown left segments %v beside the base", segs)
+		return res
+	}
+
+	// Phase 1: restart from the base, load on, SIGKILL mid-flight.
 	srv, err := startServer(cfg, walDir)
 	if err != nil {
 		res.Err = fmt.Errorf("phase 1 server: %w", err)
 		return res
 	}
 	defer srv.stop()
+	res.CleanRecovered = srv.recovered
 	lg, err := startLoadgen(cfg.FleetConfig, srv.addr, cfg.Phase1Ops, cfg.Seed,
-		"-tolerate-disconnect", "-history-out", histFile)
+		"-tolerate-disconnect", "-presweep", "-history-in", cleanFile, "-history-out", histFile)
 	if err != nil {
 		res.Err = fmt.Errorf("phase 1 loadgen: %w", err)
 		return res

@@ -45,6 +45,12 @@ type BatchOp struct {
 	Flags uint32 // store verbs only
 	Cas   uint64 // BatchCAS only
 	Delta uint64 // BatchIncr/BatchDecr only
+	// seq, when not 0, is the shard sequence number of the logged record
+	// the op replays (Recover, Apply): the op takes that number, a set's
+	// CAS token included, and a delete takes it even where it removes
+	// nothing, so a replayed shard's sequence is the log's. Unexported, so
+	// that only a replay in this package can set a shard's sequence.
+	seq uint64
 }
 
 // check reports why the store refuses op (a bad key or value length), nil
@@ -171,13 +177,16 @@ func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, _ *
 // shard is mutated. It returns the op's result, the shard sequence it read
 // last (the section's durability point) and, when it wrote with a sink
 // attached, its redo record's op and flags; the record's Seq is then that
-// sequence, drawn inside tx, so the log order equals the shard's
-// serialization order. Mutate builds the record after commit from op (an
-// incr's digits from NewVal): a whole record returned out of every section
-// cost replay about 5 %.
+// sequence, drawn inside tx (a set's CAS token is the same number), so the
+// log order equals the shard's serialization order. Mutate builds the
+// record after commit from op (an incr's digits from NewVal): a whole
+// record returned out of every section cost replay about 5 %.
 //
 //gotle:hotpath the mutating transaction body
 func (s *Store) batchBody(tx tm.Tx, sh *shard, h uint64, op *BatchOp) (res BatchResult, seq uint64, logged wal.Op, flags uint32) {
+	if op.seq != 0 {
+		tx.Store(sh.base+shSeq, op.seq-1)
+	}
 	switch op.Verb {
 	case BatchSet, BatchAdd, BatchReplace, BatchCAS:
 		res.Store = s.applyStore(tx, sh, h, op.Key, op.Val, op.Flags, op.Verb, op.Cas)
@@ -186,7 +195,10 @@ func (s *Store) batchBody(tx tm.Tx, sh *shard, h uint64, op *BatchOp) (res Batch
 		}
 	case BatchDelete:
 		res.Removed = s.applyDelete(tx, sh, h, op.Key)
-		if res.Removed {
+		if !res.Removed && op.seq != 0 {
+			tx.Store(sh.base+shSeq, op.seq) // replayed: it takes its number all the same
+		}
+		if res.Removed || op.seq != 0 {
 			logged = wal.OpDelete
 		}
 	case BatchIncr, BatchDecr:
@@ -209,10 +221,5 @@ func (s *Store) batchBody(tx tm.Tx, sh *shard, h uint64, op *BatchOp) (res Batch
 	}
 	// Last, so that sets on the shard's other keys conflict with this
 	// read for as short a time as possible.
-	seq = tx.Load(sh.base + shWalSeq)
-	if logged != 0 {
-		seq++
-		tx.Store(sh.base+shWalSeq, seq)
-	}
-	return res, seq, logged, flags
+	return res, tx.Load(sh.base + shSeq), logged, flags
 }

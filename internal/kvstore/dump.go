@@ -29,10 +29,10 @@ type dumpEntry struct {
 // the walk follows (store order, rotated by second chances) and the items'
 // referenced bits: gets set those bits on the primary without generating
 // replication records, so which items a set spares diverges across
-// replicas by design. It INCLUDES CAS tokens: every
-// replicated mutation draws exactly one token on both primary and
-// follower, in the same per-shard order (gets and deletes never draw), so
-// converged replicas must match token for token.
+// replicas by design. It INCLUDES CAS tokens: a set's token is its
+// shard sequence number, the one its replicated record carries, and a
+// follower's apply takes that number, so converged replicas must match
+// token for token.
 //
 //gotle:coldpath convergence-check diagnostic verb; allocates freely by design
 func (s *Store) DumpShard(th *tm.Thread, shardIdx int) ([]byte, error) {

@@ -33,7 +33,8 @@
 //   - eviction, deletion and replace privatize item memory, so the
 //     quiescence machinery (and the Listing-2 NoQuiesce discipline) is
 //     exercised by every miss-heavy workload;
-//   - every stored item carries a CAS token (per-shard sequence) and a
+//   - every stored item carries a CAS token (the shard sequence number of
+//     the set that stored it, the number its redo record carries) and a
 //     32-bit flags word, so the server layer can speak the full memcached
 //     text protocol (gets/cas) without auxiliary maps.
 //
@@ -63,7 +64,7 @@ const (
 	itChain = 1 // next item in bucket chain
 	itPrev  = 2 // eviction list: towards the front
 	itNext  = 3 // eviction list: towards the tail (next victim)
-	itCas   = 4 // compare-and-swap token (per-shard sequence, never 0)
+	itCas   = 4 // compare-and-swap token: the shard sequence number of the set that stored it (never 0)
 	itFlags = 5 // low 32 bits: client-opaque memcached "flags"; bit 32: itReferenced
 	itData  = 6 // key bytes, then value bytes, word-packed
 )
@@ -87,9 +88,8 @@ const (
 	shCount   = 0
 	shLRUHead = 1 // most recently stored or spared
 	shLRUTail = 2 // next eviction candidate
-	shCasSeq  = 3 // CAS token sequence
-	shWalSeq  = 4 // WAL commit sequence (drawn inside mutating transactions)
-	shStats   = 5 // stWords counters
+	shSeq     = 3 // the shard sequence: one number per mutation, drawn inside its transaction
+	shStats   = 4 // stWords counters
 	shWords   = shStats + stWords
 )
 
@@ -219,11 +219,13 @@ func (s *Store) ShardMutexes() []*tle.Mutex {
 }
 
 // Apply replays one logged mutation as a transaction, beside readers: a
-// follower's apply loop is this call per record. A delete's miss is not an
+// follower's apply loop is this call per record. The mutation takes the
+// record's sequence number (BatchOp.seq), so a follower's CAS tokens and
+// its own log's numbering are the primary's. A delete's miss is not an
 // error: a follower that diverged is caught by the converge harness's shard
 // dumps.
 func (s *Store) Apply(th *tm.Thread, rec logrec.Record) error {
-	var op BatchOp
+	op := BatchOp{seq: rec.Seq}
 	err := opOf(&op, &rec)
 	if err == nil {
 		_, err = s.Mutate(th, op)
@@ -255,7 +257,7 @@ func (s *Store) AttachWAL(l *wal.Log) error {
 		return fmt.Errorf("kvstore: WAL has %d shards, store has %d (records are routed by key hash, so the counts must match)", l.Shards(), len(s.shards))
 	}
 	for i := range s.shards {
-		s.r.Engine().Store(s.shards[i].base+shWalSeq, l.LastSeq(i))
+		s.r.Engine().Store(s.shards[i].base+shSeq, l.LastSeq(i))
 	}
 	s.wal = l
 	s.AttachTap(l)
@@ -278,7 +280,7 @@ func (s *Store) AttachTap(t logrec.Sink) {
 	if s.stream == nil {
 		last := make([]uint64, len(s.shards))
 		for i := range last {
-			last[i] = s.r.Engine().Load(s.shards[i].base + shWalSeq)
+			last[i] = s.r.Engine().Load(s.shards[i].base + shSeq)
 		}
 		// Attach-before-serving contract: no goroutine runs transactions
 		// against the store yet, so this raw store cannot race the
@@ -487,11 +489,11 @@ func bump(tx tm.Tx, sh *shard, idx int, delta uint64) {
 	tx.Store(a, tx.Load(a)+delta)
 }
 
-// nextCas advances the shard's CAS sequence and returns the new token.
-// Tokens start at 1, so 0 never names a stored item.
-func nextCas(tx tm.Tx, sh *shard) uint64 {
-	c := tx.Load(sh.base+shCasSeq) + 1
-	tx.Store(sh.base+shCasSeq, c)
+// nextSeq advances the shard's sequence and returns the new number, a
+// set's CAS token. Numbers start at 1, so 0 never names a stored item.
+func nextSeq(tx tm.Tx, sh *shard) uint64 {
+	c := tx.Load(sh.base+shSeq) + 1
+	tx.Store(sh.base+shSeq, c)
 	return c
 }
 
@@ -565,7 +567,7 @@ func (s *Store) GetItemAppend(th *tm.Thread, key, dst []byte) ([]byte, Item, boo
 		if s.stream != nil {
 			// Last, so that sets on the shard's other keys conflict with
 			// this read for as short a time as possible.
-			seq = tx.Load(sh.base + shWalSeq)
+			seq = tx.Load(sh.base + shSeq)
 		}
 		return nil
 	})
@@ -671,7 +673,7 @@ func (s *Store) applyStore(tx tm.Tx, sh *shard, h uint64, key, val []byte, flags
 	tx.Store(sh.base+shCount, count-evicted+1)
 	item := tx.Alloc(wordsFor(len(key), len(val)))
 	tx.Store(item+itMeta, uint64(len(key))<<32|uint64(len(val)))
-	tx.Store(item+itCas, nextCas(tx, sh))
+	tx.Store(item+itCas, nextSeq(tx, sh))
 	tx.Store(item+itFlags, uint64(flags)) // unreferenced
 	packBytes(tx, item+itData, key)
 	packBytes(tx, item+itData+memseg.Addr((len(key)+7)/8), val)
@@ -778,7 +780,7 @@ func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint6
 		// value region starts on a word boundary, so packBytes'
 		// zero-padding never clobbers key bytes.
 		packBytes(tx, item+itData+memseg.Addr(keyWords), digits)
-		tx.Store(item+itCas, nextCas(tx, sh))
+		tx.Store(item+itCas, nextSeq(tx, sh))
 		return next, uint32(fl), IncrStored
 	}
 	// Digit count changed: reallocate the item (same key, new value).
@@ -787,7 +789,7 @@ func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint6
 	tx.Free(item)
 	fresh := tx.Alloc(wordsFor(len(key), len(digits)))
 	tx.Store(fresh+itMeta, uint64(len(key))<<32|uint64(len(digits)))
-	tx.Store(fresh+itCas, nextCas(tx, sh))
+	tx.Store(fresh+itCas, nextSeq(tx, sh))
 	tx.Store(fresh+itFlags, fl&^itReferenced) // a rewritten item starts unreferenced, like any stored one
 	packBytes(tx, fresh+itData, key)
 	packBytes(tx, fresh+itData+memseg.Addr(keyWords), digits)
@@ -876,6 +878,7 @@ func (s *Store) applyDelete(tx tm.Tx, sh *shard, h uint64, key []byte) bool {
 	s.lruUnlink(tx, sh, item)
 	tx.Store(sh.base+shCount, tx.Load(sh.base+shCount)-1)
 	tx.Free(item)
+	nextSeq(tx, sh)
 	bump(tx, sh, stDeletes, 1)
 	return true
 }

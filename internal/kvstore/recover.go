@@ -46,9 +46,9 @@ const maxRecordBytes = MaxKeyLen + MaxValLen
 // evict, its horizon, or the log ends. The horizon is a set of a key with
 // no held-back set while MaxItemsPerShard sets are held back. From the
 // horizon on, and from the start in a shard that held items, a shard's
-// records apply as they are read. Each applied set first puts the shard's
-// CAS sequence where the sets skipped before it would have left it, and
-// the end puts every shard's where all its sets would. Holding back costs
+// records apply as they are read. Each applied record takes its own
+// sequence number (BatchOp.seq), a set's CAS token included, and the end
+// puts each shard's sequence at its last record's. Holding back costs
 // a copy into the scratch, so a shard whose first held-back records (half
 // its capacity, at least replayProbe) were hardly ever superseded applies
 // its records as read from then on too.
@@ -84,6 +84,7 @@ func (s *Store) Recover(th *tm.Thread, l *wal.Log) (int, error) {
 			}
 			return fmt.Errorf("kvstore: replay shard %d seq %d: %w", sh, r.Seq, bad)
 		}
+		rp.op.seq = r.Seq
 		return rp.record(&rp.op)
 	})
 	if err == nil {
@@ -100,7 +101,7 @@ func (s *Store) RecoverTime() time.Duration { return s.recoverTime }
 // arena and, while held, the set's value, flags and token.
 type replayEntry struct {
 	hash       uint64
-	cas        uint64 // the held-back set's token, the one full replay draws
+	seq        uint64 // the held-back set's sequence number, its token
 	off        uint32 // arena offset of the key; its value follows
 	vlen, vcap uint32
 	flags      uint32
@@ -113,21 +114,11 @@ type replayEntry struct {
 type replayShard struct {
 	head, tail uint32 // held-back sets, oldest first (index+1; 0 for none)
 	bound      int    // the held-back sets: the items full replay holds
-	cas0, sets uint64 // the CAS sequence at the start, the set records read
-	casNow     uint64 // the CAS sequence as the queued records leave it
+	last       uint64 // the sequence number of the last record read
 	past       bool   // records apply as read
 	// holds counts the sets held back, superseded those of them a later
 	// record of their key replaced or cancelled.
 	holds, superseded int
-}
-
-// replayOp is one record the next serial section applies.
-type replayOp struct {
-	op    BatchOp
-	shard int
-	// cas is a set's token where sets were skipped before it, so that the
-	// shard's CAS sequence must move up first; 0 where it needs not.
-	cas uint64
 }
 
 // replayer is Recover's state.
@@ -143,7 +134,7 @@ type replayer struct {
 	// batch's records that apply as read. Both are mapped.
 	arena, direct []byte
 	used, dused   int
-	batch         [replayBatch]replayOp
+	batch         [replayBatch]BatchOp
 	nb            int
 	op            BatchOp // the record being read
 	body          func(tm.Tx) error
@@ -154,9 +145,7 @@ func newReplayer(s *Store, th *tm.Thread) *replayer {
 	eng := s.r.Engine()
 	rp := &replayer{s: s, th: th, sh: make([]replayShard, len(s.shards))}
 	for i := range rp.sh {
-		base := s.shards[i].base
-		cas := eng.Load(base + shCasSeq)
-		rp.sh[i] = replayShard{cas0: cas, casNow: cas, past: eng.Load(base+shCount) > 0}
+		rp.sh[i].past = eng.Load(s.shards[i].base+shCount) > 0
 	}
 	entries := 2 * len(s.shards) * s.cfg.MaxItemsPerShard
 	rp.ent = memseg.Map[replayEntry](entries)
@@ -182,10 +171,7 @@ func (rp *replayer) record(op *BatchOp) error {
 	si := int(h % uint64(len(rp.sh)))
 	sh := &rp.sh[si]
 	set := op.Verb == BatchSet
-	if set {
-		sh.sets++
-	}
-	cas := sh.cas0 + sh.sets
+	sh.last = op.seq
 	if !sh.past && sh.holds == rp.probe && sh.superseded < rp.probe/8 {
 		if err := rp.drainShard(si); err != nil {
 			return err
@@ -200,7 +186,7 @@ func (rp *replayer) record(op *BatchOp) error {
 		}
 	}
 	if sh.past {
-		return rp.direct1(si, op, cas)
+		return rp.direct1(op)
 	}
 	i, slot := rp.find(h, op.Key)
 	var e *replayEntry
@@ -221,7 +207,7 @@ func (rp *replayer) record(op *BatchOp) error {
 			if err := rp.drainShard(si); err != nil {
 				return err
 			}
-			return rp.direct1(si, op, cas)
+			return rp.direct1(op)
 		}
 		sh.bound++
 	}
@@ -237,7 +223,7 @@ func (rp *replayer) record(op *BatchOp) error {
 	}
 	v := e.off + uint32(e.klen)
 	copy(rp.arena[v:], op.Val)
-	e.vlen, e.flags, e.cas = uint32(len(op.Val)), op.Flags, cas
+	e.vlen, e.flags, e.seq = uint32(len(op.Val)), op.Flags, op.seq
 	rp.hold(si, i)
 	return nil
 }
@@ -322,7 +308,7 @@ func (rp *replayer) drainShard(si int) error {
 	for i := sh.head; i != 0; {
 		e := &rp.ent[i-1]
 		v := e.off + uint32(e.klen)
-		if err := rp.push(si, BatchSet, rp.arena[e.off:v], rp.arena[v:v+e.vlen], e.flags, e.cas); err != nil {
+		if err := rp.push(BatchSet, rp.arena[e.off:v], rp.arena[v:v+e.vlen], e.flags, e.seq); err != nil {
 			return err
 		}
 		e.held = false
@@ -346,27 +332,17 @@ func (rp *replayer) drainAll() error {
 
 // direct1 queues a record that applies as read, copying its bytes out of
 // the log's frame.
-func (rp *replayer) direct1(si int, op *BatchOp, cas uint64) error {
+func (rp *replayer) direct1(op *BatchOp) error {
 	k := rp.dused
 	rp.dused += copy(rp.direct[k:], op.Key)
 	v := rp.dused
 	rp.dused += copy(rp.direct[v:], op.Val)
-	return rp.push(si, op.Verb, rp.direct[k:v], rp.direct[v:rp.dused], op.Flags, cas)
+	return rp.push(op.Verb, rp.direct[k:v], rp.direct[v:rp.dused], op.Flags, op.seq)
 }
 
-// push queues one record for the store, a set with its token, and applies
-// the batch once full.
-func (rp *replayer) push(si int, verb BatchVerb, key, val []byte, flags uint32, cas uint64) error {
-	o := &rp.batch[rp.nb]
-	o.op.Verb, o.op.Key, o.op.Val, o.op.Flags = verb, key, val, flags
-	o.shard, o.cas = si, 0
-	if verb == BatchSet {
-		sh := &rp.sh[si]
-		if cas != sh.casNow+1 {
-			o.cas = cas
-		}
-		sh.casNow = cas
-	}
+// push queues one record for the store and applies the batch once full.
+func (rp *replayer) push(verb BatchVerb, key, val []byte, flags uint32, seq uint64) error {
+	rp.batch[rp.nb] = BatchOp{Verb: verb, Key: key, Val: val, Flags: flags, seq: seq}
 	if rp.nb++; rp.nb == replayBatch {
 		return rp.flush()
 	}
@@ -387,21 +363,17 @@ func (rp *replayer) flush() error {
 }
 
 // apply is the serial section's body.
-func (rp *replayer) apply(tx tm.Tx) error {
+func (rp *replayer) apply(tm.Tx) error {
 	for i := range rp.batch[:rp.nb] {
-		o := &rp.batch[i]
-		if o.cas != 0 {
-			tx.Store(rp.s.shards[o.shard].base+shCasSeq, o.cas-1)
-		}
-		if _, err := rp.s.Mutate(rp.th, o.op); err != nil {
+		if _, err := rp.s.Mutate(rp.th, rp.batch[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// finish applies everything held back and leaves each shard's CAS sequence
-// where full replay of the records read leaves it.
+// finish applies everything held back and leaves each shard's sequence
+// where full replay of the records read leaves it: at its last record's.
 func (rp *replayer) finish() error {
 	if err := rp.drainAll(); err != nil {
 		return err
@@ -410,7 +382,9 @@ func (rp *replayer) finish() error {
 		return err
 	}
 	for si, sh := range rp.sh {
-		rp.s.r.Engine().Store(rp.s.shards[si].base+shCasSeq, sh.cas0+sh.sets)
+		if sh.last != 0 {
+			rp.s.r.Engine().Store(rp.s.shards[si].base+shSeq, sh.last)
+		}
 	}
 	return nil
 }

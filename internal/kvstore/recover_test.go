@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"gotle/internal/htm"
+	"gotle/internal/logrec"
 	"gotle/internal/tle"
 	"gotle/internal/tm"
 	"gotle/internal/wal"
@@ -54,24 +55,22 @@ func replayLog(seed int64, n, keys int) []wal.Record {
 }
 
 // writeLog writes recs to a fresh log in dir, each on its key's shard of s,
-// numbered in order.
+// numbered in order: a MANIFEST from wal.Open and one segment, as a process
+// killed after its last ack leaves them (a Close would compact them).
 func writeLog(t testing.TB, dir string, s *Store, recs []wal.Record) {
 	t.Helper()
-	l, err := wal.Open(dir, s.ShardCount(), wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Recover(nil); err != nil {
+	if _, err := wal.Open(dir, s.ShardCount(), wal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	seq := make([]uint64, s.ShardCount())
+	var seg []byte
 	for _, r := range recs {
 		sh := s.ShardFor(r.Key)
 		seq[sh]++
-		r.Seq = seq[sh]
-		l.Append(sh, r)
+		r.Seq, r.Shard = seq[sh], uint16(sh)
+		seg = logrec.AppendRecord(seg, r)
 	}
-	if err := l.Close(); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "w-00000000.wal"), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -424,6 +423,9 @@ func TestRecoverRefusedRecord(t *testing.T) {
 // delete; the distinct one sets 50 000 distinct keys, so Recover skips
 // nothing; the large one is 10 000 records of the plain shape with values
 // of 4 to 8 KiB, which fill the arena after a few hundred keys.
+// compacted-recover is Store.Recover of the log's compacted form, the
+// base a Close leaves: its ns/op is the whole recovery's, comparable with
+// recover's, and its ns/rec is per base record.
 func BenchmarkRecoverStore(b *testing.B) {
 	newStore := func(words int) func() *Store {
 		return func() *Store {
@@ -460,11 +462,16 @@ func BenchmarkRecoverStore(b *testing.B) {
 		{"distinct-", distinct, newStore(1 << 21)},
 		{"large-", zipfLog(10000, func() []byte { return big[:4096+sizes.Intn(4097)] }), newStore(1 << 23)},
 	} {
-		n := len(lg.recs)
 		seed := filepath.Join(b.TempDir(), "seed")
 		writeLog(b, seed, lg.newStore(), lg.recs)
-		for _, mode := range []string{"apply", "recover"} {
+		base := filepath.Join(b.TempDir(), "base")
+		compactLog(b, seed, base, lg.newStore().ShardCount())
+		for _, mode := range []string{"apply", "recover", "compacted-recover"} {
 			b.Run(lg.prefix+mode, func(b *testing.B) {
+				n, seed := len(lg.recs), seed
+				if mode == "compacted-recover" {
+					n, seed = baseRecords(b, base, lg.newStore().ShardCount()), base
+				}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
@@ -480,7 +487,7 @@ func BenchmarkRecoverStore(b *testing.B) {
 					th := s.r.NewThread()
 					b.StartTimer()
 					var got int
-					if mode == "recover" {
+					if mode != "apply" {
 						got, err = s.Recover(th, l)
 					} else {
 						got, err = l.Recover(func(_ int, rec wal.Record) error { return s.Apply(th, rec) })
@@ -497,4 +504,21 @@ func BenchmarkRecoverStore(b *testing.B) {
 			})
 		}
 	}
+}
+
+// baseRecords reports the records of the compacted log in dir: its base's.
+func baseRecords(tb testing.TB, dir string, shards int) int {
+	tb.Helper()
+	l, err := wal.Open(dir, shards, wal.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, err := l.Recover(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return n
 }

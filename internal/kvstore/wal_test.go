@@ -128,11 +128,13 @@ func TestWALRoundTripAcrossRestart(t *testing.T) {
 }
 
 // TestWALRestartTwiceAcrossTornTail crashes a durable store mid-append
-// (a torn frame at the log's tail), restarts it, acks more writes, and
-// restarts again: the second recovery meets the same torn tail in the old
-// segment and must still bring back every write acked after the first.
+// (a torn frame at the log's tail), restarts it, acks more writes, crashes
+// it again and restarts: the second recovery meets the same torn tail in
+// the old segment and must still bring back every write acked after the
+// first. A crash is a copy of the log directory taken once every write is
+// acked, before Close. Then a clean Close compacts the history, tear and
+// all, and a third restart brings back the same writes from the base.
 func TestWALRestartTwiceAcrossTornTail(t *testing.T) {
-	dir := t.TempDir()
 	cfg := Config{Shards: 2}
 	set := func(r *tle.Runtime, s *Store, from, to int) {
 		th := r.NewThread()
@@ -144,11 +146,20 @@ func TestWALRestartTwiceAcrossTornTail(t *testing.T) {
 			}
 		}
 	}
+	kill := func(l *wal.Log, dir string) string {
+		c := filepath.Join(t.TempDir(), "wal")
+		if err := os.CopyFS(c, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	dir := t.TempDir()
 	r, s, l, _ := openStoreWAL(t, tle.Policies[0], dir, cfg)
 	set(r, s, 0, 20)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir = kill(l, dir)
 	f, err := os.OpenFile(filepath.Join(dir, "w-00000000.wal"), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -164,21 +175,23 @@ func TestWALRestartTwiceAcrossTornTail(t *testing.T) {
 		t.Fatalf("first restart recovered %d records, want 20", recovered)
 	}
 	set(r, s, 20, 40)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir = kill(l, dir)
 
-	r, s, l, recovered = openStoreWAL(t, tle.Policies[0], dir, cfg)
-	defer l.Close()
-	if recovered != 40 {
-		t.Fatalf("second restart recovered %d records, want all 40 acked", recovered)
-	}
-	th := r.NewThread()
-	defer th.Release()
-	for i := 0; i < 40; i++ {
-		got, ok, err := s.Get(th, []byte(fmt.Sprintf("key:%d", i)))
-		if err != nil || !ok || string(got) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("after the second restart key:%d = %q,%v,%v", i, got, ok, err)
+	for _, restart := range []string{"second", "compacted"} {
+		r, s, l, recovered = openStoreWAL(t, tle.Policies[0], dir, cfg)
+		if recovered != 40 {
+			t.Fatalf("%s restart recovered %d records, want all 40 acked", restart, recovered)
+		}
+		th := r.NewThread()
+		for i := 0; i < 40; i++ {
+			got, ok, err := s.Get(th, []byte(fmt.Sprintf("key:%d", i)))
+			if err != nil || !ok || string(got) != fmt.Sprintf("v%d", i) {
+				t.Fatalf("after the %s restart key:%d = %q,%v,%v", restart, i, got, ok, err)
+			}
+		}
+		th.Release()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -271,23 +284,22 @@ func TestWALConcurrentWriters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Re-scan the segments: appends recorded == sets + deletes that
+			// Read the log back: appends recorded == sets + deletes that
 			// actually removed something, and each shard's sequence runs
-			// 1..n with no gaps (Recover would stop at a gap).
-			l2, err := wal.Open(dir, s.ShardCount(), wal.Options{})
+			// 1..n with no gaps (a Reader refuses a gap, and so would
+			// Recover).
+			rd, err := l.NewReader(make([]uint64, s.ShardCount()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer l2.Close()
+			defer l.Close()
+			defer rd.Close()
 			var total int
 			lastSeq := map[int]uint64{}
-			if _, err := l2.Recover(func(shard int, rec wal.Record) error {
-				if rec.Seq != lastSeq[shard]+1 {
-					return fmt.Errorf("shard %d: seq %d after %d", shard, rec.Seq, lastSeq[shard])
+			if err := rd.Next(func(shard int, seq uint64, frame []byte) error {
+				rec, _, err := logrec.DecodeRecord(frame)
+				if err != nil || rec.Seq != lastSeq[shard]+1 {
+					return fmt.Errorf("shard %d: seq %d after %d (%v)", shard, rec.Seq, lastSeq[shard], err)
 				}
 				lastSeq[shard] = rec.Seq
 				if !bytes.HasPrefix(rec.Key, []byte("key:")) {

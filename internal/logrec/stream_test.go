@@ -241,16 +241,16 @@ func TestConcurrentPublishersBothSinksInSeqOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
 	released, parked := st.Counts()
 	if released != uint64(total) {
 		t.Fatalf("released %d of %d published records", released, total)
 	}
 	t.Logf("%d records, %d parked on the way", total, parked)
 
-	disk := walFrames(t, dir, shards)
+	disk := walFrames(t, dir, shards) // before Close, which compacts the segments
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 	wire := wireFrames(t, addr, shards, total)
 	for sh := 0; sh < shards; sh++ {
 		if uint64(len(disk[sh])) != next[sh] || uint64(len(wire[sh])) != next[sh] {

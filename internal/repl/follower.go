@@ -19,10 +19,9 @@ import (
 // client traffic uses, each a transaction on the follower's own TLE
 // shards. Applying in per-shard sequence order makes every follower state
 // some prefix of the primary's per-shard serialization order: reads served
-// from the follower are stale but never torn, and the per-shard CAS token
-// streams advance in lockstep with the primary (one token per applied
-// mutation, same order), so converged shards match byte for byte, CAS
-// included.
+// from the follower are stale but never torn, and each applied record
+// takes the primary's sequence number (a set's CAS token is that number),
+// so converged shards match byte for byte, CAS included.
 //
 // The follower owns its connection lifecycle: it dials, handshakes with
 // its applied cursors, and on any error (link cut, corrupt frame, stream

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -341,7 +343,7 @@ func TestStatsTMCountersAdvance(t *testing.T) {
 // TestStatsCountOnlyTraffic serves a store recovered from a log: the
 // replay's serial sections happened before the server existed, so the tm_
 // counters start at zero and move with the first set, and stats reports
-// the replay itself as recovered_records and recover_us.
+// the replay itself as wal_recovered and recover_us.
 func TestStatsCountOnlyTraffic(t *testing.T) {
 	const n = 500
 	dir := t.TempDir()
@@ -398,7 +400,7 @@ func TestStatsCountOnlyTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := map[string]uint64{}
-		for _, k := range []string{"tm_commits", "tm_serial_runs", "recovered_records", "recover_us"} {
+		for _, k := range []string{"tm_commits", "tm_serial_runs", "wal_recovered", "recover_us"} {
 			if out[k], err = strconv.ParseUint(st[k], 10, 64); err != nil {
 				t.Fatalf("stats %s = %q: %v", k, st[k], err)
 			}
@@ -410,14 +412,109 @@ func TestStatsCountOnlyTraffic(t *testing.T) {
 		t.Errorf("tm_commits %d, tm_serial_runs %d before any traffic, after recovering %d records",
 			st["tm_commits"], st["tm_serial_runs"], n)
 	}
-	if st["recovered_records"] != n || st["recover_us"] == 0 {
-		t.Errorf("recovered_records %d, recover_us %d; want %d and a duration", st["recovered_records"], st["recover_us"], n)
+	if st["wal_recovered"] != n || st["recover_us"] == 0 {
+		t.Errorf("wal_recovered %d, recover_us %d; want %d and a duration", st["wal_recovered"], st["recover_us"], n)
 	}
 	if err := cl.Set("after", []byte("v"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if v := read()["tm_commits"]; v < 1 {
 		t.Errorf("tm_commits = %d after one set", v)
+	}
+}
+
+// TestStatsShowRestartCost reads what a restart replays from stats: after
+// a clean restart, the live keys a Close compacted into the base
+// (wal_recovered = wal_base_records, wal_compactions 1); after a restart
+// from a crash image (the directory copied while the log was open), the
+// base plus the records after it; and after that run's Close and a
+// restart, the live set again, from the history's second compaction.
+func TestStatsShowRestartCost(t *testing.T) {
+	dir := t.TempDir()
+	type node struct {
+		l  *wal.Log
+		cl *client.Client
+	}
+	start := func(dir string) node {
+		r := tle.New(tle.PolicyPthread, tle.Config{MemWords: 1 << 20})
+		store := kvstore.New(r, kvstore.Config{Shards: 4})
+		l, err := wal.Open(dir, store.ShardCount(), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := r.NewThread()
+		defer th.Release()
+		if _, err := store.Recover(th, l); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.AttachWAL(l); err != nil {
+			t.Fatal(err)
+		}
+		srv := New(r, store, Config{WAL: l})
+		addr, err := srv.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := client.Dial(addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			cl.Close()
+			srv.Shutdown(5 * time.Second)
+			l.Close()
+		})
+		return node{l, cl}
+	}
+	stat := func(n node, k string) uint64 {
+		t.Helper()
+		st, err := n.cl.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := strconv.ParseUint(st[k], 10, 64)
+		if err != nil {
+			t.Fatalf("stats %s = %q: %v", k, st[k], err)
+		}
+		return v
+	}
+	// 40 keys set five times each, then every fourth deleted: 30 live.
+	load := func(n node, tag string) {
+		for i := 0; i < 200; i++ {
+			if err := n.cl.Set(fmt.Sprintf("k%d", i%40), []byte(tag), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 40; i += 4 {
+			if _, err := n.cl.Delete(fmt.Sprintf("k%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	n := start(dir)
+	load(n, "a")
+	if err := n.l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n = start(dir)
+	if r, b, c := stat(n, "wal_recovered"), stat(n, "wal_base_records"), stat(n, "wal_compactions"); r != 30 || b != 30 || c != 1 {
+		t.Fatalf("after a clean restart: wal_recovered %d, wal_base_records %d, wal_compactions %d; want 30, 30, 1", r, b, c)
+	}
+	load(n, "b")
+	crash := filepath.Join(t.TempDir(), "crash")
+	if err := os.CopyFS(crash, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	n = start(crash)
+	if r, b, c := stat(n, "wal_recovered"), stat(n, "wal_base_records"), stat(n, "wal_compactions"); r != 30+210 || b != 30 || c != 1 {
+		t.Fatalf("after a crash: wal_recovered %d, wal_base_records %d, wal_compactions %d; want the base's 30 and the 210 records after it, 30, 1", r, b, c)
+	}
+	if err := n.l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n = start(crash)
+	if r, b, c := stat(n, "wal_recovered"), stat(n, "wal_base_records"), stat(n, "wal_compactions"); r != 30 || b != 30 || c != 2 {
+		t.Fatalf("after the crashed run's Close: wal_recovered %d, wal_base_records %d, wal_compactions %d; want 30, 30, 2", r, b, c)
 	}
 }
 

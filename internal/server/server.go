@@ -752,7 +752,9 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 		u("wal_fsyncs", ws.Fsyncs)
 		u("wal_bytes", ws.Bytes)
 		u("wal_segments", ws.Segments)
-		u("recovered_records", ws.Recovered)
+		u("wal_recovered", ws.Recovered)
+		u("wal_base_records", ws.BaseRecords)
+		u("wal_compactions", ws.Compactions)
 		u("recover_us", uint64(s.store.RecoverTime().Microseconds()))
 	}
 	if cs := s.store.CommitStream(); cs != nil {
@@ -776,6 +778,7 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 			u(p+"switches", st.Switches)
 			stat(p+"conflict_rate", fmt.Sprintf("%.4f", st.Window.Conflict))
 			stat(p+"capacity_rate", fmt.Sprintf("%.4f", st.Window.Capacity))
+			stat(p+"demote_capacity_rate", fmt.Sprintf("%.4f", st.Demoted.Capacity))
 			stat(p+"serial_rate", fmt.Sprintf("%.4f", st.Window.Serial))
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -409,6 +410,12 @@ func TestStatsExposesAdaptiveState(t *testing.T) {
 		}
 		if got, ok := st[p+"reason"]; ok {
 			t.Fatalf("stats still has %sreason = %q", p, got)
+		}
+		// The window that demoted the hot shard stays visible after the
+		// quiet ones that followed it.
+		rate, err := strconv.ParseFloat(st[p+"demote_capacity_rate"], 64)
+		if err != nil || (want.switches == "1") != (rate > 0.10) {
+			t.Fatalf("%sdemote_capacity_rate = %q after %s switches: %v", p, st[p+"demote_capacity_rate"], want.switches, err)
 		}
 	}
 }

@@ -32,6 +32,11 @@
 //     acked record (acked implies fsynced, and file order is, per shard,
 //     sequence order).
 //
+//   - Compaction. Close rewrites the history as a base file of its live
+//     set (each key's last set, under its own sequence number), which a new
+//     MANIFEST commits before the inputs are removed; a restart replays the
+//     base, then the segments above it.
+//
 // The frame codec itself lives in internal/logrec: the replication wire
 // format (internal/repl) carries the same frames, so the encoding exists
 // exactly once. This file aliases the record vocabulary so WAL call sites

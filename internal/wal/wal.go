@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -8,6 +9,8 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,13 +65,21 @@ type Stats struct {
 	Recovered uint64
 	// Segments counts segment files created this run (rotation).
 	Segments uint64
+	// BaseRecords is the record count of the base the MANIFEST commits:
+	// what a restart replays before the segments.
+	BaseRecords uint64
+	// Compactions counts the compactions the history has been through,
+	// the MANIFEST's count.
+	Compactions uint64
 }
 
 // Log is a redo write-ahead log rooted at one directory: per-shard
-// sequence spaces, one shared file series, one group-commit fsync stream.
+// sequence spaces, one shared file series, one group-commit fsync stream,
+// and a base file that holds the live set of the history compacted so far.
 //
-// Lifecycle: Open → Recover (exactly once; replays existing segments and
-// arms the appenders) → Append/Wait traffic → Close.
+// Lifecycle: Open → Recover (exactly once; replays the base and the
+// segments above it and arms the appenders) → Append/Wait traffic → Close
+// (compacts the history into a new base).
 //
 //gotle:allow falseshare counters are grouped by writer with a pad between the appender and syncer groups; same-writer words share a line deliberately
 type Log struct {
@@ -91,6 +102,13 @@ type Log struct {
 	_         [40]byte      // pad: appender group and syncer group on separate lines
 	fsyncs    atomic.Uint64
 	segments  atomic.Uint64
+	// The committed MANIFEST's, written at Open and by Close's compaction.
+	baseRecs    atomic.Uint64
+	compactions atomic.Uint64
+
+	// man is the committed MANIFEST: Open reads it, and only Close's
+	// compaction, once the syncer has stopped, replaces it.
+	man manifest
 
 	// mu guards everything below: the shared batch buffer and the active
 	// segment.
@@ -123,14 +141,76 @@ type durableWord struct {
 	_ [56]byte
 }
 
-// Manifest pins the layout version and shard count: records are routed by
+// MANIFEST pins the layout version and shard count: records are routed by
 // key hash, so a reopen with a different shard count would replay records
 // into the wrong shards' sequence spaces, and a log of another frame format
-// (v2 framed with IEEE CRCs, v3 with CRC-32C) would replay as empty.
-const manifestName, manifestVersion = "MANIFEST", "gotle-wal v3"
+// (v2 framed with IEEE CRCs) would replay as empty. Since v4 it also
+// commits the base, if a compaction has written one. A v3 MANIFEST (the
+// same frames, no base) opens as a log with no base.
+const manifestName, manifestVersion = "MANIFEST", "gotle-wal v4"
+
+// manifest is a MANIFEST's content. The base b-<seg>.wal holds the live
+// set of every record of the segments below seg: each key's last set, in
+// file order, under its own shard and sequence number. through is, per
+// shard, the last sequence number those segments held, so the segments
+// from seg on continue each shard from there; size and records are the
+// base's length in bytes and in records, and compactions counts the
+// compactions the history has been through. through is nil when there is
+// no base. The body's base line is "base seg size records compactions
+// through...".
+type manifest struct {
+	shards, seg                int
+	size, records, compactions uint64
+	through                    []uint64
+}
 
 func manifestBody(shards int) string {
 	return fmt.Sprintf("%s\nshards %d\n", manifestVersion, shards)
+}
+
+func (m manifest) body() string {
+	b := manifestBody(m.shards)
+	if m.through == nil {
+		return b
+	}
+	b += fmt.Sprintf("base %d %d %d %d", m.seg, m.size, m.records, m.compactions)
+	for _, t := range m.through {
+		b += fmt.Sprintf(" %d", t)
+	}
+	return b + "\n"
+}
+
+// baseName names the base that covers the segments below seg.
+func baseName(seg int) string { return fmt.Sprintf("b-%08d.wal", seg) }
+
+// parseManifest reads MANIFEST's content; it must be one this run wrote for
+// the same shard count.
+func parseManifest(b string, shards int) (manifest, error) {
+	m := manifest{shards: shards}
+	if b == fmt.Sprintf("gotle-wal v3\nshards %d\n", shards) {
+		return m, nil
+	}
+	want := manifestBody(shards)
+	rest, ok := strings.CutPrefix(b, want)
+	if !ok {
+		return m, fmt.Errorf("wal: manifest mismatch: dir has %q, this run wants %q (layout version and shard count must match the recorded log)", b, want)
+	}
+	if rest == "" {
+		return m, nil
+	}
+	f := strings.Fields(rest)
+	if len(f) != 5+shards || f[0] != "base" {
+		return m, fmt.Errorf("wal: manifest %q: bad base line", b)
+	}
+	v := make([]uint64, 4+shards)
+	for i := range v {
+		var err error
+		if v[i], err = strconv.ParseUint(f[i+1], 10, 64); err != nil {
+			return m, fmt.Errorf("wal: manifest %q: %w", b, err)
+		}
+	}
+	m.seg, m.size, m.records, m.compactions, m.through = int(v[0]), v[1], v[2], v[3], v[4:]
+	return m, nil
 }
 
 // Open creates or reopens a log directory for the given shard count. No
@@ -142,7 +222,8 @@ func Open(dir string, shards int, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := checkManifest(dir, shards); err != nil {
+	man, err := readManifest(dir, shards)
+	if err != nil {
 		return nil, err
 	}
 	l := &Log{
@@ -152,25 +233,25 @@ func Open(dir string, shards int, opts Options) (*Log, error) {
 		durable: make([]durableWord, shards),
 		tops:    make([]uint64, shards),
 		dirty:   make(chan struct{}, 1),
+		man:     man,
 	}
+	l.baseRecs.Store(man.records)
+	l.compactions.Store(man.compactions)
 	l.cond = sync.NewCond(&l.mu)
 	return l, nil
 }
 
-func checkManifest(dir string, shards int) error {
+// readManifest reads dir's MANIFEST, writing a fresh one where there is none.
+func readManifest(dir string, shards int) (manifest, error) {
 	path := filepath.Join(dir, manifestName)
-	want := manifestBody(shards)
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return writeManifest(dir, path, want)
+		return manifest{shards: shards}, writeManifest(dir, path, manifestBody(shards))
 	}
 	if err != nil {
-		return err
+		return manifest{}, err
 	}
-	if string(b) != want {
-		return fmt.Errorf("wal: manifest mismatch: dir has %q, this run wants %q (layout version and shard count must match the recorded log)", string(b), want)
-	}
-	return nil
+	return parseManifest(string(b), shards)
 }
 
 // writeManifest writes MANIFEST whole or not at all: the body goes to a
@@ -265,51 +346,59 @@ func (l *Log) segmentsList() ([]int, error) {
 	return idxs, nil
 }
 
-// Recover replays the segments in file order, calling apply for each
-// intact record with the shard it belongs to, and then arms the log for
-// appends: each shard resumes its sequence numbering after its last
-// recovered record, and appends go to a fresh segment (the torn tail, if
-// any, is left behind untouched for forensics — recovery never rewrites
-// history).
+// segmentsFrom lists the existing segments from index from on: those below
+// the base's are compacted into it, and outlive it only where a crash cut
+// a compaction short between its MANIFEST and their removal.
+func (l *Log) segmentsFrom(from int) ([]int, error) {
+	idxs, err := l.segmentsList()
+	i, _ := slices.BinarySearch(idxs, from)
+	return idxs[i:], err
+}
+
+// Recover replays the history, calling apply for each intact record with
+// the shard it belongs to: first the base the MANIFEST commits, then the
+// segments above it in file order. Then it arms the log for appends: each
+// shard resumes its sequence numbering after its last recovered record,
+// and appends go to a fresh segment. A torn tail, if any, stays where it
+// is until a compaction drops it with the segment that holds it.
 //
-// A torn or corrupt frame ends its segment, not the recovery: an earlier
-// recovery that stepped over the same tear opened a later segment, and
-// everything acked since lives there. What ends the recovery is a
-// sequence gap: acked means fsynced, and file order is, per shard,
-// sequence order, so acked records form a gapless run from the first
-// segment on and nothing past a gap was ever acked.
+// The base was fsynced before the MANIFEST named it, so it must read back
+// whole: a base that does not is a failed recovery. In the segments, a torn
+// or corrupt frame ends its segment, not the recovery: an earlier recovery
+// that stepped over the same tear opened a later segment, and everything
+// acked since lives there. What ends the recovery is a sequence gap, each
+// shard's sequence counted on from the base's through-sequence: acked means
+// fsynced, and file order is, per shard, sequence order, so acked records
+// form a gapless run from the base on and nothing past a gap was ever
+// acked.
 //
 // apply may be nil (scan only). The record passed to apply, its Key and Val
 // included, is valid only during the call: each frame is decoded in place in
-// the one read buffer the segments stream through, so an apply that keeps
-// bytes must copy them. Recovery holds that buffer (scanBytes, or the
-// largest frame if that is larger) and no frame buffer, not the segments. A
+// the one read buffer the files stream through, so an apply that keeps
+// bytes must copy them. Recover holds that buffer (scanBytes, or the
+// largest frame if that is larger) and no frame buffer, not the files. A
 // read error other than the end of a segment fails the recovery. Recover
 // returns the records replayed.
 func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 	if l.opened {
 		return 0, fmt.Errorf("wal: Recover called twice")
 	}
-	idxs, err := l.segmentsList()
+	segs, err := l.segmentsFrom(l.man.seg)
 	if err != nil {
 		return 0, err
 	}
-	total := 0
-	last := make([]uint64, len(l.bufTops))
-	var sc scanner
-	for _, idx := range idxs {
-		n, gap, err := replaySegment(filepath.Join(l.dir, segName(idx)), &sc, last, apply)
-		total += n
-		if err != nil {
-			return total, err
+	last, total, err := l.scanHistory(l.man, segs, func(sh int, r Record, _ []byte) error {
+		if apply == nil {
+			return nil
 		}
-		if gap {
-			break
-		}
+		return apply(sh, r)
+	})
+	if err != nil {
+		return total, err
 	}
-	nextIdx := 0
-	if n := len(idxs); n > 0 {
-		nextIdx = idxs[n-1] + 1
+	nextIdx := l.man.seg
+	if n := len(segs); n > 0 {
+		nextIdx = segs[n-1] + 1
 	}
 	f, err := l.createSegment(nextIdx)
 	if err != nil {
@@ -332,39 +421,151 @@ func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 	return total, nil
 }
 
-// replaySegment replays the intact records of the segment at path in file
-// order through sc, continuing each shard's sequence from last. A torn or
-// corrupt frame ends the segment; gap reports a record that does not
-// continue its shard's sequence, which ends the replay.
-func replaySegment(path string, sc *scanner, last []uint64, apply func(int, Record) error) (n int, gap bool, err error) {
+// scanHistory replays base m and then segments segs, stopping at a gap,
+// and returns each shard's last sequence number and the records replayed.
+func (l *Log) scanHistory(m manifest, segs []int, fn func(sh int, r Record, frame []byte) error) ([]uint64, int, error) {
+	last := make([]uint64, len(l.bufTops))
+	var sc scanner
+	total := 0
+	if m.through != nil {
+		path := filepath.Join(l.dir, baseName(m.seg))
+		n, size, stop, err := replayFile(path, &sc, last, m.through, fn)
+		total += n
+		if err == nil && (stop || size != m.size) {
+			err = fmt.Errorf("wal: base %s: %d intact bytes in order, MANIFEST commits %d", path, size, m.size)
+		}
+		if err != nil {
+			return last, total, err
+		}
+		copy(last, m.through)
+	}
+	for _, idx := range segs {
+		n, _, gap, err := replayFile(filepath.Join(l.dir, segName(idx)), &sc, last, nil, fn)
+		total += n
+		if err != nil || gap {
+			return last, total, err
+		}
+	}
+	return last, total, nil
+}
+
+// replayFile replays the intact records of the file at path in file order
+// through sc, moving last on. In a segment (through nil) each record must
+// continue its shard's sequence from last; in a base it must rise within
+// its shard's through-sequence. A torn or corrupt frame ends the file;
+// stop reports a record that breaks the rule, which ends the replay. size
+// is the bytes of the records replayed.
+func replayFile(path string, sc *scanner, last, through []uint64, fn func(int, Record, []byte) error) (n int, size uint64, stop bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, false, err
+		return 0, 0, false, err
 	}
 	defer f.Close()
 	sc.reset(f)
 	for {
-		rec, _, ok, err := sc.next()
+		rec, frame, ok, err := sc.next()
 		if err != nil {
-			return n, false, fmt.Errorf("wal: read %s: %w", path, err)
+			return n, size, false, fmt.Errorf("wal: read %s: %w", path, err)
 		}
 		if !ok {
-			return n, false, nil
+			return n, size, false, nil
 		}
 		sh := int(rec.Shard)
-		if sh >= len(last) || rec.Seq != last[sh]+1 {
-			// An impossible shard or a sequence gap: stop
-			// conservatively, for every shard.
-			return n, true, nil
+		if sh >= len(last) || rec.Seq <= last[sh] || through == nil && rec.Seq > last[sh]+1 || through != nil && rec.Seq > through[sh] {
+			// An impossible shard, a sequence gap, or a base record
+			// out of order: stop conservatively, for every shard.
+			return n, size, true, nil
 		}
-		if apply != nil {
-			if err := apply(sh, rec); err != nil {
-				return n, false, fmt.Errorf("wal: replay shard %d seq %d: %w", sh, rec.Seq, err)
-			}
+		if err := fn(sh, rec, frame); err != nil {
+			return n, size, false, fmt.Errorf("wal: replay shard %d seq %d: %w", sh, rec.Seq, err)
 		}
 		last[sh] = rec.Seq
+		size += uint64(len(frame))
 		n++
 	}
+}
+
+// compact rewrites the history (the committed base, then segments segs) as
+// a new base covering the segments below next, the history's live set:
+// each key's last set, in file order, with deletes, superseded sets and
+// whatever lies past a gap dropped. It reads the history twice, once for
+// each key's last record and once to copy the frames of the sets that are
+// last. The base is written to a temporary file, fsynced and renamed; a
+// new MANIFEST commits it; only then are its inputs removed, and the
+// directory fsynced. A crash at any step leaves a directory that recovers
+// the same state: the old MANIFEST with all its inputs, or the new one.
+func (l *Log) compact(segs []int, next int) error {
+	lastOf := map[string]int{} // a key's last set, if it is the key's last record: its place + 1
+	i := 0
+	through, _, err := l.scanHistory(l.man, segs, func(_ int, r Record, _ []byte) error {
+		i++
+		if r.Op == OpSet {
+			lastOf[string(r.Key)] = i
+		} else {
+			delete(lastOf, string(r.Key))
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	name := filepath.Join(l.dir, baseName(next))
+	f, err := os.OpenFile(name+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	m := manifest{shards: len(through), seg: next, through: through, compactions: l.man.compactions + 1}
+	w := bufio.NewWriterSize(f, 64<<10)
+	i = 0
+	if _, _, err := l.scanHistory(l.man, segs, func(_ int, r Record, frame []byte) (err error) {
+		if i++; lastOf[string(r.Key)] == i {
+			m.size += uint64(len(frame))
+			m.records++
+			_, err = w.Write(frame)
+		}
+		return err
+	}); err != nil {
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	fsEvent("base-written")
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	fsEvent("base-synced")
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(name+".tmp", name); err != nil {
+		return err
+	}
+	fsEvent("base-renamed")
+	if err := writeManifest(l.dir, filepath.Join(l.dir, manifestName), m.body()); err != nil {
+		return err
+	}
+	l.man = m
+	l.baseRecs.Store(m.records)
+	l.compactions.Store(m.compactions)
+	// The inputs, any older base or one a crash left uncommitted, and the
+	// segments a crash left behind their base.
+	ents, err := os.ReadDir(l.dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		var idx int
+		old := strings.HasPrefix(e.Name(), "b-") && e.Name() != baseName(next)
+		if n, _ := fmt.Sscanf(e.Name(), "w-%08d.wal", &idx); n == 1 && idx < next || old {
+			if err := os.Remove(filepath.Join(l.dir, e.Name())); err != nil {
+				return err
+			}
+			fsEvent("remove")
+		}
+	}
+	return syncDir(l.dir)
 }
 
 // scanBytes is the size of a scanner's reads. A variable only so that tests
@@ -774,19 +975,48 @@ func (l *Log) rotateLocked() error {
 // Stats snapshots the log's counters.
 func (l *Log) Stats() Stats {
 	return Stats{
-		Appends:   l.appends.Load(),
-		Fsyncs:    l.fsyncs.Load(),
-		Bytes:     l.bytes.Load(),
-		Recovered: l.recovered.Load(),
-		Segments:  l.segments.Load(),
+		Appends:     l.appends.Load(),
+		Fsyncs:      l.fsyncs.Load(),
+		Bytes:       l.bytes.Load(),
+		Recovered:   l.recovered.Load(),
+		Segments:    l.segments.Load(),
+		BaseRecords: l.baseRecs.Load(),
+		Compactions: l.compactions.Load(),
 	}
 }
 
-// Close flushes every appended record, fsyncs, and stops the syncer.
+// Close flushes every appended record, fsyncs and stops the syncer, and
+// then compacts the history into a new base, so that the next start
+// replays the live set: the segments a kill left behind are compacted by
+// the next clean Close. A log that replayed nothing past its base and had
+// nothing appended has nothing to compact: its segments hold no record
+// the base lacks, and it removes them instead. A log that failed closes
+// without compacting and returns that error.
 func (l *Log) Close() error {
 	if !l.opened {
 		return nil
 	}
+	if err := l.stop(); err != nil {
+		return err
+	}
+	segs, err := l.segmentsFrom(l.man.seg)
+	if err != nil {
+		return err
+	}
+	if l.appends.Load() != 0 || l.recovered.Load() != l.man.records {
+		return l.compact(segs, l.segIdx+1)
+	}
+	for _, idx := range segs {
+		if err := os.Remove(filepath.Join(l.dir, segName(idx))); err != nil {
+			return err
+		}
+	}
+	return syncDir(l.dir)
+}
+
+// stop flushes every appended record, fsyncs, stops the syncer and fails
+// later appends and waits; it returns the log's first error.
+func (l *Log) stop() error {
 	l.mu.Lock()
 	l.closed = true
 	l.mu.Unlock()

@@ -84,6 +84,15 @@ func openLog(t *testing.T, dir string, shards int, opts Options, apply func(int,
 	return l, n
 }
 
+// halt stops l the way a kill after its last ack would leave it: every
+// appended record fsynced, the history in its segments, uncompacted.
+func halt(t testing.TB, l *Log) {
+	t.Helper()
+	if err := l.stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l, n := openLog(t, dir, 2, Options{}, nil)
@@ -100,9 +109,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	halt(t, l)
 
 	var got []Record
 	l2, n := openLog(t, dir, 2, Options{}, func(sh int, r Record) error {
@@ -206,9 +213,7 @@ func TestSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	halt(t, l)
 	segs, err := (&Log{dir: dir}).segmentsList()
 	if err != nil {
 		t.Fatal(err)
@@ -272,8 +277,8 @@ func TestDirectorySyncedBeforeAck(t *testing.T) {
 			t.Fatalf("event %d, %s, is not followed by a directory fsync: %v", i, ev, evs)
 		}
 	}
-	if count["manifest"] != 1 || count["create"] < 3 || count["durable"] < 20 {
-		t.Fatalf("events %v: want one manifest, at least 3 segments and 20 acking fsyncs", count)
+	if count["manifest"] != 2 || count["create"] < 3 || count["durable"] < 20 {
+		t.Fatalf("events %v: want two manifests (Open's and Close's compaction), at least 3 segments and 20 acking fsyncs", count)
 	}
 	if n := locked.Load(); n != 0 {
 		t.Fatalf("%d rotations fsynced the directory under the log's lock", n)
@@ -395,9 +400,7 @@ func writeTestLog(t *testing.T, dir string, n int) ([]Record, string) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	halt(t, l)
 	return recs, filepath.Join(dir, segName(0))
 }
 
@@ -498,9 +501,11 @@ func TestCorruptMidFileStopsAtPrefix(t *testing.T) {
 }
 
 // TestRecoverTwiceAcrossTornTail is the crash → restart → more acked
-// writes → restart sequence. The first recovery leaves the torn tail in
-// segment 0 and opens segment 1; the second must step over the same tear
-// and still replay everything acked since.
+// writes → crash → restart sequence. The first recovery leaves the torn
+// tail in segment 0 and opens segment 1; the second must step over the
+// same tear and still replay everything acked since. Then a clean Close
+// compacts both segments, tear and all, into a base, and a third recovery
+// replays its live set.
 func TestRecoverTwiceAcrossTornTail(t *testing.T) {
 	dir := t.TempDir()
 	_, segPath := writeTestLog(t, dir, 10)
@@ -523,16 +528,13 @@ func TestRecoverTwiceAcrossTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	halt(t, l)
 
 	var seqs []uint64
 	l2, n := openLog(t, dir, 1, Options{}, func(_ int, r Record) error {
 		seqs = append(seqs, r.Seq)
 		return nil
 	})
-	defer l2.Close()
 	if n != 20 || l2.LastSeq(0) != 20 {
 		t.Fatalf("second recovery replayed %d records (LastSeq %d), want all 20 acked", n, l2.LastSeq(0))
 	}
@@ -540,6 +542,21 @@ func TestRecoverTwiceAcrossTornTail(t *testing.T) {
 		if s != uint64(i+1) {
 			t.Fatalf("replay order broken at %d: %v", i, seqs)
 		}
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	seqs = nil
+	l3, n := openLog(t, dir, 1, Options{}, func(_ int, r Record) error {
+		seqs = append(seqs, r.Seq)
+		return nil
+	})
+	defer l3.Close()
+	// writeTestLog's every fourth record deletes the key of the one before.
+	want := []uint64{1, 2, 5, 6, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}
+	if n != len(want) || l3.LastSeq(0) != 20 || !slices.Equal(seqs, want) {
+		t.Fatalf("recovery of the compacted log replayed %v (LastSeq %d), want %v", seqs, l3.LastSeq(0), want)
 	}
 }
 
@@ -625,9 +642,7 @@ func TestRecoverRecordLargerThanReadBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	halt(t, l)
 	var got []Record
 	l2, n := openLog(t, dir, 1, Options{}, func(_ int, r Record) error {
 		got = append(got, Record{Seq: r.Seq, Op: r.Op, Flags: r.Flags,
@@ -705,7 +720,7 @@ func TestRecoverGapClosesSegments(t *testing.T) {
 }
 
 // BenchmarkRecover replays 200 000 records with 64-byte values from 8 MiB
-// segments, the shape of the benchmark's serve-durable seed log.
+// segments, the shape of the benchmark's serve-durable seed log, uncompacted.
 func BenchmarkRecover(b *testing.B) {
 	dir := b.TempDir()
 	const n = 200_000
@@ -725,7 +740,7 @@ func BenchmarkRecover(b *testing.B) {
 			b.Fatalf("recovered %d records (%v), want %d", got, err, n)
 		}
 		b.StopTimer()
-		l.Close()
+		halt(b, l)
 		// Recover opened a fresh segment for appends; drop it so every
 		// iteration replays the same files.
 		if err := os.Remove(filepath.Join(dir, segName(segs))); err != nil {
@@ -734,6 +749,27 @@ func BenchmarkRecover(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
+}
+
+// copyDir copies the regular files of src into a new directory dst.
+func copyDir(tb testing.TB, src, dst string) {
+	tb.Helper()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		tb.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			tb.Fatal(err)
+		}
+	}
 }
 
 // newReader opens a reader of l's records above after, closed at cleanup.
