@@ -9,14 +9,12 @@
 //	                  key — acked writes must survive, unacked writes may go
 //	                  either way.
 //	fleettest repl    replication convergence (internal/harness.RunRepl): one
-//	                  primary streaming its per-shard commit log to N
-//	                  followers, loadgen mutating the primary and stale-
-//	                  reading the followers, seeded link chaos, then quiesce
-//	                  and byte-identical shard dumps across every node. With
-//	                  -kill-follower, follower 0 is SIGKILLed mid-stream and
-//	                  must resume from its own WAL cursor. Even rounds (the
-//	                  first included) give the primary a WAL, so followers
-//	                  the chaos cuts off catch up from its log.
+//	                  primary streaming its WAL to N followers, loadgen
+//	                  mutating the primary and stale-reading the followers,
+//	                  seeded link chaos, then quiesce and byte-identical
+//	                  shard dumps across every node. With -kill-follower,
+//	                  follower 0 is SIGKILLed mid-stream and must resume
+//	                  from its own WAL cursor.
 //
 // Examples:
 //
@@ -120,7 +118,6 @@ func main() {
 			res, err = r, r.Err
 		} else {
 			rc.FleetConfig = fleet
-			rc.PrimaryWAL = i%2 == 0
 			r := harness.RunRepl(rc)
 			if res, err = r, r.Err; err == nil {
 				passed = append(passed, r)

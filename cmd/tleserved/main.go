@@ -53,13 +53,16 @@ func main() {
 		fsyncWin   = flag.Duration("fsync-window", wal.DefaultFsyncWindow, "group-commit window: how long the WAL syncer accumulates appends before each fsync (0 = fsync eagerly)")
 		deferRecl  = flag.Bool("deferred-reclaim", true, "free transactionally freed item memory on the freeing thread once a later commit finds its grace period over, instead of waiting for it on the commit path")
 		stripeLog  = flag.Int("stripe-shift", 3, "STM orec granularity: 1<<n consecutive words share one ownership record (3 = 64-byte cache-line stripes; 0 = per-word)")
-		replLn     = flag.String("repl-listen", "", "replication listen address: stream the per-shard commit log to follower replicas")
+		replLn     = flag.String("repl-listen", "", "replication listen address: stream the per-shard commit log to follower replicas (needs -wal: followers are sent what it has fsynced)")
 		follow     = flag.String("follow", "", "follower mode: subscribe to a primary's replication stream at this address and serve read-only")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (stopped at shutdown)")
 	)
 	flag.Parse()
 	if *replLn != "" && *follow != "" {
 		log.Fatal("-repl-listen and -follow are mutually exclusive (a node is a primary or a follower, not both)")
+	}
+	if *replLn != "" && *walDir == "" {
+		log.Fatal("-repl-listen needs -wal: a primary's log is the history its followers are sent")
 	}
 
 	if *cpuprofile != "" {
@@ -132,10 +135,10 @@ func main() {
 			float64(store.RecoverTime().Microseconds())/1e3, applied.Sets+applied.Deletes)
 	}
 
-	// Replication. Cursor discipline is shared with the WAL: with one
-	// attached, both the source's retained-history base and the follower's
-	// applied cursors resume from the recovered tail, so a restarted node
-	// rejoins the stream exactly where its durable state left off.
+	// Replication. Cursor discipline is shared with the WAL: the source's
+	// base and, with a log, the follower's applied cursors resume from the
+	// recovered tail, so a restarted node rejoins the stream exactly where
+	// its durable state left off.
 	walTail := func() []uint64 {
 		if wlog == nil {
 			return nil
@@ -197,8 +200,8 @@ func main() {
 	fmt.Println("draining...")
 	srv.Shutdown(10 * time.Second)
 	// Replication stops after the server drains (no more publishes) and
-	// before the WAL closes: the source flushes its retained tail to
-	// connected followers, a follower stops applying.
+	// before the WAL closes: the source sends connected followers what the
+	// log has fsynced, a follower stops applying.
 	if src != nil {
 		src.Close(5 * time.Second)
 	}

@@ -32,9 +32,9 @@ import (
 // follower through its reconnect-and-resume path; convergence afterwards
 // proves the handshake cursor discipline loses and duplicates nothing.
 //
-// PrimaryWAL gives the primary a WAL: it then ships only fsynced records,
-// holds none in memory, and serves every follower, a reconnect under chaos
-// or a restart included, from its log.
+// The primary runs with a WAL, as every primary must: it ships only
+// fsynced records, holds none in memory, and serves every follower, a
+// reconnect under chaos or a restart included, from its log.
 //
 // KillFollower goes further: follower 0 runs with its own WAL and is
 // SIGKILLed mid-stream, then restarted from its log. Its recovered tail
@@ -57,8 +57,6 @@ type ReplConfig struct {
 	// KillFollower SIGKILLs follower 0 mid-load and restarts it from its
 	// WAL; loadgen then only reads from the surviving followers.
 	KillFollower bool
-	// PrimaryWAL runs the primary with a WAL of its own.
-	PrimaryWAL bool
 }
 
 func (c ReplConfig) withDefaults() ReplConfig {
@@ -90,8 +88,7 @@ type ReplResult struct {
 	Reconnects uint64
 	// Recovered is the killed follower's WAL replay count (KillFollower).
 	Recovered int
-	// LogCatchup is the records the primary sent followers from its WAL
-	// (PrimaryWAL).
+	// LogCatchup is the records the primary sent followers from its WAL.
 	LogCatchup uint64
 	// Elapsed spans load start to full quiesce.
 	Elapsed time.Duration
@@ -126,18 +123,14 @@ func RunRepl(cfg ReplConfig) ReplResult {
 	res := ReplResult{Seed: cfg.Seed, Followers: cfg.Followers}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Primary: commit log streamed on a loopback port; with no WAL the
-	// whole stream stays in memory.
-	pargs := []string{
+	// Primary: its WAL streamed on a loopback port.
+	primary, err := startNode(cfg.ServedBin, cfg.Log, "primary",
 		"-addr", "127.0.0.1:0",
 		"-repl-listen", "127.0.0.1:0",
+		"-wal", filepath.Join(cfg.WorkDir, "pwal"),
 		"-shards", strconv.Itoa(cfg.Shards),
 		"-capacity", strconv.Itoa(cfg.Capacity),
-	}
-	if cfg.PrimaryWAL {
-		pargs = append(pargs, "-wal", filepath.Join(cfg.WorkDir, "pwal"))
-	}
-	primary, err := startNode(cfg.ServedBin, cfg.Log, "primary", pargs...)
+	)
 	if err != nil {
 		res.Err = fmt.Errorf("primary: %w", err)
 		return res

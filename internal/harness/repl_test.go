@@ -1,20 +1,21 @@
 package harness
 
 import (
-	"fmt"
+	"context"
+	"os/exec"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestReplConvergence runs one full replication round on the real
-// binaries, once with a primary that keeps its whole stream in memory and
-// once with a primary WAL (shipping only fsynced records, read back from
-// its log, to every follower the chaos proxies cut off and reconnect): a
-// primary streaming
-// to two followers through chaos proxies, loadgen mutating the primary and
+// binaries: a primary streaming to two followers through chaos proxies,
+// shipping only fsynced records read back from its WAL to every follower
+// the proxies cut off and reconnect, loadgen mutating the primary and
 // stale-reading the followers, then quiesce + byte-identical shard dumps.
 // The wider seed sweep (and the kill-9 follower restart) lives in `make
-// repl-smoke` / `make repl-chaos`; one round each way here keeps the
-// harness from bit-rotting.
+// repl-smoke` / `make repl-chaos`; one round here keeps the harness from
+// bit-rotting.
 func TestReplConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a primary, two followers, and a load generator")
@@ -23,34 +24,32 @@ func TestReplConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	for _, primaryWAL := range []bool{false, true} {
-		t.Run(fmt.Sprintf("primary-wal=%v", primaryWAL), func(t *testing.T) {
-			res := RunRepl(ReplConfig{
-				FleetConfig: FleetConfig{ServedBin: served, LoadgenBin: loadgen, WorkDir: t.TempDir(), Seed: 7},
-				Ops:         8000,
-				Chaos:       true,
-				PrimaryWAL:  primaryWAL,
-			})
-			if res.Err != nil {
-				t.Fatalf("replication round failed: %v", res.Err)
-			}
-			if res.Published == 0 {
-				t.Fatal("primary published zero records under a write-heavy load")
-			}
-			if res.Applied < res.Published*uint64(res.Followers) {
-				t.Fatalf("followers applied %d records, want at least %d (published %d x %d followers)",
-					res.Applied, res.Published*uint64(res.Followers), res.Published, res.Followers)
-			}
-			t.Logf("%v", res)
+	// Every primary keeps a WAL; the subtest keeps the name the round had
+	// when a WAL-less primary was the other case.
+	t.Run("primary-wal=true", func(t *testing.T) {
+		res := RunRepl(ReplConfig{
+			FleetConfig: FleetConfig{ServedBin: served, LoadgenBin: loadgen, WorkDir: t.TempDir(), Seed: 7},
+			Ops:         8000,
+			Chaos:       true,
 		})
-	}
+		if res.Err != nil {
+			t.Fatalf("replication round failed: %v", res.Err)
+		}
+		if res.Published == 0 {
+			t.Fatal("primary published zero records under a write-heavy load")
+		}
+		if res.Applied < res.Published*uint64(res.Followers) {
+			t.Fatalf("followers applied %d records, want at least %d (published %d x %d followers)",
+				res.Applied, res.Published*uint64(res.Followers), res.Published, res.Followers)
+		}
+		t.Logf("%v", res)
+	})
 }
 
 // TestReplKillFollower exercises the kill-9 catch-up path: follower 0 is
 // killed mid-stream and restarted from its own WAL; it must resume from
-// the recovered cursor (not replay from zero) and still converge. The
-// primary has a WAL, so what the restarted follower missed comes from the
-// primary's log.
+// the recovered cursor (not replay from zero) and still converge. What
+// the restarted follower missed comes from the primary's log.
 func TestReplKillFollower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes and kill-9s one of them")
@@ -63,7 +62,6 @@ func TestReplKillFollower(t *testing.T) {
 		FleetConfig:  FleetConfig{ServedBin: served, LoadgenBin: loadgen, WorkDir: t.TempDir(), Seed: 11},
 		Ops:          12000,
 		KillFollower: true,
-		PrimaryWAL:   true,
 	})
 	if res.Err != nil {
 		t.Fatalf("kill-follower round failed: %v", res.Err)
@@ -75,4 +73,27 @@ func TestReplKillFollower(t *testing.T) {
 		t.Fatal("the primary sent nothing from its log")
 	}
 	t.Logf("%v", res)
+}
+
+// TestPrimaryNeedsWAL: a primary's WAL is the history its followers are
+// sent, so tleserved given -repl-listen without -wal must exit non-zero at
+// start, naming -wal, and never serve.
+func TestPrimaryNeedsWAL(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs tleserved")
+	}
+	served, _, err := BuildCrashBinaries(t.TempDir())
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, served, "-addr", "127.0.0.1:0", "-repl-listen", "127.0.0.1:0").CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("tleserved -repl-listen without -wal still ran after 10 s:\n%s", out)
+	}
+	if err == nil || strings.Contains(string(out), "listening") || !strings.Contains(string(out), "-wal") {
+		t.Fatalf("tleserved -repl-listen without -wal: %v, want a non-zero exit naming -wal before it serves:\n%s", err, out)
+	}
+	t.Logf("refused: %s", strings.TrimSpace(string(out)))
 }

@@ -268,11 +268,10 @@ func (s *Store) AttachWAL(l *wal.Log) error {
 // from here on reaches t in per-shard sequence order (repl.Source tees it
 // to followers). Call it during startup — after any recovery replay and
 // AttachWAL, before serving traffic. The stream starts at the shards'
-// current sequence words (AttachWAL seeds them; zero on a WAL-less
-// primary), and the tap's own base cursor must match (repl.NewSource
-// takes the same recovered tail). A tap with an AttachLog method is handed
-// the store's WAL, if there is one (repl.Source then ships only what it
-// has fsynced).
+// current sequence words (AttachWAL seeds them), and the tap's own base
+// cursor must match (repl.NewSource takes the same recovered tail). A tap
+// with an AttachLog method is handed the store's WAL: a primary's
+// repl.Source then ships only what the log has fsynced, read back from it.
 func (s *Store) AttachTap(t logrec.Sink) {
 	if lt, ok := t.(interface{ AttachLog(*wal.Log) }); ok && s.wal != nil {
 		lt.AttachLog(s.wal)

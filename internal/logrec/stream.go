@@ -3,10 +3,8 @@ package logrec
 import "sync"
 
 // Sink consumes each shard's committed records strictly in sequence order:
-// wal.Log writes the frames to disk; repl.Source, with a WAL attached,
-// only counts them and later reads them back from the log once it has
-// fsynced them, and without one copies them into its in-memory history for
-// followers.
+// wal.Log writes the frames to disk; repl.Source only counts them and
+// later reads them back from the log once it has fsynced them.
 type Sink interface {
 	// Emit delivers n framed records for shard, sequence numbers
 	// firstSeq..firstSeq+n-1, back to back in frames — the Stream's reused
@@ -82,7 +80,7 @@ func (s *Stream) Publish(shard int, recs []Record) {
 	}
 	if n := int(sh.next - first); n > 0 {
 		for _, k := range s.sinks {
-			//gotle:allow hotalloc a sink appends the run into a buffer it reuses (wal.Log; TestZeroAllocHotPath/*/wal measures 0) or keeps it as history by design (repl.Source without a WAL)
+			//gotle:allow hotalloc a sink appends the run into a buffer it reuses (wal.Log; TestZeroAllocHotPath/*/wal measures 0) or only counts it (repl.Source with a WAL; TestSourceMemoryBounded measures 0); only a log-less Source, which no server runs, copies it
 			k.Emit(shard, first, n, run)
 		}
 		sh.released += uint64(n)

@@ -72,8 +72,8 @@ func TestStreamRunShape(t *testing.T) {
 	}
 }
 
-// openSinks builds a stream over a fresh WAL (in dir) and a Source
-// listening on addr.
+// openSinks builds a stream over a fresh WAL (in dir) and a Source that
+// sends followers, on addr, what the WAL has fsynced.
 func openSinks(t *testing.T, shards int) (st *logrec.Stream, l *wal.Log, src *repl.Source, dir, addr string) {
 	t.Helper()
 	dir = t.TempDir()
@@ -85,6 +85,7 @@ func openSinks(t *testing.T, shards int) (st *logrec.Stream, l *wal.Log, src *re
 		t.Fatal(err)
 	}
 	src = repl.NewSource(shards, nil)
+	src.AttachLog(l)
 	bound, err := src.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -206,9 +207,10 @@ func wireFrames(t *testing.T, addr string, shards, want int) [][][]byte {
 
 // TestConcurrentPublishersBothSinksInSeqOrder: many goroutines draw
 // per-shard sequence numbers under a lock and publish outside it, singly
-// and in multi-record runs, so arrival order is scrambled. Both sinks must end up
-// with each shard's records in exact sequence order, and with the very
-// same frame bytes — each record is framed once, upstream of both.
+// and in multi-record runs, so arrival order is scrambled. The log must
+// end up with each shard's records in exact sequence order, the source
+// (whose Emit panics on a run out of order) must see them in that order
+// too, and a follower must be sent the very same frame bytes.
 func TestConcurrentPublishersBothSinksInSeqOrder(t *testing.T) {
 	const shards, workers, perWorker = 2, 8, 300
 	st, l, _, dir, addr := openSinks(t, shards)
@@ -248,10 +250,10 @@ func TestConcurrentPublishersBothSinksInSeqOrder(t *testing.T) {
 	t.Logf("%d records, %d parked on the way", total, parked)
 
 	disk := walFrames(t, dir, shards) // before Close, which compacts the segments
+	wire := wireFrames(t, addr, shards, total)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wire := wireFrames(t, addr, shards, total)
 	for sh := 0; sh < shards; sh++ {
 		if uint64(len(disk[sh])) != next[sh] || uint64(len(wire[sh])) != next[sh] {
 			t.Fatalf("shard %d: %d frames on disk, %d on the wire, want %d", sh, len(disk[sh]), len(wire[sh]), next[sh])

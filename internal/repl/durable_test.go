@@ -172,14 +172,14 @@ func TestSourceMemoryBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		maxLive = max(maxLive, int(statOf(src, "repl_retained_bytes")))
 		src.mu.Lock()
-		c := 0
+		live, c := 0, 0
 		for i := range src.sh {
+			live += len(src.sh[i].buf)
 			c += cap(src.sh[i].buf)
 		}
 		src.mu.Unlock()
-		maxCap = max(maxCap, c)
+		maxLive, maxCap = max(maxLive, live), max(maxCap, c)
 	}
 	th.Release()
 	if maxLive >= 8<<20 || maxCap >= 8<<20 {
@@ -367,27 +367,12 @@ func TestFollowerCatchesUpUnderSteadyWrites(t *testing.T) {
 	assertConverged(t, pr, ps, fr, fs)
 }
 
-// TestSourceStatsMove: without a log the source holds the stream and
-// repl_retained_frames/bytes grow with it; with a log it holds nothing,
-// and repl_log_catchup_records counts the records followers were sent
-// from the log.
+// TestSourceStatsMove: repl_log_catchup_records counts the records
+// followers were sent from the log.
 func TestSourceStatsMove(t *testing.T) {
-	mem := NewSource(testShards, nil)
-	var held []uint64
-	for seq := uint64(1); seq <= 2; seq++ {
-		mem.Publish(0, logrec.Record{Seq: seq, Op: logrec.OpSet, Key: []byte("k"), Val: []byte("v")})
-		held = append(held, statOf(mem, "repl_retained_bytes"))
-	}
-	if held[0] == 0 || held[1] <= held[0] || statOf(mem, "repl_retained_frames") != 2 {
-		t.Fatalf("a source without a log retains %d frames, %v bytes after each publish", statOf(mem, "repl_retained_frames"), held)
-	}
-
 	pr, ps, l, src, addr := newDurablePrimary(t, wal.Options{})
 	writeKeys(t, pr, ps, 0, 100)
 	waitDurable(t, l, src)
-	if got := statOf(src, "repl_retained_bytes"); got != 0 {
-		t.Fatalf("a source with a log retains %d bytes", got)
-	}
 	if got := statOf(src, "repl_log_catchup_records"); got != 0 {
 		t.Fatalf("%d records sent from the log before any follower", got)
 	}

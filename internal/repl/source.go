@@ -19,12 +19,15 @@ import (
 // followers. Every follower's sender works from its own cursor, so a slow
 // follower exerts backpressure only on itself.
 //
-// With a WAL attached (AttachLog) the log is the history: each sender,
-// woken by the log's fsync callback, reads what the log has fsynced back
-// through its own wal.Reader, so no follower ever holds a record that a
-// restarted primary lacks. Without a log nothing is durable: each run is
-// copied into its shard's history, one byte buffer of wire frames, and
-// ships as published; the whole stream stays in memory.
+// The primary's WAL is the history (AttachLog; tleserved refuses
+// -repl-listen without -wal): each sender, woken by the log's fsync
+// callback, reads what the log has fsynced back through its own
+// wal.Reader, so no follower ever holds a record that a restarted primary
+// lacks, and the source holds none. A source with no log copies each run
+// into its shard's in-memory history, which it never frees, and ships it
+// as published. Outside this package's tests only the benchmark's
+// log-layer probe (benchmark/probes.go) runs one; the history goes once
+// that probe publishes to a WAL-backed source.
 //
 // A follower whose handshake cursor predates the source's base (the
 // store's sequence tail when the tap was attached) is refused: catching it
@@ -504,9 +507,8 @@ func (s *Source) Seq(i int) uint64 {
 // StatLines reports source-side replication counters for the server's
 // stats verb: follower count, total published records, each shard's last
 // published sequence (followers' applied cursors are compared against
-// these to compute lag), the frames and bytes the source holds in memory
-// (none with a log, the whole stream without one), and the records sent to
-// followers from the log (with a log, every record sent).
+// these to compute lag), and the records sent to followers from the log
+// (every record sent).
 func (s *Source) StatLines() [][2]string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -515,19 +517,11 @@ func (s *Source) StatLines() [][2]string {
 		{"repl_followers", strconv.Itoa(len(s.subs))},
 		{"repl_published_records", strconv.FormatUint(s.published, 10)},
 	}
-	frames, bytes := 0, 0
 	for i := range s.sh {
-		sh := &s.sh[i]
-		frames += len(sh.offs) - 1
-		bytes += len(sh.buf)
 		out = append(out, [2]string{
 			"shard" + strconv.Itoa(i) + "_repl_seq",
-			strconv.FormatUint(sh.next-1, 10),
+			strconv.FormatUint(s.sh[i].next-1, 10),
 		})
 	}
-	return append(out,
-		[2]string{"repl_retained_frames", strconv.Itoa(frames)},
-		[2]string{"repl_retained_bytes", strconv.Itoa(bytes)},
-		[2]string{"repl_log_catchup_records", strconv.FormatUint(s.fromLog, 10)},
-	)
+	return append(out, [2]string{"repl_log_catchup_records", strconv.FormatUint(s.fromLog, 10)})
 }

@@ -370,7 +370,8 @@ func (l *Log) segmentsFrom(from int) ([]int, error) {
 // shard's sequence counted on from the base's through-sequence: acked means
 // fsynced, and file order is, per shard, sequence order, so acked records
 // form a gapless run from the base on and nothing past a gap was ever
-// acked.
+// acked. A recovery that stops at a gap compacts what it replayed into a
+// base before it opens the new segment, which then continues that base.
 //
 // apply may be nil (scan only). The record passed to apply, its Key and Val
 // included, is valid only during the call: each frame is decoded in place in
@@ -387,7 +388,7 @@ func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	last, total, err := l.scanHistory(l.man, segs, func(sh int, r Record, _ []byte) error {
+	last, total, gap, err := l.scanHistory(l.man, segs, func(sh int, r Record, _ []byte) error {
 		if apply == nil {
 			return nil
 		}
@@ -399,6 +400,13 @@ func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 	nextIdx := l.man.seg
 	if n := len(segs); n > 0 {
 		nextIdx = segs[n-1] + 1
+	}
+	if gap {
+		// The new segment continues the prefix: compacted into a base, it
+		// no longer ends at the gap, so nothing appended after it is lost.
+		if err := l.compact(segs, nextIdx); err != nil {
+			return total, err
+		}
 	}
 	f, err := l.createSegment(nextIdx)
 	if err != nil {
@@ -422,11 +430,11 @@ func (l *Log) Recover(apply func(shard int, r Record) error) (int, error) {
 }
 
 // scanHistory replays base m and then segments segs, stopping at a gap,
-// and returns each shard's last sequence number and the records replayed.
-func (l *Log) scanHistory(m manifest, segs []int, fn func(sh int, r Record, frame []byte) error) ([]uint64, int, error) {
-	last := make([]uint64, len(l.bufTops))
+// and returns each shard's last sequence number, the records replayed and
+// whether a gap stopped it.
+func (l *Log) scanHistory(m manifest, segs []int, fn func(sh int, r Record, frame []byte) error) (last []uint64, total int, gap bool, err error) {
+	last = make([]uint64, len(l.bufTops))
 	var sc scanner
-	total := 0
 	if m.through != nil {
 		path := filepath.Join(l.dir, baseName(m.seg))
 		n, size, stop, err := replayFile(path, &sc, last, m.through, fn)
@@ -435,7 +443,7 @@ func (l *Log) scanHistory(m manifest, segs []int, fn func(sh int, r Record, fram
 			err = fmt.Errorf("wal: base %s: %d intact bytes in order, MANIFEST commits %d", path, size, m.size)
 		}
 		if err != nil {
-			return last, total, err
+			return last, total, false, err
 		}
 		copy(last, m.through)
 	}
@@ -443,10 +451,10 @@ func (l *Log) scanHistory(m manifest, segs []int, fn func(sh int, r Record, fram
 		n, _, gap, err := replayFile(filepath.Join(l.dir, segName(idx)), &sc, last, nil, fn)
 		total += n
 		if err != nil || gap {
-			return last, total, err
+			return last, total, gap, err
 		}
 	}
-	return last, total, nil
+	return last, total, false, nil
 }
 
 // replayFile replays the intact records of the file at path in file order
@@ -497,7 +505,7 @@ func replayFile(path string, sc *scanner, last, through []uint64, fn func(int, R
 func (l *Log) compact(segs []int, next int) error {
 	lastOf := map[string]int{} // a key's last set, if it is the key's last record: its place + 1
 	i := 0
-	through, _, err := l.scanHistory(l.man, segs, func(_ int, r Record, _ []byte) error {
+	through, _, _, err := l.scanHistory(l.man, segs, func(_ int, r Record, _ []byte) error {
 		i++
 		if r.Op == OpSet {
 			lastOf[string(r.Key)] = i
@@ -518,7 +526,7 @@ func (l *Log) compact(segs []int, next int) error {
 	m := manifest{shards: len(through), seg: next, through: through, compactions: l.man.compactions + 1}
 	w := bufio.NewWriterSize(f, 64<<10)
 	i = 0
-	if _, _, err := l.scanHistory(l.man, segs, func(_ int, r Record, frame []byte) (err error) {
+	if _, _, _, err := l.scanHistory(l.man, segs, func(_ int, r Record, frame []byte) (err error) {
 		if i++; lastOf[string(r.Key)] == i {
 			m.size += uint64(len(frame))
 			m.records++

@@ -719,6 +719,52 @@ func TestRecoverGapClosesSegments(t *testing.T) {
 	}
 }
 
+// TestAppendsAfterGapSurviveKill and TestAppendsAfterGapSurviveClose start
+// from a log whose segment 0 holds seqs 1–3 and whose segment 1 holds seq 5,
+// so recovery stops at the gap after 3. The records appended next, 4–8, are
+// acked, and the next recovery must replay all eight, after a kill and after
+// a clean Close alike.
+func TestAppendsAfterGapSurviveKill(t *testing.T) { testAppendsAfterGap(t, halt) }
+
+func TestAppendsAfterGapSurviveClose(t *testing.T) {
+	testAppendsAfterGap(t, func(t testing.TB, l *Log) {
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func testAppendsAfterGap(t *testing.T, stop func(testing.TB, *Log)) {
+	dir := t.TempDir()
+	rec := func(seq uint64) Record { return mkRecord(seq, OpSet, fmt.Sprintf("key:%d", seq), "v", 0) }
+	writeSegments(t, dir, 4, 3*len(logrec.AppendRecord(nil, rec(1))), func(seq uint64) Record {
+		if seq == 4 {
+			seq = 5 // segment 1 holds 5: a gap after 3
+		}
+		return rec(seq)
+	})
+	l, n := openLog(t, dir, 1, Options{}, nil)
+	if n != 3 {
+		t.Fatalf("replayed %d records, want the 3 before the gap", n)
+	}
+	for seq := uint64(4); seq <= 8; seq++ {
+		if err := l.Append(0, rec(seq)).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop(t, l)
+
+	var seqs []uint64
+	l2, _ := openLog(t, dir, 1, Options{}, func(_ int, r Record) error {
+		seqs = append(seqs, r.Seq)
+		return nil
+	})
+	defer l2.Close()
+	if want := []uint64{1, 2, 3, 4, 5, 6, 7, 8}; l2.LastSeq(0) != 8 || !slices.Equal(seqs, want) {
+		t.Fatalf("recovery after the acked appends replayed %v (LastSeq %d), want %v (files %v)", seqs, l2.LastSeq(0), want, dirNames(t, dir))
+	}
+}
+
 // BenchmarkRecover replays 200 000 records with 64-byte values from 8 MiB
 // segments, the shape of the benchmark's serve-durable seed log, uncompacted.
 func BenchmarkRecover(b *testing.B) {
