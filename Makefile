@@ -170,7 +170,9 @@ bench:
 # `adaptive:` line must show no shard with more than one switch (a
 # demotion is for good), and its `tm_capacity_aborts` and `tm_serial_runs`
 # are printed, not gated (how many big sets overflowed the HTM before their
-# shards left it); once WAL-off and once with -wal, so "the binary
+# shards left it), as are the -wal run's `commit_stream_released` and
+# `commit_stream_parked` (how many records reached the commit stream ahead
+# of a predecessor); once WAL-off and once with -wal, so "the binary
 # actually serves, durably too" can never regress silently. Last, a default
 # tleserved (no -capacity) under 64 B and 2 KiB sets over twice its item
 # count: it must fit its heap, so loadgen exits 0 and the server still
@@ -210,7 +212,7 @@ serve-smoke:
 		a=$$(grep '^adaptive:' $(BENCHDIR)/smoke-check.txt) && \
 			! echo "$$a" | grep -qE '\(([2-9]|[0-9]{2,})\)' || \
 			{ echo "serve-smoke: no adaptive line, or a shard switched more than once"; cat $$log; exit 1; }; \
-		stats tm_capacity_aborts tm_serial_runs; \
+		stats tm_capacity_aborts tm_serial_runs commit_stream_released commit_stream_parked; \
 		kill $$pid; wait $$pid 2>/dev/null; \
 	done; \
 	serve; \

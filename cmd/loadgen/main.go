@@ -171,7 +171,7 @@ func run(o options) error {
 	if o.check {
 		rec = linearize.NewRecorder()
 	}
-	evBefore, err := serverCounter(o.addr, "evictions")
+	evBefore, err := client.CounterAt(o.addr, "evictions")
 	if err != nil {
 		return fmt.Errorf("server not reachable: %w", err)
 	}
@@ -222,7 +222,7 @@ func run(o options) error {
 		fmt.Printf("replica: %d follower reads across %d replicas\n",
 			total.replicaGets, len(o.replicas))
 		for _, a := range o.replicas {
-			if st, err := serverStats(a); err == nil {
+			if st, err := client.StatsAt(a); err == nil {
 				fmt.Printf("replica %s: applied=%s lag=%s reconnects=%s\n",
 					a, st["repl_applied_records"], st["repl_lag_records"], st["repl_reconnects"])
 			}
@@ -259,7 +259,7 @@ func run(o options) error {
 				"%d ops (incl. pending) saved for the post-restart phase\n", len(hist))
 			return nil
 		}
-		evAfter, err := serverCounter(o.addr, "evictions")
+		evAfter, err := client.CounterAt(o.addr, "evictions")
 		if err != nil {
 			return err
 		}
@@ -300,7 +300,7 @@ func run(o options) error {
 	// per-shard policy plus the total number of policy switches the run
 	// provoked.
 	fsyncRate := -1.0 // >= 0 only when the server is running with -wal
-	if st, err := serverStats(o.addr); err == nil {
+	if st, err := client.StatsAt(o.addr); err == nil {
 		switches := 0
 		var shards []string
 		for i := 0; ; i++ {
@@ -562,27 +562,4 @@ func presweep(o options, rec *linearize.Recorder) (int, error) {
 		}
 	}
 	return o.keyspace, nil
-}
-
-// serverStats fetches the stats map over a throwaway connection.
-func serverStats(addr string) (map[string]string, error) {
-	c, err := client.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	return c.Stats()
-}
-
-// serverCounter fetches one numeric stats field.
-func serverCounter(addr, field string) (uint64, error) {
-	st, err := serverStats(addr)
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseUint(st[field], 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("stats field %q = %q: %w", field, st[field], err)
-	}
-	return v, nil
 }

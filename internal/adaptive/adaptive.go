@@ -19,8 +19,8 @@
 // htm-cv shard's window so far and leaves the window open. Traffic without
 // capacity aborts never wakes it. There is no way back: which write sets
 // overflow the budget is a property of the data served, so a shard that
-// returned to htm-cv stormed again within a second (EXPERIMENTS "Adaptive
-// per-shard policy"). A shard therefore switches at most once.
+// returned to htm-cv stormed again within a second. A shard therefore
+// switches at most once (EXPERIMENTS "Adaptive per-shard policy").
 package adaptive
 
 import (

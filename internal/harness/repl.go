@@ -39,8 +39,8 @@ import (
 // KillFollower goes further: follower 0 runs with its own WAL and is
 // SIGKILLed mid-stream, then restarted from its log. Its recovered tail
 // doubles as the replication resume cursor, so the round asserts it
-// (a) replayed a non-empty WAL, (b) applied only the missing suffix of
-// the stream after restart, and (c) still converged byte-for-byte.
+// (a) replayed a non-empty WAL, (b) applied exactly the missing suffix
+// of the stream after restart, and (c) still converged byte-for-byte.
 
 // ReplConfig parameterises one replication round.
 type ReplConfig struct {
@@ -238,12 +238,12 @@ func RunRepl(cfg ReplConfig) ReplResult {
 				return
 			case <-tick.C:
 			}
-			pst, err := serverStatsAt(primary.addr)
+			pst, err := client.StatsAt(primary.addr)
 			if err != nil {
 				continue
 			}
 			for _, addr := range followerAddrs() {
-				fst, err := serverStatsAt(addr)
+				fst, err := client.StatsAt(addr)
 				if err != nil {
 					continue
 				}
@@ -309,27 +309,40 @@ func RunRepl(cfg ReplConfig) ReplResult {
 	}
 	res.Elapsed = time.Since(start)
 
-	res.Published, _ = serverCounter(primary.addr, "repl_published_records")
-	res.LogCatchup, _ = serverCounter(primary.addr, "repl_log_catchup_records")
-	for _, f := range followers {
-		n, _ := serverCounter(f.addr, "repl_applied_records")
-		res.Applied += n
-		rc, _ := serverCounter(f.addr, "repl_reconnects")
-		res.Reconnects += rc
+	var statErr error
+	counter := func(addr, field string) uint64 {
+		n, err := client.CounterAt(addr, field)
+		if err != nil && statErr == nil {
+			statErr = err
+		}
+		return n
+	}
+	res.Published = counter(primary.addr, "repl_published_records")
+	res.LogCatchup = counter(primary.addr, "repl_log_catchup_records")
+	applied := make([]uint64, len(followers))
+	for i, f := range followers {
+		applied[i] = counter(f.addr, "repl_applied_records")
+		res.Applied += applied[i]
+		res.Reconnects += counter(f.addr, "repl_reconnects")
+	}
+	if statErr != nil {
+		res.Err = statErr
+		return res
+	}
+	if res.Published == 0 {
+		res.Err = fmt.Errorf("the primary published no records")
+		return res
 	}
 	if res.Elapsed > 0 {
 		res.ApplyPerSec = float64(res.Applied) / res.Elapsed.Seconds()
 	}
 	if cfg.KillFollower {
-		// The restarted follower must have resumed, not replayed: its
-		// post-restart apply count stays short of the full stream.
-		n, err := serverCounter(followers[0].addr, "repl_applied_records")
-		if err != nil {
-			res.Err = fmt.Errorf("killed follower stats: %w", err)
-			return res
-		}
-		if res.Published > 0 && n >= res.Published {
-			res.Err = fmt.Errorf("restarted follower applied %d of %d records — it replayed the stream from zero instead of resuming from its WAL cursor", n, res.Published)
+		// The restarted follower recovered a prefix of each shard's stream
+		// from its WAL and resumed after it, and the apply counter skips
+		// duplicate seqs before counting, so it applied exactly the rest.
+		if uint64(res.Recovered)+applied[0] != res.Published {
+			res.Err = fmt.Errorf("restarted follower recovered %d records and applied %d more, want %d in all (the primary's published count)",
+				res.Recovered, applied[0], res.Published)
 			return res
 		}
 	}
@@ -394,13 +407,13 @@ func AssertConverged(primaryAddr string, followerAddrs []string, shards int) err
 func waitQuiesced(primary *nodeProc, followers []*nodeProc, shards int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		pst, err := serverStatsAt(primary.addr)
+		pst, err := client.StatsAt(primary.addr)
 		if err != nil {
 			return fmt.Errorf("quiesce: primary stats: %w", err)
 		}
 		behind := ""
 		for _, f := range followers {
-			fst, err := serverStatsAt(f.addr)
+			fst, err := client.StatsAt(f.addr)
 			if err != nil {
 				behind = fmt.Sprintf("follower %s unreachable: %v", f.addr, err)
 				break
@@ -530,26 +543,6 @@ func startLoadgenArgs(bin string, log io.Writer, args []string) (*loadgenProc, e
 	p := &loadgenProc{cmd: cmd, out: buf, done: make(chan error, 1)}
 	go func() { p.done <- cmd.Wait() }()
 	return p, nil
-}
-
-// serverStatsAt fetches the stats map over a throwaway connection.
-func serverStatsAt(addr string) (map[string]string, error) {
-	c, err := client.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	return c.Stats()
-}
-
-// serverCounter fetches one numeric stats field (absent fields read 0).
-func serverCounter(addr, field string) (uint64, error) {
-	st, err := serverStatsAt(addr)
-	if err != nil {
-		return 0, err
-	}
-	n, _ := strconv.ParseUint(st[field], 10, 64)
-	return n, nil
 }
 
 // chaosProxy is a faulty TCP relay for one replication link. Faults hit

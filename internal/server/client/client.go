@@ -339,6 +339,35 @@ func (c *Client) Stats() (map[string]string, error) {
 	return r.Stats, nil
 }
 
+// StatsAt fetches addr's stats map over a throwaway connection.
+func StatsAt(addr string) (map[string]string, error) {
+	c, err := Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	return c.Stats()
+}
+
+// CounterAt fetches one numeric stats field of addr. A field the server
+// does not report is an error, not 0, so a renamed stat cannot pass a
+// check unnoticed.
+func CounterAt(addr, field string) (uint64, error) {
+	st, err := StatsAt(addr)
+	if err != nil {
+		return 0, err
+	}
+	v, ok := st[field]
+	if !ok {
+		return 0, fmt.Errorf("client: stats field %q absent", field)
+	}
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("client: stats field %q = %q: %w", field, v, err)
+	}
+	return n, nil
+}
+
 // Version fetches the server version string.
 func (c *Client) Version() (string, error) {
 	if err := c.SendVersion(); err != nil {

@@ -31,10 +31,11 @@ type Backoff struct {
 // return after about 1.08 ms with a busy peer when the network poller is
 // idle (tm-sets), while inside a tleserved serving serve-write's traffic
 // the mean backoff sleep is about 70 µs. The sleep phase starts after 12
-// steps, a microsecond or two of waiting (EXPERIMENTS.md "Scaling, 1 → 2
-// threads" has what that costs the STM). A raw nanosleep syscall in place of
-// time.Sleep does return after about 67 µs, and was measured to lose on
-// tm-sets: speedup_vs_lock fell 13 % and cpu_vs_lock rose half again.
+// steps, a microsecond or two of waiting. What the waits cost the STM is
+// quiesce-ns/op in EXPERIMENTS.md "Scaling, 1 → 2 threads".
+// A raw nanosleep syscall in place of time.Sleep does return after about
+// 67 µs, and was measured to lose on tm-sets: speedup_vs_lock fell 13 %
+// and cpu_vs_lock rose half again.
 const (
 	spinLimit  = 6
 	yieldLimit = 12

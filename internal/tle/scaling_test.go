@@ -119,8 +119,8 @@ func BenchmarkEmptyDo(b *testing.B) {
 
 // BenchmarkSetsScaling: the Figure 5 mix on each of its three structures,
 // the cells of the benchmark's tm-sets workload at a thread count of one's
-// choosing (EXPERIMENTS.md "Scaling, 1 → 2 threads"). The extra columns say
-// where an elided cell's time went besides running the section.
+// choosing. The extra columns say where an elided cell's time went besides
+// running the section (EXPERIMENTS.md "Scaling, 1 → 2 threads").
 func BenchmarkSetsScaling(b *testing.B) {
 	for _, st := range []struct {
 		name  string
