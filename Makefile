@@ -90,15 +90,16 @@ race-tm:
 
 # The tests of the serial lock's slot handshake, HTM doom, the HTM's read
 # registration against a write claim, read-set release and claim steals,
-# deferred reclamation, quiescence and the per-thread block caches: both
-# stress targets run them twenty times.
-HANDSHAKE_TESTS = TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestQuiesce|TestReadRegistrationRacesWriteClaim|TestStealSparesNextAttemptsClaim|TestThreadCacheChurn
+# deferred reclamation, quiescence and the per-thread block caches, and the
+# WAL's concurrent appenders, whose early arrivals park: both stress
+# targets run them twenty times.
+HANDSHAKE_TESTS = TestSerialLock|TestSerialSection|TestParkedAttempts|TestTwoWordInvariant|TestDeferredReclaim|TestQuiesce|TestReadRegistrationRacesWriteClaim|TestStealSparesNextAttemptsClaim|TestThreadCacheChurn|TestConcurrentPublishersBothSinksInSeqOrder|TestConcurrentAppendersAllDurable
 
 # The handshake tests under the race detector; CI's race job runs this
 # target.
 race-stress:
 	$(GO) test -race -count=20 -run '$(HANDSHAKE_TESTS)' \
-		./internal/tm ./internal/htm ./internal/epoch
+		./internal/tm ./internal/htm ./internal/epoch ./internal/wal
 
 # The handshake tests with the STM's interleaving tests, twenty times
 # without the race detector: the only build in which relstore's release
@@ -106,7 +107,7 @@ race-stress:
 # stack ships with. CI's test job runs this target.
 stress:
 	$(GO) test -count=20 -run '$(HANDSHAKE_TESTS)|TestLateLoadAfterExtend|TestCMCorrectnessUnderContention|TestConcurrentIncrements' \
-		./internal/tm ./internal/htm ./internal/epoch ./internal/stm
+		./internal/tm ./internal/htm ./internal/epoch ./internal/stm ./internal/wal
 
 # Short bursts of the native fuzz targets (long-form: go test -fuzz=X -fuzztime=10m).
 fuzz-short:
@@ -170,9 +171,9 @@ bench:
 # `adaptive:` line must show no shard with more than one switch (a
 # demotion is for good), and its `tm_capacity_aborts` and `tm_serial_runs`
 # are printed, not gated (how many big sets overflowed the HTM before their
-# shards left it), as are the -wal run's `commit_stream_released` and
-# `commit_stream_parked` (how many records reached the commit stream ahead
-# of a predecessor); once WAL-off and once with -wal, so "the binary
+# shards left it), as are the -wal run's `wal_appends` and `wal_parked`
+# (how many records reached the WAL ahead of a predecessor and waited for
+# it); once WAL-off and once with -wal, so "the binary
 # actually serves, durably too" can never regress silently. Last, a default
 # tleserved (no -capacity) under 64 B and 2 KiB sets over twice its item
 # count: it must fit its heap, so loadgen exits 0 and the server still
@@ -212,7 +213,7 @@ serve-smoke:
 		a=$$(grep '^adaptive:' $(BENCHDIR)/smoke-check.txt) && \
 			! echo "$$a" | grep -qE '\(([2-9]|[0-9]{2,})\)' || \
 			{ echo "serve-smoke: no adaptive line, or a shard switched more than once"; cat $$log; exit 1; }; \
-		stats tm_capacity_aborts tm_serial_runs commit_stream_released commit_stream_parked; \
+		stats tm_capacity_aborts tm_serial_runs wal_appends wal_parked; \
 		kill $$pid; wait $$pid 2>/dev/null; \
 	done; \
 	serve; \

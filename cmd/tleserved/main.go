@@ -50,7 +50,6 @@ func main() {
 		htmLines   = flag.Int("htm-write-lines", 0, "HTM write-set budget in cache lines (0 = default 512)")
 		htmEvents  = flag.Int("htm-event-ppm", 5, "HTM spurious-event abort rate per million accesses (-1 disables)")
 		walDir     = flag.String("wal", "", "redo-log directory: enables durability (recover on start, group-fsync per mutation)")
-		fsyncWin   = flag.Duration("fsync-window", wal.DefaultFsyncWindow, "group-commit window: how long the WAL syncer accumulates appends before each fsync (0 = fsync eagerly)")
 		deferRecl  = flag.Bool("deferred-reclaim", true, "free transactionally freed item memory on the freeing thread once a later commit finds its grace period over, instead of waiting for it on the commit path")
 		stripeLog  = flag.Int("stripe-shift", 3, "STM orec granularity: 1<<n consecutive words share one ownership record (3 = 64-byte cache-line stripes; 0 = per-word)")
 		replLn     = flag.String("repl-listen", "", "replication listen address: stream the per-shard commit log to follower replicas (needs -wal: followers are sent what it has fsynced)")
@@ -110,11 +109,7 @@ func main() {
 	// redo-logged in commit order.
 	var wlog *wal.Log
 	if *walDir != "" {
-		win := *fsyncWin
-		if win <= 0 {
-			win = -1 // flag 0 means "fsync eagerly"; the wal package uses negative for that
-		}
-		wlog, err = wal.Open(*walDir, store.ShardCount(), wal.Options{FsyncWindow: win})
+		wlog, err = wal.Open(*walDir, store.ShardCount(), wal.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -199,7 +194,7 @@ func main() {
 	<-sig
 	fmt.Println("draining...")
 	srv.Shutdown(10 * time.Second)
-	// Replication stops after the server drains (no more publishes) and
+	// Replication stops after the server drains (no more appends) and
 	// before the WAL closes: the source sends connected followers what the
 	// log has fsynced, a follower stops applying.
 	if src != nil {

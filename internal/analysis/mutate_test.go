@@ -100,9 +100,13 @@ var shapes = []shape{
 		"atomic.StoreUint64(&m.words[a], v)", "m.words[a] = v"}},
 		[]string{"-run", "TestTwoWordInvariant|TestConcurrentIncrements", "./internal/stm", "./internal/htm"}},
 	{"protdom: a mutex-guarded buffer appended after the unlock", []edit{{"internal/wal/wal.go",
-		"if l.admitLocked(sh, r.Seq, 1) {\n\t\tl.buf = logrec.AppendRecord(l.buf, r)\n\t}\n\tl.mu.Unlock()",
-		"ok := l.admitLocked(sh, r.Seq, 1)\n\tl.mu.Unlock()\n\tif ok {\n\t\tl.buf = logrec.AppendRecord(l.buf, r)\n\t}"}},
+		"if l.admitLocked(sh, r) {\n\t\tl.buf = logrec.AppendRecord(l.buf, r)\n\t\tl.advanceLocked(sh)\n\t}\n\tl.mu.Unlock()",
+		"ok := l.admitLocked(sh, r)\n\tl.mu.Unlock()\n\tif ok {\n\t\tl.buf = logrec.AppendRecord(l.buf, r)\n\t\tl.advanceLocked(sh)\n\t}"}},
 		[]string{"-run", "TestConcurrentAppendersAllDurable|TestReaderWhileAppending", "./internal/wal"}},
+	{"wal: an early arrival written ahead of its predecessor", []edit{{"internal/wal/wal.go",
+		"if r.Seq > top+1 && l.parked[sh][r.Seq] == nil {\n\t\t\tl.park(sh, r)\n\t\t\treturn false",
+		"if r.Seq > top+1 && l.parked[sh][r.Seq] == nil {\n\t\t\treturn true"}},
+		[]string{"-run", "TestAppendParksEarlyArrivals", "./internal/wal"}},
 	{"htm: a read registers without re-checking the claim", []edit{{"internal/htm/htm.go",
 		"t.stamps[line].Store(t.gen)\n\t\tif w := rec.writer.Load(); w != 0", "t.stamps[line].Store(t.gen)\n\t\tif w := rec.writer.Load(); false && w != 0"}},
 		[]string{"-count=5", "-run", "TestReadRegistrationRacesWriteClaim", "./internal/htm"}},

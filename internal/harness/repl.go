@@ -34,7 +34,9 @@ import (
 //
 // The primary runs with a WAL, as every primary must: it ships only
 // fsynced records, holds none in memory, and serves every follower, a
-// reconnect under chaos or a restart included, from its log.
+// reconnect under chaos or a restart included, from its log. Its
+// published count is read from the log, so it must equal the log's
+// wal_appends exactly.
 //
 // KillFollower goes further: follower 0 runs with its own WAL and is
 // SIGKILLed mid-stream, then restarted from its log. Its recovered tail
@@ -318,6 +320,7 @@ func RunRepl(cfg ReplConfig) ReplResult {
 		return n
 	}
 	res.Published = counter(primary.addr, "repl_published_records")
+	appended := counter(primary.addr, "wal_appends")
 	res.LogCatchup = counter(primary.addr, "repl_log_catchup_records")
 	applied := make([]uint64, len(followers))
 	for i, f := range followers {
@@ -331,6 +334,11 @@ func RunRepl(cfg ReplConfig) ReplResult {
 	}
 	if res.Published == 0 {
 		res.Err = fmt.Errorf("the primary published no records")
+		return res
+	}
+	if res.Published != appended {
+		// Both count the records the primary has appended since it started.
+		res.Err = fmt.Errorf("the primary published %d records and its WAL appended %d", res.Published, appended)
 		return res
 	}
 	if res.Elapsed > 0 {

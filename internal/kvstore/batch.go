@@ -36,8 +36,8 @@ const (
 func (v BatchVerb) IsStore() bool { return v <= BatchCAS }
 
 // BatchOp is one mutation. Key and Val must remain stable until Mutate
-// returns (the commit stream frames the redo records, which alias them,
-// before that).
+// returns (the WAL frames the redo record, which aliases them, before
+// that).
 type BatchOp struct {
 	Verb  BatchVerb
 	Key   []byte
@@ -88,7 +88,7 @@ var (
 	ErrBadVal = errors.New("kvstore: value exceeds MaxValLen")
 
 	errResLen = errors.New("kvstore: MutateBatch len(ops) != len(res)")
-	errNested = errors.New("kvstore: Mutate inside a transaction with a sink attached")
+	errNested = errors.New("kvstore: Mutate inside a transaction with a WAL attached")
 )
 
 // BatchScratch is an empty placeholder kept for MutateBatch's callers that
@@ -96,19 +96,19 @@ var (
 type BatchScratch struct{}
 
 // Mutate runs one mutation as its shard's critical section and, with a
-// sink attached, publishes its redo record once the section has returned.
+// WAL attached, appends its redo record once the section has returned.
 // On an error (a bad key or value length included) the result reads as
 // "nothing happened", with the zero ticket, and its Err is the returned
 // error. A committed op's result carries its Durable ticket.
 //
-// A committed write reaches the commit stream after its section returns,
-// which is after its commit only at top level: with a sink attached,
-// Mutate refuses to run inside another transaction.
+// A committed write reaches the WAL after its section returns, which is
+// after its commit only at top level: with a WAL attached, Mutate refuses
+// to run inside another transaction.
 //
 //gotle:hotpath per-op mutation entry; covered by the serve-smoke AllocsPerRun gate
 func (s *Store) Mutate(th *tm.Thread, op BatchOp) (BatchResult, error) {
 	err := op.check()
-	if err == nil && s.stream != nil && th.InTx() {
+	if err == nil && s.wal != nil && th.InTx() {
 		err = errNested
 	}
 	if err != nil {
@@ -129,17 +129,18 @@ func (s *Store) Mutate(th *tm.Thread, op BatchOp) (BatchResult, error) {
 	}); err != nil {
 		return refused(err), err
 	}
-	if logged != 0 {
-		recs := [1]wal.Record{{Op: logged, Seq: seq, Flags: fl, Key: op.Key}}
-		var digits [20]byte
-		if op.Verb == BatchIncr || op.Verb == BatchDecr {
-			recs[0].Val = strconv.AppendUint(digits[:0], r.NewVal, 10)
-		} else if logged == wal.OpSet {
-			recs[0].Val = op.Val
-		}
-		s.stream.Publish(si, recs[:])
+	if logged == 0 {
+		r.Durable = s.wal.TicketFor(si, seq)
+		return r, nil
 	}
-	r.Durable = s.wal.TicketFor(si, seq)
+	rec := wal.Record{Op: logged, Seq: seq, Flags: fl, Key: op.Key}
+	var digits [20]byte
+	if op.Verb == BatchIncr || op.Verb == BatchDecr {
+		rec.Val = strconv.AppendUint(digits[:0], r.NewVal, 10)
+	} else if logged == wal.OpSet {
+		rec.Val = op.Val
+	}
+	r.Durable = s.wal.Append(si, rec)
 	return r, nil
 }
 
@@ -175,7 +176,7 @@ func (s *Store) MutateBatch(th *tm.Thread, ops []BatchOp, res []BatchResult, _ *
 
 // batchBody is the transaction body of op on shard sh: the one place a
 // shard is mutated. It returns the op's result, the shard sequence it read
-// last (the section's durability point) and, when it wrote with a sink
+// last (the section's durability point) and, when it wrote with a WAL
 // attached, its redo record's op and flags; the record's Seq is then that
 // sequence, drawn inside tx (a set's CAS token is the same number), so the
 // log order equals the shard's serialization order. Mutate builds the
@@ -216,7 +217,7 @@ func (s *Store) batchBody(tx tm.Tx, sh *shard, h uint64, op *BatchOp) (res Batch
 	// commit, so policy-level quiescence is never needed here.
 	//gotle:allow txsafe allocator safety is engine-enforced for freeing attempts; no post-commit non-transactional access to privatized items
 	tx.NoQuiesce()
-	if s.stream == nil {
+	if s.wal == nil {
 		return res, 0, 0, 0
 	}
 	// Last, so that sets on the shard's other keys conflict with this

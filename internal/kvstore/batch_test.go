@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -400,23 +399,16 @@ func TestMutateBatchConcurrentLinearizes(t *testing.T) {
 	}
 }
 
-// countSink counts the records a commit stream releases to it.
-type countSink struct{ n atomic.Int64 }
-
-func (c *countSink) Emit(_ int, _ uint64, n int, _ []byte) { c.n.Add(int64(n)) }
-
 // TestMutateBatchRefusedNestedWithSink pins the nesting rule: a section's
-// record is published after MutateBatch's Do returns, which is after its
-// commit only at top level, so with a sink attached MutateBatch refuses to
-// run inside another transaction and publishes nothing. At top level the
-// same op commits and publishes its one record.
+// record is appended to the WAL after MutateBatch's Do returns, which is
+// after its commit only at top level, so with a WAL attached MutateBatch
+// refuses to run inside another transaction and appends nothing. At top
+// level the same op commits and appends its one record.
 func TestMutateBatchRefusedNestedWithSink(t *testing.T) {
 	for _, p := range []tle.Policy{tle.PolicySTMCondVar, tle.PolicyHTMCondVar} {
 		t.Run(p.String(), func(t *testing.T) {
-			r := newRT(p)
-			s := New(r, Config{Shards: 2})
-			sink := &countSink{}
-			s.AttachTap(sink)
+			r, s, l, _ := openStoreWAL(t, p, t.TempDir(), Config{Shards: 2})
+			defer l.Close()
 			th := r.NewThread()
 			defer th.Release()
 			ops := []BatchOp{{Verb: BatchSet, Key: []byte("k"), Val: []byte("v")}}
@@ -425,8 +417,8 @@ func TestMutateBatchRefusedNestedWithSink(t *testing.T) {
 			if !errors.Is(err, errNested) {
 				t.Fatalf("nested MutateBatch = %v, want %v", err, errNested)
 			}
-			if released, _ := s.CommitStream().Counts(); released != 0 || sink.n.Load() != 0 {
-				t.Fatalf("nested MutateBatch published %d records (sink saw %d), want 0", released, sink.n.Load())
+			if n := l.Stats().Appends; n != 0 {
+				t.Fatalf("nested MutateBatch appended %d records, want 0", n)
 			}
 			if _, ok, _ := s.Get(th, ops[0].Key); ok {
 				t.Fatal("refused nested MutateBatch stored its key")
@@ -434,23 +426,23 @@ func TestMutateBatchRefusedNestedWithSink(t *testing.T) {
 			if err := s.MutateBatch(th, ops, res, nil); err != nil || res[0].Store != Stored {
 				t.Fatalf("top-level MutateBatch = %v, %v", res[0].Store, err)
 			}
-			if sink.n.Load() != 1 {
-				t.Fatalf("top-level set published %d records, want 1", sink.n.Load())
+			if n := l.Stats().Appends; n != 1 {
+				t.Fatalf("top-level set appended %d records, want 1", n)
 			}
 			// Recover nests MutateBatch in a serial section, so the same
-			// rule refuses a replay into a store with a sink attached.
+			// rule refuses a replay into a store with a WAL attached.
 			dir := t.TempDir()
 			writeLog(t, dir, s, []wal.Record{{Op: logrec.OpSet, Key: []byte("r"), Val: []byte("v")}})
-			l, err := wal.Open(dir, s.ShardCount(), wal.Options{})
+			rl, err := wal.Open(dir, s.ShardCount(), wal.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer l.Close()
-			if _, err := s.Recover(th, l); !errors.Is(err, errNested) {
-				t.Fatalf("Recover with a sink attached = %v, want %v", err, errNested)
+			defer rl.Close()
+			if _, err := s.Recover(th, rl); !errors.Is(err, errNested) {
+				t.Fatalf("Recover with a WAL attached = %v, want %v", err, errNested)
 			}
-			if sink.n.Load() != 1 {
-				t.Fatalf("refused Recover published %d records, want 1 in all", sink.n.Load())
+			if n := l.Stats().Appends; n != 1 {
+				t.Fatalf("refused Recover appended %d records, want 1 in all", n)
 			}
 		})
 	}

@@ -150,12 +150,10 @@ type Store struct {
 	cfg    Config
 	shards []shard
 	gets   *stats.Striped // hit/miss counters, outside the TM heap
-	// stream, once a sink is attached, carries every committed mutation
-	// downstream in per-shard sequence order. Nil (the default) means no
-	// durability, no replication, and no sequence numbers drawn.
-	stream *logrec.Stream
-	// wal issues the durability tickets for records sent down stream; a
-	// nil log (no AttachWAL) issues zero, already-durable tickets.
+	// wal, once attached, takes every committed mutation's redo record and
+	// issues its durability ticket. Nil (the default) means no durability,
+	// no replication, no sequence numbers drawn, and zero, already-durable
+	// tickets.
 	wal *wal.Log
 	// recoverTime is how long Recover took, scan and apply (zero before).
 	recoverTime time.Duration
@@ -248,10 +246,11 @@ func opOf(op *BatchOp, rec *logrec.Record) error {
 }
 
 // AttachWAL arms redo logging: every committed mutation from here on
-// reaches l as a wal.Record in the shard's serialization order. Call it
-// after any recovery replay (Recover, with nothing attached), before
-// AttachTap and before serving traffic. The per-shard sequence words are
-// seeded from the log's recovered tail, so fresh records continue it.
+// reaches l as a wal.Record, numbered in the shard's serialization order.
+// Call it after any recovery replay (Recover, with nothing attached),
+// before AttachTap and before serving traffic. The per-shard sequence
+// words are seeded from the log's recovered tail, so fresh records
+// continue it.
 func (s *Store) AttachWAL(l *wal.Log) error {
 	if l.Shards() != len(s.shards) {
 		return fmt.Errorf("kvstore: WAL has %d shards, store has %d (records are routed by key hash, so the counts must match)", l.Shards(), len(s.shards))
@@ -260,38 +259,20 @@ func (s *Store) AttachWAL(l *wal.Log) error {
 		s.r.Engine().Store(s.shards[i].base+shSeq, l.LastSeq(i))
 	}
 	s.wal = l
-	s.AttachTap(l)
 	return nil
 }
 
-// AttachTap adds a sink to the commit stream: every committed mutation
-// from here on reaches t in per-shard sequence order (repl.Source tees it
-// to followers). Call it during startup — after any recovery replay and
-// AttachWAL, before serving traffic. The stream starts at the shards'
-// current sequence words (AttachWAL seeds them), and the tap's own base
-// cursor must match (repl.NewSource takes the same recovered tail). A tap
-// with an AttachLog method is handed the store's WAL: a primary's
-// repl.Source then ships only what the log has fsynced, read back from it.
-func (s *Store) AttachTap(t logrec.Sink) {
-	if lt, ok := t.(interface{ AttachLog(*wal.Log) }); ok && s.wal != nil {
-		lt.AttachLog(s.wal)
+// AttachTap hands t the store's WAL, the one history of its mutations:
+// repl.Source ships followers what the log has fsynced, read back from it,
+// and its base cursor must be the log's recovered tail (repl.NewSource
+// takes it). Call it after AttachWAL, before serving traffic; without a
+// WAL it panics.
+func (s *Store) AttachTap(t interface{ AttachLog(*wal.Log) }) {
+	if s.wal == nil {
+		panic("kvstore: AttachTap before AttachWAL: a tap reads the store's mutations from its WAL")
 	}
-	if s.stream == nil {
-		last := make([]uint64, len(s.shards))
-		for i := range last {
-			last[i] = s.r.Engine().Load(s.shards[i].base + shSeq)
-		}
-		// Attach-before-serving contract: no goroutine runs transactions
-		// against the store yet, so this raw store cannot race the
-		// transactional s.stream readers on the commit path.
-		s.stream = logrec.NewStream(last)
-	}
-	s.stream.Attach(t)
+	t.AttachLog(s.wal)
 }
-
-// CommitStream returns the store's commit stream (for its counters), nil
-// when no sink is attached.
-func (s *Store) CommitStream() *logrec.Stream { return s.stream }
 
 func ceilPow2(v int) int {
 	n := 1
@@ -563,7 +544,7 @@ func (s *Store) GetItemAppend(th *tm.Thread, key, dst []byte) ([]byte, Item, boo
 			it.Flags = uint32(fl)          //gotle:allow txpure write-once out-param, read only after Do returns
 			it.CAS = tx.Load(item + itCas) //gotle:allow txpure write-once out-param, read only after Do returns
 		}
-		if s.stream != nil {
+		if s.wal != nil {
 			// Last, so that sets on the shard's other keys conflict with
 			// this read for as short a time as possible.
 			seq = tx.Load(sh.base + shSeq)
@@ -670,16 +651,7 @@ func (s *Store) applyStore(tx tm.Tx, sh *shard, h uint64, key, val []byte, flags
 	}
 	evicted := s.makeRoom(tx, sh, count)
 	tx.Store(sh.base+shCount, count-evicted+1)
-	item := tx.Alloc(wordsFor(len(key), len(val)))
-	tx.Store(item+itMeta, uint64(len(key))<<32|uint64(len(val)))
-	tx.Store(item+itCas, nextSeq(tx, sh))
-	tx.Store(item+itFlags, uint64(flags)) // unreferenced
-	packBytes(tx, item+itData, key)
-	packBytes(tx, item+itData+memseg.Addr((len(key)+7)/8), val)
-	// Link into the bucket and the list's front.
-	tx.Store(item+itChain, tx.Load(bucket))
-	tx.Store(bucket, uint64(item))
-	s.lruPushFront(tx, sh, item)
+	s.insert(tx, sh, bucket, key, val, uint64(flags))
 	bump(tx, sh, stSets, 1)
 	if evicted > 0 {
 		bump(tx, sh, stEvictions, evicted)
@@ -688,6 +660,21 @@ func (s *Store) applyStore(tx tm.Tx, sh *shard, h uint64, key, val []byte, flags
 	// decision, not an acked client mutation, and replay re-applies
 	// the same capacity bound anyway.
 	return Stored
+}
+
+// insert allocates an item holding key and val, with flags (its referenced
+// bit clear) and the shard's next sequence number as its CAS token, and
+// links it at the front of bucket's chain and of the eviction list.
+func (s *Store) insert(tx tm.Tx, sh *shard, bucket memseg.Addr, key, val []byte, flags uint64) {
+	item := tx.Alloc(wordsFor(len(key), len(val)))
+	tx.Store(item+itMeta, uint64(len(key))<<32|uint64(len(val)))
+	tx.Store(item+itCas, nextSeq(tx, sh))
+	tx.Store(item+itFlags, flags&^itReferenced)
+	packBytes(tx, item+itData, key)
+	packBytes(tx, item+itData+memseg.Addr((len(key)+7)/8), val)
+	tx.Store(item+itChain, tx.Load(bucket))
+	tx.Store(bucket, uint64(item))
+	s.lruPushFront(tx, sh, item)
 }
 
 // makeRoom evicts from the tail until a shard holding count items can take
@@ -782,19 +769,12 @@ func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint6
 		tx.Store(item+itCas, nextSeq(tx, sh))
 		return next, uint32(fl), IncrStored
 	}
-	// Digit count changed: reallocate the item (same key, new value).
+	// Digit count changed: reallocate the item (same key, new value), which
+	// starts unreferenced like any stored one.
 	tx.Store(linkAt, tx.Load(item+itChain))
 	s.lruUnlink(tx, sh, item)
 	tx.Free(item)
-	fresh := tx.Alloc(wordsFor(len(key), len(digits)))
-	tx.Store(fresh+itMeta, uint64(len(key))<<32|uint64(len(digits)))
-	tx.Store(fresh+itCas, nextSeq(tx, sh))
-	tx.Store(fresh+itFlags, fl&^itReferenced) // a rewritten item starts unreferenced, like any stored one
-	packBytes(tx, fresh+itData, key)
-	packBytes(tx, fresh+itData+memseg.Addr(keyWords), digits)
-	tx.Store(fresh+itChain, tx.Load(bucket))
-	tx.Store(bucket, uint64(fresh))
-	s.lruPushFront(tx, sh, fresh)
+	s.insert(tx, sh, bucket, key, digits, fl)
 	return next, uint32(fl), IncrStored
 }
 

@@ -72,7 +72,7 @@ const maxRecordBytes = MaxKeyLen + MaxValLen
 // and seq.
 func (s *Store) Recover(th *tm.Thread, l *wal.Log) (int, error) {
 	t0 := time.Now()
-	if s.stream != nil {
+	if s.wal != nil {
 		return 0, errNested
 	}
 	rp := newReplayer(s, th)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -34,6 +35,30 @@ func openStoreWAL(t *testing.T, p tle.Policy, dir string, cfg Config) (*tle.Runt
 		t.Fatalf("AttachWAL: %v", err)
 	}
 	return r, s, l, recovered
+}
+
+// logTap records the log AttachTap hands it.
+type logTap struct{ l *wal.Log }
+
+func (t *logTap) AttachLog(l *wal.Log) { t.l = l }
+
+// TestAttachTapHandsOverTheWAL: a tap reads the store's mutations from its
+// WAL, so AttachTap hands it the attached log, and panics, naming
+// AttachWAL, on a store without one.
+func TestAttachTapHandsOverTheWAL(t *testing.T) {
+	_, s, l, _ := openStoreWAL(t, tle.PolicyHTMCondVar, t.TempDir(), Config{Shards: 2})
+	defer l.Close()
+	var tap logTap
+	s.AttachTap(&tap)
+	if tap.l != l {
+		t.Fatal("AttachTap did not hand the tap the store's WAL")
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "AttachWAL") {
+			t.Fatalf("AttachTap without a WAL: panic %q, want one naming AttachWAL", msg)
+		}
+	}()
+	New(newRT(tle.PolicyHTMCondVar), Config{Shards: 2}).AttachTap(&tap)
 }
 
 // TestWALRoundTripAcrossRestart drives a mixed workload through the

@@ -11,7 +11,9 @@ import (
 
 	"gotle/internal/htm"
 	"gotle/internal/kvstore"
+	"gotle/internal/logrec"
 	"gotle/internal/tle"
+	"gotle/internal/wal"
 )
 
 func newRT() *tle.Runtime {
@@ -22,20 +24,6 @@ func newRT() *tle.Runtime {
 }
 
 const testShards = 4
-
-// newPrimary builds a store with an attached Source listening on loopback.
-func newPrimary(t *testing.T) (*tle.Runtime, *kvstore.Store, *Source, string) {
-	t.Helper()
-	r := newRT()
-	s := kvstore.New(r, kvstore.Config{Shards: testShards})
-	src := NewSource(s.ShardCount(), nil)
-	s.AttachTap(src)
-	addr, err := src.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("source start: %v", err)
-	}
-	return r, s, src, addr.String()
-}
 
 func newFollowerStore(t *testing.T) (*tle.Runtime, *kvstore.Store) {
 	t.Helper()
@@ -92,7 +80,7 @@ func assertConverged(t *testing.T, pr *tle.Runtime, ps *kvstore.Store, fr *tle.R
 // TestStreamConverges drives a concurrent mixed workload through a tapped
 // primary and asserts the follower converges to byte-identical shards.
 func TestStreamConverges(t *testing.T) {
-	pr, ps, src, addr := newPrimary(t)
+	pr, ps, _, src, addr := newDurablePrimary(t, wal.Options{})
 	fr, fs := newFollowerStore(t)
 	fw := NewFollower(fr, fs, addr, nil)
 	fw.Start()
@@ -139,7 +127,7 @@ func TestStreamConverges(t *testing.T) {
 // must resume from the cursor (no duplicate application: CAS tokens would
 // diverge and the dump comparison would catch it) and converge.
 func TestFollowerResumesFromCursor(t *testing.T) {
-	pr, ps, src, addr := newPrimary(t)
+	pr, ps, _, src, addr := newDurablePrimary(t, wal.Options{})
 	fr, fs := newFollowerStore(t)
 	fw := NewFollower(fr, fs, addr, nil)
 	fw.Start()
@@ -267,7 +255,9 @@ func TestFollowerDialsBeforeServe(t *testing.T) {
 
 	time.Sleep(200 * time.Millisecond) // several backoff steps, had a dial been refused
 	pr, ps := newFollowerStore(t)
-	src := NewSource(ps.ShardCount(), nil)
+	pl := openStoreLog(t, pr, ps, t.TempDir(), wal.Options{})
+	defer pl.Close()
+	src := NewSource(ps.ShardCount(), logTail(pl))
 	ps.AttachTap(src)
 	src.Serve(ln)
 	defer src.Close(time.Second)
@@ -292,4 +282,44 @@ func TestFollowerDialsBeforeServe(t *testing.T) {
 	}
 	waitCaughtUp(t, src, fw)
 	assertConverged(t, pr, ps, fr, fs)
+}
+
+// TestFollowerCatchesUpFromPublish keeps the shape of the benchmark's
+// log-layer probe: records Published to a source with no log, which keeps
+// them in memory, catch a follower up, those published before it
+// connected and those published after.
+func TestFollowerCatchesUpFromPublish(t *testing.T) {
+	fr, fs := newFollowerStore(t)
+	src := NewSource(fs.ShardCount(), nil)
+	seq := make([]uint64, fs.ShardCount())
+	publish := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			key := []byte(fmt.Sprintf("key:%d", i%50))
+			sh := fs.ShardFor(key)
+			seq[sh]++
+			src.Publish(sh, logrec.Record{Seq: seq[sh], Op: logrec.OpSet, Key: key, Val: []byte(fmt.Sprintf("v%d", i))})
+		}
+	}
+	publish(0, 200)
+	addr, err := src.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close(time.Second)
+	fw := NewFollower(fr, fs, addr.String(), nil)
+	fw.Start()
+	defer fw.Stop()
+	waitCaughtUp(t, src, fw)
+	publish(200, 300)
+	waitCaughtUp(t, src, fw)
+	if got := statLine(fw, "repl_applied_records"); got != "300" {
+		t.Fatalf("follower applied %s records, want 300", got)
+	}
+	th := fr.NewThread()
+	defer th.Release()
+	for i := 250; i < 300; i++ {
+		if v, ok, err := fs.Get(th, []byte(fmt.Sprintf("key:%d", i%50))); err != nil || string(v) != fmt.Sprintf("v%d", i) {
+			t.Fatalf("key:%d = %q, %v, %v; want v%d", i%50, v, ok, err, i)
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -14,18 +13,18 @@ import (
 	"gotle/internal/wal"
 )
 
-// Source is the primary-side streamer: a sink on the kvstore commit stream
-// (logrec.Sink) that fans the per-shard record stream out to subscribed
-// followers. Every follower's sender works from its own cursor, so a slow
-// follower exerts backpressure only on itself.
+// Source is the primary-side streamer: it fans the per-shard record stream
+// out to subscribed followers. Every follower's sender works from its own
+// cursor, so a slow follower exerts backpressure only on itself.
 //
 // The primary's WAL is the history (AttachLog; tleserved refuses
-// -repl-listen without -wal): each sender, woken by the log's fsync
-// callback, reads what the log has fsynced back through its own
-// wal.Reader, so no follower ever holds a record that a restarted primary
-// lacks, and the source holds none. A source with no log copies each run
-// into its shard's in-memory history, which it never frees, and ships it
-// as published. Outside this package's tests only the benchmark's
+// -repl-listen without -wal): the store appends every record to the log
+// and to nothing else, and each sender, woken by the log's fsync callback,
+// reads what the log has fsynced back through its own wal.Reader, so no
+// follower ever holds a record that a restarted primary lacks, and the
+// source holds none. A source with no log is fed by Publish, copies each
+// record into its shard's in-memory history, which it never frees, and
+// ships it as published. Outside this package's tests only the benchmark's
 // log-layer probe (benchmark/probes.go) runs one; the history goes once
 // that probe publishes to a WAL-backed source.
 //
@@ -38,14 +37,13 @@ type Source struct {
 	ln     net.Listener
 	log    *wal.Log // nil: the source keeps the history itself
 
-	mu        sync.Mutex
-	sh        []srcShard
-	subs      map[*subscriber]struct{}
-	draining  bool
-	closed    bool
-	closeCh   chan struct{}
-	published uint64
-	fromLog   uint64 // records sent to followers from the log
+	mu       sync.Mutex
+	sh       []srcShard
+	subs     map[*subscriber]struct{}
+	draining bool
+	closed   bool
+	closeCh  chan struct{}
+	fromLog  uint64 // records sent to followers from the log
 
 	wg sync.WaitGroup // accept loop + 2 goroutines per subscriber
 }
@@ -55,7 +53,8 @@ type Source struct {
 type srcShard struct {
 	// base is the sequence number the stream starts after.
 	base uint64
-	// next is the lowest sequence number not yet published.
+	// next is, without a log, the lowest sequence number not yet
+	// published; with one, the log's LastSeq is the last published.
 	next uint64
 	// durable is the highest sequence number the log has fsynced; without
 	// a log it stays at base.
@@ -121,45 +120,48 @@ func (s *Source) synced(durable []uint64) {
 	s.kickAllLocked()
 }
 
+// lastLocked is shard i's last published sequence number: with a log, the
+// last it has appended; without one, the last Publish.
+func (s *Source) lastLocked(i int) uint64 {
+	if s.log != nil {
+		return s.log.LastSeq(i)
+	}
+	return s.sh[i].next - 1
+}
+
+// lastsLocked fills last with every shard's lastLocked and returns it.
+func (s *Source) lastsLocked(last []uint64) []uint64 {
+	for i := range last {
+		last[i] = s.lastLocked(i)
+	}
+	return last
+}
+
 // tipLocked is the last seq of shard i a follower may be sent: what the
 // log has fsynced, or everything published when there is no log.
 func (s *Source) tipLocked(i int) uint64 {
 	if s.log == nil {
 		return s.sh[i].next - 1
 	}
-	return min(s.sh[i].durable, s.sh[i].next-1)
+	return s.sh[i].durable
 }
 
-// Publish frames one record for shard and retains it. Like Emit it takes
-// records in sequence order only; rec.Key/Val are copied by the encoding.
+// Publish frames one record for shard, after its kind byte, into the
+// shard's history; a source with a log takes no records this way. Records
+// must arrive in sequence order: one that does not continue its shard's
+// sequence would ship followers the wrong records, and only a wiring bug
+// makes one. rec.Key/Val are copied by the encoding.
 func (s *Source) Publish(shard int, rec logrec.Record) {
 	rec.Shard = uint16(shard)
-	s.Emit(shard, rec.Seq, 1, logrec.AppendRecord(nil, rec))
-}
-
-// Emit takes a run of n framed records for shard, sequence numbers
-// first..first+n-1 (logrec.Sink); without a log it copies them, each after
-// its kind byte, into the shard's history. Reordering is logrec.Stream's
-// job, upstream: a run that does not continue the shard's sequence would
-// ship followers the wrong records, and only a wiring bug makes one.
-func (s *Source) Emit(shard int, first uint64, n int, frames []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sh := &s.sh[shard]
-	if first != sh.next {
-		panic(fmt.Sprintf("repl: shard %d: publish of seq %d does not continue seq %d", shard, first, sh.next-1))
+	if s.log != nil || rec.Seq != sh.next {
+		panic(fmt.Sprintf("repl: shard %d: publish of seq %d to a source with a log, or not after seq %d", shard, rec.Seq, sh.next-1))
 	}
-	sh.next += uint64(n)
-	s.published += uint64(n)
-	if s.log != nil {
-		return // the log's fsync kicks the senders
-	}
-	for len(frames) > 0 {
-		sz := logrec.FrameHeader + int(binary.LittleEndian.Uint32(frames))
-		sh.buf = append(append(sh.buf, FrameRecord), frames[:sz]...)
-		sh.offs = append(sh.offs, len(sh.buf))
-		frames = frames[sz:]
-	}
+	sh.next++
+	sh.buf = logrec.AppendRecord(append(sh.buf, FrameRecord), rec)
+	sh.offs = append(sh.offs, len(sh.buf))
 	s.kickAllLocked()
 }
 
@@ -247,8 +249,8 @@ func (s *Source) handle(c net.Conn) {
 			hErr = fmt.Sprintf("shard %d cursor %d predates retained history (base %d); snapshot transfer is not supported", i, cur, s.sh[i].base)
 			break
 		}
-		if cur >= s.sh[i].next {
-			hErr = fmt.Sprintf("shard %d cursor %d is ahead of the source (last %d); the follower belongs to a different history", i, cur, s.sh[i].next-1)
+		if last := s.lastLocked(i); cur > last {
+			hErr = fmt.Sprintf("shard %d cursor %d is ahead of the source (last %d); the follower belongs to a different history", i, cur, last)
 			break
 		}
 		next[i] = cur + 1
@@ -429,7 +431,7 @@ func (s *Source) sendTip(sub *subscriber, out []byte, tip []uint64, resend bool)
 		if t := s.tipLocked(i); t != tip[i] {
 			tip[i], resend = t, true
 		}
-		drained = drained && sub.cur[i] >= s.sh[i].next
+		drained = drained && sub.cur[i] > s.lastLocked(i)
 	}
 	draining := s.draining
 	s.mu.Unlock()
@@ -465,12 +467,14 @@ func (s *Source) Close(timeout time.Duration) {
 	close(s.closeCh)
 
 	deadline := time.Now().Add(timeout)
+	last := make([]uint64, s.shards)
 	for time.Now().Before(deadline) {
 		s.mu.Lock()
+		s.lastsLocked(last)
 		lag := false
 		for sub := range s.subs {
-			for i := range s.sh {
-				if sub.cur[i] < s.sh[i].next {
+			for i := range last {
+				if sub.cur[i] <= last[i] {
 					lag = true
 				}
 			}
@@ -495,32 +499,39 @@ func (s *Source) Close(timeout time.Duration) {
 	s.wg.Wait()
 }
 
-// Seq reports shard i's last published sequence number; with a log, a
-// follower is sent it once it is fsynced. Harnesses compare follower
-// applied cursors against it to decide quiescence.
+// Seq reports shard i's last published sequence number; with a log, the
+// last it has appended, which a follower is sent once it is fsynced.
+// Harnesses compare follower applied cursors against it to decide
+// quiescence.
 func (s *Source) Seq(i int) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sh[i].next - 1
+	return s.lastLocked(i)
 }
 
 // StatLines reports source-side replication counters for the server's
-// stats verb: follower count, total published records, each shard's last
+// stats verb: follower count, the records published past the base (with a
+// log, those it has appended since it was recovered), each shard's last
 // published sequence (followers' applied cursors are compared against
 // these to compute lag), and the records sent to followers from the log
 // (every record sent).
 func (s *Source) StatLines() [][2]string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	last := s.lastsLocked(make([]uint64, s.shards))
+	published := uint64(0)
+	for i, l := range last {
+		published += l - s.sh[i].base
+	}
 	out := [][2]string{
 		{"repl_role", "source"},
 		{"repl_followers", strconv.Itoa(len(s.subs))},
-		{"repl_published_records", strconv.FormatUint(s.published, 10)},
+		{"repl_published_records", strconv.FormatUint(published, 10)},
 	}
-	for i := range s.sh {
+	for i, l := range last {
 		out = append(out, [2]string{
 			"shard" + strconv.Itoa(i) + "_repl_seq",
-			strconv.FormatUint(s.sh[i].next-1, 10),
+			strconv.FormatUint(l, 10),
 		})
 	}
 	return append(out, [2]string{"repl_log_catchup_records", strconv.FormatUint(s.fromLog, 10)})

@@ -749,6 +749,7 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 	if l := s.cfg.WAL; l != nil {
 		ws := l.Stats()
 		u("wal_appends", ws.Appends)
+		u("wal_parked", ws.Parked)
 		u("wal_fsyncs", ws.Fsyncs)
 		u("wal_bytes", ws.Bytes)
 		u("wal_segments", ws.Segments)
@@ -756,11 +757,6 @@ func (s *Server) statsResponse(th *tm.Thread) []byte {
 		u("wal_base_records", ws.BaseRecords)
 		u("wal_compactions", ws.Compactions)
 		u("recover_us", uint64(s.store.RecoverTime().Microseconds()))
-	}
-	if cs := s.store.CommitStream(); cs != nil {
-		released, parked := cs.Counts()
-		u("commit_stream_released", released)
-		u("commit_stream_parked", parked)
 	}
 
 	if xs := s.cfg.ExtraStats; xs != nil {

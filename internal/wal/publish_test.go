@@ -1,4 +1,4 @@
-package logrec_test
+package wal_test
 
 import (
 	"bufio"
@@ -19,62 +19,13 @@ import (
 	"gotle/internal/wal"
 )
 
-func mkRecord(seq uint64, key, val string) logrec.Record {
-	return logrec.Record{Seq: seq, Op: logrec.OpSet, Key: []byte(key), Val: []byte(val)}
+func mkRecord(seq uint64, key, val string) wal.Record {
+	return wal.Record{Seq: seq, Op: wal.OpSet, Key: []byte(key), Val: []byte(val)}
 }
 
-// run is one Sink.Emit call as a recording sink saw it.
-type run struct {
-	shard  int
-	first  uint64
-	n      int
-	frames []byte
-}
-
-type recSink struct{ runs []run }
-
-func (k *recSink) Emit(shard int, first uint64, n int, frames []byte) {
-	k.runs = append(k.runs, run{shard, first, n, append([]byte(nil), frames...)})
-}
-
-// TestStreamRunShape pins what a sink is promised: one publish arrives
-// as one run, an early arrival reaches no sink until its predecessors do,
-// and then the whole contiguous stretch arrives as one run, framed with
-// the shard stamped in.
-func TestStreamRunShape(t *testing.T) {
-	st := logrec.NewStream([]uint64{0, 7})
-	var k recSink
-	st.Attach(&k)
-
-	st.Publish(1, []logrec.Record{mkRecord(8, "a", "1"), mkRecord(9, "b", "2"), mkRecord(10, "c", "3")})
-	st.Publish(0, []logrec.Record{mkRecord(3, "e", "5"), mkRecord(4, "f", "6")})
-	st.Publish(0, []logrec.Record{mkRecord(2, "d", "4")})
-	if len(k.runs) != 1 || k.runs[0].shard != 1 || k.runs[0].first != 8 || k.runs[0].n != 3 {
-		t.Fatalf("after a three-record publish and two early arrivals: runs = %+v, want one run {shard 1, first 8, n 3}", k.runs)
-	}
-	st.Publish(0, []logrec.Record{mkRecord(1, "g", "7")})
-	if len(k.runs) != 2 || k.runs[1].shard != 0 || k.runs[1].first != 1 || k.runs[1].n != 4 {
-		t.Fatalf("after the gap filled: runs = %+v, want a second run {shard 0, first 1, n 4}", k.runs)
-	}
-	frames := k.runs[1].frames
-	for seq := uint64(1); seq <= 4; seq++ {
-		rec, n, err := logrec.DecodeRecord(frames)
-		if err != nil || rec.Seq != seq || rec.Shard != 0 {
-			t.Fatalf("frame %d of the released run: %+v, %v", seq, rec, err)
-		}
-		frames = frames[n:]
-	}
-	if len(frames) != 0 {
-		t.Fatalf("%d stray bytes after the run's 4 frames", len(frames))
-	}
-	if released, parked := st.Counts(); released != 7 || parked != 3 {
-		t.Fatalf("Counts = %d released, %d parked; want 7, 3", released, parked)
-	}
-}
-
-// openSinks builds a stream over a fresh WAL (in dir) and a Source that
-// sends followers, on addr, what the WAL has fsynced.
-func openSinks(t *testing.T, shards int) (st *logrec.Stream, l *wal.Log, src *repl.Source, dir, addr string) {
+// openSource opens a fresh WAL in dir and a Source that sends followers,
+// on addr, what the log has fsynced.
+func openSource(t *testing.T, shards int) (l *wal.Log, src *repl.Source, dir, addr string) {
 	t.Helper()
 	dir = t.TempDir()
 	l, err := wal.Open(dir, shards, wal.Options{})
@@ -91,41 +42,35 @@ func openSinks(t *testing.T, shards int) (st *logrec.Stream, l *wal.Log, src *re
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { src.Close(time.Second) })
-	st = logrec.NewStream(make([]uint64, shards))
-	st.Attach(l)
-	st.Attach(src)
-	return st, l, src, dir, bound.String()
+	return l, src, dir, bound.String()
 }
 
-func TestOutOfOrderPublishGroupsIntoOneFsync(t *testing.T) {
-	st, l, src, _, _ := openSinks(t, 1)
+func TestOutOfOrderAppendsGroupIntoOneFsync(t *testing.T) {
+	l, src, _, _ := openSource(t, 1)
 	defer l.Close()
 
-	// Publish seqs 2..50 first: nothing is contiguous, so nothing reaches
-	// either sink and no ticket can resolve yet.
+	// Append seqs 2..50 first: nothing is contiguous, so nothing is
+	// written, the source has nothing to publish and no ticket can resolve.
 	for seq := uint64(2); seq <= 50; seq++ {
-		st.Publish(0, []logrec.Record{mkRecord(seq, "k", "v")})
+		l.Append(0, mkRecord(seq, "k", "v"))
 	}
 	if ws := l.Stats(); ws.Appends != 0 || ws.Fsyncs != 0 || src.Seq(0) != 0 {
 		t.Fatalf("before the gap filled: %d appends, %d fsyncs, source at seq %d", ws.Appends, ws.Fsyncs, src.Seq(0))
 	}
-	// Seq 1 arrives: the whole run drains contiguously and ships as one
+	// Seq 1 arrives: the whole run is written contiguously and rides one
 	// group-commit batch.
-	st.Publish(0, []logrec.Record{mkRecord(1, "k", "v")})
+	l.Append(0, mkRecord(1, "k", "v"))
 	for seq := uint64(1); seq <= 50; seq++ {
 		if err := l.TicketFor(0, seq).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ws := l.Stats()
-	if ws.Appends != 50 || src.Seq(0) != 50 {
-		t.Fatalf("appends = %d, source at seq %d; want 50, 50", ws.Appends, src.Seq(0))
+	if ws.Appends != 50 || ws.Parked != 49 || src.Seq(0) != 50 {
+		t.Fatalf("%d appends, %d parked, source at seq %d; want 50, 49, 50", ws.Appends, ws.Parked, src.Seq(0))
 	}
 	if ws.Fsyncs == 0 || ws.Fsyncs > 3 {
 		t.Fatalf("fsyncs = %d; 50 contiguous records should ride O(1) group commits", ws.Fsyncs)
-	}
-	if released, parked := st.Counts(); released != 50 || parked != 49 {
-		t.Fatalf("Counts = %d released, %d parked; want 50, 49", released, parked)
 	}
 }
 
@@ -206,14 +151,15 @@ func wireFrames(t *testing.T, addr string, shards, want int) [][][]byte {
 }
 
 // TestConcurrentPublishersBothSinksInSeqOrder: many goroutines draw
-// per-shard sequence numbers under a lock and publish outside it, singly
-// and in multi-record runs, so arrival order is scrambled. The log must
-// end up with each shard's records in exact sequence order, the source
-// (whose Emit panics on a run out of order) must see them in that order
-// too, and a follower must be sent the very same frame bytes.
+// per-shard sequence numbers under a lock and append outside it, in runs
+// of one to three, so arrival order is scrambled. Both consumers of the
+// records see them in sequence order: the log's files hold each shard's
+// records in exact sequence order, and a follower is sent the very same
+// frame bytes, read back from the log, in that order. A restart recovers
+// every record of every shard, with no gap.
 func TestConcurrentPublishersBothSinksInSeqOrder(t *testing.T) {
 	const shards, workers, perWorker = 2, 8, 300
-	st, l, _, dir, addr := openSinks(t, shards)
+	l, _, dir, addr := openSource(t, shards)
 
 	var mu sync.Mutex
 	next := make([]uint64, shards)
@@ -225,15 +171,17 @@ func TestConcurrentPublishersBothSinksInSeqOrder(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				shard, n := (w+i)%shards, 1+i%3
-				recs := make([]logrec.Record, n)
+				recs := make([]wal.Record, n)
 				mu.Lock()
 				for j := range recs {
 					next[shard]++
-					recs[j] = mkRecord(next[shard], fmt.Sprintf("w%d", w), fmt.Sprintf("value-%d-%d", i, j))
+					recs[j] = mkRecord(next[shard], fmt.Sprintf("w%d-%d-%d", w, i, j), "value")
 				}
 				total += n
 				mu.Unlock()
-				st.Publish(shard, recs)
+				for _, r := range recs {
+					l.Append(shard, r)
+				}
 			}
 		}(w)
 	}
@@ -243,11 +191,11 @@ func TestConcurrentPublishersBothSinksInSeqOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	released, parked := st.Counts()
-	if released != uint64(total) {
-		t.Fatalf("released %d of %d published records", released, total)
+	st := l.Stats()
+	if st.Appends != uint64(total) {
+		t.Fatalf("wrote %d of %d appended records", st.Appends, total)
 	}
-	t.Logf("%d records, %d parked on the way", total, parked)
+	t.Logf("%d records, %d parked on the way", total, st.Parked)
 
 	disk := walFrames(t, dir, shards) // before Close, which compacts the segments
 	wire := wireFrames(t, addr, shards, total)
@@ -267,5 +215,23 @@ func TestConcurrentPublishersBothSinksInSeqOrder(t *testing.T) {
 				t.Fatalf("shard %d seq %d: wire frame differs from the disk frame", sh, rec.Seq)
 			}
 		}
+	}
+
+	l2, err := wal.Open(dir, shards, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	n, err := l2.Recover(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sh := 0; sh < shards; sh++ {
+		if l2.LastSeq(sh) != next[sh] {
+			t.Fatalf("shard %d recovered through seq %d, want %d", sh, l2.LastSeq(sh), next[sh])
+		}
+	}
+	if n != total {
+		t.Fatalf("recovered %d records, want all %d (every key is distinct)", n, total)
 	}
 }

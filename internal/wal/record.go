@@ -1,5 +1,5 @@
-// Package wal is the durability layer: a redo write-ahead log fed by a tap
-// on the TM commit pipeline. Every shard keeps its own sequence space, but
+// Package wal is the durability layer: a redo write-ahead log that each
+// committed mutation appends its record to. Every shard keeps its own sequence space, but
 // all shards append into ONE shared file series with one group-commit
 // fsync stream — an fsync is the disk's grace period, and like the TM's
 // shared grace, it amortizes only if everyone shares it. (The first cut of
@@ -13,12 +13,12 @@
 //     number inside the transaction itself, so the log order is exactly the
 //     shard's serialization order — durability rides the same optimistic
 //     commit order the TM establishes, rather than a second synchronization
-//     layer bolted on outside it. Records may be *published* out of order
-//     (post-commit publishes interleave across threads);
-//     logrec.Stream, upstream, releases only each shard's contiguous
-//     prefix, so the log takes records in sequence order and never reorders.
+//     layer bolted on outside it. Records may be *appended* out of order
+//     (post-commit appends interleave across threads): Append parks a
+//     record that arrives ahead of its predecessor and writes it once the
+//     gap fills, so the file holds each shard's records in sequence order.
 //
-//   - Group commit. One background syncer batches every record published
+//   - Group commit. One background syncer batches every record appended
 //     since the previous fsync — across all shards — into a single
 //     write+fsync: the PR-2 shared-grace idea applied at the disk layer.
 //     Append returns a Ticket; Ticket.Wait blocks until the record's

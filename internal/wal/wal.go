@@ -54,8 +54,11 @@ func (o Options) withDefaults() Options {
 
 // Stats is a point-in-time snapshot of the log's counters.
 type Stats struct {
-	// Appends counts records accepted by Append.
+	// Appends counts records written into the log in sequence order.
 	Appends uint64
+	// Parked counts the records that arrived ahead of a predecessor and
+	// waited for it before they were written.
+	Parked uint64
 	// Fsyncs counts group-commit fsync batches (one fsync may cover many
 	// appends — the amortization the group-commit loop exists for).
 	Fsyncs uint64
@@ -91,15 +94,16 @@ type Log struct {
 	durable []durableWord
 
 	// Stats counters, grouped by writer so each goroutine's words share a
-	// line with words only it updates: appends/bytes belong to the
+	// line with words only it updates: appends/parkedN/bytes belong to the
 	// appenders, fsyncs/segments to the syncer goroutine, recovered to
 	// startup. One pad splits the two concurrent writers; same-writer
 	// words deliberately share their line (no ping-pong, and reading
 	// Stats is cold).
 	appends   atomic.Uint64
+	parkedN   atomic.Uint64
 	bytes     atomic.Uint64
 	recovered atomic.Uint64 // startup only, never contended
-	_         [40]byte      // pad: appender group and syncer group on separate lines
+	_         [32]byte      // pad: appender group and syncer group on separate lines
 	fsyncs    atomic.Uint64
 	segments  atomic.Uint64
 	// The committed MANIFEST's, written at Open and by Close's compaction.
@@ -119,6 +123,9 @@ type Log struct {
 	bufTops []uint64 // per shard: highest seq framed into buf/file
 	tops    []uint64 // scratch: bufTops snapshot cut with each batch
 	onSync  func(durable []uint64)
+	// parked holds, per shard, the owned frames of records that arrived
+	// ahead of a predecessor, by seq, until the gap before them fills.
+	parked []map[uint64][]byte
 	// ends[k] is, per shard, the last seq before segment seg0+k (Recover
 	// opens seg0; each rotation adds a row): a Reader skips segments by it.
 	ends    [][]uint64
@@ -230,10 +237,14 @@ func Open(dir string, shards int, opts Options) (*Log, error) {
 		dir:     dir,
 		opts:    opts.withDefaults(),
 		bufTops: make([]uint64, shards),
+		parked:  make([]map[uint64][]byte, shards),
 		durable: make([]durableWord, shards),
 		tops:    make([]uint64, shards),
 		dirty:   make(chan struct{}, 1),
 		man:     man,
+	}
+	for i := range l.parked {
+		l.parked[i] = make(map[uint64][]byte)
 	}
 	l.baseRecs.Store(man.records)
 	l.compactions.Store(man.compactions)
@@ -762,9 +773,10 @@ func (l *Log) OnSync(fn func(durable []uint64)) {
 	l.mu.Unlock()
 }
 
-// LastSeq reports shard sh's last recovered sequence number (0 when the
-// shard's log was empty). Valid after Recover; the store seeds its
-// in-transaction sequence words from this.
+// LastSeq reports the last sequence number of shard sh the log has
+// written, parked records not counted: after Recover, the recovered tail
+// (0 when the shard's log was empty), from which the store seeds its
+// in-transaction sequence words.
 func (l *Log) LastSeq(sh int) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -799,11 +811,10 @@ func (t Ticket) Wait() error {
 }
 
 // TicketFor returns the durability handle for shard sh's record seq,
-// whether it has reached the log or is still upstream in the commit
-// stream; on a nil log (no durability) it is the zero Ticket. A shard's
-// records become durable strictly in sequence order, so the ticket for the
-// shard sequence a section read covers everything that section wrote or
-// observed on the shard.
+// whether it has been appended yet or not; on a nil log (no durability) it
+// is the zero Ticket. A shard's records become durable strictly in
+// sequence order, so the ticket for the shard sequence a section read
+// covers everything that section wrote or observed on the shard.
 func (l *Log) TicketFor(sh int, seq uint64) Ticket {
 	if l == nil {
 		return Ticket{}
@@ -811,52 +822,83 @@ func (l *Log) TicketFor(sh int, seq uint64) Ticket {
 	return Ticket{l: l, shard: sh, seq: seq}
 }
 
-// Append frames one record for shard sh straight into the batch buffer;
-// key and value are consumed before it returns. Like Emit it takes a
-// shard's records in sequence order only. The returned Ticket's Wait
+// Append frames one record for shard sh into the batch buffer; key and
+// value are consumed before it returns. A shard's records are written in
+// sequence order: the post-commit appends of a shard's sections interleave
+// across threads, so a record can arrive ahead of its predecessor, and
+// then it parks until the gap before it fills. The returned Ticket's Wait
 // blocks until the record is durable.
 func (l *Log) Append(sh int, r Record) Ticket {
 	r.Shard = uint16(sh)
 	l.mu.Lock()
-	if l.admitLocked(sh, r.Seq, 1) {
+	if l.admitLocked(sh, r) {
 		l.buf = logrec.AppendRecord(l.buf, r)
+		l.advanceLocked(sh)
 	}
 	l.mu.Unlock()
 	l.wake()
 	return l.TicketFor(sh, r.Seq)
 }
 
-// Emit appends a run of n framed records for shard sh, sequence numbers
-// first..first+n-1 (logrec.Sink): one lock acquisition per run.
-func (l *Log) Emit(sh int, first uint64, n int, frames []byte) {
-	l.mu.Lock()
-	if l.admitLocked(sh, first, n) {
-		l.buf = append(l.buf, frames...)
-	}
-	l.mu.Unlock()
-	l.wake()
-}
-
-// admitLocked advances shard sh's buffered tail over n records starting
-// at first, or fails the log: reordering is logrec.Stream's job, upstream,
-// and a run that does not continue the shard's sequence would leave a gap
-// recovery stops at — so it poisons the log and every later ticket fails.
-func (l *Log) admitLocked(sh int, first uint64, n int) bool {
-	if l.err == nil {
-		switch {
-		case !l.opened || l.closed:
-			l.err = fmt.Errorf("wal: append to closed log")
-		case first != l.bufTops[sh]+1:
-			l.err = fmt.Errorf("wal: shard %d: append of seq %d does not continue seq %d", sh, first, l.bufTops[sh])
+// admitLocked reports whether r continues shard sh's written run; a
+// record further ahead parks.
+func (l *Log) admitLocked(sh int, r Record) bool {
+	if l.err == nil && l.opened && !l.closed {
+		top := l.bufTops[sh]
+		if r.Seq == top+1 {
+			return true
+		}
+		if r.Seq > top+1 && l.parked[sh][r.Seq] == nil {
+			l.park(sh, r)
+			return false
 		}
 	}
-	if l.err != nil {
-		l.cond.Broadcast()
-		return false
+	l.refuseLocked(sh, r.Seq)
+	return false
+}
+
+// refuseLocked fails the log for an append of seq it cannot take, unless
+// it has failed already: a seq the log already holds, written or parked,
+// would put a duplicate in the file, and an append to a closed log would
+// be lost, so every later ticket fails too.
+//
+//gotle:coldpath only an append to a closed or failed log, or a duplicate seq, is refused
+func (l *Log) refuseLocked(sh int, seq uint64) {
+	switch {
+	case l.err != nil:
+	case !l.opened || l.closed:
+		l.err = fmt.Errorf("wal: append to closed log")
+	default:
+		l.err = fmt.Errorf("wal: shard %d: seq %d appended twice (written through seq %d)", sh, seq, l.bufTops[sh])
 	}
-	l.bufTops[sh] += uint64(n)
-	l.appends.Add(uint64(n))
-	return true
+	l.cond.Broadcast()
+}
+
+// park holds r, whose predecessor drawn by another thread has not been
+// appended yet, as an owned frame until it has.
+//
+//gotle:coldpath only a record that overtook an unappended predecessor on its shard parks
+func (l *Log) park(sh int, r Record) {
+	l.parked[sh][r.Seq] = logrec.AppendRecord(nil, r)
+	l.parkedN.Add(1)
+}
+
+// advanceLocked moves shard sh's top over the record just framed into buf,
+// and over the parked successors it makes contiguous, which follow it into
+// buf.
+func (l *Log) advanceLocked(sh int) {
+	top, n := l.bufTops[sh]+1, uint64(1)
+	for len(l.parked[sh]) > 0 {
+		f, ok := l.parked[sh][top+1]
+		if !ok {
+			break
+		}
+		delete(l.parked[sh], top+1)
+		l.buf = append(l.buf, f...)
+		top, n = top+1, n+1
+	}
+	l.bufTops[sh] = top
+	l.appends.Add(n)
 }
 
 // wake nudges the syncer without blocking (the channel has capacity 1; a
@@ -984,6 +1026,7 @@ func (l *Log) rotateLocked() error {
 func (l *Log) Stats() Stats {
 	return Stats{
 		Appends:     l.appends.Load(),
+		Parked:      l.parkedN.Load(),
 		Fsyncs:      l.fsyncs.Load(),
 		Bytes:       l.bytes.Load(),
 		Recovered:   l.recovered.Load(),

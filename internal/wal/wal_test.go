@@ -130,33 +130,84 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNonContiguousAppendFailsLoudly: the log takes records in sequence
-// order only (logrec.Stream reorders upstream). A seq that skips ahead
-// must poison the log — failing its own ticket and every later one —
-// rather than put a gap in the file that recovery would stop at.
+// TestNonContiguousAppendFailsLoudly: a seq that skips ahead parks, but
+// one the log already holds (stale, or a duplicate of a parked one) would
+// put a second copy in the file, so it must poison the log — failing
+// every ticket not yet durable, the parked record's included.
 func TestNonContiguousAppendFailsLoudly(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openLog(t, dir, 1, Options{}, nil)
-	if err := l.Append(0, mkRecord(1, OpSet, "k", "v", 0)).Wait(); err != nil {
+	for _, dup := range []uint64{1, 3} {
+		t.Run(fmt.Sprintf("seq-%d-again", dup), func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := openLog(t, dir, 1, Options{}, nil)
+			if err := l.Append(0, mkRecord(1, OpSet, "k", "v", 0)).Wait(); err != nil {
+				t.Fatal(err)
+			}
+			parked := l.Append(0, mkRecord(3, OpSet, "k", "v", 0))
+			l.Append(0, mkRecord(dup, OpSet, "k", "v", 0))
+			if err := l.Append(0, mkRecord(2, OpSet, "k", "v", 0)).Wait(); err == nil {
+				t.Fatalf("seq 2 was acked after a second append of seq %d", dup)
+			}
+			if err := parked.Wait(); err == nil {
+				t.Fatal("the parked seq 3 was acked by a poisoned log")
+			}
+			if err := l.Close(); err == nil {
+				t.Fatal("Close of a poisoned log reported no error")
+			}
+			l2, n := openLog(t, dir, 1, Options{}, nil)
+			defer l2.Close()
+			if n != 1 {
+				t.Fatalf("recovered %d records, want the 1 acked", n)
+			}
+		})
+	}
+}
+
+// TestAppendParksEarlyArrivals: a record that arrives ahead of its shard's
+// predecessor is neither written nor durable, and holds up no other shard,
+// until the predecessor lands; then the whole run is written in sequence
+// order, and each record that waited counts in Stats().Parked.
+func TestAppendParksEarlyArrivals(t *testing.T) {
+	l, _ := openLog(t, t.TempDir(), 2, Options{}, nil)
+	defer l.Close()
+	var early []Ticket
+	for _, seq := range []uint64{3, 4, 2} {
+		early = append(early, l.Append(0, mkRecord(seq, OpSet, fmt.Sprintf("k%d", seq), "v", 0)))
+	}
+	for seq := uint64(1); seq <= 2; seq++ {
+		if err := l.Append(1, mkRecord(seq, OpSet, "other", "v", 0)).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := l.Stats(); st.Appends != 2 || st.Parked != 3 || l.LastSeq(0) != 0 || l.Durable(0) != 0 {
+		t.Fatalf("with seqs 2-4 of shard 0 early and shard 1 durable: %d appends, %d parked, shard 0 written to %d, durable to %d; want 2, 3, 0, 0",
+			st.Appends, st.Parked, l.LastSeq(0), l.Durable(0))
+	}
+	if err := l.Append(0, mkRecord(1, OpSet, "k1", "v", 0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(0, mkRecord(3, OpSet, "k", "v", 0)).Wait(); err == nil {
-		t.Fatal("append of seq 3 after seq 1 was acked")
+	for _, tk := range early {
+		if err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := l.Append(0, mkRecord(2, OpSet, "k", "v", 0)).Wait(); err == nil {
-		t.Fatal("append to a poisoned log was acked")
+	if st := l.Stats(); st.Appends != 6 || st.Parked != 3 || l.LastSeq(0) != 4 {
+		t.Fatalf("after seq 1 landed: %d appends, %d parked, shard 0 written to %d; want 6, 3, 4", st.Appends, st.Parked, l.LastSeq(0))
 	}
-	l.Emit(0, 2, 1, logrec.AppendRecord(nil, mkRecord(2, OpSet, "k", "v", 0)))
-	if err := l.TicketFor(0, 2).Wait(); err == nil {
-		t.Fatal("emit to a poisoned log was acked")
+	r := newReader(t, l, []uint64{0, 0})
+	defer r.Close()
+	var order [2][]uint64
+	if err := r.Next(func(sh int, seq uint64, frame []byte) error {
+		rec, _, err := logrec.DecodeRecord(frame)
+		if err == nil && sh == 0 && string(rec.Key) != fmt.Sprintf("k%d", seq) {
+			err = fmt.Errorf("shard 0 seq %d holds key %q", seq, rec.Key)
+		}
+		order[sh] = append(order[sh], seq)
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if err := l.Close(); err == nil {
-		t.Fatal("Close of a poisoned log reported no error")
-	}
-	l2, n := openLog(t, dir, 1, Options{}, nil)
-	defer l2.Close()
-	if n != 1 {
-		t.Fatalf("recovered %d records, want the 1 acked", n)
+	if !slices.Equal(order[0], []uint64{1, 2, 3, 4}) || !slices.Equal(order[1], []uint64{1, 2}) {
+		t.Fatalf("file order per shard %v; want [1 2 3 4] [1 2]", order)
 	}
 }
 
@@ -1001,9 +1052,10 @@ func TestReaderKeepsItsPlace(t *testing.T) {
 // durable. Next returns the durable frames only; the next Next returns the
 // split frame once, whole. No descriptor stays open.
 func TestReaderSplitFrame(t *testing.T) {
-	frame := func(seq uint64) []byte {
-		return logrec.AppendRecord(nil, Record{Seq: seq, Op: OpSet, Key: []byte(fmt.Sprintf("key:%04d", seq)), Val: []byte("value")})
+	rec := func(seq uint64) Record {
+		return Record{Seq: seq, Op: OpSet, Key: []byte(fmt.Sprintf("key:%04d", seq)), Val: []byte("value")}
 	}
+	frame := func(seq uint64) []byte { return logrec.AppendRecord(nil, rec(seq)) }
 	size := len(frame(1))
 	defer func(n int) { scanBytes = n }(scanBytes)
 	scanBytes = size * 13 / 10
@@ -1048,15 +1100,20 @@ func TestReaderSplitFrame(t *testing.T) {
 			bad = append(bad, err.Error())
 		}
 	}
-	emit := func(first uint64) {
-		l.Emit(0, first, 2, append(frame(first), frame(first+1)...))
+	// The second of a pair parks until the first lands, so both are
+	// written in one batch.
+	pair := func(first uint64) {
+		l.Append(0, rec(first+1))
+		if err := l.Append(0, rec(first)).Wait(); err != nil {
+			t.Fatal(err)
+		}
 		if err := l.TicketFor(0, first+1).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	emit(1)
+	pair(1)
 	armed.Store(true)
-	emit(3)
+	pair(3)
 	if !split || !slices.Equal(got, []uint64{1, 2}) {
 		t.Fatalf("read %v while 3 and 4 were written but not durable; a part of 3 held back: %v", got, split)
 	}
